@@ -6,11 +6,13 @@ from .actions import (
     GraspAction,
     GripperSpec,
     PullAction,
+    PullCheck,
     PullGrasp,
     StackGrasp,
     StackPlacement,
     TraceEvent,
     apply,
+    check_pull,
     grasp_gap,
     grasp_points,
     mog_allowable,
@@ -49,6 +51,7 @@ from .metrics import (
     summary_csv,
 )
 from .policies import (
+    PairMemo,
     PairSelection,
     PolicyConfig,
     PolicyKind,

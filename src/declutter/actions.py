@@ -17,12 +17,15 @@ dishes in the bin and costs one trip.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .errors import InfeasibleAction, NotAllowable
 from .geometry import (
+    Footprint,
     Point2,
+    circumradius,
     closest_point_on_segment,
     corridor_clear,
     dist,
@@ -36,7 +39,6 @@ from .tableware import (
     DishKind,
     SceneState,
     Stack,
-    stack_circumradius,
     stack_footprints,
     stack_grasp_span,
     stack_top_lip_height,
@@ -294,7 +296,7 @@ def mog_allowable(state: SceneState, a: int, b: int, sim: "SimConfig") -> bool:
 
 
 def _pull_contact(
-    state: SceneState, mover: Stack, anchor: Stack, sim: "SimConfig"
+    mover: Stack, anchor: Stack, mover_fps: list[Footprint], anchor_fps: list[Footprint]
 ) -> Point2 | None:
     """Mover base position at first footprint contact along the center line."""
     d = dist(mover.base, anchor.base)
@@ -302,8 +304,6 @@ def _pull_contact(
         return None
     ux = (anchor.base.x - mover.base.x) / d
     uy = (anchor.base.y - mover.base.y) / d
-    mover_fps = stack_footprints(state, mover, sim.dish_specs)
-    anchor_fps = stack_footprints(state, anchor, sim.dish_specs)
     best = None
     for mfp in mover_fps:
         for afp in anchor_fps:
@@ -324,43 +324,116 @@ def _moved_state(state: SceneState, stack_id: int, new_base: Point2) -> SceneSta
     return moved
 
 
-def pull_allowable(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> bool:
-    """True iff pulling ``mover`` into contact with ``anchor`` is worthwhile.
+@dataclass(frozen=True)
+class PullCheck:
+    """Outcome of the pull feasibility test for one (mover, anchor).
 
-    Requires similar gripped-rim heights, a corridor between the two stacks
-    free of any other object (so nothing is displaced on the way), and that
-    the pair passes the multi-object grasp test once in contact; a pull
-    that cannot end in a grasp would be a wasted action.
+    ``failed`` names the first test that failed, or is None when the pull is
+    allowable: ``"distinct_targets"``, ``"target_on_table"``,
+    ``"grip_height"`` (gripped-rim heights differ), ``"contact"`` (the
+    footprints never meet along the center line), ``"mog_allowable"`` (no
+    multi-object grasp once in contact) or ``"corridor"`` (stack
+    ``blocker`` meets the swept corridor).  Once the pair tests pass,
+    ``end`` is the mover's base at contact, ``grasp`` the witness grasp
+    there and ``half_width`` the corridor's half width.
+    """
+
+    failed: str | None
+    blocker: int | None = None
+    end: Point2 | None = None
+    grasp: GraspAction | None = None
+    half_width: float = 0.0
+
+    @property
+    def allowable(self) -> bool:
+        return self.failed is None
+
+    @property
+    def reason(self) -> str:
+        """The failed test, naming the blocking stack for a corridor."""
+        if self.blocker is not None:
+            return f"{self.failed} blocked by stack {self.blocker}"
+        return str(self.failed)
+
+
+Footprints = Callable[[Stack], list[Footprint]]
+
+
+def _pair_check(
+    state: SceneState, mover: int, anchor: int, sim: "SimConfig", footprints: Footprints
+) -> PullCheck:
+    """The pull tests that depend on the mover and the anchor alone.
+
+    ``footprints`` maps a stack to its footprints.  The witness grasp is
+    taken on a view holding just the pair, the mover at contact: the grasp
+    test reads nothing else.
     """
     if mover == anchor:
-        return False
+        return PullCheck("distinct_targets")
     sm = state.stacks.get(mover)
     sa = state.stacks.get(anchor)
     if sm is None or sa is None:
-        return False
-    specs = sim.dish_specs
+        return PullCheck("target_on_table")
     if abs(_grip_height(state, sm, sim) - _grip_height(state, sa, sim)) > (
         sim.gripper.height_similarity_threshold + 1e-9
     ):
-        return False
-    end = _pull_contact(state, sm, sa, sim)
+        return PullCheck("grip_height")
+    mover_fps = footprints(sm)
+    end = _pull_contact(sm, sa, mover_fps, footprints(sa))
     if end is None:
-        return False
-    half_width = stack_circumradius(state, sm, specs) + sim.pull_clearance_margin
-    obstacles = [
-        fp
-        for other in state.stacks.values()
-        if other.id not in (mover, anchor)
-        for fp in stack_footprints(state, other, specs)
-    ]
-    if not corridor_clear(sm.base, end, half_width, obstacles):
-        return False
-    return mog_allowable(_moved_state(state, mover, end), mover, anchor, sim)
+        return PullCheck("contact")
+    contact = SceneState(
+        state.workspace, {mover: replace(sm, base=end), anchor: sa}, state.dishes
+    )
+    grasp = mog_grasp(contact, mover, anchor, sim)
+    if grasp is None:
+        return PullCheck("mog_allowable")
+    half_width = max(circumradius(fp) for fp in mover_fps) + sim.pull_clearance_margin
+    return PullCheck(None, end=end, grasp=grasp, half_width=half_width)
 
 
-def plan_pull(
-    state: SceneState, mover: int, anchor: int, rng: SplitMix64, sim: "SimConfig"
-) -> PullAction:
+def _corridor_blocker(
+    start: Point2, pair: PullCheck, stacks: Iterable[Stack], footprints: Footprints
+) -> int | None:
+    """Id of the first of ``stacks`` meeting the corridor of a pull whose
+    pair tests passed, or None when the corridor is clear of them all."""
+    for stack in stacks:
+        if not corridor_clear(start, pair.end, pair.half_width, footprints(stack)):
+            return stack.id
+    return None
+
+
+def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> PullCheck:
+    """Test pulling ``mover`` into contact with ``anchor``, and say why it fails.
+
+    A pull is worthwhile only with similar gripped-rim heights, a contact
+    point along the center line, a multi-object grasp of the pair once in
+    contact (a pull that cannot end in a grasp would be a wasted action),
+    and a corridor between the two stacks free of any other object (so
+    nothing is displaced on the way).
+    """
+    specs = sim.dish_specs
+
+    def footprints(stack: Stack) -> list[Footprint]:
+        return stack_footprints(state, stack, specs)
+
+    pair = _pair_check(state, mover, anchor, sim, footprints)
+    if not pair.allowable:
+        return pair
+    others = (s for s in state.stacks.values() if s.id != mover and s.id != anchor)
+    blocker = _corridor_blocker(state.stacks[mover].base, pair, others, footprints)
+    if blocker is None:
+        return pair
+    return replace(pair, failed="corridor", blocker=blocker)
+
+
+def pull_allowable(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> bool:
+    """True iff pulling ``mover`` into contact with ``anchor`` is worthwhile
+    (see ``check_pull``)."""
+    return check_pull(state, mover, anchor, sim).allowable
+
+
+def plan_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> PullAction:
     """Plan the pull of ``mover`` to contact with ``anchor``.
 
     The pull starts at the mover's center (internal contact for discs, a
@@ -368,12 +441,13 @@ def plan_pull(
     the footprints touching.  Gripper orientation is the direction of
     motion.  Raises NotAllowable when the pull feasibility test fails.
     """
-    if not pull_allowable(state, mover, anchor, sim):
-        raise NotAllowable(f"pull of stack {mover} to stack {anchor} is not allowable")
+    check = check_pull(state, mover, anchor, sim)
+    if not check.allowable:
+        raise NotAllowable(
+            f"pull of stack {mover} to stack {anchor} is not allowable: {check.reason}"
+        )
     sm = state.stacks[mover]
-    sa = state.stacks[anchor]
-    end = _pull_contact(state, sm, sa, sim)
-    assert end is not None
+    end = check.end
     theta = normalize_angle(math.atan2(end.y - sm.base.y, end.x - sm.base.x))
     lip = stack_top_lip_height(sm, state.dishes, sim.dish_specs)
     return PullAction(
@@ -442,6 +516,16 @@ def _taller_first(state: SceneState, targets: tuple[int, ...], sim: "SimConfig")
     return min(targets, key=key)
 
 
+def _check_graspable(state: SceneState, targets: tuple[int, ...], sim: "SimConfig") -> None:
+    """Raise InfeasibleAction unless the final grasp's targets are on the
+    table and, when there are two, pass the multi-object grasp test."""
+    for sid in targets:
+        if sid not in state.stacks:
+            raise InfeasibleAction("target_on_table", f"stack {sid} not on table")
+    if len(targets) == 2 and not mog_allowable(state, targets[0], targets[1], sim):
+        raise InfeasibleAction("mog_allowable", f"stacks {targets}")
+
+
 def _point_params(p: Point2) -> list[float]:
     return [p.x, p.y]
 
@@ -472,11 +556,7 @@ def apply(
 
     if isinstance(action, Grasp):
         targets = action.grasp.targets
-        for sid in targets:
-            if sid not in new.stacks:
-                raise InfeasibleAction("target_on_table", f"stack {sid} not on table")
-        if len(targets) == 2 and not mog_allowable(new, targets[0], targets[1], sim):
-            raise InfeasibleAction("mog_allowable", f"stacks {targets}")
+        _check_graspable(new, targets, sim)
         event = TraceEvent(
             t=-1, kind="grasp", targets=targets, moved_to_bin=(),
             trip=False, params=_grasp_params(action.grasp),
@@ -496,10 +576,18 @@ def apply(
 
     if isinstance(action, PullGrasp):
         mover, anchor = action.pull.mover, action.pull.anchor
-        if not pull_allowable(new, mover, anchor, sim):
-            raise InfeasibleAction("pull_allowable", f"stacks ({mover}, {anchor})")
-        new = _moved_state(new, mover, action.pull.end)
+        check = check_pull(new, mover, anchor, sim)
+        if not check.allowable:
+            raise InfeasibleAction(
+                "pull_allowable", f"stacks ({mover}, {anchor}): {check.reason}"
+            )
         targets = action.grasp.targets
+        if sorted(targets) != sorted((mover, anchor)):
+            raise InfeasibleAction(
+                "grasp_targets", f"grasp of {targets} after pulling ({mover}, {anchor})"
+            )
+        new = _moved_state(new, mover, action.pull.end)
+        _check_graspable(new, targets, sim)
         event = TraceEvent(
             t=-1, kind="pull_grasp", targets=targets, moved_to_bin=(),
             trip=False,
@@ -543,9 +631,7 @@ def apply(
             {"lifted": lifted, "base": base, "place": _point_params(placement.place)}
         )
     targets = action.grasp.targets
-    for sid in targets:
-        if sid not in new.stacks:
-            raise InfeasibleAction("target_on_table", f"stack {sid} not on table")
+    _check_graspable(new, targets, sim)
     event = TraceEvent(
         t=-1, kind="stack_grasp", targets=targets, moved_to_bin=(),
         trip=False,

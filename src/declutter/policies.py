@@ -17,21 +17,30 @@ from typing import TYPE_CHECKING
 from .actions import (
     Action,
     Grasp,
+    GraspAction,
+    PullCheck,
     PullGrasp,
     StackGrasp,
     StackPlacement,
     TraceEvent,
-    _moved_state,
+    _corridor_blocker,
+    _pair_check,
     apply,
     grasp_gap,
     grasp_points,
     mog_grasp,
     plan_pull,
-    pull_allowable,
     stack_allowable,
 )
+from .geometry import Footprint
 from .rng import SplitMix64
-from .tableware import DishKind, SceneState, Stack, stack_top_lip_height
+from .tableware import (
+    DishKind,
+    SceneState,
+    Stack,
+    stack_footprints,
+    stack_top_lip_height,
+)
 
 if TYPE_CHECKING:
     from .config import SimConfig
@@ -82,53 +91,167 @@ def random_policy(
     return Grasp(grasp_points(state, stack.id, rng, sim))
 
 
+class _PullEntry:
+    """A memoized pull check: the pair's values, the pair tests' result,
+    and the corridor verdict as of ``arrivals`` stack arrivals."""
+
+    __slots__ = ("mover", "anchor", "pair", "verdict", "blocker", "arrivals")
+
+    def __init__(self, mover: Stack, anchor: Stack, pair: PullCheck):
+        self.mover = mover
+        self.anchor = anchor
+        self.pair = pair
+        self.verdict = pair
+        self.blocker: Stack | None = None
+        self.arrivals = 0
+
+
+class PairMemo:
+    """Pair results of the pull policy, kept from one step of a trial to the next.
+
+    Make one per trial and ``sync`` it with each state before asking for
+    results.  Every entry keeps the ``Stack`` values it was computed from
+    and is used only while those exact values are on the table; a moved or
+    merged stack is a new value, so an entry dies with either stack of its
+    pair.  Dishes never change kind or orientation, so a stack's value fixes
+    its footprints.
+
+    A corridor verdict also depends on the other stacks.  "Blocked by X"
+    holds while X's value is on the table.  "Clear" is rechecked against
+    each stack value that arrived after it was computed: with failures off
+    none ever does, and removing stacks can only clear corridors, so the
+    verdict lasts as long as its pair.  A failed pull-grasp or stack-grasp
+    leaves a moved or merged stack behind, which is such an arrival.
+    """
+
+    def __init__(self, sim: "SimConfig"):
+        self.sim = sim
+        self.state = SceneState((0.0, 0.0), {}, {})
+        self._seen: dict[int, Stack] = {}
+        self._arrivals: list[Stack] = []
+        self._footprints: dict[int, tuple[Stack, list[Footprint]]] = {}
+        self._grasps: dict[tuple[int, int], tuple[Stack, Stack, GraspAction | None]] = {}
+        self._gaps: dict[tuple[int, int], tuple[Stack, Stack, float]] = {}
+        self._pulls: dict[tuple[int, int], _PullEntry] = {}
+
+    def sync(self, state: SceneState) -> None:
+        """Make ``state`` the current table, noting stack values new to it."""
+        self.state = state
+        for sid, stack in state.stacks.items():
+            if self._seen.get(sid) is not stack:
+                self._seen[sid] = stack
+                self._arrivals.append(stack)
+
+    def footprints(self, stack: Stack) -> list[Footprint]:
+        """``stack_footprints`` of ``stack``."""
+        entry = self._footprints.get(stack.id)
+        if entry is None or entry[0] is not stack:
+            fps = stack_footprints(self.state, stack, self.sim.dish_specs)
+            entry = self._footprints[stack.id] = (stack, fps)
+        return entry[1]
+
+    def shared_grasp(self, a: int, b: int) -> GraspAction | None:
+        """``mog_grasp`` of stacks ``a`` and ``b``."""
+        sa, sb = self.state.stacks[a], self.state.stacks[b]
+        entry = self._grasps.get((a, b))
+        if entry is None or entry[0] is not sa or entry[1] is not sb:
+            grasp = mog_grasp(self.state, a, b, self.sim)
+            entry = self._grasps[(a, b)] = (sa, sb, grasp)
+        return entry[2]
+
+    def gap(self, a: int, b: int) -> float:
+        """``grasp_gap`` of stacks ``a`` and ``b``."""
+        sa, sb = self.state.stacks[a], self.state.stacks[b]
+        entry = self._gaps.get((a, b))
+        if entry is None or entry[0] is not sa or entry[1] is not sb:
+            gap = grasp_gap(self.state, a, b, self.sim)[0]
+            entry = self._gaps[(a, b)] = (sa, sb, gap)
+        return entry[2]
+
+    def pull(self, mover: int, anchor: int) -> PullCheck:
+        """``check_pull`` of ``mover`` toward ``anchor``."""
+        stacks = self.state.stacks
+        sm, sa = stacks[mover], stacks[anchor]
+        entry = self._pulls.get((mover, anchor))
+        if entry is None or entry.mover is not sm or entry.anchor is not sa:
+            pair = _pair_check(self.state, mover, anchor, self.sim, self.footprints)
+            entry = self._pulls[(mover, anchor)] = _PullEntry(sm, sa, pair)
+            if not pair.allowable:
+                return pair
+            candidates = stacks.values()
+        elif not entry.pair.allowable:
+            return entry.pair
+        elif entry.blocker is None:
+            if entry.arrivals == len(self._arrivals):
+                return entry.verdict
+            candidates = self._arrivals[entry.arrivals:]
+        elif stacks.get(entry.blocker.id) is entry.blocker:
+            return entry.verdict
+        else:
+            candidates = stacks.values()
+        entry.arrivals = len(self._arrivals)
+        others = (
+            s for s in candidates
+            if stacks.get(s.id) is s and s is not sm and s is not sa
+        )
+        blocker = _corridor_blocker(sm.base, entry.pair, others, self.footprints)
+        if blocker is None:
+            entry.blocker, entry.verdict = None, entry.pair
+        else:
+            entry.blocker = stacks[blocker]
+            entry.verdict = replace(entry.pair, failed="corridor", blocker=blocker)
+        return entry.verdict
+
+
 def _sorted_stack_ids(state: SceneState) -> list[int]:
     return sorted(state.stacks)
 
 
 def pull_policy(
-    state: SceneState, rng: SplitMix64, sim: "SimConfig", cfg: PolicyConfig
+    state: SceneState,
+    rng: SplitMix64,
+    sim: "SimConfig",
+    cfg: PolicyConfig,
+    memo: PairMemo | None = None,
 ) -> Action:
     """Grasp ready pairs first, then pull pairs together, then singles.
 
     Priority: (1) a multi-object grasp on the nearest pair that already
     passes the grasp test; (2) a pull-grasp on the nearest pullable pair;
-    (3) a single grasp on the lowest-id stack.
+    (3) a single grasp on the lowest-id stack.  Pair results come from
+    ``memo``, which carries them from one step of a trial to the next; a
+    call without one starts from an empty memo.
     """
+    if memo is None:
+        memo = PairMemo(sim)
+    memo.sync(state)
     ids = _sorted_stack_ids(state)
 
-    best_mog: tuple[float, int, int] | None = None
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            witness = mog_grasp(state, a, b, sim)
-            if witness is None:
-                continue
-            gap = grasp_gap(state, a, b, sim)[0]
-            if best_mog is None or (gap, a, b) < best_mog:
-                best_mog = (gap, a, b)
+    best_mog = min(
+        (
+            (memo.gap(a, b), a, b)
+            for i, a in enumerate(ids)
+            for b in ids[i + 1:]
+            if memo.shared_grasp(a, b) is not None
+        ),
+        default=None,
+    )
     if best_mog is not None:
         _, a, b = best_mog
-        witness = mog_grasp(state, a, b, sim)
-        assert witness is not None
-        return Grasp(witness)
+        return Grasp(memo.shared_grasp(a, b))
 
-    best_pull: tuple[float, int, int] | None = None
-    for mover in ids:
-        for anchor in ids:
-            if mover == anchor:
-                continue
-            if not pull_allowable(state, mover, anchor, sim):
-                continue
-            gap = grasp_gap(state, mover, anchor, sim)[0]
-            if best_pull is None or (gap, mover, anchor) < best_pull:
-                best_pull = (gap, mover, anchor)
+    best_pull = min(
+        (
+            (memo.gap(mover, anchor), mover, anchor)
+            for mover in ids
+            for anchor in ids
+            if mover != anchor and memo.pull(mover, anchor).allowable
+        ),
+        default=None,
+    )
     if best_pull is not None:
         _, mover, anchor = best_pull
-        pull = plan_pull(state, mover, anchor, rng, sim)
-        moved = _moved_state(state, mover, pull.end)
-        witness = mog_grasp(moved, mover, anchor, sim)
-        assert witness is not None, "pull_allowable guarantees a post-pull grasp"
-        return PullGrasp(pull, witness)
+        return PullGrasp(plan_pull(state, mover, anchor, sim), memo.pull(mover, anchor).grasp)
 
     return Grasp(grasp_points(state, ids[0], rng, sim))
 
@@ -247,17 +370,25 @@ def _merge_preview(state: SceneState, lifted: int, base: int) -> SceneState:
 
 _POLICY_FUNCS = {
     PolicyKind.RANDOM: random_policy,
-    PolicyKind.PULL: pull_policy,
     PolicyKind.STACK: stack_policy,
 }
 
 
 def next_action(
-    state: SceneState, rng: SplitMix64, sim: "SimConfig", cfg: PolicyConfig
+    state: SceneState,
+    rng: SplitMix64,
+    sim: "SimConfig",
+    cfg: PolicyConfig,
+    memo: PairMemo | None = None,
 ) -> Action | None:
-    """Next feasible action for the policy, or None once the table is clear."""
+    """Next feasible action for the policy, or None once the table is clear.
+
+    ``memo`` is the trial's pair memo, used by the pull policy.
+    """
     if not state.stacks:
         return None
+    if cfg.kind is PolicyKind.PULL:
+        return pull_policy(state, rng, sim, cfg, memo)
     return _POLICY_FUNCS[cfg.kind](state, rng, sim, cfg)
 
 
@@ -302,13 +433,14 @@ def run_policy(
     state = initial.clone()
     trace = Trace(policy=policy.kind.value, seed=seed, tier=initial.tier)
     cap = max_actions if max_actions is not None else 50 * max(len(state.dishes), 1) + 100
+    memo = PairMemo(sim)
     t = 0
     while True:
         if t >= cap:
             raise RuntimeError(
                 f"policy {policy.kind.value} exceeded {cap} actions without clearing"
             )
-        action = next_action(state, rng, sim, policy)
+        action = next_action(state, rng, sim, policy, memo)
         if action is None:
             break
         state, events = apply(state, action, sim, rng)

@@ -19,7 +19,6 @@ from .geometry import (
     Footprint,
     OrientedRect,
     Point2,
-    circumradius,
     normalize_angle,
     overlaps,
 )
@@ -214,12 +213,6 @@ def stack_footprints(
 ) -> list[Footprint]:
     base = at if at is not None else stack.base
     return [dish_footprint(state.dishes[d], specs, at=base) for d in stack.dishes]
-
-
-def stack_circumradius(
-    state: SceneState, stack: Stack, specs: dict[DishKind, DishSpec]
-) -> float:
-    return max(circumradius(fp) for fp in stack_footprints(state, stack, specs))
 
 
 def stack_top_lip_height(

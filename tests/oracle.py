@@ -1,4 +1,5 @@
-"""Brute-force minimum-trip oracle for small scenes.
+"""Brute-force references: the minimum-trip oracle for small scenes, and
+the pull policy's choice in one state.
 
 Every action either clears one stack (single grasp) or two stacks at once
 (multi-object grasp, pull-grasp, or a single stack-then-grasp), and no
@@ -12,7 +13,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from declutter import SceneState, mog_allowable, pull_allowable, stack_allowable
+from declutter import (
+    SceneState,
+    grasp_gap,
+    mog_allowable,
+    mog_grasp,
+    pull_allowable,
+    stack_allowable,
+)
 
 
 def min_trips(state: SceneState, sim) -> int:
@@ -46,3 +54,30 @@ def min_trips(state: SceneState, sim) -> int:
         return result
 
     return best(frozenset(all_ids))
+
+
+def pull_policy_choice(state: SceneState, sim) -> tuple[str, tuple[int, ...]]:
+    """What the pull policy must do in ``state``, by evaluating every pair
+    afresh: ("grasp", (a, b)) for the nearest pair with a shared grasp, else
+    ("pull", (mover, anchor)) for the nearest allowable pull, else
+    ("single", (lowest stack id,)).  Ties go to the lowest ids."""
+    ids = sorted(state.stacks)
+    ready = [
+        (grasp_gap(state, a, b, sim)[0], a, b)
+        for i, a in enumerate(ids)
+        for b in ids[i + 1:]
+        if mog_grasp(state, a, b, sim) is not None
+    ]
+    if ready:
+        _, a, b = min(ready)
+        return "grasp", (a, b)
+    pulls = [
+        (grasp_gap(state, mover, anchor, sim)[0], mover, anchor)
+        for mover in ids
+        for anchor in ids
+        if mover != anchor and pull_allowable(state, mover, anchor, sim)
+    ]
+    if pulls:
+        _, mover, anchor = min(pulls)
+        return "pull", (mover, anchor)
+    return "single", (ids[0],)

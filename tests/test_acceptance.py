@@ -336,7 +336,7 @@ def test_criterion_8_property_suites():
                 break
             for b in ids:
                 if a != b and pull_allowable(scene, a, b, SIM):
-                    pull = plan_pull(scene, a, b, SplitMix64(case), SIM)
+                    pull = plan_pull(scene, a, b, SIM)
                     moved = _moved_state(scene, a, pull.end)
                     assert mog_allowable(moved, a, b, SIM), (tier, case, a, b)
                     found = True

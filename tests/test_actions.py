@@ -1,16 +1,23 @@
 """Feasibility predicates and the transition function."""
 
+import dataclasses
 import math
 
 import pytest
 
 from declutter import (
     Grasp,
+    GraspAction,
     InfeasibleAction,
     NotAllowable,
+    Point2,
     PullGrasp,
     StackGrasp,
+    Tier,
+    TierConfig,
     apply,
+    check_pull,
+    generate_scene,
     grasp_gap,
     grasp_points,
     mog_allowable,
@@ -117,7 +124,7 @@ class TestPull:
     def test_cups_contact_endpoint(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
         assert pull_allowable(scene, 0, 1, SIM)
-        pull = plan_pull(scene, 0, 1, SplitMix64(1), SIM)
+        pull = plan_pull(scene, 0, 1, SIM)
         assert pull.end.x == pytest.approx(31.0, abs=1e-3)
         assert pull.end.y == pytest.approx(10.0, abs=1e-6)
         # Independent oracle: scanned first contact along the center line.
@@ -130,7 +137,7 @@ class TestPull:
 
     def test_bowls_contact_endpoint(self):
         scene = build_scene([([BOWL], 10, 10), ([BOWL], 10, 40)])
-        pull = plan_pull(scene, 0, 1, SplitMix64(1), SIM)
+        pull = plan_pull(scene, 0, 1, SIM)
         assert pull.end.x == pytest.approx(10.0, abs=1e-6)
         assert pull.end.y == pytest.approx(23.0, abs=1e-3)
 
@@ -139,10 +146,23 @@ class TestPull:
             [([CUP], 10, 10), ([CUP], 50, 10), ([BOWL], 30, 12)]
         )
         assert not pull_allowable(scene, 0, 1, SIM)
+        check = check_pull(scene, 0, 1, SIM)
+        assert (check.failed, check.blocker) == ("corridor", 2)
+        with pytest.raises(NotAllowable, match="blocked by stack 2"):
+            plan_pull(scene, 0, 1, SIM)
 
     def test_cup_bowl_pair_never_pullable(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
         assert not pull_allowable(scene, 0, 1, SIM)
+        assert check_pull(scene, 0, 1, SIM).failed == "grip_height"
+
+    def test_check_reports_contact_point_and_grasp(self):
+        scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
+        check = check_pull(scene, 0, 1, SIM)
+        assert check.allowable and check.blocker is None
+        pull = plan_pull(scene, 0, 1, SIM)
+        assert check.end == pull.end
+        assert check.grasp == grasp_for_moved(scene, pull, SIM)
 
     def test_utensil_mover_keeps_orientation(self):
         theta = 1.1
@@ -150,7 +170,7 @@ class TestPull:
             [([(UTENSIL, theta)], 15, 20), ([(UTENSIL, 0.3)], 55, 25)]
         )
         assert pull_allowable(scene, 0, 1, SIM)
-        pull = plan_pull(scene, 0, 1, SplitMix64(2), SIM)
+        pull = plan_pull(scene, 0, 1, SIM)
         grasp = mog_grasp(scene, 0, 1, SIM)
         new_state, events = apply(
             scene, PullGrasp(pull, grasp_for_moved(scene, pull, SIM)), SIM
@@ -161,7 +181,7 @@ class TestPull:
     def test_plan_pull_requires_allowable(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
         with pytest.raises(NotAllowable):
-            plan_pull(scene, 0, 1, SplitMix64(1), SIM)
+            plan_pull(scene, 0, 1, SIM)
 
 
 def grasp_for_moved(scene, pull, sim):
@@ -210,7 +230,7 @@ class TestApply:
 
     def test_pull_grasp_clears_both(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
-        pull = plan_pull(scene, 0, 1, SplitMix64(1), SIM)
+        pull = plan_pull(scene, 0, 1, SIM)
         action = PullGrasp(pull, grasp_for_moved(scene, pull, SIM))
         new, events = apply(scene, action, SIM)
         assert new.stacks == {}
@@ -264,9 +284,37 @@ class TestApply:
             apply(scene, bad, SIM)
         assert err.value.predicate == "stack_allowable"
 
+    def test_pull_grasp_must_grasp_the_pulled_pair(self):
+        scene = generate_scene(TierConfig.preset(Tier.T0_BOWLS), 0, SIM.dish_specs)
+        pull = plan_pull(scene, 0, 4, SIM)
+        g = grasp_for_moved(scene, pull, SIM)
+        for targets in ((1, 2), (0,), (0, 3)):
+            bad = PullGrasp(pull, GraspAction(g.point, g.z, g.theta, targets))
+            with pytest.raises(InfeasibleAction) as err:
+                apply(scene, bad, SIM)
+            assert err.value.predicate == "grasp_targets"
+
+    def test_pull_grasp_checks_grasp_after_the_pull(self):
+        scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
+        pull = plan_pull(scene, 0, 1, SIM)
+        short = dataclasses.replace(pull, end=Point2(15.0, 10.0))
+        action = PullGrasp(short, grasp_for_moved(scene, pull, SIM))
+        with pytest.raises(InfeasibleAction) as err:
+            apply(scene, action, SIM)
+        assert err.value.predicate == "mog_allowable"
+
+    def test_stack_grasp_checks_two_target_grasp(self):
+        scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10), ([BOWL], 66, 49)])
+        placement = _placement(scene, 0, 1, SplitMix64(1), SIM)
+        carry = grasp_points(scene, 1, SplitMix64(2), SIM)
+        both = GraspAction(carry.point, carry.z, carry.theta, (1, 2))
+        with pytest.raises(InfeasibleAction) as err:
+            apply(scene, StackGrasp((placement,), both), SIM)
+        assert err.value.predicate == "mog_allowable"
+
     def test_conservation_of_dish_ids(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10), ([BOWL], 60, 40)])
-        pull = plan_pull(scene, 0, 1, SplitMix64(1), SIM)
+        pull = plan_pull(scene, 0, 1, SIM)
         new, _ = apply(scene, PullGrasp(pull, grasp_for_moved(scene, pull, SIM)), SIM)
         on_table = [d for s in new.stacks.values() for d in s.dishes]
         assert sorted(on_table + list(new.bin)) == [0, 1, 2]

@@ -220,3 +220,21 @@ def test_bench_paper_default_plan_shape(tmp_path):
     assert len(trials) == 45
     summary = (out / "summary.csv").read_text().strip().split("\n")
     assert len(summary) == 1 + 15
+
+
+def test_cli_import_leaves_out_numpy_and_scipy():
+    # Only fit-time needs them; every other command pays their import time.
+    import os
+    import subprocess
+    import sys
+
+    import declutter
+
+    src = str(Path(declutter.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, declutter.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[]"

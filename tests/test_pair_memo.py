@@ -1,0 +1,147 @@
+"""The pull policy's per-trial pair memo against a brute-force reference."""
+
+import dataclasses
+import math
+
+import pytest
+
+from declutter import (
+    Grasp,
+    PairMemo,
+    Point2,
+    PolicyConfig,
+    PullGrasp,
+    Tier,
+    TierConfig,
+    apply,
+    check_pull,
+    generate_scene,
+    grasp_gap,
+    mog_grasp,
+    next_action,
+)
+from declutter.rng import SplitMix64, derive_seed
+from helpers import BOWL, CUP, SIM, build_scene
+from oracle import pull_policy_choice
+
+PULL = PolicyConfig.named("pull")
+
+
+def choice(action):
+    """The action in the reference's terms."""
+    if isinstance(action, PullGrasp):
+        return "pull", (action.pull.mover, action.pull.anchor)
+    if len(action.grasp.targets) == 2:
+        return "grasp", action.grasp.targets
+    return "single", action.grasp.targets
+
+
+def dense_scene(items, seed):
+    """A t1-mix scene at tier-1 density: the workspace side grows with
+    sqrt(items / 12)."""
+    third = items // 3
+    scale = math.sqrt(items / 12)
+    workspace = (SIM.workspace[0] * scale, SIM.workspace[1] * scale)
+    cfg = TierConfig(Tier.T1, n_cups=third, n_bowls=third, n_utensils=items - 2 * third)
+    return generate_scene(cfg, derive_seed(seed, "memo"), SIM.dish_specs, workspace)
+
+
+@pytest.mark.parametrize("p_fail", [0.0, 0.2])
+def test_policy_matches_reference_at_every_step(p_fail):
+    sim = dataclasses.replace(SIM, p_fail=p_fail)
+    kinds = set()
+    failed_pulls = 0
+    for seed in range(10):
+        state = dense_scene(30, seed)
+        rng = SplitMix64(seed)
+        memo = PairMemo(sim)
+        while state.stacks:
+            action = next_action(state, rng, sim, PULL, memo)
+            expected = choice(action)
+            assert expected == pull_policy_choice(state, sim), (seed, len(state.bin))
+            if expected[0] == "grasp":
+                assert action.grasp == mog_grasp(state, *expected[1], sim)
+            kinds.add(expected[0])
+            state, events = apply(state, action, sim, rng)
+            if isinstance(action, PullGrasp) and events[0].params.get("failed"):
+                failed_pulls += 1
+    assert kinds == {"grasp", "pull", "single"}
+    if p_fail:
+        assert failed_pulls > 0  # moved stacks stayed behind
+
+
+def test_pull_offered_once_blocker_is_binned():
+    # Cup 0 sits in the corridor between bowls 1 and 2; cups and bowls
+    # never pair, so the cup goes alone first.
+    scene = build_scene([([CUP], 39, 30), ([BOWL], 10, 30), ([BOWL], 68, 30)])
+    memo = PairMemo(SIM)
+    rng = SplitMix64(0)
+    first = next_action(scene, rng, SIM, PULL, memo)
+    assert choice(first) == ("single", (0,)) == pull_policy_choice(scene, SIM)
+    check = memo.pull(1, 2)
+    assert (check.failed, check.blocker) == ("corridor", 0)
+
+    state, _ = apply(scene, first, SIM, rng)
+    second = next_action(state, rng, SIM, PULL, memo)
+    assert choice(second) == ("pull", (1, 2)) == pull_policy_choice(state, SIM)
+
+
+def test_failed_pull_blocks_corridor_cached_as_clear():
+    # Bowl 2 is pulled up to the two-bowl pile 3, across the corridor
+    # between cups 0 and 1.  The grasp fails, the taller pile is carried
+    # and bowl 2 stays where the pull left it.
+    sim = dataclasses.replace(SIM, p_fail=1.0)
+    scene = build_scene(
+        [([CUP], 10, 30), ([CUP], 68, 30), ([BOWL], 35, 9), ([BOWL, BOWL], 35, 52)]
+    )
+    memo = PairMemo(sim)
+    rng = SplitMix64(0)
+    first = next_action(scene, rng, sim, PULL, memo)
+    assert choice(first) == ("pull", (2, 3)) == pull_policy_choice(scene, sim)
+    assert memo.pull(0, 1).allowable
+
+    state, events = apply(scene, first, sim, rng)
+    assert events[0].params["abandoned"] == 2
+    assert state.stacks[2].base == first.pull.end
+    second = next_action(state, rng, sim, PULL, memo)
+    assert isinstance(second, Grasp)
+    assert choice(second) == ("single", (0,)) == pull_policy_choice(state, sim)
+    check = memo.pull(0, 1)
+    assert (check.failed, check.blocker) == ("corridor", 2)
+
+
+def test_entries_die_with_either_stack_value():
+    scene = build_scene([([BOWL], 10, 30), ([BOWL], 60, 30), ([CUP], 35, 52)])
+    memo = PairMemo(SIM)
+    memo.sync(scene)
+    assert memo.shared_grasp(0, 1) is None
+    assert memo.gap(0, 1) == grasp_gap(scene, 0, 1, SIM)[0]
+    assert memo.pull(0, 1).allowable
+
+    moved = scene.clone()
+    moved.stacks[0] = dataclasses.replace(scene.stacks[0], base=Point2(40, 30))
+    moved.dishes[0] = dataclasses.replace(scene.dishes[0], pos=Point2(40, 30))
+    memo.sync(moved)
+    assert memo.shared_grasp(0, 1) == mog_grasp(moved, 0, 1, SIM) is not None
+    assert memo.gap(0, 1) == grasp_gap(moved, 0, 1, SIM)[0]
+    assert memo.pull(0, 1) == check_pull(moved, 0, 1, SIM)
+    assert memo.pull(1, 0) == check_pull(moved, 1, 0, SIM)
+
+
+def test_clear_verdict_ignores_arrivals_that_left():
+    # Bowl 2 arrives in the corridor between cups 0 and 1 and leaves again
+    # before the memo is next asked about that pull.
+    scene = build_scene([([CUP], 10, 30), ([CUP], 68, 30), ([BOWL], 35, 9)])
+    memo = PairMemo(SIM)
+    memo.sync(scene)
+    assert memo.pull(0, 1).allowable
+
+    moved = scene.clone()
+    moved.stacks[2] = dataclasses.replace(scene.stacks[2], base=Point2(35, 35))
+    moved.dishes[2] = dataclasses.replace(scene.dishes[2], pos=Point2(35, 35))
+    assert check_pull(moved, 0, 1, SIM).blocker == 2
+    memo.sync(moved)
+    gone = moved.clone()
+    del gone.stacks[2]
+    memo.sync(gone)
+    assert memo.pull(0, 1).allowable

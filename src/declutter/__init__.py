@@ -52,7 +52,6 @@ from .metrics import (
 )
 from .policies import (
     PairMemo,
-    PairSelection,
     PolicyConfig,
     PolicyKind,
     Trace,

@@ -79,12 +79,12 @@ class GraspAction:
 
 @dataclass(frozen=True)
 class PullAction:
+    """Drag stack ``mover`` from ``start`` to ``end``, into contact with
+    stack ``anchor``; ``theta`` is the gripper's (and the motion's) heading."""
+
     start: Point2
-    start_z: float
-    start_theta: float
     end: Point2
-    end_z: float
-    end_theta: float
+    theta: float
     mover: int
     anchor: int
 
@@ -95,10 +95,9 @@ class PullAction:
 
 @dataclass(frozen=True)
 class StackPlacement:
+    """Lift stack ``lifted`` with ``inner_grasp`` and set it on stack ``base``."""
+
     inner_grasp: GraspAction
-    place: Point2
-    place_z: float
-    place_theta: float
     lifted: int
     base: int
 
@@ -315,15 +314,6 @@ def _pull_contact(
     return Point2(mover.base.x + best * ux, mover.base.y + best * uy)
 
 
-def _moved_state(state: SceneState, stack_id: int, new_base: Point2) -> SceneState:
-    moved = state.clone()
-    stack = moved.stacks[stack_id]
-    moved.stacks[stack_id] = replace(stack, base=new_base)
-    for dish_id in stack.dishes:
-        moved.dishes[dish_id] = replace(moved.dishes[dish_id], pos=new_base)
-    return moved
-
-
 @dataclass(frozen=True)
 class PullCheck:
     """Outcome of the pull feasibility test for one (mover, anchor).
@@ -447,20 +437,9 @@ def plan_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> P
         raise NotAllowable(
             f"pull of stack {mover} to stack {anchor} is not allowable: {check.reason}"
         )
-    sm = state.stacks[mover]
-    end = check.end
-    theta = normalize_angle(math.atan2(end.y - sm.base.y, end.x - sm.base.x))
-    lip = stack_top_lip_height(sm, state.dishes, sim.dish_specs)
-    return PullAction(
-        start=sm.base,
-        start_z=lip,
-        start_theta=theta,
-        end=end,
-        end_z=lip,
-        end_theta=theta,
-        mover=mover,
-        anchor=anchor,
-    )
+    start, end = state.stacks[mover].base, check.end
+    theta = normalize_angle(math.atan2(end.y - start.y, end.x - start.x))
+    return PullAction(start, end, theta, mover, anchor)
 
 
 def stack_allowable(
@@ -531,116 +510,84 @@ def _point_params(p: Point2) -> list[float]:
     return [p.x, p.y]
 
 
-def _grasp_params(g: GraspAction) -> dict:
-    return {"point": _point_params(g.point), "z": g.z, "theta": g.theta}
-
-
 def apply(
     state: SceneState,
     action: Action,
     sim: "SimConfig",
     rng: SplitMix64 | None = None,
-) -> tuple[SceneState, list[TraceEvent]]:
-    """Execute one action, returning the successor state and trace events.
+) -> tuple[SceneState, TraceEvent]:
+    """Execute one action, returning the successor state and its trace event.
 
     Raises InfeasibleAction (with the violated predicate's name) if the
-    action's feasibility test fails in ``state``.  With a nonzero
+    action's feasibility test fails in ``state`` or its parts disagree: a
+    pull must run from the mover's base to the contact point ``check_pull``
+    finds, and its grasp must take exactly the pulled pair.  With a nonzero
     ``sim.p_fail`` and an rng, the final grasp of each action can fail:
     a failed single-stack grasp leaves the table unchanged (no trip); a
     failed two-stack grasp carries only the taller stack.  Pull and stack
     phases still execute before a failed grasp, so consolidations persist.
     """
-    new = state.clone()
     failed = bool(
         sim.p_fail > 0.0 and rng is not None and rng.random() < sim.p_fail
     )
+    g = action.grasp
+    targets = g.targets
+    grasp = {"point": _point_params(g.point), "z": g.z, "theta": g.theta}
 
     if isinstance(action, Grasp):
-        targets = action.grasp.targets
-        _check_graspable(new, targets, sim)
-        event = TraceEvent(
-            t=-1, kind="grasp", targets=targets, moved_to_bin=(),
-            trip=False, params=_grasp_params(action.grasp),
-        )
-        if failed:
-            event.params["failed"] = True
-            if len(targets) == 2:
-                kept = _taller_first(new, targets, sim)
-                dropped = targets[0] if targets[1] == kept else targets[1]
-                event.moved_to_bin = _bin_stacks(new, (kept,))
-                event.trip = True
-                event.params["abandoned"] = dropped
-        else:
-            event.moved_to_bin = _bin_stacks(new, targets)
-            event.trip = True
-        return new, [event]
-
-    if isinstance(action, PullGrasp):
-        mover, anchor = action.pull.mover, action.pull.anchor
-        check = check_pull(new, mover, anchor, sim)
+        kind, new, params = "grasp", state.clone(), grasp
+    elif isinstance(action, PullGrasp):
+        pull = action.pull
+        mover, anchor = pull.mover, pull.anchor
+        check = check_pull(state, mover, anchor, sim)
         if not check.allowable:
             raise InfeasibleAction(
                 "pull_allowable", f"stacks ({mover}, {anchor}): {check.reason}"
             )
-        targets = action.grasp.targets
+        if pull.start != state.stacks[mover].base or pull.end != check.end:
+            raise InfeasibleAction(
+                "pull_path",
+                f"stack {mover} pulled from {pull.start} to {pull.end}, "
+                f"not from {state.stacks[mover].base} to contact at {check.end}",
+            )
         if sorted(targets) != sorted((mover, anchor)):
             raise InfeasibleAction(
                 "grasp_targets", f"grasp of {targets} after pulling ({mover}, {anchor})"
             )
-        new = _moved_state(new, mover, action.pull.end)
-        _check_graspable(new, targets, sim)
-        event = TraceEvent(
-            t=-1, kind="pull_grasp", targets=targets, moved_to_bin=(),
-            trip=False,
-            params={
-                "pull": {
-                    "start": _point_params(action.pull.start),
-                    "end": _point_params(action.pull.end),
-                    "theta": action.pull.start_theta,
-                    "mover": mover,
-                    "anchor": anchor,
-                },
-                "grasp": _grasp_params(action.grasp),
+        new = state.clone()
+        new.stacks[mover] = replace(new.stacks[mover], base=pull.end)
+        kind = "pull_grasp"
+        params = {
+            "pull": {
+                "start": _point_params(pull.start),
+                "end": _point_params(pull.end),
+                "theta": pull.theta,
+                "mover": mover,
+                "anchor": anchor,
             },
-        )
-        if failed:
-            event.params["failed"] = True
-            kept = _taller_first(new, targets, sim)
-            dropped = targets[0] if targets[1] == kept else targets[1]
-            event.moved_to_bin = _bin_stacks(new, (kept,))
-            event.trip = True
-            event.params["abandoned"] = dropped
-        else:
-            event.moved_to_bin = _bin_stacks(new, targets)
-            event.trip = True
-        return new, [event]
-
-    # StackGrasp
-    placement_params = []
-    for placement in action.placements:
-        lifted, base = placement.lifted, placement.base
-        if not stack_allowable(new, lifted, base, sim):
-            raise InfeasibleAction("stack_allowable", f"stack {lifted} onto {base}")
-        lifted_stack = new.stacks.pop(lifted)
-        base_stack = new.stacks[base]
-        new.stacks[base] = replace(
-            base_stack, dishes=base_stack.dishes + lifted_stack.dishes
-        )
-        for dish_id in lifted_stack.dishes:
-            new.dishes[dish_id] = replace(new.dishes[dish_id], pos=base_stack.base)
-        placement_params.append(
-            {"lifted": lifted, "base": base, "place": _point_params(placement.place)}
-        )
-    targets = action.grasp.targets
-    _check_graspable(new, targets, sim)
-    event = TraceEvent(
-        t=-1, kind="stack_grasp", targets=targets, moved_to_bin=(),
-        trip=False,
-        params={"placements": placement_params, "grasp": _grasp_params(action.grasp)},
-    )
-    if failed:
-        event.params["failed"] = True
+            "grasp": grasp,
+        }
     else:
-        event.moved_to_bin = _bin_stacks(new, targets)
-        event.trip = True
-    return new, [event]
+        new, placements = state, []
+        for placement in action.placements:
+            lifted, base = placement.lifted, placement.base
+            if not stack_allowable(new, lifted, base, sim):
+                raise InfeasibleAction("stack_allowable", f"stack {lifted} onto {base}")
+            placements.append(
+                {"lifted": lifted, "base": base,
+                 "place": _point_params(new.stacks[base].base)}
+            )
+            new = new.merged(lifted, base)
+        kind, params = "stack_grasp", {"placements": placements, "grasp": grasp}
+
+    _check_graspable(new, targets, sim)
+    carried = targets
+    if failed:
+        params["failed"] = True
+        carried = ()
+        if len(targets) == 2:
+            kept = _taller_first(new, targets, sim)
+            params["abandoned"] = targets[0] if targets[1] == kept else targets[1]
+            carried = (kept,)
+    moved = _bin_stacks(new, carried) if carried else ()
+    return new, TraceEvent(-1, kind, targets, moved, bool(carried), params)

@@ -145,13 +145,7 @@ def _cmd_fit_time(args, sim) -> int:
     counts = simulated_counts(sim)
     result = fit_time_model(counts, reference)
     fragment = {
-        "time_model": {
-            "grasp_s": result.time_model.grasp_s,
-            "pull_s": result.time_model.pull_s,
-            "stack_s": result.time_model.stack_s,
-            "travel_s": result.time_model.travel_s,
-            "bin_delay_s": result.time_model.bin_delay_s,
-        },
+        "time_model": result.time_model.to_json_obj(),
         "relative_rms_residual": round(result.relative_rms_residual, 6),
         "rows": [
             {

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .actions import GripperSpec
-from .errors import SchemaError
+from .errors import SchemaError, from_number_fields
 from .metrics import TimeModel
 from .tableware import DishKind, DishSpec, default_dish_specs
 
@@ -74,37 +74,15 @@ def config_to_json_obj(sim: SimConfig) -> dict:
     return {
         "workspace": list(sim.workspace),
         "dishes": dishes,
-        "gripper": {
-            "max_opening": sim.gripper.max_opening,
-            "jaw_height": sim.gripper.jaw_height,
-            "closed_width": sim.gripper.closed_width,
-            "height_similarity_threshold": sim.gripper.height_similarity_threshold,
-        },
+        "gripper": asdict(sim.gripper),
         "pull_clearance_margin": sim.pull_clearance_margin,
-        "time_model": {
-            "grasp_s": sim.time_model.grasp_s,
-            "pull_s": sim.time_model.pull_s,
-            "stack_s": sim.time_model.stack_s,
-            "travel_s": sim.time_model.travel_s,
-            "bin_delay_s": sim.time_model.bin_delay_s,
-        },
+        "time_model": sim.time_model.to_json_obj(),
         "p_fail": sim.p_fail,
     }
 
 
 def save_config(sim: SimConfig, path: str | Path) -> None:
     Path(path).write_text(json.dumps(config_to_json_obj(sim), indent=2) + "\n")
-
-
-def _require(data: dict, key: str, kind, where: str):
-    if key not in data:
-        raise SchemaError(f"{where}: missing key '{key}'")
-    value = data[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise SchemaError(f"{where}: '{key}' has wrong type")
-    return value
 
 
 def config_from_json_obj(data: dict) -> SimConfig:
@@ -125,41 +103,21 @@ def config_from_json_obj(data: dict) -> SimConfig:
                 kind = DishKind(name)
             except ValueError as exc:
                 raise SchemaError(f"config: unknown dish kind '{name}'") from exc
-            base = specs[kind]
-            specs[kind] = DishSpec(
-                kind=kind,
-                radius=float(entry.get("radius", base.radius or 0) or 0) or None,
-                length=float(entry.get("length", base.length or 0) or 0) or None,
-                width=float(entry.get("width", base.width or 0) or 0) or None,
-                grasp_height=float(entry.get("grasp_height", base.grasp_height)),
-                nest_offset=float(entry.get("nest_offset", base.nest_offset)),
+            specs[kind] = from_number_fields(
+                DishSpec, entry, f"config: dishes: {name}", specs[kind]
             )
         sim.dish_specs = specs
 
     if "gripper" in data:
-        g = data["gripper"]
-        sim.gripper = GripperSpec(
-            max_opening=float(g.get("max_opening", sim.gripper.max_opening)),
-            jaw_height=float(g.get("jaw_height", sim.gripper.jaw_height)),
-            closed_width=float(g.get("closed_width", sim.gripper.closed_width)),
-            height_similarity_threshold=float(
-                g.get("height_similarity_threshold",
-                      sim.gripper.height_similarity_threshold)
-            ),
+        sim.gripper = from_number_fields(
+            GripperSpec, data["gripper"], "config: gripper", sim.gripper
         )
 
     if "pull_clearance_margin" in data:
         sim.pull_clearance_margin = float(data["pull_clearance_margin"])
 
     if "time_model" in data:
-        t = data["time_model"]
-        sim.time_model = TimeModel(
-            grasp_s=float(t.get("grasp_s", sim.time_model.grasp_s)),
-            pull_s=float(t.get("pull_s", sim.time_model.pull_s)),
-            stack_s=float(t.get("stack_s", sim.time_model.stack_s)),
-            travel_s=float(t.get("travel_s", sim.time_model.travel_s)),
-            bin_delay_s=float(t.get("bin_delay_s", sim.time_model.bin_delay_s)),
-        )
+        sim.time_model = TimeModel.from_json_obj(data["time_model"], sim.time_model)
 
     if "p_fail" in data:
         p = data["p_fail"]

@@ -1,10 +1,37 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the reader of the
+all-number JSON objects that config and plan files share."""
 
 from __future__ import annotations
+
+from dataclasses import fields, replace
 
 
 class SchemaError(ValueError):
     """A scene, plan, or config file does not match its expected schema."""
+
+
+def from_number_fields(cls: type, data: object, where: str, base=None):
+    """An instance of dataclass ``cls`` read from the JSON object ``data``.
+
+    Each key must name a float field of ``cls`` and hold a number.  Fields
+    that ``data`` omits keep ``base``'s values, or with no base the class
+    defaults (a field without one is required).  Raises SchemaError, its
+    message prefixed with ``where``, on any other input.
+    """
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    names = {f.name for f in fields(cls) if "float" in str(f.type)}
+    values: dict[str, float] = {}
+    for key, value in data.items():
+        if key not in names:
+            raise SchemaError(f"{where}: unknown key '{key}'")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SchemaError(f"{where}: '{key}' must be a number")
+        values[key] = float(value)
+    try:
+        return replace(base, **values) if base is not None else cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 class PlacementExhausted(RuntimeError):

@@ -32,12 +32,15 @@ from .tableware import SceneState, Tier, TierConfig, generate_scene, scene_to_js
 
 @dataclass
 class ExperimentPlan:
+    """An experiment; ``time_model`` and ``p_fail`` override the config's
+    values when set."""
+
     tiers: list[Tier]
     scenes_per_tier: int
     policies: list[PolicyConfig]
     base_seed: int
     time_model: TimeModel | None = None
-    p_fail: float = 0.0
+    p_fail: float | None = None
     bin_delays: list[float] = field(default_factory=list)
 
     def __post_init__(self):
@@ -48,7 +51,7 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one policy")
         if not self.tiers:
             raise ValueError("plan needs at least one tier")
-        if not 0.0 <= self.p_fail <= 1.0:
+        if self.p_fail is not None and not 0.0 <= self.p_fail <= 1.0:
             raise ValueError("p_fail must be a probability")
 
 
@@ -78,21 +81,11 @@ def plan_from_json(text: str) -> ExperimentPlan:
             raise SchemaError(f"plan policy malformed: {exc}") from exc
     tm = None
     if "time_model" in data:
-        t = data["time_model"]
-        try:
-            tm = TimeModel(
-                grasp_s=float(t["grasp_s"]),
-                pull_s=float(t["pull_s"]),
-                stack_s=float(t["stack_s"]),
-                travel_s=float(t["travel_s"]),
-                bin_delay_s=float(t.get("bin_delay_s", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"plan time_model malformed: {exc}") from exc
+        tm = TimeModel.from_json_obj(data["time_model"])
     try:
         scenes_per_tier = int(data.get("scenes_per_tier", 3))
         base_seed = int(data["base_seed"])
-        p_fail = float(data.get("p_fail", 0.0))
+        p_fail = float(data["p_fail"]) if "p_fail" in data else None
         bin_delays = [float(d) for d in data.get("bin_delays", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"plan malformed: {exc}") from exc
@@ -166,7 +159,8 @@ def run_plan(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sim = replace(sim, p_fail=plan.p_fail)
+    if plan.p_fail is not None:
+        sim = replace(sim, p_fail=plan.p_fail)
     if plan.time_model is not None:
         sim = replace(sim, time_model=plan.time_model)
 
@@ -220,16 +214,7 @@ def _fmt_delay(delay: float) -> str:
 def _with_delay(report: TrialReport, tm: TimeModel, delay: float) -> TrialReport:
     """Report with the bin moved further away: travel gains ``delay`` each way."""
     extra = 2.0 * (delay - tm.bin_delay_s) * report.trips
-    return TrialReport(
-        scene_id=report.scene_id,
-        tier=report.tier,
-        policy=report.policy,
-        trips=report.trips,
-        objects_cleared=report.objects_cleared,
-        opt=report.opt,
-        time_s=report.time_s + extra,
-        failures=report.failures,
-    )
+    return replace(report, time_s=report.time_s + extra)
 
 
 def run_scene_file(

@@ -9,10 +9,10 @@ models moving the bin further from the workspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
-from .errors import EmptyTrace, MissingBaseline
+from .errors import EmptyTrace, MissingBaseline, from_number_fields
 from .policies import Trace
 
 
@@ -28,6 +28,16 @@ class TimeModel:
         for name in ("grasp_s", "pull_s", "stack_s", "travel_s", "bin_delay_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+
+    def to_json_obj(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_json_obj(cls, data: object, base: "TimeModel | None" = None) -> "TimeModel":
+        """Read a ``time_model`` JSON object.  Keys missing from ``data``
+        keep ``base``'s values; with no base every cost except
+        ``bin_delay_s`` is required.  Raises SchemaError otherwise."""
+        return from_number_fields(cls, data, "time_model", base)
 
 
 @dataclass

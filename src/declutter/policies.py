@@ -40,7 +40,6 @@ from .tableware import (
     SceneState,
     Stack,
     stack_footprints,
-    stack_top_lip_height,
 )
 
 if TYPE_CHECKING:
@@ -58,15 +57,10 @@ class UtensilStacking(str, Enum):
     ALL_ON_ONE_BOWL = "all_on_one_bowl"
 
 
-class PairSelection(str, Enum):
-    NEAREST_FIRST = "nearest_first"
-
-
 @dataclass(frozen=True)
 class PolicyConfig:
     kind: PolicyKind
     utensil_stacking: UtensilStacking = UtensilStacking.ONE_PER_BOWL
-    pair_selection: PairSelection = PairSelection.NEAREST_FIRST
 
     @classmethod
     def named(cls, name: str, utensil_stacking: str | None = None) -> "PolicyConfig":
@@ -238,10 +232,6 @@ class PairMemo:
         return pair, list(blockers)
 
 
-def _sorted_stack_ids(state: SceneState) -> list[int]:
-    return sorted(state.stacks)
-
-
 # Tables of at most this many stacks, the size of a paper scene, get a
 # planned pull order; larger ones keep nearest-first.
 PLAN_MAX_STACKS = 12
@@ -251,7 +241,7 @@ def _nearest_first(memo: PairMemo) -> Move:
     """Nearest-first's move on the memo's table: the nearest pair with a
     shared grasp, else the nearest allowable pull, else the lowest stack id.
     Ties go to the lowest ids."""
-    ids = _sorted_stack_ids(memo.state)
+    ids = sorted(memo.state.stacks)
     best_mog = min(
         (
             (memo.gap(a, b), a, b)
@@ -318,7 +308,7 @@ def _plan(state: SceneState, memo: PairMemo) -> dict[frozenset[int], Move]:
         plan[frozenset(left.stacks)] = move
         stacks = {sid: s for sid, s in left.stacks.items() if sid not in move[1]}
         left = SceneState(state.workspace, stacks, state.dishes)
-    bits = {sid: 1 << i for i, sid in enumerate(_sorted_stack_ids(state))}
+    bits = {sid: 1 << i for i, sid in enumerate(sorted(state.stacks))}
     classes = _grip_classes(state, bits, memo.sim)
     if len(plan) == _trip_floor((1 << len(bits)) - 1, classes):
         return plan
@@ -435,27 +425,6 @@ def pull_policy(
     return Grasp(grasp)
 
 
-def _placement(
-    state: SceneState, lifted: int, base: int, rng: SplitMix64, sim: "SimConfig"
-) -> StackPlacement:
-    inner = grasp_points(state, lifted, rng, sim)
-    base_stack = state.stacks[base]
-    merged_dishes = base_stack.dishes + state.stacks[lifted].dishes
-    lip = stack_top_lip_height(
-        Stack(base_stack.id, merged_dishes, base_stack.base),
-        state.dishes,
-        sim.dish_specs,
-    )
-    return StackPlacement(
-        inner_grasp=inner,
-        place=base_stack.base,
-        place_z=lip,
-        place_theta=inner.theta,
-        lifted=lifted,
-        base=base,
-    )
-
-
 def stack_policy(
     state: SceneState, rng: SplitMix64, sim: "SimConfig", cfg: PolicyConfig
 ) -> Action:
@@ -470,7 +439,7 @@ def stack_policy(
     transports the merged pile, so piles of four or more cups or bowls can
     never form.  Anything left is cleared with single grasps.
     """
-    ids = _sorted_stack_ids(state)
+    ids = sorted(state.stacks)
     dishes = state.dishes
     utensil_piles = [s for s in ids if dishes[state.stacks[s].bottom].kind is DishKind.UTENSIL]
     bowl_tops = [s for s in ids if dishes[state.stacks[s].top].kind is DishKind.BOWL]
@@ -487,7 +456,7 @@ def stack_policy(
                         best = (gap, u, b)
             if best is not None:
                 _, u, b = best
-                placement = _placement(state, u, b, rng, sim)
+                placement = StackPlacement(grasp_points(state, u, rng, sim), u, b)
                 carry = grasp_points(state, b, rng, sim)
                 return StackGrasp((placement,), carry)
         else:
@@ -508,8 +477,10 @@ def stack_policy(
             for u in order:
                 if not stack_allowable(working, u, chosen, sim):
                     continue
-                placements.append(_placement(working, u, chosen, rng, sim))
-                working = _merge_preview(working, u, chosen)
+                placements.append(
+                    StackPlacement(grasp_points(working, u, rng, sim), u, chosen)
+                )
+                working = working.merged(u, chosen)
             if placements:
                 carry = grasp_points(working, chosen, rng, sim)
                 return StackGrasp(tuple(placements), carry)
@@ -526,25 +497,11 @@ def stack_policy(
                 best_pair = (gap, lifted, base)
     if best_pair is not None:
         _, lifted, base = best_pair
-        placement = _placement(state, lifted, base, rng, sim)
-        merged = _merge_preview(state, lifted, base)
-        carry = grasp_points(merged, base, rng, sim)
+        placement = StackPlacement(grasp_points(state, lifted, rng, sim), lifted, base)
+        carry = grasp_points(state.merged(lifted, base), base, rng, sim)
         return StackGrasp((placement,), carry)
 
     return Grasp(grasp_points(state, ids[0], rng, sim))
-
-
-def _merge_preview(state: SceneState, lifted: int, base: int) -> SceneState:
-    """State after merging ``lifted`` onto ``base`` without grasping."""
-    preview = state.clone()
-    lifted_stack = preview.stacks.pop(lifted)
-    base_stack = preview.stacks[base]
-    preview.stacks[base] = replace(
-        base_stack, dishes=base_stack.dishes + lifted_stack.dishes
-    )
-    for dish_id in lifted_stack.dishes:
-        preview.dishes[dish_id] = replace(preview.dishes[dish_id], pos=base_stack.base)
-    return preview
 
 
 _POLICY_FUNCS = {
@@ -613,8 +570,8 @@ def run_policy(
     trace = Trace(policy=policy.kind.value, seed=seed, tier=initial.tier)
     cap = max_actions if max_actions is not None else 50 * max(len(state.dishes), 1) + 100
     memo = PairMemo(sim)
-    t = 0
     while True:
+        t = len(trace.events)
         if t >= cap:
             raise RuntimeError(
                 f"policy {policy.kind.value} exceeded {cap} actions without clearing"
@@ -622,10 +579,8 @@ def run_policy(
         action = next_action(state, rng, sim, policy, memo)
         if action is None:
             break
-        state, events = apply(state, action, sim, rng)
-        for event in events:
-            event.t = t
-            trace.events.append(event)
-            t += 1
+        state, event = apply(state, action, sim, rng)
+        event.t = t
+        trace.events.append(event)
     trace.final_state = state
     return trace

@@ -89,9 +89,10 @@ def default_dish_specs() -> dict[DishKind, DishSpec]:
 
 @dataclass(frozen=True)
 class Dish:
+    """One dish; its position is the ``base`` of the stack that holds it."""
+
     id: int
     kind: DishKind
-    pos: Point2
     theta: float = 0.0  # meaningful only for utensils, in [0, pi)
 
 
@@ -121,7 +122,11 @@ class Stack:
 
 @dataclass
 class SceneState:
-    """Workspace contents: live stacks, the bin, and the trip counter."""
+    """Workspace contents: live stacks, the bin, and the trip counter.
+
+    ``dishes`` is written only while a scene is built; after that a dish
+    never changes, so every state derived from a scene shares its map.
+    """
 
     workspace: tuple[float, float]
     stacks: dict[int, Stack]
@@ -132,15 +137,15 @@ class SceneState:
     tier: str = "custom"
 
     def clone(self) -> "SceneState":
-        return SceneState(
-            workspace=self.workspace,
-            stacks=dict(self.stacks),
-            dishes=dict(self.dishes),
-            bin=self.bin,
-            trips_taken=self.trips_taken,
-            rng_seed=self.rng_seed,
-            tier=self.tier,
-        )
+        return replace(self, stacks=dict(self.stacks))
+
+    def merged(self, lifted: int, base: int) -> "SceneState":
+        """The state after placing stack ``lifted`` on top of stack ``base``."""
+        new = self.clone()
+        top = new.stacks.pop(lifted)
+        below = new.stacks[base]
+        new.stacks[base] = replace(below, dishes=below.dishes + top.dishes)
+        return new
 
     def on_table_dish_ids(self) -> list[int]:
         ids: list[int] = []
@@ -197,22 +202,17 @@ class TierConfig:
 # ---------------------------------------------------------------------------
 
 
-def dish_footprint(
-    dish: Dish, specs: dict[DishKind, DishSpec], at: Point2 | None = None
-) -> Footprint:
+def dish_footprint(dish: Dish, specs: dict[DishKind, DishSpec], pos: Point2) -> Footprint:
     spec = specs[dish.kind]
-    pos = at if at is not None else dish.pos
     if dish.kind is DishKind.UTENSIL:
         return OrientedRect(pos, spec.length, spec.width, dish.theta)
     return Disc(pos, spec.radius)
 
 
 def stack_footprints(
-    state: SceneState, stack: Stack, specs: dict[DishKind, DishSpec],
-    at: Point2 | None = None,
+    state: SceneState, stack: Stack, specs: dict[DishKind, DishSpec]
 ) -> list[Footprint]:
-    base = at if at is not None else stack.base
-    return [dish_footprint(state.dishes[d], specs, at=base) for d in stack.dishes]
+    return [dish_footprint(state.dishes[d], specs, stack.base) for d in stack.dishes]
 
 
 def stack_top_lip_height(
@@ -305,8 +305,8 @@ def generate_scene(
         for _ in range(MAX_RESAMPLES):
             pos = Point2(rng.uniform(inset, w - inset), rng.uniform(inset, h - inset))
             theta = rng.uniform(0.0, math.pi) if kind is DishKind.UTENSIL else 0.0
-            dish = Dish(dish_id, kind, pos, theta)
-            fp = dish_footprint(dish, specs)
+            dish = Dish(dish_id, kind, theta)
+            fp = dish_footprint(dish, specs, pos)
             hits = [
                 s
                 for s in state.stacks.values()
@@ -324,8 +324,7 @@ def generate_scene(
                     len(target.dishes) < cfg.max_initial_stack
                     and spec.effective_radius <= top_spec.effective_radius + 1e-9
                 ):
-                    snapped = Dish(dish_id, kind, target.base, theta)
-                    sfp = dish_footprint(snapped, specs)
+                    sfp = dish_footprint(dish, specs, target.base)
                     clear = _inside_workspace(sfp, workspace) and not any(
                         other.id != target.id
                         and any(
@@ -335,7 +334,7 @@ def generate_scene(
                         for other in state.stacks.values()
                     )
                     if clear:
-                        state.dishes[dish_id] = snapped
+                        state.dishes[dish_id] = dish
                         state.stacks[target.id] = replace(
                             target, dishes=target.dishes + (dish_id,)
                         )
@@ -376,10 +375,8 @@ def validate(
         if any(radii[i] + 1e-9 < radii[i + 1] for i in range(len(radii) - 1)):
             problems.append(f"stack stability violated: stack {stack.id}")
         for dish_id in stack.dishes:
-            dish = state.dishes[dish_id]
-            if abs(dish.pos.x - stack.base.x) > 1e-6 or abs(dish.pos.y - stack.base.y) > 1e-6:
-                problems.append(f"dish {dish_id} pose out of sync with stack {stack.id}")
-            if not _inside_workspace(dish_footprint(dish, specs), state.workspace):
+            fp = dish_footprint(state.dishes[dish_id], specs, stack.base)
+            if not _inside_workspace(fp, state.workspace):
                 problems.append(f"out of workspace: dish {dish_id}")
 
     stacks = sorted(state.stacks.values(), key=lambda s: s.id)
@@ -484,9 +481,10 @@ def scene_from_json(
             )
             if dish_id in state.dishes:
                 raise SchemaError(f"duplicate dish id {dish_id}")
-            state.dishes[dish_id] = Dish(dish_id, kind, base, theta)
+            state.dishes[dish_id] = Dish(dish_id, kind, theta)
             ids.append(dish_id)
-        state.stacks[idx] = Stack(idx, tuple(ids), base)
+        # Keyed by bottom dish id, as generation keys its stacks.
+        state.stacks[ids[0]] = Stack(ids[0], tuple(ids), base)
 
     if check:
         problems = validate(state, specs)

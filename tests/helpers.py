@@ -39,7 +39,7 @@ def build_scene(stacks, workspace=(78.0, 61.0), tier="custom"):
         ids = []
         for entry in kinds:
             kind, theta = entry if isinstance(entry, tuple) else (entry, 0.0)
-            state.dishes[dish_id] = Dish(dish_id, kind, base, theta)
+            state.dishes[dish_id] = Dish(dish_id, kind, theta)
             ids.append(dish_id)
             dish_id += 1
         state.stacks[stack_id] = Stack(stack_id, tuple(ids), base)
@@ -52,6 +52,7 @@ def random_small_scene(seed, max_dishes=5):
     n = 1 + rng.below(max_dishes)
     kinds = [(CUP, BOWL, UTENSIL)[rng.below(3)] for _ in range(n)]
     placed = []
+    footprints = []
     for kind in kinds:
         spec = SIM.dish_specs[kind]
         inset = spec.circumscribed_radius
@@ -59,19 +60,14 @@ def random_small_scene(seed, max_dishes=5):
             x = rng.uniform(inset, 78.0 - inset)
             y = rng.uniform(inset, 61.0 - inset)
             theta = rng.uniform(0.0, math.pi) if kind is UTENSIL else 0.0
-            probe = build_scene([([(kind, theta)], x, y)])
-            fp = dish_footprint(probe.dishes[0], SIM.dish_specs)
-            if all(
-                not overlaps(fp, dish_footprint(d, SIM.dish_specs))
-                for _, _, _, d in placed
-            ):
-                placed.append((kind, x, y, probe.dishes[0]))
+            fp = dish_footprint(Dish(0, kind, theta), SIM.dish_specs, Point2(x, y))
+            if all(not overlaps(fp, other) for other in footprints):
+                placed.append(([(kind, theta)], x, y))
+                footprints.append(fp)
                 break
         else:
             raise RuntimeError("could not build small scene")
-    return build_scene(
-        [([(kind, dish.theta)], x, y) for kind, x, y, dish in placed]
-    )
+    return build_scene(placed)
 
 
 # ---------------------------------------------------------------------------

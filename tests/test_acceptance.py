@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 pass.  Expensive corpora are built once per module and shared.
 """
 
+import dataclasses
 import time
 from collections import Counter
 
@@ -26,10 +27,10 @@ from declutter import (
     stack_allowable,
     validate,
 )
-from declutter.actions import _moved_state, apply, plan_pull
+from declutter.actions import apply, plan_pull
 from declutter.config import default_sim_config
 from declutter.metrics import action_counts
-from declutter.policies import PolicyKind, _merge_preview
+from declutter.policies import PolicyKind
 from declutter.rng import SplitMix64
 from declutter.tableware import DishKind, stack_grasp_span
 from declutter.timefit import REFERENCE_ROWS, fit_time_model, simulated_counts
@@ -348,7 +349,8 @@ def test_criterion_8_property_suites():
             for b in ids:
                 if a != b and pull_allowable(scene, a, b, SIM):
                     pull = plan_pull(scene, a, b, SIM)
-                    moved = _moved_state(scene, a, pull.end)
+                    moved = scene.clone()
+                    moved.stacks[a] = dataclasses.replace(scene.stacks[a], base=pull.end)
                     assert mog_allowable(moved, a, b, SIM), (tier, case, a, b)
                     found = True
                     break
@@ -452,12 +454,12 @@ def test_criterion_9_small_scene_oracle():
                     probe = state
                     for placement in action.placements:
                         assert stack_allowable(probe, placement.lifted, placement.base, SIM)
-                        probe = _merge_preview(probe, placement.lifted, placement.base)
+                        probe = probe.merged(placement.lifted, placement.base)
                 elif len(action.grasp.targets) == 2:
                     a, b = action.grasp.targets
                     assert mog_allowable(state, a, b, SIM)
-                state, events = apply(state, action, SIM, rng)
-                trips += sum(1 for e in events if e.trip)
+                state, event = apply(state, action, SIM, rng)
+                trips += event.trip
             assert optimum <= trips <= random_trips, (seed, name, optimum, trips)
         checked += 1
     _announce(

@@ -13,6 +13,7 @@ from declutter import (
     Point2,
     PullGrasp,
     StackGrasp,
+    StackPlacement,
     Tier,
     TierConfig,
     apply,
@@ -27,10 +28,9 @@ from declutter import (
     stack_allowable,
     validate,
 )
-from declutter.policies import _placement
 from declutter.rng import SplitMix64
-from helpers import BOWL, CUP, SIM, UTENSIL, build_scene, scan_first_contact
 from declutter.tableware import dish_footprint
+from helpers import BOWL, CUP, SIM, UTENSIL, build_scene, scan_first_contact
 
 
 class FixedRng:
@@ -129,8 +129,8 @@ class TestPull:
         assert pull.end.y == pytest.approx(10.0, abs=1e-6)
         # Independent oracle: scanned first contact along the center line.
         t = scan_first_contact(
-            dish_footprint(scene.dishes[0], SIM.dish_specs),
-            dish_footprint(scene.dishes[1], SIM.dish_specs),
+            dish_footprint(scene.dishes[0], SIM.dish_specs, scene.stacks[0].base),
+            dish_footprint(scene.dishes[1], SIM.dish_specs, scene.stacks[1].base),
             1.0, 0.0, 30.0,
         )
         assert pull.end.x - 10.0 == pytest.approx(t, abs=1e-3)
@@ -172,11 +172,11 @@ class TestPull:
         assert pull_allowable(scene, 0, 1, SIM)
         pull = plan_pull(scene, 0, 1, SIM)
         grasp = mog_grasp(scene, 0, 1, SIM)
-        new_state, events = apply(
+        new_state, event = apply(
             scene, PullGrasp(pull, grasp_for_moved(scene, pull, SIM)), SIM
         )
         assert new_state.dishes[0].theta == theta  # caged pull, no rotation
-        assert events[0].trip
+        assert event.trip
 
     def test_plan_pull_requires_allowable(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
@@ -185,9 +185,8 @@ class TestPull:
 
 
 def grasp_for_moved(scene, pull, sim):
-    from declutter.actions import _moved_state
-
-    moved = _moved_state(scene, pull.mover, pull.end)
+    moved = scene.clone()
+    moved.stacks[pull.mover] = dataclasses.replace(scene.stacks[pull.mover], base=pull.end)
     grasp = mog_grasp(moved, pull.mover, pull.anchor, sim)
     assert grasp is not None
     return grasp
@@ -220,40 +219,40 @@ class TestApply:
     def test_single_grasp_moves_stack_to_bin(self):
         scene = build_scene([([CUP], 10 + 12 * i, 10) for i in range(6)])
         action = Grasp(grasp_points(scene, 0, SplitMix64(1), SIM))
-        new, events = apply(scene, action, SIM)
+        new, event = apply(scene, action, SIM)
         assert len(new.stacks) == 5
         assert new.bin == (0,)
         assert new.trips_taken == 1
-        assert events[0].kind == "grasp"
-        assert events[0].moved_to_bin == (0,)
+        assert event.kind == "grasp"
+        assert event.moved_to_bin == (0,)
         assert validate(new, SIM.dish_specs) == []
 
     def test_pull_grasp_clears_both(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
         pull = plan_pull(scene, 0, 1, SIM)
         action = PullGrasp(pull, grasp_for_moved(scene, pull, SIM))
-        new, events = apply(scene, action, SIM)
+        new, event = apply(scene, action, SIM)
         assert new.stacks == {}
         assert sorted(new.bin) == [0, 1]
         assert new.trips_taken == 1
-        assert events[0].kind == "pull_grasp"
-        assert len(events[0].moved_to_bin) == 2
+        assert event.kind == "pull_grasp"
+        assert len(event.moved_to_bin) == 2
 
     def test_stack_grasp_clears_both_in_one_trip(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
-        placement = _placement(scene, 0, 1, SplitMix64(1), SIM)
+        placement = StackPlacement(grasp_points(scene, 0, SplitMix64(1), SIM), 0, 1)
         carry = grasp_points(scene, 1, SplitMix64(2), SIM)
-        new, events = apply(scene, StackGrasp((placement,), carry), SIM)
+        new, event = apply(scene, StackGrasp((placement,), carry), SIM)
         assert new.stacks == {}
         assert sorted(new.bin) == [0, 1]
         assert new.trips_taken == 1
-        assert events[0].kind == "stack_grasp"
+        assert event.kind == "stack_grasp"
 
     def test_mog_grasp_event_schema(self):
         scene = build_scene([([CUP], 30, 30), ([CUP], 40, 30)])
         action = Grasp(mog_grasp(scene, 0, 1, SIM))
-        _, events = apply(scene, action, SIM)
-        obj = events[0].to_json_obj()
+        _, event = apply(scene, action, SIM)
+        obj = event.to_json_obj()
         assert set(obj) == {"t", "action", "targets", "moved_to_bin", "trip", "params"}
         assert obj["targets"] == [0, 1]
         assert obj["trip"] is True
@@ -268,16 +267,9 @@ class TestApply:
 
     def test_infeasible_stack_raises(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
-        placement = _placement(scene, 0, 1, SplitMix64(1), SIM)
+        placement = StackPlacement(grasp_points(scene, 0, SplitMix64(1), SIM), 0, 1)
         bad = StackGrasp(
-            (type(placement)(
-                inner_grasp=placement.inner_grasp,
-                place=placement.place,
-                place_z=placement.place_z,
-                place_theta=placement.place_theta,
-                lifted=1,
-                base=0,
-            ),),
+            (StackPlacement(placement.inner_grasp, lifted=1, base=0),),
             grasp_points(scene, 0, SplitMix64(2), SIM),
         )
         with pytest.raises(InfeasibleAction) as err:
@@ -301,11 +293,26 @@ class TestApply:
         action = PullGrasp(short, grasp_for_moved(scene, pull, SIM))
         with pytest.raises(InfeasibleAction) as err:
             apply(scene, action, SIM)
-        assert err.value.predicate == "mog_allowable"
+        assert err.value.predicate == "pull_path"
+
+    def test_pull_must_end_at_the_contact_point(self):
+        # Pulling cup 1 to cup 0 makes contact at (31, 10).  Ending at
+        # (33, 20) instead still leaves a graspable pair, but the failed
+        # grasp would leave cup 1 inside bowl 2.
+        sim = dataclasses.replace(SIM, p_fail=1.0)
+        scene = build_scene([([CUP], 40, 10), ([CUP], 10, 10), ([BOWL], 30, 30)])
+        pull = plan_pull(scene, 1, 0, sim)
+        assert pull.end.x == pytest.approx(31.0, abs=1e-3)
+        astray = dataclasses.replace(pull, end=Point2(33.0, 20.0))
+        for bad in (astray, dataclasses.replace(pull, start=Point2(11.0, 10.0))):
+            action = PullGrasp(bad, grasp_for_moved(scene, bad, sim))
+            with pytest.raises(InfeasibleAction) as err:
+                apply(scene, action, sim, SplitMix64(0))
+            assert err.value.predicate == "pull_path"
 
     def test_stack_grasp_checks_two_target_grasp(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10), ([BOWL], 66, 49)])
-        placement = _placement(scene, 0, 1, SplitMix64(1), SIM)
+        placement = StackPlacement(grasp_points(scene, 0, SplitMix64(1), SIM), 0, 1)
         carry = grasp_points(scene, 1, SplitMix64(2), SIM)
         both = GraspAction(carry.point, carry.z, carry.theta, (1, 2))
         with pytest.raises(InfeasibleAction) as err:
@@ -330,35 +337,35 @@ class TestFailureModel:
         sim = self._sim_with_fail(1.0)
         scene = build_scene([([CUP], 10, 10)])
         action = Grasp(grasp_points(scene, 0, SplitMix64(1), sim))
-        new, events = apply(scene, action, sim, SplitMix64(0))
+        new, event = apply(scene, action, sim, SplitMix64(0))
         assert len(new.stacks) == 1
         assert new.bin == ()
         assert new.trips_taken == 0
-        assert events[0].params["failed"] is True
-        assert not events[0].trip
+        assert event.params["failed"] is True
+        assert not event.trip
 
     def test_failed_mog_keeps_taller_stack(self):
         sim = self._sim_with_fail(1.0)
         scene = build_scene([([BOWL, CUP], 20, 30), ([BOWL], 40, 30)])
         action = Grasp(mog_grasp(scene, 0, 1, sim))
-        new, events = apply(scene, action, sim, SplitMix64(0))
+        new, event = apply(scene, action, sim, SplitMix64(0))
         # The taller pile (bowl+cup, lip 7) wins the jaws; the bowl stays.
         assert sorted(new.bin) == [0, 1]
         assert set(new.stacks) == {1}
         assert new.trips_taken == 1
-        assert events[0].trip
-        assert events[0].params["abandoned"] == 1
+        assert event.trip
+        assert event.params["abandoned"] == 1
 
     def test_failed_stack_grasp_leaves_merged_pile(self):
         sim = self._sim_with_fail(1.0)
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
-        placement = _placement(scene, 0, 1, SplitMix64(1), sim)
+        placement = StackPlacement(grasp_points(scene, 0, SplitMix64(1), sim), 0, 1)
         carry = grasp_points(scene, 1, SplitMix64(2), sim)
-        new, events = apply(scene, StackGrasp((placement,), carry), sim, SplitMix64(0))
+        new, event = apply(scene, StackGrasp((placement,), carry), sim, SplitMix64(0))
         assert set(new.stacks) == {1}
         assert new.stacks[1].dishes == (1, 0)  # merged, still on table
         assert new.trips_taken == 0
-        assert events[0].params["failed"] is True
+        assert event.params["failed"] is True
         assert validate(new, sim.dish_specs) == []
 
     def test_zero_p_fail_never_draws(self):

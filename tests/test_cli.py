@@ -150,6 +150,30 @@ class TestBench:
         rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "x")])
         assert rc == 3
 
+    @pytest.mark.parametrize("plan_p_fail, failures", [(None, True), (0.0, False)])
+    def test_plan_p_fail_overrides_config_only_when_set(
+        self, tmp_path, plan_p_fail, failures
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"p_fail": 0.3}))
+        data = {**PLAN, "p_fail": plan_p_fail}
+        if plan_p_fail is None:
+            del data["p_fail"]
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(data))
+        out = tmp_path / "bench"
+        rc = main(["--config", str(config), "bench", "--plan", str(plan), "--out", str(out)])
+        assert rc == 0
+        trials = [json.loads(line) for line in (out / "trials.jsonl").read_text().splitlines()]
+        assert (sum(t["failures"] for t in trials) > 0) == failures
+
+    @pytest.mark.parametrize("time_model", [{"pull_s": 1.0, "warp_s": 2.0}, {"pull_s": "1"}])
+    def test_bad_plan_time_model_exits_3(self, tmp_path, time_model):
+        full = {"grasp_s": 0.0, "stack_s": 1.0, "travel_s": 1.0, **time_model}
+        plan = write_plan(tmp_path, time_model=full)
+        rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "x")])
+        assert rc == 3
+
 
 class TestFitTime:
     def test_fit_time_writes_fragment(self, tmp_path, capsys):
@@ -205,6 +229,20 @@ def test_config_flag_threads_through(tmp_path, capsys):
     rc = main(["show-config", "--config", str(path)])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["p_fail"] == 0.1
+
+
+@pytest.mark.parametrize("section, entry", [
+    ("gripper", {"max_opening": 9.0, "jaw_depth": 1.0}),
+    ("gripper", {"max_opening": "9.0"}),
+    ("time_model", {"travel_s": 5.0, "lunch_s": 60.0}),
+    ("time_model", {"travel_s": True}),
+])
+def test_bad_config_key_exits_3(tmp_path, capsys, section, entry):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({section: entry}))
+    rc = main(["--config", str(path), "show-config"])
+    assert rc == 3
+    assert section in capsys.readouterr().err
 
 
 def test_bench_paper_default_plan_shape(tmp_path):

@@ -1,5 +1,6 @@
 """Config defaults, JSON round-trip, and the env-var override."""
 
+import dataclasses
 import json
 
 import pytest
@@ -48,10 +49,14 @@ def test_round_trip(tmp_path):
 
 
 def test_partial_config_overrides_defaults():
-    sim = config_from_json_obj({"gripper": {"max_opening": 10.0}, "p_fail": 0.25})
+    sim = config_from_json_obj({
+        "gripper": {"max_opening": 10.0}, "p_fail": 0.25, "time_model": {"travel_s": 7.0}
+    })
     assert sim.gripper.max_opening == 10.0
     assert sim.gripper.jaw_height == 4.5  # untouched default
     assert sim.p_fail == 0.25
+    default = default_sim_config().time_model
+    assert sim.time_model == dataclasses.replace(default, travel_s=7.0)
 
 
 def test_env_var_override(tmp_path, monkeypatch):

@@ -62,8 +62,8 @@ def test_policy_matches_reference_at_every_step(p_fail):
             if expected[0] == "grasp":
                 assert action.grasp == mog_grasp(state, *expected[1], sim)
             kinds.add(expected[0])
-            state, events = apply(state, action, sim, rng)
-            if isinstance(action, PullGrasp) and events[0].params.get("failed"):
+            state, event = apply(state, action, sim, rng)
+            if isinstance(action, PullGrasp) and event.params.get("failed"):
                 failed_pulls += 1
     assert kinds == {"grasp", "pull", "single"}
     if p_fail:
@@ -101,8 +101,8 @@ def test_failed_pull_blocks_corridor_cached_as_clear():
     assert choice(first) == ("pull", (2, 3)) == pull_policy_choice(scene, sim)
     assert memo.pull(0, 1).allowable
 
-    state, events = apply(scene, first, sim, rng)
-    assert events[0].params["abandoned"] == 2
+    state, event = apply(scene, first, sim, rng)
+    assert event.params["abandoned"] == 2
     assert state.stacks[2].base == first.pull.end
     second = next_action(state, rng, sim, PULL, memo)
     assert isinstance(second, Grasp)
@@ -121,7 +121,6 @@ def test_entries_die_with_either_stack_value():
 
     moved = scene.clone()
     moved.stacks[0] = dataclasses.replace(scene.stacks[0], base=Point2(40, 30))
-    moved.dishes[0] = dataclasses.replace(scene.dishes[0], pos=Point2(40, 30))
     memo.sync(moved)
     assert memo.shared_grasp(0, 1) == mog_grasp(moved, 0, 1, SIM) is not None
     assert memo.gap(0, 1) == grasp_gap(moved, 0, 1, SIM)[0]
@@ -139,7 +138,6 @@ def test_clear_verdict_ignores_arrivals_that_left():
 
     moved = scene.clone()
     moved.stacks[2] = dataclasses.replace(scene.stacks[2], base=Point2(35, 35))
-    moved.dishes[2] = dataclasses.replace(scene.dishes[2], pos=Point2(35, 35))
     assert check_pull(moved, 0, 1, SIM).blocker == 2
     memo.sync(moved)
     gone = moved.clone()

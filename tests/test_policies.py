@@ -38,8 +38,8 @@ class TestRandomPolicy:
         scene = build_scene([([BOWL, CUP, CUP], 30, 30)])
         action = next_action(scene, SplitMix64(0), SIM, RANDOM)
         assert isinstance(action, Grasp)
-        new, events = apply(scene, action, SIM)
-        assert len(events[0].moved_to_bin) == 3
+        new, event = apply(scene, action, SIM)
+        assert len(event.moved_to_bin) == 3
 
     def test_empty_table_is_done(self):
         scene = build_scene([])

@@ -7,12 +7,14 @@ import pytest
 from declutter import (
     DishKind,
     PlacementExhausted,
+    PolicyConfig,
     SceneState,
     SchemaError,
     Tier,
     TierConfig,
     default_dish_specs,
     generate_scene,
+    run_policy,
     scene_from_json,
     scene_to_json,
     stack_top_lip_height,
@@ -157,6 +159,20 @@ class TestSceneJson:
         assert loaded.rng_seed == 42
         assert loaded.tier == "t2"
         assert len(loaded.dishes) == 12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_loaded_scene_keeps_stack_ids_and_trials(self, seed):
+        # Generation keys each stack by its bottom dish id; policies break
+        # ties by stack id, so a loaded file must keep those ids to replay
+        # the same trial.
+        scene = generate_scene(TierConfig.preset(Tier.T2), seed)
+        loaded = scene_from_json(scene_to_json(scene))
+        assert list(loaded.stacks) == list(scene.stacks)
+        for name in ("random", "pull", "stack"):
+            policy = PolicyConfig.named(name)
+            expected = run_policy(scene, policy, SIM, seed).events
+            got = run_policy(loaded, policy, SIM, seed).events
+            assert [e.targets for e in got] == [e.targets for e in expected], name
 
     def test_field_order_and_float_format(self):
         scene = build_scene([([BOWL], 10, 10), ([(UTENSIL, 0.5)], 40, 40)], tier="t1")

@@ -17,7 +17,7 @@ dishes in the bin and costs one trip.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -382,16 +382,6 @@ def _pair_check(
     return PullCheck(None, end=end, grasp=grasp, half_width=half_width)
 
 
-def _corridor_blockers(
-    start: Point2, pair: PullCheck, stacks: Iterable[Stack], footprints: Footprints
-) -> Iterator[int]:
-    """Ids of those of ``stacks`` that meet the corridor of a pull whose
-    pair tests passed, in order."""
-    for stack in stacks:
-        if not corridor_clear(start, pair.end, pair.half_width, footprints(stack)):
-            yield stack.id
-
-
 def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> PullCheck:
     """Test pulling ``mover`` into contact with ``anchor``, and say why it fails.
 
@@ -409,13 +399,13 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
     pair = _pair_check(state, mover, anchor, sim, footprints)
     if not pair.allowable:
         return pair
-    others = (s for s in state.stacks.values() if s.id != mover and s.id != anchor)
-    blocker = next(
-        _corridor_blockers(state.stacks[mover].base, pair, others, footprints), None
-    )
-    if blocker is None:
-        return pair
-    return replace(pair, failed="corridor", blocker=blocker)
+    start = state.stacks[mover].base
+    for stack in state.stacks.values():
+        if stack.id in (mover, anchor):
+            continue
+        if not corridor_clear(start, pair.end, pair.half_width, footprints(stack)):
+            return replace(pair, failed="corridor", blocker=stack.id)
+    return pair
 
 
 def pull_allowable(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> bool:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .actions import GripperSpec
-from .errors import SchemaError, from_number_fields
+from .errors import SchemaError, from_number_fields, number
 from .metrics import TimeModel
 from .tableware import DishKind, DishSpec, default_dish_specs
 
@@ -59,18 +59,10 @@ def default_sim_config() -> SimConfig:
 
 
 def config_to_json_obj(sim: SimConfig) -> dict:
-    dishes = {}
-    for kind, spec in sim.dish_specs.items():
-        entry: dict = {
-            "grasp_height": spec.grasp_height,
-            "nest_offset": spec.nest_offset,
-        }
-        if kind is DishKind.UTENSIL:
-            entry["length"] = spec.length
-            entry["width"] = spec.width
-        else:
-            entry["radius"] = spec.radius
-        dishes[kind.value] = entry
+    dishes = {
+        kind.value: {k: v for k, v in asdict(spec).items() if k != "kind" and v is not None}
+        for kind, spec in sim.dish_specs.items()
+    }
     return {
         "workspace": list(sim.workspace),
         "dishes": dishes,
@@ -94,9 +86,12 @@ def config_from_json_obj(data: dict) -> SimConfig:
         ws = data["workspace"]
         if not (isinstance(ws, list) and len(ws) == 2):
             raise SchemaError("config: workspace must be [width, height]")
-        sim.workspace = (float(ws[0]), float(ws[1]))
+        width, height = (float(number(v, "config: workspace sides")) for v in ws)
+        sim.workspace = (width, height)
 
     if "dishes" in data:
+        if not isinstance(data["dishes"], dict):
+            raise SchemaError("config: dishes must be a JSON object")
         specs = dict(sim.dish_specs)
         for name, entry in data["dishes"].items():
             try:
@@ -114,16 +109,14 @@ def config_from_json_obj(data: dict) -> SimConfig:
         )
 
     if "pull_clearance_margin" in data:
-        sim.pull_clearance_margin = float(data["pull_clearance_margin"])
+        margin = data["pull_clearance_margin"]
+        sim.pull_clearance_margin = float(number(margin, "config: pull_clearance_margin"))
 
     if "time_model" in data:
         sim.time_model = TimeModel.from_json_obj(data["time_model"], sim.time_model)
 
     if "p_fail" in data:
-        p = data["p_fail"]
-        if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0 <= p <= 1:
-            raise SchemaError("config: p_fail must be a probability")
-        sim.p_fail = float(p)
+        sim.p_fail = float(number(data["p_fail"], "config: p_fail"))
 
     try:
         sim.__post_init__()

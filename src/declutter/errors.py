@@ -1,13 +1,27 @@
-"""Exception types shared across the simulator, and the reader of the
-all-number JSON objects that config and plan files share."""
+"""Exception types shared across the simulator, and the readers of the
+numbers and all-number JSON objects that config and plan files hold."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields, replace
 
 
 class SchemaError(ValueError):
     """A scene, plan, or config file does not match its expected schema."""
+
+
+def number(value: object, where: str, integer: bool = False) -> float | int:
+    """``value`` when it is a finite JSON number, or an integer when
+    ``integer``; otherwise SchemaError saying what ``where`` must be.
+
+    Python's JSON reader accepts NaN and Infinity, which would pass every
+    range check and, as a clearance margin, clear every corridor.
+    """
+    kind = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+        raise SchemaError(f"{where} must be {'an integer' if integer else 'a number'}")
+    return value
 
 
 def from_number_fields(cls: type, data: object, where: str, base=None):
@@ -25,9 +39,7 @@ def from_number_fields(cls: type, data: object, where: str, base=None):
     for key, value in data.items():
         if key not in names:
             raise SchemaError(f"{where}: unknown key '{key}'")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{where}: '{key}' must be a number")
-        values[key] = float(value)
+        values[key] = float(number(value, f"{where}: '{key}'"))
     try:
         return replace(base, **values) if base is not None else cls(**values)
     except (TypeError, ValueError) as exc:

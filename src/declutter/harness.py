@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .config import SimConfig
-from .errors import SchemaError
+from .errors import SchemaError, number
 from .metrics import (
     PolicySummary,
     TimeModel,
@@ -82,21 +82,19 @@ def plan_from_json(text: str) -> ExperimentPlan:
     tm = None
     if "time_model" in data:
         tm = TimeModel.from_json_obj(data["time_model"])
-    try:
-        scenes_per_tier = int(data.get("scenes_per_tier", 3))
-        base_seed = int(data["base_seed"])
-        p_fail = float(data["p_fail"]) if "p_fail" in data else None
-        bin_delays = [float(d) for d in data.get("bin_delays", [])]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"plan malformed: {exc}") from exc
+    if "base_seed" not in data:
+        raise SchemaError("plan needs a base_seed")
+    bin_delays = data.get("bin_delays", [])
+    if not isinstance(bin_delays, list):
+        raise SchemaError("plan: bin_delays must be a list of numbers")
     return ExperimentPlan(
         tiers=tiers,
-        scenes_per_tier=scenes_per_tier,
+        scenes_per_tier=number(data.get("scenes_per_tier", 3), "plan: scenes_per_tier", True),
         policies=policies,
-        base_seed=base_seed,
+        base_seed=number(data["base_seed"], "plan: base_seed", True),
         time_model=tm,
-        p_fail=p_fail,
-        bin_delays=bin_delays,
+        p_fail=float(number(data["p_fail"], "plan: p_fail")) if "p_fail" in data else None,
+        bin_delays=[float(number(d, "plan: bin_delays")) for d in bin_delays],
     )
 
 
@@ -128,23 +126,21 @@ def generate_scene_files(
     return paths
 
 
-@dataclass(frozen=True)
-class _TrialSpec:
-    tier: Tier
-    index: int
-    policy: PolicyConfig
-    scene_seed: int
-    trial_seed: int
-
-
-def _run_trial(args: tuple[_TrialSpec, SimConfig]) -> tuple[TrialReport, list[dict]]:
-    spec, sim = args
-    cfg = TierConfig.preset(spec.tier)
-    scene = generate_scene(cfg, spec.scene_seed, sim.dish_specs, sim.workspace)
-    trace = run_policy(scene, spec.policy, sim, spec.trial_seed)
-    tm = sim.time_model
-    report = build_report(trace, tm, scene_id=f"{spec.tier.value}_{spec.index}")
-    return report, [e.to_json_obj() for e in trace.events]
+def _run_scene(
+    args: tuple[ExperimentPlan, SimConfig, Tier, int],
+) -> list[tuple[TrialReport, list[dict]]]:
+    """Generate scene ``index`` of ``tier`` once and run every plan policy on it."""
+    plan, sim, tier, index = args
+    seed = scene_seed(plan.base_seed, tier, index)
+    scene = generate_scene(TierConfig.preset(tier), seed, sim.dish_specs, sim.workspace)
+    return [
+        run_scene_file(
+            scene, policy, sim,
+            trial_seed(plan.base_seed, tier, index, policy.kind.value),
+            f"{tier.value}_{index}",
+        )
+        for policy in plan.policies
+    ]
 
 
 def run_plan(
@@ -154,8 +150,9 @@ def run_plan(
 
     Writes ``trials.jsonl`` (one report per line), ``summary.csv``, and,
     when a bin-delay sweep is configured, one ``summary_delay_<d>s.csv``
-    per delay.  Trials are independent and may run in parallel; output
-    order is canonicalized to (tier, scene index, policy) first.
+    per delay.  Each scene is generated once and every policy runs on it;
+    scenes may run in parallel, and output order is canonicalized to
+    (tier, scene index, policy) first.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -164,24 +161,13 @@ def run_plan(
     if plan.time_model is not None:
         sim = replace(sim, time_model=plan.time_model)
 
-    specs = [
-        _TrialSpec(
-            tier=tier,
-            index=k,
-            policy=policy,
-            scene_seed=scene_seed(plan.base_seed, tier, k),
-            trial_seed=trial_seed(plan.base_seed, tier, k, policy.kind.value),
-        )
-        for tier in plan.tiers
-        for k in range(plan.scenes_per_tier)
-        for policy in plan.policies
-    ]
-
+    scenes = [(plan, sim, tier, k) for tier in plan.tiers for k in range(plan.scenes_per_tier)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_trial, [(s, sim) for s in specs]))
+            per_scene = list(pool.map(_run_scene, scenes))
     else:
-        results = [_run_trial((s, sim)) for s in specs]
+        per_scene = [_run_scene(s) for s in scenes]
+    results = [trial for trials in per_scene for trial in trials]
 
     reports = [r for r, _ in results]
 

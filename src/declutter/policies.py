@@ -10,7 +10,7 @@ indicate a policy bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -23,7 +23,6 @@ from .actions import (
     StackGrasp,
     StackPlacement,
     TraceEvent,
-    _corridor_blockers,
     _grip_height,
     _pair_check,
     apply,
@@ -33,7 +32,7 @@ from .actions import (
     plan_pull,
     stack_allowable,
 )
-from .geometry import Footprint
+from .geometry import Footprint, corridor_clear
 from .rng import SplitMix64
 from .tableware import (
     DishKind,
@@ -87,19 +86,16 @@ def random_policy(
 
 
 class _PullEntry:
-    """A memoized pull check: the pair's values, the pair tests' result,
-    and the corridor verdict as of ``arrivals`` stack arrivals (None until
-    the corridor is first scanned)."""
+    """A memoized pull check: the pair tests' result, the value bits tested
+    against its corridor (the pair's own from the start) and those of them
+    that meet it."""
 
-    __slots__ = ("mover", "anchor", "pair", "verdict", "blocker", "arrivals")
+    __slots__ = ("pair", "tested", "blocked")
 
-    def __init__(self, mover: Stack, anchor: Stack, pair: PullCheck):
-        self.mover = mover
-        self.anchor = anchor
+    def __init__(self, pair: PullCheck, own: int):
         self.pair = pair
-        self.verdict = pair
-        self.blocker: Stack | None = None
-        self.arrivals: int | None = None
+        self.tested = own
+        self.blocked = 0
 
 
 # A pull-policy move: ("grasp", (a, b), shared grasp), ("pull", (mover,
@@ -111,125 +107,127 @@ class PairMemo:
     """Pair results of the pull policy, kept from one step of a trial to the next.
 
     Make one per trial and ``sync`` it with each state before asking for
-    results.  Every entry keeps the ``Stack`` values it was computed from
-    and is used only while those exact values are on the table; a moved or
-    merged stack is a new value, so an entry dies with either stack of its
-    pair.  Dishes never change kind or orientation, so a stack's value fixes
-    its footprints.
+    results.  ``sync`` gives each stack value it has not seen before a bit
+    of its own for the rest of the trial and sets ``table`` to the mask of
+    the synced table's bits.  A moved or merged stack is a new value, so a
+    bit names one value; dishes never change kind or orientation, so a
+    value fixes its footprints.  Footprints, shared grasps, gaps and pull
+    tests are keyed by value bits, and a result keyed by bits never goes
+    stale.
 
-    A corridor verdict also depends on the other stacks.  "Blocked by X"
-    holds while X's value is on the table.  "Clear" is rechecked against
-    each stack value that arrived after it was computed, an arrival being a
-    value on the table that was not on it at the previous ``sync``.
-    Removing stacks can only clear corridors, so along a failure-free trial,
-    where no stack ever arrives, the verdict lasts as long as its pair.  A
-    failed pull-grasp or stack-grasp leaves a moved or merged stack behind,
-    which is an arrival, and so is every stack of a table synced after a
-    smaller one (the pull policy's look-ahead runs through later tables).
+    A corridor verdict also depends on the other stacks.  Each pull keeps
+    the mask of values tested against its corridor and the mask of those
+    that meet it; a question about a table tests only the values on it not
+    tested yet.  So a corridor test runs at most once per pull and stack
+    value in a trial, whichever table asks.  The pull policy's planner sets
+    ``table`` to subsets of the synced table as it looks ahead.
 
-    ``plan`` holds the pull policy's planned moves, keyed by the ids of the
-    stacks left, for tables whose stacks are the values in ``planned``
-    (see ``pull_policy``).
+    ``plan`` holds the pull policy's planned moves keyed by table mask (see
+    ``pull_policy``).
     """
 
     def __init__(self, sim: "SimConfig"):
         self.sim = sim
         self.state = SceneState((0.0, 0.0), {}, {})
-        self.plan: dict[frozenset[int], Move] = {}
-        self.planned: dict[int, Stack] = {}
-        self._present: dict[int, Stack] = {}
-        self._arrivals: list[Stack] = []
-        self._footprints: dict[int, tuple[Stack, list[Footprint]]] = {}
-        self._grasps: dict[tuple[int, int], tuple[Stack, Stack, GraspAction | None]] = {}
-        self._gaps: dict[tuple[int, int], tuple[Stack, Stack, float]] = {}
+        self.table = 0
+        self.plan: dict[int, Move] = {}
+        self._bits: dict[Stack, int] = {}
+        self._values: dict[int, Stack] = {}
+        self._ids: dict[int, int] = {}
+        self._footprints: dict[int, list[Footprint]] = {}
+        self._grasps: dict[tuple[int, int], GraspAction | None] = {}
+        self._gaps: dict[tuple[int, int], float] = {}
         self._pulls: dict[tuple[int, int], _PullEntry] = {}
 
     def sync(self, state: SceneState) -> None:
-        """Make ``state`` the current table, noting its arrivals."""
-        for sid, stack in state.stacks.items():
-            if self._present.get(sid) is not stack:
-                self._arrivals.append(stack)
-        self._present = dict(state.stacks)
-        self.state = state
+        """Make ``state`` the current table."""
+        ids = {}
+        for sid in sorted(state.stacks):
+            stack = state.stacks[sid]
+            bit = self._bits.get(stack)
+            if bit is None:
+                bit = self._bits[stack] = 1 << len(self._values)
+                self._values[bit] = stack
+            ids[sid] = bit
+        self.state, self._ids, self.table = state, ids, sum(ids.values())
+
+    def bit(self, sid: int) -> int:
+        """The value bit of stack ``sid`` of the synced table."""
+        return self._ids[sid]
+
+    def ids(self) -> list[int]:
+        """Ids of the stacks on ``table``, in order."""
+        return [sid for sid, bit in self._ids.items() if bit & self.table]
 
     def footprints(self, stack: Stack) -> list[Footprint]:
-        """``stack_footprints`` of ``stack``."""
-        entry = self._footprints.get(stack.id)
-        if entry is None or entry[0] is not stack:
-            fps = stack_footprints(self.state, stack, self.sim.dish_specs)
-            entry = self._footprints[stack.id] = (stack, fps)
-        return entry[1]
+        """``stack_footprints`` of ``stack``, a value seen by ``sync``."""
+        return self._bit_footprints(self._bits[stack])
+
+    def _bit_footprints(self, bit: int) -> list[Footprint]:
+        fps = self._footprints.get(bit)
+        if fps is None:
+            fps = stack_footprints(self.state, self._values[bit], self.sim.dish_specs)
+            self._footprints[bit] = fps
+        return fps
 
     def shared_grasp(self, a: int, b: int) -> GraspAction | None:
         """``mog_grasp`` of stacks ``a`` and ``b``."""
-        sa, sb = self.state.stacks[a], self.state.stacks[b]
-        entry = self._grasps.get((a, b))
-        if entry is None or entry[0] is not sa or entry[1] is not sb:
-            grasp = mog_grasp(self.state, a, b, self.sim)
-            entry = self._grasps[(a, b)] = (sa, sb, grasp)
-        return entry[2]
+        key = (self._ids[a], self._ids[b])
+        if key not in self._grasps:
+            self._grasps[key] = mog_grasp(self.state, a, b, self.sim)
+        return self._grasps[key]
 
     def gap(self, a: int, b: int) -> float:
         """``grasp_gap`` of stacks ``a`` and ``b``."""
-        sa, sb = self.state.stacks[a], self.state.stacks[b]
-        entry = self._gaps.get((a, b))
-        if entry is None or entry[0] is not sa or entry[1] is not sb:
-            gap = grasp_gap(self.state, a, b, self.sim)[0]
-            entry = self._gaps[(a, b)] = (sa, sb, gap)
-        return entry[2]
+        key = (self._ids[a], self._ids[b])
+        if key not in self._gaps:
+            self._gaps[key] = grasp_gap(self.state, a, b, self.sim)[0]
+        return self._gaps[key]
 
-    def _pull_entry(self, mover: int, anchor: int) -> _PullEntry:
-        stacks = self.state.stacks
-        sm, sa = stacks[mover], stacks[anchor]
-        entry = self._pulls.get((mover, anchor))
-        if entry is None or entry.mover is not sm or entry.anchor is not sa:
+    def _corridor(self, mover: int, anchor: int, every: bool) -> tuple[PullCheck, int]:
+        """The pair tests of ``mover``'s pull toward ``anchor`` and a mask of
+        stacks on ``table`` that meet its corridor: all of them when
+        ``every``, else at least one if any does.  The mask is 0 when the
+        pair tests fail."""
+        bm, ba = self._ids[mover], self._ids[anchor]
+        entry = self._pulls.get((bm, ba))
+        if entry is None:
             pair = _pair_check(self.state, mover, anchor, self.sim, self.footprints)
-            entry = self._pulls[(mover, anchor)] = _PullEntry(sm, sa, pair)
-        return entry
+            entry = self._pulls[(bm, ba)] = _PullEntry(pair, bm | ba)
+        pair = entry.pair
+        blocked = entry.blocked & self.table
+        if not pair.allowable or (blocked and not every):
+            return pair, blocked
+        start = self._values[bm].base
+        untested = self.table & ~entry.tested
+        while untested:
+            bit = untested & -untested
+            untested ^= bit
+            entry.tested |= bit
+            if not corridor_clear(start, pair.end, pair.half_width, self._bit_footprints(bit)):
+                entry.blocked |= bit
+                blocked |= bit
+                if not every:
+                    break
+        return pair, blocked
 
     def pull(self, mover: int, anchor: int) -> PullCheck:
-        """``check_pull`` of ``mover`` toward ``anchor``."""
-        entry = self._pull_entry(mover, anchor)
-        if not entry.pair.allowable:
-            return entry.pair
-        stacks = self.state.stacks
-        if entry.arrivals is None:
-            candidates = stacks.values()
-        elif entry.blocker is None:
-            if entry.arrivals == len(self._arrivals):
-                return entry.verdict
-            candidates = self._arrivals[entry.arrivals:]
-        elif stacks.get(entry.blocker.id) is entry.blocker:
-            return entry.verdict
-        else:
-            candidates = stacks.values()
-        entry.arrivals = len(self._arrivals)
-        sm, sa = entry.mover, entry.anchor
-        others = (
-            s for s in candidates
-            if stacks.get(s.id) is s and s is not sm and s is not sa
-        )
-        blockers = _corridor_blockers(sm.base, entry.pair, others, self.footprints)
-        blocker = next(blockers, None)
-        if blocker is None:
-            entry.blocker, entry.verdict = None, entry.pair
-        else:
-            entry.blocker = stacks[blocker]
-            entry.verdict = replace(entry.pair, failed="corridor", blocker=blocker)
-        return entry.verdict
+        """``check_pull`` of ``mover`` toward ``anchor`` on ``table``,
+        naming one of the blocking stacks when the corridor is blocked."""
+        pair, blocked = self._corridor(mover, anchor, every=False)
+        if not blocked:
+            return pair
+        blocker = self._values[blocked & -blocked].id
+        # Built directly: ``replace`` costs several times more, and the
+        # nearest-first search asks about every blocked pull at each step.
+        return PullCheck("corridor", blocker, pair.end, pair.grasp, pair.half_width)
 
-    def pull_blockers(
-        self, mover: int, anchor: int
-    ) -> tuple[PullCheck, list[int]] | None:
-        """The pair tests of ``mover``'s pull toward ``anchor`` and every
-        stack meeting its corridor, or None when the pair tests fail."""
-        pair = self._pull_entry(mover, anchor).pair
-        if not pair.allowable:
-            return None
-        stacks = self.state.stacks
-        others = (s for s in stacks.values() if s.id != mover and s.id != anchor)
-        blockers = _corridor_blockers(stacks[mover].base, pair, others, self.footprints)
-        return pair, list(blockers)
+    def pull_blockers(self, mover: int, anchor: int) -> tuple[PullCheck, int] | None:
+        """The pair tests of ``mover``'s pull toward ``anchor`` and the mask
+        of every stack on ``table`` meeting its corridor, or None when the
+        pair tests fail."""
+        pair, blocked = self._corridor(mover, anchor, every=True)
+        return (pair, blocked) if pair.allowable else None
 
 
 # Tables of at most this many stacks, the size of a paper scene, get a
@@ -241,7 +239,7 @@ def _nearest_first(memo: PairMemo) -> Move:
     """Nearest-first's move on the memo's table: the nearest pair with a
     shared grasp, else the nearest allowable pull, else the lowest stack id.
     Ties go to the lowest ids."""
-    ids = sorted(memo.state.stacks)
+    ids = memo.ids()
     best_mog = min(
         (
             (memo.gap(a, b), a, b)
@@ -271,18 +269,19 @@ def _nearest_first(memo: PairMemo) -> Move:
     return "single", (ids[0],), None
 
 
-def _grip_classes(state: SceneState, bits: dict[int, int], sim: "SimConfig") -> list[int]:
-    """Bit masks of the stacks that may pair with each other: grip heights
-    sorted and split wherever two neighbours differ by more than the
-    height-similarity threshold."""
-    heights = sorted((_grip_height(state, state.stacks[sid], sim), sid) for sid in bits)
+def _grip_classes(memo: PairMemo) -> list[int]:
+    """Masks of the stacks on the memo's table that may pair with each
+    other: grip heights sorted and split wherever two neighbours differ by
+    more than the height-similarity threshold."""
+    state, sim = memo.state, memo.sim
+    heights = sorted((_grip_height(state, state.stacks[sid], sim), sid) for sid in memo.ids())
     threshold = sim.gripper.height_similarity_threshold + 1e-9
     classes: list[int] = []
     previous = None
     for height, sid in heights:
         if previous is None or height - previous > threshold:
             classes.append(0)
-        classes[-1] |= bits[sid]
+        classes[-1] |= memo.bit(sid)
         previous = height
     return classes
 
@@ -293,34 +292,30 @@ def _trip_floor(left: int, classes: list[int]) -> int:
     return sum(((left & c).bit_count() + 1) // 2 for c in classes)
 
 
-def _plan(state: SceneState, memo: PairMemo) -> dict[frozenset[int], Move]:
-    """A failure-free order of moves that clears ``state`` in the fewest
-    trips, keyed by the ids of the stacks left when each is taken.
+def _plan(memo: PairMemo) -> dict[int, Move]:
+    """A failure-free order of moves that clears the memo's table in the
+    fewest trips, keyed by the mask of the stacks left when each is taken.
 
     Nearest-first's own order when it meets the floor on trips
     (``_trip_floor``), otherwise ``_optimal_order``.
     """
-    plan: dict[frozenset[int], Move] = {}
-    left = state
-    while left.stacks:
-        memo.sync(left)
+    table = memo.table
+    plan: dict[int, Move] = {}
+    while memo.table:
         move = _nearest_first(memo)
-        plan[frozenset(left.stacks)] = move
-        stacks = {sid: s for sid, s in left.stacks.items() if sid not in move[1]}
-        left = SceneState(state.workspace, stacks, state.dishes)
-    bits = {sid: 1 << i for i, sid in enumerate(sorted(state.stacks))}
-    classes = _grip_classes(state, bits, memo.sim)
-    if len(plan) == _trip_floor((1 << len(bits)) - 1, classes):
+        plan[memo.table] = move
+        memo.table &= ~sum(memo.bit(sid) for sid in move[1])
+    memo.table = table
+    classes = _grip_classes(memo)
+    if len(plan) == _trip_floor(table, classes):
         return plan
-    return _optimal_order(state, memo, bits, classes)
+    return _optimal_order(memo, classes)
 
 
-def _optimal_order(
-    state: SceneState, memo: PairMemo, bits: dict[int, int], classes: list[int]
-) -> dict[frozenset[int], Move]:
-    """``_plan``'s exact search over subsets of the table.
+def _optimal_order(memo: PairMemo, classes: list[int]) -> dict[int, Move]:
+    """``_plan``'s exact search over subsets of the memo's table.
 
-    Failure-free, every table reachable from ``state`` is a subset of its
+    Failure-free, every table reachable from this one is a subset of its
     stacks.  A pair can go in one trip from subset S when it has a shared
     grasp (which reads the pair alone), or when one pull direction passes
     the pair tests and none of the stacks meeting its corridor is in S.
@@ -328,12 +323,11 @@ def _optimal_order(
     one nearest-first would rank highest: ready grasps by (gap, ids), then
     pulls by (gap, mover, anchor), then single grasps by stack id.
     """
-    memo.sync(state)
-    ids = list(bits)
+    ids = memo.ids()
     ranked = []  # (rank, move, stacks it clears, stacks that block it)
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
-            pair = bits[a] | bits[b]
+            pair = memo.bit(a) | memo.bit(b)
             grasp = memo.shared_grasp(a, b)
             if grasp is not None:
                 move = ("grasp", (a, b), grasp)
@@ -344,10 +338,9 @@ def _optimal_order(
                 if pull is not None:
                     check, blockers = pull
                     move = ("pull", (mover, anchor), check.grasp)
-                    mask = sum(bits[sid] for sid in blockers)
                     rank = (1, memo.gap(mover, anchor), mover, anchor)
-                    ranked.append((rank, move, pair, mask))
-    ranked.extend(((2, sid), ("single", (sid,), None), bits[sid], 0) for sid in ids)
+                    ranked.append((rank, move, pair, blockers))
+    ranked.extend(((2, sid), ("single", (sid,), None), memo.bit(sid), 0) for sid in ids)
     ranked.sort(key=lambda r: r[0])
 
     least = {0: 0}
@@ -367,8 +360,8 @@ def _optimal_order(
             least[left] = best
         return least[left]
 
-    plan: dict[frozenset[int], Move] = {}
-    left = (1 << len(ids)) - 1
+    plan: dict[int, Move] = {}
+    left = memo.table
     while left:
         target = trips(left)
         move, cleared = next(
@@ -378,7 +371,7 @@ def _optimal_order(
             and not blockers & left
             and 1 + trips(left ^ cleared) == target
         )
-        plan[frozenset(sid for sid in ids if bits[sid] & left)] = move
+        plan[left] = move
         left ^= cleared
     return plan
 
@@ -409,14 +402,10 @@ def pull_policy(
     if len(state.stacks) > PLAN_MAX_STACKS:
         move = _nearest_first(memo)
     else:
-        key = frozenset(state.stacks)
-        move = memo.plan.get(key)
-        if move is None or any(
-            memo.planned.get(sid) is not stack for sid, stack in state.stacks.items()
-        ):
-            memo.plan, memo.planned = _plan(state, memo), dict(state.stacks)
-            memo.sync(state)
-            move = memo.plan[key]
+        move = memo.plan.get(memo.table)
+        if move is None:
+            memo.plan = _plan(memo)
+            move = memo.plan[memo.table]
     kind, targets, grasp = move
     if kind == "pull":
         return PullGrasp(plan_pull(state, *targets, sim), grasp)

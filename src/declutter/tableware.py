@@ -46,11 +46,11 @@ class DishSpec:
     """
 
     kind: DishKind
+    grasp_height: float = 1.0
+    nest_offset: float = 1.0
     radius: float | None = None
     length: float | None = None
     width: float | None = None
-    grasp_height: float = 1.0
-    nest_offset: float = 1.0
 
     def __post_init__(self):
         if self.kind is DishKind.UTENSIL:

@@ -19,9 +19,9 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import SchemaError
+from .harness import scene_seed, trial_seed
 from .metrics import TimeModel, action_counts
 from .policies import PolicyConfig, run_policy
-from .rng import derive_seed
 from .tableware import Tier, TierConfig, generate_scene
 
 if TYPE_CHECKING:
@@ -95,18 +95,13 @@ def simulated_counts(
     for tier in Tier:
         cfg = TierConfig.preset(tier)
         scenes = [
-            generate_scene(
-                cfg,
-                derive_seed(base_seed, "scene", tier.value, k),
-                sim.dish_specs,
-                sim.workspace,
-            )
+            generate_scene(cfg, scene_seed(base_seed, tier, k), sim.dish_specs, sim.workspace)
             for k in range(scenes_per_tier)
         ]
         for policy in policies:
             totals = np.zeros(4)
             for k, scene in enumerate(scenes):
-                seed = derive_seed(base_seed, "trial", tier.value, k, policy.kind.value)
+                seed = trial_seed(base_seed, tier, k, policy.kind.value)
                 trace = run_policy(scene, policy, sim, seed)
                 totals += np.array(action_counts(trace), dtype=float)
             counts[(tier.value, policy.kind.value)] = tuple(totals / scenes_per_tier)

@@ -174,6 +174,27 @@ class TestBench:
         rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "x")])
         assert rc == 3
 
+    @pytest.mark.parametrize("field, value", [
+        ("bin_delays", "12"),
+        ("bin_delays", [1, "2"]),
+        ("p_fail", "0.5"),
+        ("p_fail", True),
+        ("scenes_per_tier", 1.7),
+        ("base_seed", "1"),
+        ("bin_delays", [float("inf")]),
+    ])
+    def test_non_number_plan_field_exits_3(self, tmp_path, capsys, field, value):
+        plan = write_plan(tmp_path, **{field: value})
+        rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("scenes_per_tier", 0), ("p_fail", 1.5)])
+    def test_plan_range_error_exits_2(self, tmp_path, field, value):
+        plan = write_plan(tmp_path, **{field: value})
+        rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "x")])
+        assert rc == 2
+
 
 class TestFitTime:
     def test_fit_time_writes_fragment(self, tmp_path, capsys):
@@ -236,6 +257,13 @@ def test_config_flag_threads_through(tmp_path, capsys):
     ("gripper", {"max_opening": "9.0"}),
     ("time_model", {"travel_s": 5.0, "lunch_s": 60.0}),
     ("time_model", {"travel_s": True}),
+    ("dishes", [1]),
+    ("workspace", ["a", 61]),
+    ("workspace", [True, 61]),
+    ("pull_clearance_margin", "x"),
+    ("pull_clearance_margin", "1.5"),
+    ("pull_clearance_margin", float("nan")),
+    ("gripper", {"max_opening": float("inf")}),
 ])
 def test_bad_config_key_exits_3(tmp_path, capsys, section, entry):
     path = tmp_path / "c.json"

@@ -11,16 +11,20 @@ from declutter import (
     Point2,
     PolicyConfig,
     PullGrasp,
+    SceneState,
     Tier,
     TierConfig,
     apply,
     check_pull,
+    corridor_clear,
     generate_scene,
     grasp_gap,
     mog_grasp,
     next_action,
+    policies,
 )
 from declutter.rng import SplitMix64, derive_seed
+from declutter.tableware import stack_footprints
 from helpers import BOWL, CUP, SIM, build_scene
 from oracle import pull_policy_choice
 
@@ -68,6 +72,74 @@ def test_policy_matches_reference_at_every_step(p_fail):
     assert kinds == {"grasp", "pull", "single"}
     if p_fail:
         assert failed_pulls > 0  # moved stacks stayed behind
+
+
+def test_each_corridor_test_runs_once_per_trial(monkeypatch):
+    # Failed actions leave moved stacks behind and make the policy plan
+    # again, so every kind of table asks the memo about corridors.
+    sim = dataclasses.replace(SIM, p_fail=0.2)
+    seen = set()
+
+    def once(start, end, half_width, footprints):
+        key = (start, end, half_width, tuple(footprints))
+        assert key not in seen
+        seen.add(key)
+        return corridor_clear(start, end, half_width, footprints)
+
+    monkeypatch.setattr(policies, "corridor_clear", once)
+    for seed in range(10):
+        seen.clear()
+        state = dense_scene(30, seed)
+        rng = SplitMix64(seed)
+        memo = PairMemo(sim)
+        while state.stacks:
+            state, _ = apply(state, next_action(state, rng, sim, PULL, memo), sim, rng)
+        assert seen
+
+
+def test_answers_follow_the_synced_table():
+    # A subset of the table, the whole table, then the table with one
+    # stack moved to its middle: the memo extends what it tested on each.
+    for seed in range(2):
+        scene = dense_scene(30, seed)
+        subset = scene.clone()
+        for sid in list(subset.stacks)[::2]:
+            del subset.stacks[sid]
+        moved = scene.clone()
+        sid = min(moved.stacks)
+        middle = Point2(moved.workspace[0] / 2, moved.workspace[1] / 2)
+        moved.stacks[sid] = dataclasses.replace(moved.stacks[sid], base=middle)
+        memo = PairMemo(SIM)
+        blocked = []
+        for table in (subset, scene, moved):
+            memo.sync(table)
+            for mover in table.stacks:
+                for anchor in table.stacks:
+                    if mover == anchor:
+                        continue
+                    check = check_pull(table, mover, anchor, SIM)
+                    assert memo.pull(mover, anchor).allowable == check.allowable
+                    found = memo.pull_blockers(mover, anchor)
+                    assert (found is None) == (check.failed not in (None, "corridor"))
+                    if found is not None:
+                        pair, mask = found
+                        assert mask == blocker_bits(table, mover, anchor, pair, memo)
+                        blocked.append(mask.bit_count())
+        assert 0 in blocked and max(blocked) > 1
+
+
+def blocker_bits(table: SceneState, mover: int, anchor: int, pair, memo: PairMemo) -> int:
+    """The bits of the stacks on ``table`` meeting the corridor of a pull
+    whose pair tests ``pair`` passed."""
+    start = table.stacks[mover].base
+    return sum(
+        memo.bit(sid)
+        for sid, stack in table.stacks.items()
+        if sid not in (mover, anchor)
+        and not corridor_clear(
+            start, pair.end, pair.half_width, stack_footprints(table, stack, SIM.dish_specs)
+        )
+    )
 
 
 def test_pull_offered_once_blocker_is_binned():

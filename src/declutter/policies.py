@@ -10,8 +10,11 @@ indicate a policy bug.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from .actions import (
@@ -72,12 +75,17 @@ class PolicyConfig:
 
 
 def random_policy(
-    state: SceneState, rng: SplitMix64, sim: "SimConfig", cfg: PolicyConfig
+    state: SceneState,
+    rng: SplitMix64,
+    sim: "SimConfig",
+    cfg: PolicyConfig,
+    memo: PairMemo | None = None,
 ) -> Action:
     """Pick a dish uniformly at random and grasp the stack containing it.
 
     Target selection is stack-agnostic, but a grasp always engages the
-    bottom rim, so the whole stack rides along in one trip.
+    bottom rim, so the whole stack rides along in one trip.  No pair is
+    asked about, so ``memo`` goes unused.
     """
     dish_ids = state.on_table_dish_ids()
     dish_id = dish_ids[rng.below(len(dish_ids))]
@@ -102,18 +110,31 @@ class _PullEntry:
 # anchor), grasp once in contact) or ("single", (stack,), None).
 Move = tuple[str, tuple[int, ...], GraspAction | None]
 
+# A test that admits an ordered pair (a, b) of synced stack ids to a ranking.
+Admit = Callable[["PairMemo", int, int], bool]
+
+# The grasp gap of two stacks is at least the distance between their bases
+# less the reach of both grasp loci (rim radius or half a utensil's length);
+# the slack covers rounding.
+_GAP_BOUND_SLACK = 1e-9
+
 
 class PairMemo:
-    """Pair results of the pull policy, kept from one step of a trial to the next.
+    """Pair results of a policy, kept from one step of a trial to the next.
 
     Make one per trial and ``sync`` it with each state before asking for
     results.  ``sync`` gives each stack value it has not seen before a bit
     of its own for the rest of the trial and sets ``table`` to the mask of
     the synced table's bits.  A moved or merged stack is a new value, so a
     bit names one value; dishes never change kind or orientation, so a
-    value fixes its footprints.  Footprints, shared grasps, gaps and pull
-    tests are keyed by value bits, and a result keyed by bits never goes
-    stale.
+    value fixes its footprints.  Footprints, shared grasps, gaps, stacking
+    tests and pull tests are keyed by value bits, and a result keyed by
+    bits never goes stale.
+
+    ``nearest`` ranks the ordered pairs a test admits by (gap, ids).  Each
+    ranking holds the admitted pairs of the synced table's values: ``sync``
+    drops the pairs of values that left and ranks those of values that
+    arrived, so a step reads the nearest pairs without visiting every pair.
 
     A corridor verdict also depends on the other stacks.  Each pull keeps
     the mask of values tested against its corridor and the mask of those
@@ -134,22 +155,79 @@ class PairMemo:
         self._bits: dict[Stack, int] = {}
         self._values: dict[int, Stack] = {}
         self._ids: dict[int, int] = {}
+        self._synced = 0
         self._footprints: dict[int, list[Footprint]] = {}
         self._grasps: dict[tuple[int, int], GraspAction | None] = {}
         self._gaps: dict[tuple[int, int], float] = {}
+        self._stackable: dict[tuple[int, int], bool] = {}
         self._pulls: dict[tuple[int, int], _PullEntry] = {}
+        # (lower bound on the gap, a, b, bits of a and b), sorted, per
+        # admitting test
+        self._rankings: dict[Admit, list[tuple[float, int, int, int]]] = {}
+
+    def _bit(self, stack: Stack) -> int:
+        bit = self._bits.get(stack)
+        if bit is None:
+            bit = self._bits[stack] = 1 << len(self._values)
+            self._values[bit] = stack
+        return bit
 
     def sync(self, state: SceneState) -> None:
         """Make ``state`` the current table."""
-        ids = {}
-        for sid in sorted(state.stacks):
-            stack = state.stacks[sid]
-            bit = self._bits.get(stack)
-            if bit is None:
-                bit = self._bits[stack] = 1 << len(self._values)
-                self._values[bit] = stack
-            ids[sid] = bit
-        self.state, self._ids, self.table = state, ids, sum(ids.values())
+        ids = {sid: self._bit(state.stacks[sid]) for sid in sorted(state.stacks)}
+        table = sum(ids.values())
+        departed, arrived = self._synced & ~table, table & ~self._synced
+        self.state, self._ids, self.table, self._synced = state, ids, table, table
+        for admit, ranking in self._rankings.items():
+            if departed:
+                ranking[:] = [entry for entry in ranking if not entry[3] & departed]
+            if arrived:
+                ranking.extend(self._ranked(admit, arrived))
+                ranking.sort()
+
+    def _ranked(self, admit: Admit, arrived: int) -> list[tuple[float, int, int, int]]:
+        """Entries of the synced table's admitted pairs that hold a value in
+        ``arrived``, each with a lower bound on its gap."""
+        specs, dishes = self.sim.dish_specs, self.state.dishes
+        loci = []
+        for sid, bit in self._ids.items():
+            stack = self.state.stacks[sid]
+            spec = specs[dishes[stack.bottom].kind]
+            reach = spec.length / 2.0 if spec.kind is DishKind.UTENSIL else spec.radius
+            loci.append((sid, bit, stack.base.x, stack.base.y, reach))
+        entries = []
+        done = 0
+        for a, ba, xa, ya, ra in loci:
+            if not ba & arrived:
+                continue
+            done |= ba
+            for b, bb, xb, yb, rb in loci:
+                if bb & done:
+                    continue
+                bound = math.hypot(xb - xa, yb - ya) - ra - rb - _GAP_BOUND_SLACK
+                for x, y in ((a, b), (b, a)):
+                    if admit(self, x, y):
+                        entries.append((bound, x, y, ba | bb))
+        return entries
+
+    def nearest(self, admit: Admit) -> Iterator[tuple[int, int]]:
+        """The ordered pairs (a, b) on ``table`` that ``admit`` accepts, by
+        (``gap(a, b)``, a, b).  ``admit`` reads only the two stack values.
+
+        A ranking is sorted by a lower bound on the gap, so a gap is
+        computed only once the pairs before it have been read."""
+        ranking = self._rankings.get(admit)
+        if ranking is None:
+            ranking = self._rankings[admit] = sorted(self._ranked(admit, self._synced))
+        table = self.table
+        pending: list[tuple[float, int, int]] = []
+        for bound, a, b, pair in ranking:
+            if pair & table == pair:
+                while pending and pending[0][0] < bound:
+                    yield heappop(pending)[1:]
+                heappush(pending, (self.gap(a, b), a, b))
+        while pending:
+            yield heappop(pending)[1:]
 
     def bit(self, sid: int) -> int:
         """The value bit of stack ``sid`` of the synced table."""
@@ -183,6 +261,16 @@ class PairMemo:
         if key not in self._gaps:
             self._gaps[key] = grasp_gap(self.state, a, b, self.sim)[0]
         return self._gaps[key]
+
+    def stackable(self, state: SceneState, lifted: int, base: int) -> bool:
+        """``stack_allowable`` of stacks ``lifted`` and ``base`` of ``state``:
+        the synced table, or a preview of stacking on it whose new values
+        get bits of their own."""
+        stacks = state.stacks
+        key = (self._bit(stacks[lifted]), self._bit(stacks[base]))
+        if key not in self._stackable:
+            self._stackable[key] = stack_allowable(state, lifted, base, self.sim)
+        return self._stackable[key]
 
     def _corridor(self, mover: int, anchor: int, every: bool) -> tuple[PullCheck, int]:
         """The pair tests of ``mover``'s pull toward ``anchor`` and a mask of
@@ -235,38 +323,32 @@ class PairMemo:
 PLAN_MAX_STACKS = 12
 
 
+def _ready(memo: PairMemo, a: int, b: int) -> bool:
+    """Whether ``a`` < ``b`` have a shared grasp where they stand."""
+    return a < b and memo.shared_grasp(a, b) is not None
+
+
+def _same_grip(memo: PairMemo, mover: int, anchor: int) -> bool:
+    """Whether the two stacks' gripped-rim heights match, the first of a
+    pull's pair tests."""
+    state, sim = memo.state, memo.sim
+    height = _grip_height(state, state.stacks[mover], sim)
+    other = _grip_height(state, state.stacks[anchor], sim)
+    return abs(height - other) <= sim.gripper.height_similarity_threshold + 1e-9
+
+
 def _nearest_first(memo: PairMemo) -> Move:
     """Nearest-first's move on the memo's table: the nearest pair with a
     shared grasp, else the nearest allowable pull, else the lowest stack id.
-    Ties go to the lowest ids."""
-    ids = memo.ids()
-    best_mog = min(
-        (
-            (memo.gap(a, b), a, b)
-            for i, a in enumerate(ids)
-            for b in ids[i + 1:]
-            if memo.shared_grasp(a, b) is not None
-        ),
-        default=None,
-    )
-    if best_mog is not None:
-        _, a, b = best_mog
+    Ties go to the lowest ids.  Corridors are tested only down to the first
+    pull they leave clear."""
+    for a, b in memo.nearest(_ready):
         return "grasp", (a, b), memo.shared_grasp(a, b)
-
-    best_pull = min(
-        (
-            (memo.gap(mover, anchor), mover, anchor)
-            for mover in ids
-            for anchor in ids
-            if mover != anchor and memo.pull(mover, anchor).allowable
-        ),
-        default=None,
-    )
-    if best_pull is not None:
-        _, mover, anchor = best_pull
-        return "pull", (mover, anchor), memo.pull(mover, anchor).grasp
-
-    return "single", (ids[0],), None
+    for mover, anchor in memo.nearest(_same_grip):
+        check = memo.pull(mover, anchor)
+        if check.allowable:
+            return "pull", (mover, anchor), check.grasp
+    return "single", (memo.ids()[0],), None
 
 
 def _grip_classes(memo: PairMemo) -> list[int]:
@@ -414,57 +496,72 @@ def pull_policy(
     return Grasp(grasp)
 
 
+def _stackable(memo: PairMemo, lifted: int, base: int) -> bool:
+    """Whether ``lifted`` may be stacked on ``base`` and the pile grasped."""
+    return memo.stackable(memo.state, lifted, base)
+
+
+def _utensil_onto_bowl(memo: PairMemo, lifted: int, base: int) -> bool:
+    """Whether a utensil pile ``lifted`` may be stacked on the bowl-topped
+    stack ``base``."""
+    stacks, dishes = memo.state.stacks, memo.state.dishes
+    return (
+        dishes[stacks[lifted].bottom].kind is DishKind.UTENSIL
+        and dishes[stacks[base].top].kind is DishKind.BOWL
+        and _stackable(memo, lifted, base)
+    )
+
+
 def stack_policy(
-    state: SceneState, rng: SplitMix64, sim: "SimConfig", cfg: PolicyConfig
+    state: SceneState,
+    rng: SplitMix64,
+    sim: "SimConfig",
+    cfg: PolicyConfig,
+    memo: PairMemo | None = None,
 ) -> Action:
     """Stack utensils onto bowls first, then merge pairs, then singles.
 
     While both utensil piles and bowl-topped stacks remain, utensils are
     placed on bowls and the merged pile carried out.  ``one_per_bowl``
-    transports one utensil pile per bowl trip; ``all_on_one_bowl`` loads
-    every remaining utensil pile onto a single bowl (while the pile stays
-    graspable) before the trip.  After the utensil phase each trip merges
-    at most two existing stacks: the returned stack-grasp immediately
-    transports the merged pile, so piles of four or more cups or bowls can
-    never form.  Anything left is cleared with single grasps.
-    """
-    ids = sorted(state.stacks)
-    dishes = state.dishes
-    utensil_piles = [s for s in ids if dishes[state.stacks[s].bottom].kind is DishKind.UTENSIL]
-    bowl_tops = [s for s in ids if dishes[state.stacks[s].top].kind is DishKind.BOWL]
+    transports one utensil pile per bowl trip, the nearest allowable pair;
+    ``all_on_one_bowl`` loads every remaining utensil pile onto a single
+    bowl (while the pile stays graspable) before the trip.  After the
+    utensil phase each trip merges the nearest allowable pair of existing
+    stacks: the returned stack-grasp immediately transports the merged
+    pile, so piles of four or more cups or bowls can never form.  Anything
+    left is cleared with single grasps.  "Nearest" ranks pairs by (grasp
+    gap, lifted id, base id).
 
-    if utensil_piles and bowl_tops:
-        if cfg.utensil_stacking is UtensilStacking.ONE_PER_BOWL:
-            best: tuple[float, int, int] | None = None
-            for u in utensil_piles:
-                for b in bowl_tops:
-                    if not stack_allowable(state, u, b, sim):
-                        continue
-                    gap = grasp_gap(state, u, b, sim)[0]
-                    if best is None or (gap, u, b) < best:
-                        best = (gap, u, b)
-            if best is not None:
-                _, u, b = best
-                placement = StackPlacement(grasp_points(state, u, rng, sim), u, b)
-                carry = grasp_points(state, b, rng, sim)
-                return StackGrasp((placement,), carry)
-        else:
+    Stacking tests and gaps come from ``memo``, which carries them from one
+    step of a trial to the next; a call without one starts from an empty
+    memo.  The piles ``all_on_one_bowl`` previews are stack values of their
+    own, so the memo tests each growing pile afresh.
+    """
+    if memo is None:
+        memo = PairMemo(sim)
+    memo.sync(state)
+    if cfg.utensil_stacking is UtensilStacking.ONE_PER_BOWL:
+        for u, b in memo.nearest(_utensil_onto_bowl):
+            placement = StackPlacement(grasp_points(state, u, rng, sim), u, b)
+            carry = grasp_points(state, b, rng, sim)
+            return StackGrasp((placement,), carry)
+    else:
+        ids = sorted(state.stacks)
+        dishes = state.dishes
+        utensil_piles = [s for s in ids if dishes[state.stacks[s].bottom].kind is DishKind.UTENSIL]
+        bowl_tops = [s for s in ids if dishes[state.stacks[s].top].kind is DishKind.BOWL]
+        if utensil_piles and bowl_tops:
             chosen = min(
                 bowl_tops,
-                key=lambda b: (
-                    sum(grasp_gap(state, u, b, sim)[0] for u in utensil_piles),
-                    b,
-                ),
+                key=lambda b: (sum(memo.gap(u, b) for u in utensil_piles), b),
             )
-            order = sorted(
-                utensil_piles, key=lambda u: (grasp_gap(state, u, chosen, sim)[0], u)
-            )
+            order = sorted(utensil_piles, key=lambda u: (memo.gap(u, chosen), u))
             # Placements are simulated against an evolving preview so the
             # jaw constraint is checked against the growing pile.
             placements: list[StackPlacement] = []
             working = state
             for u in order:
-                if not stack_allowable(working, u, chosen, sim):
+                if not memo.stackable(working, u, chosen):
                     continue
                 placements.append(
                     StackPlacement(grasp_points(working, u, rng, sim), u, chosen)
@@ -474,27 +571,17 @@ def stack_policy(
                 carry = grasp_points(working, chosen, rng, sim)
                 return StackGrasp(tuple(placements), carry)
 
-    best_pair: tuple[float, int, int] | None = None
-    for lifted in ids:
-        for base in ids:
-            if lifted == base:
-                continue
-            if not stack_allowable(state, lifted, base, sim):
-                continue
-            gap = grasp_gap(state, lifted, base, sim)[0]
-            if best_pair is None or (gap, lifted, base) < best_pair:
-                best_pair = (gap, lifted, base)
-    if best_pair is not None:
-        _, lifted, base = best_pair
+    for lifted, base in memo.nearest(_stackable):
         placement = StackPlacement(grasp_points(state, lifted, rng, sim), lifted, base)
         carry = grasp_points(state.merged(lifted, base), base, rng, sim)
         return StackGrasp((placement,), carry)
 
-    return Grasp(grasp_points(state, ids[0], rng, sim))
+    return Grasp(grasp_points(state, min(state.stacks), rng, sim))
 
 
 _POLICY_FUNCS = {
     PolicyKind.RANDOM: random_policy,
+    PolicyKind.PULL: pull_policy,
     PolicyKind.STACK: stack_policy,
 }
 
@@ -508,13 +595,12 @@ def next_action(
 ) -> Action | None:
     """Next feasible action for the policy, or None once the table is clear.
 
-    ``memo`` is the trial's pair memo, used by the pull policy.
+    ``memo`` is the trial's pair memo, passed to every policy; the pull and
+    stack policies read their pair results from it (see ``PairMemo``).
     """
     if not state.stacks:
         return None
-    if cfg.kind is PolicyKind.PULL:
-        return pull_policy(state, rng, sim, cfg, memo)
-    return _POLICY_FUNCS[cfg.kind](state, rng, sim, cfg)
+    return _POLICY_FUNCS[cfg.kind](state, rng, sim, cfg, memo)
 
 
 @dataclass

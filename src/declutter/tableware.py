@@ -15,6 +15,7 @@ from enum import Enum
 
 from .errors import PlacementExhausted, SchemaError
 from .geometry import (
+    TOUCH_TOL,
     Disc,
     Footprint,
     OrientedRect,
@@ -266,6 +267,27 @@ def _inside_workspace(fp: Footprint, workspace: tuple[float, float]) -> bool:
     return True
 
 
+# A footprint's reach: its circumradius, and whether it is a rectangle.
+Reach = tuple[float, bool]
+
+
+def _may_overlap(center: Point2, reach: Reach, base: Point2, stack_reach: Reach) -> bool:
+    """False only when a footprint centred at ``center`` cannot ``overlaps``
+    any footprint of a stack at ``base``.
+
+    ``stack_reach`` is the largest circumradius among the stack's dishes
+    and whether any is a rectangle.  A footprint lies within its
+    circumradius of its centre, so ``separation`` is at least the centre
+    distance less both circumradii; for two rectangles its axis test is
+    only at least the distance over sqrt(2) less both circumradii.  The
+    slack covers rounding.
+    """
+    limit = reach[0] + stack_reach[0] + TOUCH_TOL + 1e-9
+    if reach[1] and stack_reach[1]:
+        limit *= math.sqrt(2.0)
+    return math.hypot(center.x - base.x, center.y - base.y) <= limit
+
+
 def generate_scene(
     cfg: TierConfig,
     seed: int,
@@ -283,6 +305,8 @@ def generate_scene(
     the smallest free spot (placing bowls onto a crowded table can exhaust
     the sampler), and utensils go first so piles stay stability-ordered.
     Raises PlacementExhausted after 10,000 failed samples for one object.
+    Stacks out of a footprint's reach are skipped without a test, which
+    changes no draw and no outcome.
     """
     specs = specs or default_dish_specs()
     rng = SplitMix64(seed)
@@ -296,9 +320,11 @@ def generate_scene(
     )
     intersections_used = 0
     w, h = workspace
+    reaches: dict[int, Reach] = {}
     for dish_id, kind in enumerate(order):
         spec = specs[kind]
         inset = spec.circumscribed_radius
+        reach = (inset, kind is DishKind.UTENSIL)
         if 2 * inset >= min(w, h):
             raise PlacementExhausted(f"{kind.value} does not fit in the workspace")
         placed = False
@@ -310,11 +336,13 @@ def generate_scene(
             hits = [
                 s
                 for s in state.stacks.values()
-                if any(overlaps(fp, mfp) for mfp in stack_footprints(state, s, specs))
+                if _may_overlap(pos, reach, s.base, reaches[s.id])
+                and any(overlaps(fp, mfp) for mfp in stack_footprints(state, s, specs))
             ]
             if not hits:
                 state.dishes[dish_id] = dish
                 state.stacks[dish_id] = Stack(dish_id, (dish_id,), pos)
+                reaches[dish_id] = reach
                 placed = True
                 break
             if len(hits) == 1 and intersections_used < cfg.max_intersections:
@@ -327,6 +355,7 @@ def generate_scene(
                     sfp = dish_footprint(dish, specs, target.base)
                     clear = _inside_workspace(sfp, workspace) and not any(
                         other.id != target.id
+                        and _may_overlap(target.base, reach, other.base, reaches[other.id])
                         and any(
                             overlaps(sfp, ofp)
                             for ofp in stack_footprints(state, other, specs)
@@ -338,6 +367,8 @@ def generate_scene(
                         state.stacks[target.id] = replace(
                             target, dishes=target.dishes + (dish_id,)
                         )
+                        widest, rects = reaches[target.id]
+                        reaches[target.id] = (max(widest, inset), rects or reach[1])
                         intersections_used += 1
                         placed = True
                         break

@@ -1,5 +1,5 @@
 """Brute-force references: the minimum-trip oracle for small tables, and
-the pull policy's choice in one state.
+the pull and stack policies' choices in one state.
 
 Every action either clears one stack (single grasp) or two stacks at once
 (multi-object grasp, pull-grasp, or a single stack-then-grasp), and no
@@ -14,7 +14,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from declutter import (
+    DishKind,
+    PolicyConfig,
     SceneState,
+    UtensilStacking,
     grasp_gap,
     mog_allowable,
     mog_grasp,
@@ -119,3 +122,56 @@ def pull_policy_choice(state: SceneState, sim) -> tuple[str, tuple[int, ...]]:
     return next(
         move for move in ranked if 1 + least(table - set(move[1])) == least(table)
     )
+
+
+def stack_policy_choice(
+    state: SceneState, sim, cfg: PolicyConfig
+) -> tuple[str, tuple]:
+    """What the stack policy must do in ``state``, by evaluating
+    ``stack_allowable`` and ``grasp_gap`` afresh for every pair.
+
+    Returns ("stack", ((lifted, base), ...)) with the placements in order,
+    or ("single", (stack,)).  While utensil piles and bowl-topped stacks
+    remain: with ``one_per_bowl``, the allowable (utensil pile, bowl-topped
+    stack) pair of least (gap, ids); with ``all_on_one_bowl``, the bowl with
+    the least sum of gaps to every utensil pile, loaded nearest pile first
+    with each pile that the growing pile still allows.  Then the allowable
+    ordered pair of least (gap, lifted, base), then the lowest stack id.
+    """
+    ids = sorted(state.stacks)
+    stacks, dishes = state.stacks, state.dishes
+
+    def gap(a: int, b: int) -> float:
+        return grasp_gap(state, a, b, sim)[0]
+
+    utensil_piles = [s for s in ids if dishes[stacks[s].bottom].kind is DishKind.UTENSIL]
+    bowl_tops = [s for s in ids if dishes[stacks[s].top].kind is DishKind.BOWL]
+    if utensil_piles and bowl_tops:
+        if cfg.utensil_stacking is UtensilStacking.ONE_PER_BOWL:
+            pairs = sorted(
+                (gap(u, b), u, b)
+                for u in utensil_piles
+                for b in bowl_tops
+                if stack_allowable(state, u, b, sim)
+            )
+            if pairs:
+                return "stack", (pairs[0][1:],)
+        else:
+            chosen = min(bowl_tops, key=lambda b: (sum(gap(u, b) for u in utensil_piles), b))
+            placements = []
+            working = state
+            for u in sorted(utensil_piles, key=lambda u: (gap(u, chosen), u)):
+                if stack_allowable(working, u, chosen, sim):
+                    placements.append((u, chosen))
+                    working = working.merged(u, chosen)
+            if placements:
+                return "stack", tuple(placements)
+    pairs = sorted(
+        (gap(lifted, base), lifted, base)
+        for lifted in ids
+        for base in ids
+        if lifted != base and stack_allowable(state, lifted, base, sim)
+    )
+    if pairs:
+        return "stack", (pairs[0][1:],)
+    return "single", (ids[0],)

@@ -1,4 +1,5 @@
-"""The pull policy's per-trial pair memo against a brute-force reference."""
+"""The per-trial pair memo of the pull and stack policies against brute-force
+references."""
 
 import dataclasses
 import math
@@ -12,6 +13,7 @@ from declutter import (
     PolicyConfig,
     PullGrasp,
     SceneState,
+    StackGrasp,
     Tier,
     TierConfig,
     apply,
@@ -22,11 +24,12 @@ from declutter import (
     mog_grasp,
     next_action,
     policies,
+    stack_allowable,
 )
 from declutter.rng import SplitMix64, derive_seed
 from declutter.tableware import stack_footprints
-from helpers import BOWL, CUP, SIM, build_scene
-from oracle import pull_policy_choice
+from helpers import BOWL, CUP, SIM, UTENSIL, build_scene
+from oracle import pull_policy_choice, stack_policy_choice
 
 PULL = PolicyConfig.named("pull")
 
@@ -35,6 +38,8 @@ def choice(action):
     """The action in the reference's terms."""
     if isinstance(action, PullGrasp):
         return "pull", (action.pull.mover, action.pull.anchor)
+    if isinstance(action, StackGrasp):
+        return "stack", tuple((p.lifted, p.base) for p in action.placements)
     if len(action.grasp.targets) == 2:
         return "grasp", action.grasp.targets
     return "single", action.grasp.targets
@@ -95,6 +100,83 @@ def test_each_corridor_test_runs_once_per_trial(monkeypatch):
         while state.stacks:
             state, _ = apply(state, next_action(state, rng, sim, PULL, memo), sim, rng)
         assert seen
+
+
+@pytest.mark.parametrize("stacking", ["one_per_bowl", "all_on_one_bowl"])
+@pytest.mark.parametrize("p_fail", [0.0, 0.2])
+def test_stack_policy_matches_reference_at_every_step(stacking, p_fail):
+    sim = dataclasses.replace(SIM, p_fail=p_fail)
+    cfg = PolicyConfig.named("stack", stacking)
+    longest = 0
+    failed_stacks = 0
+    for seed in range(10):
+        state = dense_scene(30, seed)
+        rng = SplitMix64(seed)
+        memo = PairMemo(sim)
+        while state.stacks:
+            action = next_action(state, rng, sim, cfg, memo)
+            expected = choice(action)
+            assert expected == stack_policy_choice(state, sim, cfg), (seed, len(state.bin))
+            if expected[0] == "stack":
+                longest = max(longest, len(expected[1]))
+            state, event = apply(state, action, sim, rng)
+            if isinstance(action, StackGrasp) and event.params.get("failed"):
+                failed_stacks += 1
+    # all_on_one_bowl places previewed piles, several in one action
+    assert longest == 1 if stacking == "one_per_bowl" else longest > 1
+    if p_fail:
+        assert failed_stacks > 0  # merged piles stayed behind
+
+
+def test_each_stacking_test_runs_once_per_trial(monkeypatch):
+    # Failed stack-grasps leave merged piles behind, new values that the
+    # memo tests against the stacks already there.  In the hand-built
+    # scene no utensil pair fits on the three-bowl pile, so every step of
+    # all_on_one_bowl asks again about the piles left and then falls back
+    # to merging pairs.
+    sim = dataclasses.replace(SIM, p_fail=0.2)
+    full_pile = build_scene(
+        [([BOWL, BOWL, BOWL], 40, 30)]
+        + [([UTENSIL, UTENSIL], 15, y) for y in (10, 30, 50)]
+    )
+    scenes = [dense_scene(30, seed) for seed in range(10)] + [full_pile]
+    seen = set()
+
+    def once(state, lifted, base, sim):
+        key = (state.stacks[lifted], state.stacks[base])
+        assert key not in seen
+        seen.add(key)
+        return stack_allowable(state, lifted, base, sim)
+
+    monkeypatch.setattr(policies, "stack_allowable", once)
+    for stacking in ("one_per_bowl", "all_on_one_bowl"):
+        cfg = PolicyConfig.named("stack", stacking)
+        for seed, scene in enumerate(scenes):
+            seen.clear()
+            state = scene
+            rng = SplitMix64(seed)
+            memo = PairMemo(sim)
+            while state.stacks:
+                state, _ = apply(state, next_action(state, rng, sim, cfg, memo), sim, rng)
+            assert seen
+
+
+def test_previewed_piles_get_bits_of_their_own():
+    # A bowl holds nine utensils before the pile's lip span passes the jaw
+    # height: the tenth fits on the bare bowl 0 but not on the preview.
+    scene = build_scene([([BOWL], 60, 30)] + [([UTENSIL], 20, 5 + 5 * k) for k in range(10)])
+    memo = PairMemo(SIM)
+    memo.sync(scene)
+    assert memo.stackable(scene, 10, 0)
+    preview = scene
+    for u in range(1, 10):
+        preview = preview.merged(u, 0)
+    assert memo.stackable(preview, 10, 0) is stack_allowable(preview, 10, 0, SIM) is False
+
+    cfg = PolicyConfig.named("stack", "all_on_one_bowl")
+    action = next_action(scene, SplitMix64(0), SIM, cfg, memo)
+    assert choice(action) == stack_policy_choice(scene, SIM, cfg)
+    assert len(action.placements) == 9
 
 
 def test_answers_follow_the_synced_table():
@@ -181,6 +263,29 @@ def test_failed_pull_blocks_corridor_cached_as_clear():
     assert choice(second) == ("single", (2,)) == pull_policy_choice(state, sim)
     check = memo.pull(0, 1)
     assert (check.failed, check.blocker) == ("corridor", 2)
+
+
+def test_stack_left_by_failed_pull_joins_the_rankings():
+    # Cup 0 is pulled to the two-cup pile 1; the grasp fails and carries
+    # the taller pile, leaving cup 0 near cup 2, a pair no grasp could take
+    # before.  Eleven far cups keep the table above PLAN_MAX_STACKS, where
+    # the policy is nearest-first.
+    sim = dataclasses.replace(SIM, p_fail=1.0)
+    scene = build_scene(
+        [([CUP], 22, 30), ([CUP, CUP], 40, 30), ([CUP], 31, 46.5)]
+        + [([CUP], 20 + 40 * k, 150) for k in range(11)],
+        workspace=(500, 200),
+    )
+    memo = PairMemo(sim)
+    rng = SplitMix64(0)
+    first = next_action(scene, rng, sim, PULL, memo)
+    assert choice(first) == ("pull", (0, 1)) == pull_policy_choice(scene, sim)
+
+    state, event = apply(scene, first, sim, rng)
+    assert event.params["abandoned"] == 0
+    assert len(state.stacks) > policies.PLAN_MAX_STACKS
+    second = next_action(state, rng, sim, PULL, memo)
+    assert choice(second) == ("grasp", (0, 2)) == pull_policy_choice(state, sim)
 
 
 def test_entries_die_with_either_stack_value():

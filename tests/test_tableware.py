@@ -1,5 +1,6 @@
 """Scene model, generation, validation, and serialization tests."""
 
+import hashlib
 import math
 
 import pytest
@@ -24,6 +25,18 @@ from declutter.tableware import stack_grasp_span
 from helpers import BOWL, CUP, SIM, UTENSIL, build_scene
 
 SPECS = default_dish_specs()
+
+# sha256 of the scene_to_json lines of seeds 0-49 of each tier, and of
+# seeds 0-3 of 72-item t1 and t2 mixes.
+GOLDEN_DIGESTS = {
+    "t0_cups": "74e0fe4fa9516543ea403991b1021c8df938fa8a35dfcea721e8857057d76491",
+    "t0_bowls": "225a5f194c8fa5dbc8f0f54320600e677ea90ad16d65143256d1f9c858d0ba62",
+    "t0_utensils": "defa7650daeb980a87c9200a4ec73cea6fb9de660160b631a3e078f8afcebbed",
+    "t1": "a96622f650b9e6b3d5dd4fd5c59bc728eaa030a32170b9ad0cb50db2d5695b5b",
+    "t2": "228549e7d3e8ae45d77d73117766b403dfda819050f547688b7b8f8cfe5fd079",
+    "dense72": "6be5d7cf6369a97a3cb8dccc5c3fbfda88390b294620a3122fc6846d3e9f97a6",
+    "dense72_t2": "9e0d8ff6aa12b5187c6943959905846968ff590147cacb35d9edd02c2fd762dc",
+}
 
 
 class TestTierPresets:
@@ -212,6 +225,25 @@ class TestSceneJson:
         scene = generate_scene(TierConfig.preset(Tier.T1), 7)
         text = scene_to_json(scene)
         assert text == GOLDEN_T1_SEED7
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_golden_digests(self, name):
+        # Digests of scenes written by the generator that tested every
+        # stack with ``overlaps``; skipping the stacks out of reach must
+        # keep every draw and every hit.  The 72-item scenes keep the
+        # tier-1 density, and the t2 mix there exercises the clearance test
+        # of stacking a sample onto the stack it hits.
+        if name.startswith("dense"):
+            scale = math.sqrt(72 / 12)
+            workspace = (SIM.workspace[0] * scale, SIM.workspace[1] * scale)
+            cfg = TierConfig(Tier.T1, 24, 24, 24)
+            if name == "dense72_t2":
+                cfg = TierConfig(Tier.T2, 24, 24, 24, max_intersections=12, max_initial_stack=3)
+            scenes = [generate_scene(cfg, seed, SPECS, workspace) for seed in range(4)]
+        else:
+            scenes = [generate_scene(TierConfig.preset(name), seed) for seed in range(50)]
+        text = "\n".join(scene_to_json(scene) for scene in scenes)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name]
 
 
 GOLDEN_T1_SEED7 = (

@@ -64,6 +64,10 @@ class GripperSpec:
         if self.closed_width >= self.max_opening:
             raise ValueError("closed_width must be below max_opening")
 
+    def similar_heights(self, h1: float, h2: float) -> bool:
+        """Whether two gripped-rim heights are close enough for one grasp."""
+        return abs(h1 - h2) <= self.height_similarity_threshold + 1e-9
+
 
 @dataclass(frozen=True)
 class GraspAction:
@@ -271,7 +275,7 @@ def mog_grasp(
     sa, sb = state.stacks[a], state.stacks[b]
     grip_a = _grip_height(state, sa, sim)
     grip_b = _grip_height(state, sb, sim)
-    if abs(grip_a - grip_b) > sim.gripper.height_similarity_threshold + 1e-9:
+    if not sim.gripper.similar_heights(grip_a, grip_b):
         return None
     lip_a = stack_top_lip_height(sa, state.dishes, sim.dish_specs)
     lip_b = stack_top_lip_height(sb, state.dishes, sim.dish_specs)
@@ -364,8 +368,8 @@ def _pair_check(
     sa = state.stacks.get(anchor)
     if sm is None or sa is None:
         return PullCheck("target_on_table")
-    if abs(_grip_height(state, sm, sim) - _grip_height(state, sa, sim)) > (
-        sim.gripper.height_similarity_threshold + 1e-9
+    if not sim.gripper.similar_heights(
+        _grip_height(state, sm, sim), _grip_height(state, sa, sim)
     ):
         return PullCheck("grip_height")
     mover_fps = footprints(sm)

@@ -332,9 +332,10 @@ def _same_grip(memo: PairMemo, mover: int, anchor: int) -> bool:
     """Whether the two stacks' gripped-rim heights match, the first of a
     pull's pair tests."""
     state, sim = memo.state, memo.sim
-    height = _grip_height(state, state.stacks[mover], sim)
-    other = _grip_height(state, state.stacks[anchor], sim)
-    return abs(height - other) <= sim.gripper.height_similarity_threshold + 1e-9
+    return sim.gripper.similar_heights(
+        _grip_height(state, state.stacks[mover], sim),
+        _grip_height(state, state.stacks[anchor], sim),
+    )
 
 
 def _nearest_first(memo: PairMemo) -> Move:
@@ -357,11 +358,10 @@ def _grip_classes(memo: PairMemo) -> list[int]:
     more than the height-similarity threshold."""
     state, sim = memo.state, memo.sim
     heights = sorted((_grip_height(state, state.stacks[sid], sim), sid) for sid in memo.ids())
-    threshold = sim.gripper.height_similarity_threshold + 1e-9
     classes: list[int] = []
     previous = None
     for height, sid in heights:
-        if previous is None or height - previous > threshold:
+        if previous is None or not sim.gripper.similar_heights(height, previous):
             classes.append(0)
         classes[-1] |= memo.bit(sid)
         previous = height
@@ -579,13 +579,6 @@ def stack_policy(
     return Grasp(grasp_points(state, min(state.stacks), rng, sim))
 
 
-_POLICY_FUNCS = {
-    PolicyKind.RANDOM: random_policy,
-    PolicyKind.PULL: pull_policy,
-    PolicyKind.STACK: stack_policy,
-}
-
-
 def next_action(
     state: SceneState,
     rng: SplitMix64,
@@ -597,10 +590,17 @@ def next_action(
 
     ``memo`` is the trial's pair memo, passed to every policy; the pull and
     stack policies read their pair results from it (see ``PairMemo``).
+    The policies are looked up by module name at each call, so a rebinding
+    of those names (such as a profiler's wrapper) takes effect.
     """
     if not state.stacks:
         return None
-    return _POLICY_FUNCS[cfg.kind](state, rng, sim, cfg, memo)
+    policy = {
+        PolicyKind.RANDOM: random_policy,
+        PolicyKind.PULL: pull_policy,
+        PolicyKind.STACK: stack_policy,
+    }[cfg.kind]
+    return policy(state, rng, sim, cfg, memo)
 
 
 @dataclass

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import PlacementExhausted, SchemaError
+from .errors import PlacementExhausted, SchemaError, number
 from .geometry import (
     TOUCH_TOL,
     Disc,
@@ -472,44 +472,40 @@ def scene_from_json(
         raw_stacks = data["stacks"]
     except KeyError as exc:
         raise SchemaError(f"scene file missing field {exc}") from exc
-    if (
-        not isinstance(ws, list)
-        or len(ws) != 2
-        or not all(isinstance(v, (int, float)) for v in ws)
-    ):
+    if not isinstance(ws, list) or len(ws) != 2:
         raise SchemaError("workspace must be [width, height]")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise SchemaError("seed must be an integer")
     if not isinstance(raw_stacks, list):
         raise SchemaError("stacks must be a list")
 
     state = SceneState(
-        workspace=(float(ws[0]), float(ws[1])),
+        workspace=(float(number(ws[0], "workspace width")),
+                   float(number(ws[1], "workspace height"))),
         stacks={},
         dishes={},
-        rng_seed=seed,
+        rng_seed=number(seed, "seed", integer=True),
         tier=str(tier),
     )
     for idx, raw in enumerate(raw_stacks):
         try:
-            base = Point2(float(raw["base"][0]), float(raw["base"][1]))
+            x, y = raw["base"]
+            base = Point2(float(number(x, "base x")), float(number(y, "base y")))
             raw_dishes = raw["dishes"]
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"stack {idx} malformed: {exc}") from exc
         if not raw_dishes:
             raise SchemaError(f"stack {idx} has no dishes")
         ids = []
         for rd in raw_dishes:
             try:
-                dish_id = int(rd["id"])
+                dish_id = number(rd["id"], "id", integer=True)
                 kind = DishKind(rd["kind"])
+                theta = (
+                    normalize_angle(float(number(rd.get("theta", 0.0), "theta")))
+                    if kind is DishKind.UTENSIL
+                    else 0.0
+                )
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"stack {idx} dish malformed: {exc}") from exc
-            theta = (
-                normalize_angle(float(rd.get("theta", 0.0)))
-                if kind is DishKind.UTENSIL
-                else 0.0
-            )
             if dish_id in state.dishes:
                 raise SchemaError(f"duplicate dish id {dish_id}")
             state.dishes[dish_id] = Dish(dish_id, kind, theta)

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import io
 import csv
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
-from scipy.optimize import nnls
 
 from .errors import SchemaError
 from .harness import scene_seed, trial_seed
@@ -99,13 +97,63 @@ def simulated_counts(
             for k in range(scenes_per_tier)
         ]
         for policy in policies:
-            totals = np.zeros(4)
+            totals = (0, 0, 0, 0)
             for k, scene in enumerate(scenes):
                 seed = trial_seed(base_seed, tier, k, policy.kind.value)
                 trace = run_policy(scene, policy, sim, seed)
-                totals += np.array(action_counts(trace), dtype=float)
-            counts[(tier.value, policy.kind.value)] = tuple(totals / scenes_per_tier)
+                totals = tuple(map(sum, zip(totals, action_counts(trace))))
+            counts[(tier.value, policy.kind.value)] = tuple(t / scenes_per_tier for t in totals)
     return counts
+
+
+def _dot(u, v) -> float:
+    return sum(p * q for p, q in zip(u, v))
+
+
+def _solve(m: list[list[float]], v: list[float]) -> list[float] | None:
+    """x with m x = v for a Gram matrix m (Gauss-Jordan, which needs no
+    pivoting on a positive definite matrix), or None when m is singular
+    to working precision."""
+    n = len(v)
+    rows = [row + [y] for row, y in zip(m, v)]
+    tiny = 1e-12 * max((m[i][i] for i in range(n)), default=0.0)
+    for i in range(n):
+        if rows[i][i] <= tiny:
+            return None
+        rows[i] = [c / rows[i][i] for c in rows[i]]
+        for r in range(n):
+            if r != i:
+                rows[r] = [c - rows[r][i] * p for c, p in zip(rows[r], rows[i])]
+    return [row[n] for row in rows]
+
+
+def nnls(a: list[list[float]], b: list[float]) -> list[float]:
+    """argmin ||a x - b|| subject to x >= 0, by search over every support.
+
+    The optimum is the least-squares solution on some set of columns, so
+    each of the 2^n column subsets solves its normal equations; singular
+    subsets are skipped and the non-negative solution with the least
+    residual wins.  Tie rule: a solution replaces the best so far only
+    when its residual is lower by more than a relative 1e-9, and subsets
+    without column 0 are tried first, so they win a tie.  In the time
+    model the grasp column (0) and the travel column are collinear, so
+    this puts their shared constant on travel.
+    """
+    n = len(a[0])
+    columns = list(zip(*a))
+    best, best_res = [0.0] * n, math.inf
+    for mask in sorted(range(1 << n), key=lambda m: m & 1):
+        cols = [j for j in range(n) if mask >> j & 1]
+        sol = _solve([[_dot(columns[i], columns[j]) for j in cols] for i in cols],
+                     [_dot(columns[i], b) for i in cols])
+        if sol is None or min(sol, default=0.0) < 0.0:
+            continue
+        placed = dict(zip(cols, sol))
+        x = [placed.get(j, 0.0) for j in range(n)]
+        res = sum((_dot(row, x) - y) ** 2 for row, y in zip(a, b))
+        if res < best_res * (1.0 - 1e-9):
+            best, best_res = x, res
+    return best
 
 
 def fit_time_model(
@@ -119,30 +167,29 @@ def fit_time_model(
     """
     reference = reference or [(t, p, s) for t, p, s, _, _ in REFERENCE_ROWS]
     rows = []
-    a_rows = []
-    b = []
+    a = []
     for tier, policy, observed in reference:
         key = (tier, policy)
         if key not in counts:
             raise SchemaError(f"no simulated counts for {key}")
         grasps, pulls, stacks, trips = counts[key]
-        a_rows.append([grasps, pulls, stacks, 2.0 * trips])
-        b.append(observed)
+        a.append([grasps, pulls, stacks, 2.0 * trips])
         rows.append({"tier": tier, "policy": policy, "observed": observed})
-    a = np.asarray(a_rows, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    weights = 1.0 / b_arr
-    solution, _ = nnls(a * weights[:, None], b_arr * weights)
-    predicted = a @ solution
-    rel = (predicted - b_arr) / b_arr
-    rms = float(np.sqrt(np.mean(rel**2)))
-    for row, pred in zip(rows, predicted):
-        row["predicted"] = float(pred)
+    weights = [1.0 / row["observed"] for row in rows]
+    solution = nnls(
+        [[c * w for c in a_row] for a_row, w in zip(a, weights)],
+        [row["observed"] * w for row, w in zip(rows, weights)],
+    )
+    for row, a_row in zip(rows, a):
+        row["predicted"] = _dot(a_row, solution)
+    rms = math.sqrt(
+        sum(((r["predicted"] - r["observed"]) / r["observed"]) ** 2 for r in rows) / len(rows)
+    )
     tm = TimeModel(
-        grasp_s=round(float(solution[0]), 4),
-        pull_s=round(float(solution[1]), 4),
-        stack_s=round(float(solution[2]), 4),
-        travel_s=round(float(solution[3]), 4),
+        grasp_s=round(solution[0], 4),
+        pull_s=round(solution[1], 4),
+        stack_s=round(solution[2], 4),
+        travel_s=round(solution[3], 4),
         bin_delay_s=0.0,
     )
     return FitResult(time_model=tm, relative_rms_residual=rms, rows=rows)

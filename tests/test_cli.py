@@ -87,6 +87,28 @@ class TestRun:
         rc = main(["run", "--scene", str(bad), "--policy", "stack"])
         assert rc == 3
 
+    @pytest.mark.parametrize("edit", [
+        "utensil_theta_string", "infinite_workspace", "string_base", "fractional_id",
+    ])
+    def test_scene_non_numbers_exit_3(self, tmp_path, capsys, edit):
+        out = tmp_path / "scenes"
+        main(["generate", "--tier", "t1", "--count", "1", "--seed", "3", "--out", str(out)])
+        path = out / "scene_t1_3_0.json"
+        scene = json.loads(path.read_text())
+        dishes = [d for stack in scene["stacks"] for d in stack["dishes"]]
+        if edit == "utensil_theta_string":
+            next(d for d in dishes if d["kind"] == "utensil")["theta"] = "abc"
+        elif edit == "infinite_workspace":
+            scene["workspace"][0] = float("inf")
+        elif edit == "string_base":
+            scene["stacks"][0]["base"][0] = str(scene["stacks"][0]["base"][0])
+        else:
+            # Truncates to a free id, so only the fraction is wrong.
+            max(dishes, key=lambda d: d["id"])["id"] += 0.7
+        path.write_text(json.dumps(scene))
+        assert main(["run", "--scene", str(path), "--policy", "pull"]) == 3
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_scene_exits_3(self, tmp_path):
         rc = main(["run", "--scene", str(tmp_path / "none.json"), "--policy", "pull"])
         assert rc == 3
@@ -288,8 +310,7 @@ def test_bench_paper_default_plan_shape(tmp_path):
     assert len(summary) == 1 + 15
 
 
-def test_cli_import_leaves_out_numpy_and_scipy():
-    # Only fit-time needs them; every other command pays their import time.
+def _run_python(code: str):
     import os
     import subprocess
     import sys
@@ -298,9 +319,28 @@ def test_cli_import_leaves_out_numpy_and_scipy():
 
     src = str(Path(declutter.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, declutter.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_cli_import_leaves_out_numpy_and_scipy():
+    # The package has no runtime dependency; neither may load by accident.
+    done = _run_python(
+        "import sys, declutter.cli, declutter.timefit; "
+        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    )
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_fit_time_runs_without_numpy_and_scipy():
+    from declutter.config import DEFAULT_TIME_MODEL
+
+    done = _run_python(
+        "import sys; sys.modules['numpy'] = sys.modules['scipy'] = None; "
+        "from declutter.cli import main; raise SystemExit(main(['fit-time']))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["time_model"] == DEFAULT_TIME_MODEL.to_json_obj()

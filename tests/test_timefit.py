@@ -1,12 +1,15 @@
 """Time-model calibration against the reference benchmark table."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from declutter.config import DEFAULT_TIME_MODEL, default_sim_config
 from declutter.errors import SchemaError
 from declutter.timefit import (
     REFERENCE_ROWS,
     fit_time_model,
+    nnls,
     parse_reference_csv,
     reference_table_csv,
     simulated_counts,
@@ -72,3 +75,39 @@ def test_predicted_pull_fastest_per_tier(counts):
 def test_fit_rejects_unknown_rows(counts):
     with pytest.raises(SchemaError):
         fit_time_model(counts, [("t9", "random", 50.0)])
+
+
+@st.composite
+def nnls_problems(draw):
+    """A small non-negative matrix, as columns, and a target vector; the
+    last column is sometimes a copy or a multiple of another."""
+    m = draw(st.integers(1, 6))
+    column = st.lists(st.integers(0, 9).map(float), min_size=m, max_size=m)
+    cols = draw(st.lists(column, min_size=1, max_size=3))
+    scale = draw(st.sampled_from([None, 1.0, 2.0, 3.0, 0.5, 0.1]))
+    if scale is not None:
+        source = draw(st.sampled_from(cols))
+        cols.append([scale * v for v in source])
+    b = draw(st.lists(st.integers(-5, 20).map(float), min_size=m, max_size=m))
+    return [list(row) for row in zip(*cols)], b
+
+
+@settings(max_examples=300, deadline=None)
+@given(nnls_problems())
+def test_nnls_meets_kkt_conditions(problem):
+    a, b = problem
+    x = nnls(a, b)
+    assert len(x) == len(a[0]) and min(x) >= 0.0
+    residual = [sum(c * v for c, v in zip(row, x)) - y for row, y in zip(a, b)]
+    scale = len(a) * 10.0 * (10.0 * sum(x) + max(map(abs, b)) + 1.0)
+    for j, value in enumerate(x):
+        gradient = sum(row[j] * r for row, r in zip(a, residual))
+        if value > 0.0:
+            assert abs(gradient) <= 1e-9 * scale
+        else:
+            assert gradient >= -1e-9 * scale
+
+
+def test_nnls_ties_go_to_the_columns_after_the_first():
+    # Both columns fit exactly; the tie goes to the one that is not column 0.
+    assert nnls([[1.0, 2.0], [2.0, 4.0]], [2.0, 4.0]) == [0.0, 1.0]

@@ -377,7 +377,7 @@ def _pair_check(
     if end is None:
         return PullCheck("contact")
     contact = SceneState(
-        state.workspace, {mover: replace(sm, base=end), anchor: sa}, state.dishes
+        state.workspace, {mover: Stack(sm.id, sm.dishes, end), anchor: sa}, state.dishes
     )
     grasp = mog_grasp(contact, mover, anchor, sim)
     if grasp is None:
@@ -462,8 +462,12 @@ def stack_allowable(
     jaw = sim.gripper.jaw_height
     if stack_grasp_span(sl, dishes, specs) > jaw + 1e-9:
         return False
-    merged = replace(sb, dishes=sb.dishes + sl.dishes)
-    return stack_grasp_span(merged, dishes, specs) <= jaw + 1e-9
+    # The merged pile's span, its lip heights summed in the order
+    # ``stack_grasp_span`` would sum them, without building the pile.
+    height = stack_top_lip_height(sb, dishes, specs)
+    for dish_id in sl.dishes:
+        height += specs[dishes[dish_id].kind].nest_offset
+    return height - specs[dishes[sb.bottom].kind].grasp_height <= jaw + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ class _PullEntry:
 # anchor), grasp once in contact) or ("single", (stack,), None).
 Move = tuple[str, tuple[int, ...], GraspAction | None]
 
-# A test that admits an ordered pair (a, b) of synced stack ids to a ranking.
+# A test that admits an ordered pair (a, b) of synced stack ids to ``nearest``.
 Admit = Callable[["PairMemo", int, int], bool]
 
 # The grasp gap of two stacks is at least the distance between their bases
@@ -131,10 +131,10 @@ class PairMemo:
     tests and pull tests are keyed by value bits, and a result keyed by
     bits never goes stale.
 
-    ``nearest`` ranks the ordered pairs a test admits by (gap, ids).  Each
-    ranking holds the admitted pairs of the synced table's values: ``sync``
-    drops the pairs of values that left and ranks those of values that
-    arrived, so a step reads the nearest pairs without visiting every pair.
+    ``nearest`` ranks the ordered pairs a test admits by (gap, ids): it
+    walks one list of the synced table's pairs, sorted by a lower bound on
+    the gap, and tests a pair only when it gets there.  Pairs of values that
+    left are skipped until they outnumber the live pairs or a value returns.
 
     A corridor verdict also depends on the other stacks.  Each pull keeps
     the mask of values tested against its corridor and the mask of those
@@ -161,9 +161,9 @@ class PairMemo:
         self._gaps: dict[tuple[int, int], float] = {}
         self._stackable: dict[tuple[int, int], bool] = {}
         self._pulls: dict[tuple[int, int], _PullEntry] = {}
-        # (lower bound on the gap, a, b, bits of a and b), sorted, per
-        # admitting test
-        self._rankings: dict[Admit, list[tuple[float, int, int, int]]] = {}
+        # (gap bound, a, b, bits of a and b), sorted, and the bits it may hold
+        self._pairs: list[tuple[float, int, int, int]] = []
+        self._listed = 0
 
     def _bit(self, stack: Stack) -> int:
         bit = self._bits.get(stack)
@@ -176,17 +176,18 @@ class PairMemo:
         """Make ``state`` the current table."""
         ids = {sid: self._bit(state.stacks[sid]) for sid in sorted(state.stacks)}
         table = sum(ids.values())
-        departed, arrived = self._synced & ~table, table & ~self._synced
+        arrived, kept = table & ~self._synced, table & self._synced
         self.state, self._ids, self.table, self._synced = state, ids, table, table
-        for admit, ranking in self._rankings.items():
-            if departed:
-                ranking[:] = [entry for entry in ranking if not entry[3] & departed]
-            if arrived:
-                ranking.extend(self._ranked(admit, arrived))
-                ranking.sort()
+        if arrived & self._listed or len(self._pairs) > len(ids) * (len(ids) - 1):
+            self._pairs = [entry for entry in self._pairs if entry[3] & kept == entry[3]]
+            self._listed = kept
+        if arrived:
+            self._pairs.extend(self._bounded(arrived))
+            self._pairs.sort()
+            self._listed |= arrived
 
-    def _ranked(self, admit: Admit, arrived: int) -> list[tuple[float, int, int, int]]:
-        """Entries of the synced table's admitted pairs that hold a value in
+    def _bounded(self, arrived: int) -> list[tuple[float, int, int, int]]:
+        """Entries of the synced table's pairs that hold a value in
         ``arrived``, each with a lower bound on its gap."""
         specs, dishes = self.sim.dish_specs, self.state.dishes
         loci = []
@@ -202,30 +203,28 @@ class PairMemo:
                 continue
             done |= ba
             for b, bb, xb, yb, rb in loci:
-                if bb & done:
-                    continue
-                bound = math.hypot(xb - xa, yb - ya) - ra - rb - _GAP_BOUND_SLACK
-                for x, y in ((a, b), (b, a)):
-                    if admit(self, x, y):
-                        entries.append((bound, x, y, ba | bb))
+                if not bb & done:
+                    bound = math.hypot(xb - xa, yb - ya) - ra - rb - _GAP_BOUND_SLACK
+                    entries.append((bound, a, b, ba | bb))
         return entries
 
-    def nearest(self, admit: Admit) -> Iterator[tuple[int, int]]:
+    def nearest(self, admit: Admit, within: float = math.inf) -> Iterator[tuple[int, int]]:
         """The ordered pairs (a, b) on ``table`` that ``admit`` accepts, by
-        (``gap(a, b)``, a, b).  ``admit`` reads only the two stack values.
-
-        A ranking is sorted by a lower bound on the gap, so a gap is
-        computed only once the pairs before it have been read."""
-        ranking = self._rankings.get(admit)
-        if ranking is None:
-            ranking = self._rankings[admit] = sorted(self._ranked(admit, self._synced))
+        (``gap(a, b)``, a, b).  ``admit`` reads only the two stack values;
+        if it rejects every gap of at least ``within``, the walk stops at
+        the first gap bound that reaches ``within``.  A pair is tested and
+        its gap computed only once the pairs bounded below it are read."""
         table = self.table
         pending: list[tuple[float, int, int]] = []
-        for bound, a, b, pair in ranking:
+        for bound, a, b, pair in self._pairs:
+            if bound >= within:
+                break
             if pair & table == pair:
                 while pending and pending[0][0] < bound:
                     yield heappop(pending)[1:]
-                heappush(pending, (self.gap(a, b), a, b))
+                for x, y in ((a, b), (b, a)):
+                    if admit(self, x, y):
+                        heappush(pending, (self.gap(x, y), x, y))
         while pending:
             yield heappop(pending)[1:]
 
@@ -324,7 +323,7 @@ PLAN_MAX_STACKS = 12
 
 
 def _ready(memo: PairMemo, a: int, b: int) -> bool:
-    """Whether ``a`` < ``b`` have a shared grasp where they stand."""
+    """Whether ``a`` < ``b`` have a shared grasp: never at a gap of max_opening or more."""
     return a < b and memo.shared_grasp(a, b) is not None
 
 
@@ -343,7 +342,7 @@ def _nearest_first(memo: PairMemo) -> Move:
     shared grasp, else the nearest allowable pull, else the lowest stack id.
     Ties go to the lowest ids.  Corridors are tested only down to the first
     pull they leave clear."""
-    for a, b in memo.nearest(_ready):
+    for a, b in memo.nearest(_ready, within=memo.sim.gripper.max_opening):
         return "grasp", (a, b), memo.shared_grasp(a, b)
     for mover, anchor in memo.nearest(_same_grip):
         check = memo.pull(mover, anchor)
@@ -406,13 +405,13 @@ def _optimal_order(memo: PairMemo, classes: list[int]) -> dict[int, Move]:
     pulls by (gap, mover, anchor), then single grasps by stack id.
     """
     ids = memo.ids()
+    ready = set(memo.nearest(_ready, within=memo.sim.gripper.max_opening))
     ranked = []  # (rank, move, stacks it clears, stacks that block it)
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
             pair = memo.bit(a) | memo.bit(b)
-            grasp = memo.shared_grasp(a, b)
-            if grasp is not None:
-                move = ("grasp", (a, b), grasp)
+            if (a, b) in ready:
+                move = ("grasp", (a, b), memo.shared_grasp(a, b))
                 ranked.append(((0, memo.gap(a, b), a, b), move, pair, 0))
                 continue
             for mover, anchor in ((a, b), (b, a)):
@@ -540,17 +539,17 @@ def stack_policy(
     if memo is None:
         memo = PairMemo(sim)
     memo.sync(state)
-    if cfg.utensil_stacking is UtensilStacking.ONE_PER_BOWL:
-        for u, b in memo.nearest(_utensil_onto_bowl):
-            placement = StackPlacement(grasp_points(state, u, rng, sim), u, b)
-            carry = grasp_points(state, b, rng, sim)
-            return StackGrasp((placement,), carry)
-    else:
-        ids = sorted(state.stacks)
-        dishes = state.dishes
-        utensil_piles = [s for s in ids if dishes[state.stacks[s].bottom].kind is DishKind.UTENSIL]
-        bowl_tops = [s for s in ids if dishes[state.stacks[s].top].kind is DishKind.BOWL]
-        if utensil_piles and bowl_tops:
+    ids = sorted(state.stacks)
+    dishes = state.dishes
+    utensil_piles = [s for s in ids if dishes[state.stacks[s].bottom].kind is DishKind.UTENSIL]
+    bowl_tops = [s for s in ids if dishes[state.stacks[s].top].kind is DishKind.BOWL]
+    if utensil_piles and bowl_tops:
+        if cfg.utensil_stacking is UtensilStacking.ONE_PER_BOWL:
+            for u, b in memo.nearest(_utensil_onto_bowl):
+                placement = StackPlacement(grasp_points(state, u, rng, sim), u, b)
+                carry = grasp_points(state, b, rng, sim)
+                return StackGrasp((placement,), carry)
+        else:
             chosen = min(
                 bowl_tops,
                 key=lambda b: (sum(memo.gap(u, b) for u in utensil_piles), b),

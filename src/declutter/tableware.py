@@ -138,7 +138,10 @@ class SceneState:
     tier: str = "custom"
 
     def clone(self) -> "SceneState":
-        return replace(self, stacks=dict(self.stacks))
+        return SceneState(
+            self.workspace, dict(self.stacks), self.dishes, self.bin,
+            self.trips_taken, self.rng_seed, self.tier,
+        )
 
     def merged(self, lifted: int, base: int) -> "SceneState":
         """The state after placing stack ``lifted`` on top of stack ``base``."""
@@ -456,6 +459,16 @@ def scene_to_json(state: SceneState) -> str:
     )
 
 
+def _known_keys(data: object, keys: tuple[str, ...], where: str) -> None:
+    """Raise SchemaError unless ``data`` is a JSON object whose keys are all
+    in ``keys``."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    for key in data:
+        if key not in keys:
+            raise SchemaError(f"{where}: unknown key '{key}'")
+
+
 def scene_from_json(
     text: str, specs: dict[DishKind, DishSpec] | None = None, check: bool = True
 ) -> SceneState:
@@ -463,8 +476,7 @@ def scene_from_json(
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"scene file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SchemaError("scene file must contain a JSON object")
+    _known_keys(data, ("workspace", "seed", "tier", "stacks"), "scene")
     try:
         ws = data["workspace"]
         seed = data["seed"]
@@ -474,18 +486,24 @@ def scene_from_json(
         raise SchemaError(f"scene file missing field {exc}") from exc
     if not isinstance(ws, list) or len(ws) != 2:
         raise SchemaError("workspace must be [width, height]")
-    if not isinstance(raw_stacks, list):
-        raise SchemaError("stacks must be a list")
+    workspace = (float(number(ws[0], "workspace width")),
+                 float(number(ws[1], "workspace height")))
+    if min(workspace) <= 0:
+        raise SchemaError("workspace sides must be positive")
+    if not isinstance(raw_stacks, list) or not raw_stacks:
+        raise SchemaError("stacks must be a non-empty list")
+    if tier not in ("custom", *(t.value for t in Tier)):
+        raise SchemaError(f"tier must be a tier name or 'custom', not {tier!r}")
 
     state = SceneState(
-        workspace=(float(number(ws[0], "workspace width")),
-                   float(number(ws[1], "workspace height"))),
+        workspace=workspace,
         stacks={},
         dishes={},
         rng_seed=number(seed, "seed", integer=True),
-        tier=str(tier),
+        tier=tier,
     )
     for idx, raw in enumerate(raw_stacks):
+        _known_keys(raw, ("base", "dishes"), f"stack {idx}")
         try:
             x, y = raw["base"]
             base = Point2(float(number(x, "base x")), float(number(y, "base y")))
@@ -496,6 +514,7 @@ def scene_from_json(
             raise SchemaError(f"stack {idx} has no dishes")
         ids = []
         for rd in raw_dishes:
+            _known_keys(rd, ("id", "kind", "theta"), f"stack {idx} dish")
             try:
                 dish_id = number(rd["id"], "id", integer=True)
                 kind = DishKind(rd["kind"])

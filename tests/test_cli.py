@@ -109,6 +109,39 @@ class TestRun:
         assert main(["run", "--scene", str(path), "--policy", "pull"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        ("no_stacks", "non-empty"),
+        ("empty_negative_workspace", "workspace"),
+        ("numeric_tier", "tier"),
+        ("unknown_tier", "tier"),
+        ("scene_key", "unknown key 'extra'"),
+        ("stack_key", "unknown key 'extra'"),
+        ("dish_key", "unknown key 'extra'"),
+    ])
+    def test_scene_schema_errors_exit_3(self, tmp_path, capsys, edit, message):
+        out = tmp_path / "scenes"
+        main(["generate", "--tier", "t1", "--count", "1", "--seed", "3", "--out", str(out)])
+        path = out / "scene_t1_3_0.json"
+        scene = json.loads(path.read_text())
+        if edit == "no_stacks":
+            scene["stacks"] = []
+        elif edit == "empty_negative_workspace":
+            scene["workspace"], scene["stacks"] = [-5, 0], []
+        elif edit == "numeric_tier":
+            scene["tier"] = 5
+        elif edit == "unknown_tier":
+            scene["tier"] = "t9"
+        elif edit == "scene_key":
+            scene["extra"] = 1
+        elif edit == "stack_key":
+            scene["stacks"][-1]["extra"] = 1
+        else:
+            scene["stacks"][-1]["dishes"][0]["extra"] = 1
+        path.write_text(json.dumps(scene))
+        capsys.readouterr()
+        assert main(["run", "--scene", str(path), "--policy", "pull"]) == 3
+        assert message in capsys.readouterr().err
+
     def test_missing_scene_exits_3(self, tmp_path):
         rc = main(["run", "--scene", str(tmp_path / "none.json"), "--policy", "pull"])
         assert rc == 3

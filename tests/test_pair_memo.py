@@ -321,3 +321,141 @@ def test_clear_verdict_ignores_arrivals_that_left():
     del gone.stacks[2]
     memo.sync(gone)
     assert memo.pull(0, 1).allowable
+
+
+def bottom_kind(state, sid):
+    return state.dishes[state.stacks[sid].bottom].kind
+
+
+# Each test ``nearest`` admits pairs with, and the same test from the public
+# predicates alone.
+ADMITS = {
+    "ready": (
+        policies._ready,
+        lambda state, a, b: a < b and mog_grasp(state, a, b, SIM) is not None,
+    ),
+    "same_grip": (
+        policies._same_grip,
+        lambda state, a, b: check_pull(state, a, b, SIM).failed != "grip_height",
+    ),
+    "utensil_onto_bowl": (
+        policies._utensil_onto_bowl,
+        lambda state, a, b: bottom_kind(state, a) is UTENSIL
+        and state.dishes[state.stacks[b].top].kind is BOWL
+        and stack_allowable(state, a, b, SIM),
+    ),
+    "stackable": (
+        policies._stackable,
+        lambda state, a, b: stack_allowable(state, a, b, SIM),
+    ),
+}
+
+
+def on_table(memo: PairMemo) -> SceneState:
+    """The synced state holding only the stacks on ``memo.table``."""
+    view = memo.state.clone()
+    for sid in list(view.stacks):
+        if not memo.bit(sid) & memo.table:
+            del view.stacks[sid]
+    return view
+
+
+def assert_nearest_is_brute_force(memo: PairMemo) -> None:
+    """Every admitting test's ``nearest`` on the memo's table equals a sort
+    by (gap, a, b) of the ordered pairs the test admits, each pair once."""
+    view = on_table(memo)
+    for name, (admit, admitted) in ADMITS.items():
+        within = {"within": SIM.gripper.max_opening} if name == "ready" else {}
+        got = list(memo.nearest(admit, **within))
+        assert len(set(got)) == len(got), name
+        expected = sorted(
+            (grasp_gap(view, a, b, SIM)[0], a, b)
+            for a in view.stacks
+            for b in view.stacks
+            if a != b and admitted(view, a, b)
+        )
+        assert got == [(a, b) for _, a, b in expected], name
+
+
+@pytest.mark.parametrize("kind", ["pull", "stack"])
+def test_nearest_is_brute_force_at_every_step(kind):
+    # Failed actions leave moved stacks and merged piles behind; every
+    # other step checks a subset of the table too, as the planner reads.
+    sim = dataclasses.replace(SIM, p_fail=0.2)
+    cfg = PolicyConfig.named(kind)
+    for seed in range(2):
+        state = dense_scene(30, seed)
+        rng = SplitMix64(seed)
+        memo = PairMemo(sim)
+        memo.sync(state)
+        assert_nearest_is_brute_force(memo)
+        steps = 0
+        while state.stacks:
+            action = next_action(state, rng, sim, cfg, memo)
+            assert_nearest_is_brute_force(memo)
+            if steps % 2:
+                table = memo.table
+                for sid in memo.ids()[::3]:
+                    memo.table &= ~memo.bit(sid)
+                assert_nearest_is_brute_force(memo)
+                memo.table = table
+            state, _ = apply(state, action, sim, rng)
+            steps += 1
+
+
+def test_stack_that_leaves_and_returns_is_listed_once():
+    scene = dense_scene(30, 0)
+    memo = PairMemo(SIM)
+    memo.sync(scene)
+    for sid in list(scene.stacks)[::5]:
+        left = scene.clone()
+        del left.stacks[sid]
+        memo.sync(left)
+        assert_nearest_is_brute_force(memo)
+        memo.sync(scene)
+        assert_nearest_is_brute_force(memo)
+
+
+def test_ready_pairs_test_only_stacks_within_the_opening(monkeypatch):
+    # The first step of a 72-item trial used to test every pair.  A gap is
+    # at least the distance between the bases less both grasp loci's reach,
+    # and no pair at or beyond the opening has a shared grasp.
+    def reach(state, sid):
+        spec = SIM.dish_specs[bottom_kind(state, sid)]
+        return spec.length / 2.0 if bottom_kind(state, sid) is UTENSIL else spec.radius
+
+    far = []
+
+    def near_only(state, a, b, sim):
+        sa, sb = state.stacks[a].base, state.stacks[b].base
+        bound = math.hypot(sa.x - sb.x, sa.y - sb.y) - reach(state, a) - reach(state, b)
+        if bound - 1e-9 >= sim.gripper.max_opening:
+            far.append((a, b))
+        return mog_grasp(state, a, b, sim)
+
+    monkeypatch.setattr(policies, "mog_grasp", near_only)
+    # Seed 3 also reaches the planner's exact search on its last 12 stacks.
+    for seed in (0, 3):
+        state = dense_scene(72, seed)
+        rng = SplitMix64(seed)
+        memo = PairMemo(SIM)
+        while state.stacks:
+            state, _ = apply(state, next_action(state, rng, SIM, PULL, memo), SIM, rng)
+        assert not far
+
+
+def test_stack_policy_tests_few_pairs(monkeypatch):
+    calls = []
+
+    def counted(state, lifted, base, sim):
+        calls.append((lifted, base))
+        return stack_allowable(state, lifted, base, sim)
+
+    monkeypatch.setattr(policies, "stack_allowable", counted)
+    state = dense_scene(72, 0)
+    rng = SplitMix64(0)
+    memo = PairMemo(SIM)
+    cfg = PolicyConfig.named("stack", "one_per_bowl")
+    while state.stacks:
+        state, _ = apply(state, next_action(state, rng, SIM, cfg, memo), SIM, rng)
+    assert 0 < len(calls) < 72 * 72 / 10

@@ -13,12 +13,12 @@ from .actions import (
     TraceEvent,
     apply,
     check_pull,
+    grasp_fails,
     grasp_gap,
     grasp_points,
     mog_allowable,
     mog_grasp,
     plan_pull,
-    pull_allowable,
     stack_allowable,
 )
 from .config import SimConfig, default_sim_config, load_config

@@ -84,17 +84,23 @@ class GraspAction:
 @dataclass(frozen=True)
 class PullAction:
     """Drag stack ``mover`` from ``start`` to ``end``, into contact with
-    stack ``anchor``; ``theta`` is the gripper's (and the motion's) heading."""
+    stack ``anchor``."""
 
     start: Point2
     end: Point2
-    theta: float
     mover: int
     anchor: int
 
     def __post_init__(self):
         if self.mover == self.anchor:
             raise ValueError("pull mover and anchor must differ")
+
+    @property
+    def theta(self) -> float:
+        """The gripper's (and the motion's) heading, from ``start`` to ``end``."""
+        return normalize_angle(
+            math.atan2(self.end.y - self.start.y, self.end.x - self.start.x)
+        )
 
 
 @dataclass(frozen=True)
@@ -412,12 +418,6 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
     return pair
 
 
-def pull_allowable(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> bool:
-    """True iff pulling ``mover`` into contact with ``anchor`` is worthwhile
-    (see ``check_pull``)."""
-    return check_pull(state, mover, anchor, sim).allowable
-
-
 def plan_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> PullAction:
     """Plan the pull of ``mover`` to contact with ``anchor``.
 
@@ -431,9 +431,7 @@ def plan_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> P
         raise NotAllowable(
             f"pull of stack {mover} to stack {anchor} is not allowable: {check.reason}"
         )
-    start, end = state.stacks[mover].base, check.end
-    theta = normalize_angle(math.atan2(end.y - start.y, end.x - start.x))
-    return PullAction(start, end, theta, mover, anchor)
+    return PullAction(state.stacks[mover].base, check.end, mover, anchor)
 
 
 def stack_allowable(
@@ -508,26 +506,26 @@ def _point_params(p: Point2) -> list[float]:
     return [p.x, p.y]
 
 
+def grasp_fails(sim: "SimConfig", rng: SplitMix64) -> bool:
+    """Whether the final grasp of the next action fails: one draw from
+    ``rng`` when ``sim.p_fail`` is nonzero, and no draw when it is zero."""
+    return sim.p_fail > 0.0 and rng.random() < sim.p_fail
+
+
 def apply(
-    state: SceneState,
-    action: Action,
-    sim: "SimConfig",
-    rng: SplitMix64 | None = None,
+    state: SceneState, action: Action, sim: "SimConfig", *, failed: bool = False
 ) -> tuple[SceneState, TraceEvent]:
     """Execute one action, returning the successor state and its trace event.
 
     Raises InfeasibleAction (with the violated predicate's name) if the
     action's feasibility test fails in ``state`` or its parts disagree: a
     pull must run from the mover's base to the contact point ``check_pull``
-    finds, and its grasp must take exactly the pulled pair.  With a nonzero
-    ``sim.p_fail`` and an rng, the final grasp of each action can fail:
-    a failed single-stack grasp leaves the table unchanged (no trip); a
-    failed two-stack grasp carries only the taller stack.  Pull and stack
-    phases still execute before a failed grasp, so consolidations persist.
+    finds, and its grasp must take exactly the pulled pair.  When ``failed``
+    (see ``grasp_fails``), the action's final grasp fails: a failed
+    single-stack grasp leaves the table unchanged (no trip); a failed
+    two-stack grasp carries only the taller stack.  Pull and stack phases
+    still execute before a failed grasp, so consolidations persist.
     """
-    failed = bool(
-        sim.p_fail > 0.0 and rng is not None and rng.random() < sim.p_fail
-    )
     g = action.grasp
     targets = g.targets
     grasp = {"point": _point_params(g.point), "z": g.z, "theta": g.theta}

@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .actions import GripperSpec
-from .errors import SchemaError, from_number_fields, number
+from .errors import SchemaError, from_number_fields, known_keys, number
 from .metrics import TimeModel
-from .tableware import DishKind, DishSpec, default_dish_specs
+from .tableware import DEFAULT_WORKSPACE, DishKind, DishSpec, default_dish_specs
 
 ENV_VAR = "DECLUTTER_CONFIG"
 
@@ -40,7 +40,7 @@ DEFAULT_PULL_CLEARANCE_MARGIN = 1.0
 
 @dataclass
 class SimConfig:
-    workspace: tuple[float, float] = (78.0, 61.0)
+    workspace: tuple[float, float] = DEFAULT_WORKSPACE
     dish_specs: dict[DishKind, DishSpec] = field(default_factory=default_dish_specs)
     gripper: GripperSpec = field(default_factory=GripperSpec)
     pull_clearance_margin: float = DEFAULT_PULL_CLEARANCE_MARGIN
@@ -56,6 +56,11 @@ class SimConfig:
 
 def default_sim_config() -> SimConfig:
     return SimConfig()
+
+
+_CONFIG_KEYS = (
+    "workspace", "dishes", "gripper", "pull_clearance_margin", "time_model", "p_fail"
+)
 
 
 def config_to_json_obj(sim: SimConfig) -> dict:
@@ -78,8 +83,7 @@ def save_config(sim: SimConfig, path: str | Path) -> None:
 
 
 def config_from_json_obj(data: dict) -> SimConfig:
-    if not isinstance(data, dict):
-        raise SchemaError("config must be a JSON object")
+    known_keys(data, _CONFIG_KEYS, "config")
     sim = default_sim_config()
 
     if "workspace" in data:

@@ -4,6 +4,7 @@ numbers and all-number JSON objects that config and plan files hold."""
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import fields, replace
 
 
@@ -24,6 +25,16 @@ def number(value: object, where: str, integer: bool = False) -> float | int:
     return value
 
 
+def known_keys(data: object, keys: Collection[str], where: str) -> None:
+    """Raise SchemaError unless ``data`` is a JSON object whose keys are all
+    in ``keys``."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    for key in data:
+        if key not in keys:
+            raise SchemaError(f"{where}: unknown key '{key}'")
+
+
 def from_number_fields(cls: type, data: object, where: str, base=None):
     """An instance of dataclass ``cls`` read from the JSON object ``data``.
 
@@ -32,14 +43,8 @@ def from_number_fields(cls: type, data: object, where: str, base=None):
     defaults (a field without one is required).  Raises SchemaError, its
     message prefixed with ``where``, on any other input.
     """
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where} must be a JSON object")
-    names = {f.name for f in fields(cls) if "float" in str(f.type)}
-    values: dict[str, float] = {}
-    for key, value in data.items():
-        if key not in names:
-            raise SchemaError(f"{where}: unknown key '{key}'")
-        values[key] = float(number(value, f"{where}: '{key}'"))
+    known_keys(data, {f.name for f in fields(cls) if "float" in str(f.type)}, where)
+    values = {key: float(number(value, f"{where}: '{key}'")) for key, value in data.items()}
     try:
         return replace(base, **values) if base is not None else cls(**values)
     except (TypeError, ValueError) as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .config import SimConfig
-from .errors import SchemaError, number
+from .errors import SchemaError, known_keys, number
 from .metrics import (
     PolicySummary,
     TimeModel,
@@ -55,19 +55,25 @@ class ExperimentPlan:
             raise ValueError("p_fail must be a probability")
 
 
+_PLAN_KEYS = (
+    "tiers", "scenes_per_tier", "policies", "base_seed", "time_model", "p_fail", "bin_delays"
+)
+
+
 def plan_from_json(text: str) -> ExperimentPlan:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"plan file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SchemaError("plan must be a JSON object")
+    known_keys(data, _PLAN_KEYS, "plan")
     try:
         tiers = [Tier(t) for t in data["tiers"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaError(f"plan tiers malformed: {exc}") from exc
     policies = []
     for p in data.get("policies", []):
+        if isinstance(p, dict):
+            known_keys(p, ("kind", "utensil_stacking"), "plan policy")
         try:
             if isinstance(p, str):
                 policies.append(PolicyConfig.named(p))

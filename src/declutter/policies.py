@@ -21,6 +21,7 @@ from .actions import (
     Action,
     Grasp,
     GraspAction,
+    PullAction,
     PullCheck,
     PullGrasp,
     StackGrasp,
@@ -29,10 +30,10 @@ from .actions import (
     _grip_height,
     _pair_check,
     apply,
+    grasp_fails,
     grasp_gap,
     grasp_points,
     mog_grasp,
-    plan_pull,
     stack_allowable,
 )
 from .geometry import Footprint, corridor_clear
@@ -75,11 +76,7 @@ class PolicyConfig:
 
 
 def random_policy(
-    state: SceneState,
-    rng: SplitMix64,
-    sim: "SimConfig",
-    cfg: PolicyConfig,
-    memo: PairMemo | None = None,
+    state: SceneState, rng: SplitMix64, sim: "SimConfig", cfg: PolicyConfig, memo: PairMemo
 ) -> Action:
     """Pick a dish uniformly at random and grasp the stack containing it.
 
@@ -107,8 +104,8 @@ class _PullEntry:
 
 
 # A pull-policy move: ("grasp", (a, b), shared grasp), ("pull", (mover,
-# anchor), grasp once in contact) or ("single", (stack,), None).
-Move = tuple[str, tuple[int, ...], GraspAction | None]
+# anchor), the pull's allowable pair tests) or ("single", (stack,), None).
+Move = tuple[str, tuple[int, ...], GraspAction | PullCheck | None]
 
 # A test that admits an ordered pair (a, b) of synced stack ids to ``nearest``.
 Admit = Callable[["PairMemo", int, int], bool]
@@ -347,7 +344,7 @@ def _nearest_first(memo: PairMemo) -> Move:
     for mover, anchor in memo.nearest(_same_grip):
         check = memo.pull(mover, anchor)
         if check.allowable:
-            return "pull", (mover, anchor), check.grasp
+            return "pull", (mover, anchor), check
     return "single", (memo.ids()[0],), None
 
 
@@ -418,7 +415,7 @@ def _optimal_order(memo: PairMemo, classes: list[int]) -> dict[int, Move]:
                 pull = memo.pull_blockers(mover, anchor)
                 if pull is not None:
                     check, blockers = pull
-                    move = ("pull", (mover, anchor), check.grasp)
+                    move = ("pull", (mover, anchor), check)
                     rank = (1, memo.gap(mover, anchor), mover, anchor)
                     ranked.append((rank, move, pair, blockers))
     ranked.extend(((2, sid), ("single", (sid,), None), memo.bit(sid), 0) for sid in ids)
@@ -458,11 +455,7 @@ def _optimal_order(memo: PairMemo, classes: list[int]) -> dict[int, Move]:
 
 
 def pull_policy(
-    state: SceneState,
-    rng: SplitMix64,
-    sim: "SimConfig",
-    cfg: PolicyConfig,
-    memo: PairMemo | None = None,
+    state: SceneState, rng: SplitMix64, sim: "SimConfig", cfg: PolicyConfig, memo: PairMemo
 ) -> Action:
     """Grasp ready pairs first, then pull pairs together, then singles.
 
@@ -474,11 +467,9 @@ def pull_policy(
     nearest-first's move wherever that move starts such an order, and plans
     again whenever a failed action leaves a table off the plan.  Pair
     results and the plan come from ``memo``, which carries them from one
-    step of a trial to the next; a call without one starts from an empty
-    memo.
+    step of a trial to the next; a pull is built from the memo's check of
+    it, which holds the contact point and the grasp there.
     """
-    if memo is None:
-        memo = PairMemo(sim)
     memo.sync(state)
     if len(state.stacks) > PLAN_MAX_STACKS:
         move = _nearest_first(memo)
@@ -487,12 +478,14 @@ def pull_policy(
         if move is None:
             memo.plan = _plan(memo)
             move = memo.plan[memo.table]
-    kind, targets, grasp = move
+    kind, targets, found = move
     if kind == "pull":
-        return PullGrasp(plan_pull(state, *targets, sim), grasp)
+        mover, anchor = targets
+        pull = PullAction(state.stacks[mover].base, found.end, mover, anchor)
+        return PullGrasp(pull, found.grasp)
     if kind == "single":
         return Grasp(grasp_points(state, targets[0], rng, sim))
-    return Grasp(grasp)
+    return Grasp(found)
 
 
 def _stackable(memo: PairMemo, lifted: int, base: int) -> bool:
@@ -512,11 +505,7 @@ def _utensil_onto_bowl(memo: PairMemo, lifted: int, base: int) -> bool:
 
 
 def stack_policy(
-    state: SceneState,
-    rng: SplitMix64,
-    sim: "SimConfig",
-    cfg: PolicyConfig,
-    memo: PairMemo | None = None,
+    state: SceneState, rng: SplitMix64, sim: "SimConfig", cfg: PolicyConfig, memo: PairMemo
 ) -> Action:
     """Stack utensils onto bowls first, then merge pairs, then singles.
 
@@ -532,12 +521,10 @@ def stack_policy(
     gap, lifted id, base id).
 
     Stacking tests and gaps come from ``memo``, which carries them from one
-    step of a trial to the next; a call without one starts from an empty
-    memo.  The piles ``all_on_one_bowl`` previews are stack values of their
-    own, so the memo tests each growing pile afresh.
+    step of a trial to the next.  The piles ``all_on_one_bowl`` previews
+    are stack values of their own, so the memo tests each growing pile
+    afresh.
     """
-    if memo is None:
-        memo = PairMemo(sim)
     memo.sync(state)
     ids = sorted(state.stacks)
     dishes = state.dishes
@@ -572,7 +559,9 @@ def stack_policy(
 
     for lifted, base in memo.nearest(_stackable):
         placement = StackPlacement(grasp_points(state, lifted, rng, sim), lifted, base)
-        carry = grasp_points(state.merged(lifted, base), base, rng, sim)
+        # Stacking keeps the base's bottom dish and base point, all that
+        # ``grasp_points`` reads.
+        carry = grasp_points(state, base, rng, sim)
         return StackGrasp((placement,), carry)
 
     return Grasp(grasp_points(state, min(state.stacks), rng, sim))
@@ -588,12 +577,15 @@ def next_action(
     """Next feasible action for the policy, or None once the table is clear.
 
     ``memo`` is the trial's pair memo, passed to every policy; the pull and
-    stack policies read their pair results from it (see ``PairMemo``).
-    The policies are looked up by module name at each call, so a rebinding
-    of those names (such as a profiler's wrapper) takes effect.
+    stack policies read their pair results from it (see ``PairMemo``).  A
+    call without one starts from an empty memo.  The policies are looked up
+    by module name at each call, so a rebinding of those names (such as a
+    profiler's wrapper) takes effect.
     """
     if not state.stacks:
         return None
+    if memo is None:
+        memo = PairMemo(sim)
     policy = {
         PolicyKind.RANDOM: random_policy,
         PolicyKind.PULL: pull_policy,
@@ -634,10 +626,12 @@ def run_policy(
 ) -> Trace:
     """Run a policy to completion and return the trace.
 
-    Terminates when the table is empty; with failures disabled every action
-    strictly grows the bin, so at most one trip per dish is taken.  A
-    safety cap on total actions guards against a policy that stops making
-    progress.
+    One stream seeded with ``seed`` serves the policy's draws and, after
+    each action is chosen, the draw of whether its grasp fails
+    (``grasp_fails``).  Terminates when the table is empty; with failures
+    disabled every action strictly grows the bin, so at most one trip per
+    dish is taken.  A safety cap on total actions guards against a policy
+    that stops making progress.
     """
     rng = SplitMix64(seed)
     state = initial.clone()
@@ -653,7 +647,7 @@ def run_policy(
         action = next_action(state, rng, sim, policy, memo)
         if action is None:
             break
-        state, event = apply(state, action, sim, rng)
+        state, event = apply(state, action, sim, failed=grasp_fails(sim, rng))
         event.t = t
         trace.events.append(event)
     trace.final_state = state

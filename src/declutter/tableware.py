@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import PlacementExhausted, SchemaError, number
+from .errors import PlacementExhausted, SchemaError, known_keys, number
 from .geometry import (
     TOUCH_TOL,
     Disc,
@@ -459,16 +459,6 @@ def scene_to_json(state: SceneState) -> str:
     )
 
 
-def _known_keys(data: object, keys: tuple[str, ...], where: str) -> None:
-    """Raise SchemaError unless ``data`` is a JSON object whose keys are all
-    in ``keys``."""
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where} must be a JSON object")
-    for key in data:
-        if key not in keys:
-            raise SchemaError(f"{where}: unknown key '{key}'")
-
-
 def scene_from_json(
     text: str, specs: dict[DishKind, DishSpec] | None = None, check: bool = True
 ) -> SceneState:
@@ -476,7 +466,7 @@ def scene_from_json(
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"scene file is not valid JSON: {exc}") from exc
-    _known_keys(data, ("workspace", "seed", "tier", "stacks"), "scene")
+    known_keys(data, ("workspace", "seed", "tier", "stacks"), "scene")
     try:
         ws = data["workspace"]
         seed = data["seed"]
@@ -503,7 +493,7 @@ def scene_from_json(
         tier=tier,
     )
     for idx, raw in enumerate(raw_stacks):
-        _known_keys(raw, ("base", "dishes"), f"stack {idx}")
+        known_keys(raw, ("base", "dishes"), f"stack {idx}")
         try:
             x, y = raw["base"]
             base = Point2(float(number(x, "base x")), float(number(y, "base y")))
@@ -514,7 +504,7 @@ def scene_from_json(
             raise SchemaError(f"stack {idx} has no dishes")
         ids = []
         for rd in raw_dishes:
-            _known_keys(rd, ("id", "kind", "theta"), f"stack {idx} dish")
+            known_keys(rd, ("id", "kind", "theta"), f"stack {idx} dish")
             try:
                 dish_id = number(rd["id"], "id", integer=True)
                 kind = DishKind(rd["kind"])

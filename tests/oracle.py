@@ -18,10 +18,10 @@ from declutter import (
     PolicyConfig,
     SceneState,
     UtensilStacking,
+    check_pull,
     grasp_gap,
     mog_allowable,
     mog_grasp,
-    pull_allowable,
     stack_allowable,
 )
 
@@ -47,8 +47,8 @@ def trip_search(state: SceneState, sim, pull_only: bool = False):
     def pair_clears(sub: SceneState, a: int, b: int) -> bool:
         if (
             mog_allowable(sub, a, b, sim)
-            or pull_allowable(sub, a, b, sim)
-            or pull_allowable(sub, b, a, sim)
+            or check_pull(sub, a, b, sim).allowable
+            or check_pull(sub, b, a, sim).allowable
         ):
             return True
         return not pull_only and (
@@ -108,7 +108,7 @@ def pull_policy_choice(state: SceneState, sim) -> tuple[str, tuple[int, ...]]:
         (grasp_gap(state, mover, anchor, sim)[0], mover, anchor)
         for mover in ids
         for anchor in ids
-        if mover != anchor and pull_allowable(state, mover, anchor, sim)
+        if mover != anchor and check_pull(state, mover, anchor, sim).allowable
     )
     ranked = (
         [("grasp", (a, b)) for _, a, b in ready]

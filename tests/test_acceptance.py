@@ -17,11 +17,12 @@ from declutter import (
     TimeModel,
     Tier,
     TierConfig,
+    check_pull,
     generate_scene,
+    grasp_fails,
     mog_allowable,
     next_action,
     objects_per_trip,
-    pull_allowable,
     run_policy,
     scene_to_json,
     stack_allowable,
@@ -347,7 +348,7 @@ def test_criterion_8_property_suites():
             if found:
                 break
             for b in ids:
-                if a != b and pull_allowable(scene, a, b, SIM):
+                if a != b and check_pull(scene, a, b, SIM).allowable:
                     pull = plan_pull(scene, a, b, SIM)
                     moved = scene.clone()
                     moved.stacks[a] = dataclasses.replace(scene.stacks[a], base=pull.end)
@@ -363,7 +364,7 @@ def test_criterion_8_property_suites():
         rng = SplitMix64(case)
         while state.stacks:
             action = next_action(state, rng, SIM, policy)
-            state, _ = apply(state, action, SIM, rng)
+            state, _ = apply(state, action, SIM, failed=grasp_fails(SIM, rng))
             on_table = {d for s in state.stacks.values() for d in s.dishes}
             assert on_table | set(state.bin) == all_ids
             assert len(on_table) + len(state.bin) == len(all_ids)
@@ -449,7 +450,7 @@ def test_criterion_9_small_scene_oracle():
                 # Composite actions must pass their own predicates here,
                 # independently of the transition's re-check.
                 if isinstance(action, PullGrasp):
-                    assert pull_allowable(state, action.pull.mover, action.pull.anchor, SIM)
+                    assert check_pull(state, action.pull.mover, action.pull.anchor, SIM).allowable
                 elif isinstance(action, StackGrasp):
                     probe = state
                     for placement in action.placements:
@@ -458,7 +459,7 @@ def test_criterion_9_small_scene_oracle():
                 elif len(action.grasp.targets) == 2:
                     a, b = action.grasp.targets
                     assert mog_allowable(state, a, b, SIM)
-                state, event = apply(state, action, SIM, rng)
+                state, event = apply(state, action, SIM, failed=grasp_fails(SIM, rng))
                 trips += event.trip
             assert optimum <= trips <= random_trips, (seed, name, optimum, trips)
         checked += 1

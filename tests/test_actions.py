@@ -11,6 +11,7 @@ from declutter import (
     InfeasibleAction,
     NotAllowable,
     Point2,
+    PullAction,
     PullGrasp,
     StackGrasp,
     StackPlacement,
@@ -19,12 +20,12 @@ from declutter import (
     apply,
     check_pull,
     generate_scene,
+    grasp_fails,
     grasp_gap,
     grasp_points,
     mog_allowable,
     mog_grasp,
     plan_pull,
-    pull_allowable,
     stack_allowable,
     validate,
 )
@@ -123,7 +124,7 @@ class TestMogAllowable:
 class TestPull:
     def test_cups_contact_endpoint(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
-        assert pull_allowable(scene, 0, 1, SIM)
+        assert check_pull(scene, 0, 1, SIM).allowable
         pull = plan_pull(scene, 0, 1, SIM)
         assert pull.end.x == pytest.approx(31.0, abs=1e-3)
         assert pull.end.y == pytest.approx(10.0, abs=1e-6)
@@ -145,7 +146,7 @@ class TestPull:
         scene = build_scene(
             [([CUP], 10, 10), ([CUP], 50, 10), ([BOWL], 30, 12)]
         )
-        assert not pull_allowable(scene, 0, 1, SIM)
+        assert not check_pull(scene, 0, 1, SIM).allowable
         check = check_pull(scene, 0, 1, SIM)
         assert (check.failed, check.blocker) == ("corridor", 2)
         with pytest.raises(NotAllowable, match="blocked by stack 2"):
@@ -153,7 +154,7 @@ class TestPull:
 
     def test_cup_bowl_pair_never_pullable(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
-        assert not pull_allowable(scene, 0, 1, SIM)
+        assert not check_pull(scene, 0, 1, SIM).allowable
         assert check_pull(scene, 0, 1, SIM).failed == "grip_height"
 
     def test_check_reports_contact_point_and_grasp(self):
@@ -169,7 +170,7 @@ class TestPull:
         scene = build_scene(
             [([(UTENSIL, theta)], 15, 20), ([(UTENSIL, 0.3)], 55, 25)]
         )
-        assert pull_allowable(scene, 0, 1, SIM)
+        assert check_pull(scene, 0, 1, SIM).allowable
         pull = plan_pull(scene, 0, 1, SIM)
         grasp = mog_grasp(scene, 0, 1, SIM)
         new_state, event = apply(
@@ -177,6 +178,17 @@ class TestPull:
         )
         assert new_state.dishes[0].theta == theta  # caged pull, no rotation
         assert event.trip
+
+    def test_pull_heading_follows_its_path(self):
+        scene = build_scene([([CUP], 10, 10), ([CUP], 40, 40)])
+        check = check_pull(scene, 0, 1, SIM)
+        start = scene.stacks[0].base
+        pull = PullAction(start, check.end, 0, 1)
+        _, event = apply(scene, PullGrasp(pull, check.grasp), SIM)
+        heading = math.atan2(check.end.y - start.y, check.end.x - start.x)
+        assert event.params["pull"]["theta"] == heading == pytest.approx(math.pi / 4)
+        with pytest.raises(TypeError):
+            dataclasses.replace(pull, theta=1.0)
 
     def test_plan_pull_requires_allowable(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
@@ -307,7 +319,7 @@ class TestApply:
         for bad in (astray, dataclasses.replace(pull, start=Point2(11.0, 10.0))):
             action = PullGrasp(bad, grasp_for_moved(scene, bad, sim))
             with pytest.raises(InfeasibleAction) as err:
-                apply(scene, action, sim, SplitMix64(0))
+                apply(scene, action, sim, failed=True)
             assert err.value.predicate == "pull_path"
 
     def test_stack_grasp_checks_two_target_grasp(self):
@@ -337,7 +349,7 @@ class TestFailureModel:
         sim = self._sim_with_fail(1.0)
         scene = build_scene([([CUP], 10, 10)])
         action = Grasp(grasp_points(scene, 0, SplitMix64(1), sim))
-        new, event = apply(scene, action, sim, SplitMix64(0))
+        new, event = apply(scene, action, sim, failed=True)
         assert len(new.stacks) == 1
         assert new.bin == ()
         assert new.trips_taken == 0
@@ -348,7 +360,7 @@ class TestFailureModel:
         sim = self._sim_with_fail(1.0)
         scene = build_scene([([BOWL, CUP], 20, 30), ([BOWL], 40, 30)])
         action = Grasp(mog_grasp(scene, 0, 1, sim))
-        new, event = apply(scene, action, sim, SplitMix64(0))
+        new, event = apply(scene, action, sim, failed=True)
         # The taller pile (bowl+cup, lip 7) wins the jaws; the bowl stays.
         assert sorted(new.bin) == [0, 1]
         assert set(new.stacks) == {1}
@@ -361,7 +373,7 @@ class TestFailureModel:
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
         placement = StackPlacement(grasp_points(scene, 0, SplitMix64(1), sim), 0, 1)
         carry = grasp_points(scene, 1, SplitMix64(2), sim)
-        new, event = apply(scene, StackGrasp((placement,), carry), sim, SplitMix64(0))
+        new, event = apply(scene, StackGrasp((placement,), carry), sim, failed=True)
         assert set(new.stacks) == {1}
         assert new.stacks[1].dishes == (1, 0)  # merged, still on table
         assert new.trips_taken == 0
@@ -369,8 +381,19 @@ class TestFailureModel:
         assert validate(new, sim.dish_specs) == []
 
     def test_zero_p_fail_never_draws(self):
-        scene = build_scene([([CUP], 10, 10)])
-        action = Grasp(grasp_points(scene, 0, SplitMix64(1), SIM))
         rng = SplitMix64(123)
-        apply(scene, action, SIM, rng)
+        assert not grasp_fails(SIM, rng)
+        assert rng.next_u64() == SplitMix64(123).next_u64()
+
+    def test_apply_draws_nothing(self):
+        # The failure outcome is an argument: an rng passed where it used
+        # to go is refused, not drawn from.
+        sim = self._sim_with_fail(0.5)
+        scene = build_scene([([CUP], 10, 10)])
+        action = Grasp(grasp_points(scene, 0, SplitMix64(1), sim))
+        rng = SplitMix64(123)
+        with pytest.raises(TypeError):
+            apply(scene, action, sim, rng)
+        _, event = apply(scene, action, sim)
+        assert event.trip
         assert rng.next_u64() == SplitMix64(123).next_u64()

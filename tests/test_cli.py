@@ -244,6 +244,17 @@ class TestBench:
         assert rc == 3
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, edit", [
+        ("p_fial", {"p_fial": 0.5}),
+        ("bin_delay", {"bin_delay": [3]}),
+        ("utensil_stack", {"policies": [{"kind": "stack", "utensil_stack": "all_on_one_bowl"}]}),
+    ])
+    def test_unknown_plan_key_exits_3(self, tmp_path, capsys, key, edit):
+        plan = write_plan(tmp_path, **edit)
+        rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, value", [("scenes_per_tier", 0), ("p_fail", 1.5)])
     def test_plan_range_error_exits_2(self, tmp_path, field, value):
         plan = write_plan(tmp_path, **{field: value})
@@ -319,6 +330,7 @@ def test_config_flag_threads_through(tmp_path, capsys):
     ("pull_clearance_margin", "1.5"),
     ("pull_clearance_margin", float("nan")),
     ("gripper", {"max_opening": float("inf")}),
+    ("p_fial", 0.5),
 ])
 def test_bad_config_key_exits_3(tmp_path, capsys, section, entry):
     path = tmp_path / "c.json"

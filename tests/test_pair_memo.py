@@ -16,14 +16,17 @@ from declutter import (
     StackGrasp,
     Tier,
     TierConfig,
+    actions,
     apply,
     check_pull,
     corridor_clear,
     generate_scene,
+    grasp_fails,
     grasp_gap,
     mog_grasp,
     next_action,
     policies,
+    run_policy,
     stack_allowable,
 )
 from declutter.rng import SplitMix64, derive_seed
@@ -71,7 +74,7 @@ def test_policy_matches_reference_at_every_step(p_fail):
             if expected[0] == "grasp":
                 assert action.grasp == mog_grasp(state, *expected[1], sim)
             kinds.add(expected[0])
-            state, event = apply(state, action, sim, rng)
+            state, event = apply(state, action, sim, failed=grasp_fails(sim, rng))
             if isinstance(action, PullGrasp) and event.params.get("failed"):
                 failed_pulls += 1
     assert kinds == {"grasp", "pull", "single"}
@@ -94,11 +97,7 @@ def test_each_corridor_test_runs_once_per_trial(monkeypatch):
     monkeypatch.setattr(policies, "corridor_clear", once)
     for seed in range(10):
         seen.clear()
-        state = dense_scene(30, seed)
-        rng = SplitMix64(seed)
-        memo = PairMemo(sim)
-        while state.stacks:
-            state, _ = apply(state, next_action(state, rng, sim, PULL, memo), sim, rng)
+        run_policy(dense_scene(30, seed), PULL, sim, seed)
         assert seen
 
 
@@ -119,7 +118,7 @@ def test_stack_policy_matches_reference_at_every_step(stacking, p_fail):
             assert expected == stack_policy_choice(state, sim, cfg), (seed, len(state.bin))
             if expected[0] == "stack":
                 longest = max(longest, len(expected[1]))
-            state, event = apply(state, action, sim, rng)
+            state, event = apply(state, action, sim, failed=grasp_fails(sim, rng))
             if isinstance(action, StackGrasp) and event.params.get("failed"):
                 failed_stacks += 1
     # all_on_one_bowl places previewed piles, several in one action
@@ -153,11 +152,7 @@ def test_each_stacking_test_runs_once_per_trial(monkeypatch):
         cfg = PolicyConfig.named("stack", stacking)
         for seed, scene in enumerate(scenes):
             seen.clear()
-            state = scene
-            rng = SplitMix64(seed)
-            memo = PairMemo(sim)
-            while state.stacks:
-                state, _ = apply(state, next_action(state, rng, sim, cfg, memo), sim, rng)
+            run_policy(scene, cfg, sim, seed)
             assert seen
 
 
@@ -235,7 +230,7 @@ def test_pull_offered_once_blocker_is_binned():
     check = memo.pull(1, 2)
     assert (check.failed, check.blocker) == ("corridor", 0)
 
-    state, _ = apply(scene, first, SIM, rng)
+    state, _ = apply(scene, first, SIM, failed=grasp_fails(SIM, rng))
     second = next_action(state, rng, SIM, PULL, memo)
     assert choice(second) == ("pull", (1, 2)) == pull_policy_choice(state, SIM)
 
@@ -255,7 +250,7 @@ def test_failed_pull_blocks_corridor_cached_as_clear():
     assert choice(first) == ("pull", (2, 3)) == pull_policy_choice(scene, sim)
     assert memo.pull(0, 1).allowable
 
-    state, event = apply(scene, first, sim, rng)
+    state, event = apply(scene, first, sim, failed=grasp_fails(sim, rng))
     assert event.params["abandoned"] == 2
     assert state.stacks[2].base == first.pull.end
     second = next_action(state, rng, sim, PULL, memo)
@@ -281,7 +276,7 @@ def test_stack_left_by_failed_pull_joins_the_rankings():
     first = next_action(scene, rng, sim, PULL, memo)
     assert choice(first) == ("pull", (0, 1)) == pull_policy_choice(scene, sim)
 
-    state, event = apply(scene, first, sim, rng)
+    state, event = apply(scene, first, sim, failed=grasp_fails(sim, rng))
     assert event.params["abandoned"] == 0
     assert len(state.stacks) > policies.PLAN_MAX_STACKS
     second = next_action(state, rng, sim, PULL, memo)
@@ -399,7 +394,7 @@ def test_nearest_is_brute_force_at_every_step(kind):
                     memo.table &= ~memo.bit(sid)
                 assert_nearest_is_brute_force(memo)
                 memo.table = table
-            state, _ = apply(state, action, sim, rng)
+            state, _ = apply(state, action, sim, failed=grasp_fails(sim, rng))
             steps += 1
 
 
@@ -436,12 +431,25 @@ def test_ready_pairs_test_only_stacks_within_the_opening(monkeypatch):
     monkeypatch.setattr(policies, "mog_grasp", near_only)
     # Seed 3 also reaches the planner's exact search on its last 12 stacks.
     for seed in (0, 3):
-        state = dense_scene(72, seed)
-        rng = SplitMix64(seed)
-        memo = PairMemo(SIM)
-        while state.stacks:
-            state, _ = apply(state, next_action(state, rng, SIM, PULL, memo), SIM, rng)
+        run_policy(dense_scene(72, seed), PULL, SIM, seed)
         assert not far
+
+
+def test_each_pull_is_checked_once(monkeypatch):
+    # The policy builds a pull from its memo's check; only ``apply``
+    # checks it again, in full.
+    calls = []
+
+    def counted(state, mover, anchor, sim):
+        calls.append((mover, anchor))
+        return check_pull(state, mover, anchor, sim)
+
+    monkeypatch.setattr(actions, "check_pull", counted)
+    for seed in (0, 3):
+        calls.clear()
+        trace = run_policy(dense_scene(72, seed), PULL, SIM, seed)
+        pulls = [e for e in trace.events if e.kind == "pull_grasp"]
+        assert pulls and len(calls) == len(pulls)
 
 
 def test_stack_policy_tests_few_pairs(monkeypatch):
@@ -452,10 +460,5 @@ def test_stack_policy_tests_few_pairs(monkeypatch):
         return stack_allowable(state, lifted, base, sim)
 
     monkeypatch.setattr(policies, "stack_allowable", counted)
-    state = dense_scene(72, 0)
-    rng = SplitMix64(0)
-    memo = PairMemo(SIM)
-    cfg = PolicyConfig.named("stack", "one_per_bowl")
-    while state.stacks:
-        state, _ = apply(state, next_action(state, rng, SIM, cfg, memo), SIM, rng)
+    run_policy(dense_scene(72, 0), PolicyConfig.named("stack", "one_per_bowl"), SIM, 0)
     assert 0 < len(calls) < 72 * 72 / 10

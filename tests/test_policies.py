@@ -1,5 +1,9 @@
 """Policy behavior: worked examples and whole-run properties."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from declutter import (
@@ -13,6 +17,7 @@ from declutter import (
     TierConfig,
     UtensilStacking,
     generate_scene,
+    grasp_fails,
     next_action,
     objects_per_trip,
     run_policy,
@@ -25,6 +30,17 @@ from oracle import min_trips
 RANDOM = PolicyConfig.named("random")
 PULL = PolicyConfig.named("pull")
 STACK = PolicyConfig.named("stack")
+
+# sha256 of the event lines of run_policy at p_fail 0.2 on seeds 0-19 of a
+# tier, each trial seeded with its scene's seed.
+GOLDEN_FAILURE_DIGESTS = {
+    "t1_random": "bbe7f8fee4599be1ad9065b767a30718ac1206307b8340ed8d4d0409b3d04ec6",
+    "t1_pull": "f8f9671f27516b4a9f0fe0471aefd45d057bbd40f3755f6ac248b41ce1592636",
+    "t1_stack": "2e2a3b15ec2f2da639d3be3c61abdca0f0e8cb8cffa9c840c8b493211fb4663f",
+    "t2_random": "56630d46005d47cc08bc84769a478cee0f7e716d80e6c09b5c060362aee5fe6d",
+    "t2_pull": "4161f0bb3a018894f2c3ef115fd3286a2e22f1dc8a95c6cb6025ca43cabf0759",
+    "t2_stack": "33f6a4ce1e88f909d08581995a5e835a8f664af5ffae308949afcdd22b1be729",
+}
 
 
 class TestRandomPolicy:
@@ -167,7 +183,7 @@ class TestStackPolicy:
             rng = SplitMix64(seed)
             while state.stacks:
                 action = next_action(state, rng, SIM, STACK)
-                state, _ = apply(state, action, SIM, rng)
+                state, _ = apply(state, action, SIM, failed=grasp_fails(SIM, rng))
                 for stack in state.stacks.values():
                     hard = sum(
                         1 for d in stack.dishes
@@ -199,9 +215,24 @@ class TestRunPolicy:
         bin_size = 0
         while state.stacks:
             action = next_action(state, rng, SIM, STACK)
-            state, _ = apply(state, action, SIM, rng)
+            state, _ = apply(state, action, SIM, failed=grasp_fails(SIM, rng))
             assert len(state.bin) > bin_size
             bin_size = len(state.bin)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FAILURE_DIGESTS))
+    def test_golden_digests_under_failures(self, name):
+        # Pins where the failure draw sits in each trial's stream: after
+        # the policy picks an action, before the action runs.
+        tier, policy = name.split("_")
+        sim = dataclasses.replace(SIM, p_fail=0.2)
+        lines = []
+        for seed in range(20):
+            scene = generate_scene(TierConfig.preset(Tier(tier)), seed)
+            trace = run_policy(scene, PolicyConfig.named(policy), sim, seed)
+            assert validate(trace.final_state, sim.dish_specs) == []
+            lines.extend(json.dumps(e.to_json_obj()) for e in trace.events)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == GOLDEN_FAILURE_DIGESTS[name]
 
     def test_consolidation_never_hurts(self):
         # Random moves whole stacks too, so OpT(stack/pull) >= OpT(random).
@@ -210,3 +241,4 @@ class TestRunPolicy:
             base = objects_per_trip(run_policy(scene, RANDOM, SIM, seed))
             for policy in (PULL, STACK):
                 assert objects_per_trip(run_policy(scene, policy, SIM, seed)) >= base
+

@@ -121,7 +121,7 @@ def _cmd_bench(args, sim) -> int:
     if not plan_path.exists():
         raise SchemaError(f"plan file not found: {plan_path}")
     plan = plan_from_json(plan_path.read_text())
-    reports, summaries = run_plan(plan, sim, args.out, jobs=max(args.jobs, 1))
+    reports, summaries = run_plan(plan, sim, args.out, jobs=args.jobs)
     print(f"{len(reports)} trials -> {args.out}")
     for row in summaries:
         print(

@@ -17,6 +17,11 @@ TOUCH_TOL = 1e-6
 
 _EPS = 1e-12
 
+# How far beyond an obstacle's circumradius its center must lie from a
+# corridor for ``corridor_clear`` to pass it untested: the touch tolerance
+# plus a margin for rounding in the projections.
+_BROAD_MARGIN = TOUCH_TOL + 1e-9
+
 
 def normalize_angle(theta: float) -> float:
     """Map an angle to the gripper-equivalent range [0, pi)."""
@@ -175,6 +180,12 @@ def corridor_clear(
 
     The corridor is the segment a->b inflated laterally by ``half_width``
     (an oriented rectangle; the sweep is not capped at the ends).
+
+    An obstacle whose center lies further beyond the corridor's half-length
+    or half-width, along the corridor's own axes, than its circumradius
+    plus ``TOUCH_TOL`` (and a rounding margin) is passed without the exact
+    test: the point-rectangle distance and the SAT gap are each at least
+    that projection less the obstacle's reach, so the verdict is the same.
     """
     if half_width < 0:
         raise ValueError("half_width must be >= 0")
@@ -182,8 +193,17 @@ def corridor_clear(
     theta = math.atan2(b.y - a.y, b.x - a.x) if length > _EPS else 0.0
     cx = (a.x + b.x) / 2.0
     cy = (a.y + b.y) / 2.0
+    half_len = length / 2.0
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
     for ob in obstacles:
-        if _sep_raw_rect_vs_footprint(cx, cy, theta, length / 2.0, half_width, ob) <= TOUCH_TOL:
+        dx, dy = ob.center.x - cx, ob.center.y - cy
+        reach = circumradius(ob) + _BROAD_MARGIN
+        if (
+            abs(dx * cos_t + dy * sin_t) - half_len > reach
+            or abs(dy * cos_t - dx * sin_t) - half_width > reach
+        ):
+            continue
+        if _sep_raw_rect_vs_footprint(cx, cy, theta, half_len, half_width, ob) <= TOUCH_TOL:
             return False
     return True
 

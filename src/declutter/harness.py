@@ -157,9 +157,12 @@ def run_plan(
     Writes ``trials.jsonl`` (one report per line), ``summary.csv``, and,
     when a bin-delay sweep is configured, one ``summary_delay_<d>s.csv``
     per delay.  Each scene is generated once and every policy runs on it;
-    scenes may run in parallel, and output order is canonicalized to
-    (tier, scene index, policy) first.
+    scenes may run in parallel, on at most ``jobs`` worker processes and
+    never more than there are scenes, and output order is canonicalized
+    to (tier, scene index, policy) first.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if plan.p_fail is not None:
@@ -168,8 +171,9 @@ def run_plan(
         sim = replace(sim, time_model=plan.time_model)
 
     scenes = [(plan, sim, tier, k) for tier in plan.tiers for k in range(plan.scenes_per_tier)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(scenes))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_scene = list(pool.map(_run_scene, scenes))
     else:
         per_scene = [_run_scene(s) for s in scenes]

@@ -11,6 +11,7 @@ indicate a policy bug.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -103,6 +104,18 @@ class _PullEntry:
         self.blocked = 0
 
 
+class _Walk:
+    """How far ``nearest``'s walks with one test have read the pair list:
+    the index of the first pair not read, and the (gap, a, b, bits of a and
+    b) of the pairs the test admitted before it, sorted."""
+
+    __slots__ = ("cursor", "admitted")
+
+    def __init__(self):
+        self.cursor = 0
+        self.admitted: list[tuple[float, int, int, int]] = []
+
+
 # A pull-policy move: ("grasp", (a, b), shared grasp), ("pull", (mover,
 # anchor), the pull's allowable pair tests) or ("single", (stack,), None).
 Move = tuple[str, tuple[int, ...], GraspAction | PullCheck | None]
@@ -115,6 +128,9 @@ Admit = Callable[["PairMemo", int, int], bool]
 # the slack covers rounding.
 _GAP_BOUND_SLACK = 1e-9
 
+# What ``nearest`` reads past the last pair: a bound no walk reaches.
+_PAST_LAST_PAIR = (math.inf, -1, -1, 0)
+
 
 class PairMemo:
     """Pair results of a policy, kept from one step of a trial to the next.
@@ -126,12 +142,16 @@ class PairMemo:
     bit names one value; dishes never change kind or orientation, so a
     value fixes its footprints.  Footprints, shared grasps, gaps, stacking
     tests and pull tests are keyed by value bits, and a result keyed by
-    bits never goes stale.
+    bits never goes stale.  A stack that is the very object synced under
+    its id keeps that bit without being hashed, so a step looks up by value
+    only the stacks the last action made.
 
     ``nearest`` ranks the ordered pairs a test admits by (gap, ids): it
     walks one list of the synced table's pairs, sorted by a lower bound on
     the gap, and tests a pair only when it gets there.  Pairs of values that
     left are skipped until they outnumber the live pairs or a value returns.
+    Each test's walk resumes where the last one stopped, so a step tests
+    only the pairs that no earlier walk on the synced table reached.
 
     A corridor verdict also depends on the other stacks.  Each pull keeps
     the mask of values tested against its corridor and the mask of those
@@ -161,27 +181,36 @@ class PairMemo:
         # (gap bound, a, b, bits of a and b), sorted, and the bits it may hold
         self._pairs: list[tuple[float, int, int, int]] = []
         self._listed = 0
+        # each ``nearest`` test's progress through ``_pairs``, until it changes
+        self._walks: dict[tuple[Admit, float], _Walk] = {}
 
     def _bit(self, stack: Stack) -> int:
-        bit = self._bits.get(stack)
-        if bit is None:
-            bit = self._bits[stack] = 1 << len(self._values)
-            self._values[bit] = stack
+        bit = self._bits.setdefault(stack, 1 << len(self._values))
+        self._values.setdefault(bit, stack)
         return bit
+
+    def _bit_of(self, sid: int, stack: Stack) -> int:
+        """The bit of ``stack``, stack ``sid`` of some state: the bit synced
+        under ``sid`` when ``stack`` is the very object it names, else the
+        bit of its value."""
+        bit = self._ids.get(sid, 0)
+        return bit if self._values.get(bit) is stack else self._bit(stack)
 
     def sync(self, state: SceneState) -> None:
         """Make ``state`` the current table."""
-        ids = {sid: self._bit(state.stacks[sid]) for sid in sorted(state.stacks)}
+        ids = {sid: self._bit_of(sid, state.stacks[sid]) for sid in sorted(state.stacks)}
         table = sum(ids.values())
         arrived, kept = table & ~self._synced, table & self._synced
         self.state, self._ids, self.table, self._synced = state, ids, table, table
         if arrived & self._listed or len(self._pairs) > len(ids) * (len(ids) - 1):
             self._pairs = [entry for entry in self._pairs if entry[3] & kept == entry[3]]
             self._listed = kept
+            self._walks = {}
         if arrived:
             self._pairs.extend(self._bounded(arrived))
             self._pairs.sort()
             self._listed |= arrived
+            self._walks = {}
 
     def _bounded(self, arrived: int) -> list[tuple[float, int, int, int]]:
         """Entries of the synced table's pairs that hold a value in
@@ -210,20 +239,63 @@ class PairMemo:
         (``gap(a, b)``, a, b).  ``admit`` reads only the two stack values;
         if it rejects every gap of at least ``within``, the walk stops at
         the first gap bound that reaches ``within``.  A pair is tested and
-        its gap computed only once the pairs bounded below it are read."""
-        table = self.table
-        pending: list[tuple[float, int, int]] = []
-        for bound, a, b, pair in self._pairs:
+        its gap computed only once the pairs bounded below it are read.
+
+        Walks with one (``admit``, ``within``) resume where the last one
+        stopped: the pairs before its cursor were read on the synced table,
+        and those admitted are kept sorted, to be merged with the rest of
+        the list.  A walk on a subset of the synced table leaves the cursor
+        at the first pair it cannot read, one of the synced table that is
+        not on ``table``, and keeps what it admits after that to itself.
+        Read a walk before the next ``sync`` or walk with the same test."""
+        walk = self._walks.get((admit, within))
+        if walk is None:
+            walk = self._walks[(admit, within)] = _Walk()
+        table, synced, pairs, admitted = self.table, self._synced, self._pairs, walk.admitted
+        read = 0  # index of the first kept entry not yet yielded or passed
+        own: list[tuple[float, int, int]] = []  # admitted past the cursor's stop
+        shared = True  # whether the cursor still follows this walk
+        j = walk.cursor
+        while True:
+            bound, a, b, bits = pairs[j] if j < len(pairs) else _PAST_LAST_PAIR
             if bound >= within:
-                break
-            if pair & table == pair:
-                while pending and pending[0][0] < bound:
-                    yield heappop(pending)[1:]
-                for x, y in ((a, b), (b, a)):
-                    if admit(self, x, y):
-                        heappush(pending, (self.gap(x, y), x, y))
-        while pending:
-            yield heappop(pending)[1:]
+                bound = math.inf  # nothing left to test: yield the rest
+            elif bits & table != bits:
+                if bits & synced == bits:
+                    shared = False  # a later walk on the synced table reads it
+                elif shared:
+                    walk.cursor = j + 1
+                j += 1
+                continue
+            # Yield the admitted pairs on ``table`` with gaps below ``bound``.
+            # Kept entries off ``table`` are passed only below ``bound``: an
+            # entry added later has a gap of at least ``bound`` and lands
+            # after them.
+            while True:
+                head = None
+                while read < len(admitted) and admitted[read][0] < bound:
+                    if admitted[read][3] & table == admitted[read][3]:
+                        head = admitted[read]
+                        break
+                    read += 1
+                if own and own[0][0] < bound and (head is None or own[0] < head):
+                    yield heappop(own)[1:]
+                elif head is None:
+                    break
+                else:
+                    read += 1
+                    yield head[1:3]
+            if bound == math.inf:
+                return
+            for x, y in ((a, b), (b, a)):
+                if admit(self, x, y):
+                    if shared:
+                        insort(admitted, (self.gap(x, y), x, y, bits))
+                    else:
+                        heappush(own, (self.gap(x, y), x, y))
+            j += 1
+            if shared:
+                walk.cursor = j
 
     def bit(self, sid: int) -> int:
         """The value bit of stack ``sid`` of the synced table."""
@@ -235,7 +307,7 @@ class PairMemo:
 
     def footprints(self, stack: Stack) -> list[Footprint]:
         """``stack_footprints`` of ``stack``, a value seen by ``sync``."""
-        return self._bit_footprints(self._bits[stack])
+        return self._bit_footprints(self._bit_of(stack.id, stack))
 
     def _bit_footprints(self, bit: int) -> list[Footprint]:
         fps = self._footprints.get(bit)
@@ -263,7 +335,7 @@ class PairMemo:
         the synced table, or a preview of stacking on it whose new values
         get bits of their own."""
         stacks = state.stacks
-        key = (self._bit(stacks[lifted]), self._bit(stacks[base]))
+        key = (self._bit_of(lifted, stacks[lifted]), self._bit_of(base, stacks[base]))
         if key not in self._stackable:
             self._stackable[key] = stack_allowable(state, lifted, base, self.sim)
         return self._stackable[key]

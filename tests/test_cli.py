@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from declutter import harness
 from declutter.cli import main
 from declutter.harness import plan_from_json, run_plan
 from declutter.config import default_sim_config
@@ -176,6 +177,43 @@ class TestBench:
         for name in ("summary.csv", "trials.jsonl", "traces.jsonl",
                      "summary_delay_3s.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        plan = write_plan(tmp_path)
+        out = tmp_path / "x"
+        rc = main(["bench", "--plan", str(plan), "--out", str(out), "--jobs", jobs])
+        assert rc == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "tiers, jobs, started",
+        [(["t0_bowls", "t1"], "3", [3]), (["t0_bowls", "t1"], "64", [4]), (["t1"], "8", [2])],
+    )
+    def test_workers_never_outnumber_scenes(self, tmp_path, monkeypatch, tiers, jobs, started):
+        # Records the pool size and runs the scenes in this process, so no
+        # worker is ever started.
+        pools = []
+
+        class InProcess:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcess)
+        plan = write_plan(tmp_path, tiers=tiers)  # two scenes per tier
+        rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "x"), "--jobs", jobs])
+        assert rc == 0
+        assert pools == started
 
     def test_added_policy_does_not_perturb_existing_trials(self, tmp_path):
         sim = default_sim_config()

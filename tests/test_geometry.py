@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from declutter.geometry import (
+    TOUCH_TOL,
     Disc,
     OrientedRect,
     Point2,
@@ -145,6 +146,74 @@ def test_corridor_monotone_in_half_width(w1, w2, ob):
     a, b = Point2(5, 30), Point2(70, 32)
     if corridor_clear(a, b, hi, [ob]):
         assert corridor_clear(a, b, lo, [ob])
+
+
+@st.composite
+def corridor_cases(draw):
+    """A corridor (start, end, half-width) and an obstacle placed 1e-7 inside
+    or outside the reach of ``overlaps`` along one of the corridor's axes:
+    beside the corridor or beyond one of its ends.  Some corridors have zero
+    length."""
+    a = Point2(draw(_coords), draw(_coords))
+    length = draw(st.one_of(st.just(0.0), st.floats(min_value=0.5, max_value=60.0)))
+    heading = draw(st.floats(min_value=-math.pi, max_value=math.pi))
+    b = Point2(a.x + length * math.cos(heading), a.y + length * math.sin(heading))
+    half_width = draw(st.floats(min_value=0.5, max_value=10.0))
+    # The corridor's own axes, as corridor_clear takes them.
+    half_len = dist(a, b) / 2.0
+    theta = math.atan2(b.y - a.y, b.x - a.x) if half_len > 0 else 0.0
+    ux, uy = math.cos(theta), math.sin(theta)
+    if draw(st.booleans()):
+        radius = draw(_radii)
+        reach_along = reach_across = radius
+
+        def obstacle(center):
+            return Disc(center, radius)
+    else:
+        ob_len = draw(st.floats(min_value=2.0, max_value=17.0))
+        ob_wid = draw(st.floats(min_value=0.5, max_value=2.0))
+        turn = draw(_angles)
+        cos_turn, sin_turn = abs(math.cos(turn)), abs(math.sin(turn))
+        reach_along = ob_len / 2 * cos_turn + ob_wid / 2 * sin_turn
+        reach_across = ob_len / 2 * sin_turn + ob_wid / 2 * cos_turn
+
+        def obstacle(center):
+            return OrientedRect(center, ob_len, ob_wid, theta + turn)
+
+    side = draw(st.sampled_from((-1, 1)))
+    slide = draw(st.floats(min_value=-1.0, max_value=1.0))
+    delta = draw(st.sampled_from((-1e-7, 1e-7)))
+    if draw(st.booleans()):  # beside
+        along = slide * half_len
+        across = side * (half_width + reach_across + TOUCH_TOL + delta)
+    else:  # beyond an end
+        along = side * (half_len + reach_along + TOUCH_TOL + delta)
+        across = slide * half_width
+    cx, cy = (a.x + b.x) / 2.0, (a.y + b.y) / 2.0
+    center = Point2(cx + along * ux - across * uy, cy + along * uy + across * ux)
+    return a, b, half_width, obstacle(center), delta
+
+
+@settings(max_examples=400)
+@given(corridor_cases())
+def test_corridor_clear_matches_overlaps_reference(case):
+    # corridor_clear passes far obstacles untested; the verdict must still
+    # be that of ``overlaps`` on the corridor as an OrientedRect.
+    a, b, half_width, ob, delta = case
+    length = dist(a, b)
+    theta = math.atan2(b.y - a.y, b.x - a.x) if length > 1e-12 else 0.0
+    center = Point2((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
+    if 2 * half_width > length:
+        # Axes swapped, as an OrientedRect's length is its longer side.  A
+        # zero-length corridor is a segment across the start; 1e-12 of
+        # width moves its edges far less than the obstacle's 1e-7 offset.
+        corridor = OrientedRect(center, 2 * half_width, max(length, 1e-12), theta + math.pi / 2)
+    else:
+        corridor = OrientedRect(center, length, 2 * half_width, theta)
+    clear = corridor_clear(a, b, half_width, [ob])
+    assert clear == (not overlaps(corridor, ob))
+    if isinstance(ob, Disc):  # the reach along either axis is exact for a disc
+        assert clear == (delta > 0)
 
 
 class TestRimPoint:

@@ -2,7 +2,10 @@
 references."""
 
 import dataclasses
+import hashlib
+import json
 import math
+from itertools import islice
 
 import pytest
 
@@ -30,7 +33,7 @@ from declutter import (
     stack_allowable,
 )
 from declutter.rng import SplitMix64, derive_seed
-from declutter.tableware import stack_footprints
+from declutter.tableware import Stack, stack_footprints
 from helpers import BOWL, CUP, SIM, UTENSIL, build_scene
 from oracle import pull_policy_choice, stack_policy_choice
 
@@ -355,13 +358,14 @@ def on_table(memo: PairMemo) -> SceneState:
     return view
 
 
-def assert_nearest_is_brute_force(memo: PairMemo) -> None:
+def assert_nearest_is_brute_force(memo: PairMemo, reads: int | None = None) -> None:
     """Every admitting test's ``nearest`` on the memo's table equals a sort
-    by (gap, a, b) of the ordered pairs the test admits, each pair once."""
+    by (gap, a, b) of the ordered pairs the test admits, each pair once.
+    With ``reads``, each walk is read only that far."""
     view = on_table(memo)
     for name, (admit, admitted) in ADMITS.items():
         within = {"within": SIM.gripper.max_opening} if name == "ready" else {}
-        got = list(memo.nearest(admit, **within))
+        got = list(islice(memo.nearest(admit, **within), reads))
         assert len(set(got)) == len(got), name
         expected = sorted(
             (grasp_gap(view, a, b, SIM)[0], a, b)
@@ -369,7 +373,7 @@ def assert_nearest_is_brute_force(memo: PairMemo) -> None:
             for b in view.stacks
             if a != b and admitted(view, a, b)
         )
-        assert got == [(a, b) for _, a, b in expected], name
+        assert got == [(a, b) for _, a, b in expected][:reads], name
 
 
 @pytest.mark.parametrize("kind", ["pull", "stack"])
@@ -394,6 +398,41 @@ def test_nearest_is_brute_force_at_every_step(kind):
                     memo.table &= ~memo.bit(sid)
                 assert_nearest_is_brute_force(memo)
                 memo.table = table
+            state, _ = apply(state, action, sim, failed=grasp_fails(sim, rng))
+            steps += 1
+
+
+@pytest.mark.parametrize(
+    "kind, stacking", [("pull", None), ("stack", "one_per_bowl"), ("stack", "all_on_one_bowl")]
+)
+def test_walks_read_partly_resume_as_brute_force(kind, stacking):
+    # Each walk is read only a few pairs deep, so later walks resume from
+    # where it stopped: on the next step's table, on a narrowed table (as
+    # the planner reads, leaving pairs of the synced table unread), and
+    # after a stack leaves the synced table and comes back.
+    sim = dataclasses.replace(SIM, p_fail=0.2)
+    cfg = PolicyConfig.named(kind, stacking)
+    for seed in range(2):
+        state = dense_scene(30, seed)
+        rng = SplitMix64(seed)
+        memo = PairMemo(sim)
+        steps = 0
+        while state.stacks:
+            action = next_action(state, rng, sim, cfg, memo)
+            assert_nearest_is_brute_force(memo, reads=steps % 3 + 1)
+            table = memo.table
+            for sid in memo.ids()[steps % 2::3]:
+                memo.table &= ~memo.bit(sid)
+            assert_nearest_is_brute_force(memo, reads=steps % 4 + 1)
+            memo.table = table
+            assert_nearest_is_brute_force(memo, reads=steps % 5 + 1)
+            if steps % 3 == 2 and len(state.stacks) > 1:
+                left = state.clone()
+                del left.stacks[sorted(left.stacks)[steps % len(left.stacks)]]
+                memo.sync(left)
+                assert_nearest_is_brute_force(memo, reads=2)
+                memo.sync(state)
+                assert_nearest_is_brute_force(memo, reads=3)
             state, _ = apply(state, action, sim, failed=grasp_fails(sim, rng))
             steps += 1
 
@@ -462,3 +501,43 @@ def test_stack_policy_tests_few_pairs(monkeypatch):
     monkeypatch.setattr(policies, "stack_allowable", counted)
     run_policy(dense_scene(72, 0), PolicyConfig.named("stack", "one_per_bowl"), SIM, 0)
     assert 0 < len(calls) < 72 * 72 / 10
+
+
+def test_sync_hashes_only_the_stacks_an_action_made(monkeypatch):
+    # A stack the last action left alone is the same object in the next
+    # state and keeps its bit by identity; only new objects are hashed.
+    calls = []
+    hash_value = Stack.__hash__
+
+    def counted(stack):
+        calls.append(stack.id)
+        return hash_value(stack)
+
+    monkeypatch.setattr(Stack, "__hash__", counted)
+    for cfg in (PULL, PolicyConfig.named("stack", "one_per_bowl")):
+        calls.clear()
+        trace = run_policy(dense_scene(72, 0), cfg, SIM, 0)
+        assert calls and len(calls) <= 72 + 6 * len(trace.events)
+
+
+# sha256 of the run_policy event lines of 72-item seeds 0 and 3, each trial
+# seeded with its scene's seed.
+GOLDEN_DENSE_DIGESTS = {
+    ("pull", 0.0): "be6868e7410b283a1aca4573456498fdd87687fcc7f063f8c17f83692dfbe093",
+    ("pull", 0.2): "a1ded618b418aa95e4f94b80cbb5e4fda61dfe0e9a5438f7cc6d1112b5255685",
+    ("stack", 0.0): "8e6320e45d7e2f7d601444fa5864c25908c11430eb47861dbddc7e93230b3e80",
+    ("stack", 0.2): "aa38cae363a478ebeca6c980e15165af06e386365dbeb59e53b2012c128fa1e2",
+}
+
+
+@pytest.mark.parametrize("kind, p_fail", sorted(GOLDEN_DENSE_DIGESTS))
+def test_golden_digests_of_dense_trials(kind, p_fail):
+    # Pins every step of the memoized policies on large tables, where walks
+    # resume, the pair list is compacted and failures bring new values.
+    sim = dataclasses.replace(SIM, p_fail=p_fail)
+    lines = []
+    for seed in (0, 3):
+        trace = run_policy(dense_scene(72, seed), PolicyConfig.named(kind), sim, seed)
+        lines.extend(json.dumps(e.to_json_obj()) for e in trace.events)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_DENSE_DIGESTS[(kind, p_fail)]

@@ -16,9 +16,7 @@ from .actions import (
     grasp_fails,
     grasp_gap,
     grasp_points,
-    mog_allowable,
     mog_grasp,
-    plan_pull,
     stack_allowable,
 )
 from .config import SimConfig, default_sim_config, load_config
@@ -26,7 +24,6 @@ from .errors import (
     EmptyTrace,
     InfeasibleAction,
     MissingBaseline,
-    NotAllowable,
     PlacementExhausted,
     SchemaError,
 )
@@ -35,7 +32,7 @@ from .geometry import (
     Footprint,
     OrientedRect,
     Point2,
-    corridor_clear,
+    Sweep,
     overlaps,
     rim_point,
 )

@@ -21,13 +21,12 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .errors import InfeasibleAction, NotAllowable
+from .errors import InfeasibleAction
 from .geometry import (
     Footprint,
     Point2,
-    circumradius,
+    Sweep,
     closest_point_on_segment,
-    corridor_clear,
     dist,
     normalize_angle,
     rim_point,
@@ -300,10 +299,6 @@ def mog_grasp(
     return GraspAction(point=mid, z=max(grip_a, grip_b), theta=theta, targets=(lo, hi))
 
 
-def mog_allowable(state: SceneState, a: int, b: int, sim: "SimConfig") -> bool:
-    return mog_grasp(state, a, b, sim) is not None
-
-
 def _pull_contact(
     mover: Stack, anchor: Stack, mover_fps: list[Footprint], anchor_fps: list[Footprint]
 ) -> Point2 | None:
@@ -333,16 +328,15 @@ class PullCheck:
     ``"grip_height"`` (gripped-rim heights differ), ``"contact"`` (the
     footprints never meet along the center line), ``"mog_allowable"`` (no
     multi-object grasp once in contact) or ``"corridor"`` (stack
-    ``blocker`` meets the swept corridor).  Once the pair tests pass,
-    ``end`` is the mover's base at contact, ``grasp`` the witness grasp
-    there and ``half_width`` the corridor's half width.
+    ``blocker`` meets the mover's sweep to ``end``).  Once the pair
+    tests pass, ``end`` is the mover's base at contact and ``grasp`` the
+    witness grasp there.
     """
 
     failed: str | None
     blocker: int | None = None
     end: Point2 | None = None
     grasp: GraspAction | None = None
-    half_width: float = 0.0
 
     @property
     def allowable(self) -> bool:
@@ -361,35 +355,37 @@ Footprints = Callable[[Stack], list[Footprint]]
 
 def _pair_check(
     state: SceneState, mover: int, anchor: int, sim: "SimConfig", footprints: Footprints
-) -> PullCheck:
-    """The pull tests that depend on the mover and the anchor alone.
+) -> tuple[PullCheck, Sweep | None]:
+    """The pull tests that depend on the mover and the anchor alone and,
+    when they pass, the region the mover sweeps: its footprints, grown by
+    ``pull_clearance_margin``, from its base to the contact point.
 
     ``footprints`` maps a stack to its footprints.  The witness grasp is
     taken on a view holding just the pair, the mover at contact: the grasp
     test reads nothing else.
     """
     if mover == anchor:
-        return PullCheck("distinct_targets")
+        return PullCheck("distinct_targets"), None
     sm = state.stacks.get(mover)
     sa = state.stacks.get(anchor)
     if sm is None or sa is None:
-        return PullCheck("target_on_table")
+        return PullCheck("target_on_table"), None
     if not sim.gripper.similar_heights(
         _grip_height(state, sm, sim), _grip_height(state, sa, sim)
     ):
-        return PullCheck("grip_height")
+        return PullCheck("grip_height"), None
     mover_fps = footprints(sm)
     end = _pull_contact(sm, sa, mover_fps, footprints(sa))
     if end is None:
-        return PullCheck("contact")
+        return PullCheck("contact"), None
     contact = SceneState(
         state.workspace, {mover: Stack(sm.id, sm.dishes, end), anchor: sa}, state.dishes
     )
     grasp = mog_grasp(contact, mover, anchor, sim)
     if grasp is None:
-        return PullCheck("mog_allowable")
-    half_width = max(circumradius(fp) for fp in mover_fps) + sim.pull_clearance_margin
-    return PullCheck(None, end=end, grasp=grasp, half_width=half_width)
+        return PullCheck("mog_allowable"), None
+    sweep = Sweep(sm.base, end, mover_fps, sim.pull_clearance_margin)
+    return PullCheck(None, end=end, grasp=grasp), sweep
 
 
 def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> PullCheck:
@@ -398,40 +394,21 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
     A pull is worthwhile only with similar gripped-rim heights, a contact
     point along the center line, a multi-object grasp of the pair once in
     contact (a pull that cannot end in a grasp would be a wasted action),
-    and a corridor between the two stacks free of any other object (so
-    nothing is displaced on the way).
+    and no other stack overlapping the mover's footprints, grown by
+    ``pull_clearance_margin``, anywhere on the way (so nothing is displaced).
     """
     specs = sim.dish_specs
 
     def footprints(stack: Stack) -> list[Footprint]:
         return stack_footprints(state, stack, specs)
 
-    pair = _pair_check(state, mover, anchor, sim, footprints)
+    pair, sweep = _pair_check(state, mover, anchor, sim, footprints)
     if not pair.allowable:
         return pair
-    start = state.stacks[mover].base
     for stack in state.stacks.values():
-        if stack.id in (mover, anchor):
-            continue
-        if not corridor_clear(start, pair.end, pair.half_width, footprints(stack)):
+        if stack.id not in (mover, anchor) and sweep.meets(footprints(stack)):
             return replace(pair, failed="corridor", blocker=stack.id)
     return pair
-
-
-def plan_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> PullAction:
-    """Plan the pull of ``mover`` to contact with ``anchor``.
-
-    The pull starts at the mover's center (internal contact for discs, a
-    cage for utensils, which therefore keep their orientation) and ends with
-    the footprints touching.  Gripper orientation is the direction of
-    motion.  Raises NotAllowable when the pull feasibility test fails.
-    """
-    check = check_pull(state, mover, anchor, sim)
-    if not check.allowable:
-        raise NotAllowable(
-            f"pull of stack {mover} to stack {anchor} is not allowable: {check.reason}"
-        )
-    return PullAction(state.stacks[mover].base, check.end, mover, anchor)
 
 
 def stack_allowable(
@@ -498,7 +475,7 @@ def _check_graspable(state: SceneState, targets: tuple[int, ...], sim: "SimConfi
     for sid in targets:
         if sid not in state.stacks:
             raise InfeasibleAction("target_on_table", f"stack {sid} not on table")
-    if len(targets) == 2 and not mog_allowable(state, targets[0], targets[1], sim):
+    if len(targets) == 2 and mog_grasp(state, targets[0], targets[1], sim) is None:
         raise InfeasibleAction("mog_allowable", f"stacks {targets}")
 
 

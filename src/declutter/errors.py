@@ -17,7 +17,7 @@ def number(value: object, where: str, integer: bool = False) -> float | int:
     ``integer``; otherwise SchemaError saying what ``where`` must be.
 
     Python's JSON reader accepts NaN and Infinity, which would pass every
-    range check and, as a clearance margin, clear every corridor.
+    range check and, as a clearance margin, break every pull check.
     """
     kind = int if integer else (int, float)
     if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
@@ -53,10 +53,6 @@ def from_number_fields(cls: type, data: object, where: str, base=None):
 
 class PlacementExhausted(RuntimeError):
     """Scene generation gave up placing an object (workspace too crowded)."""
-
-
-class NotAllowable(ValueError):
-    """A pull was planned between stacks that fail the pull feasibility rules."""
 
 
 class InfeasibleAction(RuntimeError):

@@ -17,11 +17,6 @@ TOUCH_TOL = 1e-6
 
 _EPS = 1e-12
 
-# How far beyond an obstacle's circumradius its center must lie from a
-# corridor for ``corridor_clear`` to pass it untested: the touch tolerance
-# plus a margin for rounding in the projections.
-_BROAD_MARGIN = TOUCH_TOL + 1e-9
-
 
 def normalize_angle(theta: float) -> float:
     """Map an angle to the gripper-equivalent range [0, pi)."""
@@ -78,13 +73,6 @@ def circumradius(fp: Footprint) -> float:
     if isinstance(fp, Disc):
         return fp.radius
     return math.hypot(fp.length / 2.0, fp.width / 2.0)
-
-
-def translated(fp: Footprint, dx: float, dy: float) -> Footprint:
-    c = Point2(fp.center.x + dx, fp.center.y + dy)
-    if isinstance(fp, Disc):
-        return Disc(c, fp.radius)
-    return OrientedRect(c, fp.length, fp.width, fp.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -171,41 +159,6 @@ def separation(a: Footprint, b: Footprint) -> float:
 def overlaps(a: Footprint, b: Footprint) -> bool:
     """True iff the closed regions intersect (touching counts)."""
     return separation(a, b) <= TOUCH_TOL
-
-
-def corridor_clear(
-    a: Point2, b: Point2, half_width: float, obstacles: Iterable[Footprint],
-) -> bool:
-    """True iff no obstacle meets the corridor swept from ``a`` to ``b``.
-
-    The corridor is the segment a->b inflated laterally by ``half_width``
-    (an oriented rectangle; the sweep is not capped at the ends).
-
-    An obstacle whose center lies further beyond the corridor's half-length
-    or half-width, along the corridor's own axes, than its circumradius
-    plus ``TOUCH_TOL`` (and a rounding margin) is passed without the exact
-    test: the point-rectangle distance and the SAT gap are each at least
-    that projection less the obstacle's reach, so the verdict is the same.
-    """
-    if half_width < 0:
-        raise ValueError("half_width must be >= 0")
-    length = dist(a, b)
-    theta = math.atan2(b.y - a.y, b.x - a.x) if length > _EPS else 0.0
-    cx = (a.x + b.x) / 2.0
-    cy = (a.y + b.y) / 2.0
-    half_len = length / 2.0
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    for ob in obstacles:
-        dx, dy = ob.center.x - cx, ob.center.y - cy
-        reach = circumradius(ob) + _BROAD_MARGIN
-        if (
-            abs(dx * cos_t + dy * sin_t) - half_len > reach
-            or abs(dy * cos_t - dx * sin_t) - half_width > reach
-        ):
-            continue
-        if _sep_raw_rect_vs_footprint(cx, cy, theta, half_len, half_width, ob) <= TOUCH_TOL:
-            return False
-    return True
 
 
 def rim_point(center: Point2, radius: float, angle: float) -> tuple[Point2, float]:
@@ -364,7 +317,7 @@ def _sweep_disc_rect(c0: Point2, r: float, vx: float, vy: float,
 
 
 def _sweep_rect_rect(mov: OrientedRect, vx: float, vy: float,
-                     sta: OrientedRect, t_max: float):
+                     sta: OrientedRect, t_max: float, tol: float):
     ux1, uy1 = _rect_axes(mov.theta)
     ux2, uy2 = _rect_axes(sta.theta)
     hl1, hw1 = mov.length / 2.0, mov.width / 2.0
@@ -374,7 +327,7 @@ def _sweep_rect_rect(mov: OrientedRect, vx: float, vy: float,
     t_lo = -math.inf
     t_hi = math.inf
     for axis in (ux1, uy1, ux2, uy2):
-        e = _extent_along(axis, ux1, uy1, hl1, hw1) + _extent_along(axis, ux2, uy2, hl2, hw2)
+        e = _extent_along(axis, ux1, uy1, hl1, hw1) + _extent_along(axis, ux2, uy2, hl2, hw2) + tol
         d0 = dx * axis[0] + dy * axis[1]
         dv = vx * axis[0] + vy * axis[1]
         itv = _slab_interval(d0, dv, e)
@@ -397,19 +350,60 @@ def _first_entry(itv, t_max: float):
 
 
 def sweep_first_contact(
-    moving: Footprint, static: Footprint, ux: float, uy: float, t_max: float,
+    moving: Footprint, static: Footprint, ux: float, uy: float, t_max: float, tol: float = 0.0,
 ) -> float | None:
     """First t in [0, t_max] at which ``moving`` translated by t*(ux, uy)
-    touches ``static``, or None if they never meet on that segment.
+    comes within ``tol`` of ``static`` (their ``separation`` is at most
+    ``tol``), or None if it never does on that segment.
 
     (ux, uy) must be a unit vector so t is in centimeters.
     """
     if isinstance(moving, Disc) and isinstance(static, Disc):
-        return _sweep_disc_disc(moving.center, moving.radius,
+        return _sweep_disc_disc(moving.center, moving.radius + tol,
                                 static.center, static.radius, ux, uy, t_max)
     if isinstance(moving, Disc):
-        return _sweep_disc_rect(moving.center, moving.radius, ux, uy, static, t_max)
+        return _sweep_disc_rect(moving.center, moving.radius + tol, ux, uy, static, t_max)
     if isinstance(static, Disc):
         # Relative motion: the disc moves at -v in the rect's frame.
-        return _sweep_disc_rect(static.center, static.radius, -ux, -uy, moving, t_max)
-    return _sweep_rect_rect(moving, ux, uy, static, t_max)
+        return _sweep_disc_rect(static.center, static.radius + tol, -ux, -uy, moving, t_max)
+    return _sweep_rect_rect(moving, ux, uy, static, t_max, tol)
+
+
+class Sweep:
+    """Footprints ``mover``, all centered at ``start`` and each grown by
+    ``margin`` (discs in radius, rectangles on every side), swept from
+    ``start`` to ``end``.
+
+    ``meets`` passes an obstacle without the exact sweep when its center
+    lies further from the segment than the grown mover's circumradius plus
+    its own, 2 ``TOUCH_TOL`` and 1e-9 for rounding: footprints that
+    ``overlaps`` accepts meet once one grows by ``TOUCH_TOL`` on every side,
+    which adds at most sqrt(2) ``TOUCH_TOL`` to its circumradius.
+    """
+
+    __slots__ = ("start", "end", "mover", "_ux", "_uy", "_length", "_reach")
+
+    def __init__(self, start: Point2, end: Point2, mover: Iterable[Footprint], margin: float):
+        self.start, self.end = start, end
+        self.mover = tuple(
+            Disc(fp.center, fp.radius + margin) if isinstance(fp, Disc)
+            else OrientedRect(fp.center, fp.length + 2 * margin, fp.width + 2 * margin, fp.theta)
+            for fp in mover
+        )
+        length = self._length = dist(start, end)
+        scale = 1.0 / length if length else 0.0  # a zero-length sweep stays put
+        self._ux, self._uy = (end.x - start.x) * scale, (end.y - start.y) * scale
+        self._reach = max(map(circumradius, self.mover)) + 2 * TOUCH_TOL + 1e-9
+
+    def meets(self, obstacle: Iterable[Footprint]) -> bool:
+        """True iff one of the footprints ``obstacle`` overlaps the sweep."""
+        sx, sy, ux, uy, length = self.start.x, self.start.y, self._ux, self._uy, self._length
+        for ob in obstacle:
+            dx, dy = ob.center.x - sx, ob.center.y - sy
+            along = min(max(dx * ux + dy * uy, 0.0), length)
+            if math.hypot(dx - along * ux, dy - along * uy) > self._reach + circumradius(ob):
+                continue
+            for fp in self.mover:
+                if sweep_first_contact(fp, ob, ux, uy, length, TOUCH_TOL) is not None:
+                    return True
+        return False

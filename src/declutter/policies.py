@@ -37,7 +37,7 @@ from .actions import (
     mog_grasp,
     stack_allowable,
 )
-from .geometry import Footprint, corridor_clear
+from .geometry import Footprint, Sweep
 from .rng import SplitMix64
 from .tableware import (
     DishKind,
@@ -92,14 +92,15 @@ def random_policy(
 
 
 class _PullEntry:
-    """A memoized pull check: the pair tests' result, the value bits tested
-    against its corridor (the pair's own from the start) and those of them
-    that meet it."""
+    """A memoized pull check: the pair tests' result, the mover's sweep when
+    they pass, the value bits tested against the sweep (the pair's own from
+    the start) and those of them that meet it."""
 
-    __slots__ = ("pair", "tested", "blocked")
+    __slots__ = ("pair", "sweep", "tested", "blocked")
 
-    def __init__(self, pair: PullCheck, own: int):
+    def __init__(self, pair: PullCheck, sweep: Sweep | None, own: int):
         self.pair = pair
+        self.sweep = sweep
         self.tested = own
         self.blocked = 0
 
@@ -348,19 +349,18 @@ class PairMemo:
         bm, ba = self._ids[mover], self._ids[anchor]
         entry = self._pulls.get((bm, ba))
         if entry is None:
-            pair = _pair_check(self.state, mover, anchor, self.sim, self.footprints)
-            entry = self._pulls[(bm, ba)] = _PullEntry(pair, bm | ba)
+            pair, sweep = _pair_check(self.state, mover, anchor, self.sim, self.footprints)
+            entry = self._pulls[(bm, ba)] = _PullEntry(pair, sweep, bm | ba)
         pair = entry.pair
         blocked = entry.blocked & self.table
         if not pair.allowable or (blocked and not every):
             return pair, blocked
-        start = self._values[bm].base
         untested = self.table & ~entry.tested
         while untested:
             bit = untested & -untested
             untested ^= bit
             entry.tested |= bit
-            if not corridor_clear(start, pair.end, pair.half_width, self._bit_footprints(bit)):
+            if entry.sweep.meets(self._bit_footprints(bit)):
                 entry.blocked |= bit
                 blocked |= bit
                 if not every:
@@ -376,7 +376,7 @@ class PairMemo:
         blocker = self._values[blocked & -blocked].id
         # Built directly: ``replace`` costs several times more, and the
         # nearest-first search asks about every blocked pull at each step.
-        return PullCheck("corridor", blocker, pair.end, pair.grasp, pair.half_width)
+        return PullCheck("corridor", blocker, pair.end, pair.grasp)
 
     def pull_blockers(self, mover: int, anchor: int) -> tuple[PullCheck, int] | None:
         """The pair tests of ``mover``'s pull toward ``anchor`` and the mask

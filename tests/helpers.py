@@ -15,7 +15,7 @@ from declutter import (
     default_sim_config,
     overlaps,
 )
-from declutter.geometry import translated
+from declutter.geometry import separation
 from declutter.rng import SplitMix64
 from declutter.tableware import dish_footprint
 
@@ -116,25 +116,47 @@ def sampled_overlap(a, b, grid=160):
     return False
 
 
-def corridor_rect(a, b, half_width):
-    length = math.hypot(b.x - a.x, b.y - a.y)
-    theta = math.atan2(b.y - a.y, b.x - a.x)
-    center = Point2((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-    return center, theta, length / 2.0, half_width
+def translated(fp, dx, dy):
+    c = Point2(fp.center.x + dx, fp.center.y + dy)
+    if isinstance(fp, Disc):
+        return Disc(c, fp.radius)
+    return OrientedRect(c, fp.length, fp.width, fp.theta)
 
 
-def sampled_corridor_blocked(a, b, half_width, obstacle, grid=300):
-    """Point-sampling oracle for corridor intersection."""
-    center, theta, hl, hw = corridor_rect(a, b, half_width)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    for i in range(grid + 1):
-        lx = -hl + 2 * hl * i / grid if grid else 0.0
-        for j in range(grid + 1):
-            ly = -hw + 2 * hw * j / grid if grid else 0.0
-            x = center.x + lx * c - ly * s
-            y = center.y + lx * s + ly * c
-            if footprint_contains(obstacle, x, y):
+def grown(fp, margin):
+    """``fp`` grown by ``margin``: a disc in radius, a rectangle on every side."""
+    if isinstance(fp, Disc):
+        return Disc(fp.center, fp.radius + margin)
+    return OrientedRect(fp.center, fp.length + 2 * margin, fp.width + 2 * margin, fp.theta)
+
+
+def sampled_sweep_blocked(start, end, mover, margin, obstacle, step=0.1):
+    """Stepping oracle for a pull's clearance: whether footprints ``mover``,
+    grown by ``margin``, overlap one of ``obstacle`` anywhere from ``start``
+    to ``end``.
+
+    Positions at most ``step`` apart bracket where each pair of footprints
+    comes closest; as their ``separation`` is convex along the path, a
+    ternary search of the bracket then finds the closest position, which
+    ``overlaps`` tests.
+    """
+    dx, dy = end.x - start.x, end.y - start.y
+    n = max(1, math.ceil(math.hypot(dx, dy) / step))
+    for fp in mover:
+        fp = grown(fp, margin)
+        for ob in obstacle:
+            def moved(f):
+                return translated(fp, f * dx, f * dy)
+
+            k = min(range(n + 1), key=lambda i: separation(moved(i / n), ob))
+            lo, hi = max(k - 1, 0) / n, min(k + 1, n) / n
+            for _ in range(60):
+                a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+                if separation(moved(a), ob) < separation(moved(b), ob):
+                    hi = b
+                else:
+                    lo = a
+            if overlaps(moved(k / n), ob) or overlaps(moved(lo), ob):
                 return True
     return False
 

@@ -20,7 +20,6 @@ from declutter import (
     UtensilStacking,
     check_pull,
     grasp_gap,
-    mog_allowable,
     mog_grasp,
     stack_allowable,
 )
@@ -46,7 +45,7 @@ def trip_search(state: SceneState, sim, pull_only: bool = False):
 
     def pair_clears(sub: SceneState, a: int, b: int) -> bool:
         if (
-            mog_allowable(sub, a, b, sim)
+            mog_grasp(sub, a, b, sim) is not None
             or check_pull(sub, a, b, sim).allowable
             or check_pull(sub, b, a, sim).allowable
         ):

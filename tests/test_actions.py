@@ -4,12 +4,13 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from declutter import (
     Grasp,
     GraspAction,
     InfeasibleAction,
-    NotAllowable,
     Point2,
     PullAction,
     PullGrasp,
@@ -23,15 +24,22 @@ from declutter import (
     grasp_fails,
     grasp_gap,
     grasp_points,
-    mog_allowable,
     mog_grasp,
-    plan_pull,
     stack_allowable,
     validate,
 )
 from declutter.rng import SplitMix64
-from declutter.tableware import dish_footprint
-from helpers import BOWL, CUP, SIM, UTENSIL, build_scene, scan_first_contact
+from declutter.tableware import dish_footprint, stack_footprints
+from helpers import (
+    BOWL,
+    CUP,
+    SIM,
+    UTENSIL,
+    build_scene,
+    random_small_scene,
+    sampled_sweep_blocked,
+    scan_first_contact,
+)
 
 
 class FixedRng:
@@ -76,7 +84,7 @@ class TestGraspPoints:
 class TestMogAllowable:
     def test_touching_cups(self):
         scene = build_scene([([CUP], 30, 30), ([CUP], 39, 30)])
-        assert mog_allowable(scene, 0, 1, SIM)
+        assert mog_grasp(scene, 0, 1, SIM) is not None
         witness = mog_grasp(scene, 0, 1, SIM)
         assert witness.targets == (0, 1)
         assert witness.point.x == pytest.approx(34.5)
@@ -84,48 +92,48 @@ class TestMogAllowable:
 
     def test_cup_bowl_height_mismatch(self):
         scene = build_scene([([CUP], 30, 30), ([BOWL], 44, 30)])
-        assert not mog_allowable(scene, 0, 1, SIM)
+        assert mog_grasp(scene, 0, 1, SIM) is None
 
     def test_far_bowls(self):
         scene = build_scene([([BOWL], 10, 30), ([BOWL], 50, 30)])
         # Rim gap 40 - 17 = 23 > 8.5.
-        assert not mog_allowable(scene, 0, 1, SIM)
+        assert mog_grasp(scene, 0, 1, SIM) is None
 
     def test_symmetry(self):
         scene = build_scene([([CUP], 30, 30), ([CUP], 40, 30)])
-        assert mog_allowable(scene, 0, 1, SIM) == mog_allowable(scene, 1, 0, SIM)
+        assert (mog_grasp(scene, 0, 1, SIM) is None) == (mog_grasp(scene, 1, 0, SIM) is None)
 
     def test_equal_grip_stacks_pair(self):
         # Bowl-bottom piles grip at the same rim height; the riding cup
         # stays within the jaw span.
         scene = build_scene([([BOWL, CUP], 20, 30), ([BOWL], 40, 30)])
-        assert mog_allowable(scene, 0, 1, SIM)
+        assert mog_grasp(scene, 0, 1, SIM) is not None
 
     def test_jaw_span_blocks_tall_pile_pair(self):
         # A 4-cup pile cannot ride a shared grasp: lip span 6 > jaw 4.5.
         scene = build_scene([([CUP] * 4, 20, 30), ([CUP], 32, 30)])
-        assert not mog_allowable(scene, 0, 1, SIM)
+        assert mog_grasp(scene, 0, 1, SIM) is None
 
     def test_utensil_pair_uses_axis_distance(self):
         # Parallel side-by-side utensils: axis gap ~2, cageable together.
         scene = build_scene(
             [([(UTENSIL, 0.0)], 30, 30), ([(UTENSIL, 0.0)], 30, 33)]
         )
-        assert mog_allowable(scene, 0, 1, SIM)
+        assert mog_grasp(scene, 0, 1, SIM) is not None
         # End-to-end utensils: nearest axis points ~13 apart, not cageable.
         scene = build_scene(
             [([(UTENSIL, 0.0)], 20, 30), ([(UTENSIL, 0.0)], 50, 30)]
         )
         gap, _, _ = grasp_gap(scene, 0, 1, SIM)
         assert gap == pytest.approx(13.0)
-        assert not mog_allowable(scene, 0, 1, SIM)
+        assert mog_grasp(scene, 0, 1, SIM) is None
 
 
 class TestPull:
     def test_cups_contact_endpoint(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
         assert check_pull(scene, 0, 1, SIM).allowable
-        pull = plan_pull(scene, 0, 1, SIM)
+        pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)
         assert pull.end.x == pytest.approx(31.0, abs=1e-3)
         assert pull.end.y == pytest.approx(10.0, abs=1e-6)
         # Independent oracle: scanned first contact along the center line.
@@ -138,7 +146,7 @@ class TestPull:
 
     def test_bowls_contact_endpoint(self):
         scene = build_scene([([BOWL], 10, 10), ([BOWL], 10, 40)])
-        pull = plan_pull(scene, 0, 1, SIM)
+        pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)
         assert pull.end.x == pytest.approx(10.0, abs=1e-6)
         assert pull.end.y == pytest.approx(23.0, abs=1e-3)
 
@@ -149,8 +157,10 @@ class TestPull:
         assert not check_pull(scene, 0, 1, SIM).allowable
         check = check_pull(scene, 0, 1, SIM)
         assert (check.failed, check.blocker) == ("corridor", 2)
-        with pytest.raises(NotAllowable, match="blocked by stack 2"):
-            plan_pull(scene, 0, 1, SIM)
+        pull = PullAction(scene.stacks[0].base, check.end, 0, 1)
+        with pytest.raises(InfeasibleAction, match="blocked by stack 2") as err:
+            apply(scene, PullGrasp(pull, check.grasp), SIM)
+        assert err.value.predicate == "pull_allowable"
 
     def test_cup_bowl_pair_never_pullable(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
@@ -161,7 +171,7 @@ class TestPull:
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
         check = check_pull(scene, 0, 1, SIM)
         assert check.allowable and check.blocker is None
-        pull = plan_pull(scene, 0, 1, SIM)
+        pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)
         assert check.end == pull.end
         assert check.grasp == grasp_for_moved(scene, pull, SIM)
 
@@ -171,7 +181,7 @@ class TestPull:
             [([(UTENSIL, theta)], 15, 20), ([(UTENSIL, 0.3)], 55, 25)]
         )
         assert check_pull(scene, 0, 1, SIM).allowable
-        pull = plan_pull(scene, 0, 1, SIM)
+        pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)
         grasp = mog_grasp(scene, 0, 1, SIM)
         new_state, event = apply(
             scene, PullGrasp(pull, grasp_for_moved(scene, pull, SIM)), SIM
@@ -190,10 +200,77 @@ class TestPull:
         with pytest.raises(TypeError):
             dataclasses.replace(pull, theta=1.0)
 
-    def test_plan_pull_requires_allowable(self):
+    def test_apply_requires_allowable_pull(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
-        with pytest.raises(NotAllowable):
-            plan_pull(scene, 0, 1, SIM)
+        check = check_pull(scene, 0, 1, SIM)
+        assert not check.allowable and check.reason == "grip_height"
+        pull = PullAction(scene.stacks[0].base, Point2(31.0, 10.0), 0, 1)
+        grasp = GraspAction(Point2(35.5, 10.0), 5.0, 0.0, (0, 1))
+        with pytest.raises(InfeasibleAction, match="grip_height") as err:
+            apply(scene, PullGrasp(pull, grasp), SIM)
+        assert err.value.predicate == "pull_allowable"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_corridor_matches_sampled_reference(seed):
+    # Each other stack blocks a pull exactly when the stepping oracle finds
+    # the mover, grown by the clearance margin, overlapping it on the way;
+    # the check names the first such stack.
+    scene = random_small_scene(seed)
+    specs = SIM.dish_specs
+    for mover, sm in scene.stacks.items():
+        fps = stack_footprints(scene, sm, specs)
+        for anchor in scene.stacks:
+            check = check_pull(scene, mover, anchor, SIM)
+            if check.failed not in (None, "corridor"):
+                continue
+            blockers = [
+                sid for sid, stack in scene.stacks.items()
+                if sid not in (mover, anchor) and sampled_sweep_blocked(
+                    sm.base, check.end, fps, SIM.pull_clearance_margin,
+                    stack_footprints(scene, stack, specs),
+                )
+            ]
+            assert check.blocker == (blockers[0] if blockers else None), (mover, anchor)
+
+
+def admitted_actions(state):
+    """Every single grasp, shared grasp and pull-grasp on ``state`` that its
+    feasibility test admits.  Stack-grasps are left out: a utensil stacked
+    on a smaller stack overhangs it, onto its neighbours or off the table,
+    and a failed grasp leaves it there."""
+    rng = SplitMix64(0)
+    actions = [Grasp(grasp_points(state, sid, rng, SIM)) for sid in state.stacks]
+    for a in state.stacks:
+        for b in state.stacks:
+            if a == b:
+                continue
+            shared = mog_grasp(state, a, b, SIM)
+            if a < b and shared is not None:
+                actions.append(Grasp(shared))
+            check = check_pull(state, a, b, SIM)
+            if check.allowable:
+                pull = PullAction(state.stacks[a].base, check.end, a, b)
+                actions.append(PullGrasp(pull, check.grasp))
+    return actions
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([Tier.T1, Tier.T2]), st.integers(0, 2**32 - 1), st.data())
+def test_admitted_actions_keep_the_scene_valid(tier, seed, data):
+    # Whatever apply() accepts, failed or not, leads from a valid scene to
+    # a valid one: a failed pull-grasp leaves a stack where the pull ended.
+    state = generate_scene(TierConfig.preset(tier), seed, SIM.dish_specs, SIM.workspace)
+    while state.stacks:
+        successors = [
+            apply(state, action, SIM, failed=failed)[0]
+            for action in admitted_actions(state)
+            for failed in (False, True)
+        ]
+        for new in successors:
+            assert validate(new, SIM.dish_specs) == []
+        state = data.draw(st.sampled_from(successors))
 
 
 def grasp_for_moved(scene, pull, sim):
@@ -241,7 +318,7 @@ class TestApply:
 
     def test_pull_grasp_clears_both(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
-        pull = plan_pull(scene, 0, 1, SIM)
+        pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)
         action = PullGrasp(pull, grasp_for_moved(scene, pull, SIM))
         new, event = apply(scene, action, SIM)
         assert new.stacks == {}
@@ -290,7 +367,7 @@ class TestApply:
 
     def test_pull_grasp_must_grasp_the_pulled_pair(self):
         scene = generate_scene(TierConfig.preset(Tier.T0_BOWLS), 0, SIM.dish_specs)
-        pull = plan_pull(scene, 0, 4, SIM)
+        pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 4, SIM).end, 0, 4)
         g = grasp_for_moved(scene, pull, SIM)
         for targets in ((1, 2), (0,), (0, 3)):
             bad = PullGrasp(pull, GraspAction(g.point, g.z, g.theta, targets))
@@ -300,7 +377,7 @@ class TestApply:
 
     def test_pull_grasp_checks_grasp_after_the_pull(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
-        pull = plan_pull(scene, 0, 1, SIM)
+        pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)
         short = dataclasses.replace(pull, end=Point2(15.0, 10.0))
         action = PullGrasp(short, grasp_for_moved(scene, pull, SIM))
         with pytest.raises(InfeasibleAction) as err:
@@ -313,7 +390,7 @@ class TestApply:
         # grasp would leave cup 1 inside bowl 2.
         sim = dataclasses.replace(SIM, p_fail=1.0)
         scene = build_scene([([CUP], 40, 10), ([CUP], 10, 10), ([BOWL], 30, 30)])
-        pull = plan_pull(scene, 1, 0, sim)
+        pull = PullAction(scene.stacks[1].base, check_pull(scene, 1, 0, sim).end, 1, 0)
         assert pull.end.x == pytest.approx(31.0, abs=1e-3)
         astray = dataclasses.replace(pull, end=Point2(33.0, 20.0))
         for bad in (astray, dataclasses.replace(pull, start=Point2(11.0, 10.0))):
@@ -333,7 +410,7 @@ class TestApply:
 
     def test_conservation_of_dish_ids(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10), ([BOWL], 60, 40)])
-        pull = plan_pull(scene, 0, 1, SIM)
+        pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)
         new, _ = apply(scene, PullGrasp(pull, grasp_for_moved(scene, pull, SIM)), SIM)
         on_table = [d for s in new.stacks.values() for d in s.dishes]
         assert sorted(on_table + list(new.bin)) == [0, 1, 2]

@@ -367,6 +367,7 @@ def test_config_flag_threads_through(tmp_path, capsys):
     ("pull_clearance_margin", "x"),
     ("pull_clearance_margin", "1.5"),
     ("pull_clearance_margin", float("nan")),
+    ("pull_clearance_margin", -1.0),
     ("gripper", {"max_opening": float("inf")}),
     ("p_fial", 0.5),
 ])

@@ -15,7 +15,7 @@ from declutter.geometry import (
     Disc,
     OrientedRect,
     Point2,
-    corridor_clear,
+    Sweep,
     dist,
     normalize_angle,
     overlaps,
@@ -23,7 +23,7 @@ from declutter.geometry import (
     separation,
     sweep_first_contact,
 )
-from helpers import sampled_corridor_blocked, sampled_overlap, scan_first_contact
+from helpers import grown, sampled_overlap, sampled_sweep_blocked, scan_first_contact
 
 
 def disc(x, y, r):
@@ -105,115 +105,137 @@ def test_sampling_oracle_never_contradicts_overlap(a, b):
 
 
 class TestCorridor:
+    """A cup-sized disc pulled from A to B, grown by a clearance margin."""
+
     A = Point2(0, 0)
     B = Point2(20, 0)
 
+    def sweep(self, margin=1.0):
+        return Sweep(self.A, self.B, [disc(0, 0, 4.5)], margin)
+
     def test_off_axis_obstacle_clears(self):
-        assert corridor_clear(self.A, self.B, 5.0, [disc(10, 20, 4.5)])
+        assert not self.sweep().meets([disc(10, 20, 4.5)])
 
     def test_obstacle_inside_corridor_blocks(self):
-        # Lateral clearance 2 < 5 + 4.5.
+        # Lateral clearance 2 < 4.5 + 1 + 4.5.
         ob = disc(10, 2, 4.5)
-        assert not corridor_clear(self.A, self.B, 5.0, [ob])
-        assert sampled_corridor_blocked(self.A, self.B, 5.0, ob)
+        assert self.sweep().meets([ob])
+        assert sampled_sweep_blocked(self.A, self.B, [disc(0, 0, 4.5)], 1.0, [ob])
 
     def test_no_obstacles_is_clear(self):
-        assert corridor_clear(self.A, self.B, 5.0, [])
+        assert not self.sweep().meets([])
 
     def test_obstacle_behind_start_does_not_block(self):
-        ob = disc(-8, 0, 4.0)
-        assert corridor_clear(self.A, self.B, 3.0, [ob])
-        assert not sampled_corridor_blocked(self.A, self.B, 3.0, ob)
+        ob = disc(-10, 0, 4.0)  # 10 > 4.5 + 1 + 4
+        assert not self.sweep().meets([ob])
+        assert not sampled_sweep_blocked(self.A, self.B, [disc(0, 0, 4.5)], 1.0, [ob])
+
+    def test_obstacle_at_the_end_blocks(self):
+        # The mover's footprint where it stops counts, not just the strip
+        # between the two centers.
+        ob = disc(29, 0, 4.0)
+        assert self.sweep().meets([ob])
+        assert not self.sweep().meets([disc(29.6, 0, 4.0)])
 
     def test_rect_obstacle(self):
-        ob = rect(10, 7, 17, 1.8, 0.0)  # long edge parallel, 7 - 0.9 = 6.1 away
-        assert corridor_clear(self.A, self.B, 6.0, [ob])
-        assert not corridor_clear(self.A, self.B, 6.2, [ob])
+        ob = rect(10, 7, 17, 1.8, 0.0)  # long edge parallel, 7 - 0.9 - 4.5 = 1.6 away
+        assert not self.sweep(1.5).meets([ob])
+        assert self.sweep(1.7).meets([ob])
 
-    def test_negative_half_width_rejected(self):
-        with pytest.raises(ValueError):
-            corridor_clear(self.A, self.B, -1.0, [])
+    def test_broad_phase_keeps_corner_contacts(self):
+        # Corner to corner, 0.9 TOUCH_TOL apart along both axes: the
+        # footprints overlap, though their centers lie more than TOUCH_TOL
+        # beyond the sum of their circumradii.
+        mover = rect(0, 0, 4, 2, 0.0)
+        ob = rect(4 + 0.9 * TOUCH_TOL, 2 + 0.9 * TOUCH_TOL, 4, 2, 0.0)
+        assert overlaps(mover, ob)
+        assert dist(mover.center, ob.center) > 2 * math.hypot(2, 1) + TOUCH_TOL
+        assert Sweep(Point2(0, 0), Point2(0, 0), [mover], 0.0).meets([ob])
 
 
 @given(
-    st.floats(min_value=0.0, max_value=10.0),
-    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=0.0, max_value=5.0),
+    st.floats(min_value=0.0, max_value=5.0),
+    footprints(),
     footprints(),
 )
-def test_corridor_monotone_in_half_width(w1, w2, ob):
-    # Shrinking the corridor can never turn clear into blocked.
-    lo, hi = sorted((w1, w2))
-    a, b = Point2(5, 30), Point2(70, 32)
-    if corridor_clear(a, b, hi, [ob]):
-        assert corridor_clear(a, b, lo, [ob])
+def test_corridor_monotone_in_margin(m1, m2, mover, ob):
+    # A smaller margin can never turn clear into blocked.
+    lo, hi = sorted((m1, m2))
+    end = Point2(70, 32)
+    if not Sweep(mover.center, end, [mover], hi).meets([ob]):
+        assert not Sweep(mover.center, end, [mover], lo).meets([ob])
+
+
+def _support(fp, nx, ny):
+    """The point of ``fp`` furthest along the unit vector (nx, ny)."""
+    if isinstance(fp, Disc):
+        return fp.center.x + fp.radius * nx, fp.center.y + fp.radius * ny
+    ux, uy = math.cos(fp.theta), math.sin(fp.theta)
+    vx, vy = -uy, ux
+    su = math.copysign(fp.length / 2, ux * nx + uy * ny)
+    sv = math.copysign(fp.width / 2, vx * nx + vy * ny)
+    return fp.center.x + su * ux + sv * vx, fp.center.y + su * uy + sv * vy
 
 
 @st.composite
-def corridor_cases(draw):
-    """A corridor (start, end, half-width) and an obstacle placed 1e-7 inside
-    or outside the reach of ``overlaps`` along one of the corridor's axes:
-    beside the corridor or beyond one of its ends.  Some corridors have zero
-    length."""
-    a = Point2(draw(_coords), draw(_coords))
+def sweep_cases(draw):
+    """A pull (start, end, mover footprint, margin) and an obstacle placed
+    so that it comes closest to the grown mover with ``separation``
+    TOUCH_TOL + ``delta``, delta = +-1e-7: beside the path, or beyond
+    either end.  Their nearest points face each other across the gap, so
+    ``separation`` there is exact; a rectangle obstacle beside a rectangle
+    mover is turned square to the path, where the projection test is exact
+    too.  Some pulls have zero length."""
+    start = Point2(draw(_coords), draw(_coords))
     length = draw(st.one_of(st.just(0.0), st.floats(min_value=0.5, max_value=60.0)))
     heading = draw(st.floats(min_value=-math.pi, max_value=math.pi))
-    b = Point2(a.x + length * math.cos(heading), a.y + length * math.sin(heading))
-    half_width = draw(st.floats(min_value=0.5, max_value=10.0))
-    # The corridor's own axes, as corridor_clear takes them.
-    half_len = dist(a, b) / 2.0
-    theta = math.atan2(b.y - a.y, b.x - a.x) if half_len > 0 else 0.0
-    ux, uy = math.cos(theta), math.sin(theta)
+    ux, uy = math.cos(heading), math.sin(heading)
+    end = Point2(start.x + length * ux, start.y + length * uy)
+    margin = draw(st.floats(min_value=0.0, max_value=3.0))
     if draw(st.booleans()):
-        radius = draw(_radii)
-        reach_along = reach_across = radius
-
-        def obstacle(center):
-            return Disc(center, radius)
+        mover = Disc(start, draw(_radii))
     else:
-        ob_len = draw(st.floats(min_value=2.0, max_value=17.0))
-        ob_wid = draw(st.floats(min_value=0.5, max_value=2.0))
-        turn = draw(_angles)
-        cos_turn, sin_turn = abs(math.cos(turn)), abs(math.sin(turn))
-        reach_along = ob_len / 2 * cos_turn + ob_wid / 2 * sin_turn
-        reach_across = ob_len / 2 * sin_turn + ob_wid / 2 * cos_turn
-
-        def obstacle(center):
-            return OrientedRect(center, ob_len, ob_wid, theta + turn)
-
+        mover = OrientedRect(
+            start, draw(st.floats(min_value=2.0, max_value=17.0)),
+            draw(st.floats(min_value=0.5, max_value=2.0)), draw(_angles),
+        )
+    if draw(st.booleans()):
+        ob = Disc(Point2(0, 0), draw(_radii))
+    else:
+        square = st.sampled_from((0.0, math.pi / 2))
+        turn = draw(_angles if isinstance(mover, Disc) else square)
+        ob = OrientedRect(
+            Point2(0, 0), draw(st.floats(min_value=2.0, max_value=17.0)),
+            draw(st.floats(min_value=0.5, max_value=2.0)), heading + turn,
+        )
     side = draw(st.sampled_from((-1, 1)))
-    slide = draw(st.floats(min_value=-1.0, max_value=1.0))
+    if draw(st.booleans()):  # beside, at a fraction of the way
+        f = draw(st.floats(min_value=0.0, max_value=1.0))
+        nx, ny = -side * uy, side * ux
+    else:  # beyond the end, or behind the start
+        f = 1.0 if side > 0 else 0.0
+        nx, ny = side * ux, side * uy
+    px, py = _support(grown(mover, margin), nx, ny)
+    qx, qy = _support(ob, -nx, -ny)
     delta = draw(st.sampled_from((-1e-7, 1e-7)))
-    if draw(st.booleans()):  # beside
-        along = slide * half_len
-        across = side * (half_width + reach_across + TOUCH_TOL + delta)
-    else:  # beyond an end
-        along = side * (half_len + reach_along + TOUCH_TOL + delta)
-        across = slide * half_width
-    cx, cy = (a.x + b.x) / 2.0, (a.y + b.y) / 2.0
-    center = Point2(cx + along * ux - across * uy, cy + along * uy + across * ux)
-    return a, b, half_width, obstacle(center), delta
+    gap = TOUCH_TOL + delta
+    center = Point2(
+        px + f * length * ux + gap * nx - qx, py + f * length * uy + gap * ny - qy,
+    )
+    ob = Disc(center, ob.radius) if isinstance(ob, Disc) else OrientedRect(
+        center, ob.length, ob.width, ob.theta)
+    return start, end, mover, margin, ob, delta
 
 
-@settings(max_examples=400)
-@given(corridor_cases())
-def test_corridor_clear_matches_overlaps_reference(case):
-    # corridor_clear passes far obstacles untested; the verdict must still
-    # be that of ``overlaps`` on the corridor as an OrientedRect.
-    a, b, half_width, ob, delta = case
-    length = dist(a, b)
-    theta = math.atan2(b.y - a.y, b.x - a.x) if length > 1e-12 else 0.0
-    center = Point2((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-    if 2 * half_width > length:
-        # Axes swapped, as an OrientedRect's length is its longer side.  A
-        # zero-length corridor is a segment across the start; 1e-12 of
-        # width moves its edges far less than the obstacle's 1e-7 offset.
-        corridor = OrientedRect(center, 2 * half_width, max(length, 1e-12), theta + math.pi / 2)
-    else:
-        corridor = OrientedRect(center, length, 2 * half_width, theta)
-    clear = corridor_clear(a, b, half_width, [ob])
-    assert clear == (not overlaps(corridor, ob))
-    if isinstance(ob, Disc):  # the reach along either axis is exact for a disc
-        assert clear == (delta > 0)
+@settings(max_examples=200)
+@given(sweep_cases())
+def test_corridor_matches_sampled_reference(case):
+    # The sweep passes far obstacles untested; its verdict must still be
+    # that of ``overlaps`` on the grown mover stepped along the path.
+    start, end, mover, margin, ob, delta = case
+    blocked = Sweep(start, end, [mover], margin).meets([ob])
+    assert blocked == sampled_sweep_blocked(start, end, [mover], margin, [ob]) == (delta < 0)
 
 
 class TestRimPoint:

@@ -35,10 +35,10 @@ STACK = PolicyConfig.named("stack")
 # tier, each trial seeded with its scene's seed.
 GOLDEN_FAILURE_DIGESTS = {
     "t1_random": "bbe7f8fee4599be1ad9065b767a30718ac1206307b8340ed8d4d0409b3d04ec6",
-    "t1_pull": "f8f9671f27516b4a9f0fe0471aefd45d057bbd40f3755f6ac248b41ce1592636",
+    "t1_pull": "6374293cd0088537f044e16a3acf82b87c1cf5b8d8b5ea12c7911c31155a4d10",
     "t1_stack": "2e2a3b15ec2f2da639d3be3c61abdca0f0e8cb8cffa9c840c8b493211fb4663f",
     "t2_random": "56630d46005d47cc08bc84769a478cee0f7e716d80e6c09b5c060362aee5fe6d",
-    "t2_pull": "4161f0bb3a018894f2c3ef115fd3286a2e22f1dc8a95c6cb6025ca43cabf0759",
+    "t2_pull": "288f923a5cd5dfc8a52bc2095cce1d7f48a122c42f4f5a69952b0917c67e3497",
     "t2_stack": "33f6a4ce1e88f909d08581995a5e835a8f664af5ffae308949afcdd22b1be729",
 }
 
@@ -114,8 +114,8 @@ class TestPullPolicy:
             [
                 ([CUP], 10, 15),
                 ([CUP], 46, 15),
-                ([(UTENSIL, 0.0)], 12, 42),
-                ([(UTENSIL, 0.0)], 50, 42),
+                ([(UTENSIL, 0.0)], 12, 38),
+                ([(UTENSIL, 0.0)], 50, 38),
                 ([BOWL], 28, 28),
             ]
         )

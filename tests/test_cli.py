@@ -367,9 +367,9 @@ def test_config_flag_threads_through(tmp_path, capsys):
     ("pull_clearance_margin", "x"),
     ("pull_clearance_margin", "1.5"),
     ("pull_clearance_margin", float("nan")),
-    ("pull_clearance_margin", -1.0),
     ("gripper", {"max_opening": float("inf")}),
     ("p_fial", 0.5),
+    ("pull_clearance_margin", -1.0),
 ])
 def test_bad_config_key_exits_3(tmp_path, capsys, section, entry):
     path = tmp_path / "c.json"

@@ -26,7 +26,6 @@ from .harness import (
 )
 from .policies import PolicyConfig
 from .tableware import Tier, scene_from_json
-from .timefit import fit_time_model, parse_reference_csv, simulated_counts
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -133,6 +132,9 @@ def _cmd_bench(args, sim) -> int:
 
 
 def _cmd_fit_time(args, sim) -> int:
+    # Only this command needs the fitter and its CSV parser.
+    from .timefit import fit_time_model, parse_reference_csv, simulated_counts
+
     if args.table:
         table_path = Path(args.table)
         if not table_path.exists():

@@ -11,7 +11,6 @@ writing).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -173,6 +172,9 @@ def run_plan(
     scenes = [(plan, sim, tier, k) for tier in plan.tiers for k in range(plan.scenes_per_tier)]
     workers = min(jobs, len(scenes))
     if workers > 1:
+        # Imported here, so that runs without a pool never load it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_scene = list(pool.map(_run_scene, scenes))
     else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -20,6 +21,7 @@ from .geometry import (
     Footprint,
     OrientedRect,
     Point2,
+    circumradius,
     normalize_angle,
     overlaps,
 )
@@ -274,21 +276,75 @@ def _inside_workspace(fp: Footprint, workspace: tuple[float, float]) -> bool:
 Reach = tuple[float, bool]
 
 
+def _reach_limit(reach: Reach, other: Reach) -> float:
+    """Centre distance beyond which footprints of these reaches cannot
+    ``overlaps``.
+
+    A footprint lies within its circumradius of its centre, so
+    ``separation`` is at least the centre distance less both circumradii;
+    for two rectangles its axis test is only at least the distance over
+    sqrt(2) less both circumradii.  The slack covers rounding.
+    """
+    limit = reach[0] + other[0] + TOUCH_TOL + 1e-9
+    if reach[1] and other[1]:
+        limit *= math.sqrt(2.0)
+    return limit
+
+
 def _may_overlap(center: Point2, reach: Reach, base: Point2, stack_reach: Reach) -> bool:
     """False only when a footprint centred at ``center`` cannot ``overlaps``
     any footprint of a stack at ``base``.
 
     ``stack_reach`` is the largest circumradius among the stack's dishes
-    and whether any is a rectangle.  A footprint lies within its
-    circumradius of its centre, so ``separation`` is at least the centre
-    distance less both circumradii; for two rectangles its axis test is
-    only at least the distance over sqrt(2) less both circumradii.  The
-    slack covers rounding.
+    and whether any is a rectangle.
     """
-    limit = reach[0] + stack_reach[0] + TOUCH_TOL + 1e-9
-    if reach[1] and stack_reach[1]:
-        limit *= math.sqrt(2.0)
-    return math.hypot(center.x - base.x, center.y - base.y) <= limit
+    return math.hypot(center.x - base.x, center.y - base.y) <= _reach_limit(reach, stack_reach)
+
+
+class _Placed:
+    """A stack ``generate_scene`` has placed, with its reach and footprints."""
+
+    __slots__ = ("id", "base", "reach", "footprints")
+
+    def __init__(self, stack_id: int, base: Point2, reach: Reach, footprint: Footprint):
+        self.id = stack_id
+        self.base = base
+        self.reach = reach
+        self.footprints = [footprint]
+
+    def add(self, reach: Reach, footprint: Footprint) -> None:
+        """Grow the reach and footprints by a dish that joins the stack."""
+        self.reach = (max(self.reach[0], reach[0]), self.reach[1] or reach[1])
+        self.footprints.append(footprint)
+
+
+class _Grid:
+    """Placed stacks filed by the square cell of their base.
+
+    The cell width is the largest ``_reach_limit`` any two footprints of
+    ``specs`` can have, so every stack a footprint may overlap has its base
+    in the 3x3 cells around the footprint's centre.  Each cell keeps the
+    stacks of those nine cells in one list, so a look-up reads one list.
+    """
+
+    def __init__(self, specs: dict[DishKind, DishSpec]):
+        widest: Reach = (
+            max(spec.circumscribed_radius for spec in specs.values()),
+            any(kind is DishKind.UTENSIL for kind in specs),
+        )
+        self.width = _reach_limit(widest, widest)
+        self.around: defaultdict[tuple[int, int], list[_Placed]] = defaultdict(list)
+
+    def add(self, placed: _Placed) -> None:
+        i = int(placed.base.x // self.width)
+        j = int(placed.base.y // self.width)
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                self.around[i + di, j + dj].append(placed)
+
+    def near(self, p: Point2) -> list[_Placed]:
+        """The stacks whose base lies in the 3x3 cells around ``p``."""
+        return self.around.get((int(p.x // self.width), int(p.y // self.width)), [])
 
 
 def generate_scene(
@@ -308,8 +364,13 @@ def generate_scene(
     the smallest free spot (placing bowls onto a crowded table can exhaust
     the sampler), and utensils go first so piles stay stability-ordered.
     Raises PlacementExhausted after 10,000 failed samples for one object.
-    Stacks out of a footprint's reach are skipped without a test, which
-    changes no draw and no outcome.
+
+    Each placed stack is filed in a grid by the cell of its base, with its
+    reach and footprints, which grow as dishes join it.  A sample, and the
+    clearance test of stacking it, look only at the 3x3 cells around a
+    point: the cell width is the largest distance at which ``_may_overlap``
+    holds, so the stacks left out are ones it rejects, and no draw or
+    outcome changes.
     """
     specs = specs or default_dish_specs()
     rng = SplitMix64(seed)
@@ -323,7 +384,7 @@ def generate_scene(
     )
     intersections_used = 0
     w, h = workspace
-    reaches: dict[int, Reach] = {}
+    grid = _Grid(specs)
     for dish_id, kind in enumerate(order):
         spec = specs[kind]
         inset = spec.circumscribed_radius
@@ -338,40 +399,37 @@ def generate_scene(
             fp = dish_footprint(dish, specs, pos)
             hits = [
                 s
-                for s in state.stacks.values()
-                if _may_overlap(pos, reach, s.base, reaches[s.id])
-                and any(overlaps(fp, mfp) for mfp in stack_footprints(state, s, specs))
+                for s in grid.near(pos)
+                if _may_overlap(pos, reach, s.base, s.reach)
+                and any(overlaps(fp, mfp) for mfp in s.footprints)
             ]
             if not hits:
                 state.dishes[dish_id] = dish
                 state.stacks[dish_id] = Stack(dish_id, (dish_id,), pos)
-                reaches[dish_id] = reach
+                grid.add(_Placed(dish_id, pos, reach, fp))
                 placed = True
                 break
             if len(hits) == 1 and intersections_used < cfg.max_intersections:
                 target = hits[0]
-                top_spec = specs[state.dishes[target.top].kind]
+                stack = state.stacks[target.id]
+                top_spec = specs[state.dishes[stack.top].kind]
                 if (
-                    len(target.dishes) < cfg.max_initial_stack
+                    len(stack.dishes) < cfg.max_initial_stack
                     and spec.effective_radius <= top_spec.effective_radius + 1e-9
                 ):
                     sfp = dish_footprint(dish, specs, target.base)
                     clear = _inside_workspace(sfp, workspace) and not any(
-                        other.id != target.id
-                        and _may_overlap(target.base, reach, other.base, reaches[other.id])
-                        and any(
-                            overlaps(sfp, ofp)
-                            for ofp in stack_footprints(state, other, specs)
-                        )
-                        for other in state.stacks.values()
+                        other is not target
+                        and _may_overlap(target.base, reach, other.base, other.reach)
+                        and any(overlaps(sfp, ofp) for ofp in other.footprints)
+                        for other in grid.near(target.base)
                     )
                     if clear:
                         state.dishes[dish_id] = dish
                         state.stacks[target.id] = replace(
-                            target, dishes=target.dishes + (dish_id,)
+                            stack, dishes=stack.dishes + (dish_id,)
                         )
-                        widest, rects = reaches[target.id]
-                        reaches[target.id] = (max(widest, inset), rects or reach[1])
+                        target.add(reach, sfp)
                         intersections_used += 1
                         placed = True
                         break
@@ -404,21 +462,27 @@ def validate(
         if dish_id not in state.dishes:
             problems.append(f"unknown dish id {dish_id}")
 
+    placed: list[tuple[Stack, list[Footprint], Reach]] = []
     for stack in state.stacks.values():
         radii = [specs[state.dishes[d].kind].effective_radius for d in stack.dishes]
         if any(radii[i] + 1e-9 < radii[i + 1] for i in range(len(radii) - 1)):
             problems.append(f"stack stability violated: stack {stack.id}")
-        for dish_id in stack.dishes:
-            fp = dish_footprint(state.dishes[dish_id], specs, stack.base)
+        fps = stack_footprints(state, stack, specs)
+        for dish_id, fp in zip(stack.dishes, fps):
             if not _inside_workspace(fp, state.workspace):
                 problems.append(f"out of workspace: dish {dish_id}")
+        reach = (
+            max(circumradius(fp) for fp in fps),
+            any(isinstance(fp, OrientedRect) for fp in fps),
+        )
+        placed.append((stack, fps, reach))
 
-    stacks = sorted(state.stacks.values(), key=lambda s: s.id)
-    for i, a in enumerate(stacks):
-        fps_a = stack_footprints(state, a, specs)
-        for b in stacks[i + 1:]:
-            fps_b = stack_footprints(state, b, specs)
-            if any(overlaps(fa, fb) for fa in fps_a for fb in fps_b):
+    placed.sort(key=lambda entry: entry[0].id)
+    for i, (a, fps_a, reach_a) in enumerate(placed):
+        for b, fps_b, reach_b in placed[i + 1:]:
+            if _may_overlap(a.base, reach_a, b.base, reach_b) and any(
+                overlaps(fa, fb) for fa in fps_a for fb in fps_b
+            ):
                 problems.append(f"stacks overlap: {a.id} and {b.id}")
 
     if state.trips_taken < 0:

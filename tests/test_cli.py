@@ -1,11 +1,11 @@
 """Command line interface and harness end-to-end tests."""
 
+import concurrent.futures
 import json
 from pathlib import Path
 
 import pytest
 
-from declutter import harness
 from declutter.cli import main
 from declutter.harness import plan_from_json, run_plan
 from declutter.config import default_sim_config
@@ -209,7 +209,9 @@ class TestBench:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcess)
+        # ``run_plan`` imports the pool class when it starts one, so the
+        # patch goes where that import reads it.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
         plan = write_plan(tmp_path, tiers=tiers)  # two scenes per tier
         rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "x"), "--jobs", jobs])
         assert rc == 0
@@ -417,6 +419,33 @@ def test_cli_import_leaves_out_numpy_and_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_commands_load_neither_the_pool_nor_the_fitter(tmp_path):
+    # Only ``bench --jobs`` above 1 starts a pool, and only ``fit-time``
+    # fits; every other command, and the import itself, leaves their
+    # modules out.
+    plan = write_plan(tmp_path, tiers=["t0_cups"], scenes_per_tier=1)
+    scenes = tmp_path / "scenes"
+    scene = scenes / "scene_t0_cups_3_0.json"
+    commands = [
+        ["generate", "--tier", "t0_cups", "--count", "1", "--seed", "3", "--out", str(scenes)],
+        ["run", "--scene", str(scene), "--policy", "pull"],
+        ["show-config"],
+        ["bench", "--plan", str(plan), "--out", str(tmp_path / "out"), "--jobs", "1"],
+    ]
+    done = _run_python(
+        "import sys, declutter.cli\n"
+        "heavy = {'multiprocessing', 'concurrent.futures', 'declutter.timefit', 'csv'}\n"
+        "print(sorted(heavy & set(sys.modules)), file=sys.stderr)\n"
+        f"for argv in {commands!r}:\n"
+        "    assert declutter.cli.main(argv) == 0, argv\n"
+        "    print(argv[0], sorted(heavy & set(sys.modules)), file=sys.stderr)\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines() == [
+        "[]", "generate []", "run []", "show-config []", "bench []",
+    ]
 
 
 def test_fit_time_runs_without_numpy_and_scipy():

@@ -7,6 +7,7 @@ import pytest
 
 from declutter import (
     DishKind,
+    DishSpec,
     PlacementExhausted,
     PolicyConfig,
     SceneState,
@@ -15,19 +16,27 @@ from declutter import (
     TierConfig,
     default_dish_specs,
     generate_scene,
+    overlaps,
     run_policy,
     scene_from_json,
     scene_to_json,
     stack_top_lip_height,
     validate,
 )
-from declutter.tableware import stack_grasp_span
+from declutter.geometry import TOUCH_TOL
+from declutter.rng import SplitMix64
+from declutter.tableware import dish_footprint, stack_grasp_span
 from helpers import BOWL, CUP, SIM, UTENSIL, build_scene
 
 SPECS = default_dish_specs()
+# A 25 cm utensil widens the generator's neighbourhood cells.
+LONG_UTENSIL_SPECS = {
+    **SPECS,
+    UTENSIL: DishSpec(UTENSIL, length=25.0, width=2.0, grasp_height=2.0, nest_offset=0.5),
+}
 
-# sha256 of the scene_to_json lines of seeds 0-49 of each tier, and of
-# seeds 0-3 of 72-item t1 and t2 mixes.
+# sha256 of the scene_to_json lines of the scenes ``golden_scenes`` builds
+# for each name.
 GOLDEN_DIGESTS = {
     "t0_cups": "74e0fe4fa9516543ea403991b1021c8df938fa8a35dfcea721e8857057d76491",
     "t0_bowls": "225a5f194c8fa5dbc8f0f54320600e677ea90ad16d65143256d1f9c858d0ba62",
@@ -36,7 +45,45 @@ GOLDEN_DIGESTS = {
     "t2": "228549e7d3e8ae45d77d73117766b403dfda819050f547688b7b8f8cfe5fd079",
     "dense72": "6be5d7cf6369a97a3cb8dccc5c3fbfda88390b294620a3122fc6846d3e9f97a6",
     "dense72_t2": "9e0d8ff6aa12b5187c6943959905846968ff590147cacb35d9edd02c2fd762dc",
+    "dense24": "ffc9c8ad7af6fb03a7936e2bd4e775979353d5b50710c78676ef4fd5d3296f0b",
+    "dense24_t2": "a313af5206acaedd9324631024c85a1c1a6d3a2d52c1b78b8df9c87568811ad5",
+    "dense48": "09994ff0128a291f5501dd855ac4b8e60e257ec592a87d953b12a2d8a2d5476e",
+    "dense48_t2": "f617eda2d5677defb29e158c415886157c3465b5efe569a47a3dc9b6ceb81b90",
+    "utensil25_t1": "9d9a52a5542fd716692d39176b1255aa8ab16ec6f235149c4f22c85b3ccc8a78",
+    "utensil25_t2": "fb2eb1a8228168db074d8ba74eac50c8a05b988197cd95156f45a8ee84976684",
+    "one_cell_t2": "d01d79b22f8cf28d480d3e4f2825b192b4e4ac0dd3642e383684bb2af446a46b",
 }
+
+
+def golden_scenes(name):
+    """Seeds 0-49 of a tier, or seeds 0-3 of a ``dense<items>`` mix.
+
+    A dense mix has a third of its items of each kind, at the tier-1
+    density: the workspace grows by sqrt(items / 12) per side.  Its t2
+    variant exercises the clearance test of stacking a sample onto the
+    stack it hits.  ``utensil25_`` tiers use 25 cm utensils, and
+    ``one_cell_t2`` a workspace narrower than one neighbourhood cell
+    (24.2 cm for the default set).
+    """
+    if name.startswith("dense"):
+        items, _, tier = name[len("dense"):].partition("_")
+        items = int(items)
+        scale = math.sqrt(items / 12)
+        workspace = (SIM.workspace[0] * scale, SIM.workspace[1] * scale)
+        third = items // 3
+        cfg = TierConfig(Tier.T1, third, third, third)
+        if tier == "t2":
+            cfg = TierConfig(
+                Tier.T2, third, third, third, max_intersections=items // 6, max_initial_stack=3
+            )
+        return [generate_scene(cfg, seed, SPECS, workspace) for seed in range(4)]
+    if name.startswith("utensil25_"):
+        cfg = TierConfig.preset(name[len("utensil25_"):])
+        return [generate_scene(cfg, seed, LONG_UTENSIL_SPECS) for seed in range(50)]
+    if name == "one_cell_t2":
+        cfg = TierConfig.preset(Tier.T2)
+        return [generate_scene(cfg, seed, SPECS, (22.0, 150.0)) for seed in range(50)]
+    return [generate_scene(TierConfig.preset(name), seed) for seed in range(50)]
 
 
 class TestTierPresets:
@@ -109,8 +156,22 @@ class TestGeneration:
         assert a != c
 
     def test_exhaustion_on_impossible_workspace(self):
-        with pytest.raises(PlacementExhausted):
+        with pytest.raises(PlacementExhausted, match="^could not place bowl #1 after"):
             generate_scene(TierConfig.preset(Tier.T0_BOWLS), 1, workspace=(20.0, 20.0))
+
+    @pytest.mark.parametrize(
+        "cfg, seed, dish",
+        [
+            (TierConfig(Tier.T1, 12, 12, 12), 1, "bowl #16"),
+            (TierConfig(Tier.T2, 40, 4, 4, max_intersections=4, max_initial_stack=3), 2, "cup #34"),
+        ],
+    )
+    def test_over_full_table_exhausts_at_the_same_dish(self, cfg, seed, dish):
+        # The dishes named are where the generator that tested every stack
+        # gave up.
+        with pytest.raises(PlacementExhausted) as raised:
+            generate_scene(cfg, seed)
+        assert str(raised.value) == f"could not place {dish} after 10000 samples"
 
 
 class TestValidate:
@@ -134,6 +195,109 @@ class TestValidate:
         scene = build_scene([([CUP], 30, 30)])
         scene.bin = (0,)
         assert any("appears 2 times" in p for p in validate(scene))
+
+
+def pairwise_overlaps(state):
+    """The "stacks overlap" lines of ``validate``, found by testing every
+    footprint of every pair of stacks with ``overlaps``."""
+    stacks = sorted(state.stacks.values(), key=lambda s: s.id)
+    fps = {
+        s.id: [dish_footprint(state.dishes[d], SPECS, s.base) for d in s.dishes]
+        for s in stacks
+    }
+    return [
+        f"stacks overlap: {a.id} and {b.id}"
+        for i, a in enumerate(stacks)
+        for b in stacks[i + 1:]
+        if any(overlaps(fa, fb) for fa in fps[a.id] for fb in fps[b.id])
+    ]
+
+
+PAIR_OVERLAP = "stacks overlap: 0 and 1"
+
+
+def pair_state(first, second, direction, distance):
+    """Two stacks in a large workspace, the second ``distance`` from the
+    first along ``direction``, and a cup beside them."""
+    x = 100.0 + distance * math.cos(direction)
+    y = 100.0 + distance * math.sin(direction)
+    return build_scene(
+        [(first, 100.0, 100.0), (second, x, y), ([CUP], 100.0, 88.0)], workspace=(200.0, 200.0)
+    )
+
+
+def touch_distance(first, second, direction):
+    """The largest centre distance along ``direction`` at which the pair
+    still ``overlaps``, found by bisection."""
+    lo, hi = 0.0, 60.0
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if PAIR_OVERLAP in pairwise_overlaps(pair_state(first, second, direction, mid)):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestValidateMatchesPairwiseOverlaps:
+    # Piles, a cup under a bowl (its widest dish is not its bottom) and
+    # crossed utensils.
+    STACKS = [
+        [CUP],
+        [BOWL],
+        [(UTENSIL, 0.3)],
+        [BOWL, CUP],
+        [CUP, BOWL],
+        [(UTENSIL, 1.1), (UTENSIL, 2.5)],
+    ]
+
+    def check(self, state):
+        """Whether the first two stacks overlap, once ``validate`` agrees
+        with the oracle."""
+        got = [p for p in validate(state) if p.startswith("stacks overlap")]
+        assert got == pairwise_overlaps(state)
+        return PAIR_OVERLAP in got
+
+    def test_pairs_touching_within_touch_tol(self):
+        rng = SplitMix64(21)
+        for first in self.STACKS:
+            for second in self.STACKS:
+                direction = rng.uniform(0.0, 2.0 * math.pi)
+                touch = touch_distance(first, second, direction)
+                verdicts = [
+                    self.check(pair_state(first, second, direction, touch + offset * TOUCH_TOL))
+                    for offset in (-2.0, -0.5, 0.0, 0.5, 2.0)
+                ]
+                assert verdicts == [True, True, True, False, False], (first, second)
+
+    def test_diagonal_rectangles_near_the_sqrt2_slack(self):
+        # Rectangles whose axes sit at 45 degrees to the line between their
+        # centres, at distances about the sqrt(2)-widened broad phase and
+        # about their real contact.
+        radius = SPECS[UTENSIL].circumscribed_radius
+        limit = math.sqrt(2.0) * (2 * radius + TOUCH_TOL + 1e-9)
+        verdicts = set()
+        for theta in (0.0, 0.4, 1.2):
+            for turn in (0.0, math.pi / 2):
+                first = [(UTENSIL, theta)]
+                second = [(UTENSIL, theta + turn)]
+                direction = theta + math.pi / 4
+                touch = touch_distance(first, second, direction)
+                for distance in (
+                    touch - TOUCH_TOL, touch, touch + TOUCH_TOL,
+                    limit - 1e-9, limit, limit + 1e-9,
+                ):
+                    verdicts.add(self.check(pair_state(first, second, direction, distance)))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_crowded_random_scenes(self, seed):
+        rng = SplitMix64(seed)
+        stacks = [
+            (self.STACKS[rng.below(len(self.STACKS))], rng.uniform(10, 68), rng.uniform(10, 51))
+            for _ in range(10)
+        ]
+        self.check(build_scene(stacks))
 
 
 class TestLipHeight:
@@ -229,20 +393,9 @@ class TestSceneJson:
     @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
     def test_golden_digests(self, name):
         # Digests of scenes written by the generator that tested every
-        # stack with ``overlaps``; skipping the stacks out of reach must
-        # keep every draw and every hit.  The 72-item scenes keep the
-        # tier-1 density, and the t2 mix there exercises the clearance test
-        # of stacking a sample onto the stack it hits.
-        if name.startswith("dense"):
-            scale = math.sqrt(72 / 12)
-            workspace = (SIM.workspace[0] * scale, SIM.workspace[1] * scale)
-            cfg = TierConfig(Tier.T1, 24, 24, 24)
-            if name == "dense72_t2":
-                cfg = TierConfig(Tier.T2, 24, 24, 24, max_intersections=12, max_initial_stack=3)
-            scenes = [generate_scene(cfg, seed, SPECS, workspace) for seed in range(4)]
-        else:
-            scenes = [generate_scene(TierConfig.preset(name), seed) for seed in range(50)]
-        text = "\n".join(scene_to_json(scene) for scene in scenes)
+        # stack with ``overlaps``; looking only at nearby stacks must keep
+        # every draw and every hit.
+        text = "\n".join(scene_to_json(scene) for scene in golden_scenes(name))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name]
 
 

@@ -21,7 +21,6 @@ from .geometry import (
     Footprint,
     OrientedRect,
     Point2,
-    circumradius,
     normalize_angle,
     overlaps,
 )
@@ -462,7 +461,7 @@ def validate(
         if dish_id not in state.dishes:
             problems.append(f"unknown dish id {dish_id}")
 
-    placed: list[tuple[Stack, list[Footprint], Reach]] = []
+    placed: list[tuple[Stack, list[Footprint]]] = []
     for stack in state.stacks.values():
         radii = [specs[state.dishes[d].kind].effective_radius for d in stack.dishes]
         if any(radii[i] + 1e-9 < radii[i + 1] for i in range(len(radii) - 1)):
@@ -471,18 +470,12 @@ def validate(
         for dish_id, fp in zip(stack.dishes, fps):
             if not _inside_workspace(fp, state.workspace):
                 problems.append(f"out of workspace: dish {dish_id}")
-        reach = (
-            max(circumradius(fp) for fp in fps),
-            any(isinstance(fp, OrientedRect) for fp in fps),
-        )
-        placed.append((stack, fps, reach))
+        placed.append((stack, fps))
 
     placed.sort(key=lambda entry: entry[0].id)
-    for i, (a, fps_a, reach_a) in enumerate(placed):
-        for b, fps_b, reach_b in placed[i + 1:]:
-            if _may_overlap(a.base, reach_a, b.base, reach_b) and any(
-                overlaps(fa, fb) for fa in fps_a for fb in fps_b
-            ):
+    for i, (a, fps_a) in enumerate(placed):
+        for b, fps_b in placed[i + 1:]:
+            if any(overlaps(fa, fb) for fa in fps_a for fb in fps_b):
                 problems.append(f"stacks overlap: {a.id} and {b.id}")
 
     if state.trips_taken < 0:

@@ -272,8 +272,8 @@ class TestValidateMatchesPairwiseOverlaps:
 
     def test_diagonal_rectangles_near_the_sqrt2_slack(self):
         # Rectangles whose axes sit at 45 degrees to the line between their
-        # centres, at distances about the sqrt(2)-widened broad phase and
-        # about their real contact.
+        # centres, at distances about the sqrt(2)-widened limit of
+        # ``_may_overlap`` and about their real contact.
         radius = SPECS[UTENSIL].circumscribed_radius
         limit = math.sqrt(2.0) * (2 * radius + TOUCH_TOL + 1e-9)
         verdicts = set()

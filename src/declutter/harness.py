@@ -4,15 +4,18 @@ A plan names the tiers, the number of scenes per tier, the policies, and a
 base seed.  Scene and trial seeds are derived as pure functions of
 (base seed, tier, scene index, policy), so adding a policy or scenes never
 perturbs existing trials, and output files are byte-identical across runs
-and across parallelism degrees (results are canonically ordered before
-writing).
+and across parallelism degrees (scenes are written in canonical order as
+they finish).
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterable
 
 from .config import SimConfig
 from .errors import SchemaError, known_keys, number
@@ -52,6 +55,13 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one tier")
         if self.p_fail is not None and not 0.0 <= self.p_fail <= 1.0:
             raise ValueError("p_fail must be a probability")
+        # The summaries' ratios divide by the baseline; check it before any trial runs.
+        if not any(p.kind.value == "random" for p in self.policies):
+            raise ValueError("plan needs the 'random' baseline policy")
+        if any(d < 0 for d in self.bin_delays):
+            raise ValueError("bin_delays must be >= 0")
+        if len(set(self.bin_delays)) != len(self.bin_delays):
+            raise ValueError("bin_delays must not repeat")
 
 
 _PLAN_KEYS = (
@@ -133,19 +143,22 @@ def generate_scene_files(
 
 def _run_scene(
     args: tuple[ExperimentPlan, SimConfig, Tier, int],
-) -> list[tuple[TrialReport, list[dict]]]:
-    """Generate scene ``index`` of ``tier`` once and run every plan policy on it."""
+) -> list[tuple[TrialReport, str]]:
+    """Generate scene ``index`` of ``tier`` once and run every plan policy on
+    it; returns each trial's report and its ``traces.jsonl`` lines."""
     plan, sim, tier, index = args
     seed = scene_seed(plan.base_seed, tier, index)
     scene = generate_scene(TierConfig.preset(tier), seed, sim.dish_specs, sim.workspace)
-    return [
-        run_scene_file(
+    trials = []
+    for policy in plan.policies:
+        report, events = run_scene_file(
             scene, policy, sim,
             trial_seed(plan.base_seed, tier, index, policy.kind.value),
             f"{tier.value}_{index}",
         )
-        for policy in plan.policies
-    ]
+        key = {"scene_id": report.scene_id, "policy": report.policy}
+        trials.append((report, "".join(json.dumps({**key, **e}) + "\n" for e in events)))
+    return trials
 
 
 def run_plan(
@@ -153,12 +166,16 @@ def run_plan(
 ) -> tuple[list[TrialReport], list[PolicySummary]]:
     """Execute every trial in the plan and write the report files.
 
-    Writes ``trials.jsonl`` (one report per line), ``summary.csv``, and,
-    when a bin-delay sweep is configured, one ``summary_delay_<d>s.csv``
-    per delay.  Each scene is generated once and every policy runs on it;
-    scenes may run in parallel, on at most ``jobs`` worker processes and
-    never more than there are scenes, and output order is canonicalized
-    to (tier, scene index, policy) first.
+    Writes ``trials.jsonl`` (one report per line), ``traces.jsonl`` (one
+    event per line), ``summary.csv``, and, when a bin-delay sweep is
+    configured, one ``summary_delay_<d>s.csv`` per delay.  Each scene is
+    generated once and every policy runs on it; scenes may run in parallel,
+    on at most ``jobs`` worker processes and never more than there are
+    scenes.  Scenes are consumed in canonical (tier, scene index, policy)
+    order, whether serial or pooled, and each scene's lines are appended as
+    soon as it returns, so only the reports stay in memory.  The files are
+    written under temporary names and moved onto their real names once all
+    are complete: a plan that raises leaves the out dir's files as they were.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -176,33 +193,56 @@ def run_plan(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_scene = list(pool.map(_run_scene, scenes))
-    else:
-        per_scene = [_run_scene(s) for s in scenes]
-    results = [trial for trials in per_scene for trial in trials]
+            return _write_reports(plan, sim, out, pool.map(_run_scene, scenes))
+    return _write_reports(plan, sim, out, map(_run_scene, scenes))
 
-    reports = [r for r, _ in results]
 
-    with (out / "trials.jsonl").open("w") as fh:
-        for report, _ in results:
-            fh.write(json.dumps(report.to_json_obj()) + "\n")
-    with (out / "traces.jsonl").open("w") as fh:
-        for report, events in results:
-            for event in events:
-                record = {"scene_id": report.scene_id, "policy": report.policy}
-                record.update(event)
-                fh.write(json.dumps(record) + "\n")
+def _write_reports(
+    plan: ExperimentPlan,
+    sim: SimConfig,
+    out: Path,
+    per_scene: Iterable[list[tuple[TrialReport, str]]],
+) -> tuple[list[TrialReport], list[PolicySummary]]:
+    """Append each scene's trials as it arrives, then write the summaries."""
+    reports = []
+    with _staged(out) as stage:
+        with stage("trials.jsonl") as trials, stage("traces.jsonl") as traces:
+            for scene_trials in per_scene:
+                for report, trace_lines in scene_trials:
+                    reports.append(report)
+                    trials.write(json.dumps(report.to_json_obj()) + "\n")
+                    traces.write(trace_lines)
 
-    summaries = aggregate(reports)
-    (out / "summary.csv").write_text(summary_csv(summaries))
-
-    for delay in plan.bin_delays:
-        swept = [_with_delay(r, sim.time_model, delay) for r in reports]
-        rows = aggregate(swept)
-        name = f"summary_delay_{_fmt_delay(delay)}s.csv"
-        (out / name).write_text(summary_csv(rows))
-
+        summaries = aggregate(reports)
+        with stage("summary.csv") as fh:
+            fh.write(summary_csv(summaries))
+        for delay in plan.bin_delays:
+            swept = [_with_delay(r, sim.time_model, delay) for r in reports]
+            with stage(f"summary_delay_{_fmt_delay(delay)}s.csv") as fh:
+                fh.write(summary_csv(aggregate(swept)))
     return reports, summaries
+
+
+@contextmanager
+def _staged(out: Path):
+    """Yields ``stage(name)``, which opens ``out/name`` for writing under a
+    temporary name.  On a clean exit every staged file is moved onto its
+    real name; on an exception every one is removed."""
+    staged: dict[Path, Path] = {}
+
+    def stage(name: str):
+        path = out / f".{name}.partial"
+        staged[path] = out / name
+        return path.open("w")
+
+    try:
+        yield stage
+    except BaseException:
+        for path in staged:
+            path.unlink(missing_ok=True)
+        raise
+    for path, final in staged.items():
+        os.replace(path, final)
 
 
 def _fmt_delay(delay: float) -> str:

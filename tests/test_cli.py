@@ -2,14 +2,17 @@
 
 import concurrent.futures
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from declutter import harness
 from declutter.cli import main
-from declutter.harness import plan_from_json, run_plan
+from declutter.harness import plan_from_json, run_plan, trial_seed
 from declutter.config import default_sim_config
 from declutter.errors import SchemaError
+from declutter.tableware import Tier
 
 PLAN = {
     "tiers": ["t0_bowls", "t1"],
@@ -26,6 +29,31 @@ def write_plan(tmp_path, **overrides):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(data))
     return path
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Stands in for the process pool: records each pool's size and runs
+    the scenes in this process, so no worker is ever started."""
+    pools = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    # ``run_plan`` imports the pool class when it starts one, so the
+    # patch goes where that import reads it.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    return pools
 
 
 class TestGenerate:
@@ -165,6 +193,11 @@ class TestBench:
         assert len(trials) == 2 * 2 * 3
         for d in (0, 3, 5):
             assert (out / f"summary_delay_{d}s.csv").exists()
+        # No temporary file is left behind.
+        assert sorted(f.name for f in out.iterdir()) == [
+            "summary.csv", "summary_delay_0s.csv", "summary_delay_3s.csv",
+            "summary_delay_5s.csv", "traces.jsonl", "trials.jsonl",
+        ]
 
     def test_deterministic_and_parallel_identical(self, tmp_path):
         plan_path = write_plan(tmp_path)
@@ -191,31 +224,56 @@ class TestBench:
         "tiers, jobs, started",
         [(["t0_bowls", "t1"], "3", [3]), (["t0_bowls", "t1"], "64", [4]), (["t1"], "8", [2])],
     )
-    def test_workers_never_outnumber_scenes(self, tmp_path, monkeypatch, tiers, jobs, started):
-        # Records the pool size and runs the scenes in this process, so no
-        # worker is ever started.
-        pools = []
-
-        class InProcess:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        # ``run_plan`` imports the pool class when it starts one, so the
-        # patch goes where that import reads it.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    def test_workers_never_outnumber_scenes(self, tmp_path, in_process_pool, tiers, jobs, started):
         plan = write_plan(tmp_path, tiers=tiers)  # two scenes per tier
         rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "x"), "--jobs", jobs])
         assert rc == 0
-        assert pools == started
+        assert in_process_pool == started
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_failed_plan_leaves_report_files_as_they_were(
+        self, tmp_path, monkeypatch, in_process_pool, jobs
+    ):
+        sim = default_sim_config()
+        out = tmp_path / "bench"
+        run_plan(plan_from_json(write_plan(tmp_path).read_text()), sim, out)
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+
+        # Another seed, so that any line the failed plan wrote would differ.
+        other = plan_from_json(write_plan(tmp_path, base_seed=12).read_text())
+        calls = []
+        run_policy = harness.run_policy
+
+        def fails_fifth(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 5:
+                raise RuntimeError("trial 5 fails")
+            return run_policy(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_policy", fails_fifth)
+        with pytest.raises(RuntimeError, match="trial 5 fails"):
+            run_plan(other, sim, out, jobs=jobs)
+        assert len(calls) == 5
+        assert in_process_pool == ([3] if jobs > 1 else [])
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+    def test_memory_does_not_grow_with_the_plan(self, tmp_path):
+        # Only the reports are kept across scenes; each scene's trace lines
+        # are written as it finishes.
+        sim = default_sim_config()
+        peaks = []
+        for scenes in (5, 20):
+            plan = plan_from_json(write_plan(
+                tmp_path, tiers=["t0_cups", "t1", "t2"], scenes_per_tier=scenes,
+                policies=["random", "stack"],
+            ).read_text())
+            tracemalloc.start()
+            try:
+                run_plan(plan, sim, tmp_path / f"out{scenes}")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
 
     def test_added_policy_does_not_perturb_existing_trials(self, tmp_path):
         sim = default_sim_config()
@@ -234,6 +292,16 @@ class TestBench:
         plan = write_plan(tmp_path, policies=[])
         rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_plan_without_random_baseline_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # Refused before any trial runs: the summaries need the baseline.
+        monkeypatch.setattr(harness, "run_policy", None)
+        plan = write_plan(tmp_path, tiers=["t1"], policies=["stack"], base_seed=1)
+        out = tmp_path / "x"
+        rc = main(["bench", "--plan", str(plan), "--out", str(out)])
+        assert rc == 2
+        assert "'random' baseline" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_plan_exits_3(self, tmp_path):
         rc = main(["bench", "--plan", str(tmp_path / "none.json"),
@@ -295,11 +363,59 @@ class TestBench:
         assert rc == 3
         assert f"unknown key '{key}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, value", [("scenes_per_tier", 0), ("p_fail", 1.5)])
+    @pytest.mark.parametrize("field, value", [
+        ("scenes_per_tier", 0),
+        ("p_fail", 1.5),
+        ("bin_delays", [-50]),
+        ("bin_delays", [3, 3]),
+    ])
     def test_plan_range_error_exits_2(self, tmp_path, field, value):
         plan = write_plan(tmp_path, **{field: value})
-        rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "x")])
+        out = tmp_path / "x"
+        rc = main(["bench", "--plan", str(plan), "--out", str(out)])
         assert rc == 2
+        assert not out.exists()
+
+    def test_run_replays_a_bench_trial(self, tmp_path, capsys):
+        # A bench trial is reproducible from what bench wrote: ``run`` on the
+        # generated scene with the trial's seed writes the same events.  The
+        # scene file rounds positions to six decimals, so floats agree only
+        # to that rounding.
+        plan = write_plan(tmp_path, tiers=["t1"], scenes_per_tier=1,
+                          policies=["random", "pull"], base_seed=7)
+        assert main(["bench", "--plan", str(plan), "--out", str(tmp_path / "bench")]) == 0
+        assert main(["generate", "--tier", "t1", "--seed", "7",
+                     "--out", str(tmp_path / "scenes")]) == 0
+        seed = trial_seed(7, Tier.T1, 0, "pull")
+        trace = tmp_path / "trace.jsonl"
+        capsys.readouterr()
+        assert main(["run", "--scene", str(tmp_path / "scenes" / "scene_t1_7_0.json"),
+                     "--policy", "pull", "--seed", str(seed), "--trace", str(trace)]) == 0
+        report = json.loads(capsys.readouterr().out.splitlines()[-1])
+
+        bench_events = []
+        for line in (tmp_path / "bench" / "traces.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            if (record.pop("scene_id"), record.pop("policy")) == ("t1_0", "pull"):
+                bench_events.append(record)
+        run_events = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert run_events and run_events == _floats_approx(bench_events)
+        trials = [json.loads(line) for line in (tmp_path / "bench" / "trials.jsonl").open()]
+        (bench_report,) = [t for t in trials if t["policy"] == "pull"]
+        assert {**report, "scene_id": "t1_0"} == bench_report
+
+
+def _floats_approx(value):
+    """``value`` with every float matched within 1e-4, which covers a scene
+    file's six-decimal rounding as it propagates through a trial (about
+    1e-5 over 300 trials of every tier)."""
+    if isinstance(value, float):
+        return pytest.approx(value, rel=0, abs=1e-4)
+    if isinstance(value, dict):
+        return {k: _floats_approx(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_floats_approx(v) for v in value]
+    return value
 
 
 class TestFitTime:

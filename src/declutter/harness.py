@@ -20,6 +20,7 @@ from typing import Iterable
 from .config import SimConfig
 from .errors import SchemaError, known_keys, number
 from .metrics import (
+    BASELINE,
     PolicySummary,
     TimeModel,
     TrialReport,
@@ -56,8 +57,8 @@ class ExperimentPlan:
         if self.p_fail is not None and not 0.0 <= self.p_fail <= 1.0:
             raise ValueError("p_fail must be a probability")
         # The summaries' ratios divide by the baseline; check it before any trial runs.
-        if not any(p.kind.value == "random" for p in self.policies):
-            raise ValueError("plan needs the 'random' baseline policy")
+        if not any(p.kind.value == BASELINE for p in self.policies):
+            raise ValueError(f"plan needs the '{BASELINE}' baseline policy")
         if any(d < 0 for d in self.bin_delays):
             raise ValueError("bin_delays must be >= 0")
         if len(set(self.bin_delays)) != len(self.bin_delays):

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyTrace, MissingBaseline, from_number_fields
-from .policies import Trace
+from .policies import PolicyKind, Trace
 
 
 @dataclass(frozen=True)
@@ -126,10 +126,12 @@ class PolicySummary:
     opt_ratio: float
 
 
-def aggregate(
-    reports: Iterable[TrialReport], baseline: str = "random"
-) -> list[PolicySummary]:
-    """Aggregate trial reports per (tier, policy) against a baseline policy.
+# The policy every summary's ratios compare against.
+BASELINE = PolicyKind.RANDOM.value
+
+
+def aggregate(reports: Iterable[TrialReport]) -> list[PolicySummary]:
+    """Aggregate trial reports per (tier, policy) against ``BASELINE``.
 
     ``opt_ratio`` is mean OpT of the policy over mean OpT of the baseline;
     ``time_ratio`` is mean baseline time over mean policy time, so values
@@ -158,9 +160,9 @@ def aggregate(
 
     summaries: list[PolicySummary] = []
     for tier in tier_order:
-        base_key = (tier, baseline)
+        base_key = (tier, BASELINE)
         if base_key not in groups:
-            raise MissingBaseline(f"no '{baseline}' trials for tier {tier}")
+            raise MissingBaseline(f"no '{BASELINE}' trials for tier {tier}")
         base_opt = pooled_opt(groups[base_key])
         base_time = mean_time(groups[base_key])
         for policy in policy_order:

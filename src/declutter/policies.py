@@ -15,7 +15,6 @@ from bisect import insort
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from .actions import (
@@ -106,9 +105,10 @@ class _PullEntry:
 
 
 class _Walk:
-    """How far ``nearest``'s walks with one test have read the pair list:
-    the index of the first pair not read, and the (gap, a, b, bits of a and
-    b) of the pairs the test admitted before it, sorted."""
+    """How far a ``nearest`` walk has read the pair list: the index of the
+    first pair not read, and the (gap, a, b, bits of a and b) of the pairs
+    its test admitted before it, sorted.  The memo keeps one per test for
+    walks on the synced table."""
 
     __slots__ = ("cursor", "admitted")
 
@@ -149,10 +149,12 @@ class PairMemo:
 
     ``nearest`` ranks the ordered pairs a test admits by (gap, ids): it
     walks one list of the synced table's pairs, sorted by a lower bound on
-    the gap, and tests a pair only when it gets there.  Pairs of values that
-    left are skipped until they outnumber the live pairs or a value returns.
-    Each test's walk resumes where the last one stopped, so a step tests
-    only the pairs that no earlier walk on the synced table reached.
+    the gap, and tests a pair only when it gets there.  A walk on the synced
+    table resumes where the last one with its test stopped, so a step tests
+    only the pairs that no earlier such walk reached; a walk on a subset
+    keeps nothing.  ``sync`` drops the pairs of values that left, and starts
+    every walk afresh, when a value arrives or when those pairs outnumber
+    the live ones; until then walks skip them.
 
     A corridor verdict also depends on the other stacks.  Each pull keeps
     the mask of values tested against its corridor and the mask of those
@@ -179,10 +181,9 @@ class PairMemo:
         self._gaps: dict[tuple[int, int], float] = {}
         self._stackable: dict[tuple[int, int], bool] = {}
         self._pulls: dict[tuple[int, int], _PullEntry] = {}
-        # (gap bound, a, b, bits of a and b), sorted, and the bits it may hold
+        # (gap bound, a, b, bits of a and b), sorted
         self._pairs: list[tuple[float, int, int, int]] = []
-        self._listed = 0
-        # each ``nearest`` test's progress through ``_pairs``, until it changes
+        # each ``nearest`` test's progress on the synced table through ``_pairs``
         self._walks: dict[tuple[Admit, float], _Walk] = {}
 
     def _bit(self, stack: Stack) -> int:
@@ -203,14 +204,10 @@ class PairMemo:
         table = sum(ids.values())
         arrived, kept = table & ~self._synced, table & self._synced
         self.state, self._ids, self.table, self._synced = state, ids, table, table
-        if arrived & self._listed or len(self._pairs) > len(ids) * (len(ids) - 1):
+        if arrived or len(self._pairs) > len(ids) * (len(ids) - 1):
             self._pairs = [entry for entry in self._pairs if entry[3] & kept == entry[3]]
-            self._listed = kept
-            self._walks = {}
-        if arrived:
             self._pairs.extend(self._bounded(arrived))
             self._pairs.sort()
-            self._listed |= arrived
             self._walks = {}
 
     def _bounded(self, arrived: int) -> list[tuple[float, int, int, int]]:
@@ -242,61 +239,43 @@ class PairMemo:
         the first gap bound that reaches ``within``.  A pair is tested and
         its gap computed only once the pairs bounded below it are read.
 
-        Walks with one (``admit``, ``within``) resume where the last one
-        stopped: the pairs before its cursor were read on the synced table,
-        and those admitted are kept sorted, to be merged with the rest of
-        the list.  A walk on a subset of the synced table leaves the cursor
-        at the first pair it cannot read, one of the synced table that is
-        not on ``table``, and keeps what it admits after that to itself.
-        Read a walk before the next ``sync`` or walk with the same test."""
-        walk = self._walks.get((admit, within))
-        if walk is None:
-            walk = self._walks[(admit, within)] = _Walk()
-        table, synced, pairs, admitted = self.table, self._synced, self._pairs, walk.admitted
+        A walk on the synced table resumes where the last one with the same
+        (``admit``, ``within``) stopped: it keeps its cursor in the pair
+        list and the pairs it admitted before it, sorted.  A walk on a
+        subset of the synced table keeps nothing and starts from the head.
+        Read a walk on the synced table before the next ``sync`` or walk
+        on it with the same test."""
+        table = self.table
+        if table == self._synced:
+            walk = self._walks.get((admit, within))
+            if walk is None:
+                walk = self._walks[(admit, within)] = _Walk()
+        else:
+            walk = _Walk()
+        pairs, admitted = self._pairs, walk.admitted
         read = 0  # index of the first kept entry not yet yielded or passed
-        own: list[tuple[float, int, int]] = []  # admitted past the cursor's stop
-        shared = True  # whether the cursor still follows this walk
         j = walk.cursor
         while True:
             bound, a, b, bits = pairs[j] if j < len(pairs) else _PAST_LAST_PAIR
+            j += 1
             if bound >= within:
                 bound = math.inf  # nothing left to test: yield the rest
             elif bits & table != bits:
-                if bits & synced == bits:
-                    shared = False  # a later walk on the synced table reads it
-                elif shared:
-                    walk.cursor = j + 1
-                j += 1
                 continue
-            # Yield the admitted pairs on ``table`` with gaps below ``bound``.
-            # Kept entries off ``table`` are passed only below ``bound``: an
-            # entry added later has a gap of at least ``bound`` and lands
+            # Yield the kept pairs on ``table`` with gaps below ``bound``: a
+            # pair admitted later has a gap of at least ``bound`` and lands
             # after them.
-            while True:
-                head = None
-                while read < len(admitted) and admitted[read][0] < bound:
-                    if admitted[read][3] & table == admitted[read][3]:
-                        head = admitted[read]
-                        break
-                    read += 1
-                if own and own[0][0] < bound and (head is None or own[0] < head):
-                    yield heappop(own)[1:]
-                elif head is None:
-                    break
-                else:
-                    read += 1
-                    yield head[1:3]
+            while read < len(admitted) and admitted[read][0] < bound:
+                entry = admitted[read]
+                read += 1
+                if entry[3] & table == entry[3]:
+                    yield entry[1:3]
             if bound == math.inf:
                 return
             for x, y in ((a, b), (b, a)):
                 if admit(self, x, y):
-                    if shared:
-                        insort(admitted, (self.gap(x, y), x, y, bits))
-                    else:
-                        heappush(own, (self.gap(x, y), x, y))
-            j += 1
-            if shared:
-                walk.cursor = j
+                    insort(admitted, (self.gap(x, y), x, y, bits))
+            walk.cursor = j
 
     def bit(self, sid: int) -> int:
         """The value bit of stack ``sid`` of the synced table."""
@@ -694,7 +673,6 @@ def run_policy(
     policy: PolicyConfig,
     sim: "SimConfig",
     seed: int,
-    max_actions: int | None = None,
 ) -> Trace:
     """Run a policy to completion and return the trace.
 
@@ -708,7 +686,7 @@ def run_policy(
     rng = SplitMix64(seed)
     state = initial.clone()
     trace = Trace(policy=policy.kind.value, seed=seed, tier=initial.tier)
-    cap = max_actions if max_actions is not None else 50 * max(len(state.dishes), 1) + 100
+    cap = 50 * max(len(state.dishes), 1) + 100
     memo = PairMemo(sim)
     while True:
         t = len(trace.events)

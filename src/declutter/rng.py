@@ -18,8 +18,6 @@ from their seed by an implementation in any language.
 
 from __future__ import annotations
 
-from typing import Sequence, TypeVar
-
 MASK64 = (1 << 64) - 1
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -28,8 +26,6 @@ _MIX2 = 0x94D049BB133111EB
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-
-T = TypeVar("T")
 
 
 def _mix(z: int) -> int:
@@ -66,9 +62,6 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("below() requires n >= 1")
         return self.next_u64() % n
-
-    def choice(self, seq: Sequence[T]) -> T:
-        return seq[self.below(len(seq))]
 
 
 def fnv1a64(text: str) -> int:

@@ -516,9 +516,7 @@ def scene_to_json(state: SceneState) -> str:
     )
 
 
-def scene_from_json(
-    text: str, specs: dict[DishKind, DishSpec] | None = None, check: bool = True
-) -> SceneState:
+def scene_from_json(text: str, specs: dict[DishKind, DishSpec] | None = None) -> SceneState:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -579,8 +577,7 @@ def scene_from_json(
         # Keyed by bottom dish id, as generation keys its stacks.
         state.stacks[ids[0]] = Stack(ids[0], tuple(ids), base)
 
-    if check:
-        problems = validate(state, specs)
-        if problems:
-            raise SchemaError("invalid scene: " + "; ".join(problems))
+    problems = validate(state, specs)
+    if problems:
+        raise SchemaError("invalid scene: " + "; ".join(problems))
     return state

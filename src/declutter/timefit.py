@@ -82,27 +82,23 @@ class FitResult:
     rows: list[dict]  # per-row tier/policy/observed/predicted
 
 
-def simulated_counts(
-    sim: "SimConfig",
-    base_seed: int = FIT_BASE_SEED,
-    scenes_per_tier: int = FIT_SCENES_PER_TIER,
-) -> dict[tuple[str, str], tuple[float, float, float, float]]:
+def simulated_counts(sim: "SimConfig") -> dict[tuple[str, str], tuple[float, float, float, float]]:
     """Mean (grasps, pulls, stack placements, trips) per (tier, policy)."""
     counts: dict[tuple[str, str], tuple[float, float, float, float]] = {}
     policies = [PolicyConfig.named(name) for name in ("random", "pull", "stack")]
     for tier in Tier:
         cfg = TierConfig.preset(tier)
         scenes = [
-            generate_scene(cfg, scene_seed(base_seed, tier, k), sim.dish_specs, sim.workspace)
-            for k in range(scenes_per_tier)
+            generate_scene(cfg, scene_seed(FIT_BASE_SEED, tier, k), sim.dish_specs, sim.workspace)
+            for k in range(FIT_SCENES_PER_TIER)
         ]
         for policy in policies:
             totals = (0, 0, 0, 0)
             for k, scene in enumerate(scenes):
-                seed = trial_seed(base_seed, tier, k, policy.kind.value)
+                seed = trial_seed(FIT_BASE_SEED, tier, k, policy.kind.value)
                 trace = run_policy(scene, policy, sim, seed)
                 totals = tuple(map(sum, zip(totals, action_counts(trace))))
-            counts[(tier.value, policy.kind.value)] = tuple(t / scenes_per_tier for t in totals)
+            counts[(tier.value, policy.kind.value)] = tuple(t / FIT_SCENES_PER_TIER for t in totals)
     return counts
 
 

@@ -26,11 +26,12 @@ from .geometry import (
     Footprint,
     Point2,
     Sweep,
-    closest_point_on_segment,
+    XY,
+    closest_on_segment,
     dist,
     normalize_angle,
     rim_point,
-    segment_segment_nearest,
+    segments_nearest,
     sweep_first_contact,
 )
 from .rng import SplitMix64
@@ -191,22 +192,19 @@ def grasp_points(
 
 
 def _grasp_locus(state: SceneState, stack: Stack, sim: "SimConfig"):
-    """Locus of candidate grasp points for a stack.
+    """Locus of candidate grasp points for a stack, on plain floats.
 
     The rim circle of the bottom dish for discs; the axis segment for
     utensils (candidates run along the utensil's centerline).
     """
     bottom = state.dishes[stack.bottom]
     spec = sim.dish_specs[bottom.kind]
+    x, y = stack.base.x, stack.base.y
     if bottom.kind is DishKind.UTENSIL:
         hx = (spec.length / 2.0) * math.cos(bottom.theta)
         hy = (spec.length / 2.0) * math.sin(bottom.theta)
-        return (
-            "segment",
-            Point2(stack.base.x - hx, stack.base.y - hy),
-            Point2(stack.base.x + hx, stack.base.y + hy),
-        )
-    return ("circle", stack.base, spec.radius)
+        return "segment", (x - hx, y - hy), (x + hx, y + hy)
+    return "circle", (x, y), spec.radius
 
 
 def grasp_gap(
@@ -217,38 +215,36 @@ def grasp_gap(
     Returns (gap, point_on_a, point_on_b).  The gap can be negative when
     the loci interpenetrate (transient contact during a pull).
     """
+    gap, pa, pb = _grasp_gap_xy(state, a, b, sim)
+    return gap, Point2(*pa), Point2(*pb)
+
+
+def _grasp_gap_xy(state: SceneState, a: int, b: int, sim: "SimConfig") -> tuple[float, XY, XY]:
+    """``grasp_gap`` with its points as plain (x, y) pairs."""
     la = _grasp_locus(state, state.stacks[a], sim)
     lb = _grasp_locus(state, state.stacks[b], sim)
     if la[0] == "circle" and lb[0] == "circle":
-        _, ca, ra = la
-        _, cb, rb = lb
-        d = dist(ca, cb)
+        _, (ax, ay), ra = la
+        _, (bx, by), rb = lb
+        d = math.hypot(ax - bx, ay - by)
         if d < 1e-12:
             ux, uy = 1.0, 0.0
         else:
-            ux, uy = (cb.x - ca.x) / d, (cb.y - ca.y) / d
-        pa = Point2(ca.x + ra * ux, ca.y + ra * uy)
-        pb = Point2(cb.x - rb * ux, cb.y - rb * uy)
-        return d - ra - rb, pa, pb
+            ux, uy = (bx - ax) / d, (by - ay) / d
+        return d - ra - rb, (ax + ra * ux, ay + ra * uy), (bx - rb * ux, by - rb * uy)
     if la[0] == "circle" or lb[0] == "circle":
         flipped = la[0] != "circle"
-        circle = la if not flipped else lb
-        segment = lb if not flipped else la
-        _, c, r = circle
-        _, s1, s2 = segment
-        q = closest_point_on_segment(c, s1, s2)
-        d = dist(c, q)
+        _, (cx, cy), r = lb if flipped else la
+        _, s1, s2 = la if flipped else lb
+        q = qx, qy = closest_on_segment((cx, cy), s1, s2)
+        d = math.hypot(cx - qx, cy - qy)
         if d < 1e-12:
             ux, uy = 1.0, 0.0
         else:
-            ux, uy = (q.x - c.x) / d, (q.y - c.y) / d
-        p_circle = Point2(c.x + r * ux, c.y + r * uy)
-        gap = d - r
-        return (gap, p_circle, q) if not flipped else (gap, q, p_circle)
-    _, p1, p2 = la
-    _, q1, q2 = lb
-    gap, wp, wq = segment_segment_nearest(p1, p2, q1, q2)
-    return gap, wp, wq
+            ux, uy = (qx - cx) / d, (qy - cy) / d
+        p_circle = (cx + r * ux, cy + r * uy)
+        return (d - r, q, p_circle) if flipped else (d - r, p_circle, q)
+    return segments_nearest(la[1], la[2], lb[1], lb[2])
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +282,13 @@ def mog_grasp(
     lip_b = stack_top_lip_height(sb, state.dishes, sim.dish_specs)
     if max(lip_a, lip_b) - min(grip_a, grip_b) > sim.gripper.jaw_height + 1e-9:
         return None
-    gap, pa, pb = grasp_gap(state, a, b, sim)
+    gap, (ax, ay), (bx, by) = _grasp_gap_xy(state, a, b, sim)
     if gap >= sim.gripper.max_opening:
         return None
-    mid = Point2((pa.x + pb.x) / 2.0, (pa.y + pb.y) / 2.0)
-    span = dist(pa, pb)
+    mid = Point2((ax + bx) / 2.0, (ay + by) / 2.0)
+    span = math.hypot(ax - bx, ay - by)
     if span > 1e-9:
-        theta = normalize_angle(math.atan2(pb.y - pa.y, pb.x - pa.x))
+        theta = normalize_angle(math.atan2(by - ay, bx - ax))
     else:
         theta = normalize_angle(math.atan2(sb.base.y - sa.base.y, sb.base.x - sa.base.x))
     lo, hi = (a, b) if a < b else (b, a)
@@ -396,6 +392,11 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
     contact (a pull that cannot end in a grasp would be a wasted action),
     and no other stack overlapping the mover's footprints, grown by
     ``pull_clearance_margin``, anywhere on the way (so nothing is displaced).
+
+    A stack's footprints are built, and tested against the sweep, only when
+    ``Sweep.near`` admits its base with the circumradius of its widest dish:
+    all of them are centered on the base and none reaches further, so
+    ``Sweep.meets`` would pass every stack this skips.
     """
     specs = sim.dish_specs
 
@@ -405,8 +406,14 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
     pair, sweep = _pair_check(state, mover, anchor, sim, footprints)
     if not pair.allowable:
         return pair
+    reach = {kind: spec.circumscribed_radius for kind, spec in specs.items()}
+    dishes = state.dishes
     for stack in state.stacks.values():
-        if stack.id not in (mover, anchor) and sweep.meets(footprints(stack)):
+        if (
+            stack.id not in (mover, anchor)
+            and sweep.near(stack.base, max(reach[dishes[d].kind] for d in stack.dishes))
+            and sweep.meets(footprints(stack))
+        ):
             return replace(pair, failed="corridor", blocker=stack.id)
     return pair
 
@@ -497,7 +504,9 @@ def apply(
     Raises InfeasibleAction (with the violated predicate's name) if the
     action's feasibility test fails in ``state`` or its parts disagree: a
     pull must run from the mover's base to the contact point ``check_pull``
-    finds, and its grasp must take exactly the pulled pair.  When ``failed``
+    finds, and its grasp must take exactly the pulled pair.  That grasp is
+    not tested again: ``check_pull`` tested it on the pulled pair with the
+    mover at contact, the state the pull leaves.  When ``failed``
     (see ``grasp_fails``), the action's final grasp fails: a failed
     single-stack grasp leaves the table unchanged (no trip); a failed
     two-stack grasp carries only the taller stack.  Pull and stack phases
@@ -508,6 +517,7 @@ def apply(
     grasp = {"point": _point_params(g.point), "z": g.z, "theta": g.theta}
 
     if isinstance(action, Grasp):
+        _check_graspable(state, targets, sim)
         kind, new, params = "grasp", state.clone(), grasp
     elif isinstance(action, PullGrasp):
         pull = action.pull
@@ -551,9 +561,9 @@ def apply(
                  "place": _point_params(new.stacks[base].base)}
             )
             new = new.merged(lifted, base)
+        _check_graspable(new, targets, sim)
         kind, params = "stack_grasp", {"placements": placements, "grasp": grasp}
 
-    _check_graspable(new, targets, sim)
     carried = targets
     if failed:
         params["failed"] = True

@@ -63,6 +63,10 @@ class OrientedRect:
 
 Footprint = Disc | OrientedRect
 
+# A point as a plain (x, y) pair, for inner loops that a ``Point2`` per
+# intermediate point would slow down.
+XY = tuple[float, float]
+
 
 def dist(a: Point2, b: Point2) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
@@ -174,60 +178,54 @@ def rim_point(center: Point2, radius: float, angle: float) -> tuple[Point2, floa
 
 
 # ---------------------------------------------------------------------------
-# Segments (utensil grasp candidates live on the utensil axis).
+# Segments (utensil grasp candidates live on the utensil axis), on plain
+# floats: a point is an (x, y) pair.
 # ---------------------------------------------------------------------------
 
 
-def closest_point_on_segment(p: Point2, a: Point2, b: Point2) -> Point2:
-    abx = b.x - a.x
-    aby = b.y - a.y
+def closest_on_segment(p: XY, a: XY, b: XY) -> XY:
+    """The point of segment ``a``-``b`` nearest to ``p``."""
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    abx = bx - ax
+    aby = by - ay
     denom = abx * abx + aby * aby
     if denom < _EPS:
         return a
-    t = ((p.x - a.x) * abx + (p.y - a.y) * aby) / denom
-    t = min(1.0, max(0.0, t))
-    return Point2(a.x + t * abx, a.y + t * aby)
+    t = ((px - ax) * abx + (py - ay) * aby) / denom
+    if not t > 0.0:  # min(1.0, max(0.0, t)), without the calls
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
+    return ax + t * abx, ay + t * aby
 
 
-def _orient(ax, ay, bx, by, cx, cy) -> float:
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-def _segments_intersect(p1: Point2, p2: Point2, q1: Point2, q2: Point2) -> bool:
-    d1 = _orient(q1.x, q1.y, q2.x, q2.y, p1.x, p1.y)
-    d2 = _orient(q1.x, q1.y, q2.x, q2.y, p2.x, p2.y)
-    d3 = _orient(p1.x, p1.y, p2.x, p2.y, q1.x, q1.y)
-    d4 = _orient(p1.x, p1.y, p2.x, p2.y, q2.x, q2.y)
+def segments_nearest(p1: XY, p2: XY, q1: XY, q2: XY) -> tuple[float, XY, XY]:
+    """Distance between segments ``p1``-``p2`` and ``q1``-``q2`` plus the
+    witness points realizing it."""
+    (p1x, p1y), (p2x, p2y), (q1x, q1y), (q2x, q2y) = p1, p2, q1, q2
+    rx, ry = p2x - p1x, p2y - p1y
+    sx, sy = q2x - q1x, q2y - q1y
+    # The signed areas of each segment's ends against the other's line.
+    d1 = sx * (p1y - q1y) - sy * (p1x - q1x)
+    d2 = sx * (p2y - q1y) - sy * (p2x - q1x)
+    d3 = rx * (q1y - p1y) - ry * (q1x - p1x)
+    d4 = rx * (q2y - p1y) - ry * (q2x - p1x)
     if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
         (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
     ):
-        return True
-    return False
-
-
-def segment_segment_nearest(
-    p1: Point2, p2: Point2, q1: Point2, q2: Point2,
-) -> tuple[float, Point2, Point2]:
-    """Distance between two segments plus the witness points realizing it."""
-    if _segments_intersect(p1, p2, q1, q2):
-        # Intersection point via line-line solve; both witnesses coincide.
-        rx, ry = p2.x - p1.x, p2.y - p1.y
-        sx, sy = q2.x - q1.x, q2.y - q1.y
+        # A proper crossing, found by a line-line solve; both witnesses coincide.
         denom = rx * sy - ry * sx
         if abs(denom) < _EPS:
             return 0.0, p1, p1
-        t = ((q1.x - p1.x) * sy - (q1.y - p1.y) * sx) / denom
-        ip = Point2(p1.x + t * rx, p1.y + t * ry)
+        t = ((q1x - p1x) * sy - (q1y - p1y) * sx) / denom
+        ip = (p1x + t * rx, p1y + t * ry)
         return 0.0, ip, ip
     best = (math.inf, p1, q1)
-    for p, (a, b), swap in (
-        (p1, (q1, q2), False),
-        (p2, (q1, q2), False),
-        (q1, (p1, p2), True),
-        (q2, (p1, p2), True),
+    for p, a, b, swap in (
+        (p1, q1, q2, False), (p2, q1, q2, False), (q1, p1, p2, True), (q2, p1, p2, True),
     ):
-        cp = closest_point_on_segment(p, a, b)
-        d = dist(p, cp)
+        cx, cy = cp = closest_on_segment(p, a, b)
+        d = math.hypot(p[0] - cx, p[1] - cy)
         if d < best[0]:
             best = (d, cp, p) if swap else (d, p, cp)
     return best
@@ -374,11 +372,13 @@ class Sweep:
     ``margin`` (discs in radius, rectangles on every side), swept from
     ``start`` to ``end``.
 
-    ``meets`` passes an obstacle without the exact sweep when its center
-    lies further from the segment than the grown mover's circumradius plus
-    its own, 2 ``TOUCH_TOL`` and 1e-9 for rounding: footprints that
-    ``overlaps`` accepts meet once one grows by ``TOUCH_TOL`` on every side,
-    which adds at most sqrt(2) ``TOUCH_TOL`` to its circumradius.
+    ``meets`` passes an obstacle without the exact sweep when ``near``
+    says no: its center lies further from the segment than the grown
+    mover's circumradius plus its own, 2 ``TOUCH_TOL`` and 1e-9 for
+    rounding.  Footprints that ``overlaps`` accepts meet once one grows by
+    ``TOUCH_TOL`` on every side, which adds at most sqrt(2) ``TOUCH_TOL``
+    to its circumradius.  A caller may ask ``near`` once for footprints
+    sharing a center, with the largest of their circumradii.
     """
 
     __slots__ = ("start", "end", "mover", "_ux", "_uy", "_length", "_reach")
@@ -395,15 +395,24 @@ class Sweep:
         self._ux, self._uy = (end.x - start.x) * scale, (end.y - start.y) * scale
         self._reach = max(map(circumradius, self.mover)) + 2 * TOUCH_TOL + 1e-9
 
+    def near(self, center: Point2, radius: float) -> bool:
+        """False only when no footprint centered at ``center`` within
+        circumradius ``radius`` can overlap the sweep."""
+        ux, uy = self._ux, self._uy
+        dx, dy = center.x - self.start.x, center.y - self.start.y
+        along = dx * ux + dy * uy  # clamped to the segment, without min/max calls
+        if along < 0.0:
+            along = 0.0
+        elif along > self._length:
+            along = self._length
+        return math.hypot(dx - along * ux, dy - along * uy) <= self._reach + radius
+
     def meets(self, obstacle: Iterable[Footprint]) -> bool:
         """True iff one of the footprints ``obstacle`` overlaps the sweep."""
-        sx, sy, ux, uy, length = self.start.x, self.start.y, self._ux, self._uy, self._length
+        ux, uy, length = self._ux, self._uy, self._length
         for ob in obstacle:
-            dx, dy = ob.center.x - sx, ob.center.y - sy
-            along = min(max(dx * ux + dy * uy, 0.0), length)
-            if math.hypot(dx - along * ux, dy - along * uy) > self._reach + circumradius(ob):
-                continue
-            for fp in self.mover:
-                if sweep_first_contact(fp, ob, ux, uy, length, TOUCH_TOL) is not None:
-                    return True
+            if self.near(ob.center, circumradius(ob)):
+                for fp in self.mover:
+                    if sweep_first_contact(fp, ob, ux, uy, length, TOUCH_TOL) is not None:
+                        return True
         return False

@@ -161,6 +161,34 @@ def sampled_sweep_blocked(start, end, mover, margin, obstacle, step=0.1):
     return False
 
 
+def grasp_locus_samples(state, stack_id, sim, n=400):
+    """Points spaced evenly along a stack's grasp locus: ``n`` on the rim
+    circle of a disc-bottom stack, ``n + 1`` along a utensil's axis."""
+    stack = state.stacks[stack_id]
+    dish = state.dishes[stack.bottom]
+    spec = sim.dish_specs[dish.kind]
+    x, y = stack.base.x, stack.base.y
+    if dish.kind is UTENSIL:
+        hx = spec.length / 2.0 * math.cos(dish.theta)
+        hy = spec.length / 2.0 * math.sin(dish.theta)
+        return [(x + (2 * i / n - 1) * hx, y + (2 * i / n - 1) * hy) for i in range(n + 1)]
+    r = spec.radius
+    return [
+        (x + r * math.cos(2 * math.pi * i / n), y + r * math.sin(2 * math.pi * i / n))
+        for i in range(n)
+    ]
+
+
+def sampled_grasp_gap(state, a, b, sim, n=400):
+    """Sampling oracle for the distance between two stacks' grasp loci: the
+    least distance between ``grasp_locus_samples`` of each.  It is never
+    below the true distance and exceeds it by at most half of each locus's
+    sample spacing (2 pi r / n on a rim, length / n on an axis)."""
+    pa = grasp_locus_samples(state, a, sim, n)
+    pb = grasp_locus_samples(state, b, sim, n)
+    return min(math.hypot(ax - bx, ay - by) for ax, ay in pa for bx, by in pb)
+
+
 def scan_first_contact(moving, static, ux, uy, t_max, steps=20000):
     """Fine linear scan for first footprint contact; bracket refined by
     bisection on the overlap predicate."""

@@ -37,6 +37,7 @@ from helpers import (
     UTENSIL,
     build_scene,
     random_small_scene,
+    sampled_grasp_gap,
     sampled_sweep_blocked,
     scan_first_contact,
 )
@@ -129,6 +130,33 @@ class TestMogAllowable:
         assert mog_grasp(scene, 0, 1, SIM) is None
 
 
+# Stack pairs whose grasp loci do not interpenetrate, so ``grasp_gap`` is
+# the distance between the loci.
+GAP_CASES = {
+    "circle_circle": [([CUP], 20, 20), ([BOWL], 40, 26)],
+    "cup_cup": [([CUP], 20, 20), ([CUP], 31, 24)],
+    "circle_segment": [([CUP], 20, 20), ([(UTENSIL, 1.0)], 36, 24)],
+    "crossing_segments": [([(UTENSIL, 0.3)], 30, 30), ([(UTENSIL, 2.0)], 31, 29)],
+    "parallel_segments": [([(UTENSIL, 0.0)], 30, 30), ([(UTENSIL, 0.0)], 33, 33)],
+    "touching_segments": [([(UTENSIL, 0.0)], 30, 30), ([(UTENSIL, math.pi / 2)], 38.5, 38.5)],
+    "end_to_end_segments": [([(UTENSIL, 0.0)], 30, 30), ([(UTENSIL, 0.0)], 47, 30)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAP_CASES))
+def test_grasp_gap_matches_sampled_loci(name):
+    scene = build_scene(GAP_CASES[name])
+    gap = grasp_gap(scene, 0, 1, SIM)[0]
+    for a, b in ((0, 1), (1, 0)):
+        got, pa, pb = grasp_gap(scene, a, b, SIM)
+        assert got == gap
+        # The witnesses lie ``gap`` apart; the oracle exceeds the distance
+        # by at most half of each locus's sample spacing: 0.067 cm on a bowl
+        # rim, 0.035 cm on a cup rim, 0.021 cm on a utensil axis.
+        assert math.hypot(pa.x - pb.x, pa.y - pb.y) == pytest.approx(gap, abs=1e-9)
+        assert gap - 1e-9 <= sampled_grasp_gap(scene, a, b, SIM) <= gap + 0.11
+
+
 class TestPull:
     def test_cups_contact_endpoint(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
@@ -199,6 +227,23 @@ class TestPull:
         assert event.params["pull"]["theta"] == heading == pytest.approx(math.pi / 4)
         with pytest.raises(TypeError):
             dataclasses.replace(pull, theta=1.0)
+
+    def test_corridor_blocker_reaches_past_its_bottom_dish(self):
+        # Cup 0, grown by the 1 cm margin, passes 2 cm clear of cup 2 on its
+        # way to cup 1, but the utensil riding on cup 2 reaches 8.55 cm from
+        # the base, into the sweep: the stack must be tested by its widest
+        # dish.
+        scene = build_scene(
+            [([CUP], 10, 10), ([CUP], 40, 10), ([CUP, (UTENSIL, math.pi / 2)], 20, 22)]
+        )
+        check = check_pull(scene, 0, 1, SIM)
+        assert (check.failed, check.blocker) == ("corridor", 2)
+        margin = SIM.pull_clearance_margin
+        mover = stack_footprints(scene, scene.stacks[0], SIM.dish_specs)
+        blocker = stack_footprints(scene, scene.stacks[2], SIM.dish_specs)
+        start = scene.stacks[0].base
+        assert sampled_sweep_blocked(start, check.end, mover, margin, blocker)
+        assert not sampled_sweep_blocked(start, check.end, mover, margin, blocker[:1])
 
     def test_apply_requires_allowable_pull(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])

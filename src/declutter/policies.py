@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .actions import (
@@ -124,13 +125,16 @@ Move = tuple[str, tuple[int, ...], GraspAction | PullCheck | None]
 # A test that admits an ordered pair (a, b) of synced stack ids to ``nearest``.
 Admit = Callable[["PairMemo", int, int], bool]
 
-# The grasp gap of two stacks is at least the distance between their bases
-# less the reach of both grasp loci (rim radius or half a utensil's length);
-# the slack covers rounding.
-_GAP_BOUND_SLACK = 1e-9
+Locus = tuple[int, int, int, int, float, float, float]  # bit, id, base cell, base, reach
 
 # What ``nearest`` reads past the last pair: a bound no walk reaches.
 _PAST_LAST_PAIR = (math.inf, -1, -1, 0)
+
+
+def _gap_bound(distance: float, reach: float) -> float:
+    """A lower bound, less rounding slack, on the grasp gap of two stacks
+    whose bases lie ``distance`` apart and whose loci reach ``reach`` together."""
+    return distance - reach - 1e-9
 
 
 class PairMemo:
@@ -141,20 +145,22 @@ class PairMemo:
     of its own for the rest of the trial and sets ``table`` to the mask of
     the synced table's bits.  A moved or merged stack is a new value, so a
     bit names one value; dishes never change kind or orientation, so a
-    value fixes its footprints.  Footprints, shared grasps, gaps, stacking
-    tests and pull tests are keyed by value bits, and a result keyed by
-    bits never goes stale.  A stack that is the very object synced under
-    its id keeps that bit without being hashed, so a step looks up by value
-    only the stacks the last action made.
+    value fixes its footprints, grip height and bottom and top dishes (see
+    the masks ``utensil_piles`` and ``bowl_tops``).  Footprints, shared
+    grasps, gaps, stacking tests and pull tests are keyed by value bits,
+    and a result keyed by bits never goes stale.  A stack that is the very
+    object synced under its id keeps that bit without being hashed, so a
+    step looks up by value only the stacks the last action made.
 
     ``nearest`` ranks the ordered pairs a test admits by (gap, ids): it
     walks one list of the synced table's pairs, sorted by a lower bound on
-    the gap, and tests a pair only when it gets there.  A walk on the synced
-    table resumes where the last one with its test stopped, so a step tests
-    only the pairs that no earlier such walk reached; a walk on a subset
-    keeps nothing.  ``sync`` drops the pairs of values that left, and starts
-    every walk afresh, when a value arrives or when those pairs outnumber
-    the live ones; until then walks skip them.
+    the gap and built only as far as walks read it (``_widen``), and tests a
+    pair only when it gets there.  A walk on the synced table resumes where
+    the last one with its test stopped, so a step tests only the pairs that
+    no earlier such walk reached; a walk on a subset keeps nothing.
+    ``sync`` starts the walks and the list afresh when a value arrives.  It
+    drops the pairs of values that left, and starts the walks afresh, once
+    those outnumber the live ones; until then walks skip them.
 
     A corridor verdict also depends on the other stacks.  Each pull keeps
     the mask of values tested against its corridor and the mask of those
@@ -172,23 +178,44 @@ class PairMemo:
         self.state = SceneState((0.0, 0.0), {}, {})
         self.table = 0
         self.plan: dict[int, Move] = {}
+        self.utensil_piles = self.bowl_tops = 0
         self._bits: dict[Stack, int] = {}
         self._values: dict[int, Stack] = {}
         self._ids: dict[int, int] = {}
         self._synced = 0
+        self._loci: dict[int, Locus] = {}
+        self.grips: dict[int, float] = {}  # ``_grip_height`` of each value
+        # Each kind's reach (rim radius or half a utensil's length) and the
+        # width of the cells bases are filed in: bases more than k cells apart
+        # lie at least k widths apart; at 0.8 reaches, ring 3's horizon is 0.4 reaches.
+        self._reaches = {
+            kind: spec.length / 2.0 if kind is DishKind.UTENSIL else spec.radius
+            for kind, spec in sim.dish_specs.items()
+        }
+        self._reach = max(self._reaches.values())
+        self._cell = 0.8 * self._reach
         self._footprints: dict[int, list[Footprint]] = {}
         self._grasps: dict[tuple[int, int], GraspAction | None] = {}
         self._gaps: dict[tuple[int, int], float] = {}
         self._stackable: dict[tuple[int, int], bool] = {}
         self._pulls: dict[tuple[int, int], _PullEntry] = {}
-        # (gap bound, a, b, bits of a and b), sorted
+        # (gap bound, a, b, bits of a and b), sorted: the pairs ``_widen`` listed
         self._pairs: list[tuple[float, int, int, int]] = []
+        self._rings, self._horizon = -1, -math.inf
         # each ``nearest`` test's progress on the synced table through ``_pairs``
         self._walks: dict[tuple[Admit, float], _Walk] = {}
 
     def _bit(self, stack: Stack) -> int:
-        bit = self._bits.setdefault(stack, 1 << len(self._values))
-        self._values.setdefault(bit, stack)
+        bit = self._bits.get(stack)
+        if bit is None:
+            bit = self._bits[stack] = 1 << len(self._values)
+            self._values[bit] = stack
+            dishes, x, y, w = self.state.dishes, stack.base.x, stack.base.y, self._cell
+            kind = dishes[stack.bottom].kind
+            self._loci[bit] = (bit, stack.id, int(x // w), int(y // w), x, y, self._reaches[kind])
+            self.grips[bit] = _grip_height(self.state, stack, self.sim)
+            self.utensil_piles |= bit if kind is DishKind.UTENSIL else 0
+            self.bowl_tops |= bit if dishes[stack.top].kind is DishKind.BOWL else 0
         return bit
 
     def _bit_of(self, sid: int, stack: Stack) -> int:
@@ -200,37 +227,53 @@ class PairMemo:
 
     def sync(self, state: SceneState) -> None:
         """Make ``state`` the current table."""
-        ids = {sid: self._bit_of(sid, state.stacks[sid]) for sid in sorted(state.stacks)}
+        self.state, old, values = state, self._ids, self._values
+        ids = {}
+        for sid, stack in state.stacks.items():  # ``_bit_of``, inlined
+            bit = old.get(sid, 0)
+            ids[sid] = bit if values.get(bit) is stack else self._bit(stack)
         table = sum(ids.values())
-        arrived, kept = table & ~self._synced, table & self._synced
-        self.state, self._ids, self.table, self._synced = state, ids, table, table
+        arrived = table & ~self._synced
+        self._ids, self.table, self._synced = ids, table, table
+        if arrived:  # list the pairs afresh, as far as the walks read
+            self._pairs, self._rings, self._horizon = [], -1, -math.inf
         if arrived or len(self._pairs) > len(ids) * (len(ids) - 1):
-            self._pairs = [entry for entry in self._pairs if entry[3] & kept == entry[3]]
-            self._pairs.extend(self._bounded(arrived))
-            self._pairs.sort()
+            self._pairs = [entry for entry in self._pairs if entry[3] & table == entry[3]]
             self._walks = {}
 
-    def _bounded(self, arrived: int) -> list[tuple[float, int, int, int]]:
-        """Entries of the synced table's pairs that hold a value in
-        ``arrived``, each with a lower bound on its gap."""
-        specs, dishes = self.sim.dish_specs, self.state.dishes
-        loci = []
-        for sid, bit in self._ids.items():
-            stack = self.state.stacks[sid]
-            spec = specs[dishes[stack.bottom].kind]
-            reach = spec.length / 2.0 if spec.kind is DishKind.UTENSIL else spec.radius
-            loci.append((sid, bit, stack.base.x, stack.base.y, reach))
-        entries = []
-        done = 0
-        for a, ba, xa, ya, ra in loci:
-            if not ba & arrived:
-                continue
-            done |= ba
-            for b, bb, xb, yb, rb in loci:
-                if not bb & done:
-                    bound = math.hypot(xb - xa, yb - ya) - ra - rb - _GAP_BOUND_SLACK
-                    entries.append((bound, a, b, ba | bb))
-        return entries
+    def _widen(self) -> None:
+        """List the pairs whose base cells lie more than ``_rings`` apart, up
+        to the next ring (at least ring 3, the first with a horizon above 0),
+        or all of them once that takes as many look-ups as there are pairs.
+        Then no pair of the synced table left out is bounded below
+        ``_horizon``, and none listed now sorts before an entry a walk read."""
+        live, listed = [self._loci[bit] for bit in self._ids.values()], self._rings
+        k = max(listed + 1, 3)
+        # Once rings up to k add as many cells as there are other values, a
+        # look-up of each from every value costs as much as listing every pair.
+        if (2 * k + 1) ** 2 - max(2 * listed + 1, 0) ** 2 >= len(live) - 1:
+            pairs: Iterable[tuple[Locus, Locus]] = combinations(live, 2)
+            if listed >= 0:
+                pairs = ((a, b) for a, b in pairs
+                         if max(abs(b[2] - a[2]), abs(b[3] - a[3])) > listed)
+            self._rings = self._horizon = math.inf
+        else:
+            # Half the new cell offsets, so that each pair of cells is met once.
+            ring = [(di, dj) for di in range(k + 1) for dj in range(-k, k + 1)
+                    if max(di, abs(dj)) > listed and (di, dj) >= (0, 0)]
+            cells: dict[tuple[int, int], list[Locus]] = {}
+            for locus in live:
+                cells.setdefault(locus[2:4], []).append(locus)
+            pairs = ((a, b) for (i, j), here in cells.items() for di, dj in ring
+                     for b in cells.get((i + di, j + dj), ())
+                     for a in here if di or dj or a[0] < b[0])
+            self._rings, self._horizon = k, _gap_bound(k * self._cell, 2 * self._reach)
+        self._pairs += [
+            (_gap_bound(math.hypot(b[4] - a[4], b[5] - a[5]), a[6] + b[6]), a[1], b[1],
+             a[0] | b[0])
+            for a, b in pairs
+        ]
+        self._pairs.sort()
 
     def nearest(self, admit: Admit, within: float = math.inf) -> Iterator[tuple[int, int]]:
         """The ordered pairs (a, b) on ``table`` that ``admit`` accepts, by
@@ -257,6 +300,9 @@ class PairMemo:
         j = walk.cursor
         while True:
             bound, a, b, bits = pairs[j] if j < len(pairs) else _PAST_LAST_PAIR
+            if bound >= self._horizon < within:
+                self._widen()  # unlisted pairs may have bounds below this one
+                continue
             j += 1
             if bound >= within:
                 bound = math.inf  # nothing left to test: yield the rest
@@ -281,9 +327,9 @@ class PairMemo:
         """The value bit of stack ``sid`` of the synced table."""
         return self._ids[sid]
 
-    def ids(self) -> list[int]:
-        """Ids of the stacks on ``table``, in order."""
-        return [sid for sid, bit in self._ids.items() if bit & self.table]
+    def ids(self, mask: int = -1) -> list[int]:
+        """Ids of the stacks on ``table`` whose bits are in ``mask``, in order."""
+        return sorted(sid for sid, bit in self._ids.items() if bit & self.table & mask)
 
     def footprints(self, stack: Stack) -> list[Footprint]:
         """``stack_footprints`` of ``stack``, a value seen by ``sync``."""
@@ -378,11 +424,8 @@ def _ready(memo: PairMemo, a: int, b: int) -> bool:
 def _same_grip(memo: PairMemo, mover: int, anchor: int) -> bool:
     """Whether the two stacks' gripped-rim heights match, the first of a
     pull's pair tests."""
-    state, sim = memo.state, memo.sim
-    return sim.gripper.similar_heights(
-        _grip_height(state, state.stacks[mover], sim),
-        _grip_height(state, state.stacks[anchor], sim),
-    )
+    grips = memo.grips
+    return memo.sim.gripper.similar_heights(grips[memo.bit(mover)], grips[memo.bit(anchor)])
 
 
 def _nearest_first(memo: PairMemo) -> Move:
@@ -403,8 +446,8 @@ def _grip_classes(memo: PairMemo) -> list[int]:
     """Masks of the stacks on the memo's table that may pair with each
     other: grip heights sorted and split wherever two neighbours differ by
     more than the height-similarity threshold."""
-    state, sim = memo.state, memo.sim
-    heights = sorted((_grip_height(state, state.stacks[sid], sim), sid) for sid in memo.ids())
+    sim = memo.sim
+    heights = sorted((memo.grips[memo.bit(sid)], sid) for sid in memo.ids())
     classes: list[int] = []
     previous = None
     for height, sid in heights:
@@ -547,10 +590,9 @@ def _stackable(memo: PairMemo, lifted: int, base: int) -> bool:
 def _utensil_onto_bowl(memo: PairMemo, lifted: int, base: int) -> bool:
     """Whether a utensil pile ``lifted`` may be stacked on the bowl-topped
     stack ``base``."""
-    stacks, dishes = memo.state.stacks, memo.state.dishes
-    return (
-        dishes[stacks[lifted].bottom].kind is DishKind.UTENSIL
-        and dishes[stacks[base].top].kind is DishKind.BOWL
+    return bool(
+        memo.bit(lifted) & memo.utensil_piles
+        and memo.bit(base) & memo.bowl_tops
         and _stackable(memo, lifted, base)
     )
 
@@ -577,17 +619,14 @@ def stack_policy(
     afresh.
     """
     memo.sync(state)
-    ids = sorted(state.stacks)
-    dishes = state.dishes
-    utensil_piles = [s for s in ids if dishes[state.stacks[s].bottom].kind is DishKind.UTENSIL]
-    bowl_tops = [s for s in ids if dishes[state.stacks[s].top].kind is DishKind.BOWL]
-    if utensil_piles and bowl_tops:
+    if memo.table & memo.utensil_piles and memo.table & memo.bowl_tops:
         if cfg.utensil_stacking is UtensilStacking.ONE_PER_BOWL:
             for u, b in memo.nearest(_utensil_onto_bowl):
                 placement = StackPlacement(grasp_points(state, u, rng, sim), u, b)
                 carry = grasp_points(state, b, rng, sim)
                 return StackGrasp((placement,), carry)
         else:
+            utensil_piles, bowl_tops = memo.ids(memo.utensil_piles), memo.ids(memo.bowl_tops)
             chosen = min(
                 bowl_tops,
                 key=lambda b: (sum(memo.gap(u, b) for u in utensil_piles), b),

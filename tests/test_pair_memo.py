@@ -15,6 +15,7 @@ from declutter import (
     PairMemo,
     Point2,
     PolicyConfig,
+    PullAction,
     PullGrasp,
     SceneState,
     StackGrasp,
@@ -464,6 +465,64 @@ def test_stack_that_leaves_and_returns_is_listed_once():
         assert_nearest_is_brute_force(memo)
         memo.sync(scene)
         assert_nearest_is_brute_force(memo)
+
+
+def test_far_pairs_are_ranked_as_brute_force():
+    # Three utensils and three bowls among 66 cups: a utensil's nearest
+    # bowl lies several rings of cells out, so its walk merges ring after
+    # ring of cup pairs before it yields, and ranks pairs that lie in
+    # different rings.
+    scale = math.sqrt(72 / 12)
+    workspace = (SIM.workspace[0] * scale, SIM.workspace[1] * scale)
+    cfg = TierConfig(Tier.T1, n_cups=66, n_bowls=3, n_utensils=3)
+    scene = generate_scene(cfg, derive_seed(0, "far"), SIM.dish_specs, workspace)
+    memo = PairMemo(SIM)
+    memo.sync(scene)
+    assert_nearest_is_brute_force(memo, reads=1)
+    assert_nearest_is_brute_force(memo)
+
+
+def test_stack_left_by_failed_pull_is_ranked_as_brute_force():
+    # The walks list a few rings of pairs; then a failed pull leaves its
+    # mover at the contact point (in seed 3 the anchor is the taller pile,
+    # so the grasp carries it off), a new value whose pairs lie both inside
+    # and beyond the rings listed so far.
+    state = dense_scene(72, 3)
+    memo = PairMemo(SIM)
+    memo.sync(state)
+    assert_nearest_is_brute_force(memo, reads=1)
+    mover, anchor = next(
+        (m, a) for m, a in memo.nearest(policies._same_grip) if memo.pull(m, a).allowable
+    )
+    check = memo.pull(mover, anchor)
+    pull = PullAction(state.stacks[mover].base, check.end, mover, anchor)
+    state, event = apply(state, PullGrasp(pull, check.grasp), SIM, failed=True)
+    assert event.params["abandoned"] == mover
+    assert state.stacks[mover].base == check.end
+    memo.sync(state)
+    assert_nearest_is_brute_force(memo, reads=1)
+    assert_nearest_is_brute_force(memo)
+
+
+def test_first_step_bounds_few_pairs(monkeypatch):
+    # The pair list is built only as far as the walks read it: the first
+    # step of a 72-item trial bounds the pairs of nearby stacks, not all
+    # 2,556 of them.
+    calls = []
+    bound = policies._gap_bound
+
+    def counted(distance, reach):
+        calls.append(distance)
+        return bound(distance, reach)
+
+    monkeypatch.setattr(policies, "_gap_bound", counted)
+    cfg = PolicyConfig.named("stack", "one_per_bowl")
+    for seed in (0, 3):
+        calls.clear()
+        scene = dense_scene(72, seed)
+        next_action(scene, SplitMix64(seed), SIM, cfg, PairMemo(SIM))
+        pairs = len(scene.stacks) * (len(scene.stacks) - 1) // 2
+        assert 0 < len(calls) < pairs / 10
 
 
 def test_ready_pairs_test_only_stacks_within_the_opening(monkeypatch):

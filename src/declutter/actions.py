@@ -406,12 +406,13 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
     pair, sweep = _pair_check(state, mover, anchor, sim, footprints)
     if not pair.allowable:
         return pair
-    reach = {kind: spec.circumscribed_radius for kind, spec in specs.items()}
     dishes = state.dishes
     for stack in state.stacks.values():
         if (
             stack.id not in (mover, anchor)
-            and sweep.near(stack.base, max(reach[dishes[d].kind] for d in stack.dishes))
+            and sweep.near(
+                stack.base, max(specs[dishes[d].kind].circumscribed_radius for d in stack.dishes)
+            )
             and sweep.meets(footprints(stack))
         ):
             return replace(pair, failed="corridor", blocker=stack.id)

@@ -79,6 +79,23 @@ def circumradius(fp: Footprint) -> float:
     return math.hypot(fp.length / 2.0, fp.width / 2.0)
 
 
+def reach_limit(ra: float, rb: float) -> float:
+    """Center distance beyond which footprints of circumradii ``ra`` and
+    ``rb`` cannot ``overlaps``.
+
+    Each footprint lies within its circumradius of its center.  For disc
+    and disc, or disc and rectangle, ``separation`` is the true gap, so at
+    most ``TOUCH_TOL`` puts the centers within ``ra + rb + TOUCH_TOL``.
+    For two rectangles it is the largest gap along their edge normals; at
+    most ``TOUCH_TOL``, they intersect once one grows by ``TOUCH_TOL`` on
+    every side, which adds at most sqrt(2) ``TOUCH_TOL`` to its
+    circumradius.  1e-9 covers rounding.  Grasp loci (rims, utensil axes)
+    within ``ra`` and ``rb`` of two centers are at least the center
+    distance less this limit apart.
+    """
+    return ra + rb + 2 * TOUCH_TOL + 1e-9
+
+
 # ---------------------------------------------------------------------------
 # Separation helpers.  A separation <= 0 means the closed regions overlap;
 # for separated rectangles the SAT value lower-bounds the true gap, which is
@@ -373,15 +390,13 @@ class Sweep:
     ``start`` to ``end``.
 
     ``meets`` passes an obstacle without the exact sweep when ``near``
-    says no: its center lies further from the segment than the grown
-    mover's circumradius plus its own, 2 ``TOUCH_TOL`` and 1e-9 for
-    rounding.  Footprints that ``overlaps`` accepts meet once one grows by
-    ``TOUCH_TOL`` on every side, which adds at most sqrt(2) ``TOUCH_TOL``
-    to its circumradius.  A caller may ask ``near`` once for footprints
-    sharing a center, with the largest of their circumradii.
+    says no: its center lies further from the segment than the
+    ``reach_limit`` of the grown mover's circumradius and its own.  A
+    caller may ask ``near`` once for footprints sharing a center, with the
+    largest of their circumradii.
     """
 
-    __slots__ = ("start", "end", "mover", "_ux", "_uy", "_length", "_reach")
+    __slots__ = ("start", "end", "mover", "_ux", "_uy", "_length", "_radius")
 
     def __init__(self, start: Point2, end: Point2, mover: Iterable[Footprint], margin: float):
         self.start, self.end = start, end
@@ -393,7 +408,7 @@ class Sweep:
         length = self._length = dist(start, end)
         scale = 1.0 / length if length else 0.0  # a zero-length sweep stays put
         self._ux, self._uy = (end.x - start.x) * scale, (end.y - start.y) * scale
-        self._reach = max(map(circumradius, self.mover)) + 2 * TOUCH_TOL + 1e-9
+        self._radius = max(map(circumradius, self.mover))
 
     def near(self, center: Point2, radius: float) -> bool:
         """False only when no footprint centered at ``center`` within
@@ -405,7 +420,7 @@ class Sweep:
             along = 0.0
         elif along > self._length:
             along = self._length
-        return math.hypot(dx - along * ux, dy - along * uy) <= self._reach + radius
+        return math.hypot(dx - along * ux, dy - along * uy) <= reach_limit(self._radius, radius)
 
     def meets(self, obstacle: Iterable[Footprint]) -> bool:
         """True iff one of the footprints ``obstacle`` overlaps the sweep."""

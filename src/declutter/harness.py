@@ -80,8 +80,11 @@ def plan_from_json(text: str) -> ExperimentPlan:
         tiers = [Tier(t) for t in data["tiers"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaError(f"plan tiers malformed: {exc}") from exc
+    raw_policies = data.get("policies", [])
+    if not isinstance(raw_policies, list):
+        raise SchemaError("plan: policies must be a list")
     policies = []
-    for p in data.get("policies", []):
+    for p in raw_policies:
         if isinstance(p, dict):
             known_keys(p, ("kind", "utensil_stacking"), "plan policy")
         try:

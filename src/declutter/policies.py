@@ -37,7 +37,7 @@ from .actions import (
     mog_grasp,
     stack_allowable,
 )
-from .geometry import Footprint, Sweep
+from .geometry import Footprint, Sweep, reach_limit
 from .rng import SplitMix64
 from .tableware import (
     DishKind,
@@ -129,12 +129,6 @@ Locus = tuple[int, int, int, int, float, float, float]  # bit, id, base cell, ba
 
 # What ``nearest`` reads past the last pair: a bound no walk reaches.
 _PAST_LAST_PAIR = (math.inf, -1, -1, 0)
-
-
-def _gap_bound(distance: float, reach: float) -> float:
-    """A lower bound, less rounding slack, on the grasp gap of two stacks
-    whose bases lie ``distance`` apart and whose loci reach ``reach`` together."""
-    return distance - reach - 1e-9
 
 
 class PairMemo:
@@ -267,9 +261,9 @@ class PairMemo:
             pairs = ((a, b) for (i, j), here in cells.items() for di, dj in ring
                      for b in cells.get((i + di, j + dj), ())
                      for a in here if di or dj or a[0] < b[0])
-            self._rings, self._horizon = k, _gap_bound(k * self._cell, 2 * self._reach)
+            self._rings, self._horizon = k, k * self._cell - reach_limit(self._reach, self._reach)
         self._pairs += [
-            (_gap_bound(math.hypot(b[4] - a[4], b[5] - a[5]), a[6] + b[6]), a[1], b[1],
+            (math.hypot(b[4] - a[4], b[5] - a[5]) - reach_limit(a[6], b[6]), a[1], b[1],
              a[0] | b[0])
             for a, b in pairs
         ]

@@ -13,16 +13,17 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 from .errors import PlacementExhausted, SchemaError, known_keys, number
 from .geometry import (
-    TOUCH_TOL,
     Disc,
     Footprint,
     OrientedRect,
     Point2,
     normalize_angle,
     overlaps,
+    reach_limit,
 )
 from .rng import SplitMix64
 
@@ -71,7 +72,7 @@ class DishSpec:
             return self.width / 2.0
         return self.radius
 
-    @property
+    @cached_property
     def circumscribed_radius(self) -> float:
         if self.kind is DishKind.UTENSIL:
             return math.hypot(self.length / 2.0, self.width / 2.0)
@@ -271,67 +272,35 @@ def _inside_workspace(fp: Footprint, workspace: tuple[float, float]) -> bool:
     return True
 
 
-# A footprint's reach: its circumradius, and whether it is a rectangle.
-Reach = tuple[float, bool]
-
-
-def _reach_limit(reach: Reach, other: Reach) -> float:
-    """Centre distance beyond which footprints of these reaches cannot
-    ``overlaps``.
-
-    A footprint lies within its circumradius of its centre, so
-    ``separation`` is at least the centre distance less both circumradii;
-    for two rectangles its axis test is only at least the distance over
-    sqrt(2) less both circumradii.  The slack covers rounding.
-    """
-    limit = reach[0] + other[0] + TOUCH_TOL + 1e-9
-    if reach[1] and other[1]:
-        limit *= math.sqrt(2.0)
-    return limit
-
-
-def _may_overlap(center: Point2, reach: Reach, base: Point2, stack_reach: Reach) -> bool:
-    """False only when a footprint centred at ``center`` cannot ``overlaps``
-    any footprint of a stack at ``base``.
-
-    ``stack_reach`` is the largest circumradius among the stack's dishes
-    and whether any is a rectangle.
-    """
-    return math.hypot(center.x - base.x, center.y - base.y) <= _reach_limit(reach, stack_reach)
-
-
 class _Placed:
     """A stack ``generate_scene`` has placed, with its reach and footprints."""
 
     __slots__ = ("id", "base", "reach", "footprints")
 
-    def __init__(self, stack_id: int, base: Point2, reach: Reach, footprint: Footprint):
+    def __init__(self, stack_id: int, base: Point2, reach: float, footprint: Footprint):
         self.id = stack_id
         self.base = base
         self.reach = reach
         self.footprints = [footprint]
 
-    def add(self, reach: Reach, footprint: Footprint) -> None:
+    def add(self, reach: float, footprint: Footprint) -> None:
         """Grow the reach and footprints by a dish that joins the stack."""
-        self.reach = (max(self.reach[0], reach[0]), self.reach[1] or reach[1])
+        self.reach = max(self.reach, reach)
         self.footprints.append(footprint)
 
 
 class _Grid:
     """Placed stacks filed by the square cell of their base.
 
-    The cell width is the largest ``_reach_limit`` any two footprints of
-    ``specs`` can have, so every stack a footprint may overlap has its base
-    in the 3x3 cells around the footprint's centre.  Each cell keeps the
-    stacks of those nine cells in one list, so a look-up reads one list.
+    The cell width is the largest ``reach_limit`` of two dishes of
+    ``specs``, so every stack a footprint may overlap has its base in the
+    3x3 cells around the footprint's centre.  Each cell keeps the stacks of
+    those nine cells in one list, so a look-up reads one list.
     """
 
     def __init__(self, specs: dict[DishKind, DishSpec]):
-        widest: Reach = (
-            max(spec.circumscribed_radius for spec in specs.values()),
-            any(kind is DishKind.UTENSIL for kind in specs),
-        )
-        self.width = _reach_limit(widest, widest)
+        widest = max(spec.circumscribed_radius for spec in specs.values())
+        self.width = reach_limit(widest, widest)
         self.around: defaultdict[tuple[int, int], list[_Placed]] = defaultdict(list)
 
     def add(self, placed: _Placed) -> None:
@@ -341,9 +310,15 @@ class _Grid:
             for dj in (-1, 0, 1):
                 self.around[i + di, j + dj].append(placed)
 
-    def near(self, p: Point2) -> list[_Placed]:
-        """The stacks whose base lies in the 3x3 cells around ``p``."""
-        return self.around.get((int(p.x // self.width), int(p.y // self.width)), [])
+    def hits(self, fp: Footprint, reach: float) -> list[_Placed]:
+        """The placed stacks that ``fp``, of circumradius ``reach``, overlaps."""
+        c = fp.center
+        return [
+            s
+            for s in self.around.get((int(c.x // self.width), int(c.y // self.width)), ())
+            if math.hypot(c.x - s.base.x, c.y - s.base.y) <= reach_limit(reach, s.reach)
+            and any(overlaps(fp, sfp) for sfp in s.footprints)
+        ]
 
 
 def generate_scene(
@@ -367,9 +342,9 @@ def generate_scene(
     Each placed stack is filed in a grid by the cell of its base, with its
     reach and footprints, which grow as dishes join it.  A sample, and the
     clearance test of stacking it, look only at the 3x3 cells around a
-    point: the cell width is the largest distance at which ``_may_overlap``
-    holds, so the stacks left out are ones it rejects, and no draw or
-    outcome changes.
+    point: the cell width is the largest ``geometry.reach_limit`` of two
+    dishes, so the stacks left out cannot overlap, and no draw or outcome
+    changes.
     """
     specs = specs or default_dish_specs()
     rng = SplitMix64(seed)
@@ -386,22 +361,16 @@ def generate_scene(
     grid = _Grid(specs)
     for dish_id, kind in enumerate(order):
         spec = specs[kind]
-        inset = spec.circumscribed_radius
-        reach = (inset, kind is DishKind.UTENSIL)
-        if 2 * inset >= min(w, h):
+        reach = spec.circumscribed_radius
+        if 2 * reach >= min(w, h):
             raise PlacementExhausted(f"{kind.value} does not fit in the workspace")
         placed = False
         for _ in range(MAX_RESAMPLES):
-            pos = Point2(rng.uniform(inset, w - inset), rng.uniform(inset, h - inset))
+            pos = Point2(rng.uniform(reach, w - reach), rng.uniform(reach, h - reach))
             theta = rng.uniform(0.0, math.pi) if kind is DishKind.UTENSIL else 0.0
             dish = Dish(dish_id, kind, theta)
             fp = dish_footprint(dish, specs, pos)
-            hits = [
-                s
-                for s in grid.near(pos)
-                if _may_overlap(pos, reach, s.base, s.reach)
-                and any(overlaps(fp, mfp) for mfp in s.footprints)
-            ]
+            hits = grid.hits(fp, reach)
             if not hits:
                 state.dishes[dish_id] = dish
                 state.stacks[dish_id] = Stack(dish_id, (dish_id,), pos)
@@ -417,13 +386,8 @@ def generate_scene(
                     and spec.effective_radius <= top_spec.effective_radius + 1e-9
                 ):
                     sfp = dish_footprint(dish, specs, target.base)
-                    clear = _inside_workspace(sfp, workspace) and not any(
-                        other is not target
-                        and _may_overlap(target.base, reach, other.base, other.reach)
-                        and any(overlaps(sfp, ofp) for ofp in other.footprints)
-                        for other in grid.near(target.base)
-                    )
-                    if clear:
+                    # A footprint at the target's base always overlaps it.
+                    if _inside_workspace(sfp, workspace) and grid.hits(sfp, reach) == [target]:
                         state.dishes[dish_id] = dish
                         state.stacks[target.id] = replace(
                             stack, dishes=stack.dishes + (dish_id,)
@@ -555,8 +519,8 @@ def scene_from_json(text: str, specs: dict[DishKind, DishSpec] | None = None) ->
             raw_dishes = raw["dishes"]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"stack {idx} malformed: {exc}") from exc
-        if not raw_dishes:
-            raise SchemaError(f"stack {idx} has no dishes")
+        if not isinstance(raw_dishes, list) or not raw_dishes:
+            raise SchemaError(f"stack {idx}: dishes must be a non-empty list")
         ids = []
         for rd in raw_dishes:
             known_keys(rd, ("id", "kind", "theta"), f"stack {idx} dish")

@@ -146,6 +146,7 @@ class TestRun:
         ("scene_key", "unknown key 'extra'"),
         ("stack_key", "unknown key 'extra'"),
         ("dish_key", "unknown key 'extra'"),
+        ("number_dishes", "dishes must be a non-empty list"),
     ])
     def test_scene_schema_errors_exit_3(self, tmp_path, capsys, edit, message):
         out = tmp_path / "scenes"
@@ -164,6 +165,8 @@ class TestRun:
             scene["extra"] = 1
         elif edit == "stack_key":
             scene["stacks"][-1]["extra"] = 1
+        elif edit == "number_dishes":
+            scene["stacks"][-1]["dishes"] = 5
         else:
             scene["stacks"][-1]["dishes"][0]["extra"] = 1
         path.write_text(json.dumps(scene))
@@ -345,6 +348,7 @@ class TestBench:
         ("scenes_per_tier", 1.7),
         ("base_seed", "1"),
         ("bin_delays", [float("inf")]),
+        ("policies", 5),
     ])
     def test_non_number_plan_field_exits_3(self, tmp_path, capsys, field, value):
         plan = write_plan(tmp_path, **{field: value})

@@ -16,9 +16,11 @@ from declutter.geometry import (
     OrientedRect,
     Point2,
     Sweep,
+    circumradius,
     dist,
     normalize_angle,
     overlaps,
+    reach_limit,
     rim_point,
     separation,
     sweep_first_contact,
@@ -307,6 +309,57 @@ class TestSweep:
         t_scan = scan_first_contact(moving, static, ux, uy, 40.0)
         assert t is not None and t_scan is not None
         assert t == pytest.approx(t_scan, abs=1e-3)
+
+
+class TestReachLimit:
+    """Footprints whose centers lie beyond ``reach_limit`` of their
+    circumradii neither overlap nor come within ``TOUCH_TOL`` on a sweep."""
+
+    # A cup, a utensil and a square, whose diagonal lies at 45 degrees to
+    # its sides.  Each turn is relative to the center line: sides along it
+    # and at 45 degrees to it, and a corner pointing along it.
+    SHAPES = {
+        "disc": [lambda x, y, turn: disc(x, y, 4.5)],
+        "rect": [
+            lambda x, y, turn: rect(x, y, 17.0, 1.8, turn),
+            lambda x, y, turn: rect(x, y, 2.0, 2.0, turn),
+        ],
+    }
+    TURNS = (0.0, math.pi / 4, 0.3, -math.atan2(1.8, 17.0))
+
+    @pytest.mark.parametrize("kinds", ["disc-disc", "disc-rect", "rect-rect"])
+    def test_nothing_touches_beyond_the_limit(self, kinds):
+        first, second = kinds.split("-")
+        tested = 0
+        for make_a in self.SHAPES[first]:
+            for make_b in self.SHAPES[second]:
+                limit = reach_limit(circumradius(make_a(0, 0, 0)), circumradius(make_b(0, 0, 0)))
+                for step in range(48):  # 7.5 degree steps, 45 degrees among them
+                    direction = step * math.pi / 24
+                    ux, uy = math.cos(direction), math.sin(direction)
+                    d = limit + 1e-12
+                    for turn_a in self.TURNS:
+                        for turn_b in self.TURNS:
+                            a = make_a(0.0, 0.0, direction + turn_a)
+                            b = make_b(d * ux, d * uy, direction + turn_b)
+                            assert not overlaps(a, b), (a, b)
+                            # Standing still, and moving apart.
+                            assert sweep_first_contact(a, b, ux, uy, 0.0, TOUCH_TOL) is None
+                            assert sweep_first_contact(a, b, -ux, -uy, 5.0, TOUCH_TOL) is None
+                            tested += 1
+        assert tested >= 48 * len(self.TURNS) ** 2
+
+    def test_corner_contact_needs_more_than_touch_tol(self):
+        # Squares corner to corner along their diagonals overlap up to
+        # sqrt(2) TOUCH_TOL beyond the sum of their circumradii, so the
+        # limit must reach past one TOUCH_TOL.
+        r = math.hypot(1.0, 1.0)
+        d = 2 * r + 1.3 * TOUCH_TOL
+        a = rect(0.0, 0.0, 2.0, 2.0, 0.0)
+        b = rect(d / math.sqrt(2.0), d / math.sqrt(2.0), 2.0, 2.0, 0.0)
+        assert overlaps(a, b)
+        assert sweep_first_contact(a, b, 1.0, 0.0, 0.0, TOUCH_TOL) == 0.0
+        assert 2 * r + TOUCH_TOL < dist(a.center, b.center) < reach_limit(r, r)
 
 
 @settings(max_examples=40, deadline=None)

@@ -509,13 +509,13 @@ def test_first_step_bounds_few_pairs(monkeypatch):
     # step of a 72-item trial bounds the pairs of nearby stacks, not all
     # 2,556 of them.
     calls = []
-    bound = policies._gap_bound
+    limit = policies.reach_limit
 
-    def counted(distance, reach):
-        calls.append(distance)
-        return bound(distance, reach)
+    def counted(ra, rb):
+        calls.append((ra, rb))
+        return limit(ra, rb)
 
-    monkeypatch.setattr(policies, "_gap_bound", counted)
+    monkeypatch.setattr(policies, "reach_limit", counted)
     cfg = PolicyConfig.named("stack", "one_per_bowl")
     for seed in (0, 3):
         calls.clear()

@@ -23,7 +23,8 @@ from declutter import (
     stack_top_lip_height,
     validate,
 )
-from declutter.geometry import TOUCH_TOL
+from declutter import tableware
+from declutter.geometry import TOUCH_TOL, reach_limit
 from declutter.rng import SplitMix64
 from declutter.tableware import dish_footprint, stack_grasp_span
 from helpers import BOWL, CUP, SIM, UTENSIL, build_scene
@@ -62,8 +63,9 @@ def golden_scenes(name):
     density: the workspace grows by sqrt(items / 12) per side.  Its t2
     variant exercises the clearance test of stacking a sample onto the
     stack it hits.  ``utensil25_`` tiers use 25 cm utensils, and
-    ``one_cell_t2`` a workspace narrower than one neighbourhood cell
-    (24.2 cm for the default set).
+    ``one_cell_t2`` a workspace 22 cm wide, little more than one
+    neighbourhood cell (17.1 cm for the default set; a narrower workspace
+    cannot hold a utensil).
     """
     if name.startswith("dense"):
         items, _, tier = name[len("dense"):].partition("_")
@@ -270,12 +272,12 @@ class TestValidateMatchesPairwiseOverlaps:
                 ]
                 assert verdicts == [True, True, True, False, False], (first, second)
 
-    def test_diagonal_rectangles_near_the_sqrt2_slack(self):
+    def test_diagonal_rectangles_near_reach_limit(self):
         # Rectangles whose axes sit at 45 degrees to the line between their
-        # centres, at distances about the sqrt(2)-widened limit of
-        # ``_may_overlap`` and about their real contact.
+        # centres, at distances about the ``reach_limit`` of their
+        # circumradii and about their real contact.
         radius = SPECS[UTENSIL].circumscribed_radius
-        limit = math.sqrt(2.0) * (2 * radius + TOUCH_TOL + 1e-9)
+        limit = reach_limit(radius, radius)
         verdicts = set()
         for theta in (0.0, 0.4, 1.2):
             for turn in (0.0, math.pi / 2):
@@ -397,6 +399,14 @@ class TestSceneJson:
         # every draw and every hit.
         text = "\n".join(scene_to_json(scene) for scene in golden_scenes(name))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", ["t1", "t2", "dense72_t2", "utensil25_t2", "one_cell_t2"])
+    def test_generation_matches_testing_every_stack(self, monkeypatch, name):
+        # With no reach limit the grid has one cell and every placed stack
+        # is tested with ``overlaps``: too narrow a cell would miss a hit.
+        expected = [scene_to_json(scene) for scene in golden_scenes(name)]
+        monkeypatch.setattr(tableware, "reach_limit", lambda ra, rb: math.inf)
+        assert [scene_to_json(scene) for scene in golden_scenes(name)] == expected
 
 
 GOLDEN_T1_SEED7 = (

@@ -54,6 +54,11 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one policy")
         if not self.tiers:
             raise ValueError("plan needs at least one tier")
+        # Trials are told apart by (scene, policy kind) in every report file.
+        if len(set(self.tiers)) != len(self.tiers):
+            raise ValueError("tiers must not repeat")
+        if len({p.kind for p in self.policies}) != len(self.policies):
+            raise ValueError("policies must not repeat a kind")
         if self.p_fail is not None and not 0.0 <= self.p_fail <= 1.0:
             raise ValueError("p_fail must be a probability")
         # The summaries' ratios divide by the baseline; check it before any trial runs.
@@ -76,6 +81,8 @@ def plan_from_json(text: str) -> ExperimentPlan:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"plan file is not valid JSON: {exc}") from exc
     known_keys(data, _PLAN_KEYS, "plan")
+    if not isinstance(data.get("tiers", []), list):
+        raise SchemaError("plan: tiers must be a list")
     try:
         tiers = [Tier(t) for t in data["tiers"]]
     except (KeyError, ValueError, TypeError) as exc:

@@ -77,7 +77,7 @@ class PolicyConfig:
 
 
 def random_policy(
-    state: SceneState, rng: SplitMix64, sim: "SimConfig", cfg: PolicyConfig, memo: PairMemo
+    state: SceneState, rng: SplitMix64, sim: "SimConfig", cfg: PolicyConfig, memo: PairMemo | None
 ) -> Action:
     """Pick a dish uniformly at random and grasp the stack containing it.
 
@@ -106,16 +106,33 @@ class _PullEntry:
 
 
 class _Walk:
-    """How far a ``nearest`` walk has read the pair list: the index of the
-    first pair not read, and the (gap, a, b, bits of a and b) of the pairs
-    its test admitted before it, sorted.  The memo keeps one per test for
-    walks on the synced table."""
+    """How far a ``nearest`` walk has read its scope's pair list: the index
+    of the first pair not read, and the (gap, a, b, bits of a and b) of the
+    pairs its test admitted before it, sorted.  Each scope keeps one per
+    test for walks on the synced table."""
 
     __slots__ = ("cursor", "admitted")
 
     def __init__(self):
         self.cursor = 0
         self.admitted: list[tuple[float, int, int, int]] = []
+
+
+class _Scope:
+    """The pairs ``nearest`` reads for one pair of masks: those of synced
+    values with one value in each mask, sorted by (gap bound, a, b) and
+    listed by ``_widen`` only as far as the walks read, up to ``rings``
+    cells apart and so complete below ``horizon``; and the walks through
+    them, by (test, ``within``)."""
+
+    __slots__ = ("lifted", "base", "pairs", "rings", "horizon", "walks")
+
+    def __init__(self, lifted: int, base: int):
+        self.lifted, self.base = lifted, base
+        # (gap bound, a, b, bits of a and b, bit of a)
+        self.pairs: list[tuple[float, int, int, int, int]] = []
+        self.rings, self.horizon = -1, -math.inf
+        self.walks: dict[tuple[Admit, float], _Walk] = {}
 
 
 # A pull-policy move: ("grasp", (a, b), shared grasp), ("pull", (mover,
@@ -128,7 +145,7 @@ Admit = Callable[["PairMemo", int, int], bool]
 Locus = tuple[int, int, int, int, float, float, float]  # bit, id, base cell, base, reach
 
 # What ``nearest`` reads past the last pair: a bound no walk reaches.
-_PAST_LAST_PAIR = (math.inf, -1, -1, 0)
+_PAST_LAST_PAIR = (math.inf, -1, -1, 0, 0)
 
 
 class PairMemo:
@@ -147,14 +164,17 @@ class PairMemo:
     step looks up by value only the stacks the last action made.
 
     ``nearest`` ranks the ordered pairs a test admits by (gap, ids): it
-    walks one list of the synced table's pairs, sorted by a lower bound on
+    walks a list of the synced table's pairs, sorted by a lower bound on
     the gap and built only as far as walks read it (``_widen``), and tests a
-    pair only when it gets there.  A walk on the synced table resumes where
-    the last one with its test stopped, so a step tests only the pairs that
-    no earlier such walk reached; a walk on a subset keeps nothing.
-    ``sync`` starts the walks and the list afresh when a value arrives.  It
-    drops the pairs of values that left, and starts the walks afresh, once
-    those outnumber the live ones; until then walks skip them.
+    pair only when it gets there.  A walk may be scoped to the pairs (a, b)
+    with a in one mask and b in another; each scope keeps a list of its own
+    (``_Scope``), which holds no pair outside it.  A walk on the synced
+    table resumes where the last one with its test and scope stopped, so a
+    step tests only the pairs that no earlier such walk reached; a walk on
+    a subset keeps nothing.  ``sync`` starts the scopes afresh when a value
+    arrives.  It drops a scope's pairs of values that left, and starts its
+    walks afresh, once those outnumber the live ones; until then walks skip
+    them.
 
     A corridor verdict also depends on the other stacks.  Each pull keeps
     the mask of values tested against its corridor and the mask of those
@@ -193,11 +213,11 @@ class PairMemo:
         self._gaps: dict[tuple[int, int], float] = {}
         self._stackable: dict[tuple[int, int], bool] = {}
         self._pulls: dict[tuple[int, int], _PullEntry] = {}
-        # (gap bound, a, b, bits of a and b), sorted: the pairs ``_widen`` listed
-        self._pairs: list[tuple[float, int, int, int]] = []
-        self._rings, self._horizon = -1, -math.inf
-        # each ``nearest`` test's progress on the synced table through ``_pairs``
-        self._walks: dict[tuple[Admit, float], _Walk] = {}
+        # The scopes by their masks' bits on ``_listed``, the synced table
+        # when they were started: no value off it is listed, and a value
+        # made since (a previewed pile) changes no scope's key.
+        self._scopes: dict[tuple[int, int], _Scope] = {}
+        self._listed = 0
 
     def _bit(self, stack: Stack) -> int:
         bit = self._bits.get(stack)
@@ -230,27 +250,30 @@ class PairMemo:
         arrived = table & ~self._synced
         self._ids, self.table, self._synced = ids, table, table
         if arrived:  # list the pairs afresh, as far as the walks read
-            self._pairs, self._rings, self._horizon = [], -1, -math.inf
-        if arrived or len(self._pairs) > len(ids) * (len(ids) - 1):
-            self._pairs = [entry for entry in self._pairs if entry[3] & table == entry[3]]
-            self._walks = {}
+            self._scopes, self._listed = {}, table
+        for scope in self._scopes.values():
+            if len(scope.pairs) > len(ids) * (len(ids) - 1):
+                scope.pairs = [entry for entry in scope.pairs if entry[3] & table == entry[3]]
+                scope.walks = {}
 
-    def _widen(self) -> None:
-        """List the pairs whose base cells lie more than ``_rings`` apart, up
-        to the next ring (at least ring 3, the first with a horizon above 0),
-        or all of them once that takes as many look-ups as there are pairs.
-        Then no pair of the synced table left out is bounded below
-        ``_horizon``, and none listed now sorts before an entry a walk read."""
-        live, listed = [self._loci[bit] for bit in self._ids.values()], self._rings
+    def _widen(self, scope: _Scope) -> None:
+        """List the scope's pairs whose base cells lie more than its
+        ``rings`` apart, up to the next ring (at least ring 3, the first
+        with a horizon above 0), or all of them once that takes as many
+        look-ups as the table has pairs.  Then no pair of the scope on the
+        synced table left out is bounded below its ``horizon``, and none
+        listed now sorts before an entry a walk read."""
+        lifted, base, listed = scope.lifted, scope.base, scope.rings
+        live = [self._loci[bit] for bit in self._ids.values() if bit & (lifted | base)]
         k = max(listed + 1, 3)
         # Once rings up to k add as many cells as there are other values, a
         # look-up of each from every value costs as much as listing every pair.
-        if (2 * k + 1) ** 2 - max(2 * listed + 1, 0) ** 2 >= len(live) - 1:
+        if (2 * k + 1) ** 2 - max(2 * listed + 1, 0) ** 2 >= len(self._ids) - 1:
             pairs: Iterable[tuple[Locus, Locus]] = combinations(live, 2)
             if listed >= 0:
                 pairs = ((a, b) for a, b in pairs
                          if max(abs(b[2] - a[2]), abs(b[3] - a[3])) > listed)
-            self._rings = self._horizon = math.inf
+            scope.rings = scope.horizon = math.inf
         else:
             # Half the new cell offsets, so that each pair of cells is met once.
             ring = [(di, dj) for di in range(k + 1) for dj in range(-k, k + 1)
@@ -261,41 +284,51 @@ class PairMemo:
             pairs = ((a, b) for (i, j), here in cells.items() for di, dj in ring
                      for b in cells.get((i + di, j + dj), ())
                      for a in here if di or dj or a[0] < b[0])
-            self._rings, self._horizon = k, k * self._cell - reach_limit(self._reach, self._reach)
-        self._pairs += [
+            scope.rings, scope.horizon = k, k * self._cell - reach_limit(self._reach, self._reach)
+        scope.pairs += [
             (math.hypot(b[4] - a[4], b[5] - a[5]) - reach_limit(a[6], b[6]), a[1], b[1],
-             a[0] | b[0])
+             a[0] | b[0], a[0])
             for a, b in pairs
+            if a[0] & lifted and b[0] & base or b[0] & lifted and a[0] & base
         ]
-        self._pairs.sort()
+        scope.pairs.sort()
 
-    def nearest(self, admit: Admit, within: float = math.inf) -> Iterator[tuple[int, int]]:
-        """The ordered pairs (a, b) on ``table`` that ``admit`` accepts, by
-        (``gap(a, b)``, a, b).  ``admit`` reads only the two stack values;
-        if it rejects every gap of at least ``within``, the walk stops at
-        the first gap bound that reaches ``within``.  A pair is tested and
-        its gap computed only once the pairs bounded below it are read.
+    def nearest(
+        self, admit: Admit, within: float = math.inf, lifted: int = -1, base: int = -1
+    ) -> Iterator[tuple[int, int]]:
+        """The ordered pairs (a, b) on ``table`` with a's bit in ``lifted``
+        and b's in ``base`` that ``admit`` accepts, by (``gap(a, b)``, a,
+        b).  ``admit`` reads only the two stack values and is asked only
+        about such pairs; if it rejects every gap of at least ``within``,
+        the walk stops at the first gap bound that reaches ``within``.  A
+        pair is tested and its gap computed only once the pairs of the scope
+        bounded below it are read.
 
         A walk on the synced table resumes where the last one with the same
-        (``admit``, ``within``) stopped: it keeps its cursor in the pair
-        list and the pairs it admitted before it, sorted.  A walk on a
-        subset of the synced table keeps nothing and starts from the head.
-        Read a walk on the synced table before the next ``sync`` or walk
-        on it with the same test."""
+        (``admit``, ``within``) and scope stopped: it keeps its cursor in the
+        scope's pair list and the pairs it admitted before it, sorted.  A
+        walk on a subset of the synced table keeps nothing and starts from
+        the head.  Read a walk on the synced table before the next ``sync``
+        or walk on it with the same test and scope."""
+        key = (lifted & self._listed, base & self._listed)
+        scope = self._scopes.get(key)
+        if scope is None:
+            scope = self._scopes[key] = _Scope(*key)
+        lifted, base = key
         table = self.table
         if table == self._synced:
-            walk = self._walks.get((admit, within))
+            walk = scope.walks.get((admit, within))
             if walk is None:
-                walk = self._walks[(admit, within)] = _Walk()
+                walk = scope.walks[(admit, within)] = _Walk()
         else:
             walk = _Walk()
-        pairs, admitted = self._pairs, walk.admitted
+        pairs, admitted = scope.pairs, walk.admitted
         read = 0  # index of the first kept entry not yet yielded or passed
         j = walk.cursor
         while True:
-            bound, a, b, bits = pairs[j] if j < len(pairs) else _PAST_LAST_PAIR
-            if bound >= self._horizon < within:
-                self._widen()  # unlisted pairs may have bounds below this one
+            bound, a, b, bits, bit_a = pairs[j] if j < len(pairs) else _PAST_LAST_PAIR
+            if bound >= scope.horizon < within:
+                self._widen(scope)  # unlisted pairs may have bounds below this one
                 continue
             j += 1
             if bound >= within:
@@ -312,9 +345,11 @@ class PairMemo:
                     yield entry[1:3]
             if bound == math.inf:
                 return
-            for x, y in ((a, b), (b, a)):
-                if admit(self, x, y):
-                    insort(admitted, (self.gap(x, y), x, y, bits))
+            bit_b = bits ^ bit_a
+            if bit_a & lifted and bit_b & base and admit(self, a, b):
+                insort(admitted, (self.gap(a, b), a, b, bits))
+            if bit_b & lifted and bit_a & base and admit(self, b, a):
+                insort(admitted, (self.gap(b, a), b, a, bits))
             walk.cursor = j
 
     def bit(self, sid: int) -> int:
@@ -487,27 +522,37 @@ def _optimal_order(memo: PairMemo, classes: list[int]) -> dict[int, Move]:
     the pair tests and none of the stacks meeting its corridor is in S.
     Each step takes, among the moves that start a minimum-trip order, the
     one nearest-first would rank highest: ready grasps by (gap, ids), then
-    pulls by (gap, mover, anchor), then single grasps by stack id.
+    pulls by (gap, mover, anchor), then single grasps by stack id.  A pull
+    is checked only when the search first reaches it with a subset it
+    clears and a trip floor that could still improve on the best order.
     """
     ids = memo.ids()
     ready = set(memo.nearest(_ready, within=memo.sim.gripper.max_opening))
-    ranked = []  # (rank, move, stacks it clears, stacks that block it)
+    # [rank, move, stacks it clears, stacks that block it]; a pull's check
+    # and blockers stay None until ``blocked`` first reads it.
+    ranked: list[list] = []
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
             pair = memo.bit(a) | memo.bit(b)
             if (a, b) in ready:
                 move = ("grasp", (a, b), memo.shared_grasp(a, b))
-                ranked.append(((0, memo.gap(a, b), a, b), move, pair, 0))
+                ranked.append([(0, memo.gap(a, b), a, b), move, pair, 0])
                 continue
             for mover, anchor in ((a, b), (b, a)):
-                pull = memo.pull_blockers(mover, anchor)
-                if pull is not None:
-                    check, blockers = pull
-                    move = ("pull", (mover, anchor), check)
+                if _same_grip(memo, mover, anchor):
                     rank = (1, memo.gap(mover, anchor), mover, anchor)
-                    ranked.append((rank, move, pair, blockers))
-    ranked.extend(((2, sid), ("single", (sid,), None), memo.bit(sid), 0) for sid in ids)
+                    ranked.append([rank, ("pull", (mover, anchor), None), pair, None])
+    ranked.extend([(2, sid), ("single", (sid,), None), memo.bit(sid), 0] for sid in ids)
     ranked.sort(key=lambda r: r[0])
+
+    def blocked(entry: list, left: int) -> bool:
+        if entry[3] is None:
+            found = memo.pull_blockers(*entry[1][1])
+            if found is None:  # the pair tests fail: blocked on every table
+                entry[3] = -1
+            else:
+                entry[1], entry[3] = ("pull", entry[1][1], found[0]), found[1]
+        return bool(entry[3] & left)
 
     least = {0: 0}
 
@@ -515,13 +560,14 @@ def _optimal_order(memo: PairMemo, classes: list[int]) -> dict[int, Move]:
         if left not in least:
             floor = _trip_floor(left, classes)
             best = left.bit_count()
-            for _, _, cleared, blockers in ranked:
+            for entry in ranked:
                 if best == floor:
                     break
-                if cleared & left != cleared or blockers & left:
+                cleared = entry[2]
+                if cleared & left != cleared:
                     continue
                 rest = left ^ cleared
-                if 1 + _trip_floor(rest, classes) < best:
+                if 1 + _trip_floor(rest, classes) < best and not blocked(entry, left):
                     best = min(best, 1 + trips(rest))
             least[left] = best
         return least[left]
@@ -530,15 +576,15 @@ def _optimal_order(memo: PairMemo, classes: list[int]) -> dict[int, Move]:
     left = memo.table
     while left:
         target = trips(left)
-        move, cleared = next(
-            (move, cleared)
-            for _, move, cleared, blockers in ranked
-            if cleared & left == cleared
-            and not blockers & left
-            and 1 + trips(left ^ cleared) == target
+        entry = next(
+            entry
+            for entry in ranked
+            if entry[2] & left == entry[2]
+            and not blocked(entry, left)
+            and 1 + trips(left ^ entry[2]) == target
         )
-        plan[left] = move
-        left ^= cleared
+        plan[left] = entry[1]
+        left ^= entry[2]
     return plan
 
 
@@ -615,7 +661,8 @@ def stack_policy(
     memo.sync(state)
     if memo.table & memo.utensil_piles and memo.table & memo.bowl_tops:
         if cfg.utensil_stacking is UtensilStacking.ONE_PER_BOWL:
-            for u, b in memo.nearest(_utensil_onto_bowl):
+            piles, tops = memo.utensil_piles, memo.bowl_tops
+            for u, b in memo.nearest(_utensil_onto_bowl, lifted=piles, base=tops):
                 placement = StackPlacement(grasp_points(state, u, rng, sim), u, b)
                 carry = grasp_points(state, b, rng, sim)
                 return StackGrasp((placement,), carry)
@@ -660,15 +707,16 @@ def next_action(
 ) -> Action | None:
     """Next feasible action for the policy, or None once the table is clear.
 
-    ``memo`` is the trial's pair memo, passed to every policy; the pull and
-    stack policies read their pair results from it (see ``PairMemo``).  A
-    call without one starts from an empty memo.  The policies are looked up
-    by module name at each call, so a rebinding of those names (such as a
-    profiler's wrapper) takes effect.
+    ``memo`` is the trial's pair memo; the pull and stack policies read
+    their pair results from it (see ``PairMemo``).  A pull or stack call
+    without one starts from an empty memo; the random policy asks about no
+    pair and gets none.  The policies are looked up by module name at each
+    call, so a rebinding of those names (such as a profiler's wrapper)
+    takes effect.
     """
     if not state.stacks:
         return None
-    if memo is None:
+    if memo is None and cfg.kind is not PolicyKind.RANDOM:
         memo = PairMemo(sim)
     policy = {
         PolicyKind.RANDOM: random_policy,
@@ -720,7 +768,7 @@ def run_policy(
     state = initial.clone()
     trace = Trace(policy=policy.kind.value, seed=seed, tier=initial.tier)
     cap = 50 * max(len(state.dishes), 1) + 100
-    memo = PairMemo(sim)
+    memo = None if policy.kind is PolicyKind.RANDOM else PairMemo(sim)
     while True:
         t = len(trace.events)
         if t >= cap:

@@ -380,6 +380,30 @@ class TestBench:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("policies", ["random", {"kind": "stack", "utensil_stacking": "one_per_bowl"},
+                      {"kind": "stack", "utensil_stacking": "all_on_one_bowl"}],
+         "policies must not repeat a kind"),
+        ("tiers", ["t1", "t1"], "tiers must not repeat"),
+    ], ids=["policy_kind", "tier"])
+    def test_repeated_policy_kind_or_tier_is_usage_error(
+        self, tmp_path, capsys, field, value, message
+    ):
+        # Report rows are keyed by (scene, policy kind): a repeat would
+        # write two trials that cannot be told apart.
+        plan = write_plan(tmp_path, **{field: value})
+        out = tmp_path / "x"
+        rc = main(["bench", "--plan", str(plan), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tiers_not_a_list_exits_3(self, tmp_path, capsys):
+        plan = write_plan(tmp_path, tiers="t1")
+        rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert "plan: tiers must be a list" in capsys.readouterr().err
+
     def test_run_replays_a_bench_trial(self, tmp_path, capsys):
         # A bench trial is reproducible from what bench wrote: ``run`` on the
         # generated scene with the trial's seed writes the same events.  The

@@ -192,6 +192,34 @@ def test_previewed_piles_get_bits_of_their_own():
     assert len(action.placements) == 9
 
 
+def test_values_off_the_table_keep_the_scoped_walk(monkeypatch):
+    # A stacking test on a state other than the synced table (as
+    # ``all_on_one_bowl`` asks about its previews) gives the values it
+    # makes bits, and a utensil pile's bit joins ``utensil_piles``.  The
+    # scoped walk goes on from where it stopped all the same.
+    scene = build_scene([([BOWL], 60, 30), ([BOWL], 40, 50)]
+                        + [([UTENSIL], 20, 5 + 5 * k) for k in range(4)])
+    memo = PairMemo(SIM)
+    memo.sync(scene)
+    calls = []
+
+    def counted(memo, lifted, base):
+        calls.append((lifted, base))
+        return policies._utensil_onto_bowl(memo, lifted, base)
+
+    def walk():
+        return next(memo.nearest(counted, lifted=memo.utensil_piles, base=memo.bowl_tops))
+
+    first = walk()
+    tested = len(calls)
+    moved = scene.clone()
+    moved.stacks[2] = dataclasses.replace(scene.stacks[2], base=Point2(50, 10))
+    piles = memo.utensil_piles
+    memo.stackable(moved, 2, 0)
+    assert memo.utensil_piles != piles
+    assert walk() == first and len(calls) == tested
+
+
 def test_answers_follow_the_synced_table():
     # A subset of the table, the whole table, then the table with one
     # stack moved to its middle: the memo extends what it tested on each.
@@ -376,12 +404,19 @@ def on_table(memo: PairMemo) -> SceneState:
 
 def assert_nearest_is_brute_force(memo: PairMemo, reads: int | None = None) -> None:
     """Every admitting test's ``nearest`` on the memo's table equals a sort
-    by (gap, a, b) of the ordered pairs the test admits, each pair once.
-    With ``reads``, each walk is read only that far."""
+    by (gap, a, b) of the ordered pairs the test admits, each pair once;
+    so does the utensil test's walk scoped to utensil piles onto bowl tops,
+    as the stack policy reads it.  With ``reads``, each walk is read only
+    that far."""
     view = on_table(memo)
-    for name, (admit, admitted) in ADMITS.items():
-        within = {"within": SIM.gripper.max_opening} if name == "ready" else {}
-        got = list(islice(memo.nearest(admit, **within), reads))
+    walks = [
+        (name, admit, admitted, {"within": SIM.gripper.max_opening} if name == "ready" else {})
+        for name, (admit, admitted) in ADMITS.items()
+    ]
+    scope = {"lifted": memo.utensil_piles, "base": memo.bowl_tops}
+    walks.append(("scoped utensil_onto_bowl", *ADMITS["utensil_onto_bowl"], scope))
+    for name, admit, admitted, options in walks:
+        got = list(islice(memo.nearest(admit, **options), reads))
         assert len(set(got)) == len(got), name
         expected = sorted(
             (grasp_gap(view, a, b, SIM)[0], a, b)
@@ -576,6 +611,25 @@ def test_stack_policy_tests_few_pairs(monkeypatch):
     monkeypatch.setattr(policies, "stack_allowable", counted)
     run_policy(dense_scene(72, 0), PolicyConfig.named("stack", "one_per_bowl"), SIM, 0)
     assert 0 < len(calls) < 72 * 72 / 10
+
+
+def test_utensil_walk_tests_only_utensil_piles_onto_bowl_tops(monkeypatch):
+    # The stack policy's utensil walk is scoped to utensil piles and bowl
+    # tops: it lists no other pair and asks its test about no other order.
+    calls = []
+    admit = policies._utensil_onto_bowl
+
+    def checked(memo, lifted, base):
+        calls.append((lifted, base))
+        assert memo.bit(lifted) & memo.utensil_piles, (lifted, base)
+        assert memo.bit(base) & memo.bowl_tops, (lifted, base)
+        return admit(memo, lifted, base)
+
+    monkeypatch.setattr(policies, "_utensil_onto_bowl", checked)
+    for seed in (0, 3):
+        calls.clear()
+        run_policy(dense_scene(72, seed), PolicyConfig.named("stack", "one_per_bowl"), SIM, seed)
+        assert calls
 
 
 def test_walks_resume_from_step_to_step(monkeypatch):

@@ -20,6 +20,7 @@ from declutter import (
     grasp_fails,
     next_action,
     objects_per_trip,
+    policies,
     run_policy,
     validate,
 )
@@ -127,6 +128,28 @@ class TestPullPolicy:
         ]
         assert trace.trips == min_trips(scene, SIM, pull_only=True) == 3
 
+    def test_exact_search_checks_few_pulls(self, monkeypatch):
+        # The search ranks pulls by gap alone and checks a pull's corridor
+        # only once it reaches it with a table that pull could improve.
+        # Checking every pull up front took about 100 calls per search here.
+        searches, checks = [], []
+        search, pull_blockers = policies._optimal_order, policies.PairMemo.pull_blockers
+
+        def counted_search(*args):
+            searches.append(args)
+            return search(*args)
+
+        def counted_check(memo, mover, anchor):
+            checks.append((mover, anchor))
+            return pull_blockers(memo, mover, anchor)
+
+        monkeypatch.setattr(policies, "_optimal_order", counted_search)
+        monkeypatch.setattr(policies.PairMemo, "pull_blockers", counted_check)
+        for tier in (Tier.T1, Tier.T2):
+            for seed in range(20):
+                run_policy(generate_scene(TierConfig.preset(tier), seed), PULL, SIM, seed)
+        assert searches and len(checks) < 30 * len(searches)
+
     def test_never_emits_infeasible_composites(self):
         for seed in range(30):
             scene = generate_scene(TierConfig.preset(Tier.T2), seed)
@@ -201,6 +224,21 @@ class TestRunPolicy:
         assert trace.objects_cleared == 12
         assert trace.trips <= 12
         assert validate(trace.final_state, SIM.dish_specs) == []
+
+    def test_random_trial_builds_no_memo(self, monkeypatch):
+        built = []
+
+        class CountedMemo(policies.PairMemo):
+            def __init__(self, sim):
+                built.append(sim)
+                super().__init__(sim)
+
+        monkeypatch.setattr(policies, "PairMemo", CountedMemo)
+        scene = generate_scene(TierConfig.preset(Tier.T2), 17)
+        run_policy(scene, RANDOM, SIM, 17)
+        assert built == []
+        run_policy(scene, PULL, SIM, 17)
+        assert len(built) == 1
 
     def test_deterministic_given_seed(self):
         scene = generate_scene(TierConfig.preset(Tier.T2), 23)

@@ -200,11 +200,12 @@ def _grasp_locus(state: SceneState, stack: Stack, sim: "SimConfig"):
     bottom = state.dishes[stack.bottom]
     spec = sim.dish_specs[bottom.kind]
     x, y = stack.base.x, stack.base.y
+    reach = spec.grasp_reach
     if bottom.kind is DishKind.UTENSIL:
-        hx = (spec.length / 2.0) * math.cos(bottom.theta)
-        hy = (spec.length / 2.0) * math.sin(bottom.theta)
+        hx = reach * math.cos(bottom.theta)
+        hy = reach * math.sin(bottom.theta)
         return "segment", (x - hx, y - hy), (x + hx, y + hy)
-    return "circle", (x, y), spec.radius
+    return "circle", (x, y), reach
 
 
 def grasp_gap(

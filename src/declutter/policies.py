@@ -28,11 +28,11 @@ from .actions import (
     StackGrasp,
     StackPlacement,
     TraceEvent,
+    _grasp_gap_xy,
     _grip_height,
     _pair_check,
     apply,
     grasp_fails,
-    grasp_gap,
     grasp_points,
     mog_grasp,
     stack_allowable,
@@ -68,12 +68,11 @@ class PolicyConfig:
 
     @classmethod
     def named(cls, name: str, utensil_stacking: str | None = None) -> "PolicyConfig":
-        return cls(
-            kind=PolicyKind(name),
-            utensil_stacking=UtensilStacking(utensil_stacking)
-            if utensil_stacking
-            else UtensilStacking.ONE_PER_BOWL,
-        )
+        """The policy ``name``; ``utensil_stacking`` is a stack policy mode."""
+        kind = PolicyKind(name)
+        if utensil_stacking and kind is not PolicyKind.STACK:
+            raise ValueError(f"utensil_stacking applies to the stack policy only, not {name}")
+        return cls(kind, UtensilStacking(utensil_stacking or UtensilStacking.ONE_PER_BOWL))
 
 
 def random_policy(
@@ -179,9 +178,11 @@ class PairMemo:
     A corridor verdict also depends on the other stacks.  Each pull keeps
     the mask of values tested against its corridor and the mask of those
     that meet it; a question about a table tests only the values on it not
-    tested yet.  So a corridor test runs at most once per pull and stack
-    value in a trial, whichever table asks.  The pull policy's planner sets
-    ``table`` to subsets of the synced table as it looks ahead.
+    tested yet, up to the first that meets the corridor.  So a corridor
+    test runs at most once per pull and stack value in a trial, whichever
+    table asks.  Only ``sync`` sets ``table``; the pull policy's planner
+    passes the subsets it looks ahead on as masks to ``nearest``, ``pull``
+    and ``ids``.
 
     ``plan`` holds the pull policy's planned moves keyed by table mask (see
     ``pull_policy``).
@@ -196,17 +197,12 @@ class PairMemo:
         self._bits: dict[Stack, int] = {}
         self._values: dict[int, Stack] = {}
         self._ids: dict[int, int] = {}
-        self._synced = 0
         self._loci: dict[int, Locus] = {}
         self.grips: dict[int, float] = {}  # ``_grip_height`` of each value
-        # Each kind's reach (rim radius or half a utensil's length) and the
-        # width of the cells bases are filed in: bases more than k cells apart
-        # lie at least k widths apart; at 0.8 reaches, ring 3's horizon is 0.4 reaches.
-        self._reaches = {
-            kind: spec.length / 2.0 if kind is DishKind.UTENSIL else spec.radius
-            for kind, spec in sim.dish_specs.items()
-        }
-        self._reach = max(self._reaches.values())
+        # The widest grasp reach and the width of the cells bases are filed
+        # in: bases more than k cells apart lie at least k widths apart; at
+        # 0.8 reaches, ring 3's horizon is 0.4 reaches.
+        self._reach = max(spec.grasp_reach for spec in sim.dish_specs.values())
         self._cell = 0.8 * self._reach
         self._footprints: dict[int, list[Footprint]] = {}
         self._grasps: dict[tuple[int, int], GraspAction | None] = {}
@@ -226,7 +222,8 @@ class PairMemo:
             self._values[bit] = stack
             dishes, x, y, w = self.state.dishes, stack.base.x, stack.base.y, self._cell
             kind = dishes[stack.bottom].kind
-            self._loci[bit] = (bit, stack.id, int(x // w), int(y // w), x, y, self._reaches[kind])
+            reach = self.sim.dish_specs[kind].grasp_reach
+            self._loci[bit] = (bit, stack.id, int(x // w), int(y // w), x, y, reach)
             self.grips[bit] = _grip_height(self.state, stack, self.sim)
             self.utensil_piles |= bit if kind is DishKind.UTENSIL else 0
             self.bowl_tops |= bit if dishes[stack.top].kind is DishKind.BOWL else 0
@@ -247,8 +244,8 @@ class PairMemo:
             bit = old.get(sid, 0)
             ids[sid] = bit if values.get(bit) is stack else self._bit(stack)
         table = sum(ids.values())
-        arrived = table & ~self._synced
-        self._ids, self.table, self._synced = ids, table, table
+        arrived = table & ~self.table
+        self._ids, self.table = ids, table
         if arrived:  # list the pairs afresh, as far as the walks read
             self._scopes, self._listed = {}, table
         for scope in self._scopes.values():
@@ -294,29 +291,31 @@ class PairMemo:
         scope.pairs.sort()
 
     def nearest(
-        self, admit: Admit, within: float = math.inf, lifted: int = -1, base: int = -1
+        self, admit: Admit, within: float = math.inf, lifted: int = -1, base: int = -1,
+        table: int | None = None,
     ) -> Iterator[tuple[int, int]]:
-        """The ordered pairs (a, b) on ``table`` with a's bit in ``lifted``
-        and b's in ``base`` that ``admit`` accepts, by (``gap(a, b)``, a,
-        b).  ``admit`` reads only the two stack values and is asked only
-        about such pairs; if it rejects every gap of at least ``within``,
-        the walk stops at the first gap bound that reaches ``within``.  A
-        pair is tested and its gap computed only once the pairs of the scope
-        bounded below it are read.
+        """The ordered pairs (a, b) on ``table`` (a mask of the synced
+        table's bits; None for all of it) with a's bit in ``lifted`` and b's
+        in ``base`` that ``admit`` accepts, by (``gap(a, b)``, a, b).
+        ``admit`` reads only the two stack values and is asked only about
+        such pairs; if it rejects every gap of at least ``within``, the walk
+        stops at the first gap bound that reaches ``within``.  A pair is
+        tested and its gap computed only once the pairs of the scope bounded
+        below it are read.
 
         A walk on the synced table resumes where the last one with the same
         (``admit``, ``within``) and scope stopped: it keeps its cursor in the
         scope's pair list and the pairs it admitted before it, sorted.  A
-        walk on a subset of the synced table keeps nothing and starts from
-        the head.  Read a walk on the synced table before the next ``sync``
-        or walk on it with the same test and scope."""
+        walk on a narrower table keeps nothing and starts from the head.
+        Read a walk on the synced table before the next ``sync`` or walk on
+        it with the same test and scope."""
         key = (lifted & self._listed, base & self._listed)
         scope = self._scopes.get(key)
         if scope is None:
             scope = self._scopes[key] = _Scope(*key)
         lifted, base = key
-        table = self.table
-        if table == self._synced:
+        table = self.table if table is None else table
+        if table == self.table:
             walk = scope.walks.get((admit, within))
             if walk is None:
                 walk = scope.walks[(admit, within)] = _Walk()
@@ -382,7 +381,7 @@ class PairMemo:
         """``grasp_gap`` of stacks ``a`` and ``b``."""
         key = (self._ids[a], self._ids[b])
         if key not in self._gaps:
-            self._gaps[key] = grasp_gap(self.state, a, b, self.sim)[0]
+            self._gaps[key] = _grasp_gap_xy(self.state, a, b, self.sim)[0]
         return self._gaps[key]
 
     def stackable(self, state: SceneState, lifted: int, base: int) -> bool:
@@ -395,49 +394,41 @@ class PairMemo:
             self._stackable[key] = stack_allowable(state, lifted, base, self.sim)
         return self._stackable[key]
 
-    def _corridor(self, mover: int, anchor: int, every: bool) -> tuple[PullCheck, int]:
-        """The pair tests of ``mover``'s pull toward ``anchor`` and a mask of
-        stacks on ``table`` that meet its corridor: all of them when
-        ``every``, else at least one if any does.  The mask is 0 when the
-        pair tests fail."""
+    def _corridor(self, mover: int, anchor: int, table: int) -> tuple[PullCheck, int]:
+        """The pair tests of ``mover``'s pull toward ``anchor`` and the bit
+        of a stack on ``table`` (a mask of the synced table's bits) that
+        meets its corridor, or 0 when none does or the pair tests fail.
+        Only the values on ``table`` not yet tested against this pull are
+        tested, up to the first that meets it."""
         bm, ba = self._ids[mover], self._ids[anchor]
         entry = self._pulls.get((bm, ba))
         if entry is None:
             pair, sweep = _pair_check(self.state, mover, anchor, self.sim, self.footprints)
             entry = self._pulls[(bm, ba)] = _PullEntry(pair, sweep, bm | ba)
         pair = entry.pair
-        blocked = entry.blocked & self.table
-        if not pair.allowable or (blocked and not every):
-            return pair, blocked
-        untested = self.table & ~entry.tested
+        blocked = entry.blocked & table
+        if blocked or not pair.allowable:
+            return pair, blocked & -blocked
+        untested = table & ~entry.tested
         while untested:
             bit = untested & -untested
             untested ^= bit
             entry.tested |= bit
             if entry.sweep.meets(self._bit_footprints(bit)):
                 entry.blocked |= bit
-                blocked |= bit
-                if not every:
-                    break
-        return pair, blocked
+                return pair, bit
+        return pair, 0
 
-    def pull(self, mover: int, anchor: int) -> PullCheck:
-        """``check_pull`` of ``mover`` toward ``anchor`` on ``table``,
-        naming one of the blocking stacks when the corridor is blocked."""
-        pair, blocked = self._corridor(mover, anchor, every=False)
-        if not blocked:
+    def pull(self, mover: int, anchor: int, table: int | None = None) -> PullCheck:
+        """``check_pull`` of ``mover`` toward ``anchor`` on ``table`` (a mask
+        of the synced table's bits; None for all of it), naming one of the
+        blocking stacks when the corridor is blocked."""
+        pair, blocker = self._corridor(mover, anchor, self.table if table is None else table)
+        if not blocker:
             return pair
-        blocker = self._values[blocked & -blocked].id
         # Built directly: ``replace`` costs several times more, and the
         # nearest-first search asks about every blocked pull at each step.
-        return PullCheck("corridor", blocker, pair.end, pair.grasp)
-
-    def pull_blockers(self, mover: int, anchor: int) -> tuple[PullCheck, int] | None:
-        """The pair tests of ``mover``'s pull toward ``anchor`` and the mask
-        of every stack on ``table`` meeting its corridor, or None when the
-        pair tests fail."""
-        pair, blocked = self._corridor(mover, anchor, every=True)
-        return (pair, blocked) if pair.allowable else None
+        return PullCheck("corridor", self._values[blocker].id, pair.end, pair.grasp)
 
 
 # Tables of at most this many stacks, the size of a paper scene, get a
@@ -457,18 +448,18 @@ def _same_grip(memo: PairMemo, mover: int, anchor: int) -> bool:
     return memo.sim.gripper.similar_heights(grips[memo.bit(mover)], grips[memo.bit(anchor)])
 
 
-def _nearest_first(memo: PairMemo) -> Move:
-    """Nearest-first's move on the memo's table: the nearest pair with a
-    shared grasp, else the nearest allowable pull, else the lowest stack id.
-    Ties go to the lowest ids.  Corridors are tested only down to the first
-    pull they leave clear."""
-    for a, b in memo.nearest(_ready, within=memo.sim.gripper.max_opening):
+def _nearest_first(memo: PairMemo, table: int) -> Move:
+    """Nearest-first's move on ``table``, a mask of the memo's synced
+    table: the nearest pair with a shared grasp, else the nearest allowable
+    pull, else the lowest stack id.  Ties go to the lowest ids.  Corridors
+    are tested only down to the first pull they leave clear."""
+    for a, b in memo.nearest(_ready, within=memo.sim.gripper.max_opening, table=table):
         return "grasp", (a, b), memo.shared_grasp(a, b)
-    for mover, anchor in memo.nearest(_same_grip):
-        check = memo.pull(mover, anchor)
+    for mover, anchor in memo.nearest(_same_grip, table=table):
+        check = memo.pull(mover, anchor, table)
         if check.allowable:
             return "pull", (mover, anchor), check
-    return "single", (memo.ids()[0],), None
+    return "single", (memo.ids(table)[0],), None
 
 
 def _grip_classes(memo: PairMemo) -> list[int]:
@@ -500,15 +491,13 @@ def _plan(memo: PairMemo) -> dict[int, Move]:
     Nearest-first's own order when it meets the floor on trips
     (``_trip_floor``), otherwise ``_optimal_order``.
     """
-    table = memo.table
     plan: dict[int, Move] = {}
-    while memo.table:
-        move = _nearest_first(memo)
-        plan[memo.table] = move
-        memo.table &= ~sum(memo.bit(sid) for sid in move[1])
-    memo.table = table
+    left = memo.table
+    while left:
+        move = plan[left] = _nearest_first(memo, left)
+        left &= ~sum(memo.bit(sid) for sid in move[1])
     classes = _grip_classes(memo)
-    if len(plan) == _trip_floor(table, classes):
+    if len(plan) == _trip_floor(memo.table, classes):
         return plan
     return _optimal_order(memo, classes)
 
@@ -523,36 +512,34 @@ def _optimal_order(memo: PairMemo, classes: list[int]) -> dict[int, Move]:
     Each step takes, among the moves that start a minimum-trip order, the
     one nearest-first would rank highest: ready grasps by (gap, ids), then
     pulls by (gap, mover, anchor), then single grasps by stack id.  A pull
-    is checked only when the search first reaches it with a subset it
-    clears and a trip floor that could still improve on the best order.
+    is asked about only when the search reaches it with a subset it clears
+    and a trip floor that could still improve on the best order, and then
+    only whether a stack of that subset meets its corridor.
     """
     ids = memo.ids()
     ready = set(memo.nearest(_ready, within=memo.sim.gripper.max_opening))
-    # [rank, move, stacks it clears, stacks that block it]; a pull's check
-    # and blockers stay None until ``blocked`` first reads it.
-    ranked: list[list] = []
+    # (rank, move, stacks it clears); a pull's move holds no check until
+    # the plan takes it.
+    ranked: list[tuple[tuple, Move, int]] = []
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
             pair = memo.bit(a) | memo.bit(b)
             if (a, b) in ready:
                 move = ("grasp", (a, b), memo.shared_grasp(a, b))
-                ranked.append([(0, memo.gap(a, b), a, b), move, pair, 0])
+                ranked.append(((0, memo.gap(a, b), a, b), move, pair))
                 continue
             for mover, anchor in ((a, b), (b, a)):
                 if _same_grip(memo, mover, anchor):
                     rank = (1, memo.gap(mover, anchor), mover, anchor)
-                    ranked.append([rank, ("pull", (mover, anchor), None), pair, None])
-    ranked.extend([(2, sid), ("single", (sid,), None), memo.bit(sid), 0] for sid in ids)
+                    ranked.append((rank, ("pull", (mover, anchor), None), pair))
+    ranked.extend(((2, sid), ("single", (sid,), None), memo.bit(sid)) for sid in ids)
     ranked.sort(key=lambda r: r[0])
 
-    def blocked(entry: list, left: int) -> bool:
-        if entry[3] is None:
-            found = memo.pull_blockers(*entry[1][1])
-            if found is None:  # the pair tests fail: blocked on every table
-                entry[3] = -1
-            else:
-                entry[1], entry[3] = ("pull", entry[1][1], found[0]), found[1]
-        return bool(entry[3] & left)
+    def blocked(entry: tuple, left: int) -> bool:
+        if entry[1][0] != "pull":
+            return False
+        pair, blocker = memo._corridor(*entry[1][1], left)
+        return bool(blocker) or not pair.allowable
 
     least = {0: 0}
 
@@ -576,15 +563,16 @@ def _optimal_order(memo: PairMemo, classes: list[int]) -> dict[int, Move]:
     left = memo.table
     while left:
         target = trips(left)
-        entry = next(
+        _, move, cleared = next(
             entry
             for entry in ranked
             if entry[2] & left == entry[2]
             and not blocked(entry, left)
             and 1 + trips(left ^ entry[2]) == target
         )
-        plan[left] = entry[1]
-        left ^= entry[2]
+        kind, targets, _ = move
+        plan[left] = (kind, targets, memo.pull(*targets, left)) if kind == "pull" else move
+        left ^= cleared
     return plan
 
 
@@ -606,7 +594,7 @@ def pull_policy(
     """
     memo.sync(state)
     if len(state.stacks) > PLAN_MAX_STACKS:
-        move = _nearest_first(memo)
+        move = _nearest_first(memo, memo.table)
     else:
         move = memo.plan.get(memo.table)
         if move is None:

@@ -78,6 +78,13 @@ class DishSpec:
             return math.hypot(self.length / 2.0, self.width / 2.0)
         return self.radius
 
+    @cached_property
+    def grasp_reach(self) -> float:
+        """Reach of the grasp locus from the base: rim radius or half a length."""
+        if self.kind is DishKind.UTENSIL:
+            return self.length / 2.0
+        return self.radius
+
 
 def default_dish_specs() -> dict[DishKind, DishSpec]:
     """Default tableware set: 4.5 cm cups, 8.5 cm bowls, 17 x 1.8 cm utensils."""

@@ -178,6 +178,15 @@ class TestRun:
         rc = main(["run", "--scene", str(tmp_path / "none.json"), "--policy", "pull"])
         assert rc == 3
 
+    def test_stacking_mode_on_other_policy_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "scenes"
+        main(["generate", "--tier", "t1", "--count", "1", "--seed", "3", "--out", str(out)])
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(out / "scene_t1_3_0.json"), "--policy", "pull",
+                   "--utensil-stacking", "all_on_one_bowl"])
+        assert rc == 2
+        assert "utensil_stacking applies to the stack policy only" in capsys.readouterr().err
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["run", "--scene", "x.json", "--policy", "shake"])
@@ -315,6 +324,17 @@ class TestBench:
         plan = write_plan(tmp_path, policies=["shake"])
         rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "x")])
         assert rc == 3
+
+    def test_stacking_mode_on_other_policy_exits_3(self, tmp_path, capsys, monkeypatch):
+        # Refused before any trial runs, not run and ignored.
+        monkeypatch.setattr(harness, "run_policy", None)
+        policies = ["random", {"kind": "pull", "utensil_stacking": "all_on_one_bowl"}]
+        plan = write_plan(tmp_path, policies=policies)
+        out = tmp_path / "x"
+        rc = main(["bench", "--plan", str(plan), "--out", str(out)])
+        assert rc == 3
+        assert "plan policy malformed" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("plan_p_fail, failures", [(None, True), (0.0, False)])
     def test_plan_p_fail_overrides_config_only_when_set(

@@ -223,6 +223,8 @@ def test_values_off_the_table_keep_the_scoped_walk(monkeypatch):
 def test_answers_follow_the_synced_table():
     # A subset of the table, the whole table, then the table with one
     # stack moved to its middle: the memo extends what it tested on each.
+    # On each, every pull is asked about on narrower tables before and
+    # after the whole one, as the planner asks.
     for seed in range(2):
         scene = dense_scene(30, seed)
         subset = scene.clone()
@@ -236,34 +238,40 @@ def test_answers_follow_the_synced_table():
         blocked = []
         for table in (subset, scene, moved):
             memo.sync(table)
+            bits = [memo.bit(sid) for sid in sorted(table.stacks)]
+            masks = (sum(bits[1::2]), memo.table, sum(bits[::3]))
+            views = [(mask, on_table(memo, mask)) for mask in masks]
             for mover in table.stacks:
                 for anchor in table.stacks:
                     if mover == anchor:
                         continue
-                    check = check_pull(table, mover, anchor, SIM)
-                    assert memo.pull(mover, anchor).allowable == check.allowable
-                    found = memo.pull_blockers(mover, anchor)
-                    assert (found is None) == (check.failed not in (None, "corridor"))
-                    if found is not None:
-                        pair, mask = found
-                        assert mask == blocker_bits(table, mover, anchor, pair, memo)
-                        blocked.append(mask.bit_count())
+                    for mask, view in views:
+                        if mover not in view.stacks or anchor not in view.stacks:
+                            continue
+                        check = check_pull(view, mover, anchor, SIM)
+                        got = memo.pull(mover, anchor, mask)
+                        assert got.failed == check.failed
+                        if check.failed in (None, "corridor"):
+                            assert (got.end, got.grasp) == (check.end, check.grasp)
+                            blockers = corridor_blockers(view, mover, anchor, check.end)
+                            assert got.blocker in (blockers or {None})
+                            blocked.append(len(blockers))
         assert 0 in blocked and max(blocked) > 1
 
 
-def blocker_bits(table: SceneState, mover: int, anchor: int, pair, memo: PairMemo) -> int:
-    """The bits of the stacks on ``table`` meeting the corridor of a pull
-    whose pair tests ``pair`` passed."""
-    sm = table.stacks[mover]
+def corridor_blockers(view: SceneState, mover: int, anchor: int, end: Point2) -> set[int]:
+    """The ids of the stacks on ``view`` meeting the corridor of ``mover``'s
+    pull to ``end``."""
+    sm = view.stacks[mover]
     sweep = Sweep(
-        sm.base, pair.end, stack_footprints(table, sm, SIM.dish_specs), SIM.pull_clearance_margin
+        sm.base, end, stack_footprints(view, sm, SIM.dish_specs), SIM.pull_clearance_margin
     )
-    return sum(
-        memo.bit(sid)
-        for sid, stack in table.stacks.items()
+    return {
+        sid
+        for sid, stack in view.stacks.items()
         if sid not in (mover, anchor)
-        and sweep.meets(stack_footprints(table, stack, SIM.dish_specs))
-    )
+        and sweep.meets(stack_footprints(view, stack, SIM.dish_specs))
+    }
 
 
 def test_pull_offered_once_blocker_is_binned():
@@ -393,22 +401,24 @@ ADMITS = {
 }
 
 
-def on_table(memo: PairMemo) -> SceneState:
-    """The synced state holding only the stacks on ``memo.table``."""
+def on_table(memo: PairMemo, table: int) -> SceneState:
+    """The synced state holding only the stacks whose bits are in ``table``."""
     view = memo.state.clone()
     for sid in list(view.stacks):
-        if not memo.bit(sid) & memo.table:
+        if not memo.bit(sid) & table:
             del view.stacks[sid]
     return view
 
 
-def assert_nearest_is_brute_force(memo: PairMemo, reads: int | None = None) -> None:
-    """Every admitting test's ``nearest`` on the memo's table equals a sort
-    by (gap, a, b) of the ordered pairs the test admits, each pair once;
-    so does the utensil test's walk scoped to utensil piles onto bowl tops,
-    as the stack policy reads it.  With ``reads``, each walk is read only
-    that far."""
-    view = on_table(memo)
+def assert_nearest_is_brute_force(
+    memo: PairMemo, reads: int | None = None, table: int | None = None
+) -> None:
+    """Every admitting test's ``nearest`` on ``table`` (the synced table
+    when None) equals a sort by (gap, a, b) of the ordered pairs the test
+    admits, each pair once; so does the utensil test's walk scoped to
+    utensil piles onto bowl tops, as the stack policy reads it.  With
+    ``reads``, each walk is read only that far."""
+    view = on_table(memo, memo.table if table is None else table)
     walks = [
         (name, admit, admitted, {"within": SIM.gripper.max_opening} if name == "ready" else {})
         for name, (admit, admitted) in ADMITS.items()
@@ -416,7 +426,7 @@ def assert_nearest_is_brute_force(memo: PairMemo, reads: int | None = None) -> N
     scope = {"lifted": memo.utensil_piles, "base": memo.bowl_tops}
     walks.append(("scoped utensil_onto_bowl", *ADMITS["utensil_onto_bowl"], scope))
     for name, admit, admitted, options in walks:
-        got = list(islice(memo.nearest(admit, **options), reads))
+        got = list(islice(memo.nearest(admit, table=table, **options), reads))
         assert len(set(got)) == len(got), name
         expected = sorted(
             (grasp_gap(view, a, b, SIM)[0], a, b)
@@ -444,11 +454,8 @@ def test_nearest_is_brute_force_at_every_step(kind):
             action = next_action(state, rng, sim, cfg, memo)
             assert_nearest_is_brute_force(memo)
             if steps % 2:
-                table = memo.table
-                for sid in memo.ids()[::3]:
-                    memo.table &= ~memo.bit(sid)
-                assert_nearest_is_brute_force(memo)
-                memo.table = table
+                narrowed = memo.table & ~sum(memo.bit(sid) for sid in memo.ids()[::3])
+                assert_nearest_is_brute_force(memo, table=narrowed)
             state, _ = apply(state, action, sim, failed=grasp_fails(sim, rng))
             steps += 1
 
@@ -472,11 +479,8 @@ def test_walks_read_partly_resume_as_brute_force(kind, stacking):
         while state.stacks:
             action = next_action(state, rng, sim, cfg, memo)
             assert_nearest_is_brute_force(memo, reads=steps % 3 + 1)
-            table = memo.table
-            for sid in memo.ids()[steps % 2::3]:
-                memo.table &= ~memo.bit(sid)
-            assert_nearest_is_brute_force(memo, reads=steps % 4 + 1)
-            memo.table = table
+            narrowed = memo.table & ~sum(memo.bit(sid) for sid in memo.ids()[steps % 2::3])
+            assert_nearest_is_brute_force(memo, reads=steps % 4 + 1, table=narrowed)
             assert_nearest_is_brute_force(memo, reads=steps % 5 + 1)
             if steps % 3 == 2 and len(state.stacks) > 1:
                 left = state.clone()

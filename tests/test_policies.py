@@ -13,6 +13,7 @@ from declutter import (
     PolicyKind,
     PullGrasp,
     StackGrasp,
+    Sweep,
     Tier,
     TierConfig,
     UtensilStacking,
@@ -129,26 +130,43 @@ class TestPullPolicy:
         assert trace.trips == min_trips(scene, SIM, pull_only=True) == 3
 
     def test_exact_search_checks_few_pulls(self, monkeypatch):
-        # The search ranks pulls by gap alone and checks a pull's corridor
-        # only once it reaches it with a table that pull could improve.
-        # Checking every pull up front took about 100 calls per search here.
-        searches, checks = [], []
-        search, pull_blockers = policies._optimal_order, policies.PairMemo.pull_blockers
+        # The search ranks pulls by gap alone, asks about a pull only once
+        # it reaches it with a table that pull could improve, and then tests
+        # only that table's stacks against the corridor, up to the first
+        # that meets it.  Checking every pull up front took about 100 pulls
+        # per search here; testing every stack on the table against each
+        # pull it asked about took 1,772 corridor tests.
+        searches: list[set] = []  # the pulls each search asked about
+        tests = []  # ``Sweep.meets`` calls made inside a search
+        searching = []
+        search, corridor, meets = policies._optimal_order, policies.PairMemo._corridor, Sweep.meets
 
         def counted_search(*args):
-            searches.append(args)
-            return search(*args)
+            searches.append(set())
+            searching.append(True)
+            try:
+                return search(*args)
+            finally:
+                searching.pop()
 
-        def counted_check(memo, mover, anchor):
-            checks.append((mover, anchor))
-            return pull_blockers(memo, mover, anchor)
+        def counted_corridor(memo, mover, anchor, table):
+            if searching:
+                searches[-1].add((mover, anchor))
+            return corridor(memo, mover, anchor, table)
+
+        def counted_meets(sweep, footprints):
+            if searching:
+                tests.append(footprints)
+            return meets(sweep, footprints)
 
         monkeypatch.setattr(policies, "_optimal_order", counted_search)
-        monkeypatch.setattr(policies.PairMemo, "pull_blockers", counted_check)
+        monkeypatch.setattr(policies.PairMemo, "_corridor", counted_corridor)
+        monkeypatch.setattr(Sweep, "meets", counted_meets)
         for tier in (Tier.T1, Tier.T2):
             for seed in range(20):
                 run_policy(generate_scene(TierConfig.preset(tier), seed), PULL, SIM, seed)
-        assert searches and len(checks) < 30 * len(searches)
+        assert searches and sum(map(len, searches)) < 30 * len(searches)
+        assert len(tests) < 1000
 
     def test_never_emits_infeasible_composites(self):
         for seed in range(30):

@@ -54,15 +54,11 @@ class GripperSpec:
 
     max_opening: float = 8.5
     jaw_height: float = 4.5
-    closed_width: float = 2.0
     height_similarity_threshold: float = 1.0
 
     def __post_init__(self):
-        if min(self.max_opening, self.jaw_height, self.closed_width,
-               self.height_similarity_threshold) <= 0:
+        if min(self.max_opening, self.jaw_height, self.height_similarity_threshold) <= 0:
             raise ValueError("gripper dimensions must be positive")
-        if self.closed_width >= self.max_opening:
-            raise ValueError("closed_width must be below max_opening")
 
     def similar_heights(self, h1: float, h2: float) -> bool:
         """Whether two gripped-rim heights are close enough for one grasp."""
@@ -465,7 +461,6 @@ def _bin_stacks(state: SceneState, stack_ids: tuple[int, ...]) -> tuple[int, ...
         stack = state.stacks.pop(sid)
         moved.extend(stack.dishes)
     state.bin = state.bin + tuple(moved)
-    state.trips_taken += 1
     return tuple(moved)
 
 

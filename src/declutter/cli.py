@@ -24,7 +24,7 @@ from .harness import (
     run_plan,
     run_scene_file,
 )
-from .policies import PolicyConfig
+from .policies import PolicyConfig, PolicyKind, UtensilStacking
 from .tableware import Tier, scene_from_json
 
 EXIT_OK = 0
@@ -59,9 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", parents=[shared],
                          help="run one policy on one scene file")
     run.add_argument("--scene", required=True)
-    run.add_argument("--policy", required=True, choices=["random", "pull", "stack"])
+    run.add_argument("--policy", required=True, choices=[k.value for k in PolicyKind])
     run.add_argument("--utensil-stacking", default=None,
-                     choices=["one_per_bowl", "all_on_one_bowl"])
+                     choices=[m.value for m in UtensilStacking])
     run.add_argument("--seed", type=int, default=None,
                      help="trial seed (default: derived from scene seed and policy)")
     run.add_argument("--trace", default=None, help="write the JSONL trace here")

@@ -138,6 +138,9 @@ class _Scope:
 # anchor), the pull's allowable pair tests) or ("single", (stack,), None).
 Move = tuple[str, tuple[int, ...], GraspAction | PullCheck | None]
 
+# A move as ``_moves`` lists it: (kind, targets, mask of the stacks it clears).
+MoveEntry = tuple[str, tuple[int, ...], int]
+
 # A test that admits an ordered pair (a, b) of synced stack ids to ``nearest``.
 Admit = Callable[["PairMemo", int, int], bool]
 
@@ -181,8 +184,8 @@ class PairMemo:
     tested yet, up to the first that meets the corridor.  So a corridor
     test runs at most once per pull and stack value in a trial, whichever
     table asks.  Only ``sync`` sets ``table``; the pull policy's planner
-    passes the subsets it looks ahead on as masks to ``nearest``, ``pull``
-    and ``ids``.
+    passes the subsets it looks ahead on as masks to ``nearest``,
+    ``_corridor`` and ``ids``.
 
     ``plan`` holds the pull policy's planned moves keyed by table mask (see
     ``pull_policy``).
@@ -426,8 +429,7 @@ class PairMemo:
         pair, blocker = self._corridor(mover, anchor, self.table if table is None else table)
         if not blocker:
             return pair
-        # Built directly: ``replace`` costs several times more, and the
-        # nearest-first search asks about every blocked pull at each step.
+        # Built directly: ``replace`` costs several times more.
         return PullCheck("corridor", self._values[blocker].id, pair.end, pair.grasp)
 
 
@@ -448,18 +450,52 @@ def _same_grip(memo: PairMemo, mover: int, anchor: int) -> bool:
     return memo.sim.gripper.similar_heights(grips[memo.bit(mover)], grips[memo.bit(anchor)])
 
 
-def _nearest_first(memo: PairMemo, table: int) -> Move:
-    """Nearest-first's move on ``table``, a mask of the memo's synced
-    table: the nearest pair with a shared grasp, else the nearest allowable
-    pull, else the lowest stack id.  Ties go to the lowest ids.  Corridors
-    are tested only down to the first pull they leave clear."""
+def _moves(memo: PairMemo, table: int) -> Iterator[MoveEntry]:
+    """The moves on ``table``, a mask of the memo's synced table, in
+    nearest-first's order: pairs with a shared grasp by (gap, ids), then
+    pulls of the other pairs whose grip heights match by (gap, mover,
+    anchor), then single grasps by stack id.  Read lazily through the
+    memo's walks, so a pair is tested only once the reader gets to it.
+    Whether a pull's corridor is clear is left to the reader."""
+    bit = memo._ids  # ``memo.bit``, without the calls
+    ready = set()
     for a, b in memo.nearest(_ready, within=memo.sim.gripper.max_opening, table=table):
-        return "grasp", (a, b), memo.shared_grasp(a, b)
+        pair = bit[a] | bit[b]
+        ready.add(pair)
+        yield "grasp", (a, b), pair
     for mover, anchor in memo.nearest(_same_grip, table=table):
-        check = memo.pull(mover, anchor, table)
-        if check.allowable:
-            return "pull", (mover, anchor), check
-    return "single", (memo.ids(table)[0],), None
+        pair = bit[mover] | bit[anchor]
+        if pair not in ready:
+            yield "pull", (mover, anchor), pair
+    for sid in memo.ids(table):
+        yield "single", (sid,), bit[sid]
+
+
+def _first_move(
+    memo: PairMemo,
+    left: int,
+    moves: Iterable[MoveEntry] | None = None,
+    starts: Callable[[int, int], bool] | None = None,
+) -> tuple[Move, int]:
+    """The first of ``moves`` (by default ``_moves`` on ``left``) that can
+    be taken on ``left`` and, given ``starts``, for which ``starts(left,
+    cleared)`` holds; with the mask of the stacks it clears.  A move can be
+    taken when its stacks are all in ``left`` and, for a pull, when the
+    pair tests pass and no stack in ``left`` meets its corridor.  A pull's
+    move holds the check that cleared it.  With no ``starts`` this is
+    nearest-first's move."""
+    for kind, targets, cleared in _moves(memo, left) if moves is None else moves:
+        if cleared & left != cleared:
+            continue
+        if kind == "pull":
+            check, blocker = memo._corridor(*targets, left)
+            if blocker or not check.allowable:
+                continue
+        else:
+            check = memo.shared_grasp(*targets) if kind == "grasp" else None
+        if starts is None or starts(left, cleared):
+            return (kind, targets, check), cleared
+    raise AssertionError("a single grasp can always be taken")
 
 
 def _grip_classes(memo: PairMemo) -> list[int]:
@@ -488,92 +524,61 @@ def _plan(memo: PairMemo) -> dict[int, Move]:
     """A failure-free order of moves that clears the memo's table in the
     fewest trips, keyed by the mask of the stacks left when each is taken.
 
-    Nearest-first's own order when it meets the floor on trips
-    (``_trip_floor``), otherwise ``_optimal_order``.
+    The first pass takes nearest-first's move (``_first_move``) on each
+    table it leaves.  When that misses the floor on trips (``_trip_floor``),
+    a second pass takes, on each table, the first of the same moves that
+    starts a fewest-trip order (``_exact_search``).
     """
-    plan: dict[int, Move] = {}
-    left = memo.table
-    while left:
-        move = plan[left] = _nearest_first(memo, left)
-        left &= ~sum(memo.bit(sid) for sid in move[1])
     classes = _grip_classes(memo)
-    if len(plan) == _trip_floor(memo.table, classes):
-        return plan
-    return _optimal_order(memo, classes)
+    moves = starts = None
+    while True:
+        plan: dict[int, Move] = {}
+        left = memo.table
+        while left:
+            plan[left], cleared = _first_move(memo, left, moves, starts)
+            left ^= cleared
+        if starts or len(plan) == _trip_floor(memo.table, classes):
+            return plan
+        moves, starts = _exact_search(memo, classes)
 
 
-def _optimal_order(memo: PairMemo, classes: list[int]) -> dict[int, Move]:
-    """``_plan``'s exact search over subsets of the memo's table.
+def _exact_search(
+    memo: PairMemo, classes: list[int]
+) -> tuple[list[MoveEntry], Callable[[int, int], bool]]:
+    """``_plan``'s exact search over subsets of the memo's table: the
+    table's ``_moves``, and whether a move from subset ``left`` that clears
+    ``cleared`` starts a fewest-trip order.
 
     Failure-free, every table reachable from this one is a subset of its
-    stacks.  A pair can go in one trip from subset S when it has a shared
-    grasp (which reads the pair alone), or when one pull direction passes
-    the pair tests and none of the stacks meeting its corridor is in S.
-    Each step takes, among the moves that start a minimum-trip order, the
-    one nearest-first would rank highest: ready grasps by (gap, ids), then
-    pulls by (gap, mover, anchor), then single grasps by stack id.  A pull
-    is asked about only when the search reaches it with a subset it clears
-    and a trip floor that could still improve on the best order, and then
-    only whether a stack of that subset meets its corridor.
+    stacks, and a move can be taken from a subset as in ``_first_move``.  A
+    pull is asked about only when the search reaches it with a subset it
+    clears and a trip floor that could still improve on the best order, and
+    then only whether a stack of that subset meets its corridor.
     """
-    ids = memo.ids()
-    ready = set(memo.nearest(_ready, within=memo.sim.gripper.max_opening))
-    # (rank, move, stacks it clears); a pull's move holds no check until
-    # the plan takes it.
-    ranked: list[tuple[tuple, Move, int]] = []
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            pair = memo.bit(a) | memo.bit(b)
-            if (a, b) in ready:
-                move = ("grasp", (a, b), memo.shared_grasp(a, b))
-                ranked.append(((0, memo.gap(a, b), a, b), move, pair))
-                continue
-            for mover, anchor in ((a, b), (b, a)):
-                if _same_grip(memo, mover, anchor):
-                    rank = (1, memo.gap(mover, anchor), mover, anchor)
-                    ranked.append((rank, ("pull", (mover, anchor), None), pair))
-    ranked.extend(((2, sid), ("single", (sid,), None), memo.bit(sid)) for sid in ids)
-    ranked.sort(key=lambda r: r[0])
-
-    def blocked(entry: tuple, left: int) -> bool:
-        if entry[1][0] != "pull":
-            return False
-        pair, blocker = memo._corridor(*entry[1][1], left)
-        return bool(blocker) or not pair.allowable
-
+    moves = list(_moves(memo, memo.table))
     least = {0: 0}
 
     def trips(left: int) -> int:
         if left not in least:
             floor = _trip_floor(left, classes)
             best = left.bit_count()
-            for entry in ranked:
+            for kind, targets, cleared in moves:
                 if best == floor:
                     break
-                cleared = entry[2]
                 if cleared & left != cleared:
                     continue
                 rest = left ^ cleared
-                if 1 + _trip_floor(rest, classes) < best and not blocked(entry, left):
-                    best = min(best, 1 + trips(rest))
+                if 1 + _trip_floor(rest, classes) >= best:
+                    continue
+                if kind == "pull":
+                    check, blocker = memo._corridor(*targets, left)
+                    if blocker or not check.allowable:
+                        continue
+                best = min(best, 1 + trips(rest))
             least[left] = best
         return least[left]
 
-    plan: dict[int, Move] = {}
-    left = memo.table
-    while left:
-        target = trips(left)
-        _, move, cleared = next(
-            entry
-            for entry in ranked
-            if entry[2] & left == entry[2]
-            and not blocked(entry, left)
-            and 1 + trips(left ^ entry[2]) == target
-        )
-        kind, targets, _ = move
-        plan[left] = (kind, targets, memo.pull(*targets, left)) if kind == "pull" else move
-        left ^= cleared
-    return plan
+    return moves, lambda left, cleared: trips(left) == 1 + trips(left ^ cleared)
 
 
 def pull_policy(
@@ -594,7 +599,7 @@ def pull_policy(
     """
     memo.sync(state)
     if len(state.stacks) > PLAN_MAX_STACKS:
-        move = _nearest_first(memo, memo.table)
+        move = _first_move(memo, memo.table)[0]
     else:
         move = memo.plan.get(memo.table)
         if move is None:
@@ -613,16 +618,6 @@ def pull_policy(
 def _stackable(memo: PairMemo, lifted: int, base: int) -> bool:
     """Whether ``lifted`` may be stacked on ``base`` and the pile grasped."""
     return memo.stackable(memo.state, lifted, base)
-
-
-def _utensil_onto_bowl(memo: PairMemo, lifted: int, base: int) -> bool:
-    """Whether a utensil pile ``lifted`` may be stacked on the bowl-topped
-    stack ``base``."""
-    return bool(
-        memo.bit(lifted) & memo.utensil_piles
-        and memo.bit(base) & memo.bowl_tops
-        and _stackable(memo, lifted, base)
-    )
 
 
 def stack_policy(
@@ -650,7 +645,7 @@ def stack_policy(
     if memo.table & memo.utensil_piles and memo.table & memo.bowl_tops:
         if cfg.utensil_stacking is UtensilStacking.ONE_PER_BOWL:
             piles, tops = memo.utensil_piles, memo.bowl_tops
-            for u, b in memo.nearest(_utensil_onto_bowl, lifted=piles, base=tops):
+            for u, b in memo.nearest(_stackable, lifted=piles, base=tops):
                 placement = StackPlacement(grasp_points(state, u, rng, sim), u, b)
                 carry = grasp_points(state, b, rng, sim)
                 return StackGrasp((placement,), carry)

@@ -132,7 +132,7 @@ class Stack:
 
 @dataclass
 class SceneState:
-    """Workspace contents: live stacks, the bin, and the trip counter.
+    """Workspace contents: live stacks and the bin.
 
     ``dishes`` is written only while a scene is built; after that a dish
     never changes, so every state derived from a scene shares its map.
@@ -142,14 +142,12 @@ class SceneState:
     stacks: dict[int, Stack]
     dishes: dict[int, Dish]
     bin: tuple[int, ...] = ()
-    trips_taken: int = 0
     rng_seed: int = 0
     tier: str = "custom"
 
     def clone(self) -> "SceneState":
         return SceneState(
-            self.workspace, dict(self.stacks), self.dishes, self.bin,
-            self.trips_taken, self.rng_seed, self.tier,
+            self.workspace, dict(self.stacks), self.dishes, self.bin, self.rng_seed, self.tier
         )
 
     def merged(self, lifted: int, base: int) -> "SceneState":
@@ -448,9 +446,6 @@ def validate(
         for b, fps_b in placed[i + 1:]:
             if any(overlaps(fa, fb) for fa in fps_a for fb in fps_b):
                 problems.append(f"stacks overlap: {a.id} and {b.id}")
-
-    if state.trips_taken < 0:
-        problems.append("negative trip count")
     return problems
 
 

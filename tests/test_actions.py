@@ -356,7 +356,7 @@ class TestApply:
         new, event = apply(scene, action, SIM)
         assert len(new.stacks) == 5
         assert new.bin == (0,)
-        assert new.trips_taken == 1
+        assert event.trip
         assert event.kind == "grasp"
         assert event.moved_to_bin == (0,)
         assert validate(new, SIM.dish_specs) == []
@@ -368,7 +368,7 @@ class TestApply:
         new, event = apply(scene, action, SIM)
         assert new.stacks == {}
         assert sorted(new.bin) == [0, 1]
-        assert new.trips_taken == 1
+        assert event.trip
         assert event.kind == "pull_grasp"
         assert len(event.moved_to_bin) == 2
 
@@ -379,7 +379,7 @@ class TestApply:
         new, event = apply(scene, StackGrasp((placement,), carry), SIM)
         assert new.stacks == {}
         assert sorted(new.bin) == [0, 1]
-        assert new.trips_taken == 1
+        assert event.trip
         assert event.kind == "stack_grasp"
 
     def test_mog_grasp_event_schema(self):
@@ -474,9 +474,8 @@ class TestFailureModel:
         new, event = apply(scene, action, sim, failed=True)
         assert len(new.stacks) == 1
         assert new.bin == ()
-        assert new.trips_taken == 0
-        assert event.params["failed"] is True
         assert not event.trip
+        assert event.params["failed"] is True
 
     def test_failed_mog_keeps_taller_stack(self):
         sim = self._sim_with_fail(1.0)
@@ -486,7 +485,6 @@ class TestFailureModel:
         # The taller pile (bowl+cup, lip 7) wins the jaws; the bowl stays.
         assert sorted(new.bin) == [0, 1]
         assert set(new.stacks) == {1}
-        assert new.trips_taken == 1
         assert event.trip
         assert event.params["abandoned"] == 1
 
@@ -498,7 +496,7 @@ class TestFailureModel:
         new, event = apply(scene, StackGrasp((placement,), carry), sim, failed=True)
         assert set(new.stacks) == {1}
         assert new.stacks[1].dishes == (1, 0)  # merged, still on table
-        assert new.trips_taken == 0
+        assert not event.trip
         assert event.params["failed"] is True
         assert validate(new, sim.dish_specs) == []
 

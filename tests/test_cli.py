@@ -536,6 +536,7 @@ def test_config_flag_threads_through(tmp_path, capsys):
     ("gripper", {"max_opening": float("inf")}),
     ("p_fial", 0.5),
     ("pull_clearance_margin", -1.0),
+    ("gripper", {"closed_width": 2.0}),  # no model reads it, so it is not a key
 ])
 def test_bad_config_key_exits_3(tmp_path, capsys, section, entry):
     path = tmp_path / "c.json"

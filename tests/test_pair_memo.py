@@ -205,7 +205,7 @@ def test_values_off_the_table_keep_the_scoped_walk(monkeypatch):
 
     def counted(memo, lifted, base):
         calls.append((lifted, base))
-        return policies._utensil_onto_bowl(memo, lifted, base)
+        return policies._stackable(memo, lifted, base)
 
     def walk():
         return next(memo.nearest(counted, lifted=memo.utensil_piles, base=memo.bowl_tops))
@@ -388,17 +388,20 @@ ADMITS = {
         policies._same_grip,
         lambda state, a, b: check_pull(state, a, b, SIM).failed != "grip_height",
     ),
-    "utensil_onto_bowl": (
-        policies._utensil_onto_bowl,
-        lambda state, a, b: bottom_kind(state, a) is UTENSIL
-        and state.dishes[state.stacks[b].top].kind is BOWL
-        and stack_allowable(state, a, b, SIM),
-    ),
     "stackable": (
         policies._stackable,
         lambda state, a, b: stack_allowable(state, a, b, SIM),
     ),
 }
+
+
+def utensil_onto_bowl(state, a, b):
+    """What the stack policy's scoped walk admits, from the public predicates."""
+    return (
+        bottom_kind(state, a) is UTENSIL
+        and state.dishes[state.stacks[b].top].kind is BOWL
+        and stack_allowable(state, a, b, SIM)
+    )
 
 
 def on_table(memo: PairMemo, table: int) -> SceneState:
@@ -415,7 +418,7 @@ def assert_nearest_is_brute_force(
 ) -> None:
     """Every admitting test's ``nearest`` on ``table`` (the synced table
     when None) equals a sort by (gap, a, b) of the ordered pairs the test
-    admits, each pair once; so does the utensil test's walk scoped to
+    admits, each pair once; so does the stacking test's walk scoped to
     utensil piles onto bowl tops, as the stack policy reads it.  With
     ``reads``, each walk is read only that far."""
     view = on_table(memo, memo.table if table is None else table)
@@ -424,7 +427,7 @@ def assert_nearest_is_brute_force(
         for name, (admit, admitted) in ADMITS.items()
     ]
     scope = {"lifted": memo.utensil_piles, "base": memo.bowl_tops}
-    walks.append(("scoped utensil_onto_bowl", *ADMITS["utensil_onto_bowl"], scope))
+    walks.append(("scoped stackable", policies._stackable, utensil_onto_bowl, scope))
     for name, admit, admitted, options in walks:
         got = list(islice(memo.nearest(admit, table=table, **options), reads))
         assert len(set(got)) == len(got), name
@@ -617,19 +620,29 @@ def test_stack_policy_tests_few_pairs(monkeypatch):
     assert 0 < len(calls) < 72 * 72 / 10
 
 
+def hook_scoped_walks(monkeypatch, admit):
+    """Make the walks scoped to a mask (the stack policy's utensil walk)
+    ask ``admit`` in place of their own test."""
+    nearest = PairMemo.nearest
+
+    def scoped(memo, test, within=math.inf, lifted=-1, base=-1, table=None):
+        return nearest(memo, test if lifted == -1 else admit, within, lifted, base, table)
+
+    monkeypatch.setattr(PairMemo, "nearest", scoped)
+
+
 def test_utensil_walk_tests_only_utensil_piles_onto_bowl_tops(monkeypatch):
     # The stack policy's utensil walk is scoped to utensil piles and bowl
     # tops: it lists no other pair and asks its test about no other order.
     calls = []
-    admit = policies._utensil_onto_bowl
 
     def checked(memo, lifted, base):
         calls.append((lifted, base))
         assert memo.bit(lifted) & memo.utensil_piles, (lifted, base)
         assert memo.bit(base) & memo.bowl_tops, (lifted, base)
-        return admit(memo, lifted, base)
+        return policies._stackable(memo, lifted, base)
 
-    monkeypatch.setattr(policies, "_utensil_onto_bowl", checked)
+    hook_scoped_walks(monkeypatch, checked)
     for seed in (0, 3):
         calls.clear()
         run_policy(dense_scene(72, seed), PolicyConfig.named("stack", "one_per_bowl"), SIM, seed)
@@ -643,13 +656,12 @@ def test_walks_resume_from_step_to_step(monkeypatch):
     # tests in all); walks that start from the head at every step test a
     # pair up to 24 times (8,678 tests).
     calls = Counter()
-    admit = policies._utensil_onto_bowl
 
     def counted(memo, lifted, base):
         calls[(lifted, base)] += 1
-        return admit(memo, lifted, base)
+        return policies._stackable(memo, lifted, base)
 
-    monkeypatch.setattr(policies, "_utensil_onto_bowl", counted)
+    hook_scoped_walks(monkeypatch, counted)
     for seed in (0, 3):
         calls.clear()
         run_policy(dense_scene(72, seed), PolicyConfig.named("stack", "one_per_bowl"), SIM, seed)

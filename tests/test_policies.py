@@ -136,18 +136,24 @@ class TestPullPolicy:
         # that meets it.  Checking every pull up front took about 100 pulls
         # per search here; testing every stack on the table against each
         # pull it asked about took 1,772 corridor tests.
+        # A search runs from ``_exact_search`` to the end of the plan's
+        # second pass.
         searches: list[set] = []  # the pulls each search asked about
         tests = []  # ``Sweep.meets`` calls made inside a search
         searching = []
-        search, corridor, meets = policies._optimal_order, policies.PairMemo._corridor, Sweep.meets
+        search, plan = policies._exact_search, policies._plan
+        corridor, meets = policies.PairMemo._corridor, Sweep.meets
 
         def counted_search(*args):
             searches.append(set())
             searching.append(True)
+            return search(*args)
+
+        def counted_plan(memo):
             try:
-                return search(*args)
+                return plan(memo)
             finally:
-                searching.pop()
+                searching.clear()
 
         def counted_corridor(memo, mover, anchor, table):
             if searching:
@@ -159,14 +165,15 @@ class TestPullPolicy:
                 tests.append(footprints)
             return meets(sweep, footprints)
 
-        monkeypatch.setattr(policies, "_optimal_order", counted_search)
+        monkeypatch.setattr(policies, "_exact_search", counted_search)
+        monkeypatch.setattr(policies, "_plan", counted_plan)
         monkeypatch.setattr(policies.PairMemo, "_corridor", counted_corridor)
         monkeypatch.setattr(Sweep, "meets", counted_meets)
         for tier in (Tier.T1, Tier.T2):
             for seed in range(20):
                 run_policy(generate_scene(TierConfig.preset(tier), seed), PULL, SIM, seed)
         assert searches and sum(map(len, searches)) < 30 * len(searches)
-        assert len(tests) < 1000
+        assert len(tests) < 1000, len(tests)
 
     def test_never_emits_infeasible_composites(self):
         for seed in range(30):

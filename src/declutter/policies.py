@@ -11,11 +11,10 @@ indicate a policy bug.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_right, insort
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .actions import (
@@ -119,18 +118,29 @@ class _Walk:
 
 class _Scope:
     """The pairs ``nearest`` reads for one pair of masks: those of synced
-    values with one value in each mask, sorted by (gap bound, a, b) and
-    listed by ``_widen`` only as far as the walks read, up to ``rings``
-    cells apart and so complete below ``horizon``; and the walks through
-    them, by (test, ``within``)."""
+    values with one value in each mask, sorted by (gap bound, a, b); and the
+    walks through them, by (test, ``within``).
 
-    __slots__ = ("lifted", "base", "pairs", "rings", "horizon", "walks")
+    ``_widen`` lists the pairs only as far as the walks read, in bands of
+    base distance: every pair whose bases lie at most ``radius`` apart is
+    listed.  A pair left out has a bound of at least ``radius`` less
+    ``reach_limit`` of the widest reach with itself, the ``horizon``, so a
+    walk reads only the pairs bounded below it and widens the list when it
+    gets there.  A band's pairs are bounded at or above the horizon before
+    it, so they sort after every pair a walk has read.  The first band
+    reaches 2.4 of the widest reach (a horizon of 0.4 reaches) and each
+    next one twice as far, until a band covers a quarter of the spread in
+    x of the scope's values: then every pair left is listed in one pass,
+    as a sweep that wide already meets a large share of them.  So a table
+    as wide as a paper scene's lists all its pairs at its first walk."""
+
+    __slots__ = ("lifted", "base", "pairs", "radius", "horizon", "walks")
 
     def __init__(self, lifted: int, base: int):
         self.lifted, self.base = lifted, base
         # (gap bound, a, b, bits of a and b, bit of a)
         self.pairs: list[tuple[float, int, int, int, int]] = []
-        self.rings, self.horizon = -1, -math.inf
+        self.radius = self.horizon = -math.inf
         self.walks: dict[tuple[Admit, float], _Walk] = {}
 
 
@@ -144,7 +154,7 @@ MoveEntry = tuple[str, tuple[int, ...], int]
 # A test that admits an ordered pair (a, b) of synced stack ids to ``nearest``.
 Admit = Callable[["PairMemo", int, int], bool]
 
-Locus = tuple[int, int, int, int, float, float, float]  # bit, id, base cell, base, reach
+Locus = tuple[float, float, float, int, int]  # base x and y, grasp reach, bit, id
 
 # What ``nearest`` reads past the last pair: a bound no walk reaches.
 _PAST_LAST_PAIR = (math.inf, -1, -1, 0, 0)
@@ -163,17 +173,19 @@ class PairMemo:
     grasps, gaps, stacking tests and pull tests are keyed by value bits,
     and a result keyed by bits never goes stale.  A stack that is the very
     object synced under its id keeps that bit without being hashed, so a
-    step looks up by value only the stacks the last action made.
+    step looks up by value, with one hash each, only the stacks the last
+    action made.
 
     ``nearest`` ranks the ordered pairs a test admits by (gap, ids): it
     walks a list of the synced table's pairs, sorted by a lower bound on
-    the gap and built only as far as walks read it (``_widen``), and tests a
-    pair only when it gets there.  A walk may be scoped to the pairs (a, b)
-    with a in one mask and b in another; each scope keeps a list of its own
-    (``_Scope``), which holds no pair outside it.  A walk on the synced
-    table resumes where the last one with its test and scope stopped, so a
-    step tests only the pairs that no earlier such walk reached; a walk on
-    a subset keeps nothing.  ``sync`` starts the scopes afresh when a value
+    the gap (the distance between the bases less ``reach_limit`` of both
+    grasp reaches) and built only as far as walks read it (``_widen``),
+    and tests a pair only when it gets there.  A walk may be scoped to the
+    pairs (a, b) with a in one mask and b in another; each scope keeps a
+    list of its own (``_Scope``), which holds no pair outside it.  A walk
+    on the synced table resumes where the last one with its test and scope
+    stopped, so a step tests only the pairs that no earlier such walk
+    reached; a walk on a subset keeps nothing.  ``sync`` starts the scopes afresh when a value
     arrives.  It drops a scope's pairs of values that left, and starts its
     walks afresh, once those outnumber the live ones; until then walks skip
     them.
@@ -202,11 +214,10 @@ class PairMemo:
         self._ids: dict[int, int] = {}
         self._loci: dict[int, Locus] = {}
         self.grips: dict[int, float] = {}  # ``_grip_height`` of each value
-        # The widest grasp reach and the width of the cells bases are filed
-        # in: bases more than k cells apart lie at least k widths apart; at
-        # 0.8 reaches, ring 3's horizon is 0.4 reaches.
+        # The widest grasp reach and the radius of a scope's first band,
+        # whose horizon is 0.4 reaches.
         self._reach = max(spec.grasp_reach for spec in sim.dish_specs.values())
-        self._cell = 0.8 * self._reach
+        self._first_radius = 2.4 * self._reach
         self._footprints: dict[int, list[Footprint]] = {}
         self._grasps: dict[tuple[int, int], GraspAction | None] = {}
         self._gaps: dict[tuple[int, int], float] = {}
@@ -219,14 +230,14 @@ class PairMemo:
         self._listed = 0
 
     def _bit(self, stack: Stack) -> int:
-        bit = self._bits.get(stack)
-        if bit is None:
-            bit = self._bits[stack] = 1 << len(self._values)
+        new = 1 << len(self._values)
+        bit = self._bits.setdefault(stack, new)  # the one hash of ``stack``
+        if bit == new:
             self._values[bit] = stack
-            dishes, x, y, w = self.state.dishes, stack.base.x, stack.base.y, self._cell
+            dishes = self.state.dishes
             kind = dishes[stack.bottom].kind
             reach = self.sim.dish_specs[kind].grasp_reach
-            self._loci[bit] = (bit, stack.id, int(x // w), int(y // w), x, y, reach)
+            self._loci[bit] = (stack.base.x, stack.base.y, reach, bit, stack.id)
             self.grips[bit] = _grip_height(self.state, stack, self.sim)
             self.utensil_piles |= bit if kind is DishKind.UTENSIL else 0
             self.bowl_tops |= bit if dishes[stack.top].kind is DishKind.BOWL else 0
@@ -257,41 +268,28 @@ class PairMemo:
                 scope.walks = {}
 
     def _widen(self, scope: _Scope) -> None:
-        """List the scope's pairs whose base cells lie more than its
-        ``rings`` apart, up to the next ring (at least ring 3, the first
-        with a horizon above 0), or all of them once that takes as many
-        look-ups as the table has pairs.  Then no pair of the scope on the
-        synced table left out is bounded below its ``horizon``, and none
-        listed now sorts before an entry a walk read."""
-        lifted, base, listed = scope.lifted, scope.base, scope.rings
-        live = [self._loci[bit] for bit in self._ids.values() if bit & (lifted | base)]
-        k = max(listed + 1, 3)
-        # Once rings up to k add as many cells as there are other values, a
-        # look-up of each from every value costs as much as listing every pair.
-        if (2 * k + 1) ** 2 - max(2 * listed + 1, 0) ** 2 >= len(self._ids) - 1:
-            pairs: Iterable[tuple[Locus, Locus]] = combinations(live, 2)
-            if listed >= 0:
-                pairs = ((a, b) for a, b in pairs
-                         if max(abs(b[2] - a[2]), abs(b[3] - a[3])) > listed)
-            scope.rings = scope.horizon = math.inf
-        else:
-            # Half the new cell offsets, so that each pair of cells is met once.
-            ring = [(di, dj) for di in range(k + 1) for dj in range(-k, k + 1)
-                    if max(di, abs(dj)) > listed and (di, dj) >= (0, 0)]
-            cells: dict[tuple[int, int], list[Locus]] = {}
-            for locus in live:
-                cells.setdefault(locus[2:4], []).append(locus)
-            pairs = ((a, b) for (i, j), here in cells.items() for di, dj in ring
-                     for b in cells.get((i + di, j + dj), ())
-                     for a in here if di or dj or a[0] < b[0])
-            scope.rings, scope.horizon = k, k * self._cell - reach_limit(self._reach, self._reach)
+        """List the next band of the scope's pairs (see ``_Scope``): those
+        of its values on the synced table whose bases lie more than its
+        ``radius`` apart, up to twice that (at least ``_first_radius``), or
+        all of them once that covers a quarter of the values' spread in x.
+        The sweep takes the values by base x and meets each one's partners
+        up to the radius to its right."""
+        lifted, base, listed = scope.lifted, scope.base, scope.radius
+        live = sorted(self._loci[bit] for bit in self._ids.values() if bit & (lifted | base))
+        xs = [locus[0] for locus in live]
+        radius = max(2 * listed, self._first_radius)
+        if not xs or 4 * radius >= xs[-1] - xs[0]:
+            radius = math.inf
+        hypot = math.hypot
         scope.pairs += [
-            (math.hypot(b[4] - a[4], b[5] - a[5]) - reach_limit(a[6], b[6]), a[1], b[1],
-             a[0] | b[0], a[0])
-            for a, b in pairs
-            if a[0] & lifted and b[0] & base or b[0] & lifted and a[0] & base
+            (d - reach_limit(ra, rb), a, b, bit_a | bit_b, bit_a)
+            for i, (xa, ya, ra, bit_a, a) in enumerate(live)
+            for xb, yb, rb, bit_b, b in live[i + 1:bisect_right(xs, xa + radius, i + 1)]
+            if listed < (d := hypot(xb - xa, yb - ya)) <= radius
+            if bit_a & lifted and bit_b & base or bit_b & lifted and bit_a & base
         ]
         scope.pairs.sort()
+        scope.radius, scope.horizon = radius, radius - reach_limit(self._reach, self._reach)
 
     def nearest(
         self, admit: Admit, within: float = math.inf, lifted: int = -1, base: int = -1,

@@ -511,9 +511,9 @@ def test_stack_that_leaves_and_returns_is_listed_once():
 
 def test_far_pairs_are_ranked_as_brute_force():
     # Three utensils and three bowls among 66 cups: a utensil's nearest
-    # bowl lies several rings of cells out, so its walk merges ring after
-    # ring of cup pairs before it yields, and ranks pairs that lie in
-    # different rings.
+    # bowl lies several bands of base distance out, so its walk merges band
+    # after band of cup pairs before it yields, and ranks pairs that lie in
+    # different bands.
     scale = math.sqrt(72 / 12)
     workspace = (SIM.workspace[0] * scale, SIM.workspace[1] * scale)
     cfg = TierConfig(Tier.T1, n_cups=66, n_bowls=3, n_utensils=3)
@@ -525,10 +525,10 @@ def test_far_pairs_are_ranked_as_brute_force():
 
 
 def test_stack_left_by_failed_pull_is_ranked_as_brute_force():
-    # The walks list a few rings of pairs; then a failed pull leaves its
+    # The walks list a few bands of pairs; then a failed pull leaves its
     # mover at the contact point (in seed 3 the anchor is the taller pile,
     # so the grasp carries it off), a new value whose pairs lie both inside
-    # and beyond the rings listed so far.
+    # and beyond the bands listed so far.
     state = dense_scene(72, 3)
     memo = PairMemo(SIM)
     memo.sync(state)
@@ -544,6 +544,124 @@ def test_stack_left_by_failed_pull_is_ranked_as_brute_force():
     memo.sync(state)
     assert_nearest_is_brute_force(memo, reads=1)
     assert_nearest_is_brute_force(memo)
+
+
+# The pair list's first band of base distance: 2.4 of the widest grasp
+# reach.  Each band doubles it, and a table lists every pair left at once
+# when the band covers a quarter of its values' spread in x.
+FIRST_BAND = 2.4 * max(spec.grasp_reach for spec in SIM.dish_specs.values())
+
+# Piles the edge-case scenes cycle through: each kind at the bottom and at
+# the top, as the walks' tests and scopes tell them apart.
+KINDS = ([CUP], [BOWL], [UTENSIL], [CUP, CUP], [BOWL, CUP], [UTENSIL, CUP], [BOWL, UTENSIL])
+
+
+def assert_ranked_as_brute_force(stacks, workspace):
+    """``assert_nearest_is_brute_force`` on the scene of ``stacks``, read one
+    pair deep and then in full, and on a table without every third stack."""
+    memo = PairMemo(SIM)
+    memo.sync(build_scene(stacks, workspace))
+    assert_nearest_is_brute_force(memo, reads=1)
+    assert_nearest_is_brute_force(memo)
+    narrowed = memo.table & ~sum(memo.bit(sid) for sid in memo.ids()[::3])
+    assert_nearest_is_brute_force(memo, table=narrowed)
+
+
+def bounded_by_first_walk(monkeypatch, stacks, workspace) -> tuple[int, int]:
+    """Gap bounds taken by a first walk on the scene of ``stacks`` that
+    admits every pair, read one pair deep, and the scene's pairs."""
+    calls = []
+    limit = policies.reach_limit
+
+    def counted(ra, rb):
+        calls.append((ra, rb))
+        return limit(ra, rb)
+
+    monkeypatch.setattr(policies, "reach_limit", counted)
+    memo = PairMemo(SIM)
+    memo.sync(build_scene(stacks, workspace))
+    list(islice(memo.nearest(lambda memo, a, b: True), 1))
+    return len(calls), len(stacks) * (len(stacks) - 1) // 2
+
+
+def test_bases_on_one_x_are_ranked_as_brute_force():
+    # No spread in x, though the bases span 180 in y: the list is made in
+    # one pass, and the sweep meets every pair.
+    stacks = [(KINDS[i % len(KINDS)], 40.0, 6.0 + 9.5 * i) for i in range(20)]
+    assert_ranked_as_brute_force(stacks, (78.0, 200.0))
+
+
+def test_repeated_x_values_are_ranked_as_brute_force():
+    # Ten columns of three bases share each x, spread over several bands;
+    # the columns lie 19 apart, just inside the first band.
+    stacks = [
+        (KINDS[(3 * i + j) % len(KINDS)], 10.0 + 19.0 * i, 10.0 + 19.0 * j)
+        for i in range(10) for j in range(3)
+    ]
+    assert_ranked_as_brute_force(stacks, (200.0, 61.0))
+
+
+@pytest.mark.parametrize("spacing, one_pass", [(2.0, True), (19.0, False)])
+def test_one_pass_and_banded_lists_rank_as_brute_force(monkeypatch, spacing, one_pass):
+    # The same 10 x 3 grid within the first band of every base (the list is
+    # made in one pass) and spread over several bands (listed band by band).
+    stacks = [
+        (KINDS[(3 * i + j) % len(KINDS)], 10.0 + spacing * i, 10.0 + spacing * j)
+        for i in range(10) for j in range(3)
+    ]
+    assert_ranked_as_brute_force(stacks, (200.0, 61.0))
+    bounded, pairs = bounded_by_first_walk(monkeypatch, stacks, (200.0, 61.0))
+    if one_pass:
+        assert max(math.dist(a[1:], b[1:]) for a in stacks for b in stacks) <= FIRST_BAND
+        assert bounded >= pairs
+    else:
+        assert 0 < bounded < pairs / 2
+
+
+def assert_edge_pairs_ranked_as_brute_force(pairs):
+    """``assert_ranked_as_brute_force`` on a scene with the pairs
+    ``pairs(edge)``, (bottom pile, top pile, base distance), at each of the
+    first two band edges.  Each pair has a row of its own, further from the
+    others than the second edge, and stacks at both ends of the table make
+    its spread in x wide enough for both edges to be listed band by band."""
+    stacks = [([CUP], 5.0, 5.0), ([BOWL], 195.0, 5.0)]
+    y = 5.0
+    for edge in (FIRST_BAND, 2 * FIRST_BAND):
+        for pile_a, pile_b, distance in pairs(edge):
+            y += 45.0
+            # 8 + distance keeps the exponent of the distance, so the
+            # distance from 8 is exact.
+            stacks += [(pile_a, 8.0, y), (pile_b, 8.0 + distance, y)]
+    assert_ranked_as_brute_force(stacks, (200.0, y + 5.0))
+
+
+def test_pairs_at_band_edges_are_ranked_as_brute_force():
+    # Bases one float inside, on and one float beyond each edge.
+    assert_edge_pairs_ranked_as_brute_force(lambda edge: [
+        (pile_a, pile_b, distance)
+        for distance in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))
+        for pile_a, pile_b in (([CUP], [CUP]), ([UTENSIL], [BOWL]))
+    ])
+
+
+def test_pairs_beyond_a_band_edge_bounded_inside_it_are_ranked_as_brute_force():
+    # A cup and bowl 3.9 inside each edge are listed with its band, yet
+    # bounded 0.1 above its horizon: past the bound of two bowls 0.05
+    # beyond the edge, which the band leaves out.
+    assert_edge_pairs_ranked_as_brute_force(lambda edge: [
+        ([CUP], [BOWL], edge - 3.9), ([BOWL], [BOWL], edge + 0.05),
+    ])
+
+
+@pytest.mark.parametrize("utensils_left", [True, False])
+def test_scope_with_values_on_one_side_is_ranked_as_brute_force(utensils_left):
+    # Utensil piles at one end of the table, bowl tops at the other and cups
+    # between: the utensil walk's first bands list none of its pairs.
+    utensils, bowls = (10.0, 180.0) if utensils_left else (180.0, 10.0)
+    stacks = [([UTENSIL], utensils + 5.0 * (i % 3), 8.0 + 9.0 * i) for i in range(5)]
+    stacks += [([BOWL], bowls + 5.0 * (i % 3), 8.0 + 18.0 * i) for i in range(3)]
+    stacks += [([CUP], 40.0 + 11.0 * i, 10.0 + 12.0 * (i % 4)) for i in range(10)]
+    assert_ranked_as_brute_force(stacks, (200.0, 61.0))
 
 
 def test_first_step_bounds_few_pairs(monkeypatch):
@@ -670,7 +788,8 @@ def test_walks_resume_from_step_to_step(monkeypatch):
 
 def test_sync_hashes_only_the_stacks_an_action_made(monkeypatch):
     # A stack the last action left alone is the same object in the next
-    # state and keeps its bit by identity; only new objects are hashed.
+    # state and keeps its bit by identity; a new object is hashed once, to
+    # find its value's bit or give it one.
     calls = []
     hash_value = Stack.__hash__
 
@@ -678,11 +797,20 @@ def test_sync_hashes_only_the_stacks_an_action_made(monkeypatch):
         calls.append(stack.id)
         return hash_value(stack)
 
+    values = set()
+    sync = PairMemo.sync
+
+    def recorded(memo, state):
+        values.update((stack.id, stack.dishes, stack.base) for stack in state.stacks.values())
+        sync(memo, state)
+
     monkeypatch.setattr(Stack, "__hash__", counted)
+    monkeypatch.setattr(PairMemo, "sync", recorded)
     for cfg in (PULL, PolicyConfig.named("stack", "one_per_bowl")):
         calls.clear()
-        trace = run_policy(dense_scene(72, 0), cfg, SIM, 0)
-        assert calls and len(calls) <= 72 + 6 * len(trace.events)
+        values.clear()
+        run_policy(dense_scene(72, 0), cfg, SIM, 0)
+        assert calls and len(calls) == len(values)
 
 
 # sha256 of the run_policy event lines of 72-item seeds 0 and 3, each trial

@@ -51,6 +51,7 @@ from .policies import (
     PairMemo,
     PolicyConfig,
     PolicyKind,
+    Step,
     Trace,
     UtensilStacking,
     next_action,
@@ -58,6 +59,7 @@ from .policies import (
     random_policy,
     run_policy,
     stack_policy,
+    trial_steps,
 )
 from .rng import SplitMix64, derive_seed
 from .tableware import (

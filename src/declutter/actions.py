@@ -204,20 +204,13 @@ def _grasp_locus(state: SceneState, stack: Stack, sim: "SimConfig"):
     return "circle", (x, y), reach
 
 
-def grasp_gap(
-    state: SceneState, a: int, b: int, sim: "SimConfig"
-) -> tuple[float, Point2, Point2]:
+def grasp_gap(state: SceneState, a: int, b: int, sim: "SimConfig") -> tuple[float, XY, XY]:
     """Lateral distance between the two stacks' nearest grasp points.
 
-    Returns (gap, point_on_a, point_on_b).  The gap can be negative when
-    the loci interpenetrate (transient contact during a pull).
+    Returns (gap, point_on_a, point_on_b), the points as (x, y) pairs.  The
+    gap can be negative when the loci interpenetrate (transient contact
+    during a pull).
     """
-    gap, pa, pb = _grasp_gap_xy(state, a, b, sim)
-    return gap, Point2(*pa), Point2(*pb)
-
-
-def _grasp_gap_xy(state: SceneState, a: int, b: int, sim: "SimConfig") -> tuple[float, XY, XY]:
-    """``grasp_gap`` with its points as plain (x, y) pairs."""
     la = _grasp_locus(state, state.stacks[a], sim)
     lb = _grasp_locus(state, state.stacks[b], sim)
     if la[0] == "circle" and lb[0] == "circle":
@@ -279,7 +272,7 @@ def mog_grasp(
     lip_b = stack_top_lip_height(sb, state.dishes, sim.dish_specs)
     if max(lip_a, lip_b) - min(grip_a, grip_b) > sim.gripper.jaw_height + 1e-9:
         return None
-    gap, (ax, ay), (bx, by) = _grasp_gap_xy(state, a, b, sim)
+    gap, (ax, ay), (bx, by) = grasp_gap(state, a, b, sim)
     if gap >= sim.gripper.max_opening:
         return None
     mid = Point2((ax + bx) / 2.0, (ay + by) / 2.0)

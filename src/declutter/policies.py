@@ -15,7 +15,7 @@ from bisect import bisect_right, insort
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .actions import (
     Action,
@@ -27,11 +27,11 @@ from .actions import (
     StackGrasp,
     StackPlacement,
     TraceEvent,
-    _grasp_gap_xy,
     _grip_height,
     _pair_check,
     apply,
     grasp_fails,
+    grasp_gap,
     grasp_points,
     mog_grasp,
     stack_allowable,
@@ -69,9 +69,11 @@ class PolicyConfig:
     def named(cls, name: str, utensil_stacking: str | None = None) -> "PolicyConfig":
         """The policy ``name``; ``utensil_stacking`` is a stack policy mode."""
         kind = PolicyKind(name)
-        if utensil_stacking and kind is not PolicyKind.STACK:
+        if utensil_stacking is None:
+            return cls(kind)
+        if kind is not PolicyKind.STACK:
             raise ValueError(f"utensil_stacking applies to the stack policy only, not {name}")
-        return cls(kind, UtensilStacking(utensil_stacking or UtensilStacking.ONE_PER_BOWL))
+        return cls(kind, UtensilStacking(utensil_stacking))
 
 
 def random_policy(
@@ -382,7 +384,7 @@ class PairMemo:
         """``grasp_gap`` of stacks ``a`` and ``b``."""
         key = (self._ids[a], self._ids[b])
         if key not in self._gaps:
-            self._gaps[key] = _grasp_gap_xy(self.state, a, b, self.sim)[0]
+            self._gaps[key] = grasp_gap(self.state, a, b, self.sim)[0]
         return self._gaps[key]
 
     def stackable(self, state: SceneState, lifted: int, base: int) -> bool:
@@ -436,12 +438,12 @@ class PairMemo:
 PLAN_MAX_STACKS = 12
 
 
-def _ready(memo: PairMemo, a: int, b: int) -> bool:
+def ready(memo: PairMemo, a: int, b: int) -> bool:
     """Whether ``a`` < ``b`` have a shared grasp: never at a gap of max_opening or more."""
     return a < b and memo.shared_grasp(a, b) is not None
 
 
-def _same_grip(memo: PairMemo, mover: int, anchor: int) -> bool:
+def same_grip(memo: PairMemo, mover: int, anchor: int) -> bool:
     """Whether the two stacks' gripped-rim heights match, the first of a
     pull's pair tests."""
     grips = memo.grips
@@ -456,14 +458,14 @@ def _moves(memo: PairMemo, table: int) -> Iterator[MoveEntry]:
     memo's walks, so a pair is tested only once the reader gets to it.
     Whether a pull's corridor is clear is left to the reader."""
     bit = memo._ids  # ``memo.bit``, without the calls
-    ready = set()
-    for a, b in memo.nearest(_ready, within=memo.sim.gripper.max_opening, table=table):
+    grasped = set()
+    for a, b in memo.nearest(ready, within=memo.sim.gripper.max_opening, table=table):
         pair = bit[a] | bit[b]
-        ready.add(pair)
+        grasped.add(pair)
         yield "grasp", (a, b), pair
-    for mover, anchor in memo.nearest(_same_grip, table=table):
+    for mover, anchor in memo.nearest(same_grip, table=table):
         pair = bit[mover] | bit[anchor]
-        if pair not in ready:
+        if pair not in grasped:
             yield "pull", (mover, anchor), pair
     for sid in memo.ids(table):
         yield "single", (sid,), bit[sid]
@@ -613,7 +615,7 @@ def pull_policy(
     return Grasp(found)
 
 
-def _stackable(memo: PairMemo, lifted: int, base: int) -> bool:
+def stackable(memo: PairMemo, lifted: int, base: int) -> bool:
     """Whether ``lifted`` may be stacked on ``base`` and the pile grasped."""
     return memo.stackable(memo.state, lifted, base)
 
@@ -643,7 +645,7 @@ def stack_policy(
     if memo.table & memo.utensil_piles and memo.table & memo.bowl_tops:
         if cfg.utensil_stacking is UtensilStacking.ONE_PER_BOWL:
             piles, tops = memo.utensil_piles, memo.bowl_tops
-            for u, b in memo.nearest(_stackable, lifted=piles, base=tops):
+            for u, b in memo.nearest(stackable, lifted=piles, base=tops):
                 placement = StackPlacement(grasp_points(state, u, rng, sim), u, b)
                 carry = grasp_points(state, b, rng, sim)
                 return StackGrasp((placement,), carry)
@@ -669,7 +671,7 @@ def stack_policy(
                 carry = grasp_points(working, chosen, rng, sim)
                 return StackGrasp(tuple(placements), carry)
 
-    for lifted, base in memo.nearest(_stackable):
+    for lifted, base in memo.nearest(stackable):
         placement = StackPlacement(grasp_points(state, lifted, rng, sim), lifted, base)
         # Stacking keeps the base's bottom dish and base point, all that
         # ``grasp_points`` reads.
@@ -684,27 +686,68 @@ def next_action(
     rng: SplitMix64,
     sim: "SimConfig",
     cfg: PolicyConfig,
-    memo: PairMemo | None = None,
+    memo: PairMemo | None,
 ) -> Action | None:
     """Next feasible action for the policy, or None once the table is clear.
 
-    ``memo`` is the trial's pair memo; the pull and stack policies read
-    their pair results from it (see ``PairMemo``).  A pull or stack call
-    without one starts from an empty memo; the random policy asks about no
-    pair and gets none.  The policies are looked up by module name at each
-    call, so a rebinding of those names (such as a profiler's wrapper)
-    takes effect.
+    ``memo`` is the trial's pair memo (see ``PairMemo``): the pull and stack
+    policies read their pair results from it, and the random policy gets
+    None.  The policies are looked up by module name at each call, so a
+    rebinding of those names (such as a profiler's wrapper) takes effect.
     """
     if not state.stacks:
         return None
-    if memo is None and cfg.kind is not PolicyKind.RANDOM:
-        memo = PairMemo(sim)
     policy = {
         PolicyKind.RANDOM: random_policy,
         PolicyKind.PULL: pull_policy,
         PolicyKind.STACK: stack_policy,
     }[cfg.kind]
     return policy(state, rng, sim, cfg, memo)
+
+
+class Step(NamedTuple):
+    """One action of a trial, as ``trial_steps`` yields it."""
+
+    state: SceneState  # the table the policy chose from
+    action: Action
+    failed: bool  # whether the action's final grasp failed
+    after: SceneState  # the table ``apply`` left
+    event: TraceEvent  # with ``t`` set
+    memo: PairMemo | None  # the trial's memo, synced with ``state``; None for random
+
+
+def trial_steps(
+    initial: SceneState,
+    policy: PolicyConfig,
+    sim: "SimConfig",
+    seed: int,
+) -> Iterator[Step]:
+    """The steps of a policy's trial from ``initial`` (left unchanged), one
+    per action, until the table is clear: the one trial loop.
+
+    One stream seeded with ``seed`` serves the policy's draws and, after
+    each action is chosen and before it runs, the draw of whether its grasp
+    fails (``grasp_fails``).  A pull or stack trial has one ``PairMemo``,
+    made here.  With failures disabled every action strictly grows the bin,
+    so at most one trip per dish is taken; a cap on total actions raises
+    RuntimeError for a policy that stops making progress.  ``next_action``, ``grasp_fails``, ``apply`` and
+    ``PairMemo`` are looked up by module name, so rebinding them takes
+    effect.
+    """
+    rng = SplitMix64(seed)
+    state = initial.clone()
+    cap = 50 * max(len(state.dishes), 1) + 100
+    memo = None if policy.kind is PolicyKind.RANDOM else PairMemo(sim)
+    for t in range(cap):
+        action = next_action(state, rng, sim, policy, memo)
+        if action is None:
+            return
+        failed = grasp_fails(sim, rng)
+        after, event = apply(state, action, sim, failed=failed)
+        event.t = t
+        yield Step(state, action, failed, after, event, memo)
+        state = after
+    raise RuntimeError(f"policy {policy.kind.value} exceeded {cap} actions without clearing")
 
 
 @dataclass
@@ -736,31 +779,10 @@ def run_policy(
     sim: "SimConfig",
     seed: int,
 ) -> Trace:
-    """Run a policy to completion and return the trace.
-
-    One stream seeded with ``seed`` serves the policy's draws and, after
-    each action is chosen, the draw of whether its grasp fails
-    (``grasp_fails``).  Terminates when the table is empty; with failures
-    disabled every action strictly grows the bin, so at most one trip per
-    dish is taken.  A safety cap on total actions guards against a policy
-    that stops making progress.
-    """
-    rng = SplitMix64(seed)
-    state = initial.clone()
+    """Run a policy to completion (``trial_steps``) and return the trace."""
     trace = Trace(policy=policy.kind.value, seed=seed, tier=initial.tier)
-    cap = 50 * max(len(state.dishes), 1) + 100
-    memo = None if policy.kind is PolicyKind.RANDOM else PairMemo(sim)
-    while True:
-        t = len(trace.events)
-        if t >= cap:
-            raise RuntimeError(
-                f"policy {policy.kind.value} exceeded {cap} actions without clearing"
-            )
-        action = next_action(state, rng, sim, policy, memo)
-        if action is None:
-            break
-        state, event = apply(state, action, sim, failed=grasp_fails(sim, rng))
-        event.t = t
-        trace.events.append(event)
-    trace.final_state = state
+    step = None
+    for step in trial_steps(initial, policy, sim, seed):
+        trace.events.append(step.event)
+    trace.final_state = initial.clone() if step is None else step.after
     return trace

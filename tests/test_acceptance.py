@@ -20,16 +20,14 @@ from declutter import (
     TierConfig,
     check_pull,
     generate_scene,
-    grasp_fails,
     mog_grasp,
-    next_action,
     objects_per_trip,
     run_policy,
     scene_to_json,
     stack_allowable,
+    trial_steps,
     validate,
 )
-from declutter.actions import apply
 from declutter.config import default_sim_config
 from declutter.metrics import action_counts
 from declutter.policies import PolicyKind
@@ -362,13 +360,10 @@ def test_criterion_8_property_suites():
 
         # Run the policy, checking invariants after every action
         # (suites a, b, c, f).
-        state = scene
-        rng = SplitMix64(case)
         trips = 0
-        while state.stacks:
-            action = next_action(state, rng, SIM, policy)
-            state, event = apply(state, action, SIM, failed=grasp_fails(SIM, rng))
-            trips += event.trip
+        for step in trial_steps(scene, policy, SIM, case):
+            state = step.after
+            trips += step.event.trip
             on_table = {d for s in state.stacks.values() for d in s.dishes}
             assert on_table | set(state.bin) == all_ids
             assert len(on_table) + len(state.bin) == len(all_ids)
@@ -446,11 +441,9 @@ def test_criterion_9_small_scene_oracle():
         random_trips = run_policy(scene, POLICIES["random"], SIM, seed).trips
         assert random_trips == len(scene.stacks)
         for name in ("pull", "stack"):
-            state = scene
-            rng = SplitMix64(seed)
             trips = 0
-            while state.stacks:
-                action = next_action(state, rng, SIM, POLICIES[name])
+            for step in trial_steps(scene, POLICIES[name], SIM, seed):
+                state, action = step.state, step.action
                 # Composite actions must pass their own predicates here,
                 # independently of the transition's re-check.
                 if isinstance(action, PullGrasp):
@@ -463,8 +456,7 @@ def test_criterion_9_small_scene_oracle():
                 elif len(action.grasp.targets) == 2:
                     a, b = action.grasp.targets
                     assert mog_grasp(state, a, b, SIM) is not None
-                state, event = apply(state, action, SIM, failed=grasp_fails(SIM, rng))
-                trips += event.trip
+                trips += step.event.trip
             assert optimum <= trips <= random_trips, (seed, name, optimum, trips)
         checked += 1
     _announce(

@@ -153,7 +153,7 @@ def test_grasp_gap_matches_sampled_loci(name):
         # The witnesses lie ``gap`` apart; the oracle exceeds the distance
         # by at most half of each locus's sample spacing: 0.067 cm on a bowl
         # rim, 0.035 cm on a cup rim, 0.021 cm on a utensil axis.
-        assert math.hypot(pa.x - pb.x, pa.y - pb.y) == pytest.approx(gap, abs=1e-9)
+        assert math.dist(pa, pb) == pytest.approx(gap, abs=1e-9)
         assert gap - 1e-9 <= sampled_grasp_gap(scene, a, b, SIM) <= gap + 0.11
 
 

@@ -10,8 +10,8 @@ import pytest
 from declutter import harness
 from declutter.cli import main
 from declutter.harness import plan_from_json, run_plan, trial_seed
+from declutter.policies import PolicyConfig
 from declutter.config import default_sim_config
-from declutter.errors import SchemaError
 from declutter.tableware import Tier
 
 PLAN = {
@@ -335,6 +335,23 @@ class TestBench:
         assert rc == 3
         assert "plan policy malformed" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["pull", "stack"])
+    @pytest.mark.parametrize("mode", [False, 0, "", [], {}], ids=["false", "0", "str", "list", "obj"])
+    def test_falsy_stacking_mode_exits_3(self, tmp_path, capsys, monkeypatch, kind, mode):
+        # Not a mode, and not read as "absent": only null is.
+        monkeypatch.setattr(harness, "run_policy", None)
+        plan = write_plan(tmp_path, policies=["random", {"kind": kind, "utensil_stacking": mode}])
+        out = tmp_path / "x"
+        rc = main(["bench", "--plan", str(plan), "--out", str(out)])
+        assert rc == 3
+        assert "plan policy malformed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_stacking_mode_is_absent(self):
+        policies = ["random", {"kind": "stack", "utensil_stacking": None}]
+        plan = plan_from_json(json.dumps({**PLAN, "policies": policies}))
+        assert plan.policies[1] == PolicyConfig.named("stack")
 
     @pytest.mark.parametrize("plan_p_fail, failures", [(None, True), (0.0, False)])
     def test_plan_p_fail_overrides_config_only_when_set(

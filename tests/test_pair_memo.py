@@ -26,13 +26,13 @@ from declutter import (
     apply,
     check_pull,
     generate_scene,
-    grasp_fails,
     grasp_gap,
     mog_grasp,
     next_action,
     policies,
     run_policy,
     stack_allowable,
+    trial_steps,
 )
 from declutter.rng import SplitMix64, derive_seed
 from declutter.tableware import Stack, stack_footprints
@@ -70,18 +70,14 @@ def test_policy_matches_reference_at_every_step(p_fail):
     failed_pulls = 0
     # seed 24 is the first whose failure-free trial takes a single grasp
     for seed in (*range(10), 24):
-        state = dense_scene(30, seed)
-        rng = SplitMix64(seed)
-        memo = PairMemo(sim)
-        while state.stacks:
-            action = next_action(state, rng, sim, PULL, memo)
+        for step in trial_steps(dense_scene(30, seed), PULL, sim, seed):
+            state, action = step.state, step.action
             expected = choice(action)
             assert expected == pull_policy_choice(state, sim), (seed, len(state.bin))
             if expected[0] == "grasp":
                 assert action.grasp == mog_grasp(state, *expected[1], sim)
             kinds.add(expected[0])
-            state, event = apply(state, action, sim, failed=grasp_fails(sim, rng))
-            if isinstance(action, PullGrasp) and event.params.get("failed"):
+            if isinstance(action, PullGrasp) and step.failed:
                 failed_pulls += 1
     assert kinds == {"grasp", "pull", "single"}
     if p_fail:
@@ -127,17 +123,13 @@ def test_stack_policy_matches_reference_at_every_step(stacking, p_fail):
     longest = 0
     failed_stacks = 0
     for seed in range(10):
-        state = dense_scene(30, seed)
-        rng = SplitMix64(seed)
-        memo = PairMemo(sim)
-        while state.stacks:
-            action = next_action(state, rng, sim, cfg, memo)
+        for step in trial_steps(dense_scene(30, seed), cfg, sim, seed):
+            state, action = step.state, step.action
             expected = choice(action)
             assert expected == stack_policy_choice(state, sim, cfg), (seed, len(state.bin))
             if expected[0] == "stack":
                 longest = max(longest, len(expected[1]))
-            state, event = apply(state, action, sim, failed=grasp_fails(sim, rng))
-            if isinstance(action, StackGrasp) and event.params.get("failed"):
+            if isinstance(action, StackGrasp) and step.failed:
                 failed_stacks += 1
     # all_on_one_bowl places previewed piles, several in one action
     assert longest == 1 if stacking == "one_per_bowl" else longest > 1
@@ -205,7 +197,7 @@ def test_values_off_the_table_keep_the_scoped_walk(monkeypatch):
 
     def counted(memo, lifted, base):
         calls.append((lifted, base))
-        return policies._stackable(memo, lifted, base)
+        return policies.stackable(memo, lifted, base)
 
     def walk():
         return next(memo.nearest(counted, lifted=memo.utensil_piles, base=memo.bowl_tops))
@@ -278,16 +270,14 @@ def test_pull_offered_once_blocker_is_binned():
     # Cup 0 sits in the corridor between bowls 1 and 2; cups and bowls
     # never pair, so the cup goes alone first.
     scene = build_scene([([CUP], 39, 30), ([BOWL], 10, 30), ([BOWL], 68, 30)])
-    memo = PairMemo(SIM)
-    rng = SplitMix64(0)
-    first = next_action(scene, rng, SIM, PULL, memo)
-    assert choice(first) == ("single", (0,)) == pull_policy_choice(scene, SIM)
-    check = memo.pull(1, 2)
+    steps = trial_steps(scene, PULL, SIM, 0)
+    first = next(steps)
+    assert choice(first.action) == ("single", (0,)) == pull_policy_choice(scene, SIM)
+    check = first.memo.pull(1, 2)
     assert (check.failed, check.blocker) == ("corridor", 0)
 
-    state, _ = apply(scene, first, SIM, failed=grasp_fails(SIM, rng))
-    second = next_action(state, rng, SIM, PULL, memo)
-    assert choice(second) == ("pull", (1, 2)) == pull_policy_choice(state, SIM)
+    second = next(steps)
+    assert choice(second.action) == ("pull", (1, 2)) == pull_policy_choice(second.state, SIM)
 
 
 def test_failed_pull_blocks_corridor_cached_as_clear():
@@ -299,19 +289,17 @@ def test_failed_pull_blocks_corridor_cached_as_clear():
     scene = build_scene(
         [([CUP], 10, 30), ([CUP], 68, 30), ([BOWL], 35, 9), ([BOWL, BOWL], 35, 52)]
     )
-    memo = PairMemo(sim)
-    rng = SplitMix64(0)
-    first = next_action(scene, rng, sim, PULL, memo)
-    assert choice(first) == ("pull", (2, 3)) == pull_policy_choice(scene, sim)
-    assert memo.pull(0, 1).allowable
+    steps = trial_steps(scene, PULL, sim, 0)
+    first = next(steps)
+    assert choice(first.action) == ("pull", (2, 3)) == pull_policy_choice(scene, sim)
+    assert first.memo.pull(0, 1).allowable
 
-    state, event = apply(scene, first, sim, failed=grasp_fails(sim, rng))
-    assert event.params["abandoned"] == 2
-    assert state.stacks[2].base == first.pull.end
-    second = next_action(state, rng, sim, PULL, memo)
-    assert isinstance(second, Grasp)
-    assert choice(second) == ("single", (2,)) == pull_policy_choice(state, sim)
-    check = memo.pull(0, 1)
+    assert first.event.params["abandoned"] == 2
+    assert first.after.stacks[2].base == first.action.pull.end
+    second = next(steps)
+    assert isinstance(second.action, Grasp)
+    assert choice(second.action) == ("single", (2,)) == pull_policy_choice(second.state, sim)
+    check = second.memo.pull(0, 1)
     assert (check.failed, check.blocker) == ("corridor", 2)
 
 
@@ -326,16 +314,14 @@ def test_stack_left_by_failed_pull_joins_the_rankings():
         + [([CUP], 20 + 40 * k, 150) for k in range(11)],
         workspace=(500, 200),
     )
-    memo = PairMemo(sim)
-    rng = SplitMix64(0)
-    first = next_action(scene, rng, sim, PULL, memo)
-    assert choice(first) == ("pull", (0, 1)) == pull_policy_choice(scene, sim)
+    steps = trial_steps(scene, PULL, sim, 0)
+    first = next(steps)
+    assert choice(first.action) == ("pull", (0, 1)) == pull_policy_choice(scene, sim)
 
-    state, event = apply(scene, first, sim, failed=grasp_fails(sim, rng))
-    assert event.params["abandoned"] == 0
-    assert len(state.stacks) > policies.PLAN_MAX_STACKS
-    second = next_action(state, rng, sim, PULL, memo)
-    assert choice(second) == ("grasp", (0, 2)) == pull_policy_choice(state, sim)
+    assert first.event.params["abandoned"] == 0
+    assert len(first.after.stacks) > policies.PLAN_MAX_STACKS
+    second = next(steps)
+    assert choice(second.action) == ("grasp", (0, 2)) == pull_policy_choice(second.state, sim)
 
 
 def test_entries_die_with_either_stack_value():
@@ -381,15 +367,15 @@ def bottom_kind(state, sid):
 # predicates alone.
 ADMITS = {
     "ready": (
-        policies._ready,
+        policies.ready,
         lambda state, a, b: a < b and mog_grasp(state, a, b, SIM) is not None,
     ),
     "same_grip": (
-        policies._same_grip,
+        policies.same_grip,
         lambda state, a, b: check_pull(state, a, b, SIM).failed != "grip_height",
     ),
     "stackable": (
-        policies._stackable,
+        policies.stackable,
         lambda state, a, b: stack_allowable(state, a, b, SIM),
     ),
 }
@@ -427,7 +413,7 @@ def assert_nearest_is_brute_force(
         for name, (admit, admitted) in ADMITS.items()
     ]
     scope = {"lifted": memo.utensil_piles, "base": memo.bowl_tops}
-    walks.append(("scoped stackable", policies._stackable, utensil_onto_bowl, scope))
+    walks.append(("scoped stackable", policies.stackable, utensil_onto_bowl, scope))
     for name, admit, admitted, options in walks:
         got = list(islice(memo.nearest(admit, table=table, **options), reads))
         assert len(set(got)) == len(got), name
@@ -447,20 +433,16 @@ def test_nearest_is_brute_force_at_every_step(kind):
     sim = dataclasses.replace(SIM, p_fail=0.2)
     cfg = PolicyConfig.named(kind)
     for seed in range(2):
-        state = dense_scene(30, seed)
-        rng = SplitMix64(seed)
-        memo = PairMemo(sim)
-        memo.sync(state)
-        assert_nearest_is_brute_force(memo)
-        steps = 0
-        while state.stacks:
-            action = next_action(state, rng, sim, cfg, memo)
+        scene = dense_scene(30, seed)
+        fresh = PairMemo(sim)
+        fresh.sync(scene)
+        assert_nearest_is_brute_force(fresh)
+        for steps, step in enumerate(trial_steps(scene, cfg, sim, seed)):
+            memo = step.memo
             assert_nearest_is_brute_force(memo)
             if steps % 2:
                 narrowed = memo.table & ~sum(memo.bit(sid) for sid in memo.ids()[::3])
                 assert_nearest_is_brute_force(memo, table=narrowed)
-            state, _ = apply(state, action, sim, failed=grasp_fails(sim, rng))
-            steps += 1
 
 
 @pytest.mark.parametrize(
@@ -475,12 +457,8 @@ def test_walks_read_partly_resume_as_brute_force(kind, stacking):
     sim = dataclasses.replace(SIM, p_fail=0.2)
     cfg = PolicyConfig.named(kind, stacking)
     for seed in range(2):
-        state = dense_scene(30, seed)
-        rng = SplitMix64(seed)
-        memo = PairMemo(sim)
-        steps = 0
-        while state.stacks:
-            action = next_action(state, rng, sim, cfg, memo)
+        for steps, step in enumerate(trial_steps(dense_scene(30, seed), cfg, sim, seed)):
+            state, memo = step.state, step.memo
             assert_nearest_is_brute_force(memo, reads=steps % 3 + 1)
             narrowed = memo.table & ~sum(memo.bit(sid) for sid in memo.ids()[steps % 2::3])
             assert_nearest_is_brute_force(memo, reads=steps % 4 + 1, table=narrowed)
@@ -492,8 +470,6 @@ def test_walks_read_partly_resume_as_brute_force(kind, stacking):
                 assert_nearest_is_brute_force(memo, reads=2)
                 memo.sync(state)
                 assert_nearest_is_brute_force(memo, reads=3)
-            state, _ = apply(state, action, sim, failed=grasp_fails(sim, rng))
-            steps += 1
 
 
 def test_stack_that_leaves_and_returns_is_listed_once():
@@ -534,7 +510,7 @@ def test_stack_left_by_failed_pull_is_ranked_as_brute_force():
     memo.sync(state)
     assert_nearest_is_brute_force(memo, reads=1)
     mover, anchor = next(
-        (m, a) for m, a in memo.nearest(policies._same_grip) if memo.pull(m, a).allowable
+        (m, a) for m, a in memo.nearest(policies.same_grip) if memo.pull(m, a).allowable
     )
     check = memo.pull(mover, anchor)
     pull = PullAction(state.stacks[mover].base, check.end, mover, anchor)
@@ -567,9 +543,8 @@ def assert_ranked_as_brute_force(stacks, workspace):
     assert_nearest_is_brute_force(memo, table=narrowed)
 
 
-def bounded_by_first_walk(monkeypatch, stacks, workspace) -> tuple[int, int]:
-    """Gap bounds taken by a first walk on the scene of ``stacks`` that
-    admits every pair, read one pair deep, and the scene's pairs."""
+def counted_reach_limits(monkeypatch) -> list:
+    """Record the policies' calls of ``reach_limit`` from now on."""
     calls = []
     limit = policies.reach_limit
 
@@ -578,6 +553,13 @@ def bounded_by_first_walk(monkeypatch, stacks, workspace) -> tuple[int, int]:
         return limit(ra, rb)
 
     monkeypatch.setattr(policies, "reach_limit", counted)
+    return calls
+
+
+def bounded_by_first_walk(monkeypatch, stacks, workspace) -> tuple[int, int]:
+    """Gap bounds taken by a first walk on the scene of ``stacks`` that
+    admits every pair, read one pair deep, and the scene's pairs."""
+    calls = counted_reach_limits(monkeypatch)
     memo = PairMemo(SIM)
     memo.sync(build_scene(stacks, workspace))
     list(islice(memo.nearest(lambda memo, a, b: True), 1))
@@ -668,14 +650,7 @@ def test_first_step_bounds_few_pairs(monkeypatch):
     # The pair list is built only as far as the walks read it: the first
     # step of a 72-item trial bounds the pairs of nearby stacks, not all
     # 2,556 of them.
-    calls = []
-    limit = policies.reach_limit
-
-    def counted(ra, rb):
-        calls.append((ra, rb))
-        return limit(ra, rb)
-
-    monkeypatch.setattr(policies, "reach_limit", counted)
+    calls = counted_reach_limits(monkeypatch)
     cfg = PolicyConfig.named("stack", "one_per_bowl")
     for seed in (0, 3):
         calls.clear()
@@ -758,7 +733,7 @@ def test_utensil_walk_tests_only_utensil_piles_onto_bowl_tops(monkeypatch):
         calls.append((lifted, base))
         assert memo.bit(lifted) & memo.utensil_piles, (lifted, base)
         assert memo.bit(base) & memo.bowl_tops, (lifted, base)
-        return policies._stackable(memo, lifted, base)
+        return policies.stackable(memo, lifted, base)
 
     hook_scoped_walks(monkeypatch, checked)
     for seed in (0, 3):
@@ -777,7 +752,7 @@ def test_walks_resume_from_step_to_step(monkeypatch):
 
     def counted(memo, lifted, base):
         calls[(lifted, base)] += 1
-        return policies._stackable(memo, lifted, base)
+        return policies.stackable(memo, lifted, base)
 
     hook_scoped_walks(monkeypatch, counted)
     for seed in (0, 3):

@@ -8,21 +8,18 @@ import pytest
 
 from declutter import (
     Grasp,
-    apply,
     PolicyConfig,
     PolicyKind,
-    PullGrasp,
-    StackGrasp,
     Sweep,
     Tier,
     TierConfig,
     UtensilStacking,
     generate_scene,
-    grasp_fails,
     next_action,
     objects_per_trip,
     policies,
     run_policy,
+    trial_steps,
     validate,
 )
 from declutter.rng import SplitMix64
@@ -54,14 +51,14 @@ class TestRandomPolicy:
 
     def test_selected_stack_travels_whole(self):
         scene = build_scene([([BOWL, CUP, CUP], 30, 30)])
-        action = next_action(scene, SplitMix64(0), SIM, RANDOM)
-        assert isinstance(action, Grasp)
-        new, event = apply(scene, action, SIM)
-        assert len(event.moved_to_bin) == 3
+        step = next(trial_steps(scene, RANDOM, SIM, 0))
+        assert isinstance(step.action, Grasp)
+        assert len(step.event.moved_to_bin) == 3
 
     def test_empty_table_is_done(self):
         scene = build_scene([])
-        assert next_action(scene, SplitMix64(0), SIM, RANDOM) is None
+        assert next_action(scene, SplitMix64(0), SIM, RANDOM, None) is None
+        assert list(trial_steps(scene, RANDOM, SIM, 0)) == []
 
     def test_dish_uniform_selection_weights_stacks(self):
         # A 3-dish stack should be chosen ~3x as often as a singleton.
@@ -69,7 +66,7 @@ class TestRandomPolicy:
         hits = 0
         n = 2000
         for seed in range(n):
-            action = next_action(scene, SplitMix64(seed), SIM, RANDOM)
+            action = next_action(scene, SplitMix64(seed), SIM, RANDOM, None)
             if action.grasp.targets == (0,):
                 hits += 1
         assert 0.70 < hits / n < 0.80
@@ -80,7 +77,7 @@ class TestPullPolicy:
         scene = build_scene(
             [([CUP], 30, 30), ([CUP], 39.2, 30), ([BOWL], 65, 50)]
         )
-        action = next_action(scene, SplitMix64(0), SIM, PULL)
+        action = next(trial_steps(scene, PULL, SIM, 0)).action
         assert isinstance(action, Grasp)
         assert action.grasp.targets == (0, 1)
 
@@ -95,7 +92,7 @@ class TestPullPolicy:
 
     def test_last_utensil_single_grasped(self):
         scene = build_scene([([(UTENSIL, 0.4)], 30, 30)])
-        action = next_action(scene, SplitMix64(0), SIM, PULL)
+        action = next(trial_steps(scene, PULL, SIM, 0)).action
         assert isinstance(action, Grasp)
         assert action.grasp.targets == (0,)
 
@@ -227,17 +224,10 @@ class TestStackPolicy:
     def test_never_creates_tall_cup_bowl_pile(self):
         for seed in range(30):
             scene = generate_scene(TierConfig.preset(Tier.T2), seed)
-            state = scene
-            rng = SplitMix64(seed)
-            while state.stacks:
-                action = next_action(state, rng, SIM, STACK)
-                state, _ = apply(state, action, SIM, failed=grasp_fails(SIM, rng))
-                for stack in state.stacks.values():
-                    hard = sum(
-                        1 for d in stack.dishes
-                        if state.dishes[d].kind is not UTENSIL
-                    )
-                    assert hard < 4
+            for step in trial_steps(scene, STACK, SIM, seed):
+                dishes = step.after.dishes
+                for stack in step.after.stacks.values():
+                    assert sum(dishes[d].kind is not UTENSIL for d in stack.dishes) < 4
 
 
 class TestRunPolicy:
@@ -249,6 +239,35 @@ class TestRunPolicy:
         assert trace.objects_cleared == 12
         assert trace.trips <= 12
         assert validate(trace.final_state, SIM.dish_specs) == []
+
+    @pytest.mark.parametrize("policy", [RANDOM, PULL, STACK])
+    def test_steps_are_the_trace(self, policy):
+        # Each step starts from the table the last one left; its event is
+        # the trace's, and its failure the one the event records.
+        sim = dataclasses.replace(SIM, p_fail=0.2)
+        failures = 0
+        for seed in range(6):
+            scene = generate_scene(TierConfig.preset(Tier.T2), seed)
+            steps = list(trial_steps(scene, policy, sim, seed))
+            trace = run_policy(scene, policy, sim, seed)
+            assert [s.event for s in steps] == trace.events
+            assert steps[-1].after.stacks == trace.final_state.stacks == {}
+            assert steps[0].state.stacks == scene.stacks and steps[0].state is not scene
+            for t, step in enumerate(steps):
+                assert step.event.t == t
+                assert t == 0 or step.state is steps[t - 1].after
+                assert step.failed == bool(step.event.params.get("failed"))
+                assert (step.memo is None) == (policy.kind is PolicyKind.RANDOM)
+                failures += step.failed
+        assert failures
+
+    @pytest.mark.parametrize("policy", [RANDOM, PULL, STACK])
+    def test_action_cap_stops_a_trial_that_never_clears(self, policy):
+        # Every grasp fails, so the last stack on the table never leaves.
+        sim = dataclasses.replace(SIM, p_fail=1.0)
+        scene = generate_scene(TierConfig.preset(Tier.T1), 0)
+        with pytest.raises(RuntimeError, match=f"policy {policy.kind.value} exceeded 700 actions"):
+            run_policy(scene, policy, sim, 0)
 
     def test_random_trial_builds_no_memo(self, monkeypatch):
         built = []
@@ -273,14 +292,8 @@ class TestRunPolicy:
 
     def test_monotonic_progress_without_failures(self):
         scene = generate_scene(TierConfig.preset(Tier.T1), 31)
-        state = scene
-        rng = SplitMix64(31)
-        bin_size = 0
-        while state.stacks:
-            action = next_action(state, rng, SIM, STACK)
-            state, _ = apply(state, action, SIM, failed=grasp_fails(SIM, rng))
-            assert len(state.bin) > bin_size
-            bin_size = len(state.bin)
+        for step in trial_steps(scene, STACK, SIM, 31):
+            assert len(step.after.bin) > len(step.state.bin)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_FAILURE_DIGESTS))
     def test_golden_digests_under_failures(self, name):

@@ -6,7 +6,8 @@ Subcommands:
   bench      execute an experiment plan, emit CSV summaries and JSONL trials
   fit-time   fit time-model parameters to a reference timing table
 
-Exit codes: 0 success, 2 usage error, 3 schema error, 4 infeasible action.
+Exit codes: 0 success, 2 usage error (an unwritable output path too),
+3 schema error (a missing or unreadable input file too), 4 infeasible action.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .config import config_to_json_obj, load_config
-from .errors import InfeasibleAction, PlacementExhausted, SchemaError
+from .errors import InfeasibleAction, PlacementExhausted, SchemaError, read_file
 from .harness import (
     generate_scene_files,
     plan_from_json,
@@ -96,9 +97,7 @@ def _cmd_generate(args, sim) -> int:
 
 def _cmd_run(args, sim) -> int:
     scene_path = Path(args.scene)
-    if not scene_path.exists():
-        raise SchemaError(f"scene file not found: {scene_path}")
-    scene = scene_from_json(scene_path.read_text(), sim.dish_specs)
+    scene = scene_from_json(read_file(scene_path, "scene file"), sim.dish_specs)
     policy = PolicyConfig.named(args.policy, args.utensil_stacking)
     report, events = run_scene_file(
         scene, policy, sim, seed=args.seed, scene_id=scene_path.stem
@@ -116,10 +115,7 @@ def _cmd_run(args, sim) -> int:
 
 
 def _cmd_bench(args, sim) -> int:
-    plan_path = Path(args.plan)
-    if not plan_path.exists():
-        raise SchemaError(f"plan file not found: {plan_path}")
-    plan = plan_from_json(plan_path.read_text())
+    plan = plan_from_json(read_file(args.plan, "plan file"))
     reports, summaries = run_plan(plan, sim, args.out, jobs=args.jobs)
     print(f"{len(reports)} trials -> {args.out}")
     for row in summaries:
@@ -135,13 +131,7 @@ def _cmd_fit_time(args, sim) -> int:
     # Only this command needs the fitter and its CSV parser.
     from .timefit import fit_time_model, parse_reference_csv, simulated_counts
 
-    if args.table:
-        table_path = Path(args.table)
-        if not table_path.exists():
-            raise SchemaError(f"table file not found: {table_path}")
-        reference = parse_reference_csv(table_path.read_text())
-    else:
-        reference = None
+    reference = parse_reference_csv(read_file(args.table, "table file")) if args.table else None
     counts = simulated_counts(sim)
     result = fit_time_model(counts, reference)
     fragment = {
@@ -189,6 +179,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INFEASIBLE
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .actions import GripperSpec
-from .errors import SchemaError, from_number_fields, known_keys, number
+from .errors import SchemaError, from_number_fields, known_keys, number, read_file
 from .metrics import TimeModel
 from .tableware import DEFAULT_WORKSPACE, DishKind, DishSpec, default_dish_specs
 
@@ -135,11 +135,8 @@ def load_config(path: str | Path | None = None) -> SimConfig:
         path = os.environ.get(ENV_VAR) or None
     if path is None:
         return default_sim_config()
-    file = Path(path)
-    if not file.exists():
-        raise SchemaError(f"config file not found: {file}")
     try:
-        data = json.loads(file.read_text())
+        data = json.loads(read_file(path, "config file"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config file is not valid JSON: {exc}") from exc
     return config_from_json_obj(data)

@@ -1,15 +1,29 @@
-"""Exception types shared across the simulator, and the readers of the
-numbers and all-number JSON objects that config and plan files hold."""
+"""Exception types shared across the simulator, the reader of input
+files, and the readers of the numbers and all-number JSON objects that
+config and plan files hold."""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Collection
 from dataclasses import fields, replace
+from pathlib import Path
 
 
 class SchemaError(ValueError):
     """A scene, plan, or config file does not match its expected schema."""
+
+
+def read_file(path: str | Path, what: str) -> str:
+    """The UTF-8 text of input file ``path``; SchemaError, naming it
+    ``what``, when it is missing, cannot be read or is not UTF-8."""
+    file = Path(path)
+    try:
+        return file.read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise SchemaError(f"{what} not found: {file}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{what} cannot be read: {file}: {exc}") from exc
 
 
 def number(value: object, where: str, integer: bool = False) -> float | int:

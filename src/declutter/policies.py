@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
@@ -85,10 +85,8 @@ def random_policy(
     bottom rim, so the whole stack rides along in one trip.  No pair is
     asked about, so ``memo`` goes unused.
     """
-    dish_ids = state.on_table_dish_ids()
-    dish_id = dish_ids[rng.below(len(dish_ids))]
-    stack = state.stack_containing(dish_id)
-    return Grasp(grasp_points(state, stack.id, rng, sim))
+    dishes = sorted((dish, stack.id) for stack in state.stacks.values() for dish in stack.dishes)
+    return Grasp(grasp_points(state, dishes[rng.below(len(dishes))][1], rng, sim))
 
 
 class _PullEntry:
@@ -146,12 +144,9 @@ class _Scope:
         self.walks: dict[tuple[Admit, float], _Walk] = {}
 
 
-# A pull-policy move: ("grasp", (a, b), shared grasp), ("pull", (mover,
-# anchor), the pull's allowable pair tests) or ("single", (stack,), None).
-Move = tuple[str, tuple[int, ...], GraspAction | PullCheck | None]
-
-# A move as ``_moves`` lists it: (kind, targets, mask of the stacks it clears).
-MoveEntry = tuple[str, tuple[int, ...], int]
+# A pull-policy move: (kind, targets, mask of the stacks it clears), where
+# kind is "grasp" (targets a, b), "pull" (mover, anchor) or "single".
+Move = tuple[str, tuple[int, ...], int]
 
 # A test that admits an ordered pair (a, b) of synced stack ids to ``nearest``.
 Admit = Callable[["PairMemo", int, int], bool]
@@ -201,8 +196,8 @@ class PairMemo:
     passes the subsets it looks ahead on as masks to ``nearest``,
     ``_corridor`` and ``ids``.
 
-    ``plan`` holds the pull policy's planned moves keyed by table mask (see
-    ``pull_policy``).
+    ``plan`` maps a table mask to the pull policy's planned ``Move`` on it;
+    the policy asks the memo for its grasp or pull check when it takes it.
     """
 
     def __init__(self, sim: "SimConfig"):
@@ -450,7 +445,7 @@ def same_grip(memo: PairMemo, mover: int, anchor: int) -> bool:
     return memo.sim.gripper.similar_heights(grips[memo.bit(mover)], grips[memo.bit(anchor)])
 
 
-def _moves(memo: PairMemo, table: int) -> Iterator[MoveEntry]:
+def _moves(memo: PairMemo, table: int) -> Iterator[Move]:
     """The moves on ``table``, a mask of the memo's synced table, in
     nearest-first's order: pairs with a shared grasp by (gap, ids), then
     pulls of the other pairs whose grip heights match by (gap, mover,
@@ -471,30 +466,28 @@ def _moves(memo: PairMemo, table: int) -> Iterator[MoveEntry]:
         yield "single", (sid,), bit[sid]
 
 
+def _takeable(memo: PairMemo, move: Move, left: int) -> bool:
+    """Whether ``move`` can be taken on ``left``, a mask of the memo's
+    synced table: its stacks are all on ``left`` and, for a pull, the pair
+    tests pass and no stack on ``left`` meets its corridor."""
+    kind, targets, cleared = move
+    if cleared & left != cleared:
+        return False
+    if kind != "pull":
+        return True
+    check, blocker = memo._corridor(*targets, left)
+    return check.allowable and not blocker
+
+
 def _first_move(
-    memo: PairMemo,
-    left: int,
-    moves: Iterable[MoveEntry] | None = None,
-    starts: Callable[[int, int], bool] | None = None,
-) -> tuple[Move, int]:
-    """The first of ``moves`` (by default ``_moves`` on ``left``) that can
-    be taken on ``left`` and, given ``starts``, for which ``starts(left,
-    cleared)`` holds; with the mask of the stacks it clears.  A move can be
-    taken when its stacks are all in ``left`` and, for a pull, when the
-    pair tests pass and no stack in ``left`` meets its corridor.  A pull's
-    move holds the check that cleared it.  With no ``starts`` this is
-    nearest-first's move."""
-    for kind, targets, cleared in _moves(memo, left) if moves is None else moves:
-        if cleared & left != cleared:
-            continue
-        if kind == "pull":
-            check, blocker = memo._corridor(*targets, left)
-            if blocker or not check.allowable:
-                continue
-        else:
-            check = memo.shared_grasp(*targets) if kind == "grasp" else None
-        if starts is None or starts(left, cleared):
-            return (kind, targets, check), cleared
+    memo: PairMemo, left: int, starts: Callable[[int, int], bool] | None = None
+) -> Move:
+    """The first of ``_moves`` on ``left`` that can be taken there
+    (``_takeable``) and, given ``starts``, for which ``starts(left,
+    cleared)`` holds.  With no ``starts`` this is nearest-first's move."""
+    for move in _moves(memo, left):
+        if _takeable(memo, move, left) and (starts is None or starts(left, move[2])):
+            return move
     raise AssertionError("a single grasp can always be taken")
 
 
@@ -502,14 +495,12 @@ def _grip_classes(memo: PairMemo) -> list[int]:
     """Masks of the stacks on the memo's table that may pair with each
     other: grip heights sorted and split wherever two neighbours differ by
     more than the height-similarity threshold."""
-    sim = memo.sim
-    heights = sorted((memo.grips[memo.bit(sid)], sid) for sid in memo.ids())
     classes: list[int] = []
     previous = None
-    for height, sid in heights:
-        if previous is None or not sim.gripper.similar_heights(height, previous):
+    for height, bit in sorted((memo.grips[bit], bit) for bit in memo._ids.values()):
+        if previous is None or not memo.sim.gripper.similar_heights(height, previous):
             classes.append(0)
-        classes[-1] |= memo.bit(sid)
+        classes[-1] |= bit
         previous = height
     return classes
 
@@ -530,30 +521,29 @@ def _plan(memo: PairMemo) -> dict[int, Move]:
     starts a fewest-trip order (``_exact_search``).
     """
     classes = _grip_classes(memo)
-    moves = starts = None
+    starts = None
     while True:
         plan: dict[int, Move] = {}
         left = memo.table
         while left:
-            plan[left], cleared = _first_move(memo, left, moves, starts)
-            left ^= cleared
+            plan[left] = move = _first_move(memo, left, starts)
+            left ^= move[2]
         if starts or len(plan) == _trip_floor(memo.table, classes):
             return plan
-        moves, starts = _exact_search(memo, classes)
+        starts = _exact_search(memo, classes)
 
 
-def _exact_search(
-    memo: PairMemo, classes: list[int]
-) -> tuple[list[MoveEntry], Callable[[int, int], bool]]:
-    """``_plan``'s exact search over subsets of the memo's table: the
-    table's ``_moves``, and whether a move from subset ``left`` that clears
-    ``cleared`` starts a fewest-trip order.
+def _exact_search(memo: PairMemo, classes: list[int]) -> Callable[[int, int], bool]:
+    """``_plan``'s exact search over subsets of the memo's table: whether a
+    move from subset ``left`` that clears ``cleared`` starts a fewest-trip
+    order.
 
     Failure-free, every table reachable from this one is a subset of its
-    stacks, and a move can be taken from a subset as in ``_first_move``.  A
-    pull is asked about only when the search reaches it with a subset it
-    clears and a trip floor that could still improve on the best order, and
-    then only whether a stack of that subset meets its corridor.
+    stacks, so the search lists the table's ``_moves`` once and reads them
+    on each subset.  A pull is asked about (``_takeable``) only when the
+    search reaches it with a subset it clears and a trip floor that could
+    still improve on the best order, and then only whether a stack of that
+    subset meets its corridor.
     """
     moves = list(_moves(memo, memo.table))
     least = {0: 0}
@@ -562,23 +552,19 @@ def _exact_search(
         if left not in least:
             floor = _trip_floor(left, classes)
             best = left.bit_count()
-            for kind, targets, cleared in moves:
+            for move in moves:
                 if best == floor:
                     break
+                cleared = move[2]
                 if cleared & left != cleared:
                     continue
                 rest = left ^ cleared
-                if 1 + _trip_floor(rest, classes) >= best:
-                    continue
-                if kind == "pull":
-                    check, blocker = memo._corridor(*targets, left)
-                    if blocker or not check.allowable:
-                        continue
-                best = min(best, 1 + trips(rest))
+                if 1 + _trip_floor(rest, classes) < best and _takeable(memo, move, left):
+                    best = min(best, 1 + trips(rest))
             least[left] = best
         return least[left]
 
-    return moves, lambda left, cleared: trips(left) == 1 + trips(left ^ cleared)
+    return lambda left, cleared: trips(left) == 1 + trips(left ^ cleared)
 
 
 def pull_policy(
@@ -594,25 +580,22 @@ def pull_policy(
     nearest-first's move wherever that move starts such an order, and plans
     again whenever a failed action leaves a table off the plan.  Pair
     results and the plan come from ``memo``, which carries them from one
-    step of a trial to the next; a pull is built from the memo's check of
-    it, which holds the contact point and the grasp there.
+    step of a trial to the next, and so does the chosen move's action: a
+    pull's contact point and grasp (``memo.pull``), a pair's grasp
+    (``memo.shared_grasp``).
     """
     memo.sync(state)
-    if len(state.stacks) > PLAN_MAX_STACKS:
-        move = _first_move(memo, memo.table)[0]
-    else:
-        move = memo.plan.get(memo.table)
-        if move is None:
-            memo.plan = _plan(memo)
-            move = memo.plan[memo.table]
-    kind, targets, found = move
+    planned = len(state.stacks) <= PLAN_MAX_STACKS
+    if planned and memo.table not in memo.plan:
+        memo.plan = _plan(memo)
+    kind, targets, _ = memo.plan[memo.table] if planned else _first_move(memo, memo.table)
     if kind == "pull":
-        mover, anchor = targets
-        pull = PullAction(state.stacks[mover].base, found.end, mover, anchor)
-        return PullGrasp(pull, found.grasp)
+        check = memo.pull(*targets)
+        pull = PullAction(state.stacks[targets[0]].base, check.end, *targets)
+        return PullGrasp(pull, check.grasp)
     if kind == "single":
         return Grasp(grasp_points(state, targets[0], rng, sim))
-    return Grasp(found)
+    return Grasp(memo.shared_grasp(*targets))
 
 
 def stackable(memo: PairMemo, lifted: int, base: int) -> bool:

@@ -158,18 +158,6 @@ class SceneState:
         new.stacks[base] = replace(below, dishes=below.dishes + top.dishes)
         return new
 
-    def on_table_dish_ids(self) -> list[int]:
-        ids: list[int] = []
-        for stack in self.stacks.values():
-            ids.extend(stack.dishes)
-        return sorted(ids)
-
-    def stack_containing(self, dish_id: int) -> Stack:
-        for stack in self.stacks.values():
-            if dish_id in stack.dishes:
-                return stack
-        raise KeyError(f"dish {dish_id} is not on the table")
-
 
 class Tier(str, Enum):
     T0_CUPS = "t0_cups"

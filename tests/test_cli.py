@@ -563,6 +563,45 @@ def test_bad_config_key_exits_3(tmp_path, capsys, section, entry):
     assert section in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["directory", "non_utf8"])
+@pytest.mark.parametrize("argv", [
+    ["run", "--scene", "input", "--policy", "pull"],
+    ["bench", "--plan", "input", "--out", "out"],
+    ["--config", "input", "show-config"],
+    ["fit-time", "--table", "input"],
+], ids=["scene", "plan", "config", "table"])
+def test_unreadable_input_exits_3(tmp_path, capsys, monkeypatch, argv, kind):
+    monkeypatch.chdir(tmp_path)
+    if kind == "directory":
+        (tmp_path / "input").mkdir()
+    else:
+        (tmp_path / "input").write_bytes(b"\xff\xfe{}")
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "file cannot be read: input" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scene", "scene_t0_cups_3_0.json", "--policy", "pull", "--trace", "taken"],
+    ["generate", "--tier", "t0_cups", "--seed", "3", "--out", "file"],
+    ["bench", "--plan", "plan.json", "--out", "file"],
+    ["fit-time", "--out", "taken"],
+], ids=["run-trace", "generate-out", "bench-out", "fit-time-out"])
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # "taken" is a directory and "file" a file, where a file and a
+    # directory are to be written.
+    monkeypatch.chdir(tmp_path)
+    main(["generate", "--tier", "t0_cups", "--count", "1", "--seed", "3", "--out", "."])
+    write_plan(tmp_path, tiers=["t0_cups"], scenes_per_tier=1)
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "file").write_text("")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert (tmp_path / "file").read_text() == ""
+
+
 def test_bench_paper_default_plan_shape(tmp_path):
     plan = write_plan(
         tmp_path,

@@ -280,6 +280,29 @@ def test_pull_offered_once_blocker_is_binned():
     assert choice(second.action) == ("pull", (1, 2)) == pull_policy_choice(second.state, SIM)
 
 
+@pytest.mark.parametrize("p_fail", [0.0, 0.2])
+def test_pull_step_is_the_memos_check(p_fail):
+    # The policy builds a pull-grasp from the memo's answer for it: the
+    # step's memo, synced with the table the policy chose on, holds
+    # ``check_pull``'s check, whose contact point and grasp the action
+    # carries.
+    sim = dataclasses.replace(SIM, p_fail=p_fail)
+    pulls = 0
+    for tier in (Tier.T1, Tier.T2):
+        for seed in range(10):
+            scene = generate_scene(TierConfig.preset(tier), seed)
+            for step in trial_steps(scene, PULL, sim, seed):
+                if not isinstance(step.action, PullGrasp):
+                    continue
+                pull = step.action.pull
+                check = step.memo.pull(pull.mover, pull.anchor)
+                assert check == check_pull(step.state, pull.mover, pull.anchor, sim)
+                assert check.allowable
+                assert (check.end, check.grasp) == (pull.end, step.action.grasp)
+                pulls += 1
+    assert pulls
+
+
 def test_failed_pull_blocks_corridor_cached_as_clear():
     # Bowl 2 is pulled up to the two-bowl pile 3, across the corridor
     # between cups 0 and 1.  The grasp fails, the taller pile is carried

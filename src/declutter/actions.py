@@ -187,11 +187,13 @@ def grasp_points(
     return GraspAction(point=point, z=spec.grasp_height, theta=theta, targets=(stack_id,))
 
 
-def _grasp_locus(state: SceneState, stack: Stack, sim: "SimConfig"):
-    """Locus of candidate grasp points for a stack, on plain floats.
+def _grasp_locus(state: SceneState, stack: Stack, sim: "SimConfig") -> tuple[XY, XY, float]:
+    """Locus of candidate grasp points for a stack, on plain floats: the
+    points at a radius from a core segment, as (end, end, radius).
 
-    The rim circle of the bottom dish for discs; the axis segment for
-    utensils (candidates run along the utensil's centerline).
+    The rim of the bottom dish for discs, its base point at the rim radius;
+    the axis segment at radius 0 for utensils (candidates run along the
+    utensil's centerline).
     """
     bottom = state.dishes[stack.bottom]
     spec = sim.dish_specs[bottom.kind]
@@ -200,8 +202,8 @@ def _grasp_locus(state: SceneState, stack: Stack, sim: "SimConfig"):
     if bottom.kind is DishKind.UTENSIL:
         hx = reach * math.cos(bottom.theta)
         hy = reach * math.sin(bottom.theta)
-        return "segment", (x - hx, y - hy), (x + hx, y + hy)
-    return "circle", (x, y), reach
+        return (x - hx, y - hy), (x + hx, y + hy), 0.0
+    return (x, y), (x, y), reach
 
 
 def grasp_gap(state: SceneState, a: int, b: int, sim: "SimConfig") -> tuple[float, XY, XY]:
@@ -209,32 +211,23 @@ def grasp_gap(state: SceneState, a: int, b: int, sim: "SimConfig") -> tuple[floa
 
     Returns (gap, point_on_a, point_on_b), the points as (x, y) pairs.  The
     gap can be negative when the loci interpenetrate (transient contact
-    during a pull).
+    during a pull).  With a rim in the pair, the nearest points of the two
+    cores are offset by their radii along the line between them.
     """
-    la = _grasp_locus(state, state.stacks[a], sim)
-    lb = _grasp_locus(state, state.stacks[b], sim)
-    if la[0] == "circle" and lb[0] == "circle":
-        _, (ax, ay), ra = la
-        _, (bx, by), rb = lb
-        d = math.hypot(ax - bx, ay - by)
-        if d < 1e-12:
-            ux, uy = 1.0, 0.0
-        else:
-            ux, uy = (bx - ax) / d, (by - ay) / d
-        return d - ra - rb, (ax + ra * ux, ay + ra * uy), (bx - rb * ux, by - rb * uy)
-    if la[0] == "circle" or lb[0] == "circle":
-        flipped = la[0] != "circle"
-        _, (cx, cy), r = lb if flipped else la
-        _, s1, s2 = la if flipped else lb
-        q = qx, qy = closest_on_segment((cx, cy), s1, s2)
-        d = math.hypot(cx - qx, cy - qy)
-        if d < 1e-12:
-            ux, uy = 1.0, 0.0
-        else:
-            ux, uy = (qx - cx) / d, (qy - cy) / d
-        p_circle = (cx + r * ux, cy + r * uy)
-        return (d - r, q, p_circle) if flipped else (d - r, p_circle, q)
-    return segments_nearest(la[1], la[2], lb[1], lb[2])
+    a1, a2, ra = _grasp_locus(state, state.stacks[a], sim)
+    b1, b2, rb = _grasp_locus(state, state.stacks[b], sim)
+    if ra:  # a rim's core is a point
+        (ax, ay), (bx, by) = a1, closest_on_segment(a1, b1, b2)
+    elif rb:
+        (ax, ay), (bx, by) = closest_on_segment(b1, a1, a2), b1
+    else:
+        return segments_nearest(a1, a2, b1, b2)
+    d = math.hypot(ax - bx, ay - by)
+    if d < 1e-12:
+        ux, uy = 1.0, 0.0
+    else:
+        ux, uy = (bx - ax) / d, (by - ay) / d
+    return d - ra - rb, (ax + ra * ux, ay + ra * uy), (bx - rb * ux, by - rb * uy)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,8 @@ class SimConfig:
     p_fail: float = 0.0
 
     def __post_init__(self):
+        if min(self.workspace) <= 0:
+            raise ValueError("workspace sides must be positive")
         if not 0.0 <= self.p_fail <= 1.0:
             raise ValueError("p_fail must be a probability")
         if self.pull_clearance_margin < 0:

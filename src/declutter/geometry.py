@@ -96,26 +96,6 @@ def reach_limit(ra: float, rb: float) -> float:
     return ra + rb + 2 * TOUCH_TOL + 1e-9
 
 
-# ---------------------------------------------------------------------------
-# Separation helpers.  A separation <= 0 means the closed regions overlap;
-# for separated rectangles the SAT value lower-bounds the true gap, which is
-# enough because only the sign is used.
-# ---------------------------------------------------------------------------
-
-
-def _point_raw_rect_distance(
-    px: float, py: float, cx: float, cy: float, cos_t: float, sin_t: float,
-    half_len: float, half_wid: float,
-) -> float:
-    dx = px - cx
-    dy = py - cy
-    lx = dx * cos_t + dy * sin_t
-    ly = -dx * sin_t + dy * cos_t
-    ox = max(abs(lx) - half_len, 0.0)
-    oy = max(abs(ly) - half_wid, 0.0)
-    return math.hypot(ox, oy)
-
-
 def _rect_axes(theta: float) -> tuple[tuple[float, float], tuple[float, float]]:
     c = math.cos(theta)
     s = math.sin(theta)
@@ -127,54 +107,39 @@ def _extent_along(axis: tuple[float, float], ux, uy, half_len, half_wid) -> floa
     return half_len * abs(ux[0] * ax + ux[1] * ay) + half_wid * abs(uy[0] * ax + uy[1] * ay)
 
 
-def _sat_gap_raw(
-    c1x, c1y, t1, hl1, hw1,
-    c2x, c2y, t2, hl2, hw2,
-) -> float:
-    """Largest axis-projected gap between two oriented rectangles.
-
-    Positive means separated (two convex polygons in the plane are disjoint
-    iff some edge normal separates them); <= 0 means they intersect.
-    """
-    ux1, uy1 = _rect_axes(t1)
-    ux2, uy2 = _rect_axes(t2)
-    dx = c2x - c1x
-    dy = c2y - c1y
-    best = -math.inf
-    for axis in (ux1, uy1, ux2, uy2):
-        d = abs(dx * axis[0] + dy * axis[1])
-        e = _extent_along(axis, ux1, uy1, hl1, hw1) + _extent_along(axis, ux2, uy2, hl2, hw2)
-        gap = d - e
-        if gap > best:
-            best = gap
-    return best
-
-
-def _sep_raw_rect_vs_footprint(
-    cx, cy, theta, half_len, half_wid, fp: Footprint,
-) -> float:
-    if isinstance(fp, Disc):
-        d = _point_raw_rect_distance(
-            fp.center.x, fp.center.y, cx, cy, math.cos(theta), math.sin(theta),
-            half_len, half_wid,
-        )
-        return d - fp.radius
-    return _sat_gap_raw(
-        cx, cy, theta, half_len, half_wid,
-        fp.center.x, fp.center.y, fp.theta, fp.length / 2.0, fp.width / 2.0,
-    )
-
-
 def separation(a: Footprint, b: Footprint) -> float:
-    """Gap between two footprints; <= 0 when they overlap or touch."""
+    """Gap between two footprints; <= 0 when they overlap or touch.
+
+    For two discs, or a disc and a rectangle, it is the true gap.  For two
+    rectangles it is the largest gap along their four edge normals: two
+    convex polygons are disjoint iff some edge normal separates them, so it
+    is positive exactly when they are apart, and then it lower-bounds the
+    true gap, which is enough because only the sign is used.
+    """
     if isinstance(a, Disc) and isinstance(b, Disc):
         return dist(a.center, b.center) - a.radius - b.radius
     if isinstance(a, Disc):
         a, b = b, a
     # a is a rect here
-    return _sep_raw_rect_vs_footprint(
-        a.center.x, a.center.y, a.theta, a.length / 2.0, a.width / 2.0, b,
-    )
+    hl, hw = a.length / 2.0, a.width / 2.0
+    dx = b.center.x - a.center.x
+    dy = b.center.y - a.center.y
+    if isinstance(b, Disc):
+        # The disc center's distance from the rect, in the rect's frame.
+        c, s = math.cos(a.theta), math.sin(a.theta)
+        ox = max(abs(dx * c + dy * s) - hl, 0.0)
+        oy = max(abs(-dx * s + dy * c) - hw, 0.0)
+        return math.hypot(ox, oy) - b.radius
+    ux1, uy1 = _rect_axes(a.theta)
+    ux2, uy2 = _rect_axes(b.theta)
+    hl2, hw2 = b.length / 2.0, b.width / 2.0
+    best = -math.inf
+    for axis in (ux1, uy1, ux2, uy2):
+        d = abs(dx * axis[0] + dy * axis[1])
+        gap = d - (_extent_along(axis, ux1, uy1, hl, hw) + _extent_along(axis, ux2, uy2, hl2, hw2))
+        if gap > best:
+            best = gap
+    return best
 
 
 def overlaps(a: Footprint, b: Footprint) -> bool:
@@ -285,17 +250,6 @@ def _quad_interval(a: float, b: float, c: float):
     return ((-b - sq) / a, (-b + sq) / a)
 
 
-def _sweep_disc_disc(cm: Point2, r_m: float, ca: Point2, r_a: float,
-                     ux: float, uy: float, t_max: float):
-    dx = cm.x - ca.x
-    dy = cm.y - ca.y
-    rr = r_m + r_a
-    itv = _quad_interval(
-        ux * ux + uy * uy, dx * ux + dy * uy, dx * dx + dy * dy - rr * rr
-    )
-    return _first_entry(itv, t_max)
-
-
 def _sweep_disc_rect(c0: Point2, r: float, vx: float, vy: float,
                      rect: OrientedRect, t_max: float):
     # Work in the rect's local frame; the swept region is the rect inflated
@@ -374,8 +328,11 @@ def sweep_first_contact(
     (ux, uy) must be a unit vector so t is in centimeters.
     """
     if isinstance(moving, Disc) and isinstance(static, Disc):
-        return _sweep_disc_disc(moving.center, moving.radius + tol,
-                                static.center, static.radius, ux, uy, t_max)
+        dx = moving.center.x - static.center.x
+        dy = moving.center.y - static.center.y
+        rr = moving.radius + tol + static.radius
+        itv = _quad_interval(ux * ux + uy * uy, dx * ux + dy * uy, dx * dx + dy * dy - rr * rr)
+        return _first_entry(itv, t_max)
     if isinstance(moving, Disc):
         return _sweep_disc_rect(moving.center, moving.radius + tol, ux, uy, static, t_max)
     if isinstance(static, Disc):

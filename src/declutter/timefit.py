@@ -67,9 +67,12 @@ def parse_reference_csv(text: str) -> list[tuple[str, str, float]]:
         raise SchemaError("reference table needs columns tier,policy,time_s")
     for record in reader:
         try:
-            rows.append((record["tier"], record["policy"], float(record["time_s"])))
-        except (KeyError, TypeError, ValueError) as exc:
+            time_s = float(record["time_s"])
+        except (TypeError, ValueError) as exc:
             raise SchemaError(f"bad reference row: {record}") from exc
+        if not 0.0 < time_s < math.inf:
+            raise SchemaError(f"bad reference row: {record}: time_s must be positive and finite")
+        rows.append((record["tier"], record["policy"], time_s))
     if not rows:
         raise SchemaError("reference table is empty")
     return rows

@@ -514,6 +514,15 @@ class TestFitTime:
         rc = main(["fit-time", "--table", str(table)])
         assert rc == 3
 
+    @pytest.mark.parametrize("time_s", ["0", "-5", "nan", "inf"])
+    def test_nonpositive_or_nonfinite_time_exits_3(self, tmp_path, capsys, time_s):
+        table = tmp_path / "table.csv"
+        table.write_text(f"tier,policy,time_s\nt1,random,120.0\nt1,pull,{time_s}\n")
+        rc = main(["fit-time", "--table", str(table)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "bad reference row" in err and "'policy': 'pull'" in err
+
 
 def test_show_config_prints_defaults(capsys):
     rc = main(["show-config"])
@@ -554,6 +563,8 @@ def test_config_flag_threads_through(tmp_path, capsys):
     ("p_fial", 0.5),
     ("pull_clearance_margin", -1.0),
     ("gripper", {"closed_width": 2.0}),  # no model reads it, so it is not a key
+    ("workspace", [-5, 10]),
+    ("workspace", [78, 0]),
 ])
 def test_bad_config_key_exits_3(tmp_path, capsys, section, entry):
     path = tmp_path / "c.json"

@@ -183,7 +183,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 def entry() -> None:

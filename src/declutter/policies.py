@@ -467,12 +467,11 @@ def _moves(memo: PairMemo, table: int) -> Iterator[Move]:
 
 
 def _takeable(memo: PairMemo, move: Move, left: int) -> bool:
-    """Whether ``move`` can be taken on ``left``, a mask of the memo's
-    synced table: its stacks are all on ``left`` and, for a pull, the pair
-    tests pass and no stack on ``left`` meets its corridor."""
-    kind, targets, cleared = move
-    if cleared & left != cleared:
-        return False
+    """Whether ``move``, whose stacks are all on ``left`` (a mask of the
+    memo's synced table), can be taken there: any grasp can, and a pull can
+    when its pair tests pass and no stack on ``left`` meets its corridor.
+    Every caller passes only moves on ``left``."""
+    kind, targets, _ = move
     if kind != "pull":
         return True
     check, blocker = memo._corridor(*targets, left)

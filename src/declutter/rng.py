@@ -50,8 +50,13 @@ class SplitMix64:
         """Uniform float in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * 2.0**-53
 
+    # ``uniform`` inlines ``random``, ``next_u64`` and ``_mix``: the calls are
+    # most of a draw's cost, and scene generation draws only through it.
     def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
+        z = self._state = (self._state + _GOLDEN) & MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+        return lo + (hi - lo) * (((z ^ (z >> 31)) >> 11) * 2.0**-53)
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n).

@@ -201,17 +201,21 @@ class TierConfig:
 # ---------------------------------------------------------------------------
 
 
-def dish_footprint(dish: Dish, specs: dict[DishKind, DishSpec], pos: Point2) -> Footprint:
-    spec = specs[dish.kind]
-    if dish.kind is DishKind.UTENSIL:
-        return OrientedRect(pos, spec.length, spec.width, dish.theta)
+def dish_footprint(
+    kind: DishKind, theta: float, specs: dict[DishKind, DishSpec], pos: Point2
+) -> Footprint:
+    """The footprint at ``pos`` of a dish of ``kind`` turned by ``theta``."""
+    spec = specs[kind]
+    if kind is DishKind.UTENSIL:
+        return OrientedRect(pos, spec.length, spec.width, theta)
     return Disc(pos, spec.radius)
 
 
 def stack_footprints(
     state: SceneState, stack: Stack, specs: dict[DishKind, DishSpec]
 ) -> list[Footprint]:
-    return [dish_footprint(state.dishes[d], specs, stack.base) for d in stack.dishes]
+    dishes = map(state.dishes.__getitem__, stack.dishes)
+    return [dish_footprint(d.kind, d.theta, specs, stack.base) for d in dishes]
 
 
 def stack_top_lip_height(
@@ -305,13 +309,16 @@ class _Grid:
 
     def hits(self, fp: Footprint, reach: float) -> list[_Placed]:
         """The placed stacks that ``fp``, of circumradius ``reach``, overlaps."""
-        c = fp.center
-        return [
-            s
-            for s in self.around.get((int(c.x // self.width), int(c.y // self.width)), ())
-            if math.hypot(c.x - s.base.x, c.y - s.base.y) <= reach_limit(reach, s.reach)
-            and any(overlaps(fp, sfp) for sfp in s.footprints)
-        ]
+        x, y = fp.center.x, fp.center.y
+        found = []
+        for s in self.around.get((int(x // self.width), int(y // self.width)), ()):
+            base = s.base
+            if math.hypot(x - base.x, y - base.y) <= reach_limit(reach, s.reach):
+                for sfp in s.footprints:
+                    if overlaps(fp, sfp):
+                        found.append(s)
+                        break
+        return found
 
 
 def generate_scene(
@@ -338,6 +345,10 @@ def generate_scene(
     point: the cell width is the largest ``geometry.reach_limit`` of two
     dishes, so the stacks left out cannot overlap, and no draw or outcome
     changes.
+
+    A sample costs its draws (x, y, then a utensil's angle), one footprint
+    and its overlap tests.  The ``Dish``, its stack and its grid record are
+    built only for a sample that is placed or joins a stack.
     """
     specs = specs or default_dish_specs()
     rng = SplitMix64(seed)
@@ -357,18 +368,15 @@ def generate_scene(
         reach = spec.circumscribed_radius
         if 2 * reach >= min(w, h):
             raise PlacementExhausted(f"{kind.value} does not fit in the workspace")
-        placed = False
+        x_hi, y_hi = w - reach, h - reach
         for _ in range(MAX_RESAMPLES):
-            pos = Point2(rng.uniform(reach, w - reach), rng.uniform(reach, h - reach))
+            pos = Point2(rng.uniform(reach, x_hi), rng.uniform(reach, y_hi))
             theta = rng.uniform(0.0, math.pi) if kind is DishKind.UTENSIL else 0.0
-            dish = Dish(dish_id, kind, theta)
-            fp = dish_footprint(dish, specs, pos)
+            fp = dish_footprint(kind, theta, specs, pos)
             hits = grid.hits(fp, reach)
             if not hits:
-                state.dishes[dish_id] = dish
                 state.stacks[dish_id] = Stack(dish_id, (dish_id,), pos)
                 grid.add(_Placed(dish_id, pos, reach, fp))
-                placed = True
                 break
             if len(hits) == 1 and intersections_used < cfg.max_intersections:
                 target = hits[0]
@@ -378,22 +386,20 @@ def generate_scene(
                     len(stack.dishes) < cfg.max_initial_stack
                     and spec.effective_radius <= top_spec.effective_radius + 1e-9
                 ):
-                    sfp = dish_footprint(dish, specs, target.base)
+                    sfp = replace(fp, center=target.base)
                     # A footprint at the target's base always overlaps it.
                     if _inside_workspace(sfp, workspace) and grid.hits(sfp, reach) == [target]:
-                        state.dishes[dish_id] = dish
                         state.stacks[target.id] = replace(
                             stack, dishes=stack.dishes + (dish_id,)
                         )
                         target.add(reach, sfp)
                         intersections_used += 1
-                        placed = True
                         break
-            # fall through: resample
-        if not placed:
+        else:
             raise PlacementExhausted(
                 f"could not place {kind.value} #{dish_id} after {MAX_RESAMPLES} samples"
             )
+        state.dishes[dish_id] = Dish(dish_id, kind, theta)
     return state
 
 

@@ -60,7 +60,7 @@ def random_small_scene(seed, max_dishes=5):
             x = rng.uniform(inset, 78.0 - inset)
             y = rng.uniform(inset, 61.0 - inset)
             theta = rng.uniform(0.0, math.pi) if kind is UTENSIL else 0.0
-            fp = dish_footprint(Dish(0, kind, theta), SIM.dish_specs, Point2(x, y))
+            fp = dish_footprint(kind, theta, SIM.dish_specs, Point2(x, y))
             if all(not overlaps(fp, other) for other in footprints):
                 placed.append(([(kind, theta)], x, y))
                 footprints.append(fp)

@@ -29,7 +29,7 @@ from declutter import (
     validate,
 )
 from declutter.rng import SplitMix64
-from declutter.tableware import dish_footprint, stack_footprints
+from declutter.tableware import stack_footprints
 from helpers import (
     BOWL,
     CUP,
@@ -166,8 +166,8 @@ class TestPull:
         assert pull.end.y == pytest.approx(10.0, abs=1e-6)
         # Independent oracle: scanned first contact along the center line.
         t = scan_first_contact(
-            dish_footprint(scene.dishes[0], SIM.dish_specs, scene.stacks[0].base),
-            dish_footprint(scene.dishes[1], SIM.dish_specs, scene.stacks[1].base),
+            stack_footprints(scene, scene.stacks[0], SIM.dish_specs)[0],
+            stack_footprints(scene, scene.stacks[1], SIM.dish_specs)[0],
             1.0, 0.0, 30.0,
         )
         assert pull.end.x - 10.0 == pytest.approx(t, abs=1e-3)

@@ -147,6 +147,8 @@ class TestRun:
         ("stack_key", "unknown key 'extra'"),
         ("dish_key", "unknown key 'extra'"),
         ("number_dishes", "dishes must be a non-empty list"),
+        ("duplicate_id", "duplicate dish id"),
+        ("zero_workspace", "workspace sides must be positive"),
     ])
     def test_scene_schema_errors_exit_3(self, tmp_path, capsys, edit, message):
         out = tmp_path / "scenes"
@@ -167,6 +169,10 @@ class TestRun:
             scene["stacks"][-1]["extra"] = 1
         elif edit == "number_dishes":
             scene["stacks"][-1]["dishes"] = 5
+        elif edit == "duplicate_id":
+            scene["stacks"][-1]["dishes"][0]["id"] = scene["stacks"][0]["dishes"][0]["id"]
+        elif edit == "zero_workspace":
+            scene["workspace"][1] = 0
         else:
             scene["stacks"][-1]["dishes"][0]["extra"] = 1
         path.write_text(json.dumps(scene))
@@ -441,6 +447,35 @@ class TestBench:
         assert rc == 3
         assert "plan: tiers must be a list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("{broken", "plan file is not valid JSON"),
+        (json.dumps({**PLAN, "tiers": ["t1", "t9"]}), "plan tiers malformed: 't9'"),
+    ], ids=["not_json", "unknown_tier"])
+    def test_bad_plan_file_exits_3(self, tmp_path, capsys, text, message):
+        plan = tmp_path / "plan.json"
+        plan.write_text(text)
+        out = tmp_path / "x"
+        rc = main(["bench", "--plan", str(plan), "--out", str(out)])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_plan_time_model_takes_effect(self, tmp_path):
+        def mean_times(out, **overrides):
+            plan = write_plan(tmp_path, tiers=["t1"], **overrides)
+            assert main(["bench", "--plan", str(plan), "--out", str(tmp_path / out)]) == 0
+            rows = (tmp_path / out / "summary.csv").read_text().splitlines()
+            column = rows[0].split(",").index("mean_time_s")
+            return [float(row.split(",")[column]) for row in rows[1:]]
+
+        own = default_sim_config().time_model.to_json_obj()
+        slower = {**own, "travel_s": own["travel_s"] + 10.0}
+        base = mean_times("config")
+        assert mean_times("own", time_model=own) == base
+        # Every trial makes at least one trip, so every row costs more.
+        for config, plan in zip(base, mean_times("slower", time_model=slower)):
+            assert plan > config
+
     def test_run_replays_a_bench_trial(self, tmp_path, capsys):
         # A bench trial is reproducible from what bench wrote: ``run`` on the
         # generated scene with the trial's seed writes the same events.  The
@@ -572,6 +607,13 @@ def test_bad_config_key_exits_3(tmp_path, capsys, section, entry):
     rc = main(["--config", str(path), "show-config"])
     assert rc == 3
     assert section in capsys.readouterr().err
+
+
+def test_unknown_dish_kind_in_config_exits_3(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"dishes": {"plate": {"radius": 12.0}}}))
+    assert main(["--config", str(path), "show-config"]) == 3
+    assert "config: unknown dish kind 'plate'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["directory", "non_utf8"])

@@ -26,7 +26,7 @@ from declutter import (
 from declutter import tableware
 from declutter.geometry import TOUCH_TOL, reach_limit
 from declutter.rng import SplitMix64
-from declutter.tableware import dish_footprint, stack_grasp_span
+from declutter.tableware import stack_footprints, stack_grasp_span
 from helpers import BOWL, CUP, SIM, UTENSIL, build_scene
 
 SPECS = default_dish_specs()
@@ -175,6 +175,19 @@ class TestGeneration:
             generate_scene(cfg, seed)
         assert str(raised.value) == f"could not place {dish} after 10000 samples"
 
+    def test_piled_long_utensils_stay_inside_a_narrow_workspace(self):
+        # 25 cm utensils on a table 27 cm wide, each free to join a pile.
+        # A dish joins at a base that was inset by the bottom dish's
+        # circumradius, no less than its own, so no pile reaches past an
+        # edge; ``TestValidate`` has a utensil that does.
+        cfg = TierConfig(Tier.T2, 0, 0, 8, max_intersections=8, max_initial_stack=4)
+        piled = 0
+        for seed in range(20):
+            scene = generate_scene(cfg, seed, LONG_UTENSIL_SPECS, (27.0, 150.0))
+            assert validate(scene, LONG_UTENSIL_SPECS) == []
+            piled += sum(len(stack.dishes) - 1 for stack in scene.stacks.values())
+        assert piled >= 20
+
 
 class TestValidate:
     def test_fresh_scene_is_valid(self):
@@ -188,6 +201,14 @@ class TestValidate:
     def test_out_of_workspace(self):
         scene = build_scene([([BOWL], 100, 10)])
         assert any("out of workspace" in p for p in validate(scene))
+
+    def test_utensil_reaching_past_an_edge(self):
+        # The base is inside the table; lengthways the 17 cm utensil's
+        # ends reach 3.5 cm past its left edge, crossways they do not.
+        assert validate(build_scene([([(UTENSIL, 0.0)], 5.0, 30.0)])) == [
+            "out of workspace: dish 0"
+        ]
+        assert validate(build_scene([([(UTENSIL, math.pi / 2)], 5.0, 30.0)])) == []
 
     def test_overlapping_stacks_flagged(self):
         scene = build_scene([([BOWL], 30, 30), ([BOWL], 40, 30)])
@@ -204,7 +225,7 @@ def pairwise_overlaps(state):
     footprint of every pair of stacks with ``overlaps``."""
     stacks = sorted(state.stacks.values(), key=lambda s: s.id)
     fps = {
-        s.id: [dish_footprint(state.dishes[d], SPECS, s.base) for d in s.dishes]
+        s.id: stack_footprints(state, s, SPECS)
         for s in stacks
     }
     return [

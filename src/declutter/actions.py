@@ -377,8 +377,9 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
     ``pull_clearance_margin``, anywhere on the way (so nothing is displaced).
 
     A stack's footprints are built, and tested against the sweep, only when
-    ``Sweep.near`` admits its base with the circumradius of its widest dish:
-    all of them are centered on the base and none reaches further, so
+    its base lies in ``Sweep.box`` for the widest dish of the specs and
+    ``Sweep.near`` admits the base with the circumradius of its own widest
+    dish: all of them are centered on the base and none reaches further, so
     ``Sweep.meets`` would pass every stack this skips.
     """
     specs = sim.dish_specs
@@ -390,15 +391,18 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
     if not pair.allowable:
         return pair
     dishes = state.dishes
+    x0, x1, y0, y1 = sweep.box(max(spec.circumscribed_radius for spec in specs.values()))
     for stack in state.stacks.values():
+        base = stack.base
         if (
-            stack.id not in (mover, anchor)
+            x0 <= base.x <= x1 and y0 <= base.y <= y1
+            and stack.id not in (mover, anchor)
             and sweep.near(
-                stack.base, max(specs[dishes[d].kind].circumscribed_radius for d in stack.dishes)
+                base, max(specs[dishes[d].kind].circumscribed_radius for d in stack.dishes)
             )
             and sweep.meets(footprints(stack))
         ):
-            return replace(pair, failed="corridor", blocker=stack.id)
+            return PullCheck("corridor", stack.id, pair.end, pair.grasp)
     return pair
 
 

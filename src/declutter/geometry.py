@@ -350,7 +350,8 @@ class Sweep:
     says no: its center lies further from the segment than the
     ``reach_limit`` of the grown mover's circumradius and its own.  A
     caller may ask ``near`` once for footprints sharing a center, with the
-    largest of their circumradii.
+    largest of their circumradii.  ``box`` is the region query before it:
+    a caller may skip a center outside it with four comparisons.
     """
 
     __slots__ = ("start", "end", "mover", "_ux", "_uy", "_length", "_radius")
@@ -378,6 +379,15 @@ class Sweep:
         elif along > self._length:
             along = self._length
         return math.hypot(dx - along * ux, dy - along * uy) <= reach_limit(self._radius, radius)
+
+    def box(self, radius: float) -> tuple[float, float, float, float]:
+        """(x0, x1, y0, y1): the start-contact segment's bounding box grown
+        by ``near``'s threshold for circumradius ``radius``.  A footprint of
+        circumradius at most ``radius`` centered outside it lies further
+        than that from the segment, so ``meets`` would pass it."""
+        reach = reach_limit(self._radius, radius)
+        xs, ys = (self.start.x, self.end.x), (self.start.y, self.end.y)
+        return min(xs) - reach, max(xs) + reach, min(ys) - reach, max(ys) + reach
 
     def meets(self, obstacle: Iterable[Footprint]) -> bool:
         """True iff one of the footprints ``obstacle`` overlaps the sweep."""

@@ -11,7 +11,7 @@ indicate a policy bug.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -132,7 +132,8 @@ class _Scope:
     next one twice as far, until a band covers a quarter of the spread in
     x of the scope's values: then every pair left is listed in one pass,
     as a sweep that wide already meets a large share of them.  So a table
-    as wide as a paper scene's lists all its pairs at its first walk."""
+    as wide as a paper scene's lists all its pairs at its first walk.  A
+    band reads its values, sorted, from the memo's index ``_by_x``."""
 
     __slots__ = ("lifted", "base", "pairs", "radius", "horizon", "walks")
 
@@ -192,9 +193,12 @@ class PairMemo:
     that meet it; a question about a table tests only the values on it not
     tested yet, up to the first that meets the corridor.  So a corridor
     test runs at most once per pull and stack value in a trial, whichever
-    table asks.  Only ``sync`` sets ``table``; the pull policy's planner
-    passes the subsets it looks ahead on as masks to ``nearest``,
-    ``_corridor`` and ``ids``.
+    table asks.  A new pull marks every value listed at the last arrival
+    whose base lies outside its sweep's ``box`` tested and clear at once,
+    as ``meets`` would, from the values' loci sorted by base x (``_by_x``);
+    a value that arrives later is tested when asked about.  Only ``sync``
+    sets ``table``; the pull policy's planner passes the subsets it looks
+    ahead on as masks to ``nearest``, ``_corridor`` and ``ids``.
 
     ``plan`` maps a table mask to the pull policy's planned ``Move`` on it;
     the policy asks the memo for its grasp or pull check when it takes it.
@@ -225,6 +229,9 @@ class PairMemo:
         # made since (a previewed pile) changes no scope's key.
         self._scopes: dict[tuple[int, int], _Scope] = {}
         self._listed = 0
+        # The loci of the values on ``_listed``, sorted (by base x first).
+        self._by_x: list[Locus] = []
+        self._widest = max(spec.circumscribed_radius for spec in sim.dish_specs.values())
 
     def _bit(self, stack: Stack) -> int:
         new = 1 << len(self._values)
@@ -259,6 +266,7 @@ class PairMemo:
         self._ids, self.table = ids, table
         if arrived:  # list the pairs afresh, as far as the walks read
             self._scopes, self._listed = {}, table
+            self._by_x = sorted(self._loci[bit] for bit in ids.values())
         for scope in self._scopes.values():
             if len(scope.pairs) > len(ids) * (len(ids) - 1):
                 scope.pairs = [entry for entry in scope.pairs if entry[3] & table == entry[3]]
@@ -269,10 +277,11 @@ class PairMemo:
         of its values on the synced table whose bases lie more than its
         ``radius`` apart, up to twice that (at least ``_first_radius``), or
         all of them once that covers a quarter of the values' spread in x.
-        The sweep takes the values by base x and meets each one's partners
-        up to the radius to its right."""
+        The sweep takes the values, sorted by base x, from ``_by_x`` and
+        meets each one's partners up to the radius to its right."""
         lifted, base, listed = scope.lifted, scope.base, scope.radius
-        live = sorted(self._loci[bit] for bit in self._ids.values() if bit & (lifted | base))
+        mask = self.table & (lifted | base)
+        live = [locus for locus in self._by_x if locus[3] & mask]
         xs = [locus[0] for locus in live]
         radius = max(2 * listed, self._first_radius)
         if not xs or 4 * radius >= xs[-1] - xs[0]:
@@ -403,6 +412,11 @@ class PairMemo:
         if entry is None:
             pair, sweep = _pair_check(self.state, mover, anchor, self.sim, self.footprints)
             entry = self._pulls[(bm, ba)] = _PullEntry(pair, sweep, bm | ba)
+            if sweep is not None:  # the listed values based outside the box are clear
+                x0, x1, y0, y1 = sweep.box(self._widest)
+                by_x = self._by_x
+                in_x = by_x[bisect_left(by_x, (x0,)):bisect_right(by_x, (x1, math.inf))]
+                entry.tested |= self._listed & ~sum(b for _, y, _, b, _ in in_x if y0 <= y <= y1)
         pair = entry.pair
         blocked = entry.blocked & table
         if blocked or not pair.allowable:

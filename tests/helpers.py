@@ -130,6 +130,17 @@ def grown(fp, margin):
     return OrientedRect(fp.center, fp.length + 2 * margin, fp.width + 2 * margin, fp.theta)
 
 
+def support(fp, nx, ny):
+    """The point of ``fp`` furthest along the unit vector (nx, ny)."""
+    if isinstance(fp, Disc):
+        return fp.center.x + fp.radius * nx, fp.center.y + fp.radius * ny
+    ux, uy = math.cos(fp.theta), math.sin(fp.theta)
+    vx, vy = -uy, ux
+    su = math.copysign(fp.length / 2, ux * nx + uy * ny)
+    sv = math.copysign(fp.width / 2, vx * nx + vy * ny)
+    return fp.center.x + su * ux + sv * vx, fp.center.y + su * uy + sv * vy
+
+
 def sampled_sweep_blocked(start, end, mover, margin, obstacle, step=0.1):
     """Stepping oracle for a pull's clearance: whether footprints ``mover``,
     grown by ``margin``, overlap one of ``obstacle`` anywhere from ``start``

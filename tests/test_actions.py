@@ -410,6 +410,42 @@ class TestApply:
             apply(scene, bad, SIM)
         assert err.value.predicate == "stack_allowable"
 
+    @pytest.mark.parametrize("stacks, mover, reason", [
+        ([([CUP], 10, 10), ([CUP], 40, 10)], 7, "target_on_table"),
+        ([([CUP], 20, 20), ([CUP], 20, 20)], 0, "contact"),
+    ])
+    def test_pull_that_fails_its_pair_tests_raises(self, stacks, mover, reason):
+        # A mover off the table, and two bases at one point, which no pull
+        # can bring into contact.
+        scene = build_scene(stacks)
+        assert check_pull(scene, mover, 1, SIM).failed == reason
+        grasp = mog_grasp(build_scene([([CUP], 10, 10), ([CUP], 19, 10)]), 0, 1, SIM)
+        pull = PullAction(Point2(10, 10), Point2(19, 10), mover, 1)
+        with pytest.raises(InfeasibleAction, match=reason) as err:
+            apply(scene, PullGrasp(pull, grasp), SIM)
+        assert err.value.predicate == "pull_allowable"
+
+    @pytest.mark.parametrize("pile, sid", [
+        ([CUP], 7),  # stack 7 is off the table
+        ([CUP, CUP, CUP, CUP], 0),  # a lip span of 6 cm, over the 4.5 cm jaws
+    ])
+    def test_placement_that_cannot_be_lifted_raises(self, pile, sid):
+        scene = build_scene([(pile, 10, 10), ([BOWL], 40, 10)])
+        inner = grasp_points(scene, 0, SplitMix64(1), SIM)
+        carry = grasp_points(scene, 1, SplitMix64(2), SIM)
+        assert not stack_allowable(scene, sid, 1, SIM)
+        with pytest.raises(InfeasibleAction, match=f"stack {sid} onto 1") as err:
+            apply(scene, StackGrasp((StackPlacement(inner, sid, 1),), carry), SIM)
+        assert err.value.predicate == "stack_allowable"
+
+    def test_stack_is_not_allowable_onto_itself(self):
+        # A ``StackPlacement`` cannot name one stack twice, so only the
+        # predicate itself can be asked.
+        scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
+        assert stack_allowable(scene, 0, 1, SIM)
+        assert not stack_allowable(scene, 1, 1, SIM)
+        assert not stack_allowable(scene, 0, 0, SIM)
+
     def test_pull_grasp_must_grasp_the_pulled_pair(self):
         scene = generate_scene(TierConfig.preset(Tier.T0_BOWLS), 0, SIM.dish_specs)
         pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 4, SIM).end, 0, 4)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from declutter import harness
+from declutter import Grasp, GraspAction, Point2, harness, policies
 from declutter.cli import main
 from declutter.harness import plan_from_json, run_plan, trial_seed
 from declutter.policies import PolicyConfig
@@ -109,6 +109,21 @@ class TestRun:
         report = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
         assert report["trips"] == 6
         assert report["opt"] == 1.0
+
+    def test_infeasible_action_exits_4_naming_the_predicate(self, tmp_path, capsys, monkeypatch):
+        # A policy bug: the policy grasps a stack that is not on the table.
+        out = tmp_path / "scenes"
+        main(["generate", "--tier", "t0_bowls", "--count", "1", "--seed", "3",
+              "--out", str(out)])
+
+        def off_the_table(state, rng, sim, cfg, memo):
+            return Grasp(GraspAction(Point2(1.0, 1.0), 5.0, 0.0, (99,)))
+
+        monkeypatch.setattr(policies, "next_action", off_the_table)
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(out / "scene_t0_bowls_3_0.json"), "--policy", "pull"])
+        assert rc == 4
+        assert "infeasible action (policy bug): target_on_table" in capsys.readouterr().err
 
     def test_malformed_scene_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

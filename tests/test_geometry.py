@@ -25,7 +25,9 @@ from declutter.geometry import (
     separation,
     sweep_first_contact,
 )
-from helpers import grown, sampled_overlap, sampled_sweep_blocked, scan_first_contact
+from helpers import (
+    grown, sampled_overlap, sampled_sweep_blocked, scan_first_contact, support, translated,
+)
 
 
 def disc(x, y, r):
@@ -169,17 +171,6 @@ def test_corridor_monotone_in_margin(m1, m2, mover, ob):
         assert not Sweep(mover.center, end, [mover], lo).meets([ob])
 
 
-def _support(fp, nx, ny):
-    """The point of ``fp`` furthest along the unit vector (nx, ny)."""
-    if isinstance(fp, Disc):
-        return fp.center.x + fp.radius * nx, fp.center.y + fp.radius * ny
-    ux, uy = math.cos(fp.theta), math.sin(fp.theta)
-    vx, vy = -uy, ux
-    su = math.copysign(fp.length / 2, ux * nx + uy * ny)
-    sv = math.copysign(fp.width / 2, vx * nx + vy * ny)
-    return fp.center.x + su * ux + sv * vx, fp.center.y + su * uy + sv * vy
-
-
 @st.composite
 def sweep_cases(draw):
     """A pull (start, end, mover footprint, margin) and an obstacle placed
@@ -218,8 +209,8 @@ def sweep_cases(draw):
     else:  # beyond the end, or behind the start
         f = 1.0 if side > 0 else 0.0
         nx, ny = side * ux, side * uy
-    px, py = _support(grown(mover, margin), nx, ny)
-    qx, qy = _support(ob, -nx, -ny)
+    px, py = support(grown(mover, margin), nx, ny)
+    qx, qy = support(ob, -nx, -ny)
     delta = draw(st.sampled_from((-1e-7, 1e-7)))
     gap = TOUCH_TOL + delta
     center = Point2(
@@ -238,6 +229,53 @@ def test_corridor_matches_sampled_reference(case):
     start, end, mover, margin, ob, delta = case
     blocked = Sweep(start, end, [mover], margin).meets([ob])
     assert blocked == sampled_sweep_blocked(start, end, [mover], margin, [ob]) == (delta < 0)
+
+
+@st.composite
+def box_cases(draw):
+    """A sweep, a circumradius and centers around the sweep's ``box``: 1e-7
+    either side of each of its edges, and beyond the segment's extreme
+    point in each axis direction at a distance between ``radius`` + R +
+    1e-6 and ``near``'s threshold, R the grown mover's circumradius.  A box
+    grown by no more than the lower end leaves the latter outside."""
+    start = Point2(draw(_coords), draw(_coords))
+    length = draw(st.one_of(st.just(0.0), st.floats(min_value=0.5, max_value=60.0)))
+    heading = draw(st.floats(min_value=-math.pi, max_value=math.pi))
+    end = Point2(start.x + length * math.cos(heading), start.y + length * math.sin(heading))
+    mover = [draw(footprints()) for _ in range(draw(st.integers(1, 2)))]
+    mover = [translated(fp, start.x - fp.center.x, start.y - fp.center.y) for fp in mover]
+    sweep = Sweep(start, end, mover, draw(st.floats(min_value=0.0, max_value=3.0)))
+    radius = draw(_radii)
+    x0, x1, y0, y1 = sweep.box(radius)
+    edge = []
+    for t in (0.0, draw(st.floats(min_value=0.0, max_value=1.0)), 1.0):
+        x, y = x0 + t * (x1 - x0), y0 + t * (y1 - y0)
+        for d in (-1e-7, 1e-7):
+            edge += [Point2(x0 + d, y), Point2(x1 - d, y), Point2(x, y0 + d), Point2(x, y1 - d)]
+    grown_radius = max(map(circumradius, sweep.mover))
+    low, high = radius + grown_radius + 1e-6, reach_limit(grown_radius, radius)
+    d = low + draw(st.floats(min_value=0.01, max_value=0.99)) * (high - low)
+    left, right = sorted((start, end), key=lambda p: p.x)
+    bottom, top = sorted((start, end), key=lambda p: p.y)
+    beyond = [
+        Point2(left.x - d, left.y), Point2(right.x + d, right.y),
+        Point2(bottom.x, bottom.y - d), Point2(top.x, top.y + d),
+    ]
+    return sweep, radius, edge, beyond
+
+
+@settings(max_examples=200)
+@given(box_cases())
+def test_no_center_outside_the_box_is_near(case):
+    # ``box`` is a region query for ``near``: a caller skips the centers
+    # outside it, so none of them may be near.  The centers beyond the
+    # segment's ends are near, so a box short of the threshold fails here.
+    sweep, radius, edge, beyond = case
+    x0, x1, y0, y1 = sweep.box(radius)
+    for center in edge + beyond:
+        if not (x0 <= center.x <= x1 and y0 <= center.y <= y1):
+            assert not sweep.near(center, radius), center
+    assert all(sweep.near(center, radius) for center in beyond)
 
 
 class TestRimPoint:

@@ -9,6 +9,8 @@ from collections import Counter
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from declutter import (
     Grasp,
@@ -35,8 +37,9 @@ from declutter import (
     trial_steps,
 )
 from declutter.rng import SplitMix64, derive_seed
-from declutter.tableware import Stack, stack_footprints
-from helpers import BOWL, CUP, SIM, UTENSIL, build_scene
+from declutter.geometry import TOUCH_TOL, Disc
+from declutter.tableware import Stack, dish_footprint, stack_footprints
+from helpers import BOWL, CUP, SIM, UTENSIL, build_scene, sampled_sweep_blocked, support
 from oracle import pull_policy_choice, stack_policy_choice
 
 PULL = PolicyConfig.named("pull")
@@ -380,6 +383,97 @@ def test_clear_verdict_ignores_arrivals_that_left():
     del gone.stacks[2]
     memo.sync(gone)
     assert memo.pull(0, 1).allowable
+
+
+@st.composite
+def corridor_scenes(draw):
+    """A pull of cup or bowl 0 to its like, stack 1; stack 2, one dish whose
+    footprint comes closest to the mover's grown footprint with
+    ``separation`` TOUCH_TOL + delta, delta = +-1e-7, beside the path or
+    beyond either end; and cups 3 to 6 in the corners, far from the
+    corridor.  Returns the scene, the pull's contact point and delta."""
+    kind = draw(st.sampled_from((CUP, BOWL)))
+    x, y = draw(st.floats(120.0, 180.0)), draw(st.floats(120.0, 180.0))
+    length = draw(st.floats(20.0, 50.0))
+    heading = draw(st.floats(-math.pi, math.pi))
+    anchor = (x + length * math.cos(heading), y + length * math.sin(heading))
+    pair = [([kind], x, y), ([kind], *anchor)]
+    workspace = (300.0, 300.0)
+    end = check_pull(build_scene(pair, workspace), 0, 1, SIM).end
+    length = math.hypot(end.x - x, end.y - y)
+    ux, uy = (end.x - x) / length, (end.y - y) / length
+    ob_kind = draw(st.sampled_from((CUP, BOWL, UTENSIL)))
+    theta = draw(st.floats(0.0, math.pi)) if ob_kind is UTENSIL else 0.0
+    ob = dish_footprint(ob_kind, theta, SIM.dish_specs, Point2(0.0, 0.0))
+    side = draw(st.sampled_from((-1, 1)))
+    if draw(st.booleans()):  # beside, at a fraction of the way
+        f = draw(st.floats(0.0, 1.0))
+        nx, ny = -side * uy, side * ux
+    else:  # beyond the end, or behind the start
+        f = 1.0 if side > 0 else 0.0
+        nx, ny = side * ux, side * uy
+    grown = Disc(Point2(x, y), SIM.dish_specs[kind].radius + SIM.pull_clearance_margin)
+    px, py = support(grown, nx, ny)
+    qx, qy = support(ob, -nx, -ny)
+    delta = draw(st.sampled_from((-1e-7, 1e-7)))
+    gap = TOUCH_TOL + delta
+    obstacle = ([(ob_kind, theta)], px + f * length * ux + gap * nx - qx,
+                py + f * length * uy + gap * ny - qy)
+    corners = [([CUP], cx, cy) for cx in (5.0, 295.0) for cy in (5.0, 295.0)]
+    return build_scene([*pair, obstacle, *corners], workspace), end, delta
+
+
+@settings(max_examples=100, deadline=None)
+@given(corridor_scenes())
+def test_memo_pull_is_check_pull_and_the_stepping_oracle(case):
+    # The memo's corridor answer on the synced table and on subsets, some
+    # asked before the whole table and some after, is ``check_pull``'s on
+    # a view of the subset, and blocked exactly when the stepping oracle
+    # finds the grown mover overlapping stack 2.
+    scene, end, delta = case
+    specs = SIM.dish_specs
+    blocked = sampled_sweep_blocked(
+        scene.stacks[0].base, end, stack_footprints(scene, scene.stacks[0], specs),
+        SIM.pull_clearance_margin, stack_footprints(scene, scene.stacks[2], specs),
+    )
+    assert blocked == (delta < 0)
+    check = check_pull(scene, 0, 1, SIM)
+    assert check.end == end
+    assert (check.failed, check.blocker) == (("corridor", 2) if blocked else (None, None))
+    memo = PairMemo(SIM)
+    memo.sync(scene)
+    bit = [memo.bit(sid) for sid in sorted(scene.stacks)]
+    pair = bit[0] | bit[1]
+    for mask in (pair | bit[3], memo.table, memo.table ^ bit[4], pair | bit[2], pair):
+        assert memo.pull(0, 1, mask) == check_pull(on_table(memo, mask), 0, 1, SIM)
+    assert memo.pull(0, 1) == check
+
+
+def test_stack_moved_into_a_tested_corridor_blocks_it():
+    # Cup 2 lies outside the box of the corridor between cups 0 and 1, so
+    # the memo marks it clear untested.  It is then pulled up to the
+    # two-cup pile 3, across that corridor; the grasp fails, the taller
+    # pile is carried and cup 2 stays at contact, inside the corridor.  Its
+    # new value arrives after the pull's entry was made and is tested.
+    scene = build_scene([([CUP], 10, 30), ([CUP], 50, 30), ([CUP], 25, 5), ([CUP, CUP], 25, 45)])
+    memo = PairMemo(SIM)
+    memo.sync(scene)
+    clear = memo.pull(0, 1)
+    assert clear.allowable
+    mover = scene.stacks[0]
+    sweep = Sweep(mover.base, clear.end, memo.footprints(mover), SIM.pull_clearance_margin)
+    x0, x1, y0, y1 = sweep.box(max(spec.circumscribed_radius for spec in SIM.dish_specs.values()))
+    assert not y0 <= scene.stacks[2].base.y <= y1
+
+    check = check_pull(scene, 2, 3, SIM)
+    pull = PullAction(scene.stacks[2].base, check.end, 2, 3)
+    after, event = apply(scene, PullGrasp(pull, check.grasp), SIM, failed=True)
+    assert event.params["abandoned"] == 2 and after.stacks[2].base == check.end
+    assert x0 <= check.end.x <= x1 and y0 <= check.end.y <= y1
+    memo.sync(after)
+    blocked = memo.pull(0, 1)
+    assert (blocked.failed, blocked.blocker) == ("corridor", 2)
+    assert blocked == check_pull(after, 0, 1, SIM)
 
 
 def bottom_kind(state, sid):

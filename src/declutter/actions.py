@@ -42,6 +42,7 @@ from .tableware import (
     stack_footprints,
     stack_grasp_span,
     stack_top_lip_height,
+    widest_radius,
 )
 
 if TYPE_CHECKING:
@@ -281,20 +282,19 @@ def mog_grasp(
 def _pull_contact(
     mover: Stack, anchor: Stack, mover_fps: list[Footprint], anchor_fps: list[Footprint]
 ) -> Point2 | None:
-    """Mover base position at first footprint contact along the center line."""
+    """Mover base at first footprint contact along the center line; None if the bases coincide."""
     d = dist(mover.base, anchor.base)
     if d < 1e-9:
         return None
     ux = (anchor.base.x - mover.base.x) / d
     uy = (anchor.base.y - mover.base.y) / d
-    best = None
+    # At t = d the mover's footprints are concentric with the anchor's: some t is at most d.
+    best = d
     for mfp in mover_fps:
         for afp in anchor_fps:
             t = sweep_first_contact(mfp, afp, ux, uy, d)
-            if t is not None and (best is None or t < best):
+            if t is not None and t < best:
                 best = t
-    if best is None:
-        return None
     return Point2(mover.base.x + best * ux, mover.base.y + best * uy)
 
 
@@ -305,11 +305,11 @@ class PullCheck:
     ``failed`` names the first test that failed, or is None when the pull is
     allowable: ``"distinct_targets"``, ``"target_on_table"``,
     ``"grip_height"`` (gripped-rim heights differ), ``"contact"`` (the
-    footprints never meet along the center line), ``"mog_allowable"`` (no
-    multi-object grasp once in contact) or ``"corridor"`` (stack
-    ``blocker`` meets the mover's sweep to ``end``).  Once the pair
-    tests pass, ``end`` is the mover's base at contact and ``grasp`` the
-    witness grasp there.
+    bases coincide, so there is no center line to pull along),
+    ``"mog_allowable"`` (no multi-object grasp once in contact) or
+    ``"corridor"`` (stack ``blocker`` meets the mover's sweep to ``end``).
+    Once the pair tests pass, ``end`` is the mover's base at contact and
+    ``grasp`` the witness grasp there.
     """
 
     failed: str | None
@@ -391,7 +391,7 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
     if not pair.allowable:
         return pair
     dishes = state.dishes
-    x0, x1, y0, y1 = sweep.box(max(spec.circumscribed_radius for spec in specs.values()))
+    x0, x1, y0, y1 = sweep.box(widest_radius(specs))
     for stack in state.stacks.values():
         base = stack.base
         if (

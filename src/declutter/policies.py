@@ -43,6 +43,7 @@ from .tableware import (
     SceneState,
     Stack,
     stack_footprints,
+    widest_radius,
 )
 
 if TYPE_CHECKING:
@@ -167,12 +168,12 @@ class PairMemo:
     the synced table's bits.  A moved or merged stack is a new value, so a
     bit names one value; dishes never change kind or orientation, so a
     value fixes its footprints, grip height and bottom and top dishes (see
-    the masks ``utensil_piles`` and ``bowl_tops``).  Footprints, shared
-    grasps, gaps, stacking tests and pull tests are keyed by value bits,
-    and a result keyed by bits never goes stale.  A stack that is the very
-    object synced under its id keeps that bit without being hashed, so a
-    step looks up by value, with one hash each, only the stacks the last
-    action made.
+    the masks ``utensil_piles`` and ``bowl_tops``).  Only ``sync`` gives
+    bits, so every method reads the synced table.  Footprints, shared
+    grasps, gaps and pull tests are keyed by value bits, and a result keyed
+    by bits never goes stale.  A stack that is the very object synced under
+    its id keeps that bit without being hashed, so a step looks up by
+    value, with one hash each, only the stacks the last action made.
 
     ``nearest`` ranks the ordered pairs a test admits by (gap, ids): it
     walks a list of the synced table's pairs, sorted by a lower bound on
@@ -193,9 +194,9 @@ class PairMemo:
     that meet it; a question about a table tests only the values on it not
     tested yet, up to the first that meets the corridor.  So a corridor
     test runs at most once per pull and stack value in a trial, whichever
-    table asks.  A new pull marks every value listed at the last arrival
-    whose base lies outside its sweep's ``box`` tested and clear at once,
-    as ``meets`` would, from the values' loci sorted by base x (``_by_x``);
+    table asks.  A new pull marks every value on the synced table whose
+    base lies outside its sweep's ``box`` tested and clear at once, as
+    ``meets`` would, from the values' loci sorted by base x (``_by_x``);
     a value that arrives later is tested when asked about.  Only ``sync``
     sets ``table``; the pull policy's planner passes the subsets it looks
     ahead on as masks to ``nearest``, ``_corridor`` and ``ids``.
@@ -222,16 +223,11 @@ class PairMemo:
         self._footprints: dict[int, list[Footprint]] = {}
         self._grasps: dict[tuple[int, int], GraspAction | None] = {}
         self._gaps: dict[tuple[int, int], float] = {}
-        self._stackable: dict[tuple[int, int], bool] = {}
         self._pulls: dict[tuple[int, int], _PullEntry] = {}
-        # The scopes by their masks' bits on ``_listed``, the synced table
-        # when they were started: no value off it is listed, and a value
-        # made since (a previewed pile) changes no scope's key.
-        self._scopes: dict[tuple[int, int], _Scope] = {}
-        self._listed = 0
-        # The loci of the values on ``_listed``, sorted (by base x first).
+        self._scopes: dict[tuple[int, int], _Scope] = {}  # by their masks
+        # The loci of the values synced at the last arrival, sorted (by base x first).
         self._by_x: list[Locus] = []
-        self._widest = max(spec.circumscribed_radius for spec in sim.dish_specs.values())
+        self._widest = widest_radius(sim.dish_specs)
 
     def _bit(self, stack: Stack) -> int:
         new = 1 << len(self._values)
@@ -247,25 +243,18 @@ class PairMemo:
             self.bowl_tops |= bit if dishes[stack.top].kind is DishKind.BOWL else 0
         return bit
 
-    def _bit_of(self, sid: int, stack: Stack) -> int:
-        """The bit of ``stack``, stack ``sid`` of some state: the bit synced
-        under ``sid`` when ``stack`` is the very object it names, else the
-        bit of its value."""
-        bit = self._ids.get(sid, 0)
-        return bit if self._values.get(bit) is stack else self._bit(stack)
-
     def sync(self, state: SceneState) -> None:
         """Make ``state`` the current table."""
         self.state, old, values = state, self._ids, self._values
         ids = {}
-        for sid, stack in state.stacks.items():  # ``_bit_of``, inlined
+        for sid, stack in state.stacks.items():
             bit = old.get(sid, 0)
             ids[sid] = bit if values.get(bit) is stack else self._bit(stack)
         table = sum(ids.values())
         arrived = table & ~self.table
         self._ids, self.table = ids, table
         if arrived:  # list the pairs afresh, as far as the walks read
-            self._scopes, self._listed = {}, table
+            self._scopes = {}
             self._by_x = sorted(self._loci[bit] for bit in ids.values())
         for scope in self._scopes.values():
             if len(scope.pairs) > len(ids) * (len(ids) - 1):
@@ -316,11 +305,9 @@ class PairMemo:
         walk on a narrower table keeps nothing and starts from the head.
         Read a walk on the synced table before the next ``sync`` or walk on
         it with the same test and scope."""
-        key = (lifted & self._listed, base & self._listed)
-        scope = self._scopes.get(key)
+        scope = self._scopes.get((lifted, base))
         if scope is None:
-            scope = self._scopes[key] = _Scope(*key)
-        lifted, base = key
+            scope = self._scopes[(lifted, base)] = _Scope(lifted, base)
         table = self.table if table is None else table
         if table == self.table:
             walk = scope.walks.get((admit, within))
@@ -367,8 +354,8 @@ class PairMemo:
         return sorted(sid for sid, bit in self._ids.items() if bit & self.table & mask)
 
     def footprints(self, stack: Stack) -> list[Footprint]:
-        """``stack_footprints`` of ``stack``, a value seen by ``sync``."""
-        return self._bit_footprints(self._bit_of(stack.id, stack))
+        """``stack_footprints`` of ``stack``, which must be the synced table's."""
+        return self._bit_footprints(self._ids[stack.id])
 
     def _bit_footprints(self, bit: int) -> list[Footprint]:
         fps = self._footprints.get(bit)
@@ -391,16 +378,6 @@ class PairMemo:
             self._gaps[key] = grasp_gap(self.state, a, b, self.sim)[0]
         return self._gaps[key]
 
-    def stackable(self, state: SceneState, lifted: int, base: int) -> bool:
-        """``stack_allowable`` of stacks ``lifted`` and ``base`` of ``state``:
-        the synced table, or a preview of stacking on it whose new values
-        get bits of their own."""
-        stacks = state.stacks
-        key = (self._bit_of(lifted, stacks[lifted]), self._bit_of(base, stacks[base]))
-        if key not in self._stackable:
-            self._stackable[key] = stack_allowable(state, lifted, base, self.sim)
-        return self._stackable[key]
-
     def _corridor(self, mover: int, anchor: int, table: int) -> tuple[PullCheck, int]:
         """The pair tests of ``mover``'s pull toward ``anchor`` and the bit
         of a stack on ``table`` (a mask of the synced table's bits) that
@@ -416,7 +393,7 @@ class PairMemo:
                 x0, x1, y0, y1 = sweep.box(self._widest)
                 by_x = self._by_x
                 in_x = by_x[bisect_left(by_x, (x0,)):bisect_right(by_x, (x1, math.inf))]
-                entry.tested |= self._listed & ~sum(b for _, y, _, b, _ in in_x if y0 <= y <= y1)
+                entry.tested |= self.table & ~sum(b for _, y, _, b, _ in in_x if y0 <= y <= y1)
         pair = entry.pair
         blocked = entry.blocked & table
         if blocked or not pair.allowable:
@@ -613,7 +590,7 @@ def pull_policy(
 
 def stackable(memo: PairMemo, lifted: int, base: int) -> bool:
     """Whether ``lifted`` may be stacked on ``base`` and the pile grasped."""
-    return memo.stackable(memo.state, lifted, base)
+    return stack_allowable(memo.state, lifted, base, memo.sim)
 
 
 def stack_policy(
@@ -632,10 +609,10 @@ def stack_policy(
     left is cleared with single grasps.  "Nearest" ranks pairs by (grasp
     gap, lifted id, base id).
 
-    Stacking tests and gaps come from ``memo``, which carries them from one
-    step of a trial to the next.  The piles ``all_on_one_bowl`` previews
-    are stack values of their own, so the memo tests each growing pile
-    afresh.
+    Gaps come from ``memo``, which carries them from one step of a trial
+    to the next; stacking tests (``stack_allowable``) are not kept.
+    ``all_on_one_bowl`` tests each utensil pile against its preview of the
+    growing pile.
     """
     memo.sync(state)
     if memo.table & memo.utensil_piles and memo.table & memo.bowl_tops:
@@ -657,7 +634,7 @@ def stack_policy(
             placements: list[StackPlacement] = []
             working = state
             for u in order:
-                if not memo.stackable(working, u, chosen):
+                if not stack_allowable(working, u, chosen, sim):
                     continue
                 placements.append(
                     StackPlacement(grasp_points(working, u, rng, sim), u, chosen)

@@ -86,6 +86,11 @@ class DishSpec:
         return self.radius
 
 
+def widest_radius(specs: dict[DishKind, DishSpec]) -> float:
+    """The largest ``circumscribed_radius`` of the dish specs."""
+    return max(spec.circumscribed_radius for spec in specs.values())
+
+
 def default_dish_specs() -> dict[DishKind, DishSpec]:
     """Default tableware set: 4.5 cm cups, 8.5 cm bowls, 17 x 1.8 cm utensils."""
     return {
@@ -296,7 +301,7 @@ class _Grid:
     """
 
     def __init__(self, specs: dict[DishKind, DishSpec]):
-        widest = max(spec.circumscribed_radius for spec in specs.values())
+        widest = widest_radius(specs)
         self.width = reach_limit(widest, widest)
         self.around: defaultdict[tuple[int, int], list[_Placed]] = defaultdict(list)
 
@@ -387,8 +392,9 @@ def generate_scene(
                     and spec.effective_radius <= top_spec.effective_radius + 1e-9
                 ):
                     sfp = replace(fp, center=target.base)
-                    # A footprint at the target's base always overlaps it.
-                    if _inside_workspace(sfp, workspace) and grid.hits(sfp, reach) == [target]:
+                    # A footprint at the target's base always overlaps it, and stays
+                    # on the table: no joiner's circumradius exceeds the bottom dish's.
+                    if grid.hits(sfp, reach) == [target]:
                         state.stacks[target.id] = replace(
                             stack, dishes=stack.dishes + (dish_id,)
                         )

@@ -140,79 +140,21 @@ def test_stack_policy_matches_reference_at_every_step(stacking, p_fail):
         assert failed_stacks > 0  # merged piles stayed behind
 
 
-def test_each_stacking_test_runs_once_per_trial(monkeypatch):
-    # Failed stack-grasps leave merged piles behind, new values that the
-    # memo tests against the stacks already there.  In the hand-built
-    # scene no utensil pair fits on the three-bowl pile, so every step of
-    # all_on_one_bowl asks again about the piles left and then falls back
-    # to merging pairs.
-    sim = dataclasses.replace(SIM, p_fail=0.2)
-    full_pile = build_scene(
-        [([BOWL, BOWL, BOWL], 40, 30)]
-        + [([UTENSIL, UTENSIL], 15, y) for y in (10, 30, 50)]
-    )
-    scenes = [dense_scene(30, seed) for seed in range(10)] + [full_pile]
-    seen = set()
-
-    def once(state, lifted, base, sim):
-        key = (state.stacks[lifted], state.stacks[base])
-        assert key not in seen
-        seen.add(key)
-        return stack_allowable(state, lifted, base, sim)
-
-    monkeypatch.setattr(policies, "stack_allowable", once)
-    for stacking in ("one_per_bowl", "all_on_one_bowl"):
-        cfg = PolicyConfig.named("stack", stacking)
-        for seed, scene in enumerate(scenes):
-            seen.clear()
-            run_policy(scene, cfg, sim, seed)
-            assert seen
-
-
-def test_previewed_piles_get_bits_of_their_own():
+def test_all_on_one_bowl_tests_each_utensil_against_the_preview():
     # A bowl holds nine utensils before the pile's lip span passes the jaw
-    # height: the tenth fits on the bare bowl 0 but not on the preview.
+    # height: the tenth fits on the bare bowl 0 but not on the preview of
+    # the other nine, so the policy places nine.
     scene = build_scene([([BOWL], 60, 30)] + [([UTENSIL], 20, 5 + 5 * k) for k in range(10)])
-    memo = PairMemo(SIM)
-    memo.sync(scene)
-    assert memo.stackable(scene, 10, 0)
+    assert stack_allowable(scene, 10, 0, SIM)
     preview = scene
     for u in range(1, 10):
         preview = preview.merged(u, 0)
-    assert memo.stackable(preview, 10, 0) is stack_allowable(preview, 10, 0, SIM) is False
+    assert not stack_allowable(preview, 10, 0, SIM)
 
     cfg = PolicyConfig.named("stack", "all_on_one_bowl")
-    action = next_action(scene, SplitMix64(0), SIM, cfg, memo)
+    action = next_action(scene, SplitMix64(0), SIM, cfg, PairMemo(SIM))
     assert choice(action) == stack_policy_choice(scene, SIM, cfg)
     assert len(action.placements) == 9
-
-
-def test_values_off_the_table_keep_the_scoped_walk(monkeypatch):
-    # A stacking test on a state other than the synced table (as
-    # ``all_on_one_bowl`` asks about its previews) gives the values it
-    # makes bits, and a utensil pile's bit joins ``utensil_piles``.  The
-    # scoped walk goes on from where it stopped all the same.
-    scene = build_scene([([BOWL], 60, 30), ([BOWL], 40, 50)]
-                        + [([UTENSIL], 20, 5 + 5 * k) for k in range(4)])
-    memo = PairMemo(SIM)
-    memo.sync(scene)
-    calls = []
-
-    def counted(memo, lifted, base):
-        calls.append((lifted, base))
-        return policies.stackable(memo, lifted, base)
-
-    def walk():
-        return next(memo.nearest(counted, lifted=memo.utensil_piles, base=memo.bowl_tops))
-
-    first = walk()
-    tested = len(calls)
-    moved = scene.clone()
-    moved.stacks[2] = dataclasses.replace(scene.stacks[2], base=Point2(50, 10))
-    piles = memo.utensil_piles
-    memo.stackable(moved, 2, 0)
-    assert memo.utensil_piles != piles
-    assert walk() == first and len(calls) == tested
 
 
 def test_answers_follow_the_synced_table():
@@ -906,12 +848,15 @@ def test_sync_hashes_only_the_stacks_an_action_made(monkeypatch):
 
 
 # sha256 of the run_policy event lines of 72-item seeds 0 and 3, each trial
-# seeded with its scene's seed.
+# seeded with its scene's seed.  The kind is a policy name or the stack
+# policy's ``utensil_stacking`` mode.
 GOLDEN_DENSE_DIGESTS = {
     ("pull", 0.0): "b9e2be777968ebdd0dcda955921e2f9e69b774a9d9e47f2bef2022e53de9ae89",
     ("pull", 0.2): "9f3f0d35d2001c86482405d20dfb875c91b404dc8742438d1c26a721ae709a80",
     ("stack", 0.0): "8e6320e45d7e2f7d601444fa5864c25908c11430eb47861dbddc7e93230b3e80",
     ("stack", 0.2): "aa38cae363a478ebeca6c980e15165af06e386365dbeb59e53b2012c128fa1e2",
+    ("all_on_one_bowl", 0.0): "6a8adccb79e085cdd5c9c02964ad26ade66854604f5cefd298de5d73c1ae993f",
+    ("all_on_one_bowl", 0.2): "eee7acc36996f33453695c89f10c684c7f46ac2cd1ec947ad4f656b60ecf88a6",
 }
 
 
@@ -920,9 +865,13 @@ def test_golden_digests_of_dense_trials(kind, p_fail):
     # Pins every step of the memoized policies on large tables, where walks
     # resume, the pair list is compacted and failures bring new values.
     sim = dataclasses.replace(SIM, p_fail=p_fail)
+    if kind == "all_on_one_bowl":
+        cfg = PolicyConfig.named("stack", kind)
+    else:
+        cfg = PolicyConfig.named(kind)
     lines = []
     for seed in (0, 3):
-        trace = run_policy(dense_scene(72, seed), PolicyConfig.named(kind), sim, seed)
+        trace = run_policy(dense_scene(72, seed), cfg, sim, seed)
         lines.extend(json.dumps(e.to_json_obj()) for e in trace.events)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_DENSE_DIGESTS[(kind, p_fail)]

@@ -31,7 +31,8 @@ PULL = PolicyConfig.named("pull")
 STACK = PolicyConfig.named("stack")
 
 # sha256 of the event lines of run_policy at p_fail 0.2 on seeds 0-19 of a
-# tier, each trial seeded with its scene's seed.
+# tier, each trial seeded with its scene's seed.  A key is tier_policy, then
+# the stack policy's ``utensil_stacking`` mode when it is not the default.
 GOLDEN_FAILURE_DIGESTS = {
     "t1_random": "bbe7f8fee4599be1ad9065b767a30718ac1206307b8340ed8d4d0409b3d04ec6",
     "t1_pull": "6374293cd0088537f044e16a3acf82b87c1cf5b8d8b5ea12c7911c31155a4d10",
@@ -39,6 +40,8 @@ GOLDEN_FAILURE_DIGESTS = {
     "t2_random": "56630d46005d47cc08bc84769a478cee0f7e716d80e6c09b5c060362aee5fe6d",
     "t2_pull": "288f923a5cd5dfc8a52bc2095cce1d7f48a122c42f4f5a69952b0917c67e3497",
     "t2_stack": "33f6a4ce1e88f909d08581995a5e835a8f664af5ffae308949afcdd22b1be729",
+    "t1_stack_all_on_one_bowl": "7b603fac6afd57c39646118ff8b1d713a91cbc79fe645089a7cdd2c077af57da",
+    "t2_stack_all_on_one_bowl": "b99f7a056db61489633b7088b5f92fd627aa016a6b04991bc7d0b24e115fedfb",
 }
 
 
@@ -299,12 +302,12 @@ class TestRunPolicy:
     def test_golden_digests_under_failures(self, name):
         # Pins where the failure draw sits in each trial's stream: after
         # the policy picks an action, before the action runs.
-        tier, policy = name.split("_")
+        tier, policy, *stacking = name.split("_", 2)
         sim = dataclasses.replace(SIM, p_fail=0.2)
         lines = []
         for seed in range(20):
             scene = generate_scene(TierConfig.preset(Tier(tier)), seed)
-            trace = run_policy(scene, PolicyConfig.named(policy), sim, seed)
+            trace = run_policy(scene, PolicyConfig.named(policy, *stacking), sim, seed)
             assert validate(trace.final_state, sim.dish_specs) == []
             lines.extend(json.dumps(e.to_json_obj()) for e in trace.events)
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import InfeasibleAction
@@ -334,14 +334,14 @@ Footprints = Callable[[Stack], list[Footprint]]
 
 def _pair_check(
     state: SceneState, mover: int, anchor: int, sim: "SimConfig", footprints: Footprints
-) -> tuple[PullCheck, Sweep | None]:
-    """The pull tests that depend on the mover and the anchor alone and,
-    when they pass, the region the mover sweeps: its footprints, grown by
-    ``pull_clearance_margin``, from its base to the contact point.
+) -> tuple[PullCheck | None, Sweep | None]:
+    """The pull's path tests, which depend on the mover and the anchor
+    alone: the failed check, or None and the region the mover sweeps, its
+    footprints grown by ``pull_clearance_margin``, from its base to the
+    contact point (``end``).  ``footprints`` maps a stack to its footprints.
 
-    ``footprints`` maps a stack to its footprints.  The witness grasp is
-    taken on a view holding just the pair, the mover at contact: the grasp
-    test reads nothing else.
+    The witness grasp at contact is ``_contact_witness``: ``check_pull``
+    takes it next, the pair memo only for a pull whose corridor is clear.
     """
     if mover == anchor:
         return PullCheck("distinct_targets"), None
@@ -357,14 +357,21 @@ def _pair_check(
     end = _pull_contact(sm, sa, mover_fps, footprints(sa))
     if end is None:
         return PullCheck("contact"), None
-    contact = SceneState(
-        state.workspace, {mover: Stack(sm.id, sm.dishes, end), anchor: sa}, state.dishes
-    )
-    grasp = mog_grasp(contact, mover, anchor, sim)
+    return None, Sweep(sm.base, end, mover_fps, sim.pull_clearance_margin)
+
+
+def _contact_witness(
+    state: SceneState, mover: int, anchor: int, end: Point2, sim: "SimConfig"
+) -> PullCheck:
+    """The check of a pull that passed ``_pair_check``: ``mog_grasp`` with
+    the mover at contact ``end``, on a view holding just the pair (the grasp
+    test reads nothing else)."""
+    sm, sa = state.stacks[mover], state.stacks[anchor]
+    contact = {mover: Stack(sm.id, sm.dishes, end), anchor: sa}
+    grasp = mog_grasp(SceneState(state.workspace, contact, state.dishes), mover, anchor, sim)
     if grasp is None:
-        return PullCheck("mog_allowable"), None
-    sweep = Sweep(sm.base, end, mover_fps, sim.pull_clearance_margin)
-    return PullCheck(None, end=end, grasp=grasp), sweep
+        return PullCheck("mog_allowable")
+    return PullCheck(None, end=end, grasp=grasp)
 
 
 def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> PullCheck:
@@ -387,7 +394,10 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
     def footprints(stack: Stack) -> list[Footprint]:
         return stack_footprints(state, stack, specs)
 
-    pair, sweep = _pair_check(state, mover, anchor, sim, footprints)
+    failed, sweep = _pair_check(state, mover, anchor, sim, footprints)
+    if failed is not None:
+        return failed
+    pair = _contact_witness(state, mover, anchor, sweep.end, sim)
     if not pair.allowable:
         return pair
     dishes = state.dishes
@@ -491,13 +501,15 @@ def apply(
     Raises InfeasibleAction (with the violated predicate's name) if the
     action's feasibility test fails in ``state`` or its parts disagree: a
     pull must run from the mover's base to the contact point ``check_pull``
-    finds, and its grasp must take exactly the pulled pair.  That grasp is
-    not tested again: ``check_pull`` tested it on the pulled pair with the
-    mover at contact, the state the pull leaves.  When ``failed``
-    (see ``grasp_fails``), the action's final grasp fails: a failed
-    single-stack grasp leaves the table unchanged (no trip); a failed
-    two-stack grasp carries only the taller stack.  Pull and stack phases
-    still execute before a failed grasp, so consolidations persist.
+    finds, its grasp must take exactly the pulled pair and be the witness
+    grasp ``check_pull`` found there, and a lift grasp must take exactly the
+    lifted stack.  A pull's grasp is not tested again: ``check_pull`` tested
+    it on the pulled pair with the mover at contact, the state the pull
+    leaves.  When ``failed`` (see ``grasp_fails``), the action's final
+    grasp fails: a failed single-stack grasp leaves the table unchanged (no
+    trip); a failed two-stack grasp carries only the taller stack.  Pull
+    and stack phases still execute before a failed grasp, so consolidations
+    persist.
     """
     g = action.grasp
     targets = g.targets
@@ -524,8 +536,10 @@ def apply(
             raise InfeasibleAction(
                 "grasp_targets", f"grasp of {targets} after pulling ({mover}, {anchor})"
             )
+        if g != check.grasp:
+            raise InfeasibleAction("grasp_witness", f"grasp {g}, not the witness {check.grasp}")
         new = state.clone()
-        new.stacks[mover] = replace(new.stacks[mover], base=pull.end)
+        new.stacks[mover] = Stack(mover, state.stacks[mover].dishes, pull.end)
         kind = "pull_grasp"
         params = {
             "pull": {
@@ -543,6 +557,8 @@ def apply(
             lifted, base = placement.lifted, placement.base
             if not stack_allowable(new, lifted, base, sim):
                 raise InfeasibleAction("stack_allowable", f"stack {lifted} onto {base}")
+            if (lift := placement.inner_grasp.targets) != (lifted,):
+                raise InfeasibleAction("grasp_targets", f"grasp of {lift} to lift stack {lifted}")
             placements.append(
                 {"lifted": lifted, "base": base,
                  "place": _point_params(new.stacks[base].base)}

@@ -28,6 +28,7 @@ from .actions import (
     StackPlacement,
     TraceEvent,
     _grip_height,
+    _contact_witness,
     _pair_check,
     apply,
     grasp_fails,
@@ -91,14 +92,15 @@ def random_policy(
 
 
 class _PullEntry:
-    """A memoized pull check: the pair tests' result, the mover's sweep when
-    they pass, the value bits tested against the sweep (the pair's own from
-    the start) and those of them that meet it."""
+    """A memoized pull check: the path tests' failed check, or None until
+    the witness grasp at contact is taken; the mover's sweep when they pass,
+    the value bits tested against the sweep (the pair's own from the start)
+    and those of them that meet it."""
 
-    __slots__ = ("pair", "sweep", "tested", "blocked")
+    __slots__ = ("check", "sweep", "tested", "blocked")
 
-    def __init__(self, pair: PullCheck, sweep: Sweep | None, own: int):
-        self.pair = pair
+    def __init__(self, check: PullCheck | None, sweep: Sweep | None, own: int):
+        self.check = check
         self.sweep = sweep
         self.tested = own
         self.blocked = 0
@@ -171,9 +173,12 @@ class PairMemo:
     the masks ``utensil_piles`` and ``bowl_tops``).  Only ``sync`` gives
     bits, so every method reads the synced table.  Footprints, shared
     grasps, gaps and pull tests are keyed by value bits, and a result keyed
-    by bits never goes stale.  A stack that is the very object synced under
-    its id keeps that bit without being hashed, so a step looks up by
-    value, with one hash each, only the stacks the last action made.
+    by bits never goes stale.  ``sync`` diffs the state against the stacks
+    it last synced under each id (``_synced``): it drops the ids that left,
+    and only when some stack is not the very object synced under its id (a
+    dict compare, in C, that tests identity first) does it loop over the
+    stacks and look those up by value, with one hash each: the stacks the
+    last action made.  A failure-free step only removes stacks.
 
     ``nearest`` ranks the ordered pairs a test admits by (gap, ids): it
     walks a list of the synced table's pairs, sorted by a lower bound on
@@ -197,7 +202,9 @@ class PairMemo:
     table asks.  A new pull marks every value on the synced table whose
     base lies outside its sweep's ``box`` tested and clear at once, as
     ``meets`` would, from the values' loci sorted by base x (``_by_x``);
-    a value that arrives later is tested when asked about.  Only ``sync``
+    a value that arrives later is tested when asked about.  The witness
+    grasp at contact (``_contact_witness``) is taken only once a table
+    finds the corridor clear, or ``pull`` names a blocker.  Only ``sync``
     sets ``table``; the pull policy's planner passes the subsets it looks
     ahead on as masks to ``nearest``, ``_corridor`` and ``ids``.
 
@@ -214,6 +221,7 @@ class PairMemo:
         self._bits: dict[Stack, int] = {}
         self._values: dict[int, Stack] = {}
         self._ids: dict[int, int] = {}
+        self._synced: dict[int, Stack] = {}  # the stack synced under each id
         self._loci: dict[int, Locus] = {}
         self.grips: dict[int, float] = {}  # ``_grip_height`` of each value
         # The widest grasp reach and the radius of a scope's first band,
@@ -225,8 +233,9 @@ class PairMemo:
         self._gaps: dict[tuple[int, int], float] = {}
         self._pulls: dict[tuple[int, int], _PullEntry] = {}
         self._scopes: dict[tuple[int, int], _Scope] = {}  # by their masks
-        # The loci of the values synced at the last arrival, sorted (by base x first).
+        # Loci of the values synced at the last arrival, sorted (by base x first), and their xs.
         self._by_x: list[Locus] = []
+        self._xs: list[float] = []
         self._widest = widest_radius(sim.dish_specs)
 
     def _bit(self, stack: Stack) -> int:
@@ -245,17 +254,22 @@ class PairMemo:
 
     def sync(self, state: SceneState) -> None:
         """Make ``state`` the current table."""
-        self.state, old, values = state, self._ids, self._values
-        ids = {}
-        for sid, stack in state.stacks.items():
-            bit = old.get(sid, 0)
-            ids[sid] = bit if values.get(bit) is stack else self._bit(stack)
-        table = sum(ids.values())
+        self.state, synced, ids, table = state, self._synced, self._ids, self.table
+        for sid in synced.keys() - state.stacks.keys():
+            del synced[sid]
+            table ^= ids.pop(sid)
+        if synced != state.stacks:  # compared by identity first, in C
+            for sid, stack in state.stacks.items():
+                if synced.get(sid) is not stack:
+                    bit = self._bit(stack)
+                    table ^= ids.get(sid, 0) ^ bit
+                    ids[sid], synced[sid] = bit, stack
         arrived = table & ~self.table
-        self._ids, self.table = ids, table
+        self.table = table
         if arrived:  # list the pairs afresh, as far as the walks read
             self._scopes = {}
             self._by_x = sorted(self._loci[bit] for bit in ids.values())
+            self._xs = [locus[0] for locus in self._by_x]
         for scope in self._scopes.values():
             if len(scope.pairs) > len(ids) * (len(ids) - 1):
                 scope.pairs = [entry for entry in scope.pairs if entry[3] & table == entry[3]]
@@ -378,26 +392,29 @@ class PairMemo:
             self._gaps[key] = grasp_gap(self.state, a, b, self.sim)[0]
         return self._gaps[key]
 
-    def _corridor(self, mover: int, anchor: int, table: int) -> tuple[PullCheck, int]:
+    def _corridor(self, mover: int, anchor: int, table: int) -> tuple[PullCheck | None, int]:
         """The pair tests of ``mover``'s pull toward ``anchor`` and the bit
         of a stack on ``table`` (a mask of the synced table's bits) that
         meets its corridor, or 0 when none does or the pair tests fail.
         Only the values on ``table`` not yet tested against this pull are
-        tested, up to the first that meets it."""
+        tested, up to the first that meets it.  The witness grasp at contact
+        is taken only once the corridor is clear on ``table``: a blocked
+        pull's check is None until then."""
         bm, ba = self._ids[mover], self._ids[anchor]
         entry = self._pulls.get((bm, ba))
         if entry is None:
-            pair, sweep = _pair_check(self.state, mover, anchor, self.sim, self.footprints)
-            entry = self._pulls[(bm, ba)] = _PullEntry(pair, sweep, bm | ba)
+            failed, sweep = _pair_check(self.state, mover, anchor, self.sim, self.footprints)
+            entry = self._pulls[(bm, ba)] = _PullEntry(failed, sweep, bm | ba)
             if sweep is not None:  # the listed values based outside the box are clear
                 x0, x1, y0, y1 = sweep.box(self._widest)
-                by_x = self._by_x
-                in_x = by_x[bisect_left(by_x, (x0,)):bisect_right(by_x, (x1, math.inf))]
-                entry.tested |= self.table & ~sum(b for _, y, _, b, _ in in_x if y0 <= y <= y1)
-        pair = entry.pair
-        blocked = entry.blocked & table
-        if blocked or not pair.allowable:
-            return pair, blocked & -blocked
+                near, xs = 0, self._xs
+                for _, y, _, bit, _ in self._by_x[bisect_left(xs, x0):bisect_right(xs, x1)]:
+                    if y0 <= y <= y1:
+                        near |= bit
+                entry.tested |= self.table & ~near
+        check, blocked = entry.check, entry.blocked & table
+        if blocked or check is not None and not check.allowable:
+            return check, blocked & -blocked
         untested = table & ~entry.tested
         while untested:
             bit = untested & -untested
@@ -405,15 +422,22 @@ class PairMemo:
             entry.tested |= bit
             if entry.sweep.meets(self._bit_footprints(bit)):
                 entry.blocked |= bit
-                return pair, bit
-        return pair, 0
+                return check, bit
+        if check is None:
+            check = entry.check = _contact_witness(
+                self.state, mover, anchor, entry.sweep.end, self.sim
+            )
+        return check, 0
 
     def pull(self, mover: int, anchor: int, table: int | None = None) -> PullCheck:
         """``check_pull`` of ``mover`` toward ``anchor`` on ``table`` (a mask
         of the synced table's bits; None for all of it), naming one of the
-        blocking stacks when the corridor is blocked."""
+        blocking stacks when the corridor is blocked.  As in ``check_pull``,
+        a failed grasp at contact is named before a blocker."""
         pair, blocker = self._corridor(mover, anchor, self.table if table is None else table)
-        if not blocker:
+        if blocker:  # the empty table blocks nothing, so it takes the grasp at contact
+            pair = self._corridor(mover, anchor, 0)[0]
+        if not blocker or not pair.allowable:
             return pair
         # Built directly: ``replace`` costs several times more.
         return PullCheck("corridor", self._values[blocker].id, pair.end, pair.grasp)
@@ -426,7 +450,7 @@ PLAN_MAX_STACKS = 12
 
 def ready(memo: PairMemo, a: int, b: int) -> bool:
     """Whether ``a`` < ``b`` have a shared grasp: never at a gap of max_opening or more."""
-    return a < b and memo.shared_grasp(a, b) is not None
+    return a < b and same_grip(memo, a, b) and memo.shared_grasp(a, b) is not None
 
 
 def same_grip(memo: PairMemo, mover: int, anchor: int) -> bool:
@@ -466,7 +490,7 @@ def _takeable(memo: PairMemo, move: Move, left: int) -> bool:
     if kind != "pull":
         return True
     check, blocker = memo._corridor(*targets, left)
-    return check.allowable and not blocker
+    return not blocker and check.allowable
 
 
 def _first_move(

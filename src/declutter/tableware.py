@@ -160,7 +160,7 @@ class SceneState:
         new = self.clone()
         top = new.stacks.pop(lifted)
         below = new.stacks[base]
-        new.stacks[base] = replace(below, dishes=below.dishes + top.dishes)
+        new.stacks[base] = Stack(below.id, below.dishes + top.dishes, below.base)
         return new
 
 

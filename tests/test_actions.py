@@ -456,6 +456,42 @@ class TestApply:
                 apply(scene, bad, SIM)
             assert err.value.predicate == "grasp_targets"
 
+    def test_pull_grasp_must_be_the_witness_grasp(self):
+        # A grasp of the pulled pair that is not ``check_pull``'s witness at
+        # contact: moved 30 cm, raised or turned.
+        scene = generate_scene(TierConfig.preset(Tier.T1), 0, SIM.dish_specs)
+        check, mover, anchor = next(
+            (check, m, a)
+            for m in scene.stacks
+            for a in scene.stacks
+            if m != a and (check := check_pull(scene, m, a, SIM)).allowable
+        )
+        pull = PullAction(scene.stacks[mover].base, check.end, mover, anchor)
+        g = check.grasp
+        for bad in (
+            dataclasses.replace(g, point=Point2(g.point.x + 30.0, g.point.y)),
+            dataclasses.replace(g, z=g.z + 1.0),
+            dataclasses.replace(g, theta=g.theta + 0.5),
+        ):
+            with pytest.raises(InfeasibleAction) as err:
+                apply(scene, PullGrasp(pull, bad), SIM)
+            assert err.value.predicate == "grasp_witness"
+        apply(scene, PullGrasp(pull, g), SIM)
+
+    def test_placement_must_lift_the_lifted_stack(self):
+        # Stack 2 is set on bowl 1 with a grasp of cup 0, or of both cups.
+        scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10), ([CUP], 60, 40)])
+        carry = grasp_points(scene, 1, SplitMix64(2), SIM)
+        lift = grasp_points(scene, 2, SplitMix64(1), SIM)
+        for inner in (
+            grasp_points(scene, 0, SplitMix64(1), SIM),
+            dataclasses.replace(lift, targets=(0, 2)),
+        ):
+            with pytest.raises(InfeasibleAction, match="to lift stack 2") as err:
+                apply(scene, StackGrasp((StackPlacement(inner, 2, 1),), carry), SIM)
+            assert err.value.predicate == "grasp_targets"
+        apply(scene, StackGrasp((StackPlacement(lift, 2, 1),), carry), SIM)
+
     def test_pull_grasp_checks_grasp_after_the_pull(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
         pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)

@@ -248,6 +248,67 @@ def test_pull_step_is_the_memos_check(p_fail):
     assert pulls
 
 
+def test_pull_that_fails_its_grasp_at_contact_is_never_taken():
+    # Pile 1 of four cups (lip span 6 > jaw 4.5) and cup 2 have no grasp at
+    # contact, and bowl 0 blocks the corridor between them, as it blocks a
+    # lone cup's.  The memo tests the corridor before it takes that grasp,
+    # yet names the failed grasp, as ``check_pull`` does, on the table
+    # with the bowl and once it has gone: on a subset, and after the policy
+    # has binned it.
+    stacks = [([BOWL], 35, 30), ([CUP] * 4, 10, 30), ([CUP], 60, 30)]
+    lone = build_scene([stacks[0], ([CUP], 10, 30), stacks[2]])
+    blocked = check_pull(lone, 1, 2, SIM)
+    assert (blocked.failed, blocked.blocker) == ("corridor", 0)
+    scene = build_scene(stacks)
+    memo = PairMemo(SIM)
+    memo.sync(scene)
+    for mask in (memo.table, memo.bit(1) | memo.bit(2)):
+        for mover, anchor in ((1, 2), (2, 1)):
+            check = memo.pull(mover, anchor, mask)
+            assert check == check_pull(on_table(memo, mask), mover, anchor, SIM)
+            assert check.failed == "mog_allowable"
+
+    chosen = []
+    for step in trial_steps(scene, PULL, SIM, 0):
+        chosen.append(choice(step.action))
+        assert chosen[-1] == pull_policy_choice(step.state, SIM)
+        if {1, 2} <= step.state.stacks.keys():
+            check = step.memo.pull(1, 2)
+            assert check == check_pull(step.state, 1, 2, SIM)
+            assert check.failed == "mog_allowable"
+    assert chosen == [("single", (0,)), ("single", (1,)), ("single", (2,))]
+
+
+def test_sync_follows_each_stack_by_value():
+    # Stacks leave, an equal copy stands in for a stack, a stack is moved
+    # and another merged under their ids, a new id arrives, and every value
+    # comes back.  After each sync the table is the mask of the stacks'
+    # bits, one bit per stack, and a value seen before keeps its bit.
+    scene = build_scene(
+        [([CUP], 10, 10), ([CUP], 40, 10), ([BOWL], 60, 40), ([BOWL], 20, 45), ([CUP], 70, 10)]
+    )
+    left = scene.clone()
+    del left.stacks[3], left.stacks[4]
+    copied = left.clone()
+    copied.stacks[0] = dataclasses.replace(left.stacks[0])
+    moved = copied.clone()
+    moved.stacks[1] = dataclasses.replace(moved.stacks[1], base=Point2(25, 10))
+    merged = moved.merged(0, 2)
+    arrived = merged.clone()
+    arrived.stacks[5] = Stack(5, (3,), Point2(20, 45))
+    memo = PairMemo(SIM)
+    bits = {}  # the bit each value got
+    for state in (scene, left, left, copied, moved, merged, arrived, scene, copied, arrived):
+        memo.sync(state)
+        assert memo.ids() == sorted(state.stacks)
+        on_table = [memo.bit(sid) for sid in state.stacks]
+        assert all(bit and bit & bit - 1 == 0 for bit in on_table)
+        assert memo.table == sum(on_table) and len(set(on_table)) == len(on_table)
+        for sid, stack in state.stacks.items():
+            assert bits.setdefault(stack, memo.bit(sid)) == memo.bit(sid)
+    assert len(set(bits.values())) == len(bits) == 8
+
+
 def test_failed_pull_blocks_corridor_cached_as_clear():
     # Bowl 2 is pulled up to the two-bowl pile 3, across the corridor
     # between cups 0 and 1.  The grasp fails, the taller pile is carried

@@ -473,14 +473,36 @@ def _taller_first(state: SceneState, targets: tuple[int, ...], sim: "SimConfig")
     return min(targets, key=key)
 
 
-def _check_graspable(state: SceneState, targets: tuple[int, ...], sim: "SimConfig") -> None:
-    """Raise InfeasibleAction unless the final grasp's targets are on the
-    table and, when there are two, pass the multi-object grasp test."""
+def _check_graspable(state: SceneState, g: GraspAction, sim: "SimConfig") -> None:
+    """Raise InfeasibleAction unless grasp ``g``'s targets are on the table
+    and ``g`` is the grasp its rule gives there: for two, the multi-object
+    grasp test's witness; for one, ``grasp_points``'s rule, at the bottom
+    dish's grasp height, caging a utensil at its base across its axis, or
+    on the bottom dish's rim in the radial direction, within 1e-9 cm and rad."""
+    targets = g.targets
     for sid in targets:
         if sid not in state.stacks:
             raise InfeasibleAction("target_on_table", f"stack {sid} not on table")
-    if len(targets) == 2 and mog_grasp(state, targets[0], targets[1], sim) is None:
-        raise InfeasibleAction("mog_allowable", f"stacks {targets}")
+    if len(targets) == 2:
+        witness = mog_grasp(state, targets[0], targets[1], sim)
+        if witness is None:
+            raise InfeasibleAction("mog_allowable", f"stacks {targets}")
+        if g != witness:
+            raise InfeasibleAction("grasp_witness", f"grasp {g}, not the witness {witness}")
+        return
+    stack = state.stacks[targets[0]]
+    bottom = state.dishes[stack.bottom]
+    spec = sim.dish_specs[bottom.kind]
+    point, base = g.point, stack.base
+    if bottom.kind is DishKind.UTENSIL:
+        on_rule = point == base and g.theta == normalize_angle(bottom.theta + math.pi / 2)
+    else:
+        dx, dy = point.x - base.x, point.y - base.y
+        turn = (g.theta - math.atan2(dy, dx)) % math.pi  # off the radial direction
+        off = math.hypot(dx, dy) - spec.radius  # off the rim
+        on_rule = -1e-9 <= off <= 1e-9 and not 1e-9 < turn < math.pi - 1e-9
+    if not on_rule or g.z != spec.grasp_height:
+        raise InfeasibleAction("grasp_pose", f"grasp {g} is not a grasp of stack {targets[0]}")
 
 
 def _point_params(p: Point2) -> list[float]:
@@ -505,18 +527,20 @@ def apply(
     grasp ``check_pull`` found there, and a lift grasp must take exactly the
     lifted stack.  A pull's grasp is not tested again: ``check_pull`` tested
     it on the pulled pair with the mover at contact, the state the pull
-    leaves.  When ``failed`` (see ``grasp_fails``), the action's final
-    grasp fails: a failed single-stack grasp leaves the table unchanged (no
-    trip); a failed two-stack grasp carries only the taller stack.  Pull
-    and stack phases still execute before a failed grasp, so consolidations
-    persist.
+    leaves.  Every other grasp must be the one its rule gives (see
+    ``_check_graspable``): a lift grasp on the state it lifts from, and a
+    stack-grasp's final grasp on the merged pile.  When ``failed`` (see
+    ``grasp_fails``), the action's final grasp fails: a failed single-stack
+    grasp leaves the table unchanged (no trip); a failed two-stack grasp
+    carries only the taller stack.  Pull and stack phases still execute
+    before a failed grasp, so consolidations persist.
     """
     g = action.grasp
     targets = g.targets
     grasp = {"point": _point_params(g.point), "z": g.z, "theta": g.theta}
 
     if isinstance(action, Grasp):
-        _check_graspable(state, targets, sim)
+        _check_graspable(state, g, sim)
         kind, new, params = "grasp", state.clone(), grasp
     elif isinstance(action, PullGrasp):
         pull = action.pull
@@ -559,12 +583,13 @@ def apply(
                 raise InfeasibleAction("stack_allowable", f"stack {lifted} onto {base}")
             if (lift := placement.inner_grasp.targets) != (lifted,):
                 raise InfeasibleAction("grasp_targets", f"grasp of {lift} to lift stack {lifted}")
+            _check_graspable(new, placement.inner_grasp, sim)
             placements.append(
                 {"lifted": lifted, "base": base,
                  "place": _point_params(new.stacks[base].base)}
             )
             new = new.merged(lifted, base)
-        _check_graspable(new, targets, sim)
+        _check_graspable(new, g, sim)
         kind, params = "stack_grasp", {"placements": placements, "grasp": grasp}
 
     carried = targets

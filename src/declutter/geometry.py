@@ -66,6 +66,8 @@ Footprint = Disc | OrientedRect
 # A point as a plain (x, y) pair, for inner loops that a ``Point2`` per
 # intermediate point would slow down.
 XY = tuple[float, float]
+# A footprint as plain floats: see ``form_of``.
+Form = tuple[float, ...]
 
 
 def dist(a: Point2, b: Point2) -> float:
@@ -96,15 +98,45 @@ def reach_limit(ra: float, rb: float) -> float:
     return ra + rb + 2 * TOUCH_TOL + 1e-9
 
 
-def _rect_axes(theta: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return (c, s), (-s, c)
-
-
 def _extent_along(axis: tuple[float, float], ux, uy, half_len, half_wid) -> float:
     ax, ay = axis
     return half_len * abs(ux[0] * ax + ux[1] * ay) + half_wid * abs(uy[0] * ax + uy[1] * ay)
+
+
+def form_of(fp: Footprint) -> Form:
+    """A footprint's form: (x, y, r) for a disc, and (x, y, length / 2,
+    width / 2, cos theta, sin theta) for a rectangle, its theta normalized
+    as ``OrientedRect`` keeps it."""
+    c = fp.center
+    if isinstance(fp, Disc):
+        return c.x, c.y, fp.radius
+    return c.x, c.y, fp.length / 2.0, fp.width / 2.0, math.cos(fp.theta), math.sin(fp.theta)
+
+
+def form_separation(a: Form, b: Form) -> float:
+    """``separation`` of the footprints whose forms are ``a`` and ``b``."""
+    if len(a) == 3:
+        if len(b) == 3:
+            return math.hypot(a[0] - b[0], a[1] - b[1]) - a[2] - b[2]
+        a, b = b, a
+    # a is a rect here
+    ax, ay, hl, hw, c, s = a
+    dx = b[0] - ax
+    dy = b[1] - ay
+    if len(b) == 3:
+        # The disc center's distance from the rect, in the rect's frame.
+        ox = max(abs(dx * c + dy * s) - hl, 0.0)
+        oy = max(abs(-dx * s + dy * c) - hw, 0.0)
+        return math.hypot(ox, oy) - b[2]
+    _, _, hl2, hw2, c2, s2 = b
+    ux1, uy1, ux2, uy2 = (c, s), (-s, c), (c2, s2), (-s2, c2)
+    best = -math.inf
+    for axis in (ux1, uy1, ux2, uy2):
+        d = abs(dx * axis[0] + dy * axis[1])
+        gap = d - (_extent_along(axis, ux1, uy1, hl, hw) + _extent_along(axis, ux2, uy2, hl2, hw2))
+        if gap > best:
+            best = gap
+    return best
 
 
 def separation(a: Footprint, b: Footprint) -> float:
@@ -114,32 +146,10 @@ def separation(a: Footprint, b: Footprint) -> float:
     rectangles it is the largest gap along their four edge normals: two
     convex polygons are disjoint iff some edge normal separates them, so it
     is positive exactly when they are apart, and then it lower-bounds the
-    true gap, which is enough because only the sign is used.
+    true gap, which is enough because only the sign is used.  The
+    arithmetic is ``form_separation``'s, on the two footprints' forms.
     """
-    if isinstance(a, Disc) and isinstance(b, Disc):
-        return dist(a.center, b.center) - a.radius - b.radius
-    if isinstance(a, Disc):
-        a, b = b, a
-    # a is a rect here
-    hl, hw = a.length / 2.0, a.width / 2.0
-    dx = b.center.x - a.center.x
-    dy = b.center.y - a.center.y
-    if isinstance(b, Disc):
-        # The disc center's distance from the rect, in the rect's frame.
-        c, s = math.cos(a.theta), math.sin(a.theta)
-        ox = max(abs(dx * c + dy * s) - hl, 0.0)
-        oy = max(abs(-dx * s + dy * c) - hw, 0.0)
-        return math.hypot(ox, oy) - b.radius
-    ux1, uy1 = _rect_axes(a.theta)
-    ux2, uy2 = _rect_axes(b.theta)
-    hl2, hw2 = b.length / 2.0, b.width / 2.0
-    best = -math.inf
-    for axis in (ux1, uy1, ux2, uy2):
-        d = abs(dx * axis[0] + dy * axis[1])
-        gap = d - (_extent_along(axis, ux1, uy1, hl, hw) + _extent_along(axis, ux2, uy2, hl2, hw2))
-        if gap > best:
-            best = gap
-    return best
+    return form_separation(form_of(a), form_of(b))
 
 
 def overlaps(a: Footprint, b: Footprint) -> bool:
@@ -254,16 +264,13 @@ def _sweep_disc_rect(c0: Point2, r: float, vx: float, vy: float,
                      rect: OrientedRect, t_max: float):
     # Work in the rect's local frame; the swept region is the rect inflated
     # by r (core bands plus four corner discs).
-    ct = math.cos(rect.theta)
-    st = math.sin(rect.theta)
-    dx = c0.x - rect.center.x
-    dy = c0.y - rect.center.y
+    rx, ry, hl, hw, ct, st = form_of(rect)
+    dx = c0.x - rx
+    dy = c0.y - ry
     px = dx * ct + dy * st
     py = -dx * st + dy * ct
     lvx = vx * ct + vy * st
     lvy = -vx * st + vy * ct
-    hl = rect.length / 2.0
-    hw = rect.width / 2.0
 
     intervals = [
         _interval_intersect(_slab_interval(px, lvx, hl + r), _slab_interval(py, lvy, hw)),
@@ -287,10 +294,9 @@ def _sweep_disc_rect(c0: Point2, r: float, vx: float, vy: float,
 
 def _sweep_rect_rect(mov: OrientedRect, vx: float, vy: float,
                      sta: OrientedRect, t_max: float, tol: float):
-    ux1, uy1 = _rect_axes(mov.theta)
-    ux2, uy2 = _rect_axes(sta.theta)
-    hl1, hw1 = mov.length / 2.0, mov.width / 2.0
-    hl2, hw2 = sta.length / 2.0, sta.width / 2.0
+    _, _, hl1, hw1, c1, s1 = form_of(mov)
+    _, _, hl2, hw2, c2, s2 = form_of(sta)
+    ux1, uy1, ux2, uy2 = (c1, s1), (-s1, c1), (c2, s2), (-s2, c2)
     dx = mov.center.x - sta.center.x
     dy = mov.center.y - sta.center.y
     t_lo = -math.inf

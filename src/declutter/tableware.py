@@ -17,10 +17,13 @@ from functools import cached_property
 
 from .errors import PlacementExhausted, SchemaError, known_keys, number
 from .geometry import (
+    TOUCH_TOL,
     Disc,
     Footprint,
+    Form,
     OrientedRect,
     Point2,
+    form_separation,
     normalize_angle,
     overlaps,
     reach_limit,
@@ -84,6 +87,13 @@ class DishSpec:
         if self.kind is DishKind.UTENSIL:
             return self.length / 2.0
         return self.radius
+
+    def form(self, x: float, y: float, theta: float) -> Form:
+        """The form (``geometry.form_of``) of this dish's ``dish_footprint``."""
+        if self.kind is DishKind.UTENSIL:
+            t = normalize_angle(theta)
+            return x, y, self.length / 2.0, self.width / 2.0, math.cos(t), math.sin(t)
+        return x, y, self.radius
 
 
 def widest_radius(specs: dict[DishKind, DishSpec]) -> float:
@@ -275,20 +285,20 @@ def _inside_workspace(fp: Footprint, workspace: tuple[float, float]) -> bool:
 
 
 class _Placed:
-    """A stack ``generate_scene`` has placed, with its reach and footprints."""
+    """A stack ``generate_scene`` has placed, with its reach and forms."""
 
-    __slots__ = ("id", "base", "reach", "footprints")
+    __slots__ = ("id", "base", "reach", "forms")
 
-    def __init__(self, stack_id: int, base: Point2, reach: float, footprint: Footprint):
+    def __init__(self, stack_id: int, base: Point2, reach: float, form: Form):
         self.id = stack_id
         self.base = base
         self.reach = reach
-        self.footprints = [footprint]
+        self.forms = [form]
 
-    def add(self, reach: float, footprint: Footprint) -> None:
-        """Grow the reach and footprints by a dish that joins the stack."""
+    def add(self, reach: float, form: Form) -> None:
+        """Grow the reach and forms by a dish that joins the stack."""
         self.reach = max(self.reach, reach)
-        self.footprints.append(footprint)
+        self.forms.append(form)
 
 
 class _Grid:
@@ -312,15 +322,15 @@ class _Grid:
             for dj in (-1, 0, 1):
                 self.around[i + di, j + dj].append(placed)
 
-    def hits(self, fp: Footprint, reach: float) -> list[_Placed]:
-        """The placed stacks that ``fp``, of circumradius ``reach``, overlaps."""
-        x, y = fp.center.x, fp.center.y
+    def hits(self, form: Form, reach: float) -> list[_Placed]:
+        """The placed stacks that ``form``'s footprint, of circumradius ``reach``, overlaps."""
+        x, y = form[0], form[1]
         found = []
         for s in self.around.get((int(x // self.width), int(y // self.width)), ()):
             base = s.base
             if math.hypot(x - base.x, y - base.y) <= reach_limit(reach, s.reach):
-                for sfp in s.footprints:
-                    if overlaps(fp, sfp):
+                for sform in s.forms:
+                    if form_separation(form, sform) <= TOUCH_TOL:
                         found.append(s)
                         break
         return found
@@ -351,9 +361,10 @@ def generate_scene(
     dishes, so the stacks left out cannot overlap, and no draw or outcome
     changes.
 
-    A sample costs its draws (x, y, then a utensil's angle), one footprint
-    and its overlap tests.  The ``Dish``, its stack and its grid record are
-    built only for a sample that is placed or joins a stack.
+    A sample costs its draws (x, y, then a utensil's angle), its form
+    (``DishSpec.form``) and ``geometry.form_separation``, the kernel of
+    ``overlaps``, against nearby forms.  No footprint is built, and a
+    ``Point2``, ``Dish``, stack or grid record only for a kept sample.
     """
     specs = specs or default_dish_specs()
     rng = SplitMix64(seed)
@@ -375,13 +386,14 @@ def generate_scene(
             raise PlacementExhausted(f"{kind.value} does not fit in the workspace")
         x_hi, y_hi = w - reach, h - reach
         for _ in range(MAX_RESAMPLES):
-            pos = Point2(rng.uniform(reach, x_hi), rng.uniform(reach, y_hi))
+            x, y = rng.uniform(reach, x_hi), rng.uniform(reach, y_hi)
             theta = rng.uniform(0.0, math.pi) if kind is DishKind.UTENSIL else 0.0
-            fp = dish_footprint(kind, theta, specs, pos)
-            hits = grid.hits(fp, reach)
+            form = spec.form(x, y, theta)
+            hits = grid.hits(form, reach)
             if not hits:
+                pos = Point2(x, y)
                 state.stacks[dish_id] = Stack(dish_id, (dish_id,), pos)
-                grid.add(_Placed(dish_id, pos, reach, fp))
+                grid.add(_Placed(dish_id, pos, reach, form))
                 break
             if len(hits) == 1 and intersections_used < cfg.max_intersections:
                 target = hits[0]
@@ -391,14 +403,14 @@ def generate_scene(
                     len(stack.dishes) < cfg.max_initial_stack
                     and spec.effective_radius <= top_spec.effective_radius + 1e-9
                 ):
-                    sfp = replace(fp, center=target.base)
+                    sform = (target.base.x, target.base.y) + form[2:]
                     # A footprint at the target's base always overlaps it, and stays
                     # on the table: no joiner's circumradius exceeds the bottom dish's.
-                    if grid.hits(sfp, reach) == [target]:
+                    if grid.hits(sform, reach) == [target]:
                         state.stacks[target.id] = replace(
                             stack, dishes=stack.dishes + (dish_id,)
                         )
-                        target.add(reach, sfp)
+                        target.add(reach, sform)
                         intersections_used += 1
                         break
         else:

@@ -492,6 +492,75 @@ class TestApply:
             assert err.value.predicate == "grasp_targets"
         apply(scene, StackGrasp((StackPlacement(lift, 2, 1),), carry), SIM)
 
+    @pytest.mark.parametrize("case", [
+        "single far off", "two-stack off the witness", "lift off and turned",
+        "carry far off", "utensil along its axis", "utensil off its base", "rim grasp raised",
+        "rim grasp turned",
+    ])
+    def test_grasp_off_its_rule_raises(self, case):
+        # On t1 seed 7 (cups 8 and 10 share a grasp; cup 8 may go on bowl
+        # 7), each action applies as its policy builds it, and raises once
+        # one grasp is moved off the grasp its rule gives.
+        scene = generate_scene(TierConfig.preset(Tier.T1), 7, SIM.dish_specs)
+        single = grasp_points(scene, 8, SplitMix64(1), SIM)
+        caged = grasp_points(scene, 0, SplitMix64(1), SIM)
+        witness = mog_grasp(scene, 8, 10, SIM)
+        lift = grasp_points(scene, 8, SplitMix64(1), SIM)
+        carry = grasp_points(scene, 7, SplitMix64(2), SIM)
+
+        def moved(g, dx, dy=0.0, **changes):
+            return dataclasses.replace(g, point=Point2(g.point.x + dx, g.point.y + dy), **changes)
+
+        def onto_bowl(lift, carry):
+            return StackGrasp((StackPlacement(lift, 8, 7),), carry)
+
+        good, bad, reason = {
+            "single far off": (
+                Grasp(single), Grasp(moved(single, 999.0 - single.point.x, -5.0 - single.point.y)),
+                "grasp_pose",
+            ),
+            "two-stack off the witness": (Grasp(witness), Grasp(moved(witness, 30.0)), "grasp_witness"),
+            "lift off and turned": (
+                onto_bowl(lift, carry),
+                onto_bowl(moved(lift, 20.0, theta=lift.theta + 0.5), carry),
+                "grasp_pose",
+            ),
+            "carry far off": (
+                onto_bowl(lift, carry),
+                onto_bowl(lift, moved(carry, 500.0 - carry.point.x, 500.0 - carry.point.y)),
+                "grasp_pose",
+            ),
+            "utensil along its axis": (
+                Grasp(caged), Grasp(dataclasses.replace(caged, theta=caged.theta - math.pi / 2)),
+                "grasp_pose",
+            ),
+            "utensil off its base": (Grasp(caged), Grasp(moved(caged, 0.0, 1e-6)), "grasp_pose"),
+            "rim grasp raised": (
+                Grasp(single), Grasp(dataclasses.replace(single, z=single.z + 1.0)), "grasp_pose",
+            ),
+            "rim grasp turned": (
+                Grasp(single), Grasp(dataclasses.replace(single, theta=single.theta + 1e-6)),
+                "grasp_pose",
+            ),
+        }[case]
+        apply(scene, good, SIM)
+        with pytest.raises(InfeasibleAction) as err:
+            apply(scene, bad, SIM)
+        assert err.value.predicate == reason
+
+    def test_rim_grasps_pass_at_any_angle(self):
+        # A rim grasp may take any radial angle; the rule allows 1e-9 of
+        # rounding in the point's distance and direction.
+        scene = build_scene([([BOWL, CUP], 30, 30)])
+        radius = SIM.dish_specs[BOWL].radius
+        for angle in (0.0, 1.0, math.pi / 2, math.pi, 4.0, 2 * math.pi - 1e-12):
+            g = grasp_points(scene, 0, FixedRng(angle), SIM)
+            apply(scene, Grasp(g), SIM)
+            for r in (radius - 2e-9, radius + 2e-9):
+                off = Point2(30 + r * math.cos(angle), 30 + r * math.sin(angle))
+                with pytest.raises(InfeasibleAction, match="not a grasp of stack 0"):
+                    apply(scene, Grasp(dataclasses.replace(g, point=off)), SIM)
+
     def test_pull_grasp_checks_grasp_after_the_pull(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
         pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)

@@ -28,9 +28,7 @@ from .errors import (
     SchemaError,
 )
 from .geometry import (
-    Disc,
     Footprint,
-    OrientedRect,
     Point2,
     Sweep,
     overlaps,

@@ -169,9 +169,9 @@ def grasp_points(
 ) -> GraspAction:
     """Grasp parameters for a single stack.
 
-    Disc-bottom stacks are gripped on the bottom dish's rim at a uniformly
-    sampled angle, so the whole pile is carried; utensil-bottom stacks are
-    caged at the utensil's center with the gripper perpendicular to its axis.
+    Stacks on a cup or bowl are gripped on the bottom dish's rim at a
+    uniformly sampled angle, so the whole pile is carried; utensil-bottom
+    stacks are caged at the utensil's center, the gripper across its axis.
     """
     stack = state.stacks[stack_id]
     bottom = state.dishes[stack.bottom]
@@ -408,7 +408,8 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
             x0 <= base.x <= x1 and y0 <= base.y <= y1
             and stack.id not in (mover, anchor)
             and sweep.near(
-                base, max(specs[dishes[d].kind].circumscribed_radius for d in stack.dishes)
+                base.x, base.y,
+                max(specs[dishes[d].kind].circumscribed_radius for d in stack.dishes),
             )
             and sweep.meets(footprints(stack))
         ):

@@ -154,23 +154,25 @@ def _cmd_fit_time(args, sim) -> int:
     return EXIT_OK
 
 
+def _cmd_show_config(args, sim) -> int:
+    print(json.dumps(config_to_json_obj(sim), indent=2))
+    return EXIT_OK
+
+
+_COMMANDS = {
+    "generate": _cmd_generate,
+    "run": _cmd_run,
+    "bench": _cmd_bench,
+    "fit-time": _cmd_fit_time,
+    "show-config": _cmd_show_config,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         sim = load_config(args.config)
-        if args.command == "generate":
-            return _cmd_generate(args, sim)
-        if args.command == "run":
-            return _cmd_run(args, sim)
-        if args.command == "bench":
-            return _cmd_bench(args, sim)
-        if args.command == "fit-time":
-            return _cmd_fit_time(args, sim)
-        if args.command == "show-config":
-            print(json.dumps(config_to_json_obj(sim), indent=2))
-            return EXIT_OK
-        parser.error(f"unknown command {args.command}")
+        return _COMMANDS[args.command](args, sim)
     except (SchemaError, PlacementExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -80,10 +80,6 @@ def config_to_json_obj(sim: SimConfig) -> dict:
     }
 
 
-def save_config(sim: SimConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_json_obj(sim), indent=2) + "\n")
-
-
 def config_from_json_obj(data: dict) -> SimConfig:
     known_keys(data, _CONFIG_KEYS, "config")
     sim = default_sim_config()

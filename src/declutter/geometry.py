@@ -1,10 +1,10 @@
 """Planar geometry for scene generation and grasp feasibility.
 
-Everything lives in double-precision centimeters.  Two footprint shapes are
-supported: discs (cups and bowls seen top-down) and oriented rectangles
-(utensils).  Touching counts as overlapping, with a tolerance of
-``TOUCH_TOL`` centimeters, because scene generation treats contact as
-intersection.
+Everything lives in double-precision centimeters.  A footprint is a dish
+seen top-down, as a tuple of plain floats (``Footprint``): a disc (cups
+and bowls) or an oriented rectangle (utensils).  Touching counts as
+overlapping, with a tolerance of ``TOUCH_TOL`` centimeters, because scene
+generation treats contact as intersection.
 """
 
 from __future__ import annotations
@@ -36,38 +36,20 @@ class Point2:
             raise ValueError(f"non-finite point ({self.x}, {self.y})")
 
 
-@dataclass(frozen=True)
-class Disc:
-    center: Point2
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError(f"disc radius must be positive, got {self.radius}")
-
-
-@dataclass(frozen=True)
-class OrientedRect:
-    center: Point2
-    length: float
-    width: float
-    theta: float
-
-    def __post_init__(self):
-        if not (self.length >= self.width > 0):
-            raise ValueError(
-                f"rect needs length >= width > 0, got {self.length} x {self.width}"
-            )
-        object.__setattr__(self, "theta", normalize_angle(self.theta))
-
-
-Footprint = Disc | OrientedRect
+# A footprint centered at (x, y): a disc of radius r is (x, y, r), and a
+# rectangle is (x, y, length / 2, width / 2, cos theta, sin theta), its
+# theta normalized (``rect``).  ``len(fp) == 3`` tells a disc.
+Footprint = tuple[float, ...]
 
 # A point as a plain (x, y) pair, for inner loops that a ``Point2`` per
 # intermediate point would slow down.
 XY = tuple[float, float]
-# A footprint as plain floats: see ``form_of``.
-Form = tuple[float, ...]
+
+
+def rect(x: float, y: float, length: float, width: float, theta: float) -> Footprint:
+    """The rectangle footprint centered at (x, y), its long side turned by ``theta``."""
+    t = normalize_angle(theta)
+    return x, y, length / 2.0, width / 2.0, math.cos(t), math.sin(t)
 
 
 def dist(a: Point2, b: Point2) -> float:
@@ -76,9 +58,9 @@ def dist(a: Point2, b: Point2) -> float:
 
 def circumradius(fp: Footprint) -> float:
     """Radius of the smallest disc centered at the footprint center covering it."""
-    if isinstance(fp, Disc):
-        return fp.radius
-    return math.hypot(fp.length / 2.0, fp.width / 2.0)
+    if len(fp) == 3:
+        return fp[2]
+    return math.hypot(fp[2], fp[3])
 
 
 def reach_limit(ra: float, rb: float) -> float:
@@ -103,18 +85,15 @@ def _extent_along(axis: tuple[float, float], ux, uy, half_len, half_wid) -> floa
     return half_len * abs(ux[0] * ax + ux[1] * ay) + half_wid * abs(uy[0] * ax + uy[1] * ay)
 
 
-def form_of(fp: Footprint) -> Form:
-    """A footprint's form: (x, y, r) for a disc, and (x, y, length / 2,
-    width / 2, cos theta, sin theta) for a rectangle, its theta normalized
-    as ``OrientedRect`` keeps it."""
-    c = fp.center
-    if isinstance(fp, Disc):
-        return c.x, c.y, fp.radius
-    return c.x, c.y, fp.length / 2.0, fp.width / 2.0, math.cos(fp.theta), math.sin(fp.theta)
+def separation(a: Footprint, b: Footprint) -> float:
+    """Gap between two footprints; <= 0 when they overlap or touch.
 
-
-def form_separation(a: Form, b: Form) -> float:
-    """``separation`` of the footprints whose forms are ``a`` and ``b``."""
+    For two discs, or a disc and a rectangle, it is the true gap.  For two
+    rectangles it is the largest gap along their four edge normals: two
+    convex polygons are disjoint iff some edge normal separates them, so it
+    is positive exactly when they are apart, and then it lower-bounds the
+    true gap, which is enough because only the sign is used.
+    """
     if len(a) == 3:
         if len(b) == 3:
             return math.hypot(a[0] - b[0], a[1] - b[1]) - a[2] - b[2]
@@ -137,19 +116,6 @@ def form_separation(a: Form, b: Form) -> float:
         if gap > best:
             best = gap
     return best
-
-
-def separation(a: Footprint, b: Footprint) -> float:
-    """Gap between two footprints; <= 0 when they overlap or touch.
-
-    For two discs, or a disc and a rectangle, it is the true gap.  For two
-    rectangles it is the largest gap along their four edge normals: two
-    convex polygons are disjoint iff some edge normal separates them, so it
-    is positive exactly when they are apart, and then it lower-bounds the
-    true gap, which is enough because only the sign is used.  The
-    arithmetic is ``form_separation``'s, on the two footprints' forms.
-    """
-    return form_separation(form_of(a), form_of(b))
 
 
 def overlaps(a: Footprint, b: Footprint) -> bool:
@@ -260,13 +226,13 @@ def _quad_interval(a: float, b: float, c: float):
     return ((-b - sq) / a, (-b + sq) / a)
 
 
-def _sweep_disc_rect(c0: Point2, r: float, vx: float, vy: float,
-                     rect: OrientedRect, t_max: float):
+def _sweep_disc_rect(x0: float, y0: float, r: float, vx: float, vy: float,
+                     sta: Footprint, t_max: float):
     # Work in the rect's local frame; the swept region is the rect inflated
     # by r (core bands plus four corner discs).
-    rx, ry, hl, hw, ct, st = form_of(rect)
-    dx = c0.x - rx
-    dy = c0.y - ry
+    rx, ry, hl, hw, ct, st = sta
+    dx = x0 - rx
+    dy = y0 - ry
     px = dx * ct + dy * st
     py = -dx * st + dy * ct
     lvx = vx * ct + vy * st
@@ -292,13 +258,13 @@ def _sweep_disc_rect(c0: Point2, r: float, vx: float, vy: float,
     return best
 
 
-def _sweep_rect_rect(mov: OrientedRect, vx: float, vy: float,
-                     sta: OrientedRect, t_max: float, tol: float):
-    _, _, hl1, hw1, c1, s1 = form_of(mov)
-    _, _, hl2, hw2, c2, s2 = form_of(sta)
+def _sweep_rect_rect(mov: Footprint, vx: float, vy: float,
+                     sta: Footprint, t_max: float, tol: float):
+    mx, my, hl1, hw1, c1, s1 = mov
+    sx, sy, hl2, hw2, c2, s2 = sta
     ux1, uy1, ux2, uy2 = (c1, s1), (-s1, c1), (c2, s2), (-s2, c2)
-    dx = mov.center.x - sta.center.x
-    dy = mov.center.y - sta.center.y
+    dx = mx - sx
+    dy = my - sy
     t_lo = -math.inf
     t_hi = math.inf
     for axis in (ux1, uy1, ux2, uy2):
@@ -333,17 +299,17 @@ def sweep_first_contact(
 
     (ux, uy) must be a unit vector so t is in centimeters.
     """
-    if isinstance(moving, Disc) and isinstance(static, Disc):
-        dx = moving.center.x - static.center.x
-        dy = moving.center.y - static.center.y
-        rr = moving.radius + tol + static.radius
-        itv = _quad_interval(ux * ux + uy * uy, dx * ux + dy * uy, dx * dx + dy * dy - rr * rr)
-        return _first_entry(itv, t_max)
-    if isinstance(moving, Disc):
-        return _sweep_disc_rect(moving.center, moving.radius + tol, ux, uy, static, t_max)
-    if isinstance(static, Disc):
+    if len(moving) == 3:
+        if len(static) == 3:
+            dx = moving[0] - static[0]
+            dy = moving[1] - static[1]
+            rr = moving[2] + tol + static[2]
+            itv = _quad_interval(ux * ux + uy * uy, dx * ux + dy * uy, dx * dx + dy * dy - rr * rr)
+            return _first_entry(itv, t_max)
+        return _sweep_disc_rect(moving[0], moving[1], moving[2] + tol, ux, uy, static, t_max)
+    if len(static) == 3:
         # Relative motion: the disc moves at -v in the rect's frame.
-        return _sweep_disc_rect(static.center, static.radius + tol, -ux, -uy, moving, t_max)
+        return _sweep_disc_rect(static[0], static[1], static[2] + tol, -ux, -uy, moving, t_max)
     return _sweep_rect_rect(moving, ux, uy, static, t_max, tol)
 
 
@@ -365,8 +331,8 @@ class Sweep:
     def __init__(self, start: Point2, end: Point2, mover: Iterable[Footprint], margin: float):
         self.start, self.end = start, end
         self.mover = tuple(
-            Disc(fp.center, fp.radius + margin) if isinstance(fp, Disc)
-            else OrientedRect(fp.center, fp.length + 2 * margin, fp.width + 2 * margin, fp.theta)
+            (fp[0], fp[1], fp[2] + margin) if len(fp) == 3
+            else (fp[0], fp[1], fp[2] + margin, fp[3] + margin, fp[4], fp[5])
             for fp in mover
         )
         length = self._length = dist(start, end)
@@ -374,11 +340,11 @@ class Sweep:
         self._ux, self._uy = (end.x - start.x) * scale, (end.y - start.y) * scale
         self._radius = max(map(circumradius, self.mover))
 
-    def near(self, center: Point2, radius: float) -> bool:
-        """False only when no footprint centered at ``center`` within
+    def near(self, x: float, y: float, radius: float) -> bool:
+        """False only when no footprint centered at (x, y) within
         circumradius ``radius`` can overlap the sweep."""
         ux, uy = self._ux, self._uy
-        dx, dy = center.x - self.start.x, center.y - self.start.y
+        dx, dy = x - self.start.x, y - self.start.y
         along = dx * ux + dy * uy  # clamped to the segment, without min/max calls
         if along < 0.0:
             along = 0.0
@@ -399,7 +365,7 @@ class Sweep:
         """True iff one of the footprints ``obstacle`` overlaps the sweep."""
         ux, uy, length = self._ux, self._uy, self._length
         for ob in obstacle:
-            if self.near(ob.center, circumradius(ob)):
+            if self.near(ob[0], ob[1], circumradius(ob)):
                 for fp in self.mover:
                     if sweep_first_contact(fp, ob, ux, uy, length, TOUCH_TOL) is not None:
                         return True

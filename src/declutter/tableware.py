@@ -18,15 +18,13 @@ from functools import cached_property
 from .errors import PlacementExhausted, SchemaError, known_keys, number
 from .geometry import (
     TOUCH_TOL,
-    Disc,
     Footprint,
-    Form,
-    OrientedRect,
     Point2,
-    form_separation,
     normalize_angle,
     overlaps,
     reach_limit,
+    rect,
+    separation,
 )
 from .rng import SplitMix64
 
@@ -88,11 +86,10 @@ class DishSpec:
             return self.length / 2.0
         return self.radius
 
-    def form(self, x: float, y: float, theta: float) -> Form:
-        """The form (``geometry.form_of``) of this dish's ``dish_footprint``."""
+    def footprint(self, x: float, y: float, theta: float) -> Footprint:
+        """The footprint at (x, y) of a dish of this kind turned by ``theta``."""
         if self.kind is DishKind.UTENSIL:
-            t = normalize_angle(theta)
-            return x, y, self.length / 2.0, self.width / 2.0, math.cos(t), math.sin(t)
+            return rect(x, y, self.length, self.width, theta)
         return x, y, self.radius
 
 
@@ -216,21 +213,12 @@ class TierConfig:
 # ---------------------------------------------------------------------------
 
 
-def dish_footprint(
-    kind: DishKind, theta: float, specs: dict[DishKind, DishSpec], pos: Point2
-) -> Footprint:
-    """The footprint at ``pos`` of a dish of ``kind`` turned by ``theta``."""
-    spec = specs[kind]
-    if kind is DishKind.UTENSIL:
-        return OrientedRect(pos, spec.length, spec.width, theta)
-    return Disc(pos, spec.radius)
-
-
 def stack_footprints(
     state: SceneState, stack: Stack, specs: dict[DishKind, DishSpec]
 ) -> list[Footprint]:
+    x, y = stack.base.x, stack.base.y
     dishes = map(state.dishes.__getitem__, stack.dishes)
-    return [dish_footprint(d.kind, d.theta, specs, stack.base) for d in dishes]
+    return [specs[d.kind].footprint(x, y, d.theta) for d in dishes]
 
 
 def stack_top_lip_height(
@@ -264,41 +252,34 @@ def stack_grasp_span(
 def _inside_workspace(fp: Footprint, workspace: tuple[float, float]) -> bool:
     w, h = workspace
     tol = 1e-9
-    if isinstance(fp, Disc):
-        return (
-            fp.center.x - fp.radius >= -tol
-            and fp.center.y - fp.radius >= -tol
-            and fp.center.x + fp.radius <= w + tol
-            and fp.center.y + fp.radius <= h + tol
-        )
-    c = math.cos(fp.theta)
-    s = math.sin(fp.theta)
-    hl = fp.length / 2.0
-    hw = fp.width / 2.0
+    if len(fp) == 3:
+        cx, cy, r = fp
+        return cx - r >= -tol and cy - r >= -tol and cx + r <= w + tol and cy + r <= h + tol
+    cx, cy, hl, hw, c, s = fp
     for sx in (-hl, hl):
         for sy in (-hw, hw):
-            x = fp.center.x + sx * c - sy * s
-            y = fp.center.y + sx * s + sy * c
+            x = cx + sx * c - sy * s
+            y = cy + sx * s + sy * c
             if not (-tol <= x <= w + tol and -tol <= y <= h + tol):
                 return False
     return True
 
 
 class _Placed:
-    """A stack ``generate_scene`` has placed, with its reach and forms."""
+    """A stack ``generate_scene`` has placed, with its reach and footprints."""
 
-    __slots__ = ("id", "base", "reach", "forms")
+    __slots__ = ("id", "base", "reach", "fps")
 
-    def __init__(self, stack_id: int, base: Point2, reach: float, form: Form):
+    def __init__(self, stack_id: int, base: Point2, reach: float, fp: Footprint):
         self.id = stack_id
         self.base = base
         self.reach = reach
-        self.forms = [form]
+        self.fps = [fp]
 
-    def add(self, reach: float, form: Form) -> None:
-        """Grow the reach and forms by a dish that joins the stack."""
+    def add(self, reach: float, fp: Footprint) -> None:
+        """Grow the reach and footprints by a dish that joins the stack."""
         self.reach = max(self.reach, reach)
-        self.forms.append(form)
+        self.fps.append(fp)
 
 
 class _Grid:
@@ -322,15 +303,15 @@ class _Grid:
             for dj in (-1, 0, 1):
                 self.around[i + di, j + dj].append(placed)
 
-    def hits(self, form: Form, reach: float) -> list[_Placed]:
-        """The placed stacks that ``form``'s footprint, of circumradius ``reach``, overlaps."""
-        x, y = form[0], form[1]
+    def hits(self, fp: Footprint, reach: float) -> list[_Placed]:
+        """The placed stacks that footprint ``fp``, of circumradius ``reach``, overlaps."""
+        x, y = fp[0], fp[1]
         found = []
         for s in self.around.get((int(x // self.width), int(y // self.width)), ()):
             base = s.base
             if math.hypot(x - base.x, y - base.y) <= reach_limit(reach, s.reach):
-                for sform in s.forms:
-                    if form_separation(form, sform) <= TOUCH_TOL:
+                for sfp in s.fps:
+                    if separation(fp, sfp) <= TOUCH_TOL:
                         found.append(s)
                         break
         return found
@@ -361,10 +342,10 @@ def generate_scene(
     dishes, so the stacks left out cannot overlap, and no draw or outcome
     changes.
 
-    A sample costs its draws (x, y, then a utensil's angle), its form
-    (``DishSpec.form``) and ``geometry.form_separation``, the kernel of
-    ``overlaps``, against nearby forms.  No footprint is built, and a
-    ``Point2``, ``Dish``, stack or grid record only for a kept sample.
+    A sample costs its draws (x, y, then a utensil's angle), its footprint
+    (``DishSpec.footprint``) and ``geometry.separation``, the test of
+    ``overlaps``, against nearby footprints.  A ``Point2``, ``Dish``, stack
+    or grid record is built only for a kept sample.
     """
     specs = specs or default_dish_specs()
     rng = SplitMix64(seed)
@@ -388,12 +369,12 @@ def generate_scene(
         for _ in range(MAX_RESAMPLES):
             x, y = rng.uniform(reach, x_hi), rng.uniform(reach, y_hi)
             theta = rng.uniform(0.0, math.pi) if kind is DishKind.UTENSIL else 0.0
-            form = spec.form(x, y, theta)
-            hits = grid.hits(form, reach)
+            fp = spec.footprint(x, y, theta)
+            hits = grid.hits(fp, reach)
             if not hits:
                 pos = Point2(x, y)
                 state.stacks[dish_id] = Stack(dish_id, (dish_id,), pos)
-                grid.add(_Placed(dish_id, pos, reach, form))
+                grid.add(_Placed(dish_id, pos, reach, fp))
                 break
             if len(hits) == 1 and intersections_used < cfg.max_intersections:
                 target = hits[0]
@@ -403,14 +384,14 @@ def generate_scene(
                     len(stack.dishes) < cfg.max_initial_stack
                     and spec.effective_radius <= top_spec.effective_radius + 1e-9
                 ):
-                    sform = (target.base.x, target.base.y) + form[2:]
+                    sfp = (target.base.x, target.base.y) + fp[2:]
                     # A footprint at the target's base always overlaps it, and stays
                     # on the table: no joiner's circumradius exceeds the bottom dish's.
-                    if grid.hits(sform, reach) == [target]:
+                    if grid.hits(sfp, reach) == [target]:
                         state.stacks[target.id] = replace(
                             stack, dishes=stack.dishes + (dish_id,)
                         )
-                        target.add(reach, sform)
+                        target.add(reach, sfp)
                         intersections_used += 1
                         break
         else:

@@ -47,16 +47,6 @@ REFERENCE_ROWS: list[tuple[str, str, float, float, int]] = [
 FIT_BASE_SEED = 97
 FIT_SCENES_PER_TIER = 3
 
-REFERENCE_CSV_HEADER = "tier,policy,time_s,opt,failures"
-
-
-def reference_table_csv() -> str:
-    lines = [REFERENCE_CSV_HEADER]
-    for tier, policy, time_s, opt, failures in REFERENCE_ROWS:
-        lines.append(f"{tier},{policy},{time_s},{opt},{failures}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_reference_csv(text: str) -> list[tuple[str, str, float]]:
     """Parse a reference table CSV into (tier, policy, time_s) rows."""
     reader = csv.DictReader(io.StringIO(text))

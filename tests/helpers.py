@@ -5,10 +5,8 @@ from __future__ import annotations
 import math
 
 from declutter import (
-    Disc,
     Dish,
     DishKind,
-    OrientedRect,
     Point2,
     SceneState,
     Stack,
@@ -17,7 +15,6 @@ from declutter import (
 )
 from declutter.geometry import separation
 from declutter.rng import SplitMix64
-from declutter.tableware import dish_footprint
 
 SIM = default_sim_config()
 
@@ -60,7 +57,7 @@ def random_small_scene(seed, max_dishes=5):
             x = rng.uniform(inset, 78.0 - inset)
             y = rng.uniform(inset, 61.0 - inset)
             theta = rng.uniform(0.0, math.pi) if kind is UTENSIL else 0.0
-            fp = dish_footprint(kind, theta, SIM.dish_specs, Point2(x, y))
+            fp = spec.footprint(x, y, theta)
             if all(not overlaps(fp, other) for other in footprints):
                 placed.append(([(kind, theta)], x, y))
                 footprints.append(fp)
@@ -76,27 +73,19 @@ def random_small_scene(seed, max_dishes=5):
 
 
 def footprint_contains(fp, x, y):
-    if isinstance(fp, Disc):
-        return math.hypot(x - fp.center.x, y - fp.center.y) <= fp.radius
-    c = math.cos(fp.theta)
-    s = math.sin(fp.theta)
-    dx = x - fp.center.x
-    dy = y - fp.center.y
+    if len(fp) == 3:
+        return math.hypot(x - fp[0], y - fp[1]) <= fp[2]
+    cx, cy, hl, hw, c, s = fp
+    dx = x - cx
+    dy = y - cy
     lx = dx * c + dy * s
     ly = -dx * s + dy * c
-    return abs(lx) <= fp.length / 2.0 and abs(ly) <= fp.width / 2.0
+    return abs(lx) <= hl and abs(ly) <= hw
 
 
 def _bounds(fp):
-    if isinstance(fp, Disc):
-        return (
-            fp.center.x - fp.radius,
-            fp.center.x + fp.radius,
-            fp.center.y - fp.radius,
-            fp.center.y + fp.radius,
-        )
-    r = math.hypot(fp.length / 2.0, fp.width / 2.0)
-    return fp.center.x - r, fp.center.x + r, fp.center.y - r, fp.center.y + r
+    r = fp[2] if len(fp) == 3 else math.hypot(fp[2], fp[3])
+    return fp[0] - r, fp[0] + r, fp[1] - r, fp[1] + r
 
 
 def sampled_overlap(a, b, grid=160):
@@ -117,28 +106,26 @@ def sampled_overlap(a, b, grid=160):
 
 
 def translated(fp, dx, dy):
-    c = Point2(fp.center.x + dx, fp.center.y + dy)
-    if isinstance(fp, Disc):
-        return Disc(c, fp.radius)
-    return OrientedRect(c, fp.length, fp.width, fp.theta)
+    return (fp[0] + dx, fp[1] + dy) + fp[2:]
 
 
 def grown(fp, margin):
     """``fp`` grown by ``margin``: a disc in radius, a rectangle on every side."""
-    if isinstance(fp, Disc):
-        return Disc(fp.center, fp.radius + margin)
-    return OrientedRect(fp.center, fp.length + 2 * margin, fp.width + 2 * margin, fp.theta)
+    if len(fp) == 3:
+        return fp[0], fp[1], fp[2] + margin
+    x, y, hl, hw, c, s = fp
+    return x, y, hl + margin, hw + margin, c, s
 
 
 def support(fp, nx, ny):
     """The point of ``fp`` furthest along the unit vector (nx, ny)."""
-    if isinstance(fp, Disc):
-        return fp.center.x + fp.radius * nx, fp.center.y + fp.radius * ny
-    ux, uy = math.cos(fp.theta), math.sin(fp.theta)
+    if len(fp) == 3:
+        return fp[0] + fp[2] * nx, fp[1] + fp[2] * ny
+    x, y, hl, hw, ux, uy = fp
     vx, vy = -uy, ux
-    su = math.copysign(fp.length / 2, ux * nx + uy * ny)
-    sv = math.copysign(fp.width / 2, vx * nx + vy * ny)
-    return fp.center.x + su * ux + sv * vx, fp.center.y + su * uy + sv * vy
+    su = math.copysign(hl, ux * nx + uy * ny)
+    sv = math.copysign(hw, vx * nx + vy * ny)
+    return x + su * ux + sv * vx, y + su * uy + sv * vy
 
 
 def sampled_sweep_blocked(start, end, mover, margin, obstacle, step=0.1):

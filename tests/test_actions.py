@@ -14,6 +14,7 @@ from declutter import (
     Point2,
     PullAction,
     PullGrasp,
+    Stack,
     StackGrasp,
     StackPlacement,
     Tier,
@@ -57,6 +58,27 @@ class FixedRng:
 
     def below(self, n):
         return 0
+
+
+_ORIGIN = Point2(0.0, 0.0)
+_ONE_GRASP = GraspAction(_ORIGIN, 1.0, 0.0, (0,))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GraspAction(_ORIGIN, 1.0, 0.0, ()), "one or two stacks"),
+    (lambda: GraspAction(_ORIGIN, 1.0, 0.0, (0, 1, 2)), "one or two stacks"),
+    (lambda: PullAction(_ORIGIN, _ORIGIN, 1, 1), "mover and anchor must differ"),
+    (lambda: StackPlacement(_ONE_GRASP, 1, 1), "onto itself"),
+    (lambda: StackGrasp((), _ONE_GRASP), "at least one placement"),
+    (lambda: mog_grasp(build_scene([([CUP], 30, 30)]), 0, 0, SIM), "two distinct stacks"),
+    (lambda: Stack(0, (), _ORIGIN), "at least one dish"),
+], ids=[
+    "grasp_no_target", "grasp_three_targets", "pull_onto_itself", "placement_onto_itself",
+    "stack_grasp_no_placement", "mog_grasp_one_stack", "empty_stack",
+])
+def test_malformed_value_raises(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestGraspPoints:

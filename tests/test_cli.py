@@ -583,12 +583,12 @@ def test_show_config_prints_defaults(capsys):
 
 
 def test_config_flag_threads_through(tmp_path, capsys):
-    from declutter.config import default_sim_config, save_config
+    from declutter.config import config_to_json_obj, default_sim_config
 
     sim = default_sim_config()
     sim.p_fail = 0.1
     path = tmp_path / "c.json"
-    save_config(sim, path)
+    path.write_text(json.dumps(config_to_json_obj(sim), indent=2))
     rc = main(["--config", str(path), "show-config"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["p_fail"] == 0.1
@@ -615,6 +615,10 @@ def test_config_flag_threads_through(tmp_path, capsys):
     ("gripper", {"closed_width": 2.0}),  # no model reads it, so it is not a key
     ("workspace", [-5, 10]),
     ("workspace", [78, 0]),
+    ("dishes", {"cup": {"radius": -1.0}}),
+    ("dishes", {"utensil": {"width": 20.0}}),
+    ("dishes", {"bowl": {"grasp_height": 0.0}}),
+    ("gripper", {"jaw_height": 0.0}),
 ])
 def test_bad_config_key_exits_3(tmp_path, capsys, section, entry):
     path = tmp_path / "c.json"

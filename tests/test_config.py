@@ -12,7 +12,6 @@ from declutter.config import (
     config_to_json_obj,
     default_sim_config,
     load_config,
-    save_config,
 )
 
 
@@ -43,7 +42,7 @@ def test_nest_offset_window():
 def test_round_trip(tmp_path):
     sim = default_sim_config()
     path = tmp_path / "config.json"
-    save_config(sim, path)
+    path.write_text(json.dumps(config_to_json_obj(sim), indent=2))
     loaded = load_config(path)
     assert config_to_json_obj(loaded) == config_to_json_obj(sim)
 
@@ -63,7 +62,7 @@ def test_env_var_override(tmp_path, monkeypatch):
     path = tmp_path / "env_config.json"
     sim = default_sim_config()
     sim.pull_clearance_margin = 2.5
-    save_config(sim, path)
+    path.write_text(json.dumps(config_to_json_obj(sim), indent=2))
     monkeypatch.setenv(ENV_VAR, str(path))
     assert load_config().pull_clearance_margin == 2.5
     monkeypatch.delenv(ENV_VAR)

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from declutter.geometry import (
     TOUCH_TOL,
-    Disc,
-    OrientedRect,
     Point2,
     Sweep,
     circumradius,
@@ -21,6 +19,7 @@ from declutter.geometry import (
     normalize_angle,
     overlaps,
     reach_limit,
+    rect,
     rim_point,
     separation,
     sweep_first_contact,
@@ -31,11 +30,7 @@ from helpers import (
 
 
 def disc(x, y, r):
-    return Disc(Point2(x, y), r)
-
-
-def rect(x, y, length, width, theta):
-    return OrientedRect(Point2(x, y), length, width, theta)
+    return x, y, r
 
 
 class TestOverlaps:
@@ -81,9 +76,9 @@ _angles = st.floats(min_value=0.0, max_value=math.pi - 1e-9)
 @st.composite
 def footprints(draw):
     if draw(st.booleans()):
-        return Disc(Point2(draw(_coords), draw(_coords)), draw(_radii))
-    return OrientedRect(
-        Point2(draw(_coords), draw(_coords)),
+        return draw(_coords), draw(_coords), draw(_radii)
+    return rect(
+        draw(_coords), draw(_coords),
         draw(st.floats(min_value=2.0, max_value=17.0)),
         draw(st.floats(min_value=0.5, max_value=2.0)),
         draw(_angles),
@@ -153,7 +148,7 @@ class TestCorridor:
         mover = rect(0, 0, 4, 2, 0.0)
         ob = rect(4 + 0.9 * TOUCH_TOL, 2 + 0.9 * TOUCH_TOL, 4, 2, 0.0)
         assert overlaps(mover, ob)
-        assert dist(mover.center, ob.center) > 2 * math.hypot(2, 1) + TOUCH_TOL
+        assert math.hypot(ob[0] - mover[0], ob[1] - mover[1]) > 2 * math.hypot(2, 1) + TOUCH_TOL
         assert Sweep(Point2(0, 0), Point2(0, 0), [mover], 0.0).meets([ob])
 
 
@@ -167,8 +162,23 @@ def test_corridor_monotone_in_margin(m1, m2, mover, ob):
     # A smaller margin can never turn clear into blocked.
     lo, hi = sorted((m1, m2))
     end = Point2(70, 32)
-    if not Sweep(mover.center, end, [mover], hi).meets([ob]):
-        assert not Sweep(mover.center, end, [mover], lo).meets([ob])
+    start = Point2(mover[0], mover[1])
+    if not Sweep(start, end, [mover], hi).meets([ob]):
+        assert not Sweep(start, end, [mover], lo).meets([ob])
+
+
+_sides = st.floats(min_value=1e-3, max_value=100.0)
+
+
+@given(_coords, _coords, _sides, _sides, st.floats(min_value=-10.0, max_value=10.0), _sides)
+def test_sweep_grows_the_mover_exactly(x, y, a, b, theta, margin):
+    # ``Sweep`` grows a half side by ``margin``, which is bit for bit the
+    # rectangle built with sides longer by twice it (halving and doubling
+    # are exact), so the corridor is the one a grown footprint gives.
+    start, length, width = Point2(x, y), max(a, b), min(a, b)
+    mover = Sweep(start, start, [rect(x, y, length, width, theta)], margin).mover[0]
+    assert repr(mover) == repr(rect(x, y, length + 2 * margin, width + 2 * margin, theta))
+    assert repr(Sweep(start, start, [(x, y, a)], margin).mover[0]) == repr((x, y, a + margin))
 
 
 @st.composite
@@ -187,19 +197,19 @@ def sweep_cases(draw):
     end = Point2(start.x + length * ux, start.y + length * uy)
     margin = draw(st.floats(min_value=0.0, max_value=3.0))
     if draw(st.booleans()):
-        mover = Disc(start, draw(_radii))
+        mover = disc(start.x, start.y, draw(_radii))
     else:
-        mover = OrientedRect(
-            start, draw(st.floats(min_value=2.0, max_value=17.0)),
+        mover = rect(
+            start.x, start.y, draw(st.floats(min_value=2.0, max_value=17.0)),
             draw(st.floats(min_value=0.5, max_value=2.0)), draw(_angles),
         )
     if draw(st.booleans()):
-        ob = Disc(Point2(0, 0), draw(_radii))
+        ob = disc(0.0, 0.0, draw(_radii))
     else:
         square = st.sampled_from((0.0, math.pi / 2))
-        turn = draw(_angles if isinstance(mover, Disc) else square)
-        ob = OrientedRect(
-            Point2(0, 0), draw(st.floats(min_value=2.0, max_value=17.0)),
+        turn = draw(_angles if len(mover) == 3 else square)
+        ob = rect(
+            0.0, 0.0, draw(st.floats(min_value=2.0, max_value=17.0)),
             draw(st.floats(min_value=0.5, max_value=2.0)), heading + turn,
         )
     side = draw(st.sampled_from((-1, 1)))
@@ -213,11 +223,8 @@ def sweep_cases(draw):
     qx, qy = support(ob, -nx, -ny)
     delta = draw(st.sampled_from((-1e-7, 1e-7)))
     gap = TOUCH_TOL + delta
-    center = Point2(
-        px + f * length * ux + gap * nx - qx, py + f * length * uy + gap * ny - qy,
-    )
-    ob = Disc(center, ob.radius) if isinstance(ob, Disc) else OrientedRect(
-        center, ob.length, ob.width, ob.theta)
+    center = (px + f * length * ux + gap * nx - qx, py + f * length * uy + gap * ny - qy)
+    ob = center + ob[2:]
     return start, end, mover, margin, ob, delta
 
 
@@ -243,7 +250,7 @@ def box_cases(draw):
     heading = draw(st.floats(min_value=-math.pi, max_value=math.pi))
     end = Point2(start.x + length * math.cos(heading), start.y + length * math.sin(heading))
     mover = [draw(footprints()) for _ in range(draw(st.integers(1, 2)))]
-    mover = [translated(fp, start.x - fp.center.x, start.y - fp.center.y) for fp in mover]
+    mover = [translated(fp, start.x - fp[0], start.y - fp[1]) for fp in mover]
     sweep = Sweep(start, end, mover, draw(st.floats(min_value=0.0, max_value=3.0)))
     radius = draw(_radii)
     x0, x1, y0, y1 = sweep.box(radius)
@@ -274,8 +281,8 @@ def test_no_center_outside_the_box_is_near(case):
     x0, x1, y0, y1 = sweep.box(radius)
     for center in edge + beyond:
         if not (x0 <= center.x <= x1 and y0 <= center.y <= y1):
-            assert not sweep.near(center, radius), center
-    assert all(sweep.near(center, radius) for center in beyond)
+            assert not sweep.near(center.x, center.y, radius), center
+    assert all(sweep.near(center.x, center.y, radius) for center in beyond)
 
 
 class TestRimPoint:
@@ -397,7 +404,7 @@ class TestReachLimit:
         b = rect(d / math.sqrt(2.0), d / math.sqrt(2.0), 2.0, 2.0, 0.0)
         assert overlaps(a, b)
         assert sweep_first_contact(a, b, 1.0, 0.0, 0.0, TOUCH_TOL) == 0.0
-        assert 2 * r + TOUCH_TOL < dist(a.center, b.center) < reach_limit(r, r)
+        assert 2 * r + TOUCH_TOL < math.hypot(b[0] - a[0], b[1] - a[1]) < reach_limit(r, r)
 
 
 @settings(max_examples=40, deadline=None)
@@ -421,13 +428,9 @@ def test_sweep_matches_scan_oracle(moving, static, direction):
 
 def test_footprint_validation():
     with pytest.raises(ValueError):
-        Disc(Point2(0, 0), -1.0)
-    with pytest.raises(ValueError):
-        OrientedRect(Point2(0, 0), 1.0, 2.0, 0.0)  # width > length
-    with pytest.raises(ValueError):
         Point2(float("nan"), 0.0)
 
 
 def test_rect_theta_normalized():
-    r = OrientedRect(Point2(0, 0), 17, 1.8, math.pi + 0.25)
-    assert r.theta == pytest.approx(0.25)
+    r = rect(0, 0, 17, 1.8, math.pi + 0.25)
+    assert r[4:] == pytest.approx((math.cos(0.25), math.sin(0.25)))

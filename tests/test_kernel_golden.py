@@ -10,19 +10,11 @@ helper layers and must not be re-recorded for a change that claims to keep
 outputs identical.
 """
 
-import dataclasses
 import hashlib
 import math
 
 from declutter import grasp_gap
-from declutter.geometry import (
-    TOUCH_TOL,
-    Disc,
-    OrientedRect,
-    Point2,
-    separation,
-    sweep_first_contact,
-)
+from declutter.geometry import TOUCH_TOL, rect, separation, sweep_first_contact
 from declutter.rng import SplitMix64
 from helpers import BOWL, CUP, SIM, UTENSIL, build_scene
 
@@ -32,15 +24,15 @@ GOLDEN_KERNEL_DIGEST = "738000038d06d690a26102fab2698fdca7bd15e1955d1606369ad2d5
 
 
 def _footprint(rng, shape):
-    center = Point2(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0))
+    x, y = rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
     if shape == "disc":
-        return Disc(center, rng.uniform(0.5, 9.0))
+        return x, y, rng.uniform(0.5, 9.0)
     width = rng.uniform(0.5, 4.0)
-    return OrientedRect(center, width + rng.uniform(0.0, 18.0), width, rng.uniform(0.0, math.pi))
+    return rect(x, y, width + rng.uniform(0.0, 18.0), width, rng.uniform(0.0, math.pi))
 
 
 def _moved(fp, dx, dy):
-    return dataclasses.replace(fp, center=Point2(fp.center.x + dx, fp.center.y + dy))
+    return (fp[0] + dx, fp[1] + dy) + fp[2:]
 
 
 def _footprint_pairs(rng):
@@ -53,7 +45,7 @@ def _footprint_pairs(rng):
             phi = rng.uniform(0.0, 2.0 * math.pi)
             ux, uy = math.cos(phi), math.sin(phi)
             # Put b 40 cm out, then slide it back to first contact, give or take.
-            b = _moved(b, a.center.x - b.center.x + 40.0 * ux, a.center.y - b.center.y + 40.0 * uy)
+            b = _moved(b, a[0] - b[0] + 40.0 * ux, a[1] - b[1] + 40.0 * uy)
             t = sweep_first_contact(b, a, -ux, -uy, 40.0)
             step = t + rng.uniform(-1e-7, 1e-7)
             yield a, _moved(b, -step * ux, -step * uy)
@@ -63,7 +55,7 @@ def _kernel_lines():
     rng = SplitMix64(2024)
     for a, b in _footprint_pairs(rng):
         yield repr(separation(a, b))
-        toward = math.atan2(b.center.y - a.center.y, b.center.x - a.center.x)
+        toward = math.atan2(b[1] - a[1], b[0] - a[0])
         for phi in (toward + rng.uniform(-0.6, 0.6), rng.uniform(0.0, 2.0 * math.pi)):
             ux, uy = math.cos(phi), math.sin(phi)
             t_max = rng.uniform(0.0, 30.0)

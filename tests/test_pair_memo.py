@@ -37,8 +37,8 @@ from declutter import (
     trial_steps,
 )
 from declutter.rng import SplitMix64, derive_seed
-from declutter.geometry import TOUCH_TOL, Disc
-from declutter.tableware import Stack, dish_footprint, stack_footprints
+from declutter.geometry import TOUCH_TOL
+from declutter.tableware import Stack, stack_footprints
 from helpers import BOWL, CUP, SIM, UTENSIL, build_scene, sampled_sweep_blocked, support
 from oracle import pull_policy_choice, stack_policy_choice
 
@@ -407,7 +407,7 @@ def corridor_scenes(draw):
     ux, uy = (end.x - x) / length, (end.y - y) / length
     ob_kind = draw(st.sampled_from((CUP, BOWL, UTENSIL)))
     theta = draw(st.floats(0.0, math.pi)) if ob_kind is UTENSIL else 0.0
-    ob = dish_footprint(ob_kind, theta, SIM.dish_specs, Point2(0.0, 0.0))
+    ob = SIM.dish_specs[ob_kind].footprint(0.0, 0.0, theta)
     side = draw(st.sampled_from((-1, 1)))
     if draw(st.booleans()):  # beside, at a fraction of the way
         f = draw(st.floats(0.0, 1.0))
@@ -415,7 +415,7 @@ def corridor_scenes(draw):
     else:  # beyond the end, or behind the start
         f = 1.0 if side > 0 else 0.0
         nx, ny = side * ux, side * uy
-    grown = Disc(Point2(x, y), SIM.dish_specs[kind].radius + SIM.pull_clearance_margin)
+    grown = (x, y, SIM.dish_specs[kind].radius + SIM.pull_clearance_margin)
     px, py = support(grown, nx, ny)
     qx, qy = support(ob, -nx, -ny)
     delta = draw(st.sampled_from((-1e-7, 1e-7)))

@@ -11,7 +11,6 @@ from declutter.timefit import (
     fit_time_model,
     nnls,
     parse_reference_csv,
-    reference_table_csv,
     simulated_counts,
 )
 
@@ -30,7 +29,9 @@ def test_reference_table_shape():
 
 
 def test_reference_csv_round_trip():
-    rows = parse_reference_csv(reference_table_csv())
+    lines = ["tier,policy,time_s,opt,failures"]
+    lines += [",".join(map(str, row)) for row in REFERENCE_ROWS]
+    rows = parse_reference_csv("\n".join(lines) + "\n")
     assert len(rows) == 15
     assert rows[0] == ("t0_cups", "random", 78.2)
 

@@ -29,7 +29,6 @@ from .errors import (
 )
 from .geometry import (
     Footprint,
-    Point2,
     Sweep,
     overlaps,
     rim_point,

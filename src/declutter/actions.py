@@ -23,12 +23,10 @@ from typing import TYPE_CHECKING
 
 from .errors import InfeasibleAction
 from .geometry import (
-    Footprint,
-    Point2,
-    Sweep,
     XY,
+    Footprint,
+    Sweep,
     closest_on_segment,
-    dist,
     normalize_angle,
     rim_point,
     segments_nearest,
@@ -68,7 +66,7 @@ class GripperSpec:
 
 @dataclass(frozen=True)
 class GraspAction:
-    point: Point2
+    point: XY
     z: float
     theta: float
     targets: tuple[int, ...]
@@ -83,8 +81,8 @@ class PullAction:
     """Drag stack ``mover`` from ``start`` to ``end``, into contact with
     stack ``anchor``."""
 
-    start: Point2
-    end: Point2
+    start: XY
+    end: XY
     mover: int
     anchor: int
 
@@ -95,9 +93,8 @@ class PullAction:
     @property
     def theta(self) -> float:
         """The gripper's (and the motion's) heading, from ``start`` to ``end``."""
-        return normalize_angle(
-            math.atan2(self.end.y - self.start.y, self.end.x - self.start.x)
-        )
+        (x0, y0), (x1, y1) = self.start, self.end
+        return normalize_angle(math.atan2(y1 - y0, x1 - x0))
 
 
 @dataclass(frozen=True)
@@ -198,7 +195,7 @@ def _grasp_locus(state: SceneState, stack: Stack, sim: "SimConfig") -> tuple[XY,
     """
     bottom = state.dishes[stack.bottom]
     spec = sim.dish_specs[bottom.kind]
-    x, y = stack.base.x, stack.base.y
+    x, y = stack.base
     reach = spec.grasp_reach
     if bottom.kind is DishKind.UTENSIL:
         hx = reach * math.cos(bottom.theta)
@@ -269,25 +266,27 @@ def mog_grasp(
     gap, (ax, ay), (bx, by) = grasp_gap(state, a, b, sim)
     if gap >= sim.gripper.max_opening:
         return None
-    mid = Point2((ax + bx) / 2.0, (ay + by) / 2.0)
+    mid = (ax + bx) / 2.0, (ay + by) / 2.0
     span = math.hypot(ax - bx, ay - by)
     if span > 1e-9:
         theta = normalize_angle(math.atan2(by - ay, bx - ax))
     else:
-        theta = normalize_angle(math.atan2(sb.base.y - sa.base.y, sb.base.x - sa.base.x))
+        (x0, y0), (x1, y1) = sa.base, sb.base
+        theta = normalize_angle(math.atan2(y1 - y0, x1 - x0))
     lo, hi = (a, b) if a < b else (b, a)
     return GraspAction(point=mid, z=max(grip_a, grip_b), theta=theta, targets=(lo, hi))
 
 
 def _pull_contact(
     mover: Stack, anchor: Stack, mover_fps: list[Footprint], anchor_fps: list[Footprint]
-) -> Point2 | None:
+) -> XY | None:
     """Mover base at first footprint contact along the center line; None if the bases coincide."""
-    d = dist(mover.base, anchor.base)
+    (mx, my), (ax, ay) = mover.base, anchor.base
+    d = math.hypot(mx - ax, my - ay)
     if d < 1e-9:
         return None
-    ux = (anchor.base.x - mover.base.x) / d
-    uy = (anchor.base.y - mover.base.y) / d
+    ux = (ax - mx) / d
+    uy = (ay - my) / d
     # At t = d the mover's footprints are concentric with the anchor's: some t is at most d.
     best = d
     for mfp in mover_fps:
@@ -295,7 +294,7 @@ def _pull_contact(
             t = sweep_first_contact(mfp, afp, ux, uy, d)
             if t is not None and t < best:
                 best = t
-    return Point2(mover.base.x + best * ux, mover.base.y + best * uy)
+    return mx + best * ux, my + best * uy
 
 
 @dataclass(frozen=True)
@@ -314,7 +313,7 @@ class PullCheck:
 
     failed: str | None
     blocker: int | None = None
-    end: Point2 | None = None
+    end: XY | None = None
     grasp: GraspAction | None = None
 
     @property
@@ -361,7 +360,7 @@ def _pair_check(
 
 
 def _contact_witness(
-    state: SceneState, mover: int, anchor: int, end: Point2, sim: "SimConfig"
+    state: SceneState, mover: int, anchor: int, end: XY, sim: "SimConfig"
 ) -> PullCheck:
     """The check of a pull that passed ``_pair_check``: ``mog_grasp`` with
     the mover at contact ``end``, on a view holding just the pair (the grasp
@@ -403,12 +402,12 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
     dishes = state.dishes
     x0, x1, y0, y1 = sweep.box(widest_radius(specs))
     for stack in state.stacks.values():
-        base = stack.base
+        x, y = stack.base
         if (
-            x0 <= base.x <= x1 and y0 <= base.y <= y1
+            x0 <= x <= x1 and y0 <= y <= y1
             and stack.id not in (mover, anchor)
             and sweep.near(
-                base.x, base.y,
+                x, y,
                 max(specs[dishes[d].kind].circumscribed_radius for d in stack.dishes),
             )
             and sweep.meets(footprints(stack))
@@ -498,16 +497,12 @@ def _check_graspable(state: SceneState, g: GraspAction, sim: "SimConfig") -> Non
     if bottom.kind is DishKind.UTENSIL:
         on_rule = point == base and g.theta == normalize_angle(bottom.theta + math.pi / 2)
     else:
-        dx, dy = point.x - base.x, point.y - base.y
+        dx, dy = point[0] - base[0], point[1] - base[1]
         turn = (g.theta - math.atan2(dy, dx)) % math.pi  # off the radial direction
         off = math.hypot(dx, dy) - spec.radius  # off the rim
         on_rule = -1e-9 <= off <= 1e-9 and not 1e-9 < turn < math.pi - 1e-9
     if not on_rule or g.z != spec.grasp_height:
         raise InfeasibleAction("grasp_pose", f"grasp {g} is not a grasp of stack {targets[0]}")
-
-
-def _point_params(p: Point2) -> list[float]:
-    return [p.x, p.y]
 
 
 def grasp_fails(sim: "SimConfig", rng: SplitMix64) -> bool:
@@ -538,7 +533,7 @@ def apply(
     """
     g = action.grasp
     targets = g.targets
-    grasp = {"point": _point_params(g.point), "z": g.z, "theta": g.theta}
+    grasp = {"point": list(g.point), "z": g.z, "theta": g.theta}
 
     if isinstance(action, Grasp):
         _check_graspable(state, g, sim)
@@ -568,8 +563,8 @@ def apply(
         kind = "pull_grasp"
         params = {
             "pull": {
-                "start": _point_params(pull.start),
-                "end": _point_params(pull.end),
+                "start": list(pull.start),
+                "end": list(pull.end),
                 "theta": pull.theta,
                 "mover": mover,
                 "anchor": anchor,
@@ -587,7 +582,7 @@ def apply(
             _check_graspable(new, placement.inner_grasp, sim)
             placements.append(
                 {"lifted": lifted, "base": base,
-                 "place": _point_params(new.stacks[base].base)}
+                 "place": list(new.stacks[base].base)}
             )
             new = new.merged(lifted, base)
         _check_graspable(new, g, sim)

@@ -1,16 +1,16 @@
 """Planar geometry for scene generation and grasp feasibility.
 
-Everything lives in double-precision centimeters.  A footprint is a dish
-seen top-down, as a tuple of plain floats (``Footprint``): a disc (cups
-and bowls) or an oriented rectangle (utensils).  Touching counts as
-overlapping, with a tolerance of ``TOUCH_TOL`` centimeters, because scene
-generation treats contact as intersection.
+Everything lives in double-precision centimeters.  A point is a plain
+``(x, y)`` float tuple (``XY``).  A footprint is a dish seen top-down, as
+a tuple of plain floats (``Footprint``): a disc (cups and bowls) or an
+oriented rectangle (utensils).  Touching counts as overlapping, with a
+tolerance of ``TOUCH_TOL`` centimeters, because scene generation treats
+contact as intersection.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 TOUCH_TOL = 1e-6
@@ -26,23 +26,11 @@ def normalize_angle(theta: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class Point2:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite point ({self.x}, {self.y})")
-
-
 # A footprint centered at (x, y): a disc of radius r is (x, y, r), and a
 # rectangle is (x, y, length / 2, width / 2, cos theta, sin theta), its
 # theta normalized (``rect``).  ``len(fp) == 3`` tells a disc.
 Footprint = tuple[float, ...]
 
-# A point as a plain (x, y) pair, for inner loops that a ``Point2`` per
-# intermediate point would slow down.
 XY = tuple[float, float]
 
 
@@ -50,10 +38,6 @@ def rect(x: float, y: float, length: float, width: float, theta: float) -> Footp
     """The rectangle footprint centered at (x, y), its long side turned by ``theta``."""
     t = normalize_angle(theta)
     return x, y, length / 2.0, width / 2.0, math.cos(t), math.sin(t)
-
-
-def dist(a: Point2, b: Point2) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
 
 
 def circumradius(fp: Footprint) -> float:
@@ -123,7 +107,7 @@ def overlaps(a: Footprint, b: Footprint) -> bool:
     return separation(a, b) <= TOUCH_TOL
 
 
-def rim_point(center: Point2, radius: float, angle: float) -> tuple[Point2, float]:
+def rim_point(center: XY, radius: float, angle: float) -> tuple[XY, float]:
     """Point on a rim circle plus the gripper angle perpendicular to the tangent.
 
     The perpendicular-to-tangent direction is the radial direction, so the
@@ -131,13 +115,12 @@ def rim_point(center: Point2, radius: float, angle: float) -> tuple[Point2, floa
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    p = Point2(center.x + radius * math.cos(angle), center.y + radius * math.sin(angle))
-    return p, normalize_angle(angle)
+    x, y = center
+    return (x + radius * math.cos(angle), y + radius * math.sin(angle)), normalize_angle(angle)
 
 
 # ---------------------------------------------------------------------------
-# Segments (utensil grasp candidates live on the utensil axis), on plain
-# floats: a point is an (x, y) pair.
+# Segments (utensil grasp candidates live on the utensil axis)
 # ---------------------------------------------------------------------------
 
 
@@ -328,23 +311,24 @@ class Sweep:
 
     __slots__ = ("start", "end", "mover", "_ux", "_uy", "_length", "_radius")
 
-    def __init__(self, start: Point2, end: Point2, mover: Iterable[Footprint], margin: float):
+    def __init__(self, start: XY, end: XY, mover: Iterable[Footprint], margin: float):
         self.start, self.end = start, end
         self.mover = tuple(
             (fp[0], fp[1], fp[2] + margin) if len(fp) == 3
             else (fp[0], fp[1], fp[2] + margin, fp[3] + margin, fp[4], fp[5])
             for fp in mover
         )
-        length = self._length = dist(start, end)
+        length = self._length = math.dist(start, end)
         scale = 1.0 / length if length else 0.0  # a zero-length sweep stays put
-        self._ux, self._uy = (end.x - start.x) * scale, (end.y - start.y) * scale
+        self._ux, self._uy = (end[0] - start[0]) * scale, (end[1] - start[1]) * scale
         self._radius = max(map(circumradius, self.mover))
 
     def near(self, x: float, y: float, radius: float) -> bool:
         """False only when no footprint centered at (x, y) within
         circumradius ``radius`` can overlap the sweep."""
         ux, uy = self._ux, self._uy
-        dx, dy = x - self.start.x, y - self.start.y
+        sx, sy = self.start
+        dx, dy = x - sx, y - sy
         along = dx * ux + dy * uy  # clamped to the segment, without min/max calls
         if along < 0.0:
             along = 0.0
@@ -358,7 +342,7 @@ class Sweep:
         circumradius at most ``radius`` centered outside it lies further
         than that from the segment, so ``meets`` would pass it."""
         reach = reach_limit(self._radius, radius)
-        xs, ys = (self.start.x, self.end.x), (self.start.y, self.end.y)
+        xs, ys = zip(self.start, self.end)
         return min(xs) - reach, max(xs) + reach, min(ys) - reach, max(ys) + reach
 
     def meets(self, obstacle: Iterable[Footprint]) -> bool:

@@ -246,7 +246,7 @@ class PairMemo:
             dishes = self.state.dishes
             kind = dishes[stack.bottom].kind
             reach = self.sim.dish_specs[kind].grasp_reach
-            self._loci[bit] = (stack.base.x, stack.base.y, reach, bit, stack.id)
+            self._loci[bit] = (*stack.base, reach, bit, stack.id)
             self.grips[bit] = _grip_height(self.state, stack, self.sim)
             self.utensil_piles |= bit if kind is DishKind.UTENSIL else 0
             self.bowl_tops |= bit if dishes[stack.top].kind is DishKind.BOWL else 0
@@ -754,7 +754,6 @@ class Trace:
     events: list[TraceEvent] = field(default_factory=list)
     final_state: SceneState | None = None
     policy: str = ""
-    seed: int = 0
     tier: str = "custom"
 
     @property
@@ -777,7 +776,7 @@ def run_policy(
     seed: int,
 ) -> Trace:
     """Run a policy to completion (``trial_steps``) and return the trace."""
-    trace = Trace(policy=policy.kind.value, seed=seed, tier=initial.tier)
+    trace = Trace(policy=policy.kind.value, tier=initial.tier)
     step = None
     for step in trial_steps(initial, policy, sim, seed):
         trace.events.append(step.event)

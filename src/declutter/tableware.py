@@ -18,8 +18,8 @@ from functools import cached_property
 from .errors import PlacementExhausted, SchemaError, known_keys, number
 from .geometry import (
     TOUCH_TOL,
+    XY,
     Footprint,
-    Point2,
     normalize_angle,
     overlaps,
     reach_limit,
@@ -127,7 +127,7 @@ class Stack:
 
     id: int
     dishes: tuple[int, ...]
-    base: Point2
+    base: XY
 
     def __post_init__(self):
         if not self.dishes:
@@ -216,7 +216,7 @@ class TierConfig:
 def stack_footprints(
     state: SceneState, stack: Stack, specs: dict[DishKind, DishSpec]
 ) -> list[Footprint]:
-    x, y = stack.base.x, stack.base.y
+    x, y = stack.base
     dishes = map(state.dishes.__getitem__, stack.dishes)
     return [specs[d.kind].footprint(x, y, d.theta) for d in dishes]
 
@@ -270,7 +270,7 @@ class _Placed:
 
     __slots__ = ("id", "base", "reach", "fps")
 
-    def __init__(self, stack_id: int, base: Point2, reach: float, fp: Footprint):
+    def __init__(self, stack_id: int, base: XY, reach: float, fp: Footprint):
         self.id = stack_id
         self.base = base
         self.reach = reach
@@ -297,8 +297,8 @@ class _Grid:
         self.around: defaultdict[tuple[int, int], list[_Placed]] = defaultdict(list)
 
     def add(self, placed: _Placed) -> None:
-        i = int(placed.base.x // self.width)
-        j = int(placed.base.y // self.width)
+        x, y = placed.base
+        i, j = int(x // self.width), int(y // self.width)
         for di in (-1, 0, 1):
             for dj in (-1, 0, 1):
                 self.around[i + di, j + dj].append(placed)
@@ -308,8 +308,8 @@ class _Grid:
         x, y = fp[0], fp[1]
         found = []
         for s in self.around.get((int(x // self.width), int(y // self.width)), ()):
-            base = s.base
-            if math.hypot(x - base.x, y - base.y) <= reach_limit(reach, s.reach):
+            bx, by = s.base
+            if math.hypot(x - bx, y - by) <= reach_limit(reach, s.reach):
                 for sfp in s.fps:
                     if separation(fp, sfp) <= TOUCH_TOL:
                         found.append(s)
@@ -344,8 +344,8 @@ def generate_scene(
 
     A sample costs its draws (x, y, then a utensil's angle), its footprint
     (``DishSpec.footprint``) and ``geometry.separation``, the test of
-    ``overlaps``, against nearby footprints.  A ``Point2``, ``Dish``, stack
-    or grid record is built only for a kept sample.
+    ``overlaps``, against nearby footprints.  A ``Dish``, stack or grid
+    record is built only for a kept sample.
     """
     specs = specs or default_dish_specs()
     rng = SplitMix64(seed)
@@ -372,7 +372,7 @@ def generate_scene(
             fp = spec.footprint(x, y, theta)
             hits = grid.hits(fp, reach)
             if not hits:
-                pos = Point2(x, y)
+                pos = x, y
                 state.stacks[dish_id] = Stack(dish_id, (dish_id,), pos)
                 grid.add(_Placed(dish_id, pos, reach, fp))
                 break
@@ -384,7 +384,7 @@ def generate_scene(
                     len(stack.dishes) < cfg.max_initial_stack
                     and spec.effective_radius <= top_spec.effective_radius + 1e-9
                 ):
-                    sfp = (target.base.x, target.base.y) + fp[2:]
+                    sfp = target.base + fp[2:]
                     # A footprint at the target's base always overlaps it, and stays
                     # on the table: no joiner's circumradius exceeds the bottom dish's.
                     if grid.hits(sfp, reach) == [target]:
@@ -425,6 +425,8 @@ def validate(
 
     placed: list[tuple[Stack, list[Footprint]]] = []
     for stack in state.stacks.values():
+        if any(d not in state.dishes for d in stack.dishes):
+            continue  # reported as an unknown dish id
         radii = [specs[state.dishes[d].kind].effective_radius for d in stack.dishes]
         if any(radii[i] + 1e-9 < radii[i + 1] for i in range(len(radii) - 1)):
             problems.append(f"stack stability violated: stack {stack.id}")
@@ -465,7 +467,7 @@ def scene_to_json(state: SceneState) -> str:
             else:
                 dish_parts.append(f'{{"id": {dish.id}, "kind": "{dish.kind.value}"}}')
         stacks_parts.append(
-            f'{{"base": [{_f6(stack.base.x)}, {_f6(stack.base.y)}], '
+            f'{{"base": [{_f6(stack.base[0])}, {_f6(stack.base[1])}], '
             f'"dishes": [{", ".join(dish_parts)}]}}'
         )
     return (
@@ -510,7 +512,7 @@ def scene_from_json(text: str, specs: dict[DishKind, DishSpec] | None = None) ->
         known_keys(raw, ("base", "dishes"), f"stack {idx}")
         try:
             x, y = raw["base"]
-            base = Point2(float(number(x, "base x")), float(number(y, "base y")))
+            base = float(number(x, "base x")), float(number(y, "base y"))
             raw_dishes = raw["dishes"]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"stack {idx} malformed: {exc}") from exc

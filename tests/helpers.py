@@ -7,7 +7,6 @@ import math
 from declutter import (
     Dish,
     DishKind,
-    Point2,
     SceneState,
     Stack,
     default_sim_config,
@@ -32,7 +31,7 @@ def build_scene(stacks, workspace=(78.0, 61.0), tier="custom"):
     state = SceneState(workspace=workspace, stacks={}, dishes={}, tier=tier)
     dish_id = 0
     for stack_id, (kinds, x, y) in enumerate(stacks):
-        base = Point2(x, y)
+        base = x, y
         ids = []
         for entry in kinds:
             kind, theta = entry if isinstance(entry, tuple) else (entry, 0.0)
@@ -138,7 +137,7 @@ def sampled_sweep_blocked(start, end, mover, margin, obstacle, step=0.1):
     ternary search of the bracket then finds the closest position, which
     ``overlaps`` tests.
     """
-    dx, dy = end.x - start.x, end.y - start.y
+    dx, dy = end[0] - start[0], end[1] - start[1]
     n = max(1, math.ceil(math.hypot(dx, dy) / step))
     for fp in mover:
         fp = grown(fp, margin)
@@ -165,7 +164,7 @@ def grasp_locus_samples(state, stack_id, sim, n=400):
     stack = state.stacks[stack_id]
     dish = state.dishes[stack.bottom]
     spec = sim.dish_specs[dish.kind]
-    x, y = stack.base.x, stack.base.y
+    x, y = stack.base
     if dish.kind is UTENSIL:
         hx = spec.length / 2.0 * math.cos(dish.theta)
         hy = spec.length / 2.0 * math.sin(dish.theta)

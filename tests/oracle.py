@@ -7,26 +7,53 @@ failure-free action leaves a moved survivor on the table, so reachable
 states are exactly subsets of the initial stacks at their initial poses.
 The oracle searches those subsets, evaluating the public feasibility
 predicates afresh in each one (pull corridors depend on what remains).
+
+Run as a script, it checks the pull policy at every step of the pull
+trials of the 3000-trial plan (``python tests/oracle.py``).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+import time
 from functools import lru_cache
 
 from declutter import (
     DishKind,
     PolicyConfig,
+    PolicyKind,
+    PullGrasp,
     SceneState,
+    StackGrasp,
+    Tier,
+    TierConfig,
     UtensilStacking,
     check_pull,
+    default_sim_config,
+    generate_scene,
     grasp_gap,
     mog_grasp,
     stack_allowable,
+    trial_steps,
+    validate,
 )
+from declutter.harness import scene_seed, trial_seed
 
 # The pull policy plans its order on tables of at most this many stacks
 # (a paper scene) and is nearest-first above it.
 PULL_PLAN_MAX_STACKS = 12
+
+
+def choice(action):
+    """The action in the reference's terms."""
+    if isinstance(action, PullGrasp):
+        return "pull", (action.pull.mover, action.pull.anchor)
+    if isinstance(action, StackGrasp):
+        return "stack", tuple((p.lifted, p.base) for p in action.placements)
+    if len(action.grasp.targets) == 2:
+        return "grasp", action.grasp.targets
+    return "single", action.grasp.targets
 
 
 def trip_search(state: SceneState, sim, pull_only: bool = False):
@@ -174,3 +201,34 @@ def stack_policy_choice(
     if pairs:
         return "stack", (pairs[0][1:],)
     return "single", (ids[0],)
+
+
+def sweep_plan3000_pull(p_fail: float) -> int:
+    """Check every step of the pull trials of the 3000-trial plan (base
+    seed 7, 200 scenes per tier) at ``p_fail``: the step's choice must be
+    ``pull_policy_choice`` and the table it leaves must be valid.  Prints
+    the steps, the failures and the seconds taken; returns the failures."""
+    sim = dataclasses.replace(default_sim_config(), p_fail=p_fail)
+    pull = PolicyConfig(PolicyKind.PULL)
+    steps = failures = 0
+    start = time.perf_counter()
+    for tier in Tier:
+        cfg = TierConfig.preset(tier)
+        for index in range(200):
+            scene = generate_scene(cfg, scene_seed(7, tier, index), sim.dish_specs, sim.workspace)
+            seed = trial_seed(7, tier, index, pull.kind.value)
+            for step in trial_steps(scene, pull, sim, seed):
+                steps += 1
+                chosen, expected = choice(step.action), pull_policy_choice(step.state, sim)
+                problems = validate(step.after, sim.dish_specs)
+                if chosen != expected or problems:
+                    failures += 1
+                    print(f"{tier.value} scene {index} step {step.event.t}: chose {chosen}, "
+                          f"expected {expected}; {problems}")
+    print(f"p_fail {p_fail}: {steps} steps, {failures} failures, "
+          f"{time.perf_counter() - start:.1f} s")
+    return failures
+
+
+if __name__ == "__main__":
+    sys.exit(1 if sum(sweep_plan3000_pull(p) for p in (0.0, 0.2)) else 0)

@@ -11,7 +11,6 @@ from declutter import (
     Grasp,
     GraspAction,
     InfeasibleAction,
-    Point2,
     PullAction,
     PullGrasp,
     Stack,
@@ -60,7 +59,7 @@ class FixedRng:
         return 0
 
 
-_ORIGIN = Point2(0.0, 0.0)
+_ORIGIN = (0.0, 0.0)
 _ONE_GRASP = GraspAction(_ORIGIN, 1.0, 0.0, (0,))
 
 
@@ -85,7 +84,7 @@ class TestGraspPoints:
     def test_singleton_bowl_rim(self):
         scene = build_scene([([BOWL], 30, 30)])
         g = grasp_points(scene, 0, FixedRng(0.0), SIM)
-        assert (g.point.x, g.point.y) == (38.5, 30.0)
+        assert g.point == (38.5, 30.0)
         assert g.z == 5.0
         assert g.theta == 0.0
         assert g.targets == (0,)
@@ -93,14 +92,14 @@ class TestGraspPoints:
     def test_utensil_caged_at_center(self):
         scene = build_scene([([(UTENSIL, math.pi / 4)], 20, 20)])
         g = grasp_points(scene, 0, FixedRng(), SIM)
-        assert (g.point.x, g.point.y) == (20.0, 20.0)
+        assert g.point == (20.0, 20.0)
         assert g.z == 2.0
         assert g.theta == pytest.approx(3 * math.pi / 4)
 
     def test_stack_gripped_on_bottom_rim(self):
         scene = build_scene([([BOWL, CUP], 30, 30)])
         g = grasp_points(scene, 0, FixedRng(math.pi), SIM)
-        assert g.point.x == pytest.approx(21.5)  # bowl rim, not cup rim
+        assert g.point[0] == pytest.approx(21.5)  # bowl rim, not cup rim
         assert g.z == 5.0
 
 
@@ -110,7 +109,7 @@ class TestMogAllowable:
         assert mog_grasp(scene, 0, 1, SIM) is not None
         witness = mog_grasp(scene, 0, 1, SIM)
         assert witness.targets == (0, 1)
-        assert witness.point.x == pytest.approx(34.5)
+        assert witness.point[0] == pytest.approx(34.5)
         assert witness.z == 9.0
 
     def test_cup_bowl_height_mismatch(self):
@@ -184,21 +183,21 @@ class TestPull:
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
         assert check_pull(scene, 0, 1, SIM).allowable
         pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)
-        assert pull.end.x == pytest.approx(31.0, abs=1e-3)
-        assert pull.end.y == pytest.approx(10.0, abs=1e-6)
+        assert pull.end[0] == pytest.approx(31.0, abs=1e-3)
+        assert pull.end[1] == pytest.approx(10.0, abs=1e-6)
         # Independent oracle: scanned first contact along the center line.
         t = scan_first_contact(
             stack_footprints(scene, scene.stacks[0], SIM.dish_specs)[0],
             stack_footprints(scene, scene.stacks[1], SIM.dish_specs)[0],
             1.0, 0.0, 30.0,
         )
-        assert pull.end.x - 10.0 == pytest.approx(t, abs=1e-3)
+        assert pull.end[0] - 10.0 == pytest.approx(t, abs=1e-3)
 
     def test_bowls_contact_endpoint(self):
         scene = build_scene([([BOWL], 10, 10), ([BOWL], 10, 40)])
         pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)
-        assert pull.end.x == pytest.approx(10.0, abs=1e-6)
-        assert pull.end.y == pytest.approx(23.0, abs=1e-3)
+        assert pull.end[0] == pytest.approx(10.0, abs=1e-6)
+        assert pull.end[1] == pytest.approx(23.0, abs=1e-3)
 
     def test_blocked_corridor(self):
         scene = build_scene(
@@ -245,7 +244,7 @@ class TestPull:
         start = scene.stacks[0].base
         pull = PullAction(start, check.end, 0, 1)
         _, event = apply(scene, PullGrasp(pull, check.grasp), SIM)
-        heading = math.atan2(check.end.y - start.y, check.end.x - start.x)
+        heading = math.atan2(check.end[1] - start[1], check.end[0] - start[0])
         assert event.params["pull"]["theta"] == heading == pytest.approx(math.pi / 4)
         with pytest.raises(TypeError):
             dataclasses.replace(pull, theta=1.0)
@@ -271,8 +270,8 @@ class TestPull:
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
         check = check_pull(scene, 0, 1, SIM)
         assert not check.allowable and check.reason == "grip_height"
-        pull = PullAction(scene.stacks[0].base, Point2(31.0, 10.0), 0, 1)
-        grasp = GraspAction(Point2(35.5, 10.0), 5.0, 0.0, (0, 1))
+        pull = PullAction(scene.stacks[0].base, (31.0, 10.0), 0, 1)
+        grasp = GraspAction((35.5, 10.0), 5.0, 0.0, (0, 1))
         with pytest.raises(InfeasibleAction, match="grip_height") as err:
             apply(scene, PullGrasp(pull, grasp), SIM)
         assert err.value.predicate == "pull_allowable"
@@ -442,7 +441,7 @@ class TestApply:
         scene = build_scene(stacks)
         assert check_pull(scene, mover, 1, SIM).failed == reason
         grasp = mog_grasp(build_scene([([CUP], 10, 10), ([CUP], 19, 10)]), 0, 1, SIM)
-        pull = PullAction(Point2(10, 10), Point2(19, 10), mover, 1)
+        pull = PullAction((10, 10), (19, 10), mover, 1)
         with pytest.raises(InfeasibleAction, match=reason) as err:
             apply(scene, PullGrasp(pull, grasp), SIM)
         assert err.value.predicate == "pull_allowable"
@@ -491,7 +490,7 @@ class TestApply:
         pull = PullAction(scene.stacks[mover].base, check.end, mover, anchor)
         g = check.grasp
         for bad in (
-            dataclasses.replace(g, point=Point2(g.point.x + 30.0, g.point.y)),
+            dataclasses.replace(g, point=(g.point[0] + 30.0, g.point[1])),
             dataclasses.replace(g, z=g.z + 1.0),
             dataclasses.replace(g, theta=g.theta + 0.5),
         ):
@@ -531,14 +530,15 @@ class TestApply:
         carry = grasp_points(scene, 7, SplitMix64(2), SIM)
 
         def moved(g, dx, dy=0.0, **changes):
-            return dataclasses.replace(g, point=Point2(g.point.x + dx, g.point.y + dy), **changes)
+            return dataclasses.replace(g, point=(g.point[0] + dx, g.point[1] + dy), **changes)
 
         def onto_bowl(lift, carry):
             return StackGrasp((StackPlacement(lift, 8, 7),), carry)
 
         good, bad, reason = {
             "single far off": (
-                Grasp(single), Grasp(moved(single, 999.0 - single.point.x, -5.0 - single.point.y)),
+                Grasp(single),
+                Grasp(moved(single, 999.0 - single.point[0], -5.0 - single.point[1])),
                 "grasp_pose",
             ),
             "two-stack off the witness": (Grasp(witness), Grasp(moved(witness, 30.0)), "grasp_witness"),
@@ -549,7 +549,7 @@ class TestApply:
             ),
             "carry far off": (
                 onto_bowl(lift, carry),
-                onto_bowl(lift, moved(carry, 500.0 - carry.point.x, 500.0 - carry.point.y)),
+                onto_bowl(lift, moved(carry, 500.0 - carry.point[0], 500.0 - carry.point[1])),
                 "grasp_pose",
             ),
             "utensil along its axis": (
@@ -579,14 +579,14 @@ class TestApply:
             g = grasp_points(scene, 0, FixedRng(angle), SIM)
             apply(scene, Grasp(g), SIM)
             for r in (radius - 2e-9, radius + 2e-9):
-                off = Point2(30 + r * math.cos(angle), 30 + r * math.sin(angle))
+                off = (30 + r * math.cos(angle), 30 + r * math.sin(angle))
                 with pytest.raises(InfeasibleAction, match="not a grasp of stack 0"):
                     apply(scene, Grasp(dataclasses.replace(g, point=off)), SIM)
 
     def test_pull_grasp_checks_grasp_after_the_pull(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
         pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)
-        short = dataclasses.replace(pull, end=Point2(15.0, 10.0))
+        short = dataclasses.replace(pull, end=(15.0, 10.0))
         action = PullGrasp(short, grasp_for_moved(scene, pull, SIM))
         with pytest.raises(InfeasibleAction) as err:
             apply(scene, action, SIM)
@@ -599,9 +599,9 @@ class TestApply:
         sim = dataclasses.replace(SIM, p_fail=1.0)
         scene = build_scene([([CUP], 40, 10), ([CUP], 10, 10), ([BOWL], 30, 30)])
         pull = PullAction(scene.stacks[1].base, check_pull(scene, 1, 0, sim).end, 1, 0)
-        assert pull.end.x == pytest.approx(31.0, abs=1e-3)
-        astray = dataclasses.replace(pull, end=Point2(33.0, 20.0))
-        for bad in (astray, dataclasses.replace(pull, start=Point2(11.0, 10.0))):
+        assert pull.end[0] == pytest.approx(31.0, abs=1e-3)
+        astray = dataclasses.replace(pull, end=(33.0, 20.0))
+        for bad in (astray, dataclasses.replace(pull, start=(11.0, 10.0))):
             action = PullGrasp(bad, grasp_for_moved(scene, bad, sim))
             with pytest.raises(InfeasibleAction) as err:
                 apply(scene, action, sim, failed=True)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from declutter import Grasp, GraspAction, Point2, harness, policies
+from declutter import Grasp, GraspAction, harness, policies
 from declutter.cli import main
 from declutter.harness import plan_from_json, run_plan, trial_seed
 from declutter.policies import PolicyConfig
@@ -117,7 +117,7 @@ class TestRun:
               "--out", str(out)])
 
         def off_the_table(state, rng, sim, cfg, memo):
-            return Grasp(GraspAction(Point2(1.0, 1.0), 5.0, 0.0, (99,)))
+            return Grasp(GraspAction((1.0, 1.0), 5.0, 0.0, (99,)))
 
         monkeypatch.setattr(policies, "next_action", off_the_table)
         capsys.readouterr()
@@ -133,6 +133,7 @@ class TestRun:
 
     @pytest.mark.parametrize("edit", [
         "utensil_theta_string", "infinite_workspace", "string_base", "fractional_id",
+        "nan_base", "infinite_base",
     ])
     def test_scene_non_numbers_exit_3(self, tmp_path, capsys, edit):
         out = tmp_path / "scenes"
@@ -146,6 +147,10 @@ class TestRun:
             scene["workspace"][0] = float("inf")
         elif edit == "string_base":
             scene["stacks"][0]["base"][0] = str(scene["stacks"][0]["base"][0])
+        elif edit == "nan_base":  # ``json`` writes and reads it as NaN
+            scene["stacks"][0]["base"][0] = float("nan")
+        elif edit == "infinite_base":  # and this as Infinity
+            scene["stacks"][-1]["base"][1] = float("inf")
         else:
             # Truncates to a free id, so only the fraction is wrong.
             max(dishes, key=lambda d: d["id"])["id"] += 0.7

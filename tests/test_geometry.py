@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 
 from declutter.geometry import (
     TOUCH_TOL,
-    Point2,
     Sweep,
     circumradius,
-    dist,
     normalize_angle,
     overlaps,
     reach_limit,
@@ -106,8 +104,8 @@ def test_sampling_oracle_never_contradicts_overlap(a, b):
 class TestCorridor:
     """A cup-sized disc pulled from A to B, grown by a clearance margin."""
 
-    A = Point2(0, 0)
-    B = Point2(20, 0)
+    A = (0, 0)
+    B = (20, 0)
 
     def sweep(self, margin=1.0):
         return Sweep(self.A, self.B, [disc(0, 0, 4.5)], margin)
@@ -149,7 +147,7 @@ class TestCorridor:
         ob = rect(4 + 0.9 * TOUCH_TOL, 2 + 0.9 * TOUCH_TOL, 4, 2, 0.0)
         assert overlaps(mover, ob)
         assert math.hypot(ob[0] - mover[0], ob[1] - mover[1]) > 2 * math.hypot(2, 1) + TOUCH_TOL
-        assert Sweep(Point2(0, 0), Point2(0, 0), [mover], 0.0).meets([ob])
+        assert Sweep((0, 0), (0, 0), [mover], 0.0).meets([ob])
 
 
 @given(
@@ -161,8 +159,8 @@ class TestCorridor:
 def test_corridor_monotone_in_margin(m1, m2, mover, ob):
     # A smaller margin can never turn clear into blocked.
     lo, hi = sorted((m1, m2))
-    end = Point2(70, 32)
-    start = Point2(mover[0], mover[1])
+    end = (70, 32)
+    start = (mover[0], mover[1])
     if not Sweep(start, end, [mover], hi).meets([ob]):
         assert not Sweep(start, end, [mover], lo).meets([ob])
 
@@ -175,7 +173,7 @@ def test_sweep_grows_the_mover_exactly(x, y, a, b, theta, margin):
     # ``Sweep`` grows a half side by ``margin``, which is bit for bit the
     # rectangle built with sides longer by twice it (halving and doubling
     # are exact), so the corridor is the one a grown footprint gives.
-    start, length, width = Point2(x, y), max(a, b), min(a, b)
+    start, length, width = (x, y), max(a, b), min(a, b)
     mover = Sweep(start, start, [rect(x, y, length, width, theta)], margin).mover[0]
     assert repr(mover) == repr(rect(x, y, length + 2 * margin, width + 2 * margin, theta))
     assert repr(Sweep(start, start, [(x, y, a)], margin).mover[0]) == repr((x, y, a + margin))
@@ -190,17 +188,17 @@ def sweep_cases(draw):
     ``separation`` there is exact; a rectangle obstacle beside a rectangle
     mover is turned square to the path, where the projection test is exact
     too.  Some pulls have zero length."""
-    start = Point2(draw(_coords), draw(_coords))
+    start = (draw(_coords), draw(_coords))
     length = draw(st.one_of(st.just(0.0), st.floats(min_value=0.5, max_value=60.0)))
     heading = draw(st.floats(min_value=-math.pi, max_value=math.pi))
     ux, uy = math.cos(heading), math.sin(heading)
-    end = Point2(start.x + length * ux, start.y + length * uy)
+    end = (start[0] + length * ux, start[1] + length * uy)
     margin = draw(st.floats(min_value=0.0, max_value=3.0))
     if draw(st.booleans()):
-        mover = disc(start.x, start.y, draw(_radii))
+        mover = disc(start[0], start[1], draw(_radii))
     else:
         mover = rect(
-            start.x, start.y, draw(st.floats(min_value=2.0, max_value=17.0)),
+            start[0], start[1], draw(st.floats(min_value=2.0, max_value=17.0)),
             draw(st.floats(min_value=0.5, max_value=2.0)), draw(_angles),
         )
     if draw(st.booleans()):
@@ -245,12 +243,12 @@ def box_cases(draw):
     point in each axis direction at a distance between ``radius`` + R +
     1e-6 and ``near``'s threshold, R the grown mover's circumradius.  A box
     grown by no more than the lower end leaves the latter outside."""
-    start = Point2(draw(_coords), draw(_coords))
+    start = (draw(_coords), draw(_coords))
     length = draw(st.one_of(st.just(0.0), st.floats(min_value=0.5, max_value=60.0)))
     heading = draw(st.floats(min_value=-math.pi, max_value=math.pi))
-    end = Point2(start.x + length * math.cos(heading), start.y + length * math.sin(heading))
+    end = (start[0] + length * math.cos(heading), start[1] + length * math.sin(heading))
     mover = [draw(footprints()) for _ in range(draw(st.integers(1, 2)))]
-    mover = [translated(fp, start.x - fp[0], start.y - fp[1]) for fp in mover]
+    mover = [translated(fp, start[0] - fp[0], start[1] - fp[1]) for fp in mover]
     sweep = Sweep(start, end, mover, draw(st.floats(min_value=0.0, max_value=3.0)))
     radius = draw(_radii)
     x0, x1, y0, y1 = sweep.box(radius)
@@ -258,15 +256,15 @@ def box_cases(draw):
     for t in (0.0, draw(st.floats(min_value=0.0, max_value=1.0)), 1.0):
         x, y = x0 + t * (x1 - x0), y0 + t * (y1 - y0)
         for d in (-1e-7, 1e-7):
-            edge += [Point2(x0 + d, y), Point2(x1 - d, y), Point2(x, y0 + d), Point2(x, y1 - d)]
+            edge += [(x0 + d, y), (x1 - d, y), (x, y0 + d), (x, y1 - d)]
     grown_radius = max(map(circumradius, sweep.mover))
     low, high = radius + grown_radius + 1e-6, reach_limit(grown_radius, radius)
     d = low + draw(st.floats(min_value=0.01, max_value=0.99)) * (high - low)
-    left, right = sorted((start, end), key=lambda p: p.x)
-    bottom, top = sorted((start, end), key=lambda p: p.y)
+    left, right = sorted((start, end), key=lambda p: p[0])
+    bottom, top = sorted((start, end), key=lambda p: p[1])
     beyond = [
-        Point2(left.x - d, left.y), Point2(right.x + d, right.y),
-        Point2(bottom.x, bottom.y - d), Point2(top.x, top.y + d),
+        (left[0] - d, left[1]), (right[0] + d, right[1]),
+        (bottom[0], bottom[1] - d), (top[0], top[1] + d),
     ]
     return sweep, radius, edge, beyond
 
@@ -280,38 +278,38 @@ def test_no_center_outside_the_box_is_near(case):
     sweep, radius, edge, beyond = case
     x0, x1, y0, y1 = sweep.box(radius)
     for center in edge + beyond:
-        if not (x0 <= center.x <= x1 and y0 <= center.y <= y1):
-            assert not sweep.near(center.x, center.y, radius), center
-    assert all(sweep.near(center.x, center.y, radius) for center in beyond)
+        if not (x0 <= center[0] <= x1 and y0 <= center[1] <= y1):
+            assert not sweep.near(center[0], center[1], radius), center
+    assert all(sweep.near(center[0], center[1], radius) for center in beyond)
 
 
 class TestRimPoint:
     def test_angle_zero(self):
-        p, theta = rim_point(Point2(0, 0), 4.5, 0.0)
-        assert (p.x, p.y, theta) == (4.5, 0.0, 0.0)
+        p, theta = rim_point((0, 0), 4.5, 0.0)
+        assert (*p, theta) == (4.5, 0.0, 0.0)
 
     def test_angle_quarter_turn(self):
-        p, theta = rim_point(Point2(10, 10), 8.5, math.pi / 2)
-        assert p.x == pytest.approx(10.0)
-        assert p.y == pytest.approx(18.5)
+        p, theta = rim_point((10, 10), 8.5, math.pi / 2)
+        assert p[0] == pytest.approx(10.0)
+        assert p[1] == pytest.approx(18.5)
         assert theta == pytest.approx(math.pi / 2)
 
     def test_angle_past_pi_normalizes(self):
         # 8.5 / sqrt(2) = 6.010407640085654; 5*pi/4 mod pi = pi/4.
-        p, theta = rim_point(Point2(0, 0), 8.5, 5 * math.pi / 4)
-        assert p.x == pytest.approx(-6.010407640085654)
-        assert p.y == pytest.approx(-6.010407640085654)
+        p, theta = rim_point((0, 0), 8.5, 5 * math.pi / 4)
+        assert p[0] == pytest.approx(-6.010407640085654)
+        assert p[1] == pytest.approx(-6.010407640085654)
         assert theta == pytest.approx(math.pi / 4)
 
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
-            rim_point(Point2(0, 0), 0.0, 1.0)
+            rim_point((0, 0), 0.0, 1.0)
 
 
 @given(_coords, _coords, _radii, st.floats(min_value=-20.0, max_value=20.0))
 def test_rim_point_distance_exact(cx, cy, r, angle):
-    p, theta = rim_point(Point2(cx, cy), r, angle)
-    assert abs(dist(p, Point2(cx, cy)) - r) < 1e-9
+    p, theta = rim_point((cx, cy), r, angle)
+    assert abs(math.dist(p, (cx, cy)) - r) < 1e-9
     assert 0.0 <= theta < math.pi
 
 
@@ -424,11 +422,6 @@ def test_sweep_matches_scan_oracle(moving, static, direction):
         assert t_scan is None or t <= t_scan + 1e-3
         if t_scan is not None:
             assert t == pytest.approx(t_scan, abs=0.1)
-
-
-def test_footprint_validation():
-    with pytest.raises(ValueError):
-        Point2(float("nan"), 0.0)
 
 
 def test_rect_theta_normalized():

@@ -142,6 +142,16 @@ class TestAggregate:
         assert rand.mean_opt == pytest.approx(24 / 20)  # pooled
         assert rand.mean_opt_per_trial == pytest.approx((1.0 + 1.5) / 2)
 
+    def test_policy_without_trials_in_a_tier_has_no_row(self):
+        rows = aggregate([
+            report("t0_cups", "random", 6, 6, 60.0),
+            report("t1", "random", 12, 12, 90.0),
+            report("t1", "pull", 8, 12, 80.0),
+        ])
+        assert [(r.tier, r.policy) for r in rows] == [
+            ("t0_cups", "random"), ("t1", "random"), ("t1", "pull"),
+        ]
+
     def test_missing_baseline(self):
         with pytest.raises(MissingBaseline):
             aggregate([report("t1", "stack", 6, 12, 80.0)])

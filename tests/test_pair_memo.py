@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from declutter import (
     Grasp,
     PairMemo,
-    Point2,
     PolicyConfig,
     PullAction,
     PullGrasp,
@@ -37,23 +36,12 @@ from declutter import (
     trial_steps,
 )
 from declutter.rng import SplitMix64, derive_seed
-from declutter.geometry import TOUCH_TOL
+from declutter.geometry import TOUCH_TOL, XY
 from declutter.tableware import Stack, stack_footprints
 from helpers import BOWL, CUP, SIM, UTENSIL, build_scene, sampled_sweep_blocked, support
-from oracle import pull_policy_choice, stack_policy_choice
+from oracle import choice, pull_policy_choice, stack_policy_choice
 
 PULL = PolicyConfig.named("pull")
-
-
-def choice(action):
-    """The action in the reference's terms."""
-    if isinstance(action, PullGrasp):
-        return "pull", (action.pull.mover, action.pull.anchor)
-    if isinstance(action, StackGrasp):
-        return "stack", tuple((p.lifted, p.base) for p in action.placements)
-    if len(action.grasp.targets) == 2:
-        return "grasp", action.grasp.targets
-    return "single", action.grasp.targets
 
 
 def dense_scene(items, seed):
@@ -169,7 +157,7 @@ def test_answers_follow_the_synced_table():
             del subset.stacks[sid]
         moved = scene.clone()
         sid = min(moved.stacks)
-        middle = Point2(moved.workspace[0] / 2, moved.workspace[1] / 2)
+        middle = (moved.workspace[0] / 2, moved.workspace[1] / 2)
         moved.stacks[sid] = dataclasses.replace(moved.stacks[sid], base=middle)
         memo = PairMemo(SIM)
         blocked = []
@@ -196,7 +184,7 @@ def test_answers_follow_the_synced_table():
         assert 0 in blocked and max(blocked) > 1
 
 
-def corridor_blockers(view: SceneState, mover: int, anchor: int, end: Point2) -> set[int]:
+def corridor_blockers(view: SceneState, mover: int, anchor: int, end: XY) -> set[int]:
     """The ids of the stacks on ``view`` meeting the corridor of ``mover``'s
     pull to ``end``."""
     sm = view.stacks[mover]
@@ -292,10 +280,10 @@ def test_sync_follows_each_stack_by_value():
     copied = left.clone()
     copied.stacks[0] = dataclasses.replace(left.stacks[0])
     moved = copied.clone()
-    moved.stacks[1] = dataclasses.replace(moved.stacks[1], base=Point2(25, 10))
+    moved.stacks[1] = dataclasses.replace(moved.stacks[1], base=(25, 10))
     merged = moved.merged(0, 2)
     arrived = merged.clone()
-    arrived.stacks[5] = Stack(5, (3,), Point2(20, 45))
+    arrived.stacks[5] = Stack(5, (3,), (20, 45))
     memo = PairMemo(SIM)
     bits = {}  # the bit each value got
     for state in (scene, left, left, copied, moved, merged, arrived, scene, copied, arrived):
@@ -362,7 +350,7 @@ def test_entries_die_with_either_stack_value():
     assert memo.pull(0, 1).allowable
 
     moved = scene.clone()
-    moved.stacks[0] = dataclasses.replace(scene.stacks[0], base=Point2(40, 30))
+    moved.stacks[0] = dataclasses.replace(scene.stacks[0], base=(40, 30))
     memo.sync(moved)
     assert memo.shared_grasp(0, 1) == mog_grasp(moved, 0, 1, SIM) is not None
     assert memo.gap(0, 1) == grasp_gap(moved, 0, 1, SIM)[0]
@@ -379,7 +367,7 @@ def test_clear_verdict_ignores_arrivals_that_left():
     assert memo.pull(0, 1).allowable
 
     moved = scene.clone()
-    moved.stacks[2] = dataclasses.replace(scene.stacks[2], base=Point2(35, 35))
+    moved.stacks[2] = dataclasses.replace(scene.stacks[2], base=(35, 35))
     assert check_pull(moved, 0, 1, SIM).blocker == 2
     memo.sync(moved)
     gone = moved.clone()
@@ -403,8 +391,8 @@ def corridor_scenes(draw):
     pair = [([kind], x, y), ([kind], *anchor)]
     workspace = (300.0, 300.0)
     end = check_pull(build_scene(pair, workspace), 0, 1, SIM).end
-    length = math.hypot(end.x - x, end.y - y)
-    ux, uy = (end.x - x) / length, (end.y - y) / length
+    length = math.hypot(end[0] - x, end[1] - y)
+    ux, uy = (end[0] - x) / length, (end[1] - y) / length
     ob_kind = draw(st.sampled_from((CUP, BOWL, UTENSIL)))
     theta = draw(st.floats(0.0, math.pi)) if ob_kind is UTENSIL else 0.0
     ob = SIM.dish_specs[ob_kind].footprint(0.0, 0.0, theta)
@@ -466,13 +454,13 @@ def test_stack_moved_into_a_tested_corridor_blocks_it():
     mover = scene.stacks[0]
     sweep = Sweep(mover.base, clear.end, memo.footprints(mover), SIM.pull_clearance_margin)
     x0, x1, y0, y1 = sweep.box(max(spec.circumscribed_radius for spec in SIM.dish_specs.values()))
-    assert not y0 <= scene.stacks[2].base.y <= y1
+    assert not y0 <= scene.stacks[2].base[1] <= y1
 
     check = check_pull(scene, 2, 3, SIM)
     pull = PullAction(scene.stacks[2].base, check.end, 2, 3)
     after, event = apply(scene, PullGrasp(pull, check.grasp), SIM, failed=True)
     assert event.params["abandoned"] == 2 and after.stacks[2].base == check.end
-    assert x0 <= check.end.x <= x1 and y0 <= check.end.y <= y1
+    assert x0 <= check.end[0] <= x1 and y0 <= check.end[1] <= y1
     memo.sync(after)
     blocked = memo.pull(0, 1)
     assert (blocked.failed, blocked.blocker) == ("corridor", 2)
@@ -792,7 +780,7 @@ def test_ready_pairs_test_only_stacks_within_the_opening(monkeypatch):
 
     def near_only(state, a, b, sim):
         sa, sb = state.stacks[a].base, state.stacks[b].base
-        bound = math.hypot(sa.x - sb.x, sa.y - sb.y) - reach(state, a) - reach(state, b)
+        bound = math.hypot(sa[0] - sb[0], sa[1] - sb[1]) - reach(state, a) - reach(state, b)
         if bound - 1e-9 >= sim.gripper.max_opening:
             far.append((a, b))
         return mog_grasp(state, a, b, sim)

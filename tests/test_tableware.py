@@ -12,6 +12,7 @@ from declutter import (
     PolicyConfig,
     SceneState,
     SchemaError,
+    Stack,
     Tier,
     TierConfig,
     default_dish_specs,
@@ -219,9 +220,13 @@ class TestValidate:
         scene.bin = (0,)
         assert any("appears 2 times" in p for p in validate(scene))
 
-    def test_unknown_dish_in_bin(self):
+    @pytest.mark.parametrize("where", ["bin", "stack"])
+    def test_unknown_dish_in_bin(self, where):
         scene = build_scene([([CUP], 30, 30)])
-        scene.bin = (7,)
+        if where == "bin":
+            scene.bin = (7,)
+        else:  # its stability and footprints are not tested: the id has no dish
+            scene.stacks[0] = Stack(0, (0, 7), (30, 30))
         assert validate(scene) == ["unknown dish id 7"]
 
 
@@ -437,11 +442,10 @@ class TestSceneJson:
 
 class TestSampleForms:
     @pytest.mark.parametrize("name", ["dense72", "t2"])
-    def test_generation_builds_one_point_per_new_stack_and_no_footprint(
-        self, monkeypatch, name
-    ):
-        # A rejected sample, and a sample that joins a stack, build no
-        # ``Point2``.  Counted through the name ``tableware`` builds it by.
+    def test_generation_builds_one_stack_per_new_stack(self, monkeypatch, name):
+        # A rejected sample builds no ``Stack``, and a sample that joins a
+        # stack replaces it (``dataclasses.replace``).  Counted through the
+        # name ``tableware`` builds it by.
         built = Counter()
 
         def counted(cls):
@@ -450,10 +454,10 @@ class TestSampleForms:
                 return cls(*args, **kwargs)
             return build
 
-        monkeypatch.setattr(tableware, "Point2", counted(tableware.Point2))
+        monkeypatch.setattr(tableware, "Stack", counted(tableware.Stack))
         scenes = golden_scenes(name)
         stacks = sum(len(scene.stacks) for scene in scenes)
-        assert built == {"Point2": stacks}
+        assert built == {"Stack": stacks}
         if name == "t2":
             assert stacks < sum(len(scene.dishes) for scene in scenes)  # some dishes joined
 

@@ -34,6 +34,7 @@ from .geometry import (
 )
 from .rng import SplitMix64
 from .tableware import (
+    Dish,
     DishKind,
     SceneState,
     Stack,
@@ -45,6 +46,7 @@ from .tableware import (
 
 if TYPE_CHECKING:
     from .config import SimConfig
+_UTENSIL = DishKind.UTENSIL  # a module name reads faster than an enum member
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,7 @@ def grasp_points(
     stack = state.stacks[stack_id]
     bottom = state.dishes[stack.bottom]
     spec = sim.dish_specs[bottom.kind]
-    if bottom.kind is DishKind.UTENSIL:
+    if bottom.kind is _UTENSIL:
         return GraspAction(
             point=stack.base,
             z=spec.grasp_height,
@@ -185,7 +187,7 @@ def grasp_points(
     return GraspAction(point=point, z=spec.grasp_height, theta=theta, targets=(stack_id,))
 
 
-def _grasp_locus(state: SceneState, stack: Stack, sim: "SimConfig") -> tuple[XY, XY, float]:
+def _grasp_locus(dishes: dict[int, Dish], stack: Stack, sim: "SimConfig") -> tuple[XY, XY, float]:
     """Locus of candidate grasp points for a stack, on plain floats: the
     points at a radius from a core segment, as (end, end, radius).
 
@@ -193,11 +195,10 @@ def _grasp_locus(state: SceneState, stack: Stack, sim: "SimConfig") -> tuple[XY,
     the axis segment at radius 0 for utensils (candidates run along the
     utensil's centerline).
     """
-    bottom = state.dishes[stack.bottom]
-    spec = sim.dish_specs[bottom.kind]
+    bottom = dishes[stack.bottom]
     x, y = stack.base
-    reach = spec.grasp_reach
-    if bottom.kind is DishKind.UTENSIL:
+    reach = sim.dish_specs[bottom.kind].grasp_reach
+    if bottom.kind is _UTENSIL:
         hx = reach * math.cos(bottom.theta)
         hy = reach * math.sin(bottom.theta)
         return (x - hx, y - hy), (x + hx, y + hy), 0.0
@@ -212,8 +213,15 @@ def grasp_gap(state: SceneState, a: int, b: int, sim: "SimConfig") -> tuple[floa
     during a pull).  With a rim in the pair, the nearest points of the two
     cores are offset by their radii along the line between them.
     """
-    a1, a2, ra = _grasp_locus(state, state.stacks[a], sim)
-    b1, b2, rb = _grasp_locus(state, state.stacks[b], sim)
+    return _stack_gap(state.dishes, state.stacks[a], state.stacks[b], sim)
+
+
+def _stack_gap(
+    dishes: dict[int, Dish], sa: Stack, sb: Stack, sim: "SimConfig"
+) -> tuple[float, XY, XY]:
+    """``grasp_gap`` of two stack values, which need not be on a table."""
+    a1, a2, ra = _grasp_locus(dishes, sa, sim)
+    b1, b2, rb = _grasp_locus(dishes, sb, sim)
     if ra:  # a rim's core is a point
         (ax, ay), (bx, by) = a1, closest_on_segment(a1, b1, b2)
     elif rb:
@@ -233,12 +241,6 @@ def grasp_gap(state: SceneState, a: int, b: int, sim: "SimConfig") -> tuple[floa
 # ---------------------------------------------------------------------------
 
 
-def _grip_height(state: SceneState, stack: Stack, sim: "SimConfig") -> float:
-    """Height of the rim (or caging point) the gripper closes on: the
-    bottom dish's grasp height, so the whole pile is carried."""
-    return sim.dish_specs[state.dishes[stack.bottom].kind].grasp_height
-
-
 def mog_grasp(
     state: SceneState, a: int, b: int, sim: "SimConfig"
 ) -> GraspAction | None:
@@ -254,17 +256,25 @@ def mog_grasp(
     """
     if a == b:
         raise ValueError("multi-object grasp needs two distinct stacks")
-    sa, sb = state.stacks[a], state.stacks[b]
-    grip_a = _grip_height(state, sa, sim)
-    grip_b = _grip_height(state, sb, sim)
-    if not sim.gripper.similar_heights(grip_a, grip_b):
+    return _stack_grasp(state.dishes, state.stacks[a], state.stacks[b], sim)
+
+
+def _stack_grasp(
+    dishes: dict[int, Dish], sa: Stack, sb: Stack, sim: "SimConfig"
+) -> GraspAction | None:
+    """``mog_grasp`` of two stack values, which need not be on a table: its
+    tests in its order, and the witness targeting the two stacks' ids."""
+    specs, gripper = sim.dish_specs, sim.gripper
+    grip_a = specs[dishes[sa.bottom].kind].grasp_height
+    grip_b = specs[dishes[sb.bottom].kind].grasp_height
+    if not gripper.similar_heights(grip_a, grip_b):
         return None
-    lip_a = stack_top_lip_height(sa, state.dishes, sim.dish_specs)
-    lip_b = stack_top_lip_height(sb, state.dishes, sim.dish_specs)
-    if max(lip_a, lip_b) - min(grip_a, grip_b) > sim.gripper.jaw_height + 1e-9:
+    lip_a = stack_top_lip_height(sa, dishes, specs)
+    lip_b = stack_top_lip_height(sb, dishes, specs)
+    if max(lip_a, lip_b) - min(grip_a, grip_b) > gripper.jaw_height + 1e-9:
         return None
-    gap, (ax, ay), (bx, by) = grasp_gap(state, a, b, sim)
-    if gap >= sim.gripper.max_opening:
+    gap, (ax, ay), (bx, by) = _stack_gap(dishes, sa, sb, sim)
+    if gap >= gripper.max_opening:
         return None
     mid = (ax + bx) / 2.0, (ay + by) / 2.0
     span = math.hypot(ax - bx, ay - by)
@@ -273,6 +283,7 @@ def mog_grasp(
     else:
         (x0, y0), (x1, y1) = sa.base, sb.base
         theta = normalize_angle(math.atan2(y1 - y0, x1 - x0))
+    a, b = sa.id, sb.id
     lo, hi = (a, b) if a < b else (b, a)
     return GraspAction(point=mid, z=max(grip_a, grip_b), theta=theta, targets=(lo, hi))
 
@@ -348,8 +359,9 @@ def _pair_check(
     sa = state.stacks.get(anchor)
     if sm is None or sa is None:
         return PullCheck("target_on_table"), None
+    specs, dishes = sim.dish_specs, state.dishes
     if not sim.gripper.similar_heights(
-        _grip_height(state, sm, sim), _grip_height(state, sa, sim)
+        specs[dishes[sm.bottom].kind].grasp_height, specs[dishes[sa.bottom].kind].grasp_height
     ):
         return PullCheck("grip_height"), None
     mover_fps = footprints(sm)
@@ -362,12 +374,11 @@ def _pair_check(
 def _contact_witness(
     state: SceneState, mover: int, anchor: int, end: XY, sim: "SimConfig"
 ) -> PullCheck:
-    """The check of a pull that passed ``_pair_check``: ``mog_grasp`` with
-    the mover at contact ``end``, on a view holding just the pair (the grasp
-    test reads nothing else)."""
-    sm, sa = state.stacks[mover], state.stacks[anchor]
-    contact = {mover: Stack(sm.id, sm.dishes, end), anchor: sa}
-    grasp = mog_grasp(SceneState(state.workspace, contact, state.dishes), mover, anchor, sim)
+    """The check of a pull that passed ``_pair_check``: ``mog_grasp`` of the
+    mover at contact ``end`` and the anchor, asked of the two stack values
+    (the grasp test reads nothing else), so no table is built."""
+    sm = state.stacks[mover]
+    grasp = _stack_grasp(state.dishes, Stack(sm.id, sm.dishes, end), state.stacks[anchor], sim)
     if grasp is None:
         return PullCheck("mog_allowable")
     return PullCheck(None, end=end, grasp=grasp)
@@ -408,7 +419,7 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
             and stack.id not in (mover, anchor)
             and sweep.near(
                 x, y,
-                max(specs[dishes[d].kind].circumscribed_radius for d in stack.dishes),
+                max([specs[dishes[d].kind].circumscribed_radius for d in stack.dishes]),
             )
             and sweep.meets(footprints(stack))
         ):
@@ -494,7 +505,7 @@ def _check_graspable(state: SceneState, g: GraspAction, sim: "SimConfig") -> Non
     bottom = state.dishes[stack.bottom]
     spec = sim.dish_specs[bottom.kind]
     point, base = g.point, stack.base
-    if bottom.kind is DishKind.UTENSIL:
+    if bottom.kind is _UTENSIL:
         on_rule = point == base and g.theta == normalize_angle(bottom.theta + math.pi / 2)
     else:
         dx, dy = point[0] - base[0], point[1] - base[1]

@@ -179,40 +179,26 @@ def segments_nearest(p1: XY, p2: XY, q1: XY, q2: XY) -> tuple[float, XY, XY]:
 # ---------------------------------------------------------------------------
 
 
-def _interval_intersect(a, b):
-    if a is None or b is None:
-        return None
-    lo = max(a[0], b[0])
-    hi = min(a[1], b[1])
-    if lo > hi:
-        return None
-    return (lo, hi)
-
-
-def _slab_interval(p0: float, v: float, half: float):
-    """Times t with |p0 + t*v| <= half, or None if never."""
-    if abs(v) < _EPS:
-        return (-math.inf, math.inf) if abs(p0) <= half else None
-    t1 = (-half - p0) / v
-    t2 = (half - p0) / v
-    return (t1, t2) if t1 <= t2 else (t2, t1)
-
-
-def _quad_interval(a: float, b: float, c: float):
-    """Times with a*t^2 + 2bt + c <= 0 (a > 0), or None."""
+def _quad_entry(a: float, b: float, c: float, t_max: float) -> float | None:
+    """First t in [0, t_max] with a*t^2 + 2bt + c <= 0 (a > 0), or None."""
     if a < _EPS:
-        return (-math.inf, math.inf) if c <= 0 else None
+        return 0.0 if c <= 0 else None
     disc = b * b - a * c
     if disc < 0:
         return None
     sq = math.sqrt(disc)
-    return ((-b - sq) / a, (-b + sq) / a)
+    lo = (-b - sq) / a
+    if (-b + sq) / a < 0 or lo > t_max:
+        return None
+    return 0.0 if lo < 0.0 else lo
 
 
 def _sweep_disc_rect(x0: float, y0: float, r: float, vx: float, vy: float,
                      sta: Footprint, t_max: float):
     # Work in the rect's local frame; the swept region is the rect inflated
-    # by r (core bands plus four corner discs).
+    # by r: two core bands (the rect grown by r along x, then along y),
+    # each entered once inside both its slabs (the times with |p + t*v| <=
+    # half), and four corner discs.  The first entry in [0, t_max] wins.
     rx, ry, hl, hw, ct, st = sta
     dx = x0 - rx
     dy = y0 - ry
@@ -221,56 +207,84 @@ def _sweep_disc_rect(x0: float, y0: float, r: float, vx: float, vy: float,
     lvx = vx * ct + vy * st
     lvy = -vx * st + vy * ct
 
-    intervals = [
-        _interval_intersect(_slab_interval(px, lvx, hl + r), _slab_interval(py, lvy, hw)),
-        _interval_intersect(_slab_interval(px, lvx, hl), _slab_interval(py, lvy, hw + r)),
-    ]
+    best = None
+    for half_x, half_y in ((hl + r, hw), (hl, hw + r)):
+        if abs(lvx) < _EPS:  # never crosses the slab: always or never inside
+            if abs(px) > half_x:
+                continue
+            lo, hi = -math.inf, math.inf
+        else:
+            lo = (-half_x - px) / lvx
+            hi = (half_x - px) / lvx
+            if lo > hi:
+                lo, hi = hi, lo
+        if abs(lvy) < _EPS:
+            if abs(py) > half_y:
+                continue
+        else:
+            t1 = (-half_y - py) / lvy
+            t2 = (half_y - py) / lvy
+            if t1 > t2:
+                t1, t2 = t2, t1
+            if t1 > lo:
+                lo = t1
+            if t2 < hi:
+                hi = t2
+            if lo > hi:
+                continue
+        if hi < 0 or lo > t_max:
+            continue
+        if lo < 0.0:
+            lo = 0.0
+        if best is None or lo < best:
+            best = lo
     v2 = lvx * lvx + lvy * lvy
     for sx in (-hl, hl):
         for sy in (-hw, hw):
             ex = px - sx
             ey = py - sy
-            intervals.append(
-                _quad_interval(v2, ex * lvx + ey * lvy, ex * ex + ey * ey - r * r)
-            )
-    best = None
-    for itv in intervals:
-        t = _first_entry(itv, t_max)
-        if t is not None and (best is None or t < best):
-            best = t
+            t = _quad_entry(v2, ex * lvx + ey * lvy, ex * ex + ey * ey - r * r, t_max)
+            if t is not None and (best is None or t < best):
+                best = t
     return best
 
 
 def _sweep_rect_rect(mov: Footprint, vx: float, vy: float,
                      sta: Footprint, t_max: float, tol: float):
+    # Separating axes: along each edge normal, the times the centers lie
+    # within the two extents plus ``tol`` form a slab; the sweep meets
+    # where all four slabs overlap.
     mx, my, hl1, hw1, c1, s1 = mov
     sx, sy, hl2, hw2, c2, s2 = sta
-    ux1, uy1, ux2, uy2 = (c1, s1), (-s1, c1), (c2, s2), (-s2, c2)
     dx = mx - sx
     dy = my - sy
     t_lo = -math.inf
     t_hi = math.inf
-    for axis in (ux1, uy1, ux2, uy2):
-        e = _extent_along(axis, ux1, uy1, hl1, hw1) + _extent_along(axis, ux2, uy2, hl2, hw2) + tol
-        d0 = dx * axis[0] + dy * axis[1]
-        dv = vx * axis[0] + vy * axis[1]
-        itv = _slab_interval(d0, dv, e)
-        if itv is None:
-            return None
-        t_lo = max(t_lo, itv[0])
-        t_hi = min(t_hi, itv[1])
+    for ax, ay in ((c1, s1), (-s1, c1), (c2, s2), (-s2, c2)):
+        e = (
+            hl1 * abs(c1 * ax + s1 * ay) + hw1 * abs(-s1 * ax + c1 * ay)
+            + (hl2 * abs(c2 * ax + s2 * ay) + hw2 * abs(-s2 * ax + c2 * ay))
+            + tol
+        )
+        d0 = dx * ax + dy * ay
+        dv = vx * ax + vy * ay
+        if abs(dv) < _EPS:  # never crosses the slab: always or never inside
+            if abs(d0) > e:
+                return None
+            continue
+        t1 = (-e - d0) / dv
+        t2 = (e - d0) / dv
+        if t1 > t2:
+            t1, t2 = t2, t1
+        if t1 > t_lo:
+            t_lo = t1
+        if t2 < t_hi:
+            t_hi = t2
         if t_lo > t_hi:
             return None
-    return _first_entry((t_lo, t_hi), t_max)
-
-
-def _first_entry(itv, t_max: float):
-    if itv is None:
+    if t_hi < 0 or t_lo > t_max:
         return None
-    lo, hi = itv
-    if hi < 0 or lo > t_max:
-        return None
-    return max(lo, 0.0)
+    return 0.0 if t_lo < 0.0 else t_lo
 
 
 def sweep_first_contact(
@@ -287,8 +301,9 @@ def sweep_first_contact(
             dx = moving[0] - static[0]
             dy = moving[1] - static[1]
             rr = moving[2] + tol + static[2]
-            itv = _quad_interval(ux * ux + uy * uy, dx * ux + dy * uy, dx * dx + dy * dy - rr * rr)
-            return _first_entry(itv, t_max)
+            return _quad_entry(
+                ux * ux + uy * uy, dx * ux + dy * uy, dx * dx + dy * dy - rr * rr, t_max
+            )
         return _sweep_disc_rect(moving[0], moving[1], moving[2] + tol, ux, uy, static, t_max)
     if len(static) == 3:
         # Relative motion: the disc moves at -v in the rect's frame.
@@ -299,7 +314,9 @@ def sweep_first_contact(
 class Sweep:
     """Footprints ``mover``, all centered at ``start`` and each grown by
     ``margin`` (discs in radius, rectangles on every side), swept from
-    ``start`` to ``end``.
+    ``start`` to ``end``.  A disc grows to ``(x, y, r + margin)`` and a
+    rectangle's half sides grow by ``margin``: exactly ``rect`` with sides
+    2 ``margin`` longer, as halving and doubling are exact.
 
     ``meets`` passes an obstacle without the exact sweep when ``near``
     says no: its center lies further from the segment than the
@@ -313,11 +330,11 @@ class Sweep:
 
     def __init__(self, start: XY, end: XY, mover: Iterable[Footprint], margin: float):
         self.start, self.end = start, end
-        self.mover = tuple(
+        self.mover = tuple([
             (fp[0], fp[1], fp[2] + margin) if len(fp) == 3
             else (fp[0], fp[1], fp[2] + margin, fp[3] + margin, fp[4], fp[5])
             for fp in mover
-        )
+        ])
         length = self._length = math.dist(start, end)
         scale = 1.0 / length if length else 0.0  # a zero-length sweep stays put
         self._ux, self._uy = (end[0] - start[0]) * scale, (end[1] - start[1]) * scale
@@ -342,8 +359,12 @@ class Sweep:
         circumradius at most ``radius`` centered outside it lies further
         than that from the segment, so ``meets`` would pass it."""
         reach = reach_limit(self._radius, radius)
-        xs, ys = zip(self.start, self.end)
-        return min(xs) - reach, max(xs) + reach, min(ys) - reach, max(ys) + reach
+        (sx, sy), (ex, ey) = self.start, self.end
+        # min and max of each pair, as the builtins pick them, without the calls
+        return (
+            (ex if ex < sx else sx) - reach, (ex if ex > sx else sx) + reach,
+            (ey if ey < sy else sy) - reach, (ey if ey > sy else sy) + reach,
+        )
 
     def meets(self, obstacle: Iterable[Footprint]) -> bool:
         """True iff one of the footprints ``obstacle`` overlaps the sweep."""

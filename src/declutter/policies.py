@@ -27,7 +27,6 @@ from .actions import (
     StackGrasp,
     StackPlacement,
     TraceEvent,
-    _grip_height,
     _contact_witness,
     _pair_check,
     apply,
@@ -44,11 +43,13 @@ from .tableware import (
     SceneState,
     Stack,
     stack_footprints,
+    stack_top_lip_height,
     widest_radius,
 )
 
 if TYPE_CHECKING:
     from .config import SimConfig
+_UTENSIL, _BOWL = DishKind.UTENSIL, DishKind.BOWL  # module names read faster than members
 
 
 class PolicyKind(str, Enum):
@@ -169,11 +170,11 @@ class PairMemo:
     of its own for the rest of the trial and sets ``table`` to the mask of
     the synced table's bits.  A moved or merged stack is a new value, so a
     bit names one value; dishes never change kind or orientation, so a
-    value fixes its footprints, grip height and bottom and top dishes (see
-    the masks ``utensil_piles`` and ``bowl_tops``).  Only ``sync`` gives
-    bits, so every method reads the synced table.  Footprints, shared
-    grasps, gaps and pull tests are keyed by value bits, and a result keyed
-    by bits never goes stale.  ``sync`` diffs the state against the stacks
+    value fixes its footprints, grip and lip heights and bottom and top
+    dishes (see the masks ``utensil_piles`` and ``bowl_tops``).  Only
+    ``sync`` gives bits, so every method reads the synced table.
+    Footprints, gaps and pull tests are keyed by value bits, and a result
+    keyed by bits never goes stale.  ``sync`` diffs the state against the stacks
     it last synced under each id (``_synced``): it drops the ids that left,
     and only when some stack is not the very object synced under its id (a
     dict compare, in C, that tests identity first) does it loop over the
@@ -223,13 +224,13 @@ class PairMemo:
         self._ids: dict[int, int] = {}
         self._synced: dict[int, Stack] = {}  # the stack synced under each id
         self._loci: dict[int, Locus] = {}
-        self.grips: dict[int, float] = {}  # ``_grip_height`` of each value
+        self.grips: dict[int, float] = {}  # each value's bottom dish's grasp height
+        self.lips: dict[int, float] = {}  # and its ``stack_top_lip_height``
         # The widest grasp reach and the radius of a scope's first band,
         # whose horizon is 0.4 reaches.
         self._reach = max(spec.grasp_reach for spec in sim.dish_specs.values())
         self._first_radius = 2.4 * self._reach
         self._footprints: dict[int, list[Footprint]] = {}
-        self._grasps: dict[tuple[int, int], GraspAction | None] = {}
         self._gaps: dict[tuple[int, int], float] = {}
         self._pulls: dict[tuple[int, int], _PullEntry] = {}
         self._scopes: dict[tuple[int, int], _Scope] = {}  # by their masks
@@ -243,13 +244,14 @@ class PairMemo:
         bit = self._bits.setdefault(stack, new)  # the one hash of ``stack``
         if bit == new:
             self._values[bit] = stack
-            dishes = self.state.dishes
+            dishes, specs = self.state.dishes, self.sim.dish_specs
             kind = dishes[stack.bottom].kind
-            reach = self.sim.dish_specs[kind].grasp_reach
-            self._loci[bit] = (*stack.base, reach, bit, stack.id)
-            self.grips[bit] = _grip_height(self.state, stack, self.sim)
-            self.utensil_piles |= bit if kind is DishKind.UTENSIL else 0
-            self.bowl_tops |= bit if dishes[stack.top].kind is DishKind.BOWL else 0
+            spec = specs[kind]
+            self._loci[bit] = (*stack.base, spec.grasp_reach, bit, stack.id)
+            self.grips[bit] = spec.grasp_height
+            self.lips[bit] = stack_top_lip_height(stack, dishes, specs)
+            self.utensil_piles |= bit if kind is _UTENSIL else 0
+            self.bowl_tops |= bit if dishes[stack.top].kind is _BOWL else 0
         return bit
 
     def sync(self, state: SceneState) -> None:
@@ -380,10 +382,7 @@ class PairMemo:
 
     def shared_grasp(self, a: int, b: int) -> GraspAction | None:
         """``mog_grasp`` of stacks ``a`` and ``b``."""
-        key = (self._ids[a], self._ids[b])
-        if key not in self._grasps:
-            self._grasps[key] = mog_grasp(self.state, a, b, self.sim)
-        return self._grasps[key]
+        return mog_grasp(self.state, a, b, self.sim)
 
     def gap(self, a: int, b: int) -> float:
         """``grasp_gap`` of stacks ``a`` and ``b``."""
@@ -449,8 +448,22 @@ PLAN_MAX_STACKS = 12
 
 
 def ready(memo: PairMemo, a: int, b: int) -> bool:
-    """Whether ``a`` < ``b`` have a shared grasp: never at a gap of max_opening or more."""
-    return a < b and same_grip(memo, a, b) and memo.shared_grasp(a, b) is not None
+    """Whether ``a`` < ``b`` have a shared grasp, never at a gap of
+    max_opening or more: ``mog_grasp``'s tests in its order, on the memo's
+    values: grip heights within the similarity threshold, the lip span
+    within the jaw height, and ``memo.gap``, which ``nearest`` reads again
+    to rank the pair, below the max opening.  No witness grasp is built."""
+    if a >= b:
+        return False
+    gripper, bit = memo.sim.gripper, memo._ids
+    bit_a, bit_b = bit[a], bit[b]
+    grip_a, grip_b = memo.grips[bit_a], memo.grips[bit_b]
+    if not gripper.similar_heights(grip_a, grip_b):
+        return False
+    lips = memo.lips
+    if max(lips[bit_a], lips[bit_b]) - min(grip_a, grip_b) > gripper.jaw_height + 1e-9:
+        return False
+    return memo.gap(a, b) < gripper.max_opening
 
 
 def same_grip(memo: PairMemo, mover: int, anchor: int) -> bool:
@@ -594,8 +607,8 @@ def pull_policy(
     nearest-first's move wherever that move starts such an order, and plans
     again whenever a failed action leaves a table off the plan.  Pair
     results and the plan come from ``memo``, which carries them from one
-    step of a trial to the next, and so does the chosen move's action: a
-    pull's contact point and grasp (``memo.pull``), a pair's grasp
+    step of a trial to the next, and so does a chosen pull's contact point
+    and grasp (``memo.pull``); a chosen pair's grasp is built for it alone
     (``memo.shared_grasp``).
     """
     memo.sync(state)

@@ -38,6 +38,8 @@ class DishKind(str, Enum):
     BOWL = "bowl"
     UTENSIL = "utensil"
 
+_UTENSIL = DishKind.UTENSIL  # a module name reads faster than an enum member
+
 
 @dataclass(frozen=True)
 class DishSpec:
@@ -69,7 +71,7 @@ class DishSpec:
     @property
     def effective_radius(self) -> float:
         """Radius used for stack stability ordering (half width for utensils)."""
-        if self.kind is DishKind.UTENSIL:
+        if self.kind is _UTENSIL:
             return self.width / 2.0
         return self.radius
 
@@ -88,7 +90,7 @@ class DishSpec:
 
     def footprint(self, x: float, y: float, theta: float) -> Footprint:
         """The footprint at (x, y) of a dish of this kind turned by ``theta``."""
-        if self.kind is DishKind.UTENSIL:
+        if self.kind is _UTENSIL:
             return rect(x, y, self.length, self.width, theta)
         return x, y, self.radius
 

@@ -8,8 +8,9 @@ states are exactly subsets of the initial stacks at their initial poses.
 The oracle searches those subsets, evaluating the public feasibility
 predicates afresh in each one (pull corridors depend on what remains).
 
-Run as a script, it checks the pull policy at every step of the pull
-trials of the 3000-trial plan (``python tests/oracle.py``).
+Run as a script, it checks the pull policy, and the stack policy in both
+utensil modes, at every step of their trials on the 3000-trial plan's
+scenes (``python tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -203,32 +204,44 @@ def stack_policy_choice(
     return "single", (ids[0],)
 
 
-def sweep_plan3000_pull(p_fail: float) -> int:
-    """Check every step of the pull trials of the 3000-trial plan (base
-    seed 7, 200 scenes per tier) at ``p_fail``: the step's choice must be
-    ``pull_policy_choice`` and the table it leaves must be valid.  Prints
-    the steps, the failures and the seconds taken; returns the failures."""
+def sweep_plan3000(policy: PolicyConfig, p_fail: float) -> int:
+    """Check every step of ``policy``'s trials on the 3000-trial plan's
+    scenes (base seed 7, 200 per tier) at ``p_fail``: the step's choice must
+    be the reference's (``pull_policy_choice`` or ``stack_policy_choice``),
+    and a pull step must leave a valid table.  Stack steps are not
+    validated: a stack-grasp may still place a pile that overlaps another
+    stack.  Prints the steps, the failures and the seconds taken; returns
+    the failures."""
     sim = dataclasses.replace(default_sim_config(), p_fail=p_fail)
-    pull = PolicyConfig(PolicyKind.PULL)
+    pull = policy.kind is PolicyKind.PULL
     steps = failures = 0
     start = time.perf_counter()
     for tier in Tier:
         cfg = TierConfig.preset(tier)
         for index in range(200):
             scene = generate_scene(cfg, scene_seed(7, tier, index), sim.dish_specs, sim.workspace)
-            seed = trial_seed(7, tier, index, pull.kind.value)
-            for step in trial_steps(scene, pull, sim, seed):
+            seed = trial_seed(7, tier, index, policy.kind.value)
+            for step in trial_steps(scene, policy, sim, seed):
                 steps += 1
-                chosen, expected = choice(step.action), pull_policy_choice(step.state, sim)
-                problems = validate(step.after, sim.dish_specs)
+                chosen = choice(step.action)
+                if pull:
+                    expected = pull_policy_choice(step.state, sim)
+                    problems = validate(step.after, sim.dish_specs)
+                else:
+                    expected, problems = stack_policy_choice(step.state, sim, policy), []
                 if chosen != expected or problems:
                     failures += 1
                     print(f"{tier.value} scene {index} step {step.event.t}: chose {chosen}, "
                           f"expected {expected}; {problems}")
-    print(f"p_fail {p_fail}: {steps} steps, {failures} failures, "
+    name = policy.kind.value if pull else f"stack {policy.utensil_stacking.value}"
+    print(f"{name}, p_fail {p_fail}: {steps} steps, {failures} failures, "
           f"{time.perf_counter() - start:.1f} s")
     return failures
 
 
 if __name__ == "__main__":
-    sys.exit(1 if sum(sweep_plan3000_pull(p) for p in (0.0, 0.2)) else 0)
+    policies = [
+        PolicyConfig(PolicyKind.PULL),
+        *(PolicyConfig(PolicyKind.STACK, stacking) for stacking in UtensilStacking),
+    ]
+    sys.exit(1 if sum(sweep_plan3000(c, p) for c in policies for p in (0.0, 0.2)) else 0)

@@ -19,6 +19,7 @@ from declutter.geometry import (
     reach_limit,
     rect,
     rim_point,
+    segments_nearest,
     separation,
     sweep_first_contact,
 )
@@ -427,3 +428,12 @@ def test_sweep_matches_scan_oracle(moving, static, direction):
 def test_rect_theta_normalized():
     r = rect(0, 0, 17, 1.8, math.pi + 0.25)
     assert r[4:] == pytest.approx((math.cos(0.25), math.sin(0.25)))
+
+
+def test_crossing_too_short_to_solve_is_reported_at_its_start():
+    # Segments 1e-7 cm long crossing at their midpoints: the line-line
+    # solve's denominator is 1e-14, inside the parallel guard, so the
+    # crossing is reported at ``p1`` without the solve.
+    p1, p2 = (-5e-8, 0.0), (5e-8, 0.0)
+    q1, q2 = (0.0, -5e-8), (0.0, 5e-8)
+    assert segments_nearest(p1, p2, q1, q2) == (0.0, p1, p1)

@@ -771,25 +771,70 @@ def test_first_step_bounds_few_pairs(monkeypatch):
 def test_ready_pairs_test_only_stacks_within_the_opening(monkeypatch):
     # The first step of a 72-item trial used to test every pair.  A gap is
     # at least the distance between the bases less both grasp loci's reach,
-    # and no pair at or beyond the opening has a shared grasp.
+    # and no pair at or beyond the opening has a shared grasp, so ``ready``
+    # is never asked about one.
     def reach(state, sid):
         spec = SIM.dish_specs[bottom_kind(state, sid)]
         return spec.length / 2.0 if bottom_kind(state, sid) is UTENSIL else spec.radius
 
-    far = []
+    asked, far = [], []
+    ready = policies.ready
 
-    def near_only(state, a, b, sim):
+    def near_only(memo, a, b):
+        state = memo.state
         sa, sb = state.stacks[a].base, state.stacks[b].base
         bound = math.hypot(sa[0] - sb[0], sa[1] - sb[1]) - reach(state, a) - reach(state, b)
-        if bound - 1e-9 >= sim.gripper.max_opening:
+        asked.append((a, b))
+        if bound - 1e-9 >= SIM.gripper.max_opening:
             far.append((a, b))
-        return mog_grasp(state, a, b, sim)
+        return ready(memo, a, b)
 
-    monkeypatch.setattr(policies, "mog_grasp", near_only)
+    monkeypatch.setattr(policies, "ready", near_only)
     # Seed 3 also reaches the planner's exact search on its last 12 stacks.
     for seed in (0, 3):
         run_policy(dense_scene(72, seed), PULL, SIM, seed)
-        assert not far
+        assert asked and not far
+
+
+def pull_trial_scenes():
+    """(scene, seed) of the seeded pull trials the grasp tests are pinned
+    on: tier t1 and t2 scenes of seeds 0-9, and two 72-item scenes."""
+    for tier in (Tier.T1, Tier.T2):
+        for seed in range(10):
+            yield generate_scene(TierConfig.preset(tier), seed), seed
+    for seed in (0, 3):
+        yield dense_scene(72, seed), seed
+
+
+@pytest.mark.parametrize("p_fail", [0.0, 0.2])
+def test_ready_and_the_contact_witness_are_the_grasp_test(monkeypatch, p_fail):
+    # ``ready`` asks ``mog_grasp``'s tests of the memo's heights and gap,
+    # and the memo's witness grasp at contact asks them of two stack values
+    # with no table built: both must answer as ``mog_grasp`` does.
+    sim = dataclasses.replace(SIM, p_fail=p_fail)
+    witness = policies._contact_witness
+    answered = []
+
+    def checked(state, mover, anchor, end, sim):
+        check = witness(state, mover, anchor, end, sim)
+        full = check_pull(state, mover, anchor, sim)
+        moved = state.clone()
+        moved.stacks[mover] = Stack(mover, state.stacks[mover].dishes, full.end)
+        assert full.end == end
+        assert full.grasp == check.grasp == mog_grasp(moved, mover, anchor, sim)
+        answered.append(check)
+        return check
+
+    monkeypatch.setattr(policies, "_contact_witness", checked)
+    for scene, seed in pull_trial_scenes():
+        for step in trial_steps(scene, PULL, sim, seed):
+            memo, ids = step.memo, sorted(step.state.stacks)
+            for a in ids:
+                for b in ids:
+                    if a != b:
+                        shared = a < b and memo.shared_grasp(a, b) is not None
+                        assert policies.ready(memo, a, b) == shared
+    assert any(check.allowable for check in answered)
 
 
 def test_each_pull_is_checked_once(monkeypatch):

@@ -5,7 +5,6 @@ from .actions import (
     Grasp,
     GraspAction,
     GripperSpec,
-    PullAction,
     PullCheck,
     PullGrasp,
     StackGrasp,

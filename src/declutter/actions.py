@@ -74,29 +74,8 @@ class GraspAction:
     targets: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= len(self.targets) <= 2:
-            raise ValueError("a grasp targets one or two stacks")
-
-
-@dataclass(frozen=True)
-class PullAction:
-    """Drag stack ``mover`` from ``start`` to ``end``, into contact with
-    stack ``anchor``."""
-
-    start: XY
-    end: XY
-    mover: int
-    anchor: int
-
-    def __post_init__(self):
-        if self.mover == self.anchor:
-            raise ValueError("pull mover and anchor must differ")
-
-    @property
-    def theta(self) -> float:
-        """The gripper's (and the motion's) heading, from ``start`` to ``end``."""
-        (x0, y0), (x1, y1) = self.start, self.end
-        return normalize_angle(math.atan2(y1 - y0, x1 - x0))
+        if len(self.targets) not in (1, 2) or len(set(self.targets)) < len(self.targets):
+            raise ValueError("a grasp targets one or two distinct stacks")
 
 
 @dataclass(frozen=True)
@@ -119,8 +98,17 @@ class Grasp:
 
 @dataclass(frozen=True)
 class PullGrasp:
-    pull: PullAction
-    grasp: GraspAction
+    """Drag stack ``mover`` along the line between the bases into contact
+    with stack ``anchor``, then grasp the pair.  The two stacks set the
+    rest: ``apply`` takes the contact point and the grasp from
+    ``check_pull``."""
+
+    mover: int
+    anchor: int
+
+    def __post_init__(self):
+        if self.mover == self.anchor:
+            raise ValueError("pull mover and anchor must differ")
 
 
 @dataclass(frozen=True)
@@ -263,7 +251,8 @@ def _stack_grasp(
     dishes: dict[int, Dish], sa: Stack, sb: Stack, sim: "SimConfig"
 ) -> GraspAction | None:
     """``mog_grasp`` of two stack values, which need not be on a table: its
-    tests in its order, and the witness targeting the two stacks' ids."""
+    tests in its order, and the witness targeting the two stacks' ids, their
+    bottom dishes."""
     specs, gripper = sim.dish_specs, sim.gripper
     grip_a = specs[dishes[sa.bottom].kind].grasp_height
     grip_b = specs[dishes[sb.bottom].kind].grasp_height
@@ -283,7 +272,7 @@ def _stack_grasp(
     else:
         (x0, y0), (x1, y1) = sa.base, sb.base
         theta = normalize_angle(math.atan2(y1 - y0, x1 - x0))
-    a, b = sa.id, sb.id
+    a, b = sa.bottom, sb.bottom
     lo, hi = (a, b) if a < b else (b, a)
     return GraspAction(point=mid, z=max(grip_a, grip_b), theta=theta, targets=(lo, hi))
 
@@ -378,7 +367,7 @@ def _contact_witness(
     mover at contact ``end`` and the anchor, asked of the two stack values
     (the grasp test reads nothing else), so no table is built."""
     sm = state.stacks[mover]
-    grasp = _stack_grasp(state.dishes, Stack(sm.id, sm.dishes, end), state.stacks[anchor], sim)
+    grasp = _stack_grasp(state.dishes, Stack(sm.dishes, end), state.stacks[anchor], sim)
     if grasp is None:
         return PullCheck("mog_allowable")
     return PullCheck(None, end=end, grasp=grasp)
@@ -416,14 +405,14 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
         x, y = stack.base
         if (
             x0 <= x <= x1 and y0 <= y <= y1
-            and stack.id not in (mover, anchor)
+            and stack.bottom not in (mover, anchor)
             and sweep.near(
                 x, y,
                 max([specs[dishes[d].kind].circumscribed_radius for d in stack.dishes]),
             )
             and sweep.meets(footprints(stack))
         ):
-            return PullCheck("corridor", stack.id, pair.end, pair.grasp)
+            return PullCheck("corridor", stack.bottom, pair.end, pair.grasp)
     return pair
 
 
@@ -528,61 +517,39 @@ def apply(
     """Execute one action, returning the successor state and its trace event.
 
     Raises InfeasibleAction (with the violated predicate's name) if the
-    action's feasibility test fails in ``state`` or its parts disagree: a
-    pull must run from the mover's base to the contact point ``check_pull``
-    finds, its grasp must take exactly the pulled pair and be the witness
-    grasp ``check_pull`` found there, and a lift grasp must take exactly the
-    lifted stack.  A pull's grasp is not tested again: ``check_pull`` tested
-    it on the pulled pair with the mover at contact, the state the pull
-    leaves.  Every other grasp must be the one its rule gives (see
-    ``_check_graspable``): a lift grasp on the state it lifts from, and a
-    stack-grasp's final grasp on the merged pile.  When ``failed`` (see
-    ``grasp_fails``), the action's final grasp fails: a failed single-stack
-    grasp leaves the table unchanged (no trip); a failed two-stack grasp
-    carries only the taller stack.  Pull and stack phases still execute
-    before a failed grasp, so consolidations persist.
+    action's feasibility test fails in ``state`` or its parts disagree.  A
+    pull-grasp names only its two stacks: ``check_pull`` tests it and gives
+    the rest, the mover's path from its base to the contact point and the
+    witness grasp of the pair there, in the state the pull leaves.  A lift
+    grasp must take exactly the lifted stack, and every other grasp must be
+    the one its rule gives (see ``_check_graspable``): a lift grasp on the
+    state it lifts from, and a stack-grasp's final grasp on the merged
+    pile.  When ``failed`` (see ``grasp_fails``), the action's final grasp
+    fails: a failed single-stack grasp leaves the table unchanged (no
+    trip); a failed two-stack grasp carries only the taller stack.  Pull
+    and stack phases still execute before a failed grasp, so
+    consolidations persist.
     """
-    g = action.grasp
-    targets = g.targets
-    grasp = {"point": list(g.point), "z": g.z, "theta": g.theta}
-
-    if isinstance(action, Grasp):
-        _check_graspable(state, g, sim)
-        kind, new, params = "grasp", state.clone(), grasp
-    elif isinstance(action, PullGrasp):
-        pull = action.pull
-        mover, anchor = pull.mover, pull.anchor
+    if isinstance(action, PullGrasp):
+        mover, anchor = action.mover, action.anchor
         check = check_pull(state, mover, anchor, sim)
         if not check.allowable:
             raise InfeasibleAction(
                 "pull_allowable", f"stacks ({mover}, {anchor}): {check.reason}"
             )
-        if pull.start != state.stacks[mover].base or pull.end != check.end:
-            raise InfeasibleAction(
-                "pull_path",
-                f"stack {mover} pulled from {pull.start} to {pull.end}, "
-                f"not from {state.stacks[mover].base} to contact at {check.end}",
-            )
-        if sorted(targets) != sorted((mover, anchor)):
-            raise InfeasibleAction(
-                "grasp_targets", f"grasp of {targets} after pulling ({mover}, {anchor})"
-            )
-        if g != check.grasp:
-            raise InfeasibleAction("grasp_witness", f"grasp {g}, not the witness {check.grasp}")
+        g, (x0, y0), (x1, y1) = check.grasp, state.stacks[mover].base, check.end
         new = state.clone()
-        new.stacks[mover] = Stack(mover, state.stacks[mover].dishes, pull.end)
+        new.stacks[mover] = Stack(state.stacks[mover].dishes, check.end)
+        theta = normalize_angle(math.atan2(y1 - y0, x1 - x0))  # the gripper's heading
         kind = "pull_grasp"
-        params = {
-            "pull": {
-                "start": list(pull.start),
-                "end": list(pull.end),
-                "theta": pull.theta,
-                "mover": mover,
-                "anchor": anchor,
-            },
-            "grasp": grasp,
-        }
+        params = {"pull": {"start": [x0, y0], "end": [x1, y1], "theta": theta,
+                           "mover": mover, "anchor": anchor}}
+    elif isinstance(action, Grasp):
+        g = action.grasp
+        _check_graspable(state, g, sim)
+        kind, new, params = "grasp", state.clone(), {}
     else:
+        g = action.grasp
         new, placements = state, []
         for placement in action.placements:
             lifted, base = placement.lifted, placement.base
@@ -597,7 +564,11 @@ def apply(
             )
             new = new.merged(lifted, base)
         _check_graspable(new, g, sim)
-        kind, params = "stack_grasp", {"placements": placements, "grasp": grasp}
+        kind, params = "stack_grasp", {"placements": placements}
+    grasp = {"point": list(g.point), "z": g.z, "theta": g.theta}
+    # A grasp's params are its grasp's; the others nest it after their own.
+    params = grasp if kind == "grasp" else {**params, "grasp": grasp}
+    targets = g.targets
 
     carried = targets
     if failed:

@@ -21,7 +21,6 @@ from .actions import (
     Action,
     Grasp,
     GraspAction,
-    PullAction,
     PullCheck,
     PullGrasp,
     StackGrasp,
@@ -88,7 +87,7 @@ def random_policy(
     bottom rim, so the whole stack rides along in one trip.  No pair is
     asked about, so ``memo`` goes unused.
     """
-    dishes = sorted((dish, stack.id) for stack in state.stacks.values() for dish in stack.dishes)
+    dishes = sorted((dish, sid) for sid, stack in state.stacks.items() for dish in stack.dishes)
     return Grasp(grasp_points(state, dishes[rng.below(len(dishes))][1], rng, sim))
 
 
@@ -209,8 +208,9 @@ class PairMemo:
     sets ``table``; the pull policy's planner passes the subsets it looks
     ahead on as masks to ``nearest``, ``_corridor`` and ``ids``.
 
-    ``plan`` maps a table mask to the pull policy's planned ``Move`` on it;
-    the policy asks the memo for its grasp or pull check when it takes it.
+    ``plan`` maps a table mask to the pull policy's planned ``Move`` on it.
+    The policy asks the memo for a planned pair's grasp when it takes it;
+    a planned pull is just its two stacks (see ``PullGrasp``).
     """
 
     def __init__(self, sim: "SimConfig"):
@@ -247,7 +247,7 @@ class PairMemo:
             dishes, specs = self.state.dishes, self.sim.dish_specs
             kind = dishes[stack.bottom].kind
             spec = specs[kind]
-            self._loci[bit] = (*stack.base, spec.grasp_reach, bit, stack.id)
+            self._loci[bit] = (*stack.base, spec.grasp_reach, bit, stack.bottom)
             self.grips[bit] = spec.grasp_height
             self.lips[bit] = stack_top_lip_height(stack, dishes, specs)
             self.utensil_piles |= bit if kind is _UTENSIL else 0
@@ -371,7 +371,7 @@ class PairMemo:
 
     def footprints(self, stack: Stack) -> list[Footprint]:
         """``stack_footprints`` of ``stack``, which must be the synced table's."""
-        return self._bit_footprints(self._ids[stack.id])
+        return self._bit_footprints(self._ids[stack.bottom])
 
     def _bit_footprints(self, bit: int) -> list[Footprint]:
         fps = self._footprints.get(bit)
@@ -432,14 +432,16 @@ class PairMemo:
         """``check_pull`` of ``mover`` toward ``anchor`` on ``table`` (a mask
         of the synced table's bits; None for all of it), naming one of the
         blocking stacks when the corridor is blocked.  As in ``check_pull``,
-        a failed grasp at contact is named before a blocker."""
+        a failed grasp at contact is named before a blocker.  The policy
+        reads ``_corridor``: this is the memo's answer in ``check_pull``'s
+        terms, held equal to it on every table mask, to explain a pull."""
         pair, blocker = self._corridor(mover, anchor, self.table if table is None else table)
         if blocker:  # the empty table blocks nothing, so it takes the grasp at contact
             pair = self._corridor(mover, anchor, 0)[0]
         if not blocker or not pair.allowable:
             return pair
         # Built directly: ``replace`` costs several times more.
-        return PullCheck("corridor", self._values[blocker].id, pair.end, pair.grasp)
+        return PullCheck("corridor", self._values[blocker].bottom, pair.end, pair.grasp)
 
 
 # Tables of at most this many stacks, the size of a paper scene, get a
@@ -572,26 +574,30 @@ def _exact_search(memo: PairMemo, classes: list[int]) -> Callable[[int, int], bo
     still improve on the best order, and then only whether a stack of that
     subset meets its corridor.
     """
-    moves = list(_moves(memo, memo.table))
-    least = {0: 0}
+    args = memo, classes, list(_moves(memo, memo.table)), {0: 0}
+    return lambda left, cleared: _trips(*args, left) == 1 + _trips(*args, left ^ cleared)
 
-    def trips(left: int) -> int:
-        if left not in least:
-            floor = _trip_floor(left, classes)
-            best = left.bit_count()
-            for move in moves:
-                if best == floor:
-                    break
-                cleared = move[2]
-                if cleared & left != cleared:
-                    continue
-                rest = left ^ cleared
-                if 1 + _trip_floor(rest, classes) < best and _takeable(memo, move, left):
-                    best = min(best, 1 + trips(rest))
-            least[left] = best
-        return least[left]
 
-    return lambda left, cleared: trips(left) == 1 + trips(left ^ cleared)
+def _trips(
+    memo: PairMemo, classes: list[int], moves: list[Move], least: dict[int, int], left: int
+) -> int:
+    """Fewest trips that clear subset ``left`` with ``moves``, kept in
+    ``least``: a module function, as a closure that calls itself is a
+    reference cycle, which would keep the trial's memo alive after it."""
+    if left not in least:
+        floor = _trip_floor(left, classes)
+        best = left.bit_count()
+        for move in moves:
+            if best == floor:
+                break
+            cleared = move[2]
+            if cleared & left != cleared:
+                continue
+            rest = left ^ cleared
+            if 1 + _trip_floor(rest, classes) < best and _takeable(memo, move, left):
+                best = min(best, 1 + _trips(memo, classes, moves, least, rest))
+        least[left] = best
+    return least[left]
 
 
 def pull_policy(
@@ -607,9 +613,9 @@ def pull_policy(
     nearest-first's move wherever that move starts such an order, and plans
     again whenever a failed action leaves a table off the plan.  Pair
     results and the plan come from ``memo``, which carries them from one
-    step of a trial to the next, and so does a chosen pull's contact point
-    and grasp (``memo.pull``); a chosen pair's grasp is built for it alone
-    (``memo.shared_grasp``).
+    step of a trial to the next.  A chosen pull names only its two stacks,
+    as ``apply`` finds its contact point and grasp; a chosen pair's grasp
+    is built for it alone (``memo.shared_grasp``).
     """
     memo.sync(state)
     planned = len(state.stacks) <= PLAN_MAX_STACKS
@@ -617,9 +623,7 @@ def pull_policy(
         memo.plan = _plan(memo)
     kind, targets, _ = memo.plan[memo.table] if planned else _first_move(memo, memo.table)
     if kind == "pull":
-        check = memo.pull(*targets)
-        pull = PullAction(state.stacks[targets[0]].base, check.end, *targets)
-        return PullGrasp(pull, check.grasp)
+        return PullGrasp(*targets)
     if kind == "single":
         return Grasp(grasp_points(state, targets[0], rng, sim))
     return Grasp(memo.shared_grasp(*targets))

@@ -113,9 +113,9 @@ def default_dish_specs() -> dict[DishKind, DishSpec]:
 
 @dataclass(frozen=True)
 class Dish:
-    """One dish; its position is the ``base`` of the stack that holds it."""
+    """One dish; its id is its key in ``SceneState.dishes``, and its
+    position is the ``base`` of the stack that holds it."""
 
-    id: int
     kind: DishKind
     theta: float = 0.0  # meaningful only for utensils, in [0, pi)
 
@@ -124,10 +124,10 @@ class Dish:
 class Stack:
     """Ordered pile of dishes sharing a base position, bottom to top.
 
-    Singletons are stacks of size 1.
+    Singletons are stacks of size 1.  A stack's id is its bottom dish's, the
+    key ``SceneState.stacks`` files it under (see ``validate``).
     """
 
-    id: int
     dishes: tuple[int, ...]
     base: XY
 
@@ -169,7 +169,7 @@ class SceneState:
         new = self.clone()
         top = new.stacks.pop(lifted)
         below = new.stacks[base]
-        new.stacks[base] = Stack(below.id, below.dishes + top.dishes, below.base)
+        new.stacks[base] = Stack(below.dishes + top.dishes, below.base)
         return new
 
 
@@ -375,7 +375,7 @@ def generate_scene(
             hits = grid.hits(fp, reach)
             if not hits:
                 pos = x, y
-                state.stacks[dish_id] = Stack(dish_id, (dish_id,), pos)
+                state.stacks[dish_id] = Stack((dish_id,), pos)
                 grid.add(_Placed(dish_id, pos, reach, fp))
                 break
             if len(hits) == 1 and intersections_used < cfg.max_intersections:
@@ -400,19 +400,23 @@ def generate_scene(
             raise PlacementExhausted(
                 f"could not place {kind.value} #{dish_id} after {MAX_RESAMPLES} samples"
             )
-        state.dishes[dish_id] = Dish(dish_id, kind, theta)
+        state.dishes[dish_id] = Dish(kind, theta)
     return state
 
 
 def validate(
     state: SceneState, specs: dict[DishKind, DishSpec] | None = None
 ) -> list[str]:
-    """Return a list of invariant violations; empty iff the scene is valid."""
+    """Return a list of invariant violations; empty iff the scene is valid:
+    a stack is filed under its bottom dish, and a dish is in one stack or
+    the bin, inside the workspace; stacks are stable and do not overlap."""
     specs = specs or default_dish_specs()
     problems: list[str] = []
 
     seen: dict[int, int] = {}
-    for stack in state.stacks.values():
+    for sid, stack in state.stacks.items():
+        if sid != stack.bottom:
+            problems.append(f"stack filed under {sid} has bottom dish {stack.bottom}")
         for dish_id in stack.dishes:
             seen[dish_id] = seen.get(dish_id, 0) + 1
     for dish_id in state.bin:
@@ -431,18 +435,18 @@ def validate(
             continue  # reported as an unknown dish id
         radii = [specs[state.dishes[d].kind].effective_radius for d in stack.dishes]
         if any(radii[i] + 1e-9 < radii[i + 1] for i in range(len(radii) - 1)):
-            problems.append(f"stack stability violated: stack {stack.id}")
+            problems.append(f"stack stability violated: stack {stack.bottom}")
         fps = stack_footprints(state, stack, specs)
         for dish_id, fp in zip(stack.dishes, fps):
             if not _inside_workspace(fp, state.workspace):
                 problems.append(f"out of workspace: dish {dish_id}")
         placed.append((stack, fps))
 
-    placed.sort(key=lambda entry: entry[0].id)
+    placed.sort(key=lambda entry: entry[0].bottom)
     for i, (a, fps_a) in enumerate(placed):
         for b, fps_b in placed[i + 1:]:
             if any(overlaps(fa, fb) for fa in fps_a for fb in fps_b):
-                problems.append(f"stacks overlap: {a.id} and {b.id}")
+                problems.append(f"stacks overlap: {a.bottom} and {b.bottom}")
     return problems
 
 
@@ -457,17 +461,17 @@ def _f6(value: float) -> str:
 
 def scene_to_json(state: SceneState) -> str:
     stacks_parts = []
-    for stack in sorted(state.stacks.values(), key=lambda s: s.id):
+    for _, stack in sorted(state.stacks.items()):
         dish_parts = []
         for dish_id in stack.dishes:
             dish = state.dishes[dish_id]
             if dish.kind is DishKind.UTENSIL:
                 dish_parts.append(
-                    f'{{"id": {dish.id}, "kind": "{dish.kind.value}", '
+                    f'{{"id": {dish_id}, "kind": "{dish.kind.value}", '
                     f'"theta": {_f6(dish.theta)}}}'
                 )
             else:
-                dish_parts.append(f'{{"id": {dish.id}, "kind": "{dish.kind.value}"}}')
+                dish_parts.append(f'{{"id": {dish_id}, "kind": "{dish.kind.value}"}}')
         stacks_parts.append(
             f'{{"base": [{_f6(stack.base[0])}, {_f6(stack.base[1])}], '
             f'"dishes": [{", ".join(dish_parts)}]}}'
@@ -535,10 +539,9 @@ def scene_from_json(text: str, specs: dict[DishKind, DishSpec] | None = None) ->
                 raise SchemaError(f"stack {idx} dish malformed: {exc}") from exc
             if dish_id in state.dishes:
                 raise SchemaError(f"duplicate dish id {dish_id}")
-            state.dishes[dish_id] = Dish(dish_id, kind, theta)
+            state.dishes[dish_id] = Dish(kind, theta)
             ids.append(dish_id)
-        # Keyed by bottom dish id, as generation keys its stacks.
-        state.stacks[ids[0]] = Stack(ids[0], tuple(ids), base)
+        state.stacks[ids[0]] = Stack(tuple(ids), base)
 
     problems = validate(state, specs)
     if problems:

@@ -26,19 +26,22 @@ def build_scene(stacks, workspace=(78.0, 61.0), tier="custom"):
     """Build a scene from [(kinds, x, y), ...] stack descriptions.
 
     ``kinds`` is a list of DishKind or (DishKind, theta) tuples, bottom to
-    top.  Dish and stack ids are assigned sequentially.
+    top.  A stack's id is its index, the id of its bottom dish; the dishes
+    above the bottoms are numbered after them, in order.
     """
     state = SceneState(workspace=workspace, stacks={}, dishes={}, tier=tier)
-    dish_id = 0
+    upper = len(stacks)
     for stack_id, (kinds, x, y) in enumerate(stacks):
-        base = x, y
         ids = []
         for entry in kinds:
             kind, theta = entry if isinstance(entry, tuple) else (entry, 0.0)
-            state.dishes[dish_id] = Dish(dish_id, kind, theta)
+            if ids:
+                dish_id, upper = upper, upper + 1
+            else:
+                dish_id = stack_id
+            state.dishes[dish_id] = Dish(kind, theta)
             ids.append(dish_id)
-            dish_id += 1
-        state.stacks[stack_id] = Stack(stack_id, tuple(ids), base)
+        state.stacks[stack_id] = Stack(tuple(ids), (x, y))
     return state
 
 

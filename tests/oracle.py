@@ -49,7 +49,7 @@ PULL_PLAN_MAX_STACKS = 12
 def choice(action):
     """The action in the reference's terms."""
     if isinstance(action, PullGrasp):
-        return "pull", (action.pull.mover, action.pull.anchor)
+        return "pull", (action.mover, action.anchor)
     if isinstance(action, StackGrasp):
         return "stack", tuple((p.lifted, p.base) for p in action.placements)
     if len(action.grasp.targets) == 2:

@@ -12,7 +12,6 @@ import pytest
 
 from declutter import (
     PolicyConfig,
-    PullAction,
     PullGrasp,
     StackGrasp,
     TimeModel,
@@ -349,9 +348,9 @@ def test_criterion_8_property_suites():
                 break
             for b in ids:
                 if a != b and check_pull(scene, a, b, SIM).allowable:
-                    pull = PullAction(scene.stacks[a].base, check_pull(scene, a, b, SIM).end, a, b)
+                    end = check_pull(scene, a, b, SIM).end
                     moved = scene.clone()
-                    moved.stacks[a] = dataclasses.replace(scene.stacks[a], base=pull.end)
+                    moved.stacks[a] = dataclasses.replace(scene.stacks[a], base=end)
                     assert mog_grasp(moved, a, b, SIM) is not None, (tier, case, a, b)
                     found = True
                     break
@@ -447,7 +446,7 @@ def test_criterion_9_small_scene_oracle():
                 # Composite actions must pass their own predicates here,
                 # independently of the transition's re-check.
                 if isinstance(action, PullGrasp):
-                    assert check_pull(state, action.pull.mover, action.pull.anchor, SIM).allowable
+                    assert check_pull(state, action.mover, action.anchor, SIM).allowable
                 elif isinstance(action, StackGrasp):
                     probe = state
                     for placement in action.placements:

@@ -11,7 +11,6 @@ from declutter import (
     Grasp,
     GraspAction,
     InfeasibleAction,
-    PullAction,
     PullGrasp,
     Stack,
     StackGrasp,
@@ -64,16 +63,17 @@ _ONE_GRASP = GraspAction(_ORIGIN, 1.0, 0.0, (0,))
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: GraspAction(_ORIGIN, 1.0, 0.0, ()), "one or two stacks"),
-    (lambda: GraspAction(_ORIGIN, 1.0, 0.0, (0, 1, 2)), "one or two stacks"),
-    (lambda: PullAction(_ORIGIN, _ORIGIN, 1, 1), "mover and anchor must differ"),
+    (lambda: GraspAction(_ORIGIN, 1.0, 0.0, ()), "one or two distinct stacks"),
+    (lambda: GraspAction(_ORIGIN, 1.0, 0.0, (0, 1, 2)), "one or two distinct stacks"),
+    (lambda: GraspAction((20.0, 20.0), 9.0, 0.0, (0, 0)), "one or two distinct stacks"),
+    (lambda: PullGrasp(1, 1), "mover and anchor must differ"),
     (lambda: StackPlacement(_ONE_GRASP, 1, 1), "onto itself"),
     (lambda: StackGrasp((), _ONE_GRASP), "at least one placement"),
     (lambda: mog_grasp(build_scene([([CUP], 30, 30)]), 0, 0, SIM), "two distinct stacks"),
-    (lambda: Stack(0, (), _ORIGIN), "at least one dish"),
+    (lambda: Stack((), _ORIGIN), "at least one dish"),
 ], ids=[
-    "grasp_no_target", "grasp_three_targets", "pull_onto_itself", "placement_onto_itself",
-    "stack_grasp_no_placement", "mog_grasp_one_stack", "empty_stack",
+    "grasp_no_target", "grasp_three_targets", "grasp_one_target_twice", "pull_onto_itself",
+    "placement_onto_itself", "stack_grasp_no_placement", "mog_grasp_one_stack", "empty_stack",
 ])
 def test_malformed_value_raises(build, message):
     with pytest.raises(ValueError, match=message):
@@ -181,23 +181,23 @@ def test_grasp_gap_matches_sampled_loci(name):
 class TestPull:
     def test_cups_contact_endpoint(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
-        assert check_pull(scene, 0, 1, SIM).allowable
-        pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)
-        assert pull.end[0] == pytest.approx(31.0, abs=1e-3)
-        assert pull.end[1] == pytest.approx(10.0, abs=1e-6)
+        check = check_pull(scene, 0, 1, SIM)
+        assert check.allowable
+        assert check.end[0] == pytest.approx(31.0, abs=1e-3)
+        assert check.end[1] == pytest.approx(10.0, abs=1e-6)
         # Independent oracle: scanned first contact along the center line.
         t = scan_first_contact(
             stack_footprints(scene, scene.stacks[0], SIM.dish_specs)[0],
             stack_footprints(scene, scene.stacks[1], SIM.dish_specs)[0],
             1.0, 0.0, 30.0,
         )
-        assert pull.end[0] - 10.0 == pytest.approx(t, abs=1e-3)
+        assert check.end[0] - 10.0 == pytest.approx(t, abs=1e-3)
 
     def test_bowls_contact_endpoint(self):
         scene = build_scene([([BOWL], 10, 10), ([BOWL], 10, 40)])
-        pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)
-        assert pull.end[0] == pytest.approx(10.0, abs=1e-6)
-        assert pull.end[1] == pytest.approx(23.0, abs=1e-3)
+        end = check_pull(scene, 0, 1, SIM).end
+        assert end[0] == pytest.approx(10.0, abs=1e-6)
+        assert end[1] == pytest.approx(23.0, abs=1e-3)
 
     def test_blocked_corridor(self):
         scene = build_scene(
@@ -206,9 +206,8 @@ class TestPull:
         assert not check_pull(scene, 0, 1, SIM).allowable
         check = check_pull(scene, 0, 1, SIM)
         assert (check.failed, check.blocker) == ("corridor", 2)
-        pull = PullAction(scene.stacks[0].base, check.end, 0, 1)
         with pytest.raises(InfeasibleAction, match="blocked by stack 2") as err:
-            apply(scene, PullGrasp(pull, check.grasp), SIM)
+            apply(scene, PullGrasp(0, 1), SIM)
         assert err.value.predicate == "pull_allowable"
 
     def test_cup_bowl_pair_never_pullable(self):
@@ -220,9 +219,8 @@ class TestPull:
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
         check = check_pull(scene, 0, 1, SIM)
         assert check.allowable and check.blocker is None
-        pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)
-        assert check.end == pull.end
-        assert check.grasp == grasp_for_moved(scene, pull, SIM)
+        assert check.end[0] == pytest.approx(31.0, abs=1e-3)
+        assert check.grasp == grasp_for_moved(scene, 0, 1, check.end)
 
     def test_utensil_mover_keeps_orientation(self):
         theta = 1.1
@@ -230,11 +228,7 @@ class TestPull:
             [([(UTENSIL, theta)], 15, 20), ([(UTENSIL, 0.3)], 55, 25)]
         )
         assert check_pull(scene, 0, 1, SIM).allowable
-        pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)
-        grasp = mog_grasp(scene, 0, 1, SIM)
-        new_state, event = apply(
-            scene, PullGrasp(pull, grasp_for_moved(scene, pull, SIM)), SIM
-        )
+        new_state, event = apply(scene, PullGrasp(0, 1), SIM)
         assert new_state.dishes[0].theta == theta  # caged pull, no rotation
         assert event.trip
 
@@ -242,12 +236,11 @@ class TestPull:
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 40)])
         check = check_pull(scene, 0, 1, SIM)
         start = scene.stacks[0].base
-        pull = PullAction(start, check.end, 0, 1)
-        _, event = apply(scene, PullGrasp(pull, check.grasp), SIM)
+        _, event = apply(scene, PullGrasp(0, 1), SIM)
         heading = math.atan2(check.end[1] - start[1], check.end[0] - start[0])
         assert event.params["pull"]["theta"] == heading == pytest.approx(math.pi / 4)
-        with pytest.raises(TypeError):
-            dataclasses.replace(pull, theta=1.0)
+        with pytest.raises(TypeError):  # the heading is the path's, not a part of its own
+            dataclasses.replace(PullGrasp(0, 1), theta=1.0)
 
     def test_corridor_blocker_reaches_past_its_bottom_dish(self):
         # Cup 0, grown by the 1 cm margin, passes 2 cm clear of cup 2 on its
@@ -270,10 +263,8 @@ class TestPull:
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
         check = check_pull(scene, 0, 1, SIM)
         assert not check.allowable and check.reason == "grip_height"
-        pull = PullAction(scene.stacks[0].base, (31.0, 10.0), 0, 1)
-        grasp = GraspAction((35.5, 10.0), 5.0, 0.0, (0, 1))
         with pytest.raises(InfeasibleAction, match="grip_height") as err:
-            apply(scene, PullGrasp(pull, grasp), SIM)
+            apply(scene, PullGrasp(0, 1), SIM)
         assert err.value.predicate == "pull_allowable"
 
 
@@ -315,10 +306,8 @@ def admitted_actions(state):
             shared = mog_grasp(state, a, b, SIM)
             if a < b and shared is not None:
                 actions.append(Grasp(shared))
-            check = check_pull(state, a, b, SIM)
-            if check.allowable:
-                pull = PullAction(state.stacks[a].base, check.end, a, b)
-                actions.append(PullGrasp(pull, check.grasp))
+            if check_pull(state, a, b, SIM).allowable:
+                actions.append(PullGrasp(a, b))
     return actions
 
 
@@ -339,10 +328,11 @@ def test_admitted_actions_keep_the_scene_valid(tier, seed, data):
         state = data.draw(st.sampled_from(successors))
 
 
-def grasp_for_moved(scene, pull, sim):
+def grasp_for_moved(scene, mover, anchor, end):
+    """``mog_grasp`` of ``mover`` and ``anchor`` with the mover's base at ``end``."""
     moved = scene.clone()
-    moved.stacks[pull.mover] = dataclasses.replace(scene.stacks[pull.mover], base=pull.end)
-    grasp = mog_grasp(moved, pull.mover, pull.anchor, sim)
+    moved.stacks[mover] = dataclasses.replace(scene.stacks[mover], base=end)
+    grasp = mog_grasp(moved, mover, anchor, SIM)
     assert grasp is not None
     return grasp
 
@@ -384,9 +374,7 @@ class TestApply:
 
     def test_pull_grasp_clears_both(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
-        pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)
-        action = PullGrasp(pull, grasp_for_moved(scene, pull, SIM))
-        new, event = apply(scene, action, SIM)
+        new, event = apply(scene, PullGrasp(0, 1), SIM)
         assert new.stacks == {}
         assert sorted(new.bin) == [0, 1]
         assert event.trip
@@ -440,10 +428,8 @@ class TestApply:
         # can bring into contact.
         scene = build_scene(stacks)
         assert check_pull(scene, mover, 1, SIM).failed == reason
-        grasp = mog_grasp(build_scene([([CUP], 10, 10), ([CUP], 19, 10)]), 0, 1, SIM)
-        pull = PullAction((10, 10), (19, 10), mover, 1)
         with pytest.raises(InfeasibleAction, match=reason) as err:
-            apply(scene, PullGrasp(pull, grasp), SIM)
+            apply(scene, PullGrasp(mover, 1), SIM)
         assert err.value.predicate == "pull_allowable"
 
     @pytest.mark.parametrize("pile, sid", [
@@ -467,19 +453,9 @@ class TestApply:
         assert not stack_allowable(scene, 1, 1, SIM)
         assert not stack_allowable(scene, 0, 0, SIM)
 
-    def test_pull_grasp_must_grasp_the_pulled_pair(self):
-        scene = generate_scene(TierConfig.preset(Tier.T0_BOWLS), 0, SIM.dish_specs)
-        pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 4, SIM).end, 0, 4)
-        g = grasp_for_moved(scene, pull, SIM)
-        for targets in ((1, 2), (0,), (0, 3)):
-            bad = PullGrasp(pull, GraspAction(g.point, g.z, g.theta, targets))
-            with pytest.raises(InfeasibleAction) as err:
-                apply(scene, bad, SIM)
-            assert err.value.predicate == "grasp_targets"
-
-    def test_pull_grasp_must_be_the_witness_grasp(self):
-        # A grasp of the pulled pair that is not ``check_pull``'s witness at
-        # contact: moved 30 cm, raised or turned.
+    def test_pull_grasp_takes_check_pulls_contact_and_witness(self):
+        # The first allowable pull of t1 seed 0: the mover ends at the
+        # contact point and the grasp is the witness there.
         scene = generate_scene(TierConfig.preset(Tier.T1), 0, SIM.dish_specs)
         check, mover, anchor = next(
             (check, m, a)
@@ -487,17 +463,11 @@ class TestApply:
             for a in scene.stacks
             if m != a and (check := check_pull(scene, m, a, SIM)).allowable
         )
-        pull = PullAction(scene.stacks[mover].base, check.end, mover, anchor)
+        _, event = apply(scene, PullGrasp(mover, anchor), SIM)
+        assert event.params["pull"]["end"] == list(check.end)
         g = check.grasp
-        for bad in (
-            dataclasses.replace(g, point=(g.point[0] + 30.0, g.point[1])),
-            dataclasses.replace(g, z=g.z + 1.0),
-            dataclasses.replace(g, theta=g.theta + 0.5),
-        ):
-            with pytest.raises(InfeasibleAction) as err:
-                apply(scene, PullGrasp(pull, bad), SIM)
-            assert err.value.predicate == "grasp_witness"
-        apply(scene, PullGrasp(pull, g), SIM)
+        assert event.params["grasp"] == {"point": list(g.point), "z": g.z, "theta": g.theta}
+        assert event.targets == g.targets
 
     def test_placement_must_lift_the_lifted_stack(self):
         # Stack 2 is set on bowl 1 with a grasp of cup 0, or of both cups.
@@ -583,30 +553,6 @@ class TestApply:
                 with pytest.raises(InfeasibleAction, match="not a grasp of stack 0"):
                     apply(scene, Grasp(dataclasses.replace(g, point=off)), SIM)
 
-    def test_pull_grasp_checks_grasp_after_the_pull(self):
-        scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
-        pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)
-        short = dataclasses.replace(pull, end=(15.0, 10.0))
-        action = PullGrasp(short, grasp_for_moved(scene, pull, SIM))
-        with pytest.raises(InfeasibleAction) as err:
-            apply(scene, action, SIM)
-        assert err.value.predicate == "pull_path"
-
-    def test_pull_must_end_at_the_contact_point(self):
-        # Pulling cup 1 to cup 0 makes contact at (31, 10).  Ending at
-        # (33, 20) instead still leaves a graspable pair, but the failed
-        # grasp would leave cup 1 inside bowl 2.
-        sim = dataclasses.replace(SIM, p_fail=1.0)
-        scene = build_scene([([CUP], 40, 10), ([CUP], 10, 10), ([BOWL], 30, 30)])
-        pull = PullAction(scene.stacks[1].base, check_pull(scene, 1, 0, sim).end, 1, 0)
-        assert pull.end[0] == pytest.approx(31.0, abs=1e-3)
-        astray = dataclasses.replace(pull, end=(33.0, 20.0))
-        for bad in (astray, dataclasses.replace(pull, start=(11.0, 10.0))):
-            action = PullGrasp(bad, grasp_for_moved(scene, bad, sim))
-            with pytest.raises(InfeasibleAction) as err:
-                apply(scene, action, sim, failed=True)
-            assert err.value.predicate == "pull_path"
-
     def test_stack_grasp_checks_two_target_grasp(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10), ([BOWL], 66, 49)])
         placement = StackPlacement(grasp_points(scene, 0, SplitMix64(1), SIM), 0, 1)
@@ -618,8 +564,7 @@ class TestApply:
 
     def test_conservation_of_dish_ids(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10), ([BOWL], 60, 40)])
-        pull = PullAction(scene.stacks[0].base, check_pull(scene, 0, 1, SIM).end, 0, 1)
-        new, _ = apply(scene, PullGrasp(pull, grasp_for_moved(scene, pull, SIM)), SIM)
+        new, _ = apply(scene, PullGrasp(0, 1), SIM)
         on_table = [d for s in new.stacks.values() for d in s.dishes]
         assert sorted(on_table + list(new.bin)) == [0, 1, 2]
 
@@ -645,8 +590,8 @@ class TestFailureModel:
         scene = build_scene([([BOWL, CUP], 20, 30), ([BOWL], 40, 30)])
         action = Grasp(mog_grasp(scene, 0, 1, sim))
         new, event = apply(scene, action, sim, failed=True)
-        # The taller pile (bowl+cup, lip 7) wins the jaws; the bowl stays.
-        assert sorted(new.bin) == [0, 1]
+        # The taller pile (bowl 0 + cup 2, lip 7) wins the jaws; bowl 1 stays.
+        assert sorted(new.bin) == [0, 2]
         assert set(new.stacks) == {1}
         assert event.trip
         assert event.params["abandoned"] == 1

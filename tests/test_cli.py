@@ -169,6 +169,7 @@ class TestRun:
         ("number_dishes", "dishes must be a non-empty list"),
         ("duplicate_id", "duplicate dish id"),
         ("zero_workspace", "workspace sides must be positive"),
+        ("short_workspace", "workspace must be [width, height]"),
     ])
     def test_scene_schema_errors_exit_3(self, tmp_path, capsys, edit, message):
         out = tmp_path / "scenes"
@@ -193,6 +194,8 @@ class TestRun:
             scene["stacks"][-1]["dishes"][0]["id"] = scene["stacks"][0]["dishes"][0]["id"]
         elif edit == "zero_workspace":
             scene["workspace"][1] = 0
+        elif edit == "short_workspace":
+            scene["workspace"] = scene["workspace"][:1]
         else:
             scene["stacks"][-1]["dishes"][0]["extra"] = 1
         path.write_text(json.dumps(scene))
@@ -435,6 +438,7 @@ class TestBench:
         ("p_fail", 1.5),
         ("bin_delays", [-50]),
         ("bin_delays", [3, 3]),
+        ("tiers", []),
     ])
     def test_plan_range_error_exits_2(self, tmp_path, field, value):
         plan = write_plan(tmp_path, **{field: value})
@@ -470,7 +474,9 @@ class TestBench:
     @pytest.mark.parametrize("text, message", [
         ("{broken", "plan file is not valid JSON"),
         (json.dumps({**PLAN, "tiers": ["t1", "t9"]}), "plan tiers malformed: 't9'"),
-    ], ids=["not_json", "unknown_tier"])
+        (json.dumps({**PLAN, "policies": [5]}), "plan policy malformed: not a policy entry: 5"),
+        (json.dumps({k: v for k, v in PLAN.items() if k != "base_seed"}), "plan needs a base_seed"),
+    ], ids=["not_json", "unknown_tier", "policy_entry", "no_base_seed"])
     def test_bad_plan_file_exits_3(self, tmp_path, capsys, text, message):
         plan = tmp_path / "plan.json"
         plan.write_text(text)
@@ -569,7 +575,7 @@ class TestFitTime:
         rc = main(["fit-time", "--table", str(table)])
         assert rc == 3
 
-    @pytest.mark.parametrize("time_s", ["0", "-5", "nan", "inf"])
+    @pytest.mark.parametrize("time_s", ["0", "-5", "nan", "inf", "abc"])
     def test_nonpositive_or_nonfinite_time_exits_3(self, tmp_path, capsys, time_s):
         table = tmp_path / "table.csv"
         table.write_text(f"tier,policy,time_s\nt1,random,120.0\nt1,pull,{time_s}\n")
@@ -624,6 +630,9 @@ def test_config_flag_threads_through(tmp_path, capsys):
     ("dishes", {"utensil": {"width": 20.0}}),
     ("dishes", {"bowl": {"grasp_height": 0.0}}),
     ("gripper", {"jaw_height": 0.0}),
+    ("workspace", [78.0]),
+    ("gripper", 5),
+    ("time_model", {"travel_s": -1.0}),
 ])
 def test_bad_config_key_exits_3(tmp_path, capsys, section, entry):
     path = tmp_path / "c.json"

@@ -156,6 +156,15 @@ class TestAggregate:
         with pytest.raises(MissingBaseline):
             aggregate([report("t1", "stack", 6, 12, 80.0)])
 
+    def test_baseline_without_trips(self):
+        # Trials that bin nothing pool no trips, so they have no ratio.
+        idle = TrialReport(
+            scene_id="t1_x", tier="t1", policy="random", trips=0,
+            objects_cleared=0, opt=0.0, time_s=10.0, failures=1,
+        )
+        with pytest.raises(EmptyTrace, match="^no trips across trials$"):
+            aggregate([idle])
+
 
 class TestCsv:
     def test_header_and_formatting(self):

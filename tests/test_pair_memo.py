@@ -2,9 +2,11 @@
 references."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
+import weakref
 from collections import Counter
 from itertools import islice
 
@@ -16,7 +18,6 @@ from declutter import (
     Grasp,
     PairMemo,
     PolicyConfig,
-    PullAction,
     PullGrasp,
     SceneState,
     StackGrasp,
@@ -37,7 +38,7 @@ from declutter import (
 )
 from declutter.rng import SplitMix64, derive_seed
 from declutter.geometry import TOUCH_TOL, XY
-from declutter.tableware import Stack, stack_footprints
+from declutter.tableware import Dish, Stack, stack_footprints
 from helpers import BOWL, CUP, SIM, UTENSIL, build_scene, sampled_sweep_blocked, support
 from oracle import choice, pull_policy_choice, stack_policy_choice
 
@@ -215,10 +216,9 @@ def test_pull_offered_once_blocker_is_binned():
 
 @pytest.mark.parametrize("p_fail", [0.0, 0.2])
 def test_pull_step_is_the_memos_check(p_fail):
-    # The policy builds a pull-grasp from the memo's answer for it: the
-    # step's memo, synced with the table the policy chose on, holds
-    # ``check_pull``'s check, whose contact point and grasp the action
-    # carries.
+    # The policy takes a pull the memo finds allowable: the step's memo,
+    # synced with the table the policy chose on, holds ``check_pull``'s
+    # check, whose contact point and grasp the step's event carries.
     sim = dataclasses.replace(SIM, p_fail=p_fail)
     pulls = 0
     for tier in (Tier.T1, Tier.T2):
@@ -227,11 +227,16 @@ def test_pull_step_is_the_memos_check(p_fail):
             for step in trial_steps(scene, PULL, sim, seed):
                 if not isinstance(step.action, PullGrasp):
                     continue
-                pull = step.action.pull
-                check = step.memo.pull(pull.mover, pull.anchor)
-                assert check == check_pull(step.state, pull.mover, pull.anchor, sim)
+                mover, anchor = step.action.mover, step.action.anchor
+                check = step.memo.pull(mover, anchor)
+                assert check == check_pull(step.state, mover, anchor, sim)
                 assert check.allowable
-                assert (check.end, check.grasp) == (pull.end, step.action.grasp)
+                g, params = check.grasp, step.event.params
+                assert params["pull"]["end"] == list(check.end)
+                assert params["grasp"] == {"point": list(g.point), "z": g.z, "theta": g.theta}
+                assert step.event.targets == g.targets
+                if mover in step.after.stacks:  # left at contact by a failed grasp
+                    assert step.after.stacks[mover].base == check.end
                 pulls += 1
     assert pulls
 
@@ -283,7 +288,8 @@ def test_sync_follows_each_stack_by_value():
     moved.stacks[1] = dataclasses.replace(moved.stacks[1], base=(25, 10))
     merged = moved.merged(0, 2)
     arrived = merged.clone()
-    arrived.stacks[5] = Stack(5, (3,), (20, 45))
+    arrived.dishes = {**merged.dishes, 5: Dish(BOWL)}  # a bowl from off the table
+    arrived.stacks[5] = Stack((5,), (20, 45))
     memo = PairMemo(SIM)
     bits = {}  # the bit each value got
     for state in (scene, left, left, copied, moved, merged, arrived, scene, copied, arrived):
@@ -312,7 +318,7 @@ def test_failed_pull_blocks_corridor_cached_as_clear():
     assert first.memo.pull(0, 1).allowable
 
     assert first.event.params["abandoned"] == 2
-    assert first.after.stacks[2].base == first.action.pull.end
+    assert first.after.stacks[2].base == check_pull(scene, 2, 3, sim).end
     second = next(steps)
     assert isinstance(second.action, Grasp)
     assert choice(second.action) == ("single", (2,)) == pull_policy_choice(second.state, sim)
@@ -457,8 +463,7 @@ def test_stack_moved_into_a_tested_corridor_blocks_it():
     assert not y0 <= scene.stacks[2].base[1] <= y1
 
     check = check_pull(scene, 2, 3, SIM)
-    pull = PullAction(scene.stacks[2].base, check.end, 2, 3)
-    after, event = apply(scene, PullGrasp(pull, check.grasp), SIM, failed=True)
+    after, event = apply(scene, PullGrasp(2, 3), SIM, failed=True)
     assert event.params["abandoned"] == 2 and after.stacks[2].base == check.end
     assert x0 <= check.end[0] <= x1 and y0 <= check.end[1] <= y1
     memo.sync(after)
@@ -621,8 +626,7 @@ def test_stack_left_by_failed_pull_is_ranked_as_brute_force():
         (m, a) for m, a in memo.nearest(policies.same_grip) if memo.pull(m, a).allowable
     )
     check = memo.pull(mover, anchor)
-    pull = PullAction(state.stacks[mover].base, check.end, mover, anchor)
-    state, event = apply(state, PullGrasp(pull, check.grasp), SIM, failed=True)
+    state, event = apply(state, PullGrasp(mover, anchor), SIM, failed=True)
     assert event.params["abandoned"] == mover
     assert state.stacks[mover].base == check.end
     memo.sync(state)
@@ -798,12 +802,14 @@ def test_ready_pairs_test_only_stacks_within_the_opening(monkeypatch):
 
 def pull_trial_scenes():
     """(scene, seed) of the seeded pull trials the grasp tests are pinned
-    on: tier t1 and t2 scenes of seeds 0-9, and two 72-item scenes."""
+    on: tier t1 and t2 scenes of seeds 0-9, two 72-item scenes, and a pile
+    of four cups beside a cup, whose lip span (6 cm) is over the jaws."""
     for tier in (Tier.T1, Tier.T2):
         for seed in range(10):
             yield generate_scene(TierConfig.preset(tier), seed), seed
     for seed in (0, 3):
         yield dense_scene(72, seed), seed
+    yield build_scene([([CUP] * 4, 10, 30), ([CUP], 20, 30)]), 0
 
 
 @pytest.mark.parametrize("p_fail", [0.0, 0.2])
@@ -819,9 +825,10 @@ def test_ready_and_the_contact_witness_are_the_grasp_test(monkeypatch, p_fail):
         check = witness(state, mover, anchor, end, sim)
         full = check_pull(state, mover, anchor, sim)
         moved = state.clone()
-        moved.stacks[mover] = Stack(mover, state.stacks[mover].dishes, full.end)
-        assert full.end == end
-        assert full.grasp == check.grasp == mog_grasp(moved, mover, anchor, sim)
+        moved.stacks[mover] = Stack(state.stacks[mover].dishes, end)
+        assert (full.end, full.grasp) == (check.end, check.grasp)
+        assert check.end == (end if check.allowable else None)
+        assert check.grasp == mog_grasp(moved, mover, anchor, sim)
         answered.append(check)
         return check
 
@@ -837,9 +844,27 @@ def test_ready_and_the_contact_witness_are_the_grasp_test(monkeypatch, p_fail):
     assert any(check.allowable for check in answered)
 
 
+def test_a_pull_trials_memo_is_freed_with_its_steps():
+    # The planner holds no reference cycle, so a trial's memo goes as soon
+    # as its steps do, with the cyclic collector off: in these trials the
+    # planner runs its exact search.
+    refs = []
+    gc.disable()
+    try:
+        for tier in (Tier.T1, Tier.T2):
+            for seed in range(20):
+                scene = generate_scene(TierConfig.preset(tier), seed)
+                steps = list(trial_steps(scene, PULL, SIM, seed))
+                refs.append(weakref.ref(steps[0].memo))
+                del steps
+        assert [ref for ref in refs if ref() is not None] == []
+    finally:
+        gc.enable()
+
+
 def test_each_pull_is_checked_once(monkeypatch):
-    # The policy builds a pull from its memo's check; only ``apply``
-    # checks it again, in full.
+    # The policy takes a pull its memo found allowable; only ``apply``
+    # checks it, in full.
     calls = []
 
     def counted(state, mover, anchor, sim):
@@ -922,14 +947,14 @@ def test_sync_hashes_only_the_stacks_an_action_made(monkeypatch):
     hash_value = Stack.__hash__
 
     def counted(stack):
-        calls.append(stack.id)
+        calls.append(stack.bottom)
         return hash_value(stack)
 
     values = set()
     sync = PairMemo.sync
 
     def recorded(memo, state):
-        values.update((stack.id, stack.dishes, stack.base) for stack in state.stacks.values())
+        values.update((stack.dishes, stack.base) for stack in state.stacks.values())
         sync(memo, state)
 
     monkeypatch.setattr(Stack, "__hash__", counted)

@@ -161,6 +161,9 @@ class TestGeneration:
     def test_exhaustion_on_impossible_workspace(self):
         with pytest.raises(PlacementExhausted, match="^could not place bowl #1 after"):
             generate_scene(TierConfig.preset(Tier.T0_BOWLS), 1, workspace=(20.0, 20.0))
+        # A 17 cm bowl does not fit a table 16 cm deep at all.
+        with pytest.raises(PlacementExhausted, match="^bowl does not fit in the workspace$"):
+            generate_scene(TierConfig.preset(Tier.T0_BOWLS), 1, workspace=(20.0, 16.0))
 
     @pytest.mark.parametrize(
         "cfg, seed, dish",
@@ -220,29 +223,32 @@ class TestValidate:
         scene.bin = (0,)
         assert any("appears 2 times" in p for p in validate(scene))
 
-    @pytest.mark.parametrize("where", ["bin", "stack"])
-    def test_unknown_dish_in_bin(self, where):
+    @pytest.mark.parametrize("where, problem", [
+        ("bin", "unknown dish id 7"),
+        ("stack", "unknown dish id 7"),
+        ("key", "stack filed under 5 has bottom dish 0"),
+    ], ids=["bin", "stack", "key"])
+    def test_unknown_dish_in_bin(self, where, problem):
         scene = build_scene([([CUP], 30, 30)])
         if where == "bin":
             scene.bin = (7,)
-        else:  # its stability and footprints are not tested: the id has no dish
-            scene.stacks[0] = Stack(0, (0, 7), (30, 30))
-        assert validate(scene) == ["unknown dish id 7"]
+        elif where == "stack":  # its stability and footprints are not tested: the id has no dish
+            scene.stacks[0] = Stack((0, 7), (30, 30))
+        else:  # a known dish, in a stack filed under another id
+            scene.stacks[5] = scene.stacks.pop(0)
+        assert validate(scene) == [problem]
 
 
 def pairwise_overlaps(state):
     """The "stacks overlap" lines of ``validate``, found by testing every
     footprint of every pair of stacks with ``overlaps``."""
-    stacks = sorted(state.stacks.values(), key=lambda s: s.id)
-    fps = {
-        s.id: stack_footprints(state, s, SPECS)
-        for s in stacks
-    }
+    fps = {sid: stack_footprints(state, s, SPECS) for sid, s in state.stacks.items()}
+    ids = sorted(fps)
     return [
-        f"stacks overlap: {a.id} and {b.id}"
-        for i, a in enumerate(stacks)
-        for b in stacks[i + 1:]
-        if any(overlaps(fa, fb) for fa in fps[a.id] for fb in fps[b.id])
+        f"stacks overlap: {a} and {b}"
+        for i, a in enumerate(ids)
+        for b in ids[i + 1:]
+        if any(overlaps(fa, fb) for fa in fps[a] for fb in fps[b])
     ]
 
 

@@ -2,13 +2,11 @@
 
 from .actions import (
     Action,
-    Grasp,
     GraspAction,
     GripperSpec,
     PullCheck,
     PullGrasp,
     StackGrasp,
-    StackPlacement,
     TraceEvent,
     apply,
     check_pull,

@@ -2,13 +2,13 @@
 
 Three primitives clear the table:
 
-* ``Grasp``: a top-down rim (or caging) grasp of one stack, or of two
-  stacks at once when their grasp points are close and their gripped-rim
-  heights match (a multi-object grasp).
+* ``GraspAction``: a top-down rim (or caging) grasp of one stack, or of
+  two stacks at once when their grasp points are close and their
+  gripped-rim heights match (a multi-object grasp).
 * ``PullGrasp``: drag one stack into contact with another along the line
   between their centers, then multi-object grasp the pair.
-* ``StackGrasp``: place one stack on top of another (one or more
-  placements), then grasp the merged pile.
+* ``StackGrasp``: lift one or more stacks, one at a time, onto the stack
+  its final grasp takes, then grasp the merged pile.
 
 Every action ends with a grasp; a successful grasp deposits the carried
 dishes in the bin and costs one trip.
@@ -68,6 +68,9 @@ class GripperSpec:
 
 @dataclass(frozen=True)
 class GraspAction:
+    """A top-down grasp of one or two stacks, ``targets``, at ``point``,
+    height ``z`` and gripper heading ``theta``: an action on its own."""
+
     point: XY
     z: float
     theta: float
@@ -76,24 +79,6 @@ class GraspAction:
     def __post_init__(self):
         if len(self.targets) not in (1, 2) or len(set(self.targets)) < len(self.targets):
             raise ValueError("a grasp targets one or two distinct stacks")
-
-
-@dataclass(frozen=True)
-class StackPlacement:
-    """Lift stack ``lifted`` with ``inner_grasp`` and set it on stack ``base``."""
-
-    inner_grasp: GraspAction
-    lifted: int
-    base: int
-
-    def __post_init__(self):
-        if self.lifted == self.base:
-            raise ValueError("cannot stack a stack onto itself")
-
-
-@dataclass(frozen=True)
-class Grasp:
-    grasp: GraspAction
 
 
 @dataclass(frozen=True)
@@ -113,15 +98,24 @@ class PullGrasp:
 
 @dataclass(frozen=True)
 class StackGrasp:
-    placements: tuple[StackPlacement, ...]
+    """Lift the stack each grasp in ``lifts`` takes, in order, onto the
+    stack ``grasp`` takes, then carry the merged pile with ``grasp``.  Each
+    grasp takes one stack, so the grasps name the stacks; no lift takes the
+    carried stack."""
+
+    lifts: tuple[GraspAction, ...]
     grasp: GraspAction
 
     def __post_init__(self):
-        if not self.placements:
+        if not self.lifts:
             raise ValueError("stack-grasp needs at least one placement")
+        if any(len(g.targets) != 1 for g in (*self.lifts, self.grasp)):
+            raise ValueError("a stack-grasp's grasps each take one stack")
+        if any(g.targets == self.grasp.targets for g in self.lifts):
+            raise ValueError("a stack-grasp cannot lift a stack onto itself")
 
 
-Action = Grasp | PullGrasp | StackGrasp
+Action = GraspAction | PullGrasp | StackGrasp
 
 
 @dataclass
@@ -517,18 +511,18 @@ def apply(
     """Execute one action, returning the successor state and its trace event.
 
     Raises InfeasibleAction (with the violated predicate's name) if the
-    action's feasibility test fails in ``state`` or its parts disagree.  A
-    pull-grasp names only its two stacks: ``check_pull`` tests it and gives
-    the rest, the mover's path from its base to the contact point and the
-    witness grasp of the pair there, in the state the pull leaves.  A lift
-    grasp must take exactly the lifted stack, and every other grasp must be
-    the one its rule gives (see ``_check_graspable``): a lift grasp on the
-    state it lifts from, and a stack-grasp's final grasp on the merged
-    pile.  When ``failed`` (see ``grasp_fails``), the action's final grasp
-    fails: a failed single-stack grasp leaves the table unchanged (no
-    trip); a failed two-stack grasp carries only the taller stack.  Pull
-    and stack phases still execute before a failed grasp, so
-    consolidations persist.
+    action's feasibility test fails in ``state``.  A pull-grasp names only
+    its two stacks: ``check_pull`` tests it and gives the rest, the mover's
+    path from its base to the contact point and the witness grasp of the
+    pair there, in the state the pull leaves.  A stack-grasp's grasps name
+    its stacks: each lift sets the stack it takes on the stack the final
+    grasp takes, if ``stack_allowable``.  Every grasp must be the one its
+    rule gives (see ``_check_graspable``): a lift grasp on the state it
+    lifts from, and a stack-grasp's final grasp on the merged pile.  When
+    ``failed`` (see ``grasp_fails``), the action's final grasp fails: a
+    failed single-stack grasp leaves the table unchanged (no trip); a
+    failed two-stack grasp carries only the taller stack.  Pull and stack
+    phases still execute before a failed grasp, so consolidations persist.
     """
     if isinstance(action, PullGrasp):
         mover, anchor = action.mover, action.anchor
@@ -544,24 +538,21 @@ def apply(
         kind = "pull_grasp"
         params = {"pull": {"start": [x0, y0], "end": [x1, y1], "theta": theta,
                            "mover": mover, "anchor": anchor}}
-    elif isinstance(action, Grasp):
-        g = action.grasp
+    elif isinstance(action, GraspAction):
+        g = action
         _check_graspable(state, g, sim)
         kind, new, params = "grasp", state.clone(), {}
     else:
         g = action.grasp
+        (base,) = g.targets
         new, placements = state, []
-        for placement in action.placements:
-            lifted, base = placement.lifted, placement.base
+        for lift in action.lifts:
+            (lifted,) = lift.targets
             if not stack_allowable(new, lifted, base, sim):
                 raise InfeasibleAction("stack_allowable", f"stack {lifted} onto {base}")
-            if (lift := placement.inner_grasp.targets) != (lifted,):
-                raise InfeasibleAction("grasp_targets", f"grasp of {lift} to lift stack {lifted}")
-            _check_graspable(new, placement.inner_grasp, sim)
-            placements.append(
-                {"lifted": lifted, "base": base,
-                 "place": list(new.stacks[base].base)}
-            )
+            _check_graspable(new, lift, sim)
+            place = list(new.stacks[base].base)
+            placements.append({"lifted": lifted, "base": base, "place": place})
             new = new.merged(lifted, base)
         _check_graspable(new, g, sim)
         kind, params = "stack_grasp", {"placements": placements}

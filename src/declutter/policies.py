@@ -19,12 +19,10 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .actions import (
     Action,
-    Grasp,
     GraspAction,
     PullCheck,
     PullGrasp,
     StackGrasp,
-    StackPlacement,
     TraceEvent,
     _contact_witness,
     _pair_check,
@@ -88,7 +86,7 @@ def random_policy(
     asked about, so ``memo`` goes unused.
     """
     dishes = sorted((dish, sid) for sid, stack in state.stacks.items() for dish in stack.dishes)
-    return Grasp(grasp_points(state, dishes[rng.below(len(dishes))][1], rng, sim))
+    return grasp_points(state, dishes[rng.below(len(dishes))][1], rng, sim)
 
 
 class _PullEntry:
@@ -380,10 +378,6 @@ class PairMemo:
             self._footprints[bit] = fps
         return fps
 
-    def shared_grasp(self, a: int, b: int) -> GraspAction | None:
-        """``mog_grasp`` of stacks ``a`` and ``b``."""
-        return mog_grasp(self.state, a, b, self.sim)
-
     def gap(self, a: int, b: int) -> float:
         """``grasp_gap`` of stacks ``a`` and ``b``."""
         key = (self._ids[a], self._ids[b])
@@ -615,7 +609,7 @@ def pull_policy(
     results and the plan come from ``memo``, which carries them from one
     step of a trial to the next.  A chosen pull names only its two stacks,
     as ``apply`` finds its contact point and grasp; a chosen pair's grasp
-    is built for it alone (``memo.shared_grasp``).
+    is built for it alone (``mog_grasp``).
     """
     memo.sync(state)
     planned = len(state.stacks) <= PLAN_MAX_STACKS
@@ -625,8 +619,8 @@ def pull_policy(
     if kind == "pull":
         return PullGrasp(*targets)
     if kind == "single":
-        return Grasp(grasp_points(state, targets[0], rng, sim))
-    return Grasp(memo.shared_grasp(*targets))
+        return grasp_points(state, targets[0], rng, sim)
+    return mog_grasp(state, *targets, sim)
 
 
 def stackable(memo: PairMemo, lifted: int, base: int) -> bool:
@@ -648,7 +642,9 @@ def stack_policy(
     stacks: the returned stack-grasp immediately transports the merged
     pile, so piles of four or more cups or bowls can never form.  Anything
     left is cleared with single grasps.  "Nearest" ranks pairs by (grasp
-    gap, lifted id, base id).
+    gap, lifted id, base id).  A stack-grasp lifts each stack with its
+    ``grasp_points`` and then carries the pile with those of the stack
+    they land on, in that order of draws.
 
     Gaps come from ``memo``, which carries them from one step of a trial
     to the next; stacking tests (``stack_allowable``) are not kept.
@@ -660,9 +656,8 @@ def stack_policy(
         if cfg.utensil_stacking is UtensilStacking.ONE_PER_BOWL:
             piles, tops = memo.utensil_piles, memo.bowl_tops
             for u, b in memo.nearest(stackable, lifted=piles, base=tops):
-                placement = StackPlacement(grasp_points(state, u, rng, sim), u, b)
-                carry = grasp_points(state, b, rng, sim)
-                return StackGrasp((placement,), carry)
+                lift = grasp_points(state, u, rng, sim)
+                return StackGrasp((lift,), grasp_points(state, b, rng, sim))
         else:
             utensil_piles, bowl_tops = memo.ids(memo.utensil_piles), memo.ids(memo.bowl_tops)
             chosen = min(
@@ -670,29 +665,25 @@ def stack_policy(
                 key=lambda b: (sum(memo.gap(u, b) for u in utensil_piles), b),
             )
             order = sorted(utensil_piles, key=lambda u: (memo.gap(u, chosen), u))
-            # Placements are simulated against an evolving preview so the
-            # jaw constraint is checked against the growing pile.
-            placements: list[StackPlacement] = []
+            # Lifts are simulated against an evolving preview so the jaw
+            # constraint is checked against the growing pile.
+            lifts: list[GraspAction] = []
             working = state
             for u in order:
                 if not stack_allowable(working, u, chosen, sim):
                     continue
-                placements.append(
-                    StackPlacement(grasp_points(working, u, rng, sim), u, chosen)
-                )
+                lifts.append(grasp_points(working, u, rng, sim))
                 working = working.merged(u, chosen)
-            if placements:
-                carry = grasp_points(working, chosen, rng, sim)
-                return StackGrasp(tuple(placements), carry)
+            if lifts:
+                return StackGrasp(tuple(lifts), grasp_points(working, chosen, rng, sim))
 
     for lifted, base in memo.nearest(stackable):
-        placement = StackPlacement(grasp_points(state, lifted, rng, sim), lifted, base)
+        lift = grasp_points(state, lifted, rng, sim)
         # Stacking keeps the base's bottom dish and base point, all that
         # ``grasp_points`` reads.
-        carry = grasp_points(state, base, rng, sim)
-        return StackGrasp((placement,), carry)
+        return StackGrasp((lift,), grasp_points(state, base, rng, sim))
 
-    return Grasp(grasp_points(state, min(state.stacks), rng, sim))
+    return grasp_points(state, min(state.stacks), rng, sim)
 
 
 def next_action(

@@ -51,10 +51,10 @@ def choice(action):
     if isinstance(action, PullGrasp):
         return "pull", (action.mover, action.anchor)
     if isinstance(action, StackGrasp):
-        return "stack", tuple((p.lifted, p.base) for p in action.placements)
-    if len(action.grasp.targets) == 2:
-        return "grasp", action.grasp.targets
-    return "single", action.grasp.targets
+        return "stack", tuple((lift.targets[0], action.grasp.targets[0]) for lift in action.lifts)
+    if len(action.targets) == 2:
+        return "grasp", action.targets
+    return "single", action.targets
 
 
 def trip_search(state: SceneState, sim, pull_only: bool = False):

@@ -449,11 +449,12 @@ def test_criterion_9_small_scene_oracle():
                     assert check_pull(state, action.mover, action.anchor, SIM).allowable
                 elif isinstance(action, StackGrasp):
                     probe = state
-                    for placement in action.placements:
-                        assert stack_allowable(probe, placement.lifted, placement.base, SIM)
-                        probe = probe.merged(placement.lifted, placement.base)
-                elif len(action.grasp.targets) == 2:
-                    a, b = action.grasp.targets
+                    for lift in action.lifts:
+                        lifted, base = lift.targets[0], action.grasp.targets[0]
+                        assert stack_allowable(probe, lifted, base, SIM)
+                        probe = probe.merged(lifted, base)
+                elif len(action.targets) == 2:
+                    a, b = action.targets
                     assert mog_grasp(state, a, b, SIM) is not None
                 trips += step.event.trip
             assert optimum <= trips <= random_trips, (seed, name, optimum, trips)

@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from declutter import (
-    Grasp,
     GraspAction,
     InfeasibleAction,
     PullGrasp,
     Stack,
     StackGrasp,
-    StackPlacement,
     Tier,
     TierConfig,
     apply,
@@ -60,6 +58,7 @@ class FixedRng:
 
 _ORIGIN = (0.0, 0.0)
 _ONE_GRASP = GraspAction(_ORIGIN, 1.0, 0.0, (0,))
+_TWO_GRASP = GraspAction(_ORIGIN, 1.0, 0.0, (1, 2))
 
 
 @pytest.mark.parametrize("build, message", [
@@ -67,13 +66,16 @@ _ONE_GRASP = GraspAction(_ORIGIN, 1.0, 0.0, (0,))
     (lambda: GraspAction(_ORIGIN, 1.0, 0.0, (0, 1, 2)), "one or two distinct stacks"),
     (lambda: GraspAction((20.0, 20.0), 9.0, 0.0, (0, 0)), "one or two distinct stacks"),
     (lambda: PullGrasp(1, 1), "mover and anchor must differ"),
-    (lambda: StackPlacement(_ONE_GRASP, 1, 1), "onto itself"),
+    (lambda: StackGrasp((_ONE_GRASP,), _ONE_GRASP), "onto itself"),
     (lambda: StackGrasp((), _ONE_GRASP), "at least one placement"),
+    (lambda: StackGrasp((_TWO_GRASP,), _ONE_GRASP), "grasps each take one stack"),
+    (lambda: StackGrasp((_ONE_GRASP,), _TWO_GRASP), "grasps each take one stack"),
     (lambda: mog_grasp(build_scene([([CUP], 30, 30)]), 0, 0, SIM), "two distinct stacks"),
     (lambda: Stack((), _ORIGIN), "at least one dish"),
 ], ids=[
     "grasp_no_target", "grasp_three_targets", "grasp_one_target_twice", "pull_onto_itself",
-    "placement_onto_itself", "stack_grasp_no_placement", "mog_grasp_one_stack", "empty_stack",
+    "placement_onto_itself", "stack_grasp_no_placement", "stack_grasp_two_stack_lift",
+    "stack_grasp_two_stack_carry", "mog_grasp_one_stack", "empty_stack",
 ])
 def test_malformed_value_raises(build, message):
     with pytest.raises(ValueError, match=message):
@@ -298,14 +300,14 @@ def admitted_actions(state):
     on a smaller stack overhangs it, onto its neighbours or off the table,
     and a failed grasp leaves it there."""
     rng = SplitMix64(0)
-    actions = [Grasp(grasp_points(state, sid, rng, SIM)) for sid in state.stacks]
+    actions = [grasp_points(state, sid, rng, SIM) for sid in state.stacks]
     for a in state.stacks:
         for b in state.stacks:
             if a == b:
                 continue
             shared = mog_grasp(state, a, b, SIM)
             if a < b and shared is not None:
-                actions.append(Grasp(shared))
+                actions.append(shared)
             if check_pull(state, a, b, SIM).allowable:
                 actions.append(PullGrasp(a, b))
     return actions
@@ -363,7 +365,7 @@ class TestStackAllowable:
 class TestApply:
     def test_single_grasp_moves_stack_to_bin(self):
         scene = build_scene([([CUP], 10 + 12 * i, 10) for i in range(6)])
-        action = Grasp(grasp_points(scene, 0, SplitMix64(1), SIM))
+        action = grasp_points(scene, 0, SplitMix64(1), SIM)
         new, event = apply(scene, action, SIM)
         assert len(new.stacks) == 5
         assert new.bin == (0,)
@@ -383,9 +385,9 @@ class TestApply:
 
     def test_stack_grasp_clears_both_in_one_trip(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
-        placement = StackPlacement(grasp_points(scene, 0, SplitMix64(1), SIM), 0, 1)
+        lift = grasp_points(scene, 0, SplitMix64(1), SIM)
         carry = grasp_points(scene, 1, SplitMix64(2), SIM)
-        new, event = apply(scene, StackGrasp((placement,), carry), SIM)
+        new, event = apply(scene, StackGrasp((lift,), carry), SIM)
         assert new.stacks == {}
         assert sorted(new.bin) == [0, 1]
         assert event.trip
@@ -393,7 +395,7 @@ class TestApply:
 
     def test_mog_grasp_event_schema(self):
         scene = build_scene([([CUP], 30, 30), ([CUP], 40, 30)])
-        action = Grasp(mog_grasp(scene, 0, 1, SIM))
+        action = mog_grasp(scene, 0, 1, SIM)
         _, event = apply(scene, action, SIM)
         obj = event.to_json_obj()
         assert set(obj) == {"t", "action", "targets", "moved_to_bin", "trip", "params"}
@@ -403,16 +405,16 @@ class TestApply:
     def test_infeasible_mog_raises_with_predicate(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
         g = grasp_points(scene, 0, SplitMix64(1), SIM)
-        bad = Grasp(type(g)(point=g.point, z=g.z, theta=g.theta, targets=(0, 1)))
+        bad = dataclasses.replace(g, targets=(0, 1))
         with pytest.raises(InfeasibleAction) as err:
             apply(scene, bad, SIM)
         assert err.value.predicate == "mog_allowable"
 
     def test_infeasible_stack_raises(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
-        placement = StackPlacement(grasp_points(scene, 0, SplitMix64(1), SIM), 0, 1)
+        # Bowl 1 onto cup 0: a bowl is wider than a cup.
         bad = StackGrasp(
-            (StackPlacement(placement.inner_grasp, lifted=1, base=0),),
+            (grasp_points(scene, 1, SplitMix64(1), SIM),),
             grasp_points(scene, 0, SplitMix64(2), SIM),
         )
         with pytest.raises(InfeasibleAction) as err:
@@ -438,20 +440,23 @@ class TestApply:
     ])
     def test_placement_that_cannot_be_lifted_raises(self, pile, sid):
         scene = build_scene([(pile, 10, 10), ([BOWL], 40, 10)])
-        inner = grasp_points(scene, 0, SplitMix64(1), SIM)
+        lift = dataclasses.replace(grasp_points(scene, 0, SplitMix64(1), SIM), targets=(sid,))
         carry = grasp_points(scene, 1, SplitMix64(2), SIM)
         assert not stack_allowable(scene, sid, 1, SIM)
         with pytest.raises(InfeasibleAction, match=f"stack {sid} onto 1") as err:
-            apply(scene, StackGrasp((StackPlacement(inner, sid, 1),), carry), SIM)
+            apply(scene, StackGrasp((lift,), carry), SIM)
         assert err.value.predicate == "stack_allowable"
 
     def test_stack_is_not_allowable_onto_itself(self):
-        # A ``StackPlacement`` cannot name one stack twice, so only the
-        # predicate itself can be asked.
-        scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
+        # A ``StackGrasp`` whose lift takes the carried stack cannot be
+        # built (see ``test_malformed_value_raises``); apply lifts cup 2
+        # onto bowl 1.
+        scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10), ([CUP], 60, 40)])
         assert stack_allowable(scene, 0, 1, SIM)
         assert not stack_allowable(scene, 1, 1, SIM)
         assert not stack_allowable(scene, 0, 0, SIM)
+        carry = grasp_points(scene, 1, SplitMix64(2), SIM)
+        apply(scene, StackGrasp((grasp_points(scene, 2, SplitMix64(1), SIM),), carry), SIM)
 
     def test_pull_grasp_takes_check_pulls_contact_and_witness(self):
         # The first allowable pull of t1 seed 0: the mover ends at the
@@ -468,20 +473,6 @@ class TestApply:
         g = check.grasp
         assert event.params["grasp"] == {"point": list(g.point), "z": g.z, "theta": g.theta}
         assert event.targets == g.targets
-
-    def test_placement_must_lift_the_lifted_stack(self):
-        # Stack 2 is set on bowl 1 with a grasp of cup 0, or of both cups.
-        scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10), ([CUP], 60, 40)])
-        carry = grasp_points(scene, 1, SplitMix64(2), SIM)
-        lift = grasp_points(scene, 2, SplitMix64(1), SIM)
-        for inner in (
-            grasp_points(scene, 0, SplitMix64(1), SIM),
-            dataclasses.replace(lift, targets=(0, 2)),
-        ):
-            with pytest.raises(InfeasibleAction, match="to lift stack 2") as err:
-                apply(scene, StackGrasp((StackPlacement(inner, 2, 1),), carry), SIM)
-            assert err.value.predicate == "grasp_targets"
-        apply(scene, StackGrasp((StackPlacement(lift, 2, 1),), carry), SIM)
 
     @pytest.mark.parametrize("case", [
         "single far off", "two-stack off the witness", "lift off and turned",
@@ -502,37 +493,30 @@ class TestApply:
         def moved(g, dx, dy=0.0, **changes):
             return dataclasses.replace(g, point=(g.point[0] + dx, g.point[1] + dy), **changes)
 
-        def onto_bowl(lift, carry):
-            return StackGrasp((StackPlacement(lift, 8, 7),), carry)
-
         good, bad, reason = {
             "single far off": (
-                Grasp(single),
-                Grasp(moved(single, 999.0 - single.point[0], -5.0 - single.point[1])),
+                single,
+                moved(single, 999.0 - single.point[0], -5.0 - single.point[1]),
                 "grasp_pose",
             ),
-            "two-stack off the witness": (Grasp(witness), Grasp(moved(witness, 30.0)), "grasp_witness"),
+            "two-stack off the witness": (witness, moved(witness, 30.0), "grasp_witness"),
             "lift off and turned": (
-                onto_bowl(lift, carry),
-                onto_bowl(moved(lift, 20.0, theta=lift.theta + 0.5), carry),
+                StackGrasp((lift,), carry),
+                StackGrasp((moved(lift, 20.0, theta=lift.theta + 0.5),), carry),
                 "grasp_pose",
             ),
             "carry far off": (
-                onto_bowl(lift, carry),
-                onto_bowl(lift, moved(carry, 500.0 - carry.point[0], 500.0 - carry.point[1])),
+                StackGrasp((lift,), carry),
+                StackGrasp((lift,), moved(carry, 500 - carry.point[0], 500 - carry.point[1])),
                 "grasp_pose",
             ),
             "utensil along its axis": (
-                Grasp(caged), Grasp(dataclasses.replace(caged, theta=caged.theta - math.pi / 2)),
-                "grasp_pose",
+                caged, dataclasses.replace(caged, theta=caged.theta - math.pi / 2), "grasp_pose",
             ),
-            "utensil off its base": (Grasp(caged), Grasp(moved(caged, 0.0, 1e-6)), "grasp_pose"),
-            "rim grasp raised": (
-                Grasp(single), Grasp(dataclasses.replace(single, z=single.z + 1.0)), "grasp_pose",
-            ),
+            "utensil off its base": (caged, moved(caged, 0.0, 1e-6), "grasp_pose"),
+            "rim grasp raised": (single, dataclasses.replace(single, z=single.z + 1.0), "grasp_pose"),
             "rim grasp turned": (
-                Grasp(single), Grasp(dataclasses.replace(single, theta=single.theta + 1e-6)),
-                "grasp_pose",
+                single, dataclasses.replace(single, theta=single.theta + 1e-6), "grasp_pose",
             ),
         }[case]
         apply(scene, good, SIM)
@@ -547,20 +531,11 @@ class TestApply:
         radius = SIM.dish_specs[BOWL].radius
         for angle in (0.0, 1.0, math.pi / 2, math.pi, 4.0, 2 * math.pi - 1e-12):
             g = grasp_points(scene, 0, FixedRng(angle), SIM)
-            apply(scene, Grasp(g), SIM)
+            apply(scene, g, SIM)
             for r in (radius - 2e-9, radius + 2e-9):
                 off = (30 + r * math.cos(angle), 30 + r * math.sin(angle))
                 with pytest.raises(InfeasibleAction, match="not a grasp of stack 0"):
-                    apply(scene, Grasp(dataclasses.replace(g, point=off)), SIM)
-
-    def test_stack_grasp_checks_two_target_grasp(self):
-        scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10), ([BOWL], 66, 49)])
-        placement = StackPlacement(grasp_points(scene, 0, SplitMix64(1), SIM), 0, 1)
-        carry = grasp_points(scene, 1, SplitMix64(2), SIM)
-        both = GraspAction(carry.point, carry.z, carry.theta, (1, 2))
-        with pytest.raises(InfeasibleAction) as err:
-            apply(scene, StackGrasp((placement,), both), SIM)
-        assert err.value.predicate == "mog_allowable"
+                    apply(scene, dataclasses.replace(g, point=off), SIM)
 
     def test_conservation_of_dish_ids(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10), ([BOWL], 60, 40)])
@@ -578,7 +553,7 @@ class TestFailureModel:
     def test_failed_single_grasp_leaves_table_unchanged(self):
         sim = self._sim_with_fail(1.0)
         scene = build_scene([([CUP], 10, 10)])
-        action = Grasp(grasp_points(scene, 0, SplitMix64(1), sim))
+        action = grasp_points(scene, 0, SplitMix64(1), sim)
         new, event = apply(scene, action, sim, failed=True)
         assert len(new.stacks) == 1
         assert new.bin == ()
@@ -588,7 +563,7 @@ class TestFailureModel:
     def test_failed_mog_keeps_taller_stack(self):
         sim = self._sim_with_fail(1.0)
         scene = build_scene([([BOWL, CUP], 20, 30), ([BOWL], 40, 30)])
-        action = Grasp(mog_grasp(scene, 0, 1, sim))
+        action = mog_grasp(scene, 0, 1, sim)
         new, event = apply(scene, action, sim, failed=True)
         # The taller pile (bowl 0 + cup 2, lip 7) wins the jaws; bowl 1 stays.
         assert sorted(new.bin) == [0, 2]
@@ -599,9 +574,9 @@ class TestFailureModel:
     def test_failed_stack_grasp_leaves_merged_pile(self):
         sim = self._sim_with_fail(1.0)
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
-        placement = StackPlacement(grasp_points(scene, 0, SplitMix64(1), sim), 0, 1)
+        lift = grasp_points(scene, 0, SplitMix64(1), sim)
         carry = grasp_points(scene, 1, SplitMix64(2), sim)
-        new, event = apply(scene, StackGrasp((placement,), carry), sim, failed=True)
+        new, event = apply(scene, StackGrasp((lift,), carry), sim, failed=True)
         assert set(new.stacks) == {1}
         assert new.stacks[1].dishes == (1, 0)  # merged, still on table
         assert not event.trip
@@ -618,7 +593,7 @@ class TestFailureModel:
         # to go is refused, not drawn from.
         sim = self._sim_with_fail(0.5)
         scene = build_scene([([CUP], 10, 10)])
-        action = Grasp(grasp_points(scene, 0, SplitMix64(1), sim))
+        action = grasp_points(scene, 0, SplitMix64(1), sim)
         rng = SplitMix64(123)
         with pytest.raises(TypeError):
             apply(scene, action, sim, rng)

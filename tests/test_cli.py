@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from declutter import Grasp, GraspAction, harness, policies
+from declutter import GraspAction, harness, policies
 from declutter.cli import main
 from declutter.harness import plan_from_json, run_plan, trial_seed
 from declutter.policies import PolicyConfig
@@ -117,7 +117,7 @@ class TestRun:
               "--out", str(out)])
 
         def off_the_table(state, rng, sim, cfg, memo):
-            return Grasp(GraspAction((1.0, 1.0), 5.0, 0.0, (99,)))
+            return GraspAction((1.0, 1.0), 5.0, 0.0, (99,))
 
         monkeypatch.setattr(policies, "next_action", off_the_table)
         capsys.readouterr()

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from declutter import (
-    Grasp,
+    GraspAction,
     PairMemo,
     PolicyConfig,
     PullGrasp,
@@ -67,7 +67,7 @@ def test_policy_matches_reference_at_every_step(p_fail):
             expected = choice(action)
             assert expected == pull_policy_choice(state, sim), (seed, len(state.bin))
             if expected[0] == "grasp":
-                assert action.grasp == mog_grasp(state, *expected[1], sim)
+                assert action == mog_grasp(state, *expected[1], sim)
             kinds.add(expected[0])
             if isinstance(action, PullGrasp) and step.failed:
                 failed_pulls += 1
@@ -143,7 +143,7 @@ def test_all_on_one_bowl_tests_each_utensil_against_the_preview():
     cfg = PolicyConfig.named("stack", "all_on_one_bowl")
     action = next_action(scene, SplitMix64(0), SIM, cfg, PairMemo(SIM))
     assert choice(action) == stack_policy_choice(scene, SIM, cfg)
-    assert len(action.placements) == 9
+    assert len(action.lifts) == 9
 
 
 def test_answers_follow_the_synced_table():
@@ -320,7 +320,7 @@ def test_failed_pull_blocks_corridor_cached_as_clear():
     assert first.event.params["abandoned"] == 2
     assert first.after.stacks[2].base == check_pull(scene, 2, 3, sim).end
     second = next(steps)
-    assert isinstance(second.action, Grasp)
+    assert isinstance(second.action, GraspAction)
     assert choice(second.action) == ("single", (2,)) == pull_policy_choice(second.state, sim)
     check = second.memo.pull(0, 1)
     assert (check.failed, check.blocker) == ("corridor", 2)
@@ -351,14 +351,14 @@ def test_entries_die_with_either_stack_value():
     scene = build_scene([([BOWL], 10, 30), ([BOWL], 60, 30), ([CUP], 35, 52)])
     memo = PairMemo(SIM)
     memo.sync(scene)
-    assert memo.shared_grasp(0, 1) is None
+    assert mog_grasp(scene, 0, 1, SIM) is None
     assert memo.gap(0, 1) == grasp_gap(scene, 0, 1, SIM)[0]
     assert memo.pull(0, 1).allowable
 
     moved = scene.clone()
     moved.stacks[0] = dataclasses.replace(scene.stacks[0], base=(40, 30))
     memo.sync(moved)
-    assert memo.shared_grasp(0, 1) == mog_grasp(moved, 0, 1, SIM) is not None
+    assert mog_grasp(moved, 0, 1, SIM) is not None
     assert memo.gap(0, 1) == grasp_gap(moved, 0, 1, SIM)[0]
     assert memo.pull(0, 1) == check_pull(moved, 0, 1, SIM)
     assert memo.pull(1, 0) == check_pull(moved, 1, 0, SIM)
@@ -839,7 +839,7 @@ def test_ready_and_the_contact_witness_are_the_grasp_test(monkeypatch, p_fail):
             for a in ids:
                 for b in ids:
                     if a != b:
-                        shared = a < b and memo.shared_grasp(a, b) is not None
+                        shared = a < b and mog_grasp(step.state, a, b, sim) is not None
                         assert policies.ready(memo, a, b) == shared
     assert any(check.allowable for check in answered)
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from declutter import (
-    Grasp,
+    GraspAction,
     PolicyConfig,
     PolicyKind,
     Sweep,
@@ -55,7 +55,7 @@ class TestRandomPolicy:
     def test_selected_stack_travels_whole(self):
         scene = build_scene([([BOWL, CUP, CUP], 30, 30)])
         step = next(trial_steps(scene, RANDOM, SIM, 0))
-        assert isinstance(step.action, Grasp)
+        assert isinstance(step.action, GraspAction)
         assert len(step.event.moved_to_bin) == 3
 
     def test_empty_table_is_done(self):
@@ -70,7 +70,7 @@ class TestRandomPolicy:
         n = 2000
         for seed in range(n):
             action = next_action(scene, SplitMix64(seed), SIM, RANDOM, None)
-            if action.grasp.targets == (0,):
+            if action.targets == (0,):
                 hits += 1
         assert 0.70 < hits / n < 0.80
 
@@ -81,8 +81,8 @@ class TestPullPolicy:
             [([CUP], 30, 30), ([CUP], 39.2, 30), ([BOWL], 65, 50)]
         )
         action = next(trial_steps(scene, PULL, SIM, 0)).action
-        assert isinstance(action, Grasp)
-        assert action.grasp.targets == (0, 1)
+        assert isinstance(action, GraspAction)
+        assert action.targets == (0, 1)
 
     def test_four_far_bowls_two_pull_trips(self):
         scene = build_scene(
@@ -96,8 +96,8 @@ class TestPullPolicy:
     def test_last_utensil_single_grasped(self):
         scene = build_scene([([(UTENSIL, 0.4)], 30, 30)])
         action = next(trial_steps(scene, PULL, SIM, 0)).action
-        assert isinstance(action, Grasp)
-        assert action.grasp.targets == (0,)
+        assert isinstance(action, GraspAction)
+        assert action.targets == (0,)
 
     def test_t1_scene_six_trips(self):
         # A representative unblocked seed; blocked scenes are analyzed in

@@ -170,13 +170,14 @@ class PairMemo:
     value fixes its footprints, grip and lip heights and bottom and top
     dishes (see the masks ``utensil_piles`` and ``bowl_tops``).  Only
     ``sync`` gives bits, so every method reads the synced table.
-    Footprints, gaps and pull tests are keyed by value bits, and a result
-    keyed by bits never goes stale.  ``sync`` diffs the state against the stacks
-    it last synced under each id (``_synced``): it drops the ids that left,
-    and only when some stack is not the very object synced under its id (a
-    dict compare, in C, that tests identity first) does it loop over the
-    stacks and look those up by value, with one hash each: the stacks the
-    last action made.  A failure-free step only removes stacks.
+    Footprints, gaps (one per unordered pair) and pull tests are keyed by
+    value bits, and a result keyed by bits never goes stale.  ``sync`` diffs
+    the state against the stacks it last synced under each id (``_synced``):
+    it drops the ids that left, and only when some stack is not the very
+    object synced under its id (a dict compare, in C, that tests identity
+    first) does it loop over the stacks and look those up by value, with one
+    hash each: the stacks the last action made.  A failure-free step only
+    removes stacks.
 
     ``nearest`` ranks the ordered pairs a test admits by (gap, ids): it
     walks a list of the synced table's pairs, sorted by a lower bound on
@@ -229,7 +230,7 @@ class PairMemo:
         self._reach = max(spec.grasp_reach for spec in sim.dish_specs.values())
         self._first_radius = 2.4 * self._reach
         self._footprints: dict[int, list[Footprint]] = {}
-        self._gaps: dict[tuple[int, int], float] = {}
+        self._gaps: dict[int, float] = {}  # by the two values' bits
         self._pulls: dict[tuple[int, int], _PullEntry] = {}
         self._scopes: dict[tuple[int, int], _Scope] = {}  # by their masks
         # Loci of the values synced at the last arrival, sorted (by base x first), and their xs.
@@ -379,11 +380,16 @@ class PairMemo:
         return fps
 
     def gap(self, a: int, b: int) -> float:
-        """``grasp_gap`` of stacks ``a`` and ``b``."""
-        key = (self._ids[a], self._ids[b])
-        if key not in self._gaps:
-            self._gaps[key] = grasp_gap(self.state, a, b, self.sim)[0]
-        return self._gaps[key]
+        """``grasp_gap`` of stacks ``a`` and ``b``, kept once per unordered
+        pair of values: it is symmetric bit for bit for two rims of one
+        radius, two utensils, or a rim and a utensil.  Under the default
+        specs no walk asks two rims of different radii both ways: no pull
+        pairs them (their grips differ), and only the narrower stacks."""
+        key = self._ids[a] | self._ids[b]
+        gap = self._gaps.get(key)
+        if gap is None:
+            gap = self._gaps[key] = grasp_gap(self.state, a, b, self.sim)[0]
+        return gap
 
     def _corridor(self, mover: int, anchor: int, table: int) -> tuple[PullCheck | None, int]:
         """The pair tests of ``mover``'s pull toward ``anchor`` and the bit
@@ -624,8 +630,22 @@ def pull_policy(
 
 
 def stackable(memo: PairMemo, lifted: int, base: int) -> bool:
-    """Whether ``lifted`` may be stacked on ``base`` and the pile grasped."""
-    return stack_allowable(memo.state, lifted, base, memo.sim)
+    """Whether ``lifted`` may be stacked on ``base`` and the pile grasped:
+    ``stack_allowable``'s tests and float operations, on the memo's values
+    and heights (radii kept per value would cost each pull trial too)."""
+    bit_l, bit_b = memo._ids[lifted], memo._ids[base]
+    sl, sb = memo._values[bit_l], memo._values[bit_b]
+    dishes, specs = memo.state.dishes, memo.sim.dish_specs
+    r_lifted = specs[dishes[sl.bottom].kind].effective_radius
+    if lifted == base or r_lifted > specs[dishes[sb.top].kind].effective_radius + 1e-9:
+        return False
+    jaw, lips, grips = memo.sim.gripper.jaw_height, memo.lips, memo.grips
+    if lips[bit_l] - grips[bit_l] > jaw + 1e-9:
+        return False
+    height = lips[bit_b]
+    for dish in sl.dishes:
+        height += specs[dishes[dish].kind].nest_offset
+    return height - grips[bit_b] <= jaw + 1e-9
 
 
 def stack_policy(
@@ -646,10 +666,10 @@ def stack_policy(
     ``grasp_points`` and then carries the pile with those of the stack
     they land on, in that order of draws.
 
-    Gaps come from ``memo``, which carries them from one step of a trial
-    to the next; stacking tests (``stack_allowable``) are not kept.
-    ``all_on_one_bowl`` tests each utensil pile against its preview of the
-    growing pile.
+    Gaps, and the stack values and heights the stacking test
+    (``stackable``) reads, come from ``memo``, which carries them from one
+    step of a trial to the next.  ``all_on_one_bowl`` tests each utensil
+    pile with ``stack_allowable`` against its preview of the growing pile.
     """
     memo.sync(state)
     if memo.table & memo.utensil_piles and memo.table & memo.bowl_tops:

@@ -844,6 +844,46 @@ def test_ready_and_the_contact_witness_are_the_grasp_test(monkeypatch, p_fail):
     assert any(check.allowable for check in answered)
 
 
+@pytest.mark.parametrize("p_fail", [0.0, 0.2])
+@pytest.mark.parametrize("stacking", ["one_per_bowl", "all_on_one_bowl"])
+def test_stackable_and_the_memos_gaps_are_the_states_tests(stacking, p_fail):
+    # ``stackable`` asks ``stack_allowable``'s tests of the memo's values and
+    # heights, and the memo keeps one gap per unordered pair of values, which
+    # ``grasp_gap`` gives bit for bit in either order for every pair a walk
+    # asks both ways: two rims of one kind, or a pair with a utensil.
+    sim, cfg = dataclasses.replace(SIM, p_fail=p_fail), PolicyConfig.named("stack", stacking)
+    for scene, seed in pull_trial_scenes():
+        for step in trial_steps(scene, cfg, sim, seed):
+            memo, state = step.memo, step.state
+            for a in state.stacks:
+                for b in state.stacks:
+                    assert policies.stackable(memo, a, b) == stack_allowable(state, a, b, sim)
+                    kinds = {bottom_kind(state, a), bottom_kind(state, b)}
+                    if a < b and (len(kinds) == 1 or UTENSIL in kinds):
+                        gap = grasp_gap(state, a, b, sim)[0]
+                        assert gap.hex() == grasp_gap(state, b, a, sim)[0].hex()
+                        assert memo.gap(b, a).hex() == gap.hex()
+
+
+@pytest.mark.parametrize("cfg", [PULL, PolicyConfig.named("stack")])
+def test_each_gap_is_measured_once_per_pair_of_values(monkeypatch, cfg):
+    # A gap is measured once per unordered pair of stack values in a trial,
+    # whichever order a walk asks it in.
+    calls = Counter()
+    measured = policies.grasp_gap
+
+    def counted(state, a, b, sim):
+        calls[frozenset((state.stacks[a], state.stacks[b]))] += 1
+        return measured(state, a, b, sim)
+
+    monkeypatch.setattr(policies, "grasp_gap", counted)
+    for tier in (Tier.T0_UTENSILS, Tier.T1, Tier.T2):
+        for seed in range(20):
+            calls.clear()
+            run_policy(generate_scene(TierConfig.preset(tier), seed), cfg, SIM, seed)
+            assert calls and max(calls.values()) == 1, (tier, seed)
+
+
 def test_a_pull_trials_memo_is_freed_with_its_steps():
     # The planner holds no reference cycle, so a trial's memo goes as soon
     # as its steps do, with the cyclic collector off: in these trials the
@@ -881,12 +921,13 @@ def test_each_pull_is_checked_once(monkeypatch):
 
 def test_stack_policy_tests_few_pairs(monkeypatch):
     calls = []
+    stackable = policies.stackable
 
-    def counted(state, lifted, base, sim):
+    def counted(memo, lifted, base):
         calls.append((lifted, base))
-        return stack_allowable(state, lifted, base, sim)
+        return stackable(memo, lifted, base)
 
-    monkeypatch.setattr(policies, "stack_allowable", counted)
+    monkeypatch.setattr(policies, "stackable", counted)
     run_policy(dense_scene(72, 0), PolicyConfig.named("stack", "one_per_bowl"), SIM, 0)
     assert 0 < len(calls) < 72 * 72 / 10
 

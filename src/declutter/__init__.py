@@ -4,6 +4,7 @@ from .actions import (
     Action,
     GraspAction,
     GripperSpec,
+    PairGrasp,
     PullCheck,
     PullGrasp,
     StackGrasp,

@@ -2,9 +2,9 @@
 
 Three primitives clear the table:
 
-* ``GraspAction``: a top-down rim (or caging) grasp of one stack, or of
-  two stacks at once when their grasp points are close and their
-  gripped-rim heights match (a multi-object grasp).
+* ``GraspAction``: a top-down rim (or caging) grasp of one stack, or
+  ``PairGrasp``: of two stacks at once when their grasp points are close
+  and their gripped-rim heights match (a multi-object grasp).
 * ``PullGrasp``: drag one stack into contact with another along the line
   between their centers, then multi-object grasp the pair.
 * ``StackGrasp``: lift one or more stacks, one at a time, onto the stack
@@ -69,7 +69,8 @@ class GripperSpec:
 @dataclass(frozen=True)
 class GraspAction:
     """A top-down grasp of one or two stacks, ``targets``, at ``point``,
-    height ``z`` and gripper heading ``theta``: an action on its own."""
+    height ``z`` and gripper heading ``theta``; of one, an action on its own
+    (of two, ``mog_grasp``'s witness, which ``apply`` builds for a pair)."""
 
     point: XY
     z: float
@@ -79,6 +80,19 @@ class GraspAction:
     def __post_init__(self):
         if len(self.targets) not in (1, 2) or len(set(self.targets)) < len(self.targets):
             raise ValueError("a grasp targets one or two distinct stacks")
+
+
+@dataclass(frozen=True)
+class PairGrasp:
+    """Grasp stacks ``a`` and ``b`` at once.  The two stacks set the rest:
+    ``apply`` takes the grasp from ``mog_grasp``."""
+
+    a: int
+    b: int
+
+    def __post_init__(self):
+        if self.a == self.b:
+            raise ValueError("a pair grasp needs two distinct stacks")
 
 
 @dataclass(frozen=True)
@@ -115,7 +129,7 @@ class StackGrasp:
             raise ValueError("a stack-grasp cannot lift a stack onto itself")
 
 
-Action = GraspAction | PullGrasp | StackGrasp
+Action = GraspAction | PairGrasp | PullGrasp | StackGrasp
 
 
 @dataclass
@@ -334,7 +348,7 @@ def _pair_check(
     contact point (``end``).  ``footprints`` maps a stack to its footprints.
 
     The witness grasp at contact is ``_contact_witness``: ``check_pull``
-    takes it next, the pair memo only for a pull whose corridor is clear.
+    takes it next, the pair memo only when ``PairMemo.pull`` is asked.
     """
     if mover == anchor:
         return PullCheck("distinct_targets"), None
@@ -467,23 +481,22 @@ def _taller_first(state: SceneState, targets: tuple[int, ...], sim: "SimConfig")
     return min(targets, key=key)
 
 
-def _check_graspable(state: SceneState, g: GraspAction, sim: "SimConfig") -> None:
-    """Raise InfeasibleAction unless grasp ``g``'s targets are on the table
-    and ``g`` is the grasp its rule gives there: for two, the multi-object
-    grasp test's witness; for one, ``grasp_points``'s rule, at the bottom
-    dish's grasp height, caging a utensil at its base across its axis, or
-    on the bottom dish's rim in the radial direction, within 1e-9 cm and rad."""
-    targets = g.targets
+def _check_on_table(state: SceneState, targets: tuple[int, ...]) -> None:
     for sid in targets:
         if sid not in state.stacks:
             raise InfeasibleAction("target_on_table", f"stack {sid} not on table")
-    if len(targets) == 2:
-        witness = mog_grasp(state, targets[0], targets[1], sim)
-        if witness is None:
-            raise InfeasibleAction("mog_allowable", f"stacks {targets}")
-        if g != witness:
-            raise InfeasibleAction("grasp_witness", f"grasp {g}, not the witness {witness}")
-        return
+
+
+def _check_graspable(state: SceneState, g: GraspAction, sim: "SimConfig") -> None:
+    """Raise InfeasibleAction unless grasp ``g`` takes one stack
+    (``one_stack_grasp``: two are a ``PairGrasp``), on the table, and is the
+    grasp ``grasp_points``'s rule gives there: at the bottom dish's grasp
+    height, caging a utensil at its base across its axis, or on the bottom
+    dish's rim in the radial direction, within 1e-9 cm and rad."""
+    targets = g.targets
+    if len(targets) != 1:
+        raise InfeasibleAction("one_stack_grasp", f"grasp {g}: ask for PairGrasp{targets}")
+    _check_on_table(state, targets)
     stack = state.stacks[targets[0]]
     bottom = state.dishes[stack.bottom]
     spec = sim.dish_specs[bottom.kind]
@@ -511,14 +524,16 @@ def apply(
     """Execute one action, returning the successor state and its trace event.
 
     Raises InfeasibleAction (with the violated predicate's name) if the
-    action's feasibility test fails in ``state``.  A pull-grasp names only
-    its two stacks: ``check_pull`` tests it and gives the rest, the mover's
-    path from its base to the contact point and the witness grasp of the
-    pair there, in the state the pull leaves.  A stack-grasp's grasps name
-    its stacks: each lift sets the stack it takes on the stack the final
-    grasp takes, if ``stack_allowable``.  Every grasp must be the one its
-    rule gives (see ``_check_graspable``): a lift grasp on the state it
-    lifts from, and a stack-grasp's final grasp on the merged pile.  When
+    action's feasibility test fails in ``state``.  Only here is a witness
+    grasp built.  A pair grasp names its two stacks, on the table, and
+    ``mog_grasp`` gives its grasp.  A pull-grasp names its two stacks:
+    ``check_pull`` tests it and gives the rest, the mover's path from its
+    base to the contact point and the witness grasp of the pair there, in
+    the state the pull leaves.  A stack-grasp's grasps name its stacks:
+    each lift sets the stack it takes on the stack the final grasp takes, if
+    ``stack_allowable``.  Every other grasp takes one stack and must be the
+    one its rule gives (see ``_check_graspable``): a lift grasp on the state
+    it lifts from, and a stack-grasp's final grasp on the merged pile.  When
     ``failed`` (see ``grasp_fails``), the action's final grasp fails: a
     failed single-stack grasp leaves the table unchanged (no trip); a
     failed two-stack grasp carries only the taller stack.  Pull and stack
@@ -538,6 +553,13 @@ def apply(
         kind = "pull_grasp"
         params = {"pull": {"start": [x0, y0], "end": [x1, y1], "theta": theta,
                            "mover": mover, "anchor": anchor}}
+    elif isinstance(action, PairGrasp):
+        targets = action.a, action.b
+        _check_on_table(state, targets)
+        g = mog_grasp(state, *targets, sim)
+        if g is None:
+            raise InfeasibleAction("mog_allowable", f"stacks {targets}")
+        kind, new, params = "grasp", state.clone(), {}
     elif isinstance(action, GraspAction):
         g = action
         _check_graspable(state, g, sim)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
@@ -20,17 +20,19 @@ from typing import TYPE_CHECKING, NamedTuple
 from .actions import (
     Action,
     GraspAction,
+    PairGrasp,
     PullCheck,
     PullGrasp,
     StackGrasp,
     TraceEvent,
     _contact_witness,
     _pair_check,
+    _stack_gap,
     apply,
     grasp_fails,
     grasp_gap,
     grasp_points,
-    mog_grasp,
+    mog_grasp,  # not called here; bench/test_bench.py reads this binding
     stack_allowable,
 )
 from .geometry import Footprint, Sweep, reach_limit
@@ -91,9 +93,9 @@ def random_policy(
 
 class _PullEntry:
     """A memoized pull check: the path tests' failed check, or None until
-    the witness grasp at contact is taken; the mover's sweep when they pass,
-    the value bits tested against the sweep (the pair's own from the start)
-    and those of them that meet it."""
+    the verdict at contact is taken; the mover's sweep when they pass, the
+    value bits tested against the sweep (the pair's own from the start) and
+    those of them that meet it."""
 
     __slots__ = ("check", "sweep", "tested", "blocked")
 
@@ -108,13 +110,13 @@ class _Walk:
     """How far a ``nearest`` walk has read its scope's pair list: the index
     of the first pair not read, and the (gap, a, b, bits of a and b) of the
     pairs its test admitted before it, sorted.  Each scope keeps one per
-    test for walks on the synced table."""
+    test for walks on the synced table, which walks on subsets copy."""
 
     __slots__ = ("cursor", "admitted")
 
-    def __init__(self):
-        self.cursor = 0
-        self.admitted: list[tuple[float, int, int, int]] = []
+    def __init__(self, cursor: int = 0, admitted: Iterable[tuple[float, int, int, int]] = ()):
+        self.cursor = cursor
+        self.admitted = list(admitted)
 
 
 class _Scope:
@@ -188,8 +190,8 @@ class PairMemo:
     list of its own (``_Scope``), which holds no pair outside it.  A walk
     on the synced table resumes where the last one with its test and scope
     stopped, so a step tests only the pairs that no earlier such walk
-    reached; a walk on a subset keeps nothing.  ``sync`` starts the scopes afresh when a value
-    arrives.  It drops a scope's pairs of values that left, and starts its
+    reached; a walk on a subset goes on from a copy, down a chain of ever
+    smaller tables.  ``sync`` starts the scopes afresh when a value arrives.  It drops a scope's pairs of values that left, and starts its
     walks afresh, once those outnumber the live ones; until then walks skip
     them.
 
@@ -201,15 +203,15 @@ class PairMemo:
     table asks.  A new pull marks every value on the synced table whose
     base lies outside its sweep's ``box`` tested and clear at once, as
     ``meets`` would, from the values' loci sorted by base x (``_by_x``);
-    a value that arrives later is tested when asked about.  The witness
-    grasp at contact (``_contact_witness``) is taken only once a table
-    finds the corridor clear, or ``pull`` names a blocker.  Only ``sync``
-    sets ``table``; the pull policy's planner passes the subsets it looks
-    ahead on as masks to ``nearest``, ``_corridor`` and ``ids``.
+    a value that arrives later is tested when asked about.  Whether the
+    pair has a grasp at contact is asked only once a table finds the
+    corridor clear, or ``pull`` names a blocker, and builds no witness.
+    Only ``sync`` sets ``table``; the pull policy's planner passes the
+    subsets it looks ahead on as masks to ``nearest``, ``_corridor`` and
+    ``ids``.
 
-    ``plan`` maps a table mask to the pull policy's planned ``Move`` on it.
-    The policy asks the memo for a planned pair's grasp when it takes it;
-    a planned pull is just its two stacks (see ``PullGrasp``).
+    ``plan`` maps a table mask to the pull policy's planned ``Move`` on it,
+    just its stacks: ``apply`` builds the grasp (see ``PairGrasp``).
     """
 
     def __init__(self, sim: "SimConfig"):
@@ -303,7 +305,7 @@ class PairMemo:
 
     def nearest(
         self, admit: Admit, within: float = math.inf, lifted: int = -1, base: int = -1,
-        table: int | None = None,
+        table: int | None = None, chain: dict[_Walk, _Walk] | None = None,
     ) -> Iterator[tuple[int, int]]:
         """The ordered pairs (a, b) on ``table`` (a mask of the synced
         table's bits; None for all of it) with a's bit in ``lifted`` and b's
@@ -317,19 +319,22 @@ class PairMemo:
         A walk on the synced table resumes where the last one with the same
         (``admit``, ``within``) and scope stopped: it keeps its cursor in the
         scope's pair list and the pairs it admitted before it, sorted.  A
-        walk on a narrower table keeps nothing and starts from the head.
-        Read a walk on the synced table before the next ``sync`` or walk on
-        it with the same test and scope."""
+        walk on a narrower table goes on from ``chain``'s walk, begun as a
+        copy of the synced table's (so it read every pair of the subset
+        before its cursor): a dict kept for tables each a subset of the last.
+        Read a walk before the next ``sync`` or walk with its test and scope."""
         scope = self._scopes.get((lifted, base))
         if scope is None:
             scope = self._scopes[(lifted, base)] = _Scope(lifted, base)
         table = self.table if table is None else table
-        if table == self.table:
-            walk = scope.walks.get((admit, within))
-            if walk is None:
-                walk = scope.walks[(admit, within)] = _Walk()
-        else:
-            walk = _Walk()
+        walk = scope.walks.get((admit, within))
+        if walk is None:
+            walk = scope.walks[(admit, within)] = _Walk()
+        if table != self.table:  # a subset: the chain's walk, begun as a copy
+            chain = {} if chain is None else chain
+            if walk not in chain:
+                chain[walk] = _Walk(walk.cursor, walk.admitted)
+            walk = chain[walk]
         pairs, admitted = scope.pairs, walk.admitted
         read = 0  # index of the first kept entry not yet yielded or passed
         j = walk.cursor
@@ -396,9 +401,10 @@ class PairMemo:
         of a stack on ``table`` (a mask of the synced table's bits) that
         meets its corridor, or 0 when none does or the pair tests fail.
         Only the values on ``table`` not yet tested against this pull are
-        tested, up to the first that meets it.  The witness grasp at contact
-        is taken only once the corridor is clear on ``table``: a blocked
-        pull's check is None until then."""
+        tested, up to the first that meets it.  The verdict at contact is
+        taken only once the corridor is clear on ``table`` (a blocked pull's
+        check is None until then): ``ready``'s tests, with the gap of the
+        mover at contact, so no witness is built."""
         bm, ba = self._ids[mover], self._ids[anchor]
         entry = self._pulls.get((bm, ba))
         if entry is None:
@@ -423,9 +429,11 @@ class PairMemo:
                 entry.blocked |= bit
                 return check, bit
         if check is None:
-            check = entry.check = _contact_witness(
-                self.state, mover, anchor, entry.sweep.end, self.sim
-            )
+            moved = Stack(self._values[bm].dishes, entry.sweep.end)
+            fits = _heights_fit(self, bm, ba) and _stack_gap(
+                self.state.dishes, moved, self._values[ba], self.sim
+            )[0] < self.sim.gripper.max_opening
+            check = entry.check = PullCheck(None if fits else "mog_allowable")
         return check, 0
 
     def pull(self, mover: int, anchor: int, table: int | None = None) -> PullCheck:
@@ -434,10 +442,14 @@ class PairMemo:
         blocking stacks when the corridor is blocked.  As in ``check_pull``,
         a failed grasp at contact is named before a blocker.  The policy
         reads ``_corridor``: this is the memo's answer in ``check_pull``'s
-        terms, held equal to it on every table mask, to explain a pull."""
+        terms, held equal to it on every table mask, to explain a pull: it
+        builds the witness grasp."""
         pair, blocker = self._corridor(mover, anchor, self.table if table is None else table)
-        if blocker:  # the empty table blocks nothing, so it takes the grasp at contact
+        if blocker:  # the empty table blocks nothing, so it takes the verdict at contact
             pair = self._corridor(mover, anchor, 0)[0]
+        if pair.allowable:
+            end = self._pulls[(self._ids[mover], self._ids[anchor])].sweep.end
+            pair = _contact_witness(self.state, mover, anchor, end, self.sim)
         if not blocker or not pair.allowable:
             return pair
         # Built directly: ``replace`` costs several times more.
@@ -449,23 +461,25 @@ class PairMemo:
 PLAN_MAX_STACKS = 12
 
 
-def ready(memo: PairMemo, a: int, b: int) -> bool:
-    """Whether ``a`` < ``b`` have a shared grasp, never at a gap of
-    max_opening or more: ``mog_grasp``'s tests in its order, on the memo's
-    values: grip heights within the similarity threshold, the lip span
-    within the jaw height, and ``memo.gap``, which ``nearest`` reads again
-    to rank the pair, below the max opening.  No witness grasp is built."""
-    if a >= b:
-        return False
-    gripper, bit = memo.sim.gripper, memo._ids
-    bit_a, bit_b = bit[a], bit[b]
+def _heights_fit(memo: PairMemo, bit_a: int, bit_b: int) -> bool:
+    """``mog_grasp``'s grip and lip span tests, in its order, on the values
+    of bits ``bit_a`` and ``bit_b``; its gap test is the caller's."""
+    gripper = memo.sim.gripper
     grip_a, grip_b = memo.grips[bit_a], memo.grips[bit_b]
     if not gripper.similar_heights(grip_a, grip_b):
         return False
     lips = memo.lips
-    if max(lips[bit_a], lips[bit_b]) - min(grip_a, grip_b) > gripper.jaw_height + 1e-9:
+    return max(lips[bit_a], lips[bit_b]) - min(grip_a, grip_b) <= gripper.jaw_height + 1e-9
+
+
+def ready(memo: PairMemo, a: int, b: int) -> bool:
+    """Whether ``a`` < ``b`` have a shared grasp: ``_heights_fit``, then
+    ``memo.gap`` (which ``nearest`` reads again to rank the pair) below the
+    max opening, so never at a gap of that or more.  No witness is built."""
+    if a >= b:
         return False
-    return memo.gap(a, b) < gripper.max_opening
+    bit = memo._ids
+    return _heights_fit(memo, bit[a], bit[b]) and memo.gap(a, b) < memo.sim.gripper.max_opening
 
 
 def same_grip(memo: PairMemo, mover: int, anchor: int) -> bool:
@@ -475,20 +489,20 @@ def same_grip(memo: PairMemo, mover: int, anchor: int) -> bool:
     return memo.sim.gripper.similar_heights(grips[memo.bit(mover)], grips[memo.bit(anchor)])
 
 
-def _moves(memo: PairMemo, table: int) -> Iterator[Move]:
+def _moves(memo: PairMemo, table: int, chain: dict | None = None) -> Iterator[Move]:
     """The moves on ``table``, a mask of the memo's synced table, in
     nearest-first's order: pairs with a shared grasp by (gap, ids), then
     pulls of the other pairs whose grip heights match by (gap, mover,
     anchor), then single grasps by stack id.  Read lazily through the
-    memo's walks, so a pair is tested only once the reader gets to it.
-    Whether a pull's corridor is clear is left to the reader."""
+    memo's walks (down ``chain``), so a pair is tested only once the reader
+    gets to it.  Whether a pull's corridor is clear is left to the reader."""
     bit = memo._ids  # ``memo.bit``, without the calls
     grasped = set()
-    for a, b in memo.nearest(ready, within=memo.sim.gripper.max_opening, table=table):
+    for a, b in memo.nearest(ready, memo.sim.gripper.max_opening, table=table, chain=chain):
         pair = bit[a] | bit[b]
         grasped.add(pair)
         yield "grasp", (a, b), pair
-    for mover, anchor in memo.nearest(same_grip, table=table):
+    for mover, anchor in memo.nearest(same_grip, table=table, chain=chain):
         pair = bit[mover] | bit[anchor]
         if pair not in grasped:
             yield "pull", (mover, anchor), pair
@@ -509,12 +523,13 @@ def _takeable(memo: PairMemo, move: Move, left: int) -> bool:
 
 
 def _first_move(
-    memo: PairMemo, left: int, starts: Callable[[int, int], bool] | None = None
+    memo: PairMemo, left: int, starts: Callable[[int, int], bool] | None = None,
+    chain: dict | None = None,
 ) -> Move:
-    """The first of ``_moves`` on ``left`` that can be taken there
-    (``_takeable``) and, given ``starts``, for which ``starts(left,
+    """The first of ``_moves`` on ``left`` (down ``chain``) that can be taken
+    there (``_takeable``) and, given ``starts``, for which ``starts(left,
     cleared)`` holds.  With no ``starts`` this is nearest-first's move."""
-    for move in _moves(memo, left):
+    for move in _moves(memo, left, chain):
         if _takeable(memo, move, left) and (starts is None or starts(left, move[2])):
             return move
     raise AssertionError("a single grasp can always be taken")
@@ -537,7 +552,10 @@ def _grip_classes(memo: PairMemo) -> list[int]:
 def _trip_floor(left: int, classes: list[int]) -> int:
     """Fewest trips that could clear the stacks in ``left``: a trip takes at
     most two, both of one grip-height class."""
-    return sum(((left & c).bit_count() + 1) // 2 for c in classes)
+    trips = 0
+    for c in classes:
+        trips += ((left & c).bit_count() + 1) // 2
+    return trips
 
 
 def _plan(memo: PairMemo) -> dict[int, Move]:
@@ -547,15 +565,16 @@ def _plan(memo: PairMemo) -> dict[int, Move]:
     The first pass takes nearest-first's move (``_first_move``) on each
     table it leaves.  When that misses the floor on trips (``_trip_floor``),
     a second pass takes, on each table, the first of the same moves that
-    starts a fewest-trip order (``_exact_search``).
+    starts a fewest-trip order (``_exact_search``).  A pass's tables are
+    each a subset of the one before: its walks go on down them (``chain``).
     """
     classes = _grip_classes(memo)
     starts = None
     while True:
         plan: dict[int, Move] = {}
-        left = memo.table
+        left, chain = memo.table, {}
         while left:
-            plan[left] = move = _first_move(memo, left, starts)
+            plan[left] = move = _first_move(memo, left, starts, chain)
             left ^= move[2]
         if starts or len(plan) == _trip_floor(memo.table, classes):
             return plan
@@ -613,9 +632,8 @@ def pull_policy(
     nearest-first's move wherever that move starts such an order, and plans
     again whenever a failed action leaves a table off the plan.  Pair
     results and the plan come from ``memo``, which carries them from one
-    step of a trial to the next.  A chosen pull names only its two stacks,
-    as ``apply`` finds its contact point and grasp; a chosen pair's grasp
-    is built for it alone (``mog_grasp``).
+    step of a trial to the next.  A chosen pair or pull names its two
+    stacks: ``apply`` builds the grasp.
     """
     memo.sync(state)
     planned = len(state.stacks) <= PLAN_MAX_STACKS
@@ -626,7 +644,7 @@ def pull_policy(
         return PullGrasp(*targets)
     if kind == "single":
         return grasp_points(state, targets[0], rng, sim)
-    return mog_grasp(state, *targets, sim)
+    return PairGrasp(*targets)
 
 
 def stackable(memo: PairMemo, lifted: int, base: int) -> bool:

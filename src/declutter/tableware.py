@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
@@ -130,18 +130,14 @@ class Stack:
 
     dishes: tuple[int, ...]
     base: XY
+    bottom: int = field(init=False, compare=False, repr=False)  # dishes[0], set once
+    top: int = field(init=False, compare=False, repr=False)  # dishes[-1], set once
 
     def __post_init__(self):
         if not self.dishes:
             raise ValueError("stack must contain at least one dish")
-
-    @property
-    def bottom(self) -> int:
-        return self.dishes[0]
-
-    @property
-    def top(self) -> int:
-        return self.dishes[-1]
+        object.__setattr__(self, "bottom", self.dishes[0])
+        object.__setattr__(self, "top", self.dishes[-1])
 
 
 @dataclass
@@ -306,7 +302,8 @@ class _Grid:
                 self.around[i + di, j + dj].append(placed)
 
     def hits(self, fp: Footprint, reach: float) -> list[_Placed]:
-        """The placed stacks that footprint ``fp``, of circumradius ``reach``, overlaps."""
+        """The placed stacks that footprint ``fp``, of circumradius ``reach``,
+        overlaps: the first two, as callers tell only none, one and more apart."""
         x, y = fp[0], fp[1]
         found = []
         for s in self.around.get((int(x // self.width), int(y // self.width)), ()):
@@ -315,6 +312,8 @@ class _Grid:
                 for sfp in s.fps:
                     if separation(fp, sfp) <= TOUCH_TOL:
                         found.append(s)
+                        if len(found) == 2:
+                            return found
                         break
         return found
 

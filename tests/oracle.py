@@ -23,6 +23,7 @@ from functools import lru_cache
 from declutter import (
     DishKind,
     PolicyConfig,
+    PairGrasp,
     PolicyKind,
     PullGrasp,
     SceneState,
@@ -52,8 +53,8 @@ def choice(action):
         return "pull", (action.mover, action.anchor)
     if isinstance(action, StackGrasp):
         return "stack", tuple((lift.targets[0], action.grasp.targets[0]) for lift in action.lifts)
-    if len(action.targets) == 2:
-        return "grasp", action.targets
+    if isinstance(action, PairGrasp):
+        return "grasp", (action.a, action.b)
     return "single", action.targets
 
 

@@ -11,6 +11,7 @@ from collections import Counter
 import pytest
 
 from declutter import (
+    PairGrasp,
     PolicyConfig,
     PullGrasp,
     StackGrasp,
@@ -453,9 +454,8 @@ def test_criterion_9_small_scene_oracle():
                         lifted, base = lift.targets[0], action.grasp.targets[0]
                         assert stack_allowable(probe, lifted, base, SIM)
                         probe = probe.merged(lifted, base)
-                elif len(action.targets) == 2:
-                    a, b = action.targets
-                    assert mog_grasp(state, a, b, SIM) is not None
+                elif isinstance(action, PairGrasp):
+                    assert mog_grasp(state, action.a, action.b, SIM) is not None
                 trips += step.event.trip
             assert optimum <= trips <= random_trips, (seed, name, optimum, trips)
         checked += 1

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from declutter import (
     GraspAction,
     InfeasibleAction,
+    PairGrasp,
     PullGrasp,
     Stack,
     StackGrasp,
@@ -65,6 +66,7 @@ _TWO_GRASP = GraspAction(_ORIGIN, 1.0, 0.0, (1, 2))
     (lambda: GraspAction(_ORIGIN, 1.0, 0.0, ()), "one or two distinct stacks"),
     (lambda: GraspAction(_ORIGIN, 1.0, 0.0, (0, 1, 2)), "one or two distinct stacks"),
     (lambda: GraspAction((20.0, 20.0), 9.0, 0.0, (0, 0)), "one or two distinct stacks"),
+    (lambda: PairGrasp(2, 2), "two distinct stacks"),
     (lambda: PullGrasp(1, 1), "mover and anchor must differ"),
     (lambda: StackGrasp((_ONE_GRASP,), _ONE_GRASP), "onto itself"),
     (lambda: StackGrasp((), _ONE_GRASP), "at least one placement"),
@@ -73,7 +75,8 @@ _TWO_GRASP = GraspAction(_ORIGIN, 1.0, 0.0, (1, 2))
     (lambda: mog_grasp(build_scene([([CUP], 30, 30)]), 0, 0, SIM), "two distinct stacks"),
     (lambda: Stack((), _ORIGIN), "at least one dish"),
 ], ids=[
-    "grasp_no_target", "grasp_three_targets", "grasp_one_target_twice", "pull_onto_itself",
+    "grasp_no_target", "grasp_three_targets", "grasp_one_target_twice",
+    "pair_grasp_one_stack_twice", "pull_onto_itself",
     "placement_onto_itself", "stack_grasp_no_placement", "stack_grasp_two_stack_lift",
     "stack_grasp_two_stack_carry", "mog_grasp_one_stack", "empty_stack",
 ])
@@ -305,9 +308,8 @@ def admitted_actions(state):
         for b in state.stacks:
             if a == b:
                 continue
-            shared = mog_grasp(state, a, b, SIM)
-            if a < b and shared is not None:
-                actions.append(shared)
+            if a < b and mog_grasp(state, a, b, SIM) is not None:
+                actions.append(PairGrasp(a, b))
             if check_pull(state, a, b, SIM).allowable:
                 actions.append(PullGrasp(a, b))
     return actions
@@ -394,21 +396,38 @@ class TestApply:
         assert event.kind == "stack_grasp"
 
     def test_mog_grasp_event_schema(self):
+        # A pair grasp names its stacks; ``apply`` carries out the witness.
         scene = build_scene([([CUP], 30, 30), ([CUP], 40, 30)])
-        action = mog_grasp(scene, 0, 1, SIM)
-        _, event = apply(scene, action, SIM)
+        _, event = apply(scene, PairGrasp(1, 0), SIM)
         obj = event.to_json_obj()
         assert set(obj) == {"t", "action", "targets", "moved_to_bin", "trip", "params"}
         assert obj["targets"] == [0, 1]
         assert obj["trip"] is True
+        g = mog_grasp(scene, 1, 0, SIM)
+        assert obj["params"] == {"point": list(g.point), "z": g.z, "theta": g.theta}
 
     def test_infeasible_mog_raises_with_predicate(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
-        g = grasp_points(scene, 0, SplitMix64(1), SIM)
-        bad = dataclasses.replace(g, targets=(0, 1))
         with pytest.raises(InfeasibleAction) as err:
-            apply(scene, bad, SIM)
+            apply(scene, PairGrasp(0, 1), SIM)
         assert err.value.predicate == "mog_allowable"
+
+    @pytest.mark.parametrize("a, b", [(7, 1), (0, 7)])
+    def test_pair_grasp_off_the_table_raises(self, a, b):
+        scene = build_scene([([CUP], 30, 30), ([CUP], 40, 30)])
+        with pytest.raises(InfeasibleAction, match="stack 7 not on table") as err:
+            apply(scene, PairGrasp(a, b), SIM)
+        assert err.value.predicate == "target_on_table"
+
+    def test_two_stack_grasp_action_raises(self):
+        # A grasp of two stacks is asked for one way only, as a PairGrasp:
+        # even the witness itself is refused as a GraspAction.
+        scene = build_scene([([CUP], 30, 30), ([CUP], 40, 30)])
+        witness = mog_grasp(scene, 0, 1, SIM)
+        assert witness is not None and witness.targets == (0, 1)
+        with pytest.raises(InfeasibleAction, match="ask for PairGrasp") as err:
+            apply(scene, witness, SIM)
+        assert err.value.predicate == "one_stack_grasp"
 
     def test_infeasible_stack_raises(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
@@ -499,7 +518,9 @@ class TestApply:
                 moved(single, 999.0 - single.point[0], -5.0 - single.point[1]),
                 "grasp_pose",
             ),
-            "two-stack off the witness": (witness, moved(witness, 30.0), "grasp_witness"),
+            "two-stack off the witness": (
+                PairGrasp(8, 10), moved(witness, 30.0), "one_stack_grasp",
+            ),
             "lift off and turned": (
                 StackGrasp((lift,), carry),
                 StackGrasp((moved(lift, 20.0, theta=lift.theta + 0.5),), carry),
@@ -563,8 +584,7 @@ class TestFailureModel:
     def test_failed_mog_keeps_taller_stack(self):
         sim = self._sim_with_fail(1.0)
         scene = build_scene([([BOWL, CUP], 20, 30), ([BOWL], 40, 30)])
-        action = mog_grasp(scene, 0, 1, sim)
-        new, event = apply(scene, action, sim, failed=True)
+        new, event = apply(scene, PairGrasp(0, 1), sim, failed=True)
         # The taller pile (bowl 0 + cup 2, lip 7) wins the jaws; bowl 1 stays.
         assert sorted(new.bin) == [0, 2]
         assert set(new.stacks) == {1}

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from declutter import (
     GraspAction,
+    PairGrasp,
     PairMemo,
     PolicyConfig,
     PullGrasp,
@@ -67,7 +68,7 @@ def test_policy_matches_reference_at_every_step(p_fail):
             expected = choice(action)
             assert expected == pull_policy_choice(state, sim), (seed, len(state.bin))
             if expected[0] == "grasp":
-                assert action == mog_grasp(state, *expected[1], sim)
+                assert action == PairGrasp(*expected[1])
             kinds.add(expected[0])
             if isinstance(action, PullGrasp) and step.failed:
                 failed_pulls += 1
@@ -513,13 +514,14 @@ def on_table(memo: PairMemo, table: int) -> SceneState:
 
 
 def assert_nearest_is_brute_force(
-    memo: PairMemo, reads: int | None = None, table: int | None = None
+    memo: PairMemo, reads: int | None = None, table: int | None = None,
+    chain: dict | None = None,
 ) -> None:
     """Every admitting test's ``nearest`` on ``table`` (the synced table
-    when None) equals a sort by (gap, a, b) of the ordered pairs the test
-    admits, each pair once; so does the stacking test's walk scoped to
-    utensil piles onto bowl tops, as the stack policy reads it.  With
-    ``reads``, each walk is read only that far."""
+    when None), walked down ``chain``, equals a sort by (gap, a, b) of the
+    ordered pairs the test admits, each pair once; so does the stacking
+    test's walk scoped to utensil piles onto bowl tops, as the stack policy
+    reads it.  With ``reads``, each walk is read only that far."""
     view = on_table(memo, memo.table if table is None else table)
     walks = [
         (name, admit, admitted, {"within": SIM.gripper.max_opening} if name == "ready" else {})
@@ -528,7 +530,7 @@ def assert_nearest_is_brute_force(
     scope = {"lifted": memo.utensil_piles, "base": memo.bowl_tops}
     walks.append(("scoped stackable", policies.stackable, utensil_onto_bowl, scope))
     for name, admit, admitted, options in walks:
-        got = list(islice(memo.nearest(admit, table=table, **options), reads))
+        got = list(islice(memo.nearest(admit, table=table, chain=chain, **options), reads))
         assert len(set(got)) == len(got), name
         expected = sorted(
             (grasp_gap(view, a, b, SIM)[0], a, b)
@@ -564,9 +566,10 @@ def test_nearest_is_brute_force_at_every_step(kind):
 def test_walks_read_partly_resume_as_brute_force(kind, stacking):
     # Each walk is read only a few pairs deep, so the next walk on the
     # synced table resumes from where it stopped: on the next step's table,
-    # after a walk on a narrowed table (as the planner reads; it starts from
-    # the head and keeps nothing), and after a stack leaves the synced table
-    # and comes back (its arrival starts every walk afresh).
+    # after walks down a chain of narrowed tables (as the planner reads;
+    # they go on from a copy of the synced table's walk and leave it as it
+    # was), and after a stack leaves the synced table and comes back (its
+    # arrival starts every walk afresh).  The chain's walks resume too.
     sim = dataclasses.replace(SIM, p_fail=0.2)
     cfg = PolicyConfig.named(kind, stacking)
     for seed in range(2):
@@ -574,7 +577,10 @@ def test_walks_read_partly_resume_as_brute_force(kind, stacking):
             state, memo = step.state, step.memo
             assert_nearest_is_brute_force(memo, reads=steps % 3 + 1)
             narrowed = memo.table & ~sum(memo.bit(sid) for sid in memo.ids()[steps % 2::3])
-            assert_nearest_is_brute_force(memo, reads=steps % 4 + 1, table=narrowed)
+            narrower = narrowed & ~sum(memo.bit(sid) for sid in memo.ids()[1::4])
+            chain = {}
+            assert_nearest_is_brute_force(memo, reads=steps % 4 + 1, table=narrowed, chain=chain)
+            assert_nearest_is_brute_force(memo, reads=steps % 3 + 1, table=narrower, chain=chain)
             assert_nearest_is_brute_force(memo, reads=steps % 5 + 1)
             if steps % 3 == 2 and len(state.stacks) > 1:
                 left = state.clone()
@@ -813,35 +819,42 @@ def pull_trial_scenes():
 
 
 @pytest.mark.parametrize("p_fail", [0.0, 0.2])
-def test_ready_and_the_contact_witness_are_the_grasp_test(monkeypatch, p_fail):
+def test_ready_and_the_contact_witness_are_the_grasp_test(p_fail):
     # ``ready`` asks ``mog_grasp``'s tests of the memo's heights and gap,
-    # and the memo's witness grasp at contact asks them of two stack values
-    # with no table built: both must answer as ``mog_grasp`` does.
+    # and the memo's verdict at contact asks them of its heights and one gap
+    # with the mover at contact, building no witness: both must answer as
+    # ``mog_grasp`` does.  ``memo.pull``, which builds the witness, still
+    # answers as ``check_pull`` does.
     sim = dataclasses.replace(SIM, p_fail=p_fail)
-    witness = policies._contact_witness
-    answered = []
-
-    def checked(state, mover, anchor, end, sim):
-        check = witness(state, mover, anchor, end, sim)
-        full = check_pull(state, mover, anchor, sim)
-        moved = state.clone()
-        moved.stacks[mover] = Stack(state.stacks[mover].dishes, end)
-        assert (full.end, full.grasp) == (check.end, check.grasp)
-        assert check.end == (end if check.allowable else None)
-        assert check.grasp == mog_grasp(moved, mover, anchor, sim)
-        answered.append(check)
-        return check
-
-    monkeypatch.setattr(policies, "_contact_witness", checked)
+    verdicts = Counter()
     for scene, seed in pull_trial_scenes():
         for step in trial_steps(scene, PULL, sim, seed):
-            memo, ids = step.memo, sorted(step.state.stacks)
+            memo, state, ids = step.memo, step.state, sorted(step.state.stacks)
             for a in ids:
                 for b in ids:
                     if a != b:
-                        shared = a < b and mog_grasp(step.state, a, b, sim) is not None
+                        shared = a < b and mog_grasp(state, a, b, sim) is not None
                         assert policies.ready(memo, a, b) == shared
-    assert any(check.allowable for check in answered)
+            # Every verdict the policy took, on this table or before it.
+            on_table = {memo.bit(sid): sid for sid in ids}
+            for (bm, ba), entry in memo._pulls.items():
+                if entry.check is None or entry.check.failed not in (None, "mog_allowable"):
+                    continue
+                if bm in on_table and ba in on_table:
+                    mover, anchor = on_table[bm], on_table[ba]
+                    moved = state.clone()
+                    moved.stacks[mover] = Stack(state.stacks[mover].dishes, entry.sweep.end)
+                    grasp = mog_grasp(moved, mover, anchor, sim)
+                    assert entry.check.allowable == (grasp is not None)
+                    # The memo names one of the blockers, not always the first.
+                    check, full = memo.pull(mover, anchor), check_pull(state, mover, anchor, sim)
+                    assert (check.blocker is None) == (full.blocker is None)
+                    assert dataclasses.replace(check, blocker=None) == dataclasses.replace(
+                        full, blocker=None
+                    )
+                    assert check.grasp == grasp
+                    verdicts[entry.check.allowable] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 @pytest.mark.parametrize("p_fail", [0.0, 0.2])
@@ -900,6 +913,67 @@ def test_a_pull_trials_memo_is_freed_with_its_steps():
         assert [ref for ref in refs if ref() is not None] == []
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("p_fail", [0.0, 0.2])
+def test_apply_builds_every_witness_grasp_once(monkeypatch, p_fail):
+    # The policy names a pair grasp's or a pull's two stacks and the memo
+    # takes a verdict at contact, so only ``apply`` builds a witness grasp:
+    # once for each pull-grasp and each two-stack grasp, and never for a
+    # single grasp.
+    sim = dataclasses.replace(SIM, p_fail=p_fail)
+    calls = []
+    build = actions._stack_grasp
+
+    def counted(dishes, sa, sb, sim):
+        calls.append((sa, sb))
+        return build(dishes, sa, sb, sim)
+
+    monkeypatch.setattr(actions, "_stack_grasp", counted)
+    kinds = Counter()
+    for tier in (Tier.T1, Tier.T2):
+        for seed in range(20):
+            scene = generate_scene(TierConfig.preset(tier), seed)
+            for step in trial_steps(scene, PULL, sim, seed):
+                pair = step.event.kind == "pull_grasp" or len(step.event.targets) == 2
+                assert len(calls) == pair, (tier, seed, step.event.t)
+                kinds[step.event.kind, pair] += 1
+                calls.clear()
+    assert kinds["pull_grasp", True] and kinds["grasp", True] and kinds["grasp", False]
+
+
+def test_each_plan_pass_asks_a_pair_once(monkeypatch):
+    # Each table a pass of the planner leaves is a subset of the one
+    # before, so a pass carries its walks down them: it asks ``ready`` and
+    # ``same_grip`` about an ordered pair of values at most once.  A pass
+    # starts with ``_plan`` (the first) or ``_exact_search`` (the second).
+    passes = []
+
+    def counting(test):
+        def counted(memo, a, b):
+            passes[-1][test.__name__, memo.bit(a), memo.bit(b)] += 1
+            return test(memo, a, b)
+
+        return counted
+
+    def starting_a_pass(step):
+        def started(*args):
+            passes.append(Counter())
+            return step(*args)
+
+        return started
+
+    for name in ("ready", "same_grip"):
+        monkeypatch.setattr(policies, name, counting(getattr(policies, name)))
+    for name in ("_plan", "_exact_search"):
+        monkeypatch.setattr(policies, name, starting_a_pass(getattr(policies, name)))
+    for p_fail in (0.0, 0.2):
+        sim = dataclasses.replace(SIM, p_fail=p_fail)
+        for tier in (Tier.T1, Tier.T2):
+            for seed in range(20):
+                run_policy(generate_scene(TierConfig.preset(tier), seed), PULL, sim, seed)
+    asked = [count for asks in passes for count in asks.values()]
+    assert asked and max(asked) == 1
 
 
 def test_each_pull_is_checked_once(monkeypatch):

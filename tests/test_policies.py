@@ -8,6 +8,7 @@ import pytest
 
 from declutter import (
     GraspAction,
+    PairGrasp,
     PolicyConfig,
     PolicyKind,
     Sweep,
@@ -81,8 +82,7 @@ class TestPullPolicy:
             [([CUP], 30, 30), ([CUP], 39.2, 30), ([BOWL], 65, 50)]
         )
         action = next(trial_steps(scene, PULL, SIM, 0)).action
-        assert isinstance(action, GraspAction)
-        assert action.targets == (0, 1)
+        assert action == PairGrasp(0, 1)
 
     def test_four_far_bowls_two_pull_trips(self):
         scene = build_scene(

@@ -191,9 +191,9 @@ class PairMemo:
     on the synced table resumes where the last one with its test and scope
     stopped, so a step tests only the pairs that no earlier such walk
     reached; a walk on a subset goes on from a copy, down a chain of ever
-    smaller tables.  ``sync`` starts the scopes afresh when a value arrives.  It drops a scope's pairs of values that left, and starts its
-    walks afresh, once those outnumber the live ones; until then walks skip
-    them.
+    smaller tables.  ``sync`` starts the scopes afresh when a value arrives,
+    and drops a scope's pairs of values that left, starting its walks
+    afresh, once those outnumber the live ones; until then walks skip them.
 
     A corridor verdict also depends on the other stacks.  Each pull keeps
     the mask of values tested against its corridor and the mask of those
@@ -319,10 +319,10 @@ class PairMemo:
         A walk on the synced table resumes where the last one with the same
         (``admit``, ``within``) and scope stopped: it keeps its cursor in the
         scope's pair list and the pairs it admitted before it, sorted.  A
-        walk on a narrower table goes on from ``chain``'s walk, begun as a
-        copy of the synced table's (so it read every pair of the subset
-        before its cursor): a dict kept for tables each a subset of the last.
-        Read a walk before the next ``sync`` or walk with its test and scope."""
+        walk on a narrower table goes on from the walk the caller's
+        ``chain`` keeps for tables each a subset of the last, begun as a copy
+        of the synced table's (which read every pair of the subset before its
+        cursor).  Read a walk before the next ``sync`` or walk like it."""
         scope = self._scopes.get((lifted, base))
         if scope is None:
             scope = self._scopes[(lifted, base)] = _Scope(lifted, base)

@@ -39,7 +39,6 @@ from .tableware import (
     SceneState,
     Stack,
     stack_footprints,
-    stack_grasp_span,
     stack_top_lip_height,
     widest_radius,
 )
@@ -51,7 +50,8 @@ _UTENSIL = DishKind.UTENSIL  # a module name reads faster than an enum member
 
 @dataclass(frozen=True)
 class GripperSpec:
-    """Parallel-jaw gripper dimensions and the height-similarity threshold."""
+    """Parallel-jaw gripper dimensions and the height-similarity threshold,
+    with the height rules of a grasp on plain heights, each written once."""
 
     max_opening: float = 8.5
     jaw_height: float = 4.5
@@ -64,6 +64,18 @@ class GripperSpec:
     def similar_heights(self, h1: float, h2: float) -> bool:
         """Whether two gripped-rim heights are close enough for one grasp."""
         return abs(h1 - h2) <= self.height_similarity_threshold + 1e-9
+
+    def spans(self, grip: float, lip: float) -> bool:
+        """Whether a pile gripped at ``grip`` with its top lip at ``lip``
+        fits within the jaw height."""
+        return lip - grip <= self.jaw_height + 1e-9
+
+    def holds(self, grip_a: float, lip_a: float, grip_b: float, lip_b: float) -> bool:
+        """``mog_grasp``'s height tests of two piles, in its order: similar
+        grips, then the jaw spanning the lower grip to the higher lip."""
+        return self.similar_heights(grip_a, grip_b) and self.spans(
+            min(grip_a, grip_b), max(lip_a, lip_b)
+        )
 
 
 @dataclass(frozen=True)
@@ -242,13 +254,13 @@ def mog_grasp(
 ) -> GraspAction | None:
     """Witness multi-object grasp for stacks ``a`` and ``b``, or None.
 
-    Allowable when the gripped-rim heights of the two stacks are within the
-    similarity threshold (a height mismatch makes the gripper collide with
-    the taller item or miss the shorter one), everything riding above the
-    grip fits within the jaw height, and the lateral distance between the
-    stacks' nearest grasp points is below the gripper's max opening.  The
-    witness grasp is centered at the midpoint of those points at the taller
-    grip height.
+    Allowable when the gripper ``holds`` the two stacks by height (their
+    gripped-rim heights are within the similarity threshold, as a mismatch
+    makes the gripper collide with the taller item or miss the shorter one,
+    and everything riding above the grip fits within the jaw height) and
+    the lateral distance between the stacks' nearest grasp points is below
+    the gripper's max opening.  The witness grasp is centered at the
+    midpoint of those points at the taller grip height.
     """
     if a == b:
         raise ValueError("multi-object grasp needs two distinct stacks")
@@ -261,17 +273,15 @@ def _stack_grasp(
     """``mog_grasp`` of two stack values, which need not be on a table: its
     tests in its order, and the witness targeting the two stacks' ids, their
     bottom dishes."""
-    specs, gripper = sim.dish_specs, sim.gripper
+    specs = sim.dish_specs
     grip_a = specs[dishes[sa.bottom].kind].grasp_height
     grip_b = specs[dishes[sb.bottom].kind].grasp_height
-    if not gripper.similar_heights(grip_a, grip_b):
-        return None
     lip_a = stack_top_lip_height(sa, dishes, specs)
     lip_b = stack_top_lip_height(sb, dishes, specs)
-    if max(lip_a, lip_b) - min(grip_a, grip_b) > gripper.jaw_height + 1e-9:
+    if not sim.gripper.holds(grip_a, lip_a, grip_b, lip_b):
         return None
     gap, (ax, ay), (bx, by) = _stack_gap(dishes, sa, sb, sim)
-    if gap >= gripper.max_opening:
+    if gap >= sim.gripper.max_opening:
         return None
     mid = (ax + bx) / 2.0, (ay + by) / 2.0
     span = math.hypot(ax - bx, ay - by)
@@ -427,35 +437,39 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
 def stack_allowable(
     state: SceneState, lifted: int, base: int, sim: "SimConfig"
 ) -> bool:
-    """True iff ``lifted`` may be placed on ``base`` and the result grasped.
-
-    The lifted stack's bottom dish must be no wider than the base stack's
-    top dish (utensils count as their half width, so they may sit on
-    anything, including another utensil), the lifted stack must itself be
-    rim-graspable, and the merged pile's lip span must stay within the jaw
-    height, otherwise the follow-up grasp would fail.
-    """
+    """True iff ``lifted`` may be placed on ``base`` and the result grasped:
+    two distinct stacks on the table that pass ``_stack_fits``."""
     if lifted == base:
         return False
     sl = state.stacks.get(lifted)
     sb = state.stacks.get(base)
     if sl is None or sb is None:
         return False
-    specs = sim.dish_specs
-    dishes = state.dishes
-    r_lifted = specs[dishes[sl.bottom].kind].effective_radius
-    r_base_top = specs[dishes[sb.top].kind].effective_radius
-    if r_lifted > r_base_top + 1e-9:
+    dishes, specs = state.dishes, sim.dish_specs
+    lip_l, lip_b = stack_top_lip_height(sl, dishes, specs), stack_top_lip_height(sb, dishes, specs)
+    return _stack_fits(dishes, sl, sb, lip_l, lip_b, sim)
+
+
+def _stack_fits(
+    dishes: dict[int, Dish], lifted: Stack, base: Stack, lip_lifted: float, lip_base: float,
+    sim: "SimConfig",
+) -> bool:
+    """``stack_allowable``'s tests of two stack values, which need not be on
+    a table, given their ``stack_top_lip_height``s: the lifted bottom dish
+    ``rests_on`` the base's top dish (a utensil, by its half width, rests on
+    anything), and the jaw ``spans`` the lifted stack and the merged pile."""
+    specs, gripper = sim.dish_specs, sim.gripper
+    bottom = specs[dishes[lifted.bottom].kind]
+    if not bottom.rests_on(specs[dishes[base.top].kind]):
         return False
-    jaw = sim.gripper.jaw_height
-    if stack_grasp_span(sl, dishes, specs) > jaw + 1e-9:
+    if not gripper.spans(bottom.grasp_height, lip_lifted):
         return False
-    # The merged pile's span, its lip heights summed in the order
-    # ``stack_grasp_span`` would sum them, without building the pile.
-    height = stack_top_lip_height(sb, dishes, specs)
-    for dish_id in sl.dishes:
+    # The merged pile's lip, its nest offsets summed in the order
+    # ``stack_top_lip_height`` would sum them, without building the pile.
+    height = lip_base
+    for dish_id in lifted.dishes:
         height += specs[dishes[dish_id].kind].nest_offset
-    return height - specs[dishes[sb.bottom].kind].grasp_height <= jaw + 1e-9
+    return gripper.spans(specs[dishes[base.bottom].kind].grasp_height, height)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .actions import (
     TraceEvent,
     _contact_witness,
     _pair_check,
+    _stack_fits,
     _stack_gap,
     apply,
     grasp_fails,
@@ -173,7 +174,9 @@ class PairMemo:
     dishes (see the masks ``utensil_piles`` and ``bowl_tops``).  Only
     ``sync`` gives bits, so every method reads the synced table.
     Footprints, gaps (one per unordered pair) and pull tests are keyed by
-    value bits, and a result keyed by bits never goes stale.  ``sync`` diffs
+    value bits, and a result keyed by bits never goes stale.  The memo asks
+    ``actions``'s feasibility rules (``GripperSpec.holds``, ``_stack_fits``)
+    of its values, grips and lips, and keeps no copy of them.  ``sync`` diffs
     the state against the stacks it last synced under each id (``_synced``):
     it drops the ids that left, and only when some stack is not the very
     object synced under its id (a dict compare, in C, that tests identity
@@ -403,8 +406,9 @@ class PairMemo:
         Only the values on ``table`` not yet tested against this pull are
         tested, up to the first that meets it.  The verdict at contact is
         taken only once the corridor is clear on ``table`` (a blocked pull's
-        check is None until then): ``ready``'s tests, with the gap of the
-        mover at contact, so no witness is built."""
+        check is None until then): ``GripperSpec.holds`` of the memo's grips
+        and lips, as ``ready`` asks it, and the gap of the mover at contact
+        below the max opening, so no witness is built."""
         bm, ba = self._ids[mover], self._ids[anchor]
         entry = self._pulls.get((bm, ba))
         if entry is None:
@@ -430,20 +434,21 @@ class PairMemo:
                 return check, bit
         if check is None:
             moved = Stack(self._values[bm].dishes, entry.sweep.end)
-            fits = _heights_fit(self, bm, ba) and _stack_gap(
+            grips, lips, gripper = self.grips, self.lips, self.sim.gripper
+            fits = gripper.holds(grips[bm], lips[bm], grips[ba], lips[ba]) and _stack_gap(
                 self.state.dishes, moved, self._values[ba], self.sim
-            )[0] < self.sim.gripper.max_opening
+            )[0] < gripper.max_opening
             check = entry.check = PullCheck(None if fits else "mog_allowable")
         return check, 0
 
     def pull(self, mover: int, anchor: int, table: int | None = None) -> PullCheck:
-        """``check_pull`` of ``mover`` toward ``anchor`` on ``table`` (a mask
-        of the synced table's bits; None for all of it), naming one of the
-        blocking stacks when the corridor is blocked.  As in ``check_pull``,
-        a failed grasp at contact is named before a blocker.  The policy
-        reads ``_corridor``: this is the memo's answer in ``check_pull``'s
-        terms, held equal to it on every table mask, to explain a pull: it
-        builds the witness grasp."""
+        """The memo's answer to ``check_pull`` of ``mover`` toward ``anchor``
+        on ``table`` (a mask of the synced table's bits; None for all of it),
+        to explain a pull; the policy reads ``_corridor``.  Its failed test,
+        ``end`` and ``grasp`` (it builds the witness) are those of
+        ``check_pull`` on a table of the mask's stacks, which also names a
+        failed grasp at contact before a blocker.  The blocker is a stack
+        that meets the corridor, not always ``check_pull``'s first."""
         pair, blocker = self._corridor(mover, anchor, self.table if table is None else table)
         if blocker:  # the empty table blocks nothing, so it takes the verdict at contact
             pair = self._corridor(mover, anchor, 0)[0]
@@ -461,25 +466,18 @@ class PairMemo:
 PLAN_MAX_STACKS = 12
 
 
-def _heights_fit(memo: PairMemo, bit_a: int, bit_b: int) -> bool:
-    """``mog_grasp``'s grip and lip span tests, in its order, on the values
-    of bits ``bit_a`` and ``bit_b``; its gap test is the caller's."""
-    gripper = memo.sim.gripper
-    grip_a, grip_b = memo.grips[bit_a], memo.grips[bit_b]
-    if not gripper.similar_heights(grip_a, grip_b):
-        return False
-    lips = memo.lips
-    return max(lips[bit_a], lips[bit_b]) - min(grip_a, grip_b) <= gripper.jaw_height + 1e-9
-
-
 def ready(memo: PairMemo, a: int, b: int) -> bool:
-    """Whether ``a`` < ``b`` have a shared grasp: ``_heights_fit``, then
-    ``memo.gap`` (which ``nearest`` reads again to rank the pair) below the
-    max opening, so never at a gap of that or more.  No witness is built."""
+    """Whether ``a`` < ``b`` have a shared grasp: ``GripperSpec.holds`` of
+    the memo's grips and lips, then ``memo.gap`` (which ``nearest`` reads
+    again to rank the pair) below the max opening, so never at a gap of that
+    or more.  No witness is built."""
     if a >= b:
         return False
-    bit = memo._ids
-    return _heights_fit(memo, bit[a], bit[b]) and memo.gap(a, b) < memo.sim.gripper.max_opening
+    ba, bb, grips, lips = memo._ids[a], memo._ids[b], memo.grips, memo.lips
+    gripper = memo.sim.gripper
+    return gripper.holds(grips[ba], lips[ba], grips[bb], lips[bb]) and (
+        memo.gap(a, b) < gripper.max_opening
+    )
 
 
 def same_grip(memo: PairMemo, mover: int, anchor: int) -> bool:
@@ -649,21 +647,13 @@ def pull_policy(
 
 def stackable(memo: PairMemo, lifted: int, base: int) -> bool:
     """Whether ``lifted`` may be stacked on ``base`` and the pile grasped:
-    ``stack_allowable``'s tests and float operations, on the memo's values
-    and heights (radii kept per value would cost each pull trial too)."""
+    ``stack_allowable``'s kernel, ``_stack_fits``, on the memo's values and
+    lips."""
     bit_l, bit_b = memo._ids[lifted], memo._ids[base]
-    sl, sb = memo._values[bit_l], memo._values[bit_b]
-    dishes, specs = memo.state.dishes, memo.sim.dish_specs
-    r_lifted = specs[dishes[sl.bottom].kind].effective_radius
-    if lifted == base or r_lifted > specs[dishes[sb.top].kind].effective_radius + 1e-9:
-        return False
-    jaw, lips, grips = memo.sim.gripper.jaw_height, memo.lips, memo.grips
-    if lips[bit_l] - grips[bit_l] > jaw + 1e-9:
-        return False
-    height = lips[bit_b]
-    for dish in sl.dishes:
-        height += specs[dishes[dish].kind].nest_offset
-    return height - grips[bit_b] <= jaw + 1e-9
+    return lifted != base and _stack_fits(
+        memo.state.dishes, memo._values[bit_l], memo._values[bit_b],
+        memo.lips[bit_l], memo.lips[bit_b], memo.sim,
+    )
 
 
 def stack_policy(

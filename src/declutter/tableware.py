@@ -48,7 +48,9 @@ class DishSpec:
     Cups and bowls are discs with a ``radius``; utensils are oriented
     rectangles with ``length`` x ``width``.  ``grasp_height`` is the height
     of the rim (or caging point) above the table; ``nest_offset`` is the
-    vertical rise each nested dish of this kind adds to a stack.
+    vertical rise each nested dish of this kind adds to a stack.  The
+    stacking order, narrower onto wider, is ``rests_on``: generation,
+    ``validate`` and the stacking test all ask it.
     """
 
     kind: DishKind
@@ -74,6 +76,11 @@ class DishSpec:
         if self.kind is _UTENSIL:
             return self.width / 2.0
         return self.radius
+
+    def rests_on(self, lower: "DishSpec") -> bool:
+        """Whether a dish of this kind may rest on one of kind ``lower``: it
+        is no wider, by ``effective_radius``."""
+        return self.effective_radius <= lower.effective_radius + 1e-9
 
     @cached_property
     def circumscribed_radius(self) -> float:
@@ -230,18 +237,6 @@ def stack_top_lip_height(
     return height
 
 
-def stack_grasp_span(
-    stack: Stack, dishes: dict[int, Dish], specs: dict[DishKind, DishSpec]
-) -> float:
-    """Lip-height difference between the top and bottom dish of a stack.
-
-    A stack is rim-graspable only while this span fits within the gripper
-    jaw height.
-    """
-    bottom = dishes[stack.bottom]
-    return stack_top_lip_height(stack, dishes, specs) - specs[bottom.kind].grasp_height
-
-
 # ---------------------------------------------------------------------------
 # Generation and validation
 # ---------------------------------------------------------------------------
@@ -381,10 +376,7 @@ def generate_scene(
                 target = hits[0]
                 stack = state.stacks[target.id]
                 top_spec = specs[state.dishes[stack.top].kind]
-                if (
-                    len(stack.dishes) < cfg.max_initial_stack
-                    and spec.effective_radius <= top_spec.effective_radius + 1e-9
-                ):
+                if len(stack.dishes) < cfg.max_initial_stack and spec.rests_on(top_spec):
                     sfp = target.base + fp[2:]
                     # A footprint at the target's base always overlaps it, and stays
                     # on the table: no joiner's circumradius exceeds the bottom dish's.
@@ -432,8 +424,8 @@ def validate(
     for stack in state.stacks.values():
         if any(d not in state.dishes for d in stack.dishes):
             continue  # reported as an unknown dish id
-        radii = [specs[state.dishes[d].kind].effective_radius for d in stack.dishes]
-        if any(radii[i] + 1e-9 < radii[i + 1] for i in range(len(radii) - 1)):
+        piled = [specs[state.dishes[d].kind] for d in stack.dishes]
+        if not all(upper.rests_on(lower) for lower, upper in zip(piled, piled[1:])):
             problems.append(f"stack stability violated: stack {stack.bottom}")
         fps = stack_footprints(state, stack, specs)
         for dish_id, fp in zip(stack.dishes, fps):

@@ -32,7 +32,7 @@ from declutter.config import default_sim_config
 from declutter.metrics import action_counts
 from declutter.policies import PolicyKind
 from declutter.rng import SplitMix64
-from declutter.tableware import DishKind, stack_grasp_span
+from declutter.tableware import DishKind, stack_top_lip_height
 from declutter.timefit import REFERENCE_ROWS, fit_time_model, simulated_counts
 from helpers import BOWL, CUP, build_scene, random_small_scene
 from oracle import min_trips
@@ -403,7 +403,8 @@ def test_criterion_8_property_suites():
         assert ((s - 1) * offset > jaw) == (s >= 4), s
         kind = (CUP, BOWL)[rng.below(2)]
         pile = build_scene([([kind] * s, 30, 30)])
-        span = stack_grasp_span(pile.stacks[0], pile.dishes, SIM.dish_specs)
+        lip = stack_top_lip_height(pile.stacks[0], pile.dishes, SIM.dish_specs)
+        span = lip - SIM.dish_specs[kind].grasp_height
         assert (span > jaw) == (s >= 4), (kind, s)
         # Merging two piles of the same kind obeys the size-4 cutoff
         # (cup piles onto bowls change nothing: offsets are equal).

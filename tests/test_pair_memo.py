@@ -860,8 +860,10 @@ def test_ready_and_the_contact_witness_are_the_grasp_test(p_fail):
 @pytest.mark.parametrize("p_fail", [0.0, 0.2])
 @pytest.mark.parametrize("stacking", ["one_per_bowl", "all_on_one_bowl"])
 def test_stackable_and_the_memos_gaps_are_the_states_tests(stacking, p_fail):
-    # ``stackable`` asks ``stack_allowable``'s tests of the memo's values and
-    # heights, and the memo keeps one gap per unordered pair of values, which
+    # ``stackable`` and ``stack_allowable`` share one kernel, so this checks
+    # the memo's values and lips against the state's stacks and their
+    # ``stack_top_lip_height``.  The memo keeps one gap per unordered pair of
+    # values, which
     # ``grasp_gap`` gives bit for bit in either order for every pair a walk
     # asks both ways: two rims of one kind, or a pair with a utensil.
     sim, cfg = dataclasses.replace(SIM, p_fail=p_fail), PolicyConfig.named("stack", stacking)

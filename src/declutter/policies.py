@@ -194,9 +194,9 @@ class PairMemo:
     on the synced table resumes where the last one with its test and scope
     stopped, so a step tests only the pairs that no earlier such walk
     reached; a walk on a subset goes on from a copy, down a chain of ever
-    smaller tables.  ``sync`` starts the scopes afresh when a value arrives,
-    and drops a scope's pairs of values that left, starting its walks
-    afresh, once those outnumber the live ones; until then walks skip them.
+    smaller tables.  ``sync`` starts the scopes afresh only when a value
+    arrives: the pairs of a value that left stay listed, and walks skip
+    them, so a walk never starts over when stacks leave.
 
     A corridor verdict also depends on the other stacks.  Each pull keeps
     the mask of values tested against its corridor and the mask of those
@@ -276,10 +276,6 @@ class PairMemo:
             self._scopes = {}
             self._by_x = sorted(self._loci[bit] for bit in ids.values())
             self._xs = [locus[0] for locus in self._by_x]
-        for scope in self._scopes.values():
-            if len(scope.pairs) > len(ids) * (len(ids) - 1):
-                scope.pairs = [entry for entry in scope.pairs if entry[3] & table == entry[3]]
-                scope.walks = {}
 
     def _widen(self, scope: _Scope) -> None:
         """List the next band of the scope's pairs (see ``_Scope``): those
@@ -520,15 +516,11 @@ def _takeable(memo: PairMemo, move: Move, left: int) -> bool:
     return not blocker and check.allowable
 
 
-def _first_move(
-    memo: PairMemo, left: int, starts: Callable[[int, int], bool] | None = None,
-    chain: dict | None = None,
-) -> Move:
-    """The first of ``_moves`` on ``left`` (down ``chain``) that can be taken
-    there (``_takeable``) and, given ``starts``, for which ``starts(left,
-    cleared)`` holds.  With no ``starts`` this is nearest-first's move."""
+def _first_move(memo: PairMemo, left: int, chain: dict | None = None) -> Move:
+    """Nearest-first's move on ``left``: the first of ``_moves`` on it (down
+    ``chain``) that can be taken there (``_takeable``)."""
     for move in _moves(memo, left, chain):
-        if _takeable(memo, move, left) and (starts is None or starts(left, move[2])):
+        if _takeable(memo, move, left):
             return move
     raise AssertionError("a single grasp can always be taken")
 
@@ -561,38 +553,47 @@ def _plan(memo: PairMemo) -> dict[int, Move]:
     fewest trips, keyed by the mask of the stacks left when each is taken.
 
     The first pass takes nearest-first's move (``_first_move``) on each
-    table it leaves.  When that misses the floor on trips (``_trip_floor``),
-    a second pass takes, on each table, the first of the same moves that
-    starts a fewest-trip order (``_exact_search``).  A pass's tables are
-    each a subset of the one before: its walks go on down them (``chain``).
+    table it leaves.  Its tables are each a subset of the one before, so
+    its walks go on down them (``chain``).  When it misses the floor on
+    trips (``_trip_floor``), the second pass (``_exact_search``) plans the
+    table again.
     """
     classes = _grip_classes(memo)
-    starts = None
-    while True:
-        plan: dict[int, Move] = {}
-        left, chain = memo.table, {}
-        while left:
-            plan[left] = move = _first_move(memo, left, starts, chain)
-            left ^= move[2]
-        if starts or len(plan) == _trip_floor(memo.table, classes):
-            return plan
-        starts = _exact_search(memo, classes)
+    plan, left, chain = {}, memo.table, {}
+    while left:
+        plan[left] = move = _first_move(memo, left, chain)
+        left ^= move[2]
+    if len(plan) == _trip_floor(memo.table, classes):
+        return plan
+    return _exact_search(memo, classes)
 
 
-def _exact_search(memo: PairMemo, classes: list[int]) -> Callable[[int, int], bool]:
-    """``_plan``'s exact search over subsets of the memo's table: whether a
-    move from subset ``left`` that clears ``cleared`` starts a fewest-trip
-    order.
+def _exact_search(memo: PairMemo, classes: list[int]) -> dict[int, Move]:
+    """``_plan``'s second pass: on each table it leaves, the first move that
+    can be taken there (``_takeable``) and starts a fewest-trip order
+    (``_trips``).
 
     Failure-free, every table reachable from this one is a subset of its
-    stacks, so the search lists the table's ``_moves`` once and reads them
-    on each subset.  A pull is asked about (``_takeable``) only when the
-    search reaches it with a subset it clears and a trip floor that could
-    still improve on the best order, and then only whether a stack of that
-    subset meets its corridor.
+    stacks, so the pass lists the table's ``_moves`` once.  Those whose
+    stacks are all on a subset are that subset's ``_moves`` in order, as
+    ``ready`` and ``same_grip`` read only the two values and a pull is left
+    out exactly when its pair is ready: so the plan keeps nearest-first's
+    move wherever it starts a fewest-trip order.  A pull is asked about only
+    when the search reaches it with a subset it clears and a trip floor
+    that could still improve on the best order, and then only whether a
+    stack of that subset meets its corridor.
     """
-    args = memo, classes, list(_moves(memo, memo.table)), {0: 0}
-    return lambda left, cleared: _trips(*args, left) == 1 + _trips(*args, left ^ cleared)
+    moves, least = list(_moves(memo, memo.table)), {0: 0}
+    plan, left = {}, memo.table
+    while left:
+        trips = _trips(memo, classes, moves, least, left)
+        plan[left] = move = next(
+            move for move in moves
+            if move[2] & left == move[2] and _takeable(memo, move, left)
+            and 1 + _trips(memo, classes, moves, least, left ^ move[2]) == trips
+        )
+        left ^= move[2]
+    return plan
 
 
 def _trips(
@@ -648,11 +649,11 @@ def pull_policy(
 def stackable(memo: PairMemo, lifted: int, base: int) -> bool:
     """Whether ``lifted`` may be stacked on ``base`` and the pile grasped:
     ``stack_allowable``'s kernel, ``_stack_fits``, on the memo's values and
-    lips."""
-    bit_l, bit_b = memo._ids[lifted], memo._ids[base]
+    the base's lip."""
+    bit_b = memo._ids[base]
     return lifted != base and _stack_fits(
-        memo.state.dishes, memo._values[bit_l], memo._values[bit_b],
-        memo.lips[bit_l], memo.lips[bit_b], memo.sim,
+        memo.state.dishes, memo._values[memo._ids[lifted]], memo._values[bit_b],
+        memo.lips[bit_b], memo.sim,
     )
 
 

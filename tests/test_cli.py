@@ -526,7 +526,10 @@ class TestBench:
                 bench_events.append(record)
         run_events = [json.loads(line) for line in trace.read_text().splitlines()]
         assert run_events and run_events == _floats_approx(bench_events)
-        trials = [json.loads(line) for line in (tmp_path / "bench" / "trials.jsonl").open()]
+        trials = [
+            json.loads(line)
+            for line in (tmp_path / "bench" / "trials.jsonl").read_text().splitlines()
+        ]
         (bench_report,) = [t for t in trials if t["policy"] == "pull"]
         assert {**report, "scene_id": "t1_0"} == bench_report
 

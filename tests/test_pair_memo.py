@@ -978,6 +978,42 @@ def test_each_plan_pass_asks_a_pair_once(monkeypatch):
     assert asked and max(asked) == 1
 
 
+def test_a_pull_trial_asks_a_pair_once_outside_the_planner(monkeypatch):
+    # Above ``PLAN_MAX_STACKS`` stacks the pull policy walks the synced
+    # table, and its walks go on from step to step: a stack that leaves
+    # starts no walk over, so outside ``_plan`` a failure-free trial asks
+    # ``ready`` and ``same_grip`` about an ordered pair of values at most
+    # once.  Walks that started over once departed values outnumbered live
+    # ones asked a pair up to 2 and 3 times here (48 and 190 repeats).
+    asks = Counter()
+    planning = []
+
+    def counting(test):
+        def counted(memo, a, b):
+            if not planning:
+                asks[test.__name__, memo.bit(a), memo.bit(b)] += 1
+            return test(memo, a, b)
+
+        return counted
+
+    plan = policies._plan
+
+    def planned(memo):
+        planning.append(memo)
+        try:
+            return plan(memo)
+        finally:
+            planning.clear()
+
+    for name in ("ready", "same_grip"):
+        monkeypatch.setattr(policies, name, counting(getattr(policies, name)))
+    monkeypatch.setattr(policies, "_plan", planned)
+    for seed in (0, 3):
+        asks.clear()
+        run_policy(dense_scene(72, seed), PULL, SIM, seed)
+        assert asks and max(asks.values()) == 1, (seed, sum(asks.values()) - len(asks))
+
+
 def test_each_pull_is_checked_once(monkeypatch):
     # The policy takes a pull its memo found allowable; only ``apply``
     # checks it, in full.
@@ -1039,10 +1075,10 @@ def test_utensil_walk_tests_only_utensil_piles_onto_bowl_tops(monkeypatch):
 
 def test_walks_resume_from_step_to_step(monkeypatch):
     # A walk on the synced table goes on from where the last step's walk
-    # stopped, so a pair is tested again only once ``sync`` starts the walks
-    # afresh.  Each pair is tested at most 3 times in these trials (2,580
-    # tests in all); walks that start from the head at every step test a
-    # pair up to 24 times (8,678 tests).
+    # stopped, so a pair is tested again only once a value arrives and
+    # ``sync`` starts the walks afresh.  Each pair is tested at most once in
+    # these trials (71 tests in all); walks that start from the head at
+    # every step test a pair up to 11 times (226 tests).
     calls = Counter()
 
     def counted(memo, lifted, base):
@@ -1099,7 +1135,7 @@ GOLDEN_DENSE_DIGESTS = {
 @pytest.mark.parametrize("kind, p_fail", sorted(GOLDEN_DENSE_DIGESTS))
 def test_golden_digests_of_dense_trials(kind, p_fail):
     # Pins every step of the memoized policies on large tables, where walks
-    # resume, the pair list is compacted and failures bring new values.
+    # resume, stacks leave and failures bring new values.
     sim = dataclasses.replace(SIM, p_fail=p_fail)
     if kind == "all_on_one_bowl":
         cfg = PolicyConfig.named("stack", kind)

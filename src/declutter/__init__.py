@@ -8,7 +8,6 @@ from .actions import (
     PullCheck,
     PullGrasp,
     StackGrasp,
-    TraceEvent,
     apply,
     check_pull,
     grasp_fails,

@@ -17,8 +17,8 @@ dishes in the bin and costs one trip.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InfeasibleAction
@@ -78,20 +78,19 @@ class GripperSpec:
         )
 
 
+# A grasp pose: the gripper's (point, height z, heading theta).
+Pose = tuple[XY, float, float]
+
+
 @dataclass(frozen=True)
 class GraspAction:
-    """A top-down grasp of one or two stacks, ``targets``, at ``point``,
-    height ``z`` and gripper heading ``theta``; of one, an action on its own
-    (of two, ``mog_grasp``'s witness, which ``apply`` builds for a pair)."""
+    """A top-down grasp of stack ``stack`` at ``point``, height ``z`` and
+    gripper heading ``theta``."""
 
     point: XY
     z: float
     theta: float
-    targets: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.targets) not in (1, 2) or len(set(self.targets)) < len(self.targets):
-            raise ValueError("a grasp targets one or two distinct stacks")
+    stack: int
 
 
 @dataclass(frozen=True)
@@ -125,9 +124,8 @@ class PullGrasp:
 @dataclass(frozen=True)
 class StackGrasp:
     """Lift the stack each grasp in ``lifts`` takes, in order, onto the
-    stack ``grasp`` takes, then carry the merged pile with ``grasp``.  Each
-    grasp takes one stack, so the grasps name the stacks; no lift takes the
-    carried stack."""
+    stack ``grasp`` takes, then carry the merged pile with ``grasp``.  The
+    grasps name the stacks; no lift takes the carried stack."""
 
     lifts: tuple[GraspAction, ...]
     grasp: GraspAction
@@ -135,35 +133,11 @@ class StackGrasp:
     def __post_init__(self):
         if not self.lifts:
             raise ValueError("stack-grasp needs at least one placement")
-        if any(len(g.targets) != 1 for g in (*self.lifts, self.grasp)):
-            raise ValueError("a stack-grasp's grasps each take one stack")
-        if any(g.targets == self.grasp.targets for g in self.lifts):
+        if any(g.stack == self.grasp.stack for g in self.lifts):
             raise ValueError("a stack-grasp cannot lift a stack onto itself")
 
 
 Action = GraspAction | PairGrasp | PullGrasp | StackGrasp
-
-
-@dataclass
-class TraceEvent:
-    """One executed action, in the JSONL trace schema."""
-
-    t: int
-    kind: str
-    targets: tuple[int, ...]
-    moved_to_bin: tuple[int, ...]
-    trip: bool
-    params: dict = field(default_factory=dict)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "t": self.t,
-            "action": self.kind,
-            "targets": list(self.targets),
-            "moved_to_bin": list(self.moved_to_bin),
-            "trip": self.trip,
-            "params": self.params,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +162,11 @@ def grasp_points(
             point=stack.base,
             z=spec.grasp_height,
             theta=normalize_angle(bottom.theta + math.pi / 2.0),
-            targets=(stack_id,),
+            stack=stack_id,
         )
     angle = rng.uniform(0.0, 2.0 * math.pi)
     point, theta = rim_point(stack.base, spec.radius, angle)
-    return GraspAction(point=point, z=spec.grasp_height, theta=theta, targets=(stack_id,))
+    return GraspAction(point=point, z=spec.grasp_height, theta=theta, stack=stack_id)
 
 
 def _grasp_locus(dishes: dict[int, Dish], stack: Stack, sim: "SimConfig") -> tuple[XY, XY, float]:
@@ -249,10 +223,8 @@ def _stack_gap(
 # ---------------------------------------------------------------------------
 
 
-def mog_grasp(
-    state: SceneState, a: int, b: int, sim: "SimConfig"
-) -> GraspAction | None:
-    """Witness multi-object grasp for stacks ``a`` and ``b``, or None.
+def mog_grasp(state: SceneState, a: int, b: int, sim: "SimConfig") -> Pose | None:
+    """Witness multi-object grasp pose for stacks ``a`` and ``b``, or None.
 
     Allowable when the gripper ``holds`` the two stacks by height (their
     gripped-rim heights are within the similarity threshold, as a mismatch
@@ -267,12 +239,9 @@ def mog_grasp(
     return _stack_grasp(state.dishes, state.stacks[a], state.stacks[b], sim)
 
 
-def _stack_grasp(
-    dishes: dict[int, Dish], sa: Stack, sb: Stack, sim: "SimConfig"
-) -> GraspAction | None:
+def _stack_grasp(dishes: dict[int, Dish], sa: Stack, sb: Stack, sim: "SimConfig") -> Pose | None:
     """``mog_grasp`` of two stack values, which need not be on a table: its
-    tests in its order, and the witness targeting the two stacks' ids, their
-    bottom dishes."""
+    tests in its order, and the witness pose."""
     specs = sim.dish_specs
     grip_a = specs[dishes[sa.bottom].kind].grasp_height
     grip_b = specs[dishes[sb.bottom].kind].grasp_height
@@ -290,9 +259,7 @@ def _stack_grasp(
     else:
         (x0, y0), (x1, y1) = sa.base, sb.base
         theta = normalize_angle(math.atan2(y1 - y0, x1 - x0))
-    a, b = sa.bottom, sb.bottom
-    lo, hi = (a, b) if a < b else (b, a)
-    return GraspAction(point=mid, z=max(grip_a, grip_b), theta=theta, targets=(lo, hi))
+    return mid, max(grip_a, grip_b), theta
 
 
 def _pull_contact(
@@ -326,13 +293,13 @@ class PullCheck:
     ``"mog_allowable"`` (no multi-object grasp once in contact) or
     ``"corridor"`` (stack ``blocker`` meets the mover's sweep to ``end``).
     Once the pair tests pass, ``end`` is the mover's base at contact and
-    ``grasp`` the witness grasp there.
+    ``grasp`` the witness grasp pose there.
     """
 
     failed: str | None
     blocker: int | None = None
     end: XY | None = None
-    grasp: GraspAction | None = None
+    grasp: Pose | None = None
 
     @property
     def allowable(self) -> bool:
@@ -475,16 +442,16 @@ def _stack_fits(
 # ---------------------------------------------------------------------------
 
 
-def _bin_stacks(state: SceneState, stack_ids: tuple[int, ...]) -> tuple[int, ...]:
+def _bin_stacks(state: SceneState, stack_ids: list[int]) -> list[int]:
     moved: list[int] = []
     for sid in stack_ids:
         stack = state.stacks.pop(sid)
         moved.extend(stack.dishes)
     state.bin = state.bin + tuple(moved)
-    return tuple(moved)
+    return moved
 
 
-def _taller_first(state: SceneState, targets: tuple[int, ...], sim: "SimConfig") -> int:
+def _taller_first(state: SceneState, targets: list[int], sim: "SimConfig") -> int:
     """Target kept by a failed two-stack grasp: the taller lip wins the jaws."""
     def key(sid: int):
         lip = stack_top_lip_height(state.stacks[sid], state.dishes, sim.dish_specs)
@@ -493,23 +460,19 @@ def _taller_first(state: SceneState, targets: tuple[int, ...], sim: "SimConfig")
     return min(targets, key=key)
 
 
-def _check_on_table(state: SceneState, targets: tuple[int, ...]) -> None:
+def _check_on_table(state: SceneState, targets: Iterable[int]) -> None:
     for sid in targets:
         if sid not in state.stacks:
             raise InfeasibleAction("target_on_table", f"stack {sid} not on table")
 
 
 def _check_graspable(state: SceneState, g: GraspAction, sim: "SimConfig") -> None:
-    """Raise InfeasibleAction unless grasp ``g`` takes one stack
-    (``one_stack_grasp``: two are a ``PairGrasp``), on the table, and is the
-    grasp ``grasp_points``'s rule gives there: at the bottom dish's grasp
-    height, caging a utensil at its base across its axis, or on the bottom
-    dish's rim in the radial direction, within 1e-9 cm and rad."""
-    targets = g.targets
-    if len(targets) != 1:
-        raise InfeasibleAction("one_stack_grasp", f"grasp {g}: ask for PairGrasp{targets}")
-    _check_on_table(state, targets)
-    stack = state.stacks[targets[0]]
+    """Raise InfeasibleAction unless grasp ``g`` takes a stack on the table
+    and is the grasp ``grasp_points``'s rule gives there: at the bottom
+    dish's grasp height, caging a utensil at its base across its axis, or on
+    the bottom dish's rim in the radial direction, within 1e-9 cm and rad."""
+    _check_on_table(state, [g.stack])
+    stack = state.stacks[g.stack]
     bottom = state.dishes[stack.bottom]
     spec = sim.dish_specs[bottom.kind]
     point, base = g.point, stack.base
@@ -521,7 +484,7 @@ def _check_graspable(state: SceneState, g: GraspAction, sim: "SimConfig") -> Non
         off = math.hypot(dx, dy) - spec.radius  # off the rim
         on_rule = -1e-9 <= off <= 1e-9 and not 1e-9 < turn < math.pi - 1e-9
     if not on_rule or g.z != spec.grasp_height:
-        raise InfeasibleAction("grasp_pose", f"grasp {g} is not a grasp of stack {targets[0]}")
+        raise InfeasibleAction("grasp_pose", f"grasp {g} is not a grasp of stack {g.stack}")
 
 
 def grasp_fails(sim: "SimConfig", rng: SplitMix64) -> bool:
@@ -532,8 +495,8 @@ def grasp_fails(sim: "SimConfig", rng: SplitMix64) -> bool:
 
 def apply(
     state: SceneState, action: Action, sim: "SimConfig", *, failed: bool = False
-) -> tuple[SceneState, TraceEvent]:
-    """Execute one action, returning the successor state and its trace event.
+) -> tuple[SceneState, dict]:
+    """Execute one action, returning the successor state and its event.
 
     Raises InfeasibleAction (with the violated predicate's name) if the
     action's feasibility test fails in ``state``.  Only here is a witness
@@ -543,13 +506,25 @@ def apply(
     base to the contact point and the witness grasp of the pair there, in
     the state the pull leaves.  A stack-grasp's grasps name its stacks:
     each lift sets the stack it takes on the stack the final grasp takes, if
-    ``stack_allowable``.  Every other grasp takes one stack and must be the
-    one its rule gives (see ``_check_graspable``): a lift grasp on the state
-    it lifts from, and a stack-grasp's final grasp on the merged pile.  When
+    ``stack_allowable``.  Every grasp action must be the grasp its rule
+    gives (see ``_check_graspable``): a lift grasp on the state it lifts
+    from, and a stack-grasp's final grasp on the merged pile.  When
     ``failed`` (see ``grasp_fails``), the action's final grasp fails: a
     failed single-stack grasp leaves the table unchanged (no trip); a
     failed two-stack grasp carries only the taller stack.  Pull and stack
     phases still execute before a failed grasp, so consolidations persist.
+
+    The event is the action's ``traces.jsonl`` object less ``t``, of lists,
+    numbers and strings: ``action`` (``"grasp"``, ``"pull_grasp"`` or
+    ``"stack_grasp"``); ``targets``, the stacks the final grasp takes,
+    ascending; ``moved_to_bin``, the dishes binned, stack by stack from the
+    bottom; ``trip``, whether any were; and ``params``.  A grasp's params
+    are its pose, ``{"point": [x, y], "z", "theta"}``; a pull-grasp's are
+    ``{"pull": {"start", "end", "theta", "mover", "anchor"}, "grasp": pose}``
+    (``start`` and ``end`` as ``[x, y]``, ``theta`` the pull's heading); a
+    stack-grasp's ``{"placements": [{"lifted", "base", "place": [x, y]},
+    ...], "grasp": pose}``, one per lift.  A failed grasp adds ``"failed":
+    true`` and, of two stacks, ``"abandoned"``: the stack it left.
     """
     if isinstance(action, PullGrasp):
         mover, anchor = action.mover, action.anchor
@@ -558,30 +533,30 @@ def apply(
             raise InfeasibleAction(
                 "pull_allowable", f"stacks ({mover}, {anchor}): {check.reason}"
             )
-        g, (x0, y0), (x1, y1) = check.grasp, state.stacks[mover].base, check.end
+        pose, (x0, y0), (x1, y1) = check.grasp, state.stacks[mover].base, check.end
         new = state.clone()
         new.stacks[mover] = Stack(state.stacks[mover].dishes, check.end)
         theta = normalize_angle(math.atan2(y1 - y0, x1 - x0))  # the gripper's heading
-        kind = "pull_grasp"
+        kind, targets = "pull_grasp", sorted((mover, anchor))
         params = {"pull": {"start": [x0, y0], "end": [x1, y1], "theta": theta,
                            "mover": mover, "anchor": anchor}}
     elif isinstance(action, PairGrasp):
-        targets = action.a, action.b
-        _check_on_table(state, targets)
-        g = mog_grasp(state, *targets, sim)
-        if g is None:
-            raise InfeasibleAction("mog_allowable", f"stacks {targets}")
-        kind, new, params = "grasp", state.clone(), {}
+        a, b = action.a, action.b
+        _check_on_table(state, (a, b))
+        pose = mog_grasp(state, a, b, sim)
+        if pose is None:
+            raise InfeasibleAction("mog_allowable", f"stacks {(a, b)}")
+        kind, targets, new, params = "grasp", sorted((a, b)), state.clone(), {}
     elif isinstance(action, GraspAction):
-        g = action
-        _check_graspable(state, g, sim)
-        kind, new, params = "grasp", state.clone(), {}
+        _check_graspable(state, action, sim)
+        pose = action.point, action.z, action.theta
+        kind, targets, new, params = "grasp", [action.stack], state.clone(), {}
     else:
         g = action.grasp
-        (base,) = g.targets
+        base = g.stack
         new, placements = state, []
         for lift in action.lifts:
-            (lifted,) = lift.targets
+            lifted = lift.stack
             if not stack_allowable(new, lifted, base, sim):
                 raise InfeasibleAction("stack_allowable", f"stack {lifted} onto {base}")
             _check_graspable(new, lift, sim)
@@ -589,19 +564,21 @@ def apply(
             placements.append({"lifted": lifted, "base": base, "place": place})
             new = new.merged(lifted, base)
         _check_graspable(new, g, sim)
-        kind, params = "stack_grasp", {"placements": placements}
-    grasp = {"point": list(g.point), "z": g.z, "theta": g.theta}
+        pose = g.point, g.z, g.theta
+        kind, targets, params = "stack_grasp", [base], {"placements": placements}
+    point, z, theta = pose
+    grasp = {"point": list(point), "z": z, "theta": theta}
     # A grasp's params are its grasp's; the others nest it after their own.
     params = grasp if kind == "grasp" else {**params, "grasp": grasp}
-    targets = g.targets
 
     carried = targets
     if failed:
         params["failed"] = True
-        carried = ()
+        carried = []
         if len(targets) == 2:
             kept = _taller_first(new, targets, sim)
             params["abandoned"] = targets[0] if targets[1] == kept else targets[1]
-            carried = (kept,)
-    moved = _bin_stacks(new, carried) if carried else ()
-    return new, TraceEvent(-1, kind, targets, moved, bool(carried), params)
+            carried = [kept]
+    moved = _bin_stacks(new, carried)
+    return new, {"action": kind, "targets": targets, "moved_to_bin": moved,
+                 "trip": bool(carried), "params": params}

@@ -275,9 +275,9 @@ def run_scene_file(
     seed: int | None = None,
     scene_id: str = "scene",
 ) -> tuple[TrialReport, list[dict]]:
-    """Run one policy on one loaded scene; returns the report and raw events."""
+    """Run one policy on one loaded scene; returns the report and its events."""
     if seed is None:
         seed = derive_seed(scene.rng_seed, "trial", policy.kind.value)
     trace = run_policy(scene, policy, sim, seed)
     report = build_report(trace, sim.time_model, scene_id=scene_id)
-    return report, [e.to_json_obj() for e in trace.events]
+    return report, trace.events

@@ -76,10 +76,9 @@ def objects_per_trip(trace: Trace) -> float:
 def action_counts(trace: Trace) -> tuple[int, int, int, int]:
     """(grasp phases, pull phases, stack placements, trips) for a trace."""
     grasps = len(trace.events)
-    pulls = sum(1 for e in trace.events if e.kind == "pull_grasp")
+    pulls = sum(1 for e in trace.events if e["action"] == "pull_grasp")
     stacks = sum(
-        len(e.params.get("placements", ())) for e in trace.events
-        if e.kind == "stack_grasp"
+        len(e["params"]["placements"]) for e in trace.events if e["action"] == "stack_grasp"
     )
     trips = trace.trips
     return grasps, pulls, stacks, trips
@@ -117,10 +116,8 @@ def build_report(trace: Trace, tm: TimeModel, scene_id: str) -> TrialReport:
 class PolicySummary:
     tier: str
     policy: str
-    trials: int
     mean_time_s: float
     mean_opt: float  # pooled: total objects / total trips
-    mean_opt_per_trial: float
     failures: int
     time_ratio: float
     opt_ratio: float
@@ -136,7 +133,7 @@ def aggregate(reports: Iterable[TrialReport]) -> list[PolicySummary]:
     ``opt_ratio`` is mean OpT of the policy over mean OpT of the baseline;
     ``time_ratio`` is mean baseline time over mean policy time, so values
     above 1 favor the policy.  Mean OpT is pooled (total objects over total
-    trips); the per-trial average is reported alongside.
+    trips), not the mean of the trials' OpT.
     """
     groups: dict[tuple[str, str], list[TrialReport]] = {}
     tier_order: list[str] = []
@@ -176,10 +173,8 @@ def aggregate(reports: Iterable[TrialReport]) -> list[PolicySummary]:
                 PolicySummary(
                     tier=tier,
                     policy=policy,
-                    trials=len(rs),
                     mean_time_s=time,
                     mean_opt=opt,
-                    mean_opt_per_trial=sum(r.opt for r in rs) / len(rs),
                     failures=sum(r.failures for r in rs),
                     time_ratio=base_time / time if time > 0 else float("inf"),
                     opt_ratio=opt / base_opt,

@@ -24,7 +24,6 @@ from .actions import (
     PullCheck,
     PullGrasp,
     StackGrasp,
-    TraceEvent,
     _contact_witness,
     _pair_check,
     _stack_fits,
@@ -746,7 +745,7 @@ class Step(NamedTuple):
     action: Action
     failed: bool  # whether the action's final grasp failed
     after: SceneState  # the table ``apply`` left
-    event: TraceEvent  # with ``t`` set
+    event: dict  # ``{"t": t, **e}``, ``e`` the event ``apply`` returned
     memo: PairMemo | None  # the trial's memo, synced with ``state``; None for random
 
 
@@ -778,8 +777,7 @@ def trial_steps(
             return
         failed = grasp_fails(sim, rng)
         after, event = apply(state, action, sim, failed=failed)
-        event.t = t
-        yield Step(state, action, failed, after, event, memo)
+        yield Step(state, action, failed, after, {"t": t, **event}, memo)
         state = after
     raise RuntimeError(f"policy {policy.kind.value} exceeded {cap} actions without clearing")
 
@@ -788,22 +786,22 @@ def trial_steps(
 class Trace:
     """Full record of one trial: every event plus the final state."""
 
-    events: list[TraceEvent] = field(default_factory=list)
+    events: list[dict] = field(default_factory=list)  # ``Step.event`` of each step
     final_state: SceneState | None = None
     policy: str = ""
     tier: str = "custom"
 
     @property
     def trips(self) -> int:
-        return sum(1 for e in self.events if e.trip)
+        return sum(1 for e in self.events if e["trip"])
 
     @property
     def objects_cleared(self) -> int:
-        return sum(len(e.moved_to_bin) for e in self.events)
+        return sum(len(e["moved_to_bin"]) for e in self.events)
 
     @property
     def failures(self) -> int:
-        return sum(1 for e in self.events if e.params.get("failed"))
+        return sum(1 for e in self.events if e["params"].get("failed"))
 
 
 def run_policy(

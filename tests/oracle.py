@@ -52,10 +52,10 @@ def choice(action):
     if isinstance(action, PullGrasp):
         return "pull", (action.mover, action.anchor)
     if isinstance(action, StackGrasp):
-        return "stack", tuple((lift.targets[0], action.grasp.targets[0]) for lift in action.lifts)
+        return "stack", tuple((lift.stack, action.grasp.stack) for lift in action.lifts)
     if isinstance(action, PairGrasp):
         return "grasp", (action.a, action.b)
-    return "single", action.targets
+    return "single", (action.stack,)
 
 
 def trip_search(state: SceneState, sim, pull_only: bool = False):
@@ -232,7 +232,7 @@ def sweep_plan3000(policy: PolicyConfig, p_fail: float) -> int:
                     expected, problems = stack_policy_choice(step.state, sim, policy), []
                 if chosen != expected or problems:
                     failures += 1
-                    print(f"{tier.value} scene {index} step {step.event.t}: chose {chosen}, "
+                    print(f"{tier.value} scene {index} step {step.event['t']}: chose {chosen}, "
                           f"expected {expected}; {problems}")
     name = policy.kind.value if pull else f"stack {policy.utensil_stacking.value}"
     print(f"{name}, p_fail {p_fail}: {steps} steps, {failures} failures, "

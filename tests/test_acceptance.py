@@ -363,7 +363,7 @@ def test_criterion_8_property_suites():
         trips = 0
         for step in trial_steps(scene, policy, SIM, case):
             state = step.after
-            trips += step.event.trip
+            trips += step.event["trip"]
             on_table = {d for s in state.stacks.values() for d in s.dishes}
             assert on_table | set(state.bin) == all_ids
             assert len(on_table) + len(state.bin) == len(all_ids)
@@ -452,12 +452,12 @@ def test_criterion_9_small_scene_oracle():
                 elif isinstance(action, StackGrasp):
                     probe = state
                     for lift in action.lifts:
-                        lifted, base = lift.targets[0], action.grasp.targets[0]
+                        lifted, base = lift.stack, action.grasp.stack
                         assert stack_allowable(probe, lifted, base, SIM)
                         probe = probe.merged(lifted, base)
                 elif isinstance(action, PairGrasp):
                     assert mog_grasp(state, action.a, action.b, SIM) is not None
-                trips += step.event.trip
+                trips += step.event["trip"]
             assert optimum <= trips <= random_trips, (seed, name, optimum, trips)
         checked += 1
     _announce(

@@ -58,27 +58,19 @@ class FixedRng:
 
 
 _ORIGIN = (0.0, 0.0)
-_ONE_GRASP = GraspAction(_ORIGIN, 1.0, 0.0, (0,))
-_TWO_GRASP = GraspAction(_ORIGIN, 1.0, 0.0, (1, 2))
+_ONE_GRASP = GraspAction(_ORIGIN, 1.0, 0.0, 0)
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: GraspAction(_ORIGIN, 1.0, 0.0, ()), "one or two distinct stacks"),
-    (lambda: GraspAction(_ORIGIN, 1.0, 0.0, (0, 1, 2)), "one or two distinct stacks"),
-    (lambda: GraspAction((20.0, 20.0), 9.0, 0.0, (0, 0)), "one or two distinct stacks"),
     (lambda: PairGrasp(2, 2), "two distinct stacks"),
     (lambda: PullGrasp(1, 1), "mover and anchor must differ"),
     (lambda: StackGrasp((_ONE_GRASP,), _ONE_GRASP), "onto itself"),
     (lambda: StackGrasp((), _ONE_GRASP), "at least one placement"),
-    (lambda: StackGrasp((_TWO_GRASP,), _ONE_GRASP), "grasps each take one stack"),
-    (lambda: StackGrasp((_ONE_GRASP,), _TWO_GRASP), "grasps each take one stack"),
     (lambda: mog_grasp(build_scene([([CUP], 30, 30)]), 0, 0, SIM), "two distinct stacks"),
     (lambda: Stack((), _ORIGIN), "at least one dish"),
 ], ids=[
-    "grasp_no_target", "grasp_three_targets", "grasp_one_target_twice",
-    "pair_grasp_one_stack_twice", "pull_onto_itself",
-    "placement_onto_itself", "stack_grasp_no_placement", "stack_grasp_two_stack_lift",
-    "stack_grasp_two_stack_carry", "mog_grasp_one_stack", "empty_stack",
+    "pair_grasp_one_stack_twice", "pull_onto_itself", "placement_onto_itself",
+    "stack_grasp_no_placement", "mog_grasp_one_stack", "empty_stack",
 ])
 def test_malformed_value_raises(build, message):
     with pytest.raises(ValueError, match=message):
@@ -92,7 +84,7 @@ class TestGraspPoints:
         assert g.point == (38.5, 30.0)
         assert g.z == 5.0
         assert g.theta == 0.0
-        assert g.targets == (0,)
+        assert g.stack == 0
 
     def test_utensil_caged_at_center(self):
         scene = build_scene([([(UTENSIL, math.pi / 4)], 20, 20)])
@@ -112,10 +104,9 @@ class TestMogAllowable:
     def test_touching_cups(self):
         scene = build_scene([([CUP], 30, 30), ([CUP], 39, 30)])
         assert mog_grasp(scene, 0, 1, SIM) is not None
-        witness = mog_grasp(scene, 0, 1, SIM)
-        assert witness.targets == (0, 1)
-        assert witness.point[0] == pytest.approx(34.5)
-        assert witness.z == 9.0
+        point, z, _ = mog_grasp(scene, 0, 1, SIM)
+        assert point[0] == pytest.approx(34.5)
+        assert z == 9.0
 
     def test_cup_bowl_height_mismatch(self):
         scene = build_scene([([CUP], 30, 30), ([BOWL], 44, 30)])
@@ -235,7 +226,7 @@ class TestPull:
         assert check_pull(scene, 0, 1, SIM).allowable
         new_state, event = apply(scene, PullGrasp(0, 1), SIM)
         assert new_state.dishes[0].theta == theta  # caged pull, no rotation
-        assert event.trip
+        assert event["trip"]
 
     def test_pull_heading_follows_its_path(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 40)])
@@ -243,7 +234,7 @@ class TestPull:
         start = scene.stacks[0].base
         _, event = apply(scene, PullGrasp(0, 1), SIM)
         heading = math.atan2(check.end[1] - start[1], check.end[0] - start[0])
-        assert event.params["pull"]["theta"] == heading == pytest.approx(math.pi / 4)
+        assert event["params"]["pull"]["theta"] == heading == pytest.approx(math.pi / 4)
         with pytest.raises(TypeError):  # the heading is the path's, not a part of its own
             dataclasses.replace(PullGrasp(0, 1), theta=1.0)
 
@@ -371,9 +362,9 @@ class TestApply:
         new, event = apply(scene, action, SIM)
         assert len(new.stacks) == 5
         assert new.bin == (0,)
-        assert event.trip
-        assert event.kind == "grasp"
-        assert event.moved_to_bin == (0,)
+        assert event["trip"]
+        assert event["action"] == "grasp"
+        assert event["moved_to_bin"] == [0]
         assert validate(new, SIM.dish_specs) == []
 
     def test_pull_grasp_clears_both(self):
@@ -381,9 +372,9 @@ class TestApply:
         new, event = apply(scene, PullGrasp(0, 1), SIM)
         assert new.stacks == {}
         assert sorted(new.bin) == [0, 1]
-        assert event.trip
-        assert event.kind == "pull_grasp"
-        assert len(event.moved_to_bin) == 2
+        assert event["trip"]
+        assert event["action"] == "pull_grasp"
+        assert len(event["moved_to_bin"]) == 2
 
     def test_stack_grasp_clears_both_in_one_trip(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
@@ -392,19 +383,18 @@ class TestApply:
         new, event = apply(scene, StackGrasp((lift,), carry), SIM)
         assert new.stacks == {}
         assert sorted(new.bin) == [0, 1]
-        assert event.trip
-        assert event.kind == "stack_grasp"
+        assert event["trip"]
+        assert event["action"] == "stack_grasp"
 
     def test_mog_grasp_event_schema(self):
         # A pair grasp names its stacks; ``apply`` carries out the witness.
         scene = build_scene([([CUP], 30, 30), ([CUP], 40, 30)])
         _, event = apply(scene, PairGrasp(1, 0), SIM)
-        obj = event.to_json_obj()
-        assert set(obj) == {"t", "action", "targets", "moved_to_bin", "trip", "params"}
-        assert obj["targets"] == [0, 1]
-        assert obj["trip"] is True
-        g = mog_grasp(scene, 1, 0, SIM)
-        assert obj["params"] == {"point": list(g.point), "z": g.z, "theta": g.theta}
+        assert list(event) == ["action", "targets", "moved_to_bin", "trip", "params"]
+        assert event["targets"] == [0, 1]
+        assert event["trip"] is True
+        point, z, theta = mog_grasp(scene, 1, 0, SIM)
+        assert event["params"] == {"point": list(point), "z": z, "theta": theta}
 
     def test_infeasible_mog_raises_with_predicate(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
@@ -421,13 +411,14 @@ class TestApply:
 
     def test_two_stack_grasp_action_raises(self):
         # A grasp of two stacks is asked for one way only, as a PairGrasp:
-        # even the witness itself is refused as a GraspAction.
+        # its witness pose, as a grasp of either stack, is refused.
         scene = build_scene([([CUP], 30, 30), ([CUP], 40, 30)])
         witness = mog_grasp(scene, 0, 1, SIM)
-        assert witness is not None and witness.targets == (0, 1)
-        with pytest.raises(InfeasibleAction, match="ask for PairGrasp") as err:
-            apply(scene, witness, SIM)
-        assert err.value.predicate == "one_stack_grasp"
+        assert witness is not None
+        for stack in (0, 1):
+            with pytest.raises(InfeasibleAction, match=f"not a grasp of stack {stack}") as err:
+                apply(scene, GraspAction(*witness, stack), SIM)
+            assert err.value.predicate == "grasp_pose"
 
     def test_infeasible_stack_raises(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
@@ -459,7 +450,7 @@ class TestApply:
     ])
     def test_placement_that_cannot_be_lifted_raises(self, pile, sid):
         scene = build_scene([(pile, 10, 10), ([BOWL], 40, 10)])
-        lift = dataclasses.replace(grasp_points(scene, 0, SplitMix64(1), SIM), targets=(sid,))
+        lift = dataclasses.replace(grasp_points(scene, 0, SplitMix64(1), SIM), stack=sid)
         carry = grasp_points(scene, 1, SplitMix64(2), SIM)
         assert not stack_allowable(scene, sid, 1, SIM)
         with pytest.raises(InfeasibleAction, match=f"stack {sid} onto 1") as err:
@@ -488,10 +479,10 @@ class TestApply:
             if m != a and (check := check_pull(scene, m, a, SIM)).allowable
         )
         _, event = apply(scene, PullGrasp(mover, anchor), SIM)
-        assert event.params["pull"]["end"] == list(check.end)
-        g = check.grasp
-        assert event.params["grasp"] == {"point": list(g.point), "z": g.z, "theta": g.theta}
-        assert event.targets == g.targets
+        assert event["params"]["pull"]["end"] == list(check.end)
+        point, z, theta = check.grasp
+        assert event["params"]["grasp"] == {"point": list(point), "z": z, "theta": theta}
+        assert event["targets"] == sorted((mover, anchor))
 
     @pytest.mark.parametrize("case", [
         "single far off", "two-stack off the witness", "lift off and turned",
@@ -501,7 +492,8 @@ class TestApply:
     def test_grasp_off_its_rule_raises(self, case):
         # On t1 seed 7 (cups 8 and 10 share a grasp; cup 8 may go on bowl
         # 7), each action applies as its policy builds it, and raises once
-        # one grasp is moved off the grasp its rule gives.
+        # one grasp is moved off the grasp its rule gives: the pair's
+        # witness pose is no grasp of cup 8 alone.
         scene = generate_scene(TierConfig.preset(Tier.T1), 7, SIM.dish_specs)
         single = grasp_points(scene, 8, SplitMix64(1), SIM)
         caged = grasp_points(scene, 0, SplitMix64(1), SIM)
@@ -519,7 +511,7 @@ class TestApply:
                 "grasp_pose",
             ),
             "two-stack off the witness": (
-                PairGrasp(8, 10), moved(witness, 30.0), "one_stack_grasp",
+                PairGrasp(8, 10), GraspAction(*witness, 8), "grasp_pose",
             ),
             "lift off and turned": (
                 StackGrasp((lift,), carry),
@@ -578,8 +570,8 @@ class TestFailureModel:
         new, event = apply(scene, action, sim, failed=True)
         assert len(new.stacks) == 1
         assert new.bin == ()
-        assert not event.trip
-        assert event.params["failed"] is True
+        assert not event["trip"]
+        assert event["params"]["failed"] is True
 
     def test_failed_mog_keeps_taller_stack(self):
         sim = self._sim_with_fail(1.0)
@@ -588,8 +580,8 @@ class TestFailureModel:
         # The taller pile (bowl 0 + cup 2, lip 7) wins the jaws; bowl 1 stays.
         assert sorted(new.bin) == [0, 2]
         assert set(new.stacks) == {1}
-        assert event.trip
-        assert event.params["abandoned"] == 1
+        assert event["trip"]
+        assert event["params"]["abandoned"] == 1
 
     def test_failed_stack_grasp_leaves_merged_pile(self):
         sim = self._sim_with_fail(1.0)
@@ -599,8 +591,8 @@ class TestFailureModel:
         new, event = apply(scene, StackGrasp((lift,), carry), sim, failed=True)
         assert set(new.stacks) == {1}
         assert new.stacks[1].dishes == (1, 0)  # merged, still on table
-        assert not event.trip
-        assert event.params["failed"] is True
+        assert not event["trip"]
+        assert event["params"]["failed"] is True
         assert validate(new, sim.dish_specs) == []
 
     def test_zero_p_fail_never_draws(self):
@@ -618,5 +610,5 @@ class TestFailureModel:
         with pytest.raises(TypeError):
             apply(scene, action, sim, rng)
         _, event = apply(scene, action, sim)
-        assert event.trip
+        assert event["trip"]
         assert rng.next_u64() == SplitMix64(123).next_u64()

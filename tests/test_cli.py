@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from declutter import GraspAction, harness, policies
+from declutter import GraspAction, harness, policies, scene_from_json, trial_steps
 from declutter.cli import main
 from declutter.harness import plan_from_json, run_plan, trial_seed
 from declutter.policies import PolicyConfig
@@ -99,6 +99,20 @@ class TestRun:
         assert first["action"] == "stack_grasp"
         assert first["trip"] is True
 
+    @pytest.mark.parametrize("policy", ["random", "pull", "stack"])
+    def test_trace_lines_are_the_steps_events(self, tmp_path, policy):
+        # ``run --trace`` writes each step's event as it is, line for line.
+        out = tmp_path / "scenes"
+        main(["generate", "--tier", "t2", "--count", "1", "--seed", "5", "--out", str(out)])
+        path = out / "scene_t2_5_0.json"
+        sim = default_sim_config()
+        loaded = scene_from_json(path.read_text(), sim.dish_specs)
+        trace = tmp_path / "trace.jsonl"
+        assert main(["run", "--scene", str(path), "--policy", policy, "--seed", "13",
+                     "--trace", str(trace)]) == 0
+        steps = trial_steps(loaded, PolicyConfig.named(policy), sim, 13)
+        assert trace.read_text().splitlines() == [json.dumps(step.event) for step in steps]
+
     def test_random_on_t0_bowls(self, tmp_path, capsys):
         out = tmp_path / "scenes"
         main(["generate", "--tier", "t0_bowls", "--count", "1", "--seed", "3",
@@ -117,7 +131,7 @@ class TestRun:
               "--out", str(out)])
 
         def off_the_table(state, rng, sim, cfg, memo):
-            return GraspAction((1.0, 1.0), 5.0, 0.0, (99,))
+            return GraspAction((1.0, 1.0), 5.0, 0.0, 99)
 
         monkeypatch.setattr(policies, "next_action", off_the_table)
         capsys.readouterr()

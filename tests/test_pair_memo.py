@@ -232,10 +232,10 @@ def test_pull_step_is_the_memos_check(p_fail):
                 check = step.memo.pull(mover, anchor)
                 assert check == check_pull(step.state, mover, anchor, sim)
                 assert check.allowable
-                g, params = check.grasp, step.event.params
+                (point, z, theta), params = check.grasp, step.event["params"]
                 assert params["pull"]["end"] == list(check.end)
-                assert params["grasp"] == {"point": list(g.point), "z": g.z, "theta": g.theta}
-                assert step.event.targets == g.targets
+                assert params["grasp"] == {"point": list(point), "z": z, "theta": theta}
+                assert step.event["targets"] == sorted((mover, anchor))
                 if mover in step.after.stacks:  # left at contact by a failed grasp
                     assert step.after.stacks[mover].base == check.end
                 pulls += 1
@@ -318,7 +318,7 @@ def test_failed_pull_blocks_corridor_cached_as_clear():
     assert choice(first.action) == ("pull", (2, 3)) == pull_policy_choice(scene, sim)
     assert first.memo.pull(0, 1).allowable
 
-    assert first.event.params["abandoned"] == 2
+    assert first.event["params"]["abandoned"] == 2
     assert first.after.stacks[2].base == check_pull(scene, 2, 3, sim).end
     second = next(steps)
     assert isinstance(second.action, GraspAction)
@@ -342,7 +342,7 @@ def test_stack_left_by_failed_pull_joins_the_rankings():
     first = next(steps)
     assert choice(first.action) == ("pull", (0, 1)) == pull_policy_choice(scene, sim)
 
-    assert first.event.params["abandoned"] == 0
+    assert first.event["params"]["abandoned"] == 0
     assert len(first.after.stacks) > policies.PLAN_MAX_STACKS
     second = next(steps)
     assert choice(second.action) == ("grasp", (0, 2)) == pull_policy_choice(second.state, sim)
@@ -465,7 +465,7 @@ def test_stack_moved_into_a_tested_corridor_blocks_it():
 
     check = check_pull(scene, 2, 3, SIM)
     after, event = apply(scene, PullGrasp(2, 3), SIM, failed=True)
-    assert event.params["abandoned"] == 2 and after.stacks[2].base == check.end
+    assert event["params"]["abandoned"] == 2 and after.stacks[2].base == check.end
     assert x0 <= check.end[0] <= x1 and y0 <= check.end[1] <= y1
     memo.sync(after)
     blocked = memo.pull(0, 1)
@@ -633,7 +633,7 @@ def test_stack_left_by_failed_pull_is_ranked_as_brute_force():
     )
     check = memo.pull(mover, anchor)
     state, event = apply(state, PullGrasp(mover, anchor), SIM, failed=True)
-    assert event.params["abandoned"] == mover
+    assert event["params"]["abandoned"] == mover
     assert state.stacks[mover].base == check.end
     memo.sync(state)
     assert_nearest_is_brute_force(memo, reads=1)
@@ -937,9 +937,9 @@ def test_apply_builds_every_witness_grasp_once(monkeypatch, p_fail):
         for seed in range(20):
             scene = generate_scene(TierConfig.preset(tier), seed)
             for step in trial_steps(scene, PULL, sim, seed):
-                pair = step.event.kind == "pull_grasp" or len(step.event.targets) == 2
-                assert len(calls) == pair, (tier, seed, step.event.t)
-                kinds[step.event.kind, pair] += 1
+                pair = step.event["action"] == "pull_grasp" or len(step.event["targets"]) == 2
+                assert len(calls) == pair, (tier, seed, step.event["t"])
+                kinds[step.event["action"], pair] += 1
                 calls.clear()
     assert kinds["pull_grasp", True] and kinds["grasp", True] and kinds["grasp", False]
 
@@ -1027,7 +1027,7 @@ def test_each_pull_is_checked_once(monkeypatch):
     for seed in (0, 3):
         calls.clear()
         trace = run_policy(dense_scene(72, seed), PULL, SIM, seed)
-        pulls = [e for e in trace.events if e.kind == "pull_grasp"]
+        pulls = [e for e in trace.events if e["action"] == "pull_grasp"]
         assert pulls and len(calls) == len(pulls)
 
 
@@ -1144,6 +1144,6 @@ def test_golden_digests_of_dense_trials(kind, p_fail):
     lines = []
     for seed in (0, 3):
         trace = run_policy(dense_scene(72, seed), cfg, sim, seed)
-        lines.extend(json.dumps(e.to_json_obj()) for e in trace.events)
+        lines.extend(json.dumps(e) for e in trace.events)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_DENSE_DIGESTS[(kind, p_fail)]

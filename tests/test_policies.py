@@ -57,7 +57,7 @@ class TestRandomPolicy:
         scene = build_scene([([BOWL, CUP, CUP], 30, 30)])
         step = next(trial_steps(scene, RANDOM, SIM, 0))
         assert isinstance(step.action, GraspAction)
-        assert len(step.event.moved_to_bin) == 3
+        assert len(step.event["moved_to_bin"]) == 3
 
     def test_empty_table_is_done(self):
         scene = build_scene([])
@@ -71,7 +71,7 @@ class TestRandomPolicy:
         n = 2000
         for seed in range(n):
             action = next_action(scene, SplitMix64(seed), SIM, RANDOM, None)
-            if action.targets == (0,):
+            if action.stack == 0:
                 hits += 1
         assert 0.70 < hits / n < 0.80
 
@@ -90,14 +90,14 @@ class TestPullPolicy:
         )
         trace = run_policy(scene, PULL, SIM, 3)
         assert trace.trips == 2
-        assert all(e.kind == "pull_grasp" for e in trace.events)
+        assert all(e["action"] == "pull_grasp" for e in trace.events)
         assert objects_per_trip(trace) == 2.0
 
     def test_last_utensil_single_grasped(self):
         scene = build_scene([([(UTENSIL, 0.4)], 30, 30)])
         action = next(trial_steps(scene, PULL, SIM, 0)).action
         assert isinstance(action, GraspAction)
-        assert action.targets == (0,)
+        assert action.stack == 0
 
     def test_t1_scene_six_trips(self):
         # A representative unblocked seed; blocked scenes are analyzed in
@@ -122,10 +122,10 @@ class TestPullPolicy:
             ]
         )
         trace = run_policy(scene, PULL, SIM, 0)
-        assert [(e.kind, e.targets) for e in trace.events] == [
-            ("grasp", (4,)),
-            ("pull_grasp", (2, 3)),
-            ("pull_grasp", (0, 1)),
+        assert [(e["action"], e["targets"]) for e in trace.events] == [
+            ("grasp", [4]),
+            ("pull_grasp", [2, 3]),
+            ("pull_grasp", [0, 1]),
         ]
         assert trace.trips == min_trips(scene, SIM, pull_only=True) == 3
 
@@ -188,7 +188,7 @@ class TestStackPolicy:
         trace = run_policy(scene, STACK, SIM, 5)
         assert trace.trips == 3
         assert objects_per_trip(trace) == 2.0
-        assert all(e.kind == "stack_grasp" for e in trace.events)
+        assert all(e["action"] == "stack_grasp" for e in trace.events)
 
     def test_t1_one_per_bowl_exact(self):
         scene = generate_scene(TierConfig.preset(Tier.T1), 9)
@@ -197,8 +197,8 @@ class TestStackPolicy:
         assert objects_per_trip(trace) == 2.0
         # First four trips carry a utensil on a bowl.
         for event in trace.events[:4]:
-            assert event.kind == "stack_grasp"
-            assert len(event.moved_to_bin) == 2
+            assert event["action"] == "stack_grasp"
+            assert len(event["moved_to_bin"]) == 2
 
     def test_two_bowls_one_cup(self):
         scene = build_scene([([BOWL], 15, 15), ([BOWL], 60, 40), ([CUP], 40, 20)])
@@ -214,9 +214,9 @@ class TestStackPolicy:
         assert trace.trips == 5
         assert objects_per_trip(trace) == 2.4
         first = trace.events[0]
-        assert first.kind == "stack_grasp"
-        assert len(first.params["placements"]) == 4
-        assert len(first.moved_to_bin) == 5
+        assert first["action"] == "stack_grasp"
+        assert len(first["params"]["placements"]) == 4
+        assert len(first["moved_to_bin"]) == 5
 
     def test_utensils_only_tier_pairs(self):
         scene = generate_scene(TierConfig.preset(Tier.T0_UTENSILS), 8)
@@ -257,12 +257,29 @@ class TestRunPolicy:
             assert steps[-1].after.stacks == trace.final_state.stacks == {}
             assert steps[0].state.stacks == scene.stacks and steps[0].state is not scene
             for t, step in enumerate(steps):
-                assert step.event.t == t
+                assert step.event["t"] == t
                 assert t == 0 or step.state is steps[t - 1].after
-                assert step.failed == bool(step.event.params.get("failed"))
+                assert step.failed == bool(step.event["params"].get("failed"))
                 assert (step.memo is None) == (policy.kind is PolicyKind.RANDOM)
                 failures += step.failed
         assert failures
+
+    @pytest.mark.parametrize("p_fail", [0.0, 0.2])
+    @pytest.mark.parametrize("named", [
+        ("random",), ("pull",), ("stack",), ("stack", "all_on_one_bowl"),
+    ], ids="_".join)
+    def test_every_event_is_its_trace_line(self, named, p_fail):
+        # An event is one JSON object, ``t`` first: it holds only lists,
+        # numbers, strings and objects, so a JSON round trip returns it.
+        sim = dataclasses.replace(SIM, p_fail=p_fail)
+        policy = PolicyConfig.named(*named)
+        keys = ["t", "action", "targets", "moved_to_bin", "trip", "params"]
+        for tier in (Tier.T1, Tier.T2):
+            for seed in range(20):
+                scene = generate_scene(TierConfig.preset(tier), seed)
+                for step in trial_steps(scene, policy, sim, seed):
+                    assert list(step.event) == keys
+                    assert json.loads(json.dumps(step.event)) == step.event
 
     @pytest.mark.parametrize("policy", [RANDOM, PULL, STACK])
     def test_action_cap_stops_a_trial_that_never_clears(self, policy):
@@ -291,7 +308,7 @@ class TestRunPolicy:
         scene = generate_scene(TierConfig.preset(Tier.T2), 23)
         t1 = run_policy(scene, PULL, SIM, 99)
         t2 = run_policy(scene, PULL, SIM, 99)
-        assert [e.to_json_obj() for e in t1.events] == [e.to_json_obj() for e in t2.events]
+        assert t1.events == t2.events
 
     def test_monotonic_progress_without_failures(self):
         scene = generate_scene(TierConfig.preset(Tier.T1), 31)
@@ -309,7 +326,7 @@ class TestRunPolicy:
             scene = generate_scene(TierConfig.preset(Tier(tier)), seed)
             trace = run_policy(scene, PolicyConfig.named(policy, *stacking), sim, seed)
             assert validate(trace.final_state, sim.dish_specs) == []
-            lines.extend(json.dumps(e.to_json_obj()) for e in trace.events)
+            lines.extend(json.dumps(e) for e in trace.events)
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == GOLDEN_FAILURE_DIGESTS[name]
 

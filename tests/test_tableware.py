@@ -388,7 +388,7 @@ class TestSceneJson:
             policy = PolicyConfig.named(name)
             expected = run_policy(scene, policy, SIM, seed).events
             got = run_policy(loaded, policy, SIM, seed).events
-            assert [e.targets for e in got] == [e.targets for e in expected], name
+            assert [e["targets"] for e in got] == [e["targets"] for e in expected], name
 
     def test_field_order_and_float_format(self):
         scene = build_scene([([BOWL], 10, 10), ([(UTENSIL, 0.5)], 40, 40)], tier="t1")

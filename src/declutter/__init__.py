@@ -13,11 +13,13 @@ from .actions import (
     grasp_fails,
     grasp_gap,
     grasp_points,
+    grasp_pose,
     mog_grasp,
     stack_allowable,
 )
 from .config import SimConfig, default_sim_config, load_config
 from .errors import (
+    ActionCapReached,
     EmptyTrace,
     InfeasibleAction,
     MissingBaseline,

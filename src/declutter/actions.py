@@ -84,13 +84,16 @@ Pose = tuple[XY, float, float]
 
 @dataclass(frozen=True)
 class GraspAction:
-    """A top-down grasp of stack ``stack`` at ``point``, height ``z`` and
-    gripper heading ``theta``."""
+    """A top-down grasp of stack ``stack``: on its bottom dish's rim at
+    ``angle``, in [0, 2 pi), or caging a utensil, which takes no angle.  The
+    stack sets the rest: ``apply`` takes the pose from ``grasp_pose``."""
 
-    point: XY
-    z: float
-    theta: float
     stack: int
+    angle: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.angle < 2.0 * math.pi:
+            raise ValueError("a grasp's rim angle must be in [0, 2 pi)")
 
 
 @dataclass(frozen=True)
@@ -148,25 +151,28 @@ Action = GraspAction | PairGrasp | PullGrasp | StackGrasp
 def grasp_points(
     state: SceneState, stack_id: int, rng: SplitMix64, sim: "SimConfig"
 ) -> GraspAction:
-    """Grasp parameters for a single stack.
+    """The grasp of a single stack: on a cup or bowl, at a rim angle drawn
+    uniformly from ``rng``, so the whole pile is carried; on a utensil,
+    caging it with no draw."""
+    if state.dishes[state.stacks[stack_id].bottom].kind is _UTENSIL:
+        return GraspAction(stack_id)
+    return GraspAction(stack_id, rng.uniform(0.0, 2.0 * math.pi))
 
-    Stacks on a cup or bowl are gripped on the bottom dish's rim at a
-    uniformly sampled angle, so the whole pile is carried; utensil-bottom
-    stacks are caged at the utensil's center, the gripper across its axis.
-    """
-    stack = state.stacks[stack_id]
+
+def grasp_pose(state: SceneState, grasp: GraspAction, sim: "SimConfig") -> Pose:
+    """The pose of ``grasp`` on ``state``, at the bottom dish's grasp height:
+    on its rim at the grasp's angle, heading radially, or caging a utensil
+    at its base across its axis.  Raises InfeasibleAction unless the stack
+    is on the table."""
+    _check_on_table(state, [grasp.stack])
+    stack = state.stacks[grasp.stack]
     bottom = state.dishes[stack.bottom]
     spec = sim.dish_specs[bottom.kind]
     if bottom.kind is _UTENSIL:
-        return GraspAction(
-            point=stack.base,
-            z=spec.grasp_height,
-            theta=normalize_angle(bottom.theta + math.pi / 2.0),
-            stack=stack_id,
-        )
-    angle = rng.uniform(0.0, 2.0 * math.pi)
-    point, theta = rim_point(stack.base, spec.radius, angle)
-    return GraspAction(point=point, z=spec.grasp_height, theta=theta, stack=stack_id)
+        point, theta = stack.base, normalize_angle(bottom.theta + math.pi / 2.0)
+    else:
+        point, theta = rim_point(stack.base, spec.radius, grasp.angle)
+    return point, spec.grasp_height, theta
 
 
 def _grasp_locus(dishes: dict[int, Dish], stack: Stack, sim: "SimConfig") -> tuple[XY, XY, float]:
@@ -368,10 +374,9 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
     ``pull_clearance_margin``, anywhere on the way (so nothing is displaced).
 
     A stack's footprints are built, and tested against the sweep, only when
-    its base lies in ``Sweep.box`` for the widest dish of the specs and
-    ``Sweep.near`` admits the base with the circumradius of its own widest
-    dish: all of them are centered on the base and none reaches further, so
-    ``Sweep.meets`` would pass every stack this skips.
+    its base lies in ``Sweep.box`` for the widest dish of the specs: all of
+    them are centered on the base, so ``Sweep.meets`` would pass every stack
+    this skips.
     """
     specs = sim.dish_specs
 
@@ -384,17 +389,12 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
     pair = _contact_witness(state, mover, anchor, sweep.end, sim)
     if not pair.allowable:
         return pair
-    dishes = state.dishes
     x0, x1, y0, y1 = sweep.box(widest_radius(specs))
     for stack in state.stacks.values():
         x, y = stack.base
         if (
             x0 <= x <= x1 and y0 <= y <= y1
             and stack.bottom not in (mover, anchor)
-            and sweep.near(
-                x, y,
-                max([specs[dishes[d].kind].circumscribed_radius for d in stack.dishes]),
-            )
             and sweep.meets(footprints(stack))
         ):
             return PullCheck("corridor", stack.bottom, pair.end, pair.grasp)
@@ -466,27 +466,6 @@ def _check_on_table(state: SceneState, targets: Iterable[int]) -> None:
             raise InfeasibleAction("target_on_table", f"stack {sid} not on table")
 
 
-def _check_graspable(state: SceneState, g: GraspAction, sim: "SimConfig") -> None:
-    """Raise InfeasibleAction unless grasp ``g`` takes a stack on the table
-    and is the grasp ``grasp_points``'s rule gives there: at the bottom
-    dish's grasp height, caging a utensil at its base across its axis, or on
-    the bottom dish's rim in the radial direction, within 1e-9 cm and rad."""
-    _check_on_table(state, [g.stack])
-    stack = state.stacks[g.stack]
-    bottom = state.dishes[stack.bottom]
-    spec = sim.dish_specs[bottom.kind]
-    point, base = g.point, stack.base
-    if bottom.kind is _UTENSIL:
-        on_rule = point == base and g.theta == normalize_angle(bottom.theta + math.pi / 2)
-    else:
-        dx, dy = point[0] - base[0], point[1] - base[1]
-        turn = (g.theta - math.atan2(dy, dx)) % math.pi  # off the radial direction
-        off = math.hypot(dx, dy) - spec.radius  # off the rim
-        on_rule = -1e-9 <= off <= 1e-9 and not 1e-9 < turn < math.pi - 1e-9
-    if not on_rule or g.z != spec.grasp_height:
-        raise InfeasibleAction("grasp_pose", f"grasp {g} is not a grasp of stack {g.stack}")
-
-
 def grasp_fails(sim: "SimConfig", rng: SplitMix64) -> bool:
     """Whether the final grasp of the next action fails: one draw from
     ``rng`` when ``sim.p_fail`` is nonzero, and no draw when it is zero."""
@@ -506,9 +485,8 @@ def apply(
     base to the contact point and the witness grasp of the pair there, in
     the state the pull leaves.  A stack-grasp's grasps name its stacks:
     each lift sets the stack it takes on the stack the final grasp takes, if
-    ``stack_allowable``.  Every grasp action must be the grasp its rule
-    gives (see ``_check_graspable``): a lift grasp on the state it lifts
-    from, and a stack-grasp's final grasp on the merged pile.  When
+    ``stack_allowable``.  A grasp action's pose is its ``grasp_pose``, a
+    stack-grasp's final grasp's on the merged pile.  When
     ``failed`` (see ``grasp_fails``), the action's final grasp fails: a
     failed single-stack grasp leaves the table unchanged (no trip); a
     failed two-stack grasp carries only the taller stack.  Pull and stack
@@ -548,23 +526,19 @@ def apply(
             raise InfeasibleAction("mog_allowable", f"stacks {(a, b)}")
         kind, targets, new, params = "grasp", sorted((a, b)), state.clone(), {}
     elif isinstance(action, GraspAction):
-        _check_graspable(state, action, sim)
-        pose = action.point, action.z, action.theta
+        pose = grasp_pose(state, action, sim)
         kind, targets, new, params = "grasp", [action.stack], state.clone(), {}
     else:
-        g = action.grasp
-        base = g.stack
+        base = action.grasp.stack
         new, placements = state, []
         for lift in action.lifts:
             lifted = lift.stack
             if not stack_allowable(new, lifted, base, sim):
                 raise InfeasibleAction("stack_allowable", f"stack {lifted} onto {base}")
-            _check_graspable(new, lift, sim)
             place = list(new.stacks[base].base)
             placements.append({"lifted": lifted, "base": base, "place": place})
             new = new.merged(lifted, base)
-        _check_graspable(new, g, sim)
-        pose = g.point, g.z, g.theta
+        pose = grasp_pose(new, action.grasp, sim)
         kind, targets, params = "stack_grasp", [base], {"placements": placements}
     point, z, theta = pose
     grasp = {"point": list(point), "z": z, "theta": theta}

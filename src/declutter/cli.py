@@ -6,8 +6,9 @@ Subcommands:
   bench      execute an experiment plan, emit CSV summaries and JSONL trials
   fit-time   fit time-model parameters to a reference timing table
 
-Exit codes: 0 success, 2 usage error (an unwritable output path too),
-3 schema error (a missing or unreadable input file too), 4 infeasible action.
+Exit codes: 0 success, 2 usage error (an unwritable output path, or a
+trial that reaches its action cap, too), 3 schema error (a missing or
+unreadable input file too), 4 infeasible action.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .config import config_to_json_obj, load_config
-from .errors import InfeasibleAction, PlacementExhausted, SchemaError, read_file
+from .errors import ActionCapReached, InfeasibleAction, PlacementExhausted, SchemaError, read_file
 from .harness import (
     generate_scene_files,
     plan_from_json,
@@ -182,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:  # an output path that cannot be written
+    except (OSError, ActionCapReached) as exc:  # an unwritable output, or the action cap
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -69,6 +69,10 @@ class PlacementExhausted(RuntimeError):
     """Scene generation gave up placing an object (workspace too crowded)."""
 
 
+class ActionCapReached(RuntimeError):
+    """A trial took its cap of actions without clearing the table."""
+
+
 class InfeasibleAction(RuntimeError):
     """An action was applied whose feasibility predicate is false.
 

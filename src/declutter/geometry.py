@@ -320,10 +320,9 @@ class Sweep:
 
     ``meets`` passes an obstacle without the exact sweep when ``near``
     says no: its center lies further from the segment than the
-    ``reach_limit`` of the grown mover's circumradius and its own.  A
-    caller may ask ``near`` once for footprints sharing a center, with the
-    largest of their circumradii.  ``box`` is the region query before it:
-    a caller may skip a center outside it with four comparisons.
+    ``reach_limit`` of the grown mover's circumradius and its own.
+    ``box`` is the region query before it: a caller may skip a center
+    outside it with four comparisons.
     """
 
     __slots__ = ("start", "end", "mover", "_ux", "_uy", "_length", "_radius")

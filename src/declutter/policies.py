@@ -35,6 +35,7 @@ from .actions import (
     mog_grasp,  # not called here; bench/test_bench.py reads this binding
     stack_allowable,
 )
+from .errors import ActionCapReached
 from .geometry import Footprint, Sweep, reach_limit
 from .rng import SplitMix64
 from .tableware import (
@@ -763,9 +764,9 @@ def trial_steps(
     fails (``grasp_fails``).  A pull or stack trial has one ``PairMemo``,
     made here.  With failures disabled every action strictly grows the bin,
     so at most one trip per dish is taken; a cap on total actions raises
-    RuntimeError for a policy that stops making progress.  ``next_action``, ``grasp_fails``, ``apply`` and
-    ``PairMemo`` are looked up by module name, so rebinding them takes
-    effect.
+    ActionCapReached for a policy that stops making progress.
+    ``next_action``, ``grasp_fails``, ``apply`` and ``PairMemo`` are looked
+    up by module name, so rebinding them takes effect.
     """
     rng = SplitMix64(seed)
     state = initial.clone()
@@ -779,7 +780,7 @@ def trial_steps(
         after, event = apply(state, action, sim, failed=failed)
         yield Step(state, action, failed, after, {"t": t, **event}, memo)
         state = after
-    raise RuntimeError(f"policy {policy.kind.value} exceeded {cap} actions without clearing")
+    raise ActionCapReached(f"policy {policy.kind.value} exceeded {cap} actions without clearing")
 
 
 @dataclass

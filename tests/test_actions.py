@@ -22,6 +22,7 @@ from declutter import (
     grasp_fails,
     grasp_gap,
     grasp_points,
+    grasp_pose,
     mog_grasp,
     stack_allowable,
     validate,
@@ -58,7 +59,7 @@ class FixedRng:
 
 
 _ORIGIN = (0.0, 0.0)
-_ONE_GRASP = GraspAction(_ORIGIN, 1.0, 0.0, 0)
+_ONE_GRASP = GraspAction(0)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -68,9 +69,14 @@ _ONE_GRASP = GraspAction(_ORIGIN, 1.0, 0.0, 0)
     (lambda: StackGrasp((), _ONE_GRASP), "at least one placement"),
     (lambda: mog_grasp(build_scene([([CUP], 30, 30)]), 0, 0, SIM), "two distinct stacks"),
     (lambda: Stack((), _ORIGIN), "at least one dish"),
+    (lambda: GraspAction(0, math.nan), "rim angle"),
+    (lambda: GraspAction(0, math.inf), "rim angle"),
+    (lambda: GraspAction(0, -0.1), "rim angle"),
+    (lambda: GraspAction(0, 2 * math.pi), "rim angle"),
 ], ids=[
     "pair_grasp_one_stack_twice", "pull_onto_itself", "placement_onto_itself",
     "stack_grasp_no_placement", "mog_grasp_one_stack", "empty_stack",
+    "grasp_angle_nan", "grasp_angle_inf", "grasp_angle_negative", "grasp_angle_full_turn",
 ])
 def test_malformed_value_raises(build, message):
     with pytest.raises(ValueError, match=message):
@@ -78,26 +84,29 @@ def test_malformed_value_raises(build, message):
 
 
 class TestGraspPoints:
+    # ``grasp_points`` draws a rim grasp's angle; ``grasp_pose`` builds the pose.
     def test_singleton_bowl_rim(self):
         scene = build_scene([([BOWL], 30, 30)])
         g = grasp_points(scene, 0, FixedRng(0.0), SIM)
-        assert g.point == (38.5, 30.0)
-        assert g.z == 5.0
-        assert g.theta == 0.0
-        assert g.stack == 0
+        assert g == GraspAction(0, 0.0)
+        assert grasp_pose(scene, g, SIM) == ((38.5, 30.0), 5.0, 0.0)
 
     def test_utensil_caged_at_center(self):
         scene = build_scene([([(UTENSIL, math.pi / 4)], 20, 20)])
-        g = grasp_points(scene, 0, FixedRng(), SIM)
-        assert g.point == (20.0, 20.0)
-        assert g.z == 2.0
-        assert g.theta == pytest.approx(3 * math.pi / 4)
+        g = grasp_points(scene, 0, FixedRng(), SIM)  # no draw
+        assert g == GraspAction(0)
+        point, z, theta = grasp_pose(scene, g, SIM)
+        assert point == (20.0, 20.0)
+        assert z == 2.0
+        assert theta == pytest.approx(3 * math.pi / 4)
 
     def test_stack_gripped_on_bottom_rim(self):
         scene = build_scene([([BOWL, CUP], 30, 30)])
         g = grasp_points(scene, 0, FixedRng(math.pi), SIM)
-        assert g.point[0] == pytest.approx(21.5)  # bowl rim, not cup rim
-        assert g.z == 5.0
+        assert g == GraspAction(0, math.pi)
+        point, z, _ = grasp_pose(scene, g, SIM)
+        assert point[0] == pytest.approx(21.5)  # bowl rim, not cup rim
+        assert z == 5.0
 
 
 class TestMogAllowable:
@@ -409,17 +418,6 @@ class TestApply:
             apply(scene, PairGrasp(a, b), SIM)
         assert err.value.predicate == "target_on_table"
 
-    def test_two_stack_grasp_action_raises(self):
-        # A grasp of two stacks is asked for one way only, as a PairGrasp:
-        # its witness pose, as a grasp of either stack, is refused.
-        scene = build_scene([([CUP], 30, 30), ([CUP], 40, 30)])
-        witness = mog_grasp(scene, 0, 1, SIM)
-        assert witness is not None
-        for stack in (0, 1):
-            with pytest.raises(InfeasibleAction, match=f"not a grasp of stack {stack}") as err:
-                apply(scene, GraspAction(*witness, stack), SIM)
-            assert err.value.predicate == "grasp_pose"
-
     def test_infeasible_stack_raises(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
         # Bowl 1 onto cup 0: a bowl is wider than a cup.
@@ -484,71 +482,17 @@ class TestApply:
         assert event["params"]["grasp"] == {"point": list(point), "z": z, "theta": theta}
         assert event["targets"] == sorted((mover, anchor))
 
-    @pytest.mark.parametrize("case", [
-        "single far off", "two-stack off the witness", "lift off and turned",
-        "carry far off", "utensil along its axis", "utensil off its base", "rim grasp raised",
-        "rim grasp turned",
-    ])
-    def test_grasp_off_its_rule_raises(self, case):
-        # On t1 seed 7 (cups 8 and 10 share a grasp; cup 8 may go on bowl
-        # 7), each action applies as its policy builds it, and raises once
-        # one grasp is moved off the grasp its rule gives: the pair's
-        # witness pose is no grasp of cup 8 alone.
-        scene = generate_scene(TierConfig.preset(Tier.T1), 7, SIM.dish_specs)
-        single = grasp_points(scene, 8, SplitMix64(1), SIM)
-        caged = grasp_points(scene, 0, SplitMix64(1), SIM)
-        witness = mog_grasp(scene, 8, 10, SIM)
-        lift = grasp_points(scene, 8, SplitMix64(1), SIM)
-        carry = grasp_points(scene, 7, SplitMix64(2), SIM)
-
-        def moved(g, dx, dy=0.0, **changes):
-            return dataclasses.replace(g, point=(g.point[0] + dx, g.point[1] + dy), **changes)
-
-        good, bad, reason = {
-            "single far off": (
-                single,
-                moved(single, 999.0 - single.point[0], -5.0 - single.point[1]),
-                "grasp_pose",
-            ),
-            "two-stack off the witness": (
-                PairGrasp(8, 10), GraspAction(*witness, 8), "grasp_pose",
-            ),
-            "lift off and turned": (
-                StackGrasp((lift,), carry),
-                StackGrasp((moved(lift, 20.0, theta=lift.theta + 0.5),), carry),
-                "grasp_pose",
-            ),
-            "carry far off": (
-                StackGrasp((lift,), carry),
-                StackGrasp((lift,), moved(carry, 500 - carry.point[0], 500 - carry.point[1])),
-                "grasp_pose",
-            ),
-            "utensil along its axis": (
-                caged, dataclasses.replace(caged, theta=caged.theta - math.pi / 2), "grasp_pose",
-            ),
-            "utensil off its base": (caged, moved(caged, 0.0, 1e-6), "grasp_pose"),
-            "rim grasp raised": (single, dataclasses.replace(single, z=single.z + 1.0), "grasp_pose"),
-            "rim grasp turned": (
-                single, dataclasses.replace(single, theta=single.theta + 1e-6), "grasp_pose",
-            ),
-        }[case]
-        apply(scene, good, SIM)
-        with pytest.raises(InfeasibleAction) as err:
-            apply(scene, bad, SIM)
-        assert err.value.predicate == reason
-
     def test_rim_grasps_pass_at_any_angle(self):
-        # A rim grasp may take any radial angle; the rule allows 1e-9 of
-        # rounding in the point's distance and direction.
+        # A rim grasp may take any angle: the event's pose is on the bottom
+        # dish's rim there, heading radially, at its grasp height.
         scene = build_scene([([BOWL, CUP], 30, 30)])
-        radius = SIM.dish_specs[BOWL].radius
+        spec = SIM.dish_specs[BOWL]
         for angle in (0.0, 1.0, math.pi / 2, math.pi, 4.0, 2 * math.pi - 1e-12):
             g = grasp_points(scene, 0, FixedRng(angle), SIM)
-            apply(scene, g, SIM)
-            for r in (radius - 2e-9, radius + 2e-9):
-                off = (30 + r * math.cos(angle), 30 + r * math.sin(angle))
-                with pytest.raises(InfeasibleAction, match="not a grasp of stack 0"):
-                    apply(scene, dataclasses.replace(g, point=off), SIM)
+            _, event = apply(scene, g, SIM)
+            point = [30 + spec.radius * math.cos(angle), 30 + spec.radius * math.sin(angle)]
+            theta = angle % math.pi
+            assert event["params"] == {"point": point, "z": spec.grasp_height, "theta": theta}
 
     def test_conservation_of_dish_ids(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10), ([BOWL], 60, 40)])

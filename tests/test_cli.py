@@ -131,7 +131,7 @@ class TestRun:
               "--out", str(out)])
 
         def off_the_table(state, rng, sim, cfg, memo):
-            return GraspAction((1.0, 1.0), 5.0, 0.0, 99)
+            return GraspAction(99)
 
         monkeypatch.setattr(policies, "next_action", off_the_table)
         capsys.readouterr()
@@ -703,6 +703,28 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert (tmp_path / "file").read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--config", "config.json", "run", "--scene", "scene_t1_3_0.json", "--policy", "pull"],
+    ["bench", "--plan", "plan.json", "--out", "out"],
+    ["bench", "--plan", "plan.json", "--out", "out", "--jobs", "2"],
+], ids=["run-config", "bench-plan", "bench-plan-jobs-2"])
+def test_a_trial_at_its_action_cap_exits_2(tmp_path, argv):
+    # At p_fail 1 every grasp fails, so no trial clears its table.  The
+    # command names the cap, with no traceback, and bench writes no report;
+    # two jobs re-raise the error a worker raised.
+    (tmp_path / "config.json").write_text(json.dumps({"p_fail": 1.0}))
+    write_plan(tmp_path, tiers=["t1"], scenes_per_tier=2, p_fail=1.0)
+    main(["generate", "--tier", "t1", "--count", "1", "--seed", "3", "--out", str(tmp_path)])
+    done = _run_python(
+        f"import os, sys; os.chdir({str(tmp_path)!r}); from declutter.cli import main; "
+        f"sys.exit(main({argv!r}))"
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: policy ") and "actions without clearing" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 def test_bench_paper_default_plan_shape(tmp_path):

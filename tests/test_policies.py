@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -11,14 +12,17 @@ from declutter import (
     PairGrasp,
     PolicyConfig,
     PolicyKind,
+    StackGrasp,
     Sweep,
     Tier,
     TierConfig,
     UtensilStacking,
     generate_scene,
+    grasp_pose,
     next_action,
     objects_per_trip,
     policies,
+    rim_point,
     run_policy,
     trial_steps,
     validate,
@@ -280,6 +284,44 @@ class TestRunPolicy:
                 for step in trial_steps(scene, policy, sim, seed):
                     assert list(step.event) == keys
                     assert json.loads(json.dumps(step.event)) == step.event
+
+    @pytest.mark.parametrize("p_fail", [0.0, 0.2])
+    @pytest.mark.parametrize("named", [
+        ("random",), ("pull",), ("stack",), ("stack", "all_on_one_bowl"),
+    ], ids="_".join)
+    def test_every_grasp_event_is_its_stack_and_angle(self, named, p_fail):
+        # A grasp event's pose is ``grasp_pose`` of its action on the table
+        # it acts on, a stack-grasp's final grasp's on the merged pile.  A
+        # rim grasp's angle is read back from the event and that table: it
+        # is the event's theta, or theta + pi when the rim point at theta is
+        # not the event's point.
+        sim = dataclasses.replace(SIM, p_fail=p_fail)
+        policy = PolicyConfig.named(*named)
+        rims = 0
+        for tier in (Tier.T1, Tier.T2):
+            for seed in range(20):
+                scene = generate_scene(TierConfig.preset(tier), seed)
+                for step in trial_steps(scene, policy, sim, seed):
+                    grasp, table, pose = step.action, step.state, step.event["params"]
+                    if isinstance(grasp, StackGrasp):
+                        for lift in grasp.lifts:
+                            table = table.merged(lift.stack, grasp.grasp.stack)
+                        grasp, pose = grasp.grasp, pose["grasp"]
+                    elif not isinstance(grasp, GraspAction):
+                        continue
+                    point, z, theta = grasp_pose(table, grasp, sim)
+                    assert [pose["point"], pose["z"], pose["theta"]] == [list(point), z, theta]
+                    stack = table.stacks[grasp.stack]
+                    kind = table.dishes[stack.bottom].kind
+                    if kind is UTENSIL:
+                        assert grasp.angle == 0.0
+                        continue
+                    theta = pose["theta"]
+                    rim, _ = rim_point(stack.base, sim.dish_specs[kind].radius, theta)
+                    angle = theta if list(rim) == pose["point"] else theta + math.pi
+                    assert angle == grasp.angle
+                    rims += 1
+        assert rims
 
     @pytest.mark.parametrize("policy", [RANDOM, PULL, STACK])
     def test_action_cap_stops_a_trial_that_never_clears(self, policy):

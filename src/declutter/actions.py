@@ -148,9 +148,7 @@ Action = GraspAction | PairGrasp | PullGrasp | StackGrasp
 # ---------------------------------------------------------------------------
 
 
-def grasp_points(
-    state: SceneState, stack_id: int, rng: SplitMix64, sim: "SimConfig"
-) -> GraspAction:
+def grasp_points(state: SceneState, stack_id: int, rng: SplitMix64) -> GraspAction:
     """The grasp of a single stack: on a cup or bowl, at a rim angle drawn
     uniformly from ``rng``, so the whole pile is carried; on a utensil,
     caging it with no draw."""
@@ -163,16 +161,24 @@ def grasp_pose(state: SceneState, grasp: GraspAction, sim: "SimConfig") -> Pose:
     """The pose of ``grasp`` on ``state``, at the bottom dish's grasp height:
     on its rim at the grasp's angle, heading radially, or caging a utensil
     at its base across its axis.  Raises InfeasibleAction unless the stack
-    is on the table."""
+    is on the table and, on a utensil, ``_check_caging`` holds."""
     _check_on_table(state, [grasp.stack])
     stack = state.stacks[grasp.stack]
     bottom = state.dishes[stack.bottom]
     spec = sim.dish_specs[bottom.kind]
     if bottom.kind is _UTENSIL:
+        _check_caging(grasp)
         point, theta = stack.base, normalize_angle(bottom.theta + math.pi / 2.0)
     else:
         point, theta = rim_point(stack.base, spec.radius, grasp.angle)
     return point, spec.grasp_height, theta
+
+
+def _check_caging(grasp: GraspAction) -> None:
+    """A caging grasp, of a stack on a utensil, takes no angle: raise
+    InfeasibleAction when ``grasp`` gives one, so each grasp has one form."""
+    if grasp.angle:
+        raise InfeasibleAction("caging_angle", f"stack {grasp.stack}: angle {grasp.angle!r}")
 
 
 def _grasp_locus(dishes: dict[int, Dish], stack: Stack, sim: "SimConfig") -> tuple[XY, XY, float]:
@@ -535,6 +541,8 @@ def apply(
             lifted = lift.stack
             if not stack_allowable(new, lifted, base, sim):
                 raise InfeasibleAction("stack_allowable", f"stack {lifted} onto {base}")
+            if new.dishes[new.stacks[lifted].bottom].kind is _UTENSIL:
+                _check_caging(lift)
             place = list(new.stacks[base].base)
             placements.append({"lifted": lifted, "base": base, "place": place})
             new = new.merged(lifted, base)

@@ -16,17 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import config_to_json_obj, load_config
 from .errors import ActionCapReached, InfeasibleAction, PlacementExhausted, SchemaError, read_file
-from .harness import (
-    generate_scene_files,
-    plan_from_json,
-    run_plan,
-    run_scene_file,
-)
-from .policies import PolicyConfig, PolicyKind, UtensilStacking
+from .harness import generate_scene_files, plan_from_json, run_plan
+from .metrics import build_report
+from .policies import PolicyConfig, PolicyKind, UtensilStacking, run_policy
+from .rng import derive_seed
 from .tableware import Tier, scene_from_json
 
 EXIT_OK = 0
@@ -100,12 +98,14 @@ def _cmd_run(args, sim) -> int:
     scene_path = Path(args.scene)
     scene = scene_from_json(read_file(scene_path, "scene file"), sim.dish_specs)
     policy = PolicyConfig.named(args.policy, args.utensil_stacking)
-    report, events = run_scene_file(
-        scene, policy, sim, seed=args.seed, scene_id=scene_path.stem
-    )
+    seed = args.seed
+    if seed is None:
+        seed = derive_seed(scene.rng_seed, "trial", policy.kind.value)
+    trace = run_policy(scene, policy, sim, seed)
+    report = build_report(trace, sim.time_model, scene_path.stem)
     if args.trace:
         with Path(args.trace).open("w") as fh:
-            for event in events:
+            for event in trace.events:
                 fh.write(json.dumps(event) + "\n")
     print(
         f"# {report.scene_id}: policy={report.policy} trips={report.trips} "
@@ -135,8 +135,9 @@ def _cmd_fit_time(args, sim) -> int:
     reference = parse_reference_csv(read_file(args.table, "table file")) if args.table else None
     counts = simulated_counts(sim)
     result = fit_time_model(counts, reference)
-    fragment = {
-        "time_model": result.time_model.to_json_obj(),
+    fragment = {"time_model": asdict(result.time_model)}
+    report = {
+        **fragment,
         "relative_rms_residual": round(result.relative_rms_residual, 6),
         "rows": [
             {
@@ -148,10 +149,9 @@ def _cmd_fit_time(args, sim) -> int:
             for row in result.rows
         ],
     }
-    text = json.dumps(fragment, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+        Path(args.out).write_text(json.dumps(fragment, indent=2) + "\n")
+    print(json.dumps(report, indent=2))
     return EXIT_OK
 
 

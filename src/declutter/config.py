@@ -75,7 +75,7 @@ def config_to_json_obj(sim: SimConfig) -> dict:
         "dishes": dishes,
         "gripper": asdict(sim.gripper),
         "pull_clearance_margin": sim.pull_clearance_margin,
-        "time_model": sim.time_model.to_json_obj(),
+        "time_model": asdict(sim.time_model),
         "p_fail": sim.p_fail,
     }
 
@@ -115,7 +115,9 @@ def config_from_json_obj(data: dict) -> SimConfig:
         sim.pull_clearance_margin = float(number(margin, "config: pull_clearance_margin"))
 
     if "time_model" in data:
-        sim.time_model = TimeModel.from_json_obj(data["time_model"], sim.time_model)
+        sim.time_model = from_number_fields(
+            TimeModel, data["time_model"], "config: time_model", sim.time_model
+        )
 
     if "p_fail" in data:
         sim.p_fail = float(number(data["p_fail"], "config: p_fail"))

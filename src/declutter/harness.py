@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .config import SimConfig
-from .errors import SchemaError, known_keys, number
+from .errors import SchemaError, from_number_fields, known_keys, number
 from .metrics import (
     BASELINE,
     PolicySummary,
@@ -30,7 +30,7 @@ from .metrics import (
 )
 from .policies import PolicyConfig, run_policy
 from .rng import derive_seed
-from .tableware import SceneState, Tier, TierConfig, generate_scene, scene_to_json
+from .tableware import Tier, TierConfig, generate_scene, scene_to_json
 
 
 @dataclass
@@ -59,8 +59,6 @@ class ExperimentPlan:
             raise ValueError("tiers must not repeat")
         if len({p.kind for p in self.policies}) != len(self.policies):
             raise ValueError("policies must not repeat a kind")
-        if self.p_fail is not None and not 0.0 <= self.p_fail <= 1.0:
-            raise ValueError("p_fail must be a probability")
         # The summaries' ratios divide by the baseline; check it before any trial runs.
         if not any(p.kind.value == BASELINE for p in self.policies):
             raise ValueError(f"plan needs the '{BASELINE}' baseline policy")
@@ -107,7 +105,7 @@ def plan_from_json(text: str) -> ExperimentPlan:
             raise SchemaError(f"plan policy malformed: {exc}") from exc
     tm = None
     if "time_model" in data:
-        tm = TimeModel.from_json_obj(data["time_model"])
+        tm = from_number_fields(TimeModel, data["time_model"], "plan: time_model")
     if "base_seed" not in data:
         raise SchemaError("plan needs a base_seed")
     bin_delays = data.get("bin_delays", [])
@@ -162,13 +160,12 @@ def _run_scene(
     scene = generate_scene(TierConfig.preset(tier), seed, sim.dish_specs, sim.workspace)
     trials = []
     for policy in plan.policies:
-        report, events = run_scene_file(
-            scene, policy, sim,
-            trial_seed(plan.base_seed, tier, index, policy.kind.value),
-            f"{tier.value}_{index}",
+        trace = run_policy(
+            scene, policy, sim, trial_seed(plan.base_seed, tier, index, policy.kind.value)
         )
+        report = build_report(trace, sim.time_model, f"{tier.value}_{index}")
         key = {"scene_id": report.scene_id, "policy": report.policy}
-        trials.append((report, "".join(json.dumps({**key, **e}) + "\n" for e in events)))
+        trials.append((report, "".join(json.dumps({**key, **e}) + "\n" for e in trace.events)))
     return trials
 
 
@@ -190,12 +187,12 @@ def run_plan(
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if plan.p_fail is not None:
-        sim = replace(sim, p_fail=plan.p_fail)
+        sim = replace(sim, p_fail=plan.p_fail)  # SimConfig range-checks it
     if plan.time_model is not None:
         sim = replace(sim, time_model=plan.time_model)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     scenes = [(plan, sim, tier, k) for tier in plan.tiers for k in range(plan.scenes_per_tier)]
     workers = min(jobs, len(scenes))
@@ -266,18 +263,3 @@ def _with_delay(report: TrialReport, tm: TimeModel, delay: float) -> TrialReport
     return TrialReport(  # built directly: ``replace`` costs five times more
         report.scene_id, report.tier, report.policy, report.trips,
         report.objects_cleared, report.opt, report.time_s + extra, report.failures)
-
-
-def run_scene_file(
-    scene: SceneState,
-    policy: PolicyConfig,
-    sim: SimConfig,
-    seed: int | None = None,
-    scene_id: str = "scene",
-) -> tuple[TrialReport, list[dict]]:
-    """Run one policy on one loaded scene; returns the report and its events."""
-    if seed is None:
-        seed = derive_seed(scene.rng_seed, "trial", policy.kind.value)
-    trace = run_policy(scene, policy, sim, seed)
-    report = build_report(trace, sim.time_model, scene_id=scene_id)
-    return report, trace.events

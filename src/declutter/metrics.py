@@ -9,10 +9,10 @@ models moving the bin further from the workspace.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import EmptyTrace, MissingBaseline, from_number_fields
+from .errors import EmptyTrace, MissingBaseline
 from .policies import PolicyKind, Trace
 
 
@@ -28,16 +28,6 @@ class TimeModel:
         for name in ("grasp_s", "pull_s", "stack_s", "travel_s", "bin_delay_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-    def to_json_obj(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_obj(cls, data: object, base: "TimeModel | None" = None) -> "TimeModel":
-        """Read a ``time_model`` JSON object.  Keys missing from ``data``
-        keep ``base``'s values; with no base every cost except
-        ``bin_delay_s`` is required.  Raises SchemaError otherwise."""
-        return from_number_fields(cls, data, "time_model", base)
 
 
 @dataclass
@@ -136,15 +126,8 @@ def aggregate(reports: Iterable[TrialReport]) -> list[PolicySummary]:
     trips), not the mean of the trials' OpT.
     """
     groups: dict[tuple[str, str], list[TrialReport]] = {}
-    tier_order: list[str] = []
-    policy_order: list[str] = []
     for report in reports:
-        key = (report.tier, report.policy)
-        groups.setdefault(key, []).append(report)
-        if report.tier not in tier_order:
-            tier_order.append(report.tier)
-        if report.policy not in policy_order:
-            policy_order.append(report.policy)
+        groups.setdefault((report.tier, report.policy), []).append(report)
 
     def pooled_opt(rs: list[TrialReport]) -> float:
         trips = sum(r.trips for r in rs)
@@ -155,14 +138,17 @@ def aggregate(reports: Iterable[TrialReport]) -> list[PolicySummary]:
     def mean_time(rs: list[TrialReport]) -> float:
         return sum(r.time_s for r in rs) / len(rs)
 
+    # Tiers and policies in the order of their first reports, since a
+    # group's key is made at its first report.
+    policies = dict.fromkeys(policy for _, policy in groups)
     summaries: list[PolicySummary] = []
-    for tier in tier_order:
+    for tier in dict.fromkeys(tier for tier, _ in groups):
         base_key = (tier, BASELINE)
         if base_key not in groups:
             raise MissingBaseline(f"no '{BASELINE}' trials for tier {tier}")
         base_opt = pooled_opt(groups[base_key])
         base_time = mean_time(groups[base_key])
-        for policy in policy_order:
+        for policy in policies:
             key = (tier, policy)
             if key not in groups:
                 continue

@@ -89,7 +89,7 @@ def random_policy(
     asked about, so ``memo`` goes unused.
     """
     dishes = sorted((dish, sid) for sid, stack in state.stacks.items() for dish in stack.dishes)
-    return grasp_points(state, dishes[rng.below(len(dishes))][1], rng, sim)
+    return grasp_points(state, dishes[rng.below(len(dishes))][1], rng)
 
 
 class _PullEntry:
@@ -642,7 +642,7 @@ def pull_policy(
     if kind == "pull":
         return PullGrasp(*targets)
     if kind == "single":
-        return grasp_points(state, targets[0], rng, sim)
+        return grasp_points(state, targets[0], rng)
     return PairGrasp(*targets)
 
 
@@ -685,8 +685,8 @@ def stack_policy(
         if cfg.utensil_stacking is UtensilStacking.ONE_PER_BOWL:
             piles, tops = memo.utensil_piles, memo.bowl_tops
             for u, b in memo.nearest(stackable, lifted=piles, base=tops):
-                lift = grasp_points(state, u, rng, sim)
-                return StackGrasp((lift,), grasp_points(state, b, rng, sim))
+                lift = grasp_points(state, u, rng)
+                return StackGrasp((lift,), grasp_points(state, b, rng))
         else:
             utensil_piles, bowl_tops = memo.ids(memo.utensil_piles), memo.ids(memo.bowl_tops)
             chosen = min(
@@ -701,18 +701,18 @@ def stack_policy(
             for u in order:
                 if not stack_allowable(working, u, chosen, sim):
                     continue
-                lifts.append(grasp_points(working, u, rng, sim))
+                lifts.append(grasp_points(working, u, rng))
                 working = working.merged(u, chosen)
             if lifts:
-                return StackGrasp(tuple(lifts), grasp_points(working, chosen, rng, sim))
+                return StackGrasp(tuple(lifts), grasp_points(working, chosen, rng))
 
     for lifted, base in memo.nearest(stackable):
-        lift = grasp_points(state, lifted, rng, sim)
+        lift = grasp_points(state, lifted, rng)
         # Stacking keeps the base's bottom dish and base point, all that
         # ``grasp_points`` reads.
-        return StackGrasp((lift,), grasp_points(state, base, rng, sim))
+        return StackGrasp((lift,), grasp_points(state, base, rng))
 
-    return grasp_points(state, min(state.stacks), rng, sim)
+    return grasp_points(state, min(state.stacks), rng)
 
 
 def next_action(

@@ -87,13 +87,13 @@ class TestGraspPoints:
     # ``grasp_points`` draws a rim grasp's angle; ``grasp_pose`` builds the pose.
     def test_singleton_bowl_rim(self):
         scene = build_scene([([BOWL], 30, 30)])
-        g = grasp_points(scene, 0, FixedRng(0.0), SIM)
+        g = grasp_points(scene, 0, FixedRng(0.0))
         assert g == GraspAction(0, 0.0)
         assert grasp_pose(scene, g, SIM) == ((38.5, 30.0), 5.0, 0.0)
 
     def test_utensil_caged_at_center(self):
         scene = build_scene([([(UTENSIL, math.pi / 4)], 20, 20)])
-        g = grasp_points(scene, 0, FixedRng(), SIM)  # no draw
+        g = grasp_points(scene, 0, FixedRng())  # no draw
         assert g == GraspAction(0)
         point, z, theta = grasp_pose(scene, g, SIM)
         assert point == (20.0, 20.0)
@@ -102,7 +102,7 @@ class TestGraspPoints:
 
     def test_stack_gripped_on_bottom_rim(self):
         scene = build_scene([([BOWL, CUP], 30, 30)])
-        g = grasp_points(scene, 0, FixedRng(math.pi), SIM)
+        g = grasp_points(scene, 0, FixedRng(math.pi))
         assert g == GraspAction(0, math.pi)
         point, z, _ = grasp_pose(scene, g, SIM)
         assert point[0] == pytest.approx(21.5)  # bowl rim, not cup rim
@@ -303,7 +303,7 @@ def admitted_actions(state):
     on a smaller stack overhangs it, onto its neighbours or off the table,
     and a failed grasp leaves it there."""
     rng = SplitMix64(0)
-    actions = [grasp_points(state, sid, rng, SIM) for sid in state.stacks]
+    actions = [grasp_points(state, sid, rng) for sid in state.stacks]
     for a in state.stacks:
         for b in state.stacks:
             if a == b:
@@ -367,7 +367,7 @@ class TestStackAllowable:
 class TestApply:
     def test_single_grasp_moves_stack_to_bin(self):
         scene = build_scene([([CUP], 10 + 12 * i, 10) for i in range(6)])
-        action = grasp_points(scene, 0, SplitMix64(1), SIM)
+        action = grasp_points(scene, 0, SplitMix64(1))
         new, event = apply(scene, action, SIM)
         assert len(new.stacks) == 5
         assert new.bin == (0,)
@@ -387,8 +387,8 @@ class TestApply:
 
     def test_stack_grasp_clears_both_in_one_trip(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
-        lift = grasp_points(scene, 0, SplitMix64(1), SIM)
-        carry = grasp_points(scene, 1, SplitMix64(2), SIM)
+        lift = grasp_points(scene, 0, SplitMix64(1))
+        carry = grasp_points(scene, 1, SplitMix64(2))
         new, event = apply(scene, StackGrasp((lift,), carry), SIM)
         assert new.stacks == {}
         assert sorted(new.bin) == [0, 1]
@@ -422,8 +422,8 @@ class TestApply:
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
         # Bowl 1 onto cup 0: a bowl is wider than a cup.
         bad = StackGrasp(
-            (grasp_points(scene, 1, SplitMix64(1), SIM),),
-            grasp_points(scene, 0, SplitMix64(2), SIM),
+            (grasp_points(scene, 1, SplitMix64(1)),),
+            grasp_points(scene, 0, SplitMix64(2)),
         )
         with pytest.raises(InfeasibleAction) as err:
             apply(scene, bad, SIM)
@@ -448,8 +448,8 @@ class TestApply:
     ])
     def test_placement_that_cannot_be_lifted_raises(self, pile, sid):
         scene = build_scene([(pile, 10, 10), ([BOWL], 40, 10)])
-        lift = dataclasses.replace(grasp_points(scene, 0, SplitMix64(1), SIM), stack=sid)
-        carry = grasp_points(scene, 1, SplitMix64(2), SIM)
+        lift = dataclasses.replace(grasp_points(scene, 0, SplitMix64(1)), stack=sid)
+        carry = grasp_points(scene, 1, SplitMix64(2))
         assert not stack_allowable(scene, sid, 1, SIM)
         with pytest.raises(InfeasibleAction, match=f"stack {sid} onto 1") as err:
             apply(scene, StackGrasp((lift,), carry), SIM)
@@ -463,8 +463,8 @@ class TestApply:
         assert stack_allowable(scene, 0, 1, SIM)
         assert not stack_allowable(scene, 1, 1, SIM)
         assert not stack_allowable(scene, 0, 0, SIM)
-        carry = grasp_points(scene, 1, SplitMix64(2), SIM)
-        apply(scene, StackGrasp((grasp_points(scene, 2, SplitMix64(1), SIM),), carry), SIM)
+        carry = grasp_points(scene, 1, SplitMix64(2))
+        apply(scene, StackGrasp((grasp_points(scene, 2, SplitMix64(1)),), carry), SIM)
 
     def test_pull_grasp_takes_check_pulls_contact_and_witness(self):
         # The first allowable pull of t1 seed 0: the mover ends at the
@@ -488,11 +488,27 @@ class TestApply:
         scene = build_scene([([BOWL, CUP], 30, 30)])
         spec = SIM.dish_specs[BOWL]
         for angle in (0.0, 1.0, math.pi / 2, math.pi, 4.0, 2 * math.pi - 1e-12):
-            g = grasp_points(scene, 0, FixedRng(angle), SIM)
+            g = grasp_points(scene, 0, FixedRng(angle))
             _, event = apply(scene, g, SIM)
             point = [30 + spec.radius * math.cos(angle), 30 + spec.radius * math.sin(angle)]
             theta = angle % math.pi
             assert event["params"] == {"point": point, "z": spec.grasp_height, "theta": theta}
+
+    @pytest.mark.parametrize("stacks, action", [
+        ([([(UTENSIL, 0.2)], 20, 20)], lambda angle: GraspAction(0, angle)),
+        ([([(UTENSIL, 0.2)], 10, 10), ([(UTENSIL, 0.2)], 40, 10)],
+         lambda angle: StackGrasp((GraspAction(0),), GraspAction(1, angle))),
+        ([([(UTENSIL, 0.2)], 10, 10), ([BOWL], 40, 10)],
+         lambda angle: StackGrasp((GraspAction(0, angle),), GraspAction(1, 1.0))),
+    ], ids=["grasp", "carry", "lift"])
+    def test_a_caging_grasp_with_an_angle_raises(self, stacks, action):
+        # A utensil is caged across its axis at its base, which no angle
+        # changes: so a grasp of it takes none, and each grasp has one form.
+        scene = build_scene(stacks)
+        apply(scene, action(0.0), SIM)
+        with pytest.raises(InfeasibleAction, match="angle 1.0") as err:
+            apply(scene, action(1.0), SIM)
+        assert err.value.predicate == "caging_angle"
 
     def test_conservation_of_dish_ids(self):
         scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10), ([BOWL], 60, 40)])
@@ -510,7 +526,7 @@ class TestFailureModel:
     def test_failed_single_grasp_leaves_table_unchanged(self):
         sim = self._sim_with_fail(1.0)
         scene = build_scene([([CUP], 10, 10)])
-        action = grasp_points(scene, 0, SplitMix64(1), sim)
+        action = grasp_points(scene, 0, SplitMix64(1))
         new, event = apply(scene, action, sim, failed=True)
         assert len(new.stacks) == 1
         assert new.bin == ()
@@ -530,8 +546,8 @@ class TestFailureModel:
     def test_failed_stack_grasp_leaves_merged_pile(self):
         sim = self._sim_with_fail(1.0)
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
-        lift = grasp_points(scene, 0, SplitMix64(1), sim)
-        carry = grasp_points(scene, 1, SplitMix64(2), sim)
+        lift = grasp_points(scene, 0, SplitMix64(1))
+        carry = grasp_points(scene, 1, SplitMix64(2))
         new, event = apply(scene, StackGrasp((lift,), carry), sim, failed=True)
         assert set(new.stacks) == {1}
         assert new.stacks[1].dishes == (1, 0)  # merged, still on table
@@ -549,7 +565,7 @@ class TestFailureModel:
         # to go is refused, not drawn from.
         sim = self._sim_with_fail(0.5)
         scene = build_scene([([CUP], 10, 10)])
-        action = grasp_points(scene, 0, SplitMix64(1), sim)
+        action = grasp_points(scene, 0, SplitMix64(1))
         rng = SplitMix64(123)
         with pytest.raises(TypeError):
             apply(scene, action, sim, rng)

@@ -1,6 +1,7 @@
 """Command line interface and harness end-to-end tests."""
 
 import concurrent.futures
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -10,8 +11,10 @@ import pytest
 from declutter import GraspAction, harness, policies, scene_from_json, trial_steps
 from declutter.cli import main
 from declutter.harness import plan_from_json, run_plan, trial_seed
-from declutter.policies import PolicyConfig
-from declutter.config import default_sim_config
+from declutter.metrics import build_report
+from declutter.policies import PolicyConfig, run_policy
+from declutter.config import default_sim_config, load_config
+from declutter.rng import derive_seed
 from declutter.tableware import Tier
 
 PLAN = {
@@ -112,6 +115,29 @@ class TestRun:
                      "--trace", str(trace)]) == 0
         steps = trial_steps(loaded, PolicyConfig.named(policy), sim, 13)
         assert trace.read_text().splitlines() == [json.dumps(step.event) for step in steps]
+
+    @pytest.mark.parametrize("named", [
+        ("random",), ("pull",), ("stack",), ("stack", "all_on_one_bowl"),
+    ], ids="_".join)
+    def test_run_without_a_seed_derives_it_from_the_scene(self, tmp_path, capsys, named):
+        # With no --seed, the trial seed is derived from the scene file's
+        # seed and the policy kind.
+        out = tmp_path / "scenes"
+        main(["generate", "--tier", "t2", "--count", "1", "--seed", "5", "--out", str(out)])
+        path = out / "scene_t2_5_0.json"
+        sim = default_sim_config()
+        scene = scene_from_json(path.read_text(), sim.dish_specs)
+        policy = PolicyConfig.named(*named)
+        expected = run_policy(scene, policy, sim, derive_seed(scene.rng_seed, "trial", named[0]))
+        trace = tmp_path / "trace.jsonl"
+        argv = ["run", "--scene", str(path), "--policy", named[0], "--trace", str(trace)]
+        if len(named) > 1:
+            argv += ["--utensil-stacking", named[1]]
+        capsys.readouterr()
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert report == build_report(expected, sim.time_model, path.stem).to_json_obj()
+        assert trace.read_text().splitlines() == [json.dumps(e) for e in expected.events]
 
     def test_random_on_t0_bowls(self, tmp_path, capsys):
         out = tmp_path / "scenes"
@@ -414,11 +440,12 @@ class TestBench:
         assert (sum(t["failures"] for t in trials) > 0) == failures
 
     @pytest.mark.parametrize("time_model", [{"pull_s": 1.0, "warp_s": 2.0}, {"pull_s": "1"}])
-    def test_bad_plan_time_model_exits_3(self, tmp_path, time_model):
+    def test_bad_plan_time_model_exits_3(self, tmp_path, capsys, time_model):
         full = {"grasp_s": 0.0, "stack_s": 1.0, "travel_s": 1.0, **time_model}
         plan = write_plan(tmp_path, time_model=full)
         rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "x")])
         assert rc == 3
+        assert "error: plan: time_model: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
         ("bin_delays", "12"),
@@ -454,12 +481,15 @@ class TestBench:
         ("bin_delays", [3, 3]),
         ("tiers", []),
     ])
-    def test_plan_range_error_exits_2(self, tmp_path, field, value):
+    def test_plan_range_error_exits_2(self, tmp_path, capsys, field, value):
         plan = write_plan(tmp_path, **{field: value})
         out = tmp_path / "x"
         rc = main(["bench", "--plan", str(plan), "--out", str(out)])
         assert rc == 2
         assert not out.exists()
+        if field == "p_fail":
+            # The config's range check is the plan's.
+            assert "usage error: p_fail must be a probability" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value, message", [
         ("policies", ["random", {"kind": "stack", "utensil_stacking": "one_per_bowl"},
@@ -508,7 +538,7 @@ class TestBench:
             column = rows[0].split(",").index("mean_time_s")
             return [float(row.split(",")[column]) for row in rows[1:]]
 
-        own = default_sim_config().time_model.to_json_obj()
+        own = dataclasses.asdict(default_sim_config().time_model)
         slower = {**own, "travel_s": own["travel_s"] + 10.0}
         base = mean_times("config")
         assert mean_times("own", time_model=own) == base
@@ -563,15 +593,19 @@ def _floats_approx(value):
 
 class TestFitTime:
     def test_fit_time_writes_fragment(self, tmp_path, capsys):
+        # ``--out`` writes the fitted time model as a config fragment; the
+        # fit report, with its residual and rows, goes to stdout.
         frag = tmp_path / "fit.json"
         rc = main(["fit-time", "--out", str(frag)])
         assert rc == 0
-        data = json.loads(frag.read_text())
+        data = json.loads(capsys.readouterr().out)
         assert data["relative_rms_residual"] <= 0.20
         assert set(data["time_model"]) == {
             "grasp_s", "pull_s", "stack_s", "travel_s", "bin_delay_s"
         }
         assert len(data["rows"]) == 15
+        assert json.loads(frag.read_text()) == {"time_model": data["time_model"]}
+        assert dataclasses.asdict(load_config(frag).time_model) == data["time_model"]
 
     def test_fit_time_accepts_custom_table(self, tmp_path, capsys):
         table = tmp_path / "table.csv"
@@ -581,10 +615,16 @@ class TestFitTime:
             "t1,stack,110.0\n"
             "t1,pull,100.0\n"
         )
-        rc = main(["fit-time", "--table", str(table)])
+        frag = tmp_path / "fit.json"
+        rc = main(["fit-time", "--table", str(table), "--out", str(frag)])
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert len(data["rows"]) == 3
+        # The --out file is a config: its time model, not the default one,
+        # takes effect.
+        assert data["time_model"] != dataclasses.asdict(default_sim_config().time_model)
+        assert main(["--config", str(frag), "show-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["time_model"] == data["time_model"]
 
     def test_bad_table_exits_3(self, tmp_path):
         table = tmp_path / "table.csv"
@@ -608,6 +648,21 @@ def test_show_config_prints_defaults(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["workspace"] == [78.0, 61.0]
     assert data["gripper"]["max_opening"] == 8.5
+
+
+@pytest.mark.parametrize("config", [None, {"p_fail": 0.1, "time_model": {"travel_s": 6.0}}],
+                         ids=["defaults", "edited"])
+def test_show_config_output_is_a_config(tmp_path, capsys, config):
+    # What show-config prints, passed back as --config, prints the same.
+    argv = ["show-config"]
+    if config is not None:
+        (tmp_path / "edited.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp_path / "edited.json"), *argv]
+    assert main(argv) == 0
+    shown = capsys.readouterr().out
+    (tmp_path / "shown.json").write_text(shown)
+    assert main(["--config", str(tmp_path / "shown.json"), "show-config"]) == 0
+    assert capsys.readouterr().out == shown
 
 
 def test_config_flag_threads_through(tmp_path, capsys):
@@ -802,4 +857,4 @@ def test_fit_time_runs_without_numpy_and_scipy():
         "from declutter.cli import main; raise SystemExit(main(['fit-time']))"
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["time_model"] == DEFAULT_TIME_MODEL.to_json_obj()
+    assert json.loads(done.stdout)["time_model"] == dataclasses.asdict(DEFAULT_TIME_MODEL)

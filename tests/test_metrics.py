@@ -151,6 +151,19 @@ class TestAggregate:
             ("t0_cups", "random"), ("t1", "random"), ("t1", "pull"),
         ]
 
+    def test_rows_keep_the_first_seen_order_of_tiers_and_policies(self):
+        # Tiers come in the order of their first reports, and within a tier
+        # policies come in the order of their first reports in any tier.
+        rows = aggregate([
+            report("t0_cups", "random", 6, 6, 60.0),
+            report("t1", "stack", 6, 12, 80.0),
+            report("t1", "random", 12, 12, 90.0),
+            report("t0_cups", "pull", 3, 6, 50.0),
+        ])
+        assert [(r.tier, r.policy) for r in rows] == [
+            ("t0_cups", "random"), ("t0_cups", "pull"), ("t1", "random"), ("t1", "stack"),
+        ]
+
     def test_missing_baseline(self):
         with pytest.raises(MissingBaseline):
             aggregate([report("t1", "stack", 6, 12, 80.0)])

@@ -109,9 +109,9 @@ class _PullEntry:
 
 class _Walk:
     """How far a ``nearest`` walk has read its scope's pair list: the index
-    of the first pair not read, and the (gap, a, b, bits of a and b) of the
-    pairs its test admitted before it, sorted.  Each scope keeps one per
-    test for walks on the synced table, which walks on subsets copy."""
+    of the first pair not read, and the (gap, a, b, bits of a and b), sorted,
+    of the pairs its test admitted before it, less those met off its table.
+    Each scope keeps one per test for the synced table; subsets copy it."""
 
     __slots__ = ("cursor", "admitted")
 
@@ -195,8 +195,8 @@ class PairMemo:
     stopped, so a step tests only the pairs that no earlier such walk
     reached; a walk on a subset goes on from a copy, down a chain of ever
     smaller tables.  ``sync`` starts the scopes afresh only when a value
-    arrives: the pairs of a value that left stay listed, and walks skip
-    them, so a walk never starts over when stacks leave.
+    arrives, so a walk never starts over when stacks leave: it skips the
+    listed pairs of a value that left and deletes the ones it kept.
 
     A corridor verdict also depends on the other stacks.  Each pull keeps
     the mask of values tested against its corridor and the mask of those
@@ -316,12 +316,15 @@ class PairMemo:
         below it are read.
 
         A walk on the synced table resumes where the last one with the same
-        (``admit``, ``within``) and scope stopped: it keeps its cursor in the
-        scope's pair list and the pairs it admitted before it, sorted.  A
-        walk on a narrower table goes on from the walk the caller's
-        ``chain`` keeps for tables each a subset of the last, begun as a copy
-        of the synced table's (which read every pair of the subset before its
-        cursor).  Read a walk before the next ``sync`` or walk like it."""
+        (``admit``, ``within``) and scope stopped (see ``_Walk``).  A walk on
+        a narrower table goes on from the walk the caller's ``chain`` keeps
+        for tables each a subset of the last, begun as a copy of the synced
+        table's (which read every pair of the subset before its cursor).  A
+        walk deletes a kept pair it meets off its table, which it could never
+        yield again: until an arrival (even of a value that came back)
+        starts every walk afresh, the synced table only shrinks, each table
+        down a chain lies inside the last, and a chain's walk has its own
+        copy.  Read a walk before the next ``sync`` or walk like it."""
         scope = self._scopes.get((lifted, base))
         if scope is None:
             scope = self._scopes[(lifted, base)] = _Scope(lifted, base)
@@ -347,14 +350,16 @@ class PairMemo:
                 bound = math.inf  # nothing left to test: yield the rest
             elif bits & table != bits:
                 continue
-            # Yield the kept pairs on ``table`` with gaps below ``bound``: a
-            # pair admitted later has a gap of at least ``bound`` and lands
-            # after them.
+            # Yield the kept pairs on ``table`` with gaps below ``bound``, and
+            # delete those off it (see above): a pair admitted later has a gap
+            # of at least ``bound`` and lands after them.
             while read < len(admitted) and admitted[read][0] < bound:
                 entry = admitted[read]
+                if entry[3] & table != entry[3]:
+                    del admitted[read]
+                    continue
                 read += 1
-                if entry[3] & table == entry[3]:
-                    yield entry[1:3]
+                yield entry[1:3]
             if bound == math.inf:
                 return
             bit_b = bits ^ bit_a

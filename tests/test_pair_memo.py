@@ -604,6 +604,36 @@ def test_stack_that_leaves_and_returns_is_listed_once():
         assert_nearest_is_brute_force(memo)
 
 
+def test_walks_after_most_stacks_left_rank_as_brute_force():
+    # Every walk is read to its end, so it keeps every pair its test
+    # admits; then a third of the stacks leave, and then two thirds, with
+    # no arrival between.  A walk forgets the kept pairs of the stacks that
+    # left as it meets them, and a walk down a chain of narrower tables
+    # forgets only from its own copy: the synced table's walk still yields
+    # the pairs the chain dropped.  The full scene's return is an arrival,
+    # which starts every walk afresh.
+    scene = dense_scene(72, 0)
+    memo = PairMemo(SIM)
+    memo.sync(scene)
+    assert_nearest_is_brute_force(memo)
+    ids = sorted(scene.stacks)
+    for leaving in (ids[::3], ids[::3] + ids[1::3]):
+        left = scene.clone()
+        for sid in leaving:
+            del left.stacks[sid]
+        memo.sync(left)
+        assert_nearest_is_brute_force(memo, reads=1)
+        assert_nearest_is_brute_force(memo, reads=3)
+        narrowed = memo.table & ~sum(memo.bit(sid) for sid in memo.ids()[::3])
+        narrower = narrowed & ~sum(memo.bit(sid) for sid in memo.ids()[1::3])
+        chain = {}
+        assert_nearest_is_brute_force(memo, table=narrowed, chain=chain)
+        assert_nearest_is_brute_force(memo, table=narrower, chain=chain)
+        assert_nearest_is_brute_force(memo)
+    memo.sync(scene)
+    assert_nearest_is_brute_force(memo)
+
+
 def test_far_pairs_are_ranked_as_brute_force():
     # Three utensils and three bowls among 66 cups: a utensil's nearest
     # bowl lies several bands of base distance out, so its walk merges band

@@ -32,6 +32,9 @@ from .policies import PolicyConfig, run_policy
 from .rng import derive_seed
 from .tableware import Tier, TierConfig, generate_scene, scene_to_json
 
+# ``json.dumps`` minus the cycle check: ``apply`` makes each event a new tree.
+encode_json = json.JSONEncoder(check_circular=False).encode
+
 
 @dataclass
 class ExperimentPlan:
@@ -165,7 +168,7 @@ def _run_scene(
         )
         report = build_report(trace, sim.time_model, f"{tier.value}_{index}")
         key = {"scene_id": report.scene_id, "policy": report.policy}
-        trials.append((report, "".join(json.dumps({**key, **e}) + "\n" for e in trace.events)))
+        trials.append((report, "".join(encode_json({**key, **e}) + "\n" for e in trace.events)))
     return trials
 
 
@@ -218,7 +221,7 @@ def _write_reports(
             for scene_trials in per_scene:
                 for report, trace_lines in scene_trials:
                     reports.append(report)
-                    trials.write(json.dumps(report.to_json_obj()) + "\n")
+                    trials.write(encode_json(report.to_json_obj()) + "\n")
                     traces.write(trace_lines)
 
         summaries = aggregate(reports)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyTrace, MissingBaseline
-from .policies import PolicyKind, Trace
+from .policies import PolicyKind, Trace, TraceCounts
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,19 @@ class TrialReport:
         }
 
 
-def objects_per_trip(trace: Trace) -> float:
-    trips = trace.trips
-    if trips == 0:
+def _opt(c: TraceCounts) -> float:
+    if c.trips == 0:
         raise EmptyTrace("no trips in trace; objects per trip undefined")
-    return trace.objects_cleared / trips
+    return c.objects_cleared / c.trips
+
+
+def objects_per_trip(trace: Trace) -> float:
+    return _opt(trace.counts())
 
 
 def action_counts(trace: Trace) -> tuple[int, int, int, int]:
     """(grasp phases, pull phases, stack placements, trips) for a trace."""
-    grasps = len(trace.events)
-    pulls = sum(1 for e in trace.events if e["action"] == "pull_grasp")
-    stacks = sum(
-        len(e["params"]["placements"]) for e in trace.events if e["action"] == "stack_grasp"
-    )
-    trips = trace.trips
-    return grasps, pulls, stacks, trips
+    return trace.counts()[:4]
 
 
 def model_time(trace: Trace, tm: TimeModel) -> float:
@@ -80,25 +77,25 @@ def model_time(trace: Trace, tm: TimeModel) -> float:
     a round trip of ``2 * (travel_s + bin_delay_s)``.  Failed grasps cost
     their action time but no trip time.
     """
-    grasps, pulls, stacks, trips = action_counts(trace)
-    return (
-        grasps * tm.grasp_s
-        + pulls * tm.pull_s
-        + stacks * tm.stack_s
-        + trips * 2.0 * (tm.travel_s + tm.bin_delay_s)
-    )
+    return _seconds(trace.counts(), tm)
+
+
+def _seconds(c: TraceCounts, tm: TimeModel) -> float:
+    return (c.grasps * tm.grasp_s + c.pulls * tm.pull_s + c.stacks * tm.stack_s
+            + c.trips * 2.0 * (tm.travel_s + tm.bin_delay_s))
 
 
 def build_report(trace: Trace, tm: TimeModel, scene_id: str) -> TrialReport:
+    c = trace.counts()
     return TrialReport(
         scene_id=scene_id,
         tier=trace.tier,
         policy=trace.policy,
-        trips=trace.trips,
-        objects_cleared=trace.objects_cleared,
-        opt=objects_per_trip(trace),
-        time_s=model_time(trace, tm),
-        failures=trace.failures,
+        trips=c.trips,
+        objects_cleared=c.objects_cleared,
+        opt=_opt(c),
+        time_s=_seconds(c, tm),
+        failures=c.failures,
     )
 
 

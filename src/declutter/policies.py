@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -736,12 +737,11 @@ def next_action(
     """
     if not state.stacks:
         return None
-    policy = {
-        PolicyKind.RANDOM: random_policy,
-        PolicyKind.PULL: pull_policy,
-        PolicyKind.STACK: stack_policy,
-    }[cfg.kind]
-    return policy(state, rng, sim, cfg, memo)
+    if cfg.kind is PolicyKind.PULL:
+        return pull_policy(state, rng, sim, cfg, memo)
+    if cfg.kind is PolicyKind.STACK:
+        return stack_policy(state, rng, sim, cfg, memo)
+    return random_policy(state, rng, sim, cfg, memo)
 
 
 class Step(NamedTuple):
@@ -797,17 +797,33 @@ class Trace:
     policy: str = ""
     tier: str = "custom"
 
+    def counts(self) -> TraceCounts:
+        """Everything the metrics count, in one pass over the events."""
+        pulls = stacks = trips = objects = failures = 0
+        for e in self.events:
+            pulls += e["action"] == "pull_grasp"
+            if e["action"] == "stack_grasp":
+                stacks += len(e["params"]["placements"])
+            trips += bool(e["trip"])
+            objects += len(e["moved_to_bin"])
+            failures += bool(e["params"].get("failed"))
+        return TraceCounts(len(self.events), pulls, stacks, trips, objects, failures)
+
     @property
     def trips(self) -> int:
-        return sum(1 for e in self.events if e["trip"])
+        return self.counts().trips
 
     @property
     def objects_cleared(self) -> int:
-        return sum(len(e["moved_to_bin"]) for e in self.events)
+        return self.counts().objects_cleared
 
     @property
     def failures(self) -> int:
-        return sum(1 for e in self.events if e["params"].get("failed"))
+        return self.counts().failures
+
+
+# Grasp phases (one per event), pulls, stack placements, trips, dishes binned, failures.
+TraceCounts = namedtuple("TraceCounts", "grasps pulls stacks trips objects_cleared failures")
 
 
 def run_policy(

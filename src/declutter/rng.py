@@ -18,6 +18,8 @@ from their seed by an implementation in any language.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 MASK64 = (1 << 64) - 1
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -69,6 +71,7 @@ class SplitMix64:
         return self.next_u64() % n
 
 
+@lru_cache(maxsize=256)  # seed parts are a few names, hashed for every scene and trial
 def fnv1a64(text: str) -> int:
     """FNV-1a hash of the UTF-8 encoding of ``text``."""
     h = _FNV_OFFSET

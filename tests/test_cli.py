@@ -311,9 +311,14 @@ class TestBench:
         assert rc == 0
         assert in_process_pool == started
 
-    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("jobs, fault", [
+        pytest.param(1, "raises", id="1"),
+        pytest.param(3, "raises", id="3"),
+        pytest.param(1, "cyclic event", id="1-cyclic-event"),
+        pytest.param(3, "cyclic event", id="3-cyclic-event"),
+    ])
     def test_failed_plan_leaves_report_files_as_they_were(
-        self, tmp_path, monkeypatch, in_process_pool, jobs
+        self, tmp_path, monkeypatch, in_process_pool, jobs, fault
     ):
         sim = default_sim_config()
         out = tmp_path / "bench"
@@ -327,12 +332,22 @@ class TestBench:
 
         def fails_fifth(*args, **kwargs):
             calls.append(1)
-            if len(calls) == 5:
+            if len(calls) == 5 and fault == "raises":
                 raise RuntimeError("trial 5 fails")
-            return run_policy(*args, **kwargs)
+            trace = run_policy(*args, **kwargs)
+            if len(calls) == 5:
+                # The trace lines are encoded without a cycle check: a cycle
+                # must still fail the plan before any file is moved into place.
+                params = trace.events[0]["params"]
+                params["loop"] = params
+            return trace
 
         monkeypatch.setattr(harness, "run_policy", fails_fifth)
-        with pytest.raises(RuntimeError, match="trial 5 fails"):
+        if fault == "raises":
+            raised = pytest.raises(RuntimeError, match="trial 5 fails")
+        else:  # json reports a cycle as RecursionError, or as ValueError with its cycle check
+            raised = pytest.raises((RecursionError, ValueError))
+        with raised:
             run_plan(other, sim, out, jobs=jobs)
         assert len(calls) == 5
         assert in_process_pool == ([3] if jobs > 1 else [])

@@ -1,19 +1,27 @@
 """Objects-per-trip, the time model, and aggregation."""
 
+import dataclasses
+
 import pytest
 
 from declutter import (
     EmptyTrace,
     MissingBaseline,
+    PolicyConfig,
+    Tier,
+    TierConfig,
     TimeModel,
     Trace,
     TrialReport,
     aggregate,
+    generate_scene,
     model_time,
     objects_per_trip,
+    run_policy,
     summary_csv,
 )
 from declutter.metrics import CSV_HEADER, action_counts, build_report
+from helpers import SIM
 
 
 def event(kind, moved, trip=True, placements=1, failed=False):
@@ -205,3 +213,46 @@ def test_build_report_counts_failures():
     assert rep.trips == 1
     assert rep.objects_cleared == 1
     assert rep.opt == 1.0
+
+
+@pytest.mark.parametrize("p_fail", [0.0, 0.2])
+@pytest.mark.parametrize("named", [
+    ("random",), ("pull",), ("stack",), ("stack", "all_on_one_bowl"),
+], ids="_".join)
+def test_build_report_is_the_report_of_the_public_counts(named, p_fail):
+    # Every metric reads ``Trace.counts``, one pass over the events: check
+    # that pass against a count of each quantity on its own, and
+    # ``build_report`` against the report the public functions assemble.
+    # Every term of the time model is non-zero and distinct, so a
+    # miscounted term shows.
+    tm = TimeModel(grasp_s=1.7, pull_s=3.1, stack_s=5.3, travel_s=2.9, bin_delay_s=0.7)
+    sim = dataclasses.replace(SIM, p_fail=p_fail)
+    policy = PolicyConfig.named(*named)
+    failures = 0
+    for tier in (Tier.T1, Tier.T2):
+        for seed in range(20):
+            trace = run_policy(generate_scene(TierConfig.preset(tier), seed), policy, sim, seed)
+            events = trace.events
+            assert trace.counts() == (
+                len(events),
+                sum(e["action"] == "pull_grasp" for e in events),
+                sum(len(e["params"]["placements"]) for e in events if e["action"] == "stack_grasp"),
+                sum(1 for e in events if e["trip"]),
+                sum(len(e["moved_to_bin"]) for e in events),
+                sum(1 for e in events if e["params"].get("failed")),
+            )
+            scene_id = f"{tier.value}_{seed}"
+            report = build_report(trace, tm, scene_id)
+            assert report == TrialReport(
+                scene_id=scene_id,
+                tier=trace.tier,
+                policy=trace.policy,
+                trips=trace.trips,
+                objects_cleared=trace.objects_cleared,
+                opt=objects_per_trip(trace),
+                time_s=model_time(trace, tm),  # compared with ==
+                failures=trace.failures,
+            )
+            assert action_counts(trace) == trace.counts()[:4]
+            failures += report.failures
+    assert (failures > 0) == (p_fail > 0)

@@ -346,6 +346,26 @@ class TestRunPolicy:
         run_policy(scene, PULL, SIM, 17)
         assert len(built) == 1
 
+    @pytest.mark.parametrize("policy, name", [
+        (RANDOM, "random_policy"), (PULL, "pull_policy"), (STACK, "stack_policy"),
+    ], ids=["random", "pull", "stack"])
+    def test_next_action_looks_the_policy_up_by_module_name(self, monkeypatch, policy, name):
+        # ``next_action`` promises that rebinding a policy's module name takes
+        # effect (the benchmark's tracer relies on it): every action of a
+        # trial comes through the rebound name, and no other policy is asked.
+        calls = []
+        for other in ("random_policy", "pull_policy", "stack_policy"):
+            original = getattr(policies, other)
+
+            def counted(*args, _name=other, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(policies, other, counted)
+        scene = generate_scene(TierConfig.preset(Tier.T2), 17)
+        trace = run_policy(scene, policy, SIM, 17)
+        assert calls == [name] * len(trace.events)
+
     def test_deterministic_given_seed(self):
         scene = generate_scene(TierConfig.preset(Tier.T2), 23)
         t1 = run_policy(scene, PULL, SIM, 99)

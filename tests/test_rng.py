@@ -73,6 +73,30 @@ def test_fnv1a64_known_value():
     assert fnv1a64("") == 0xCBF29CE484222325
 
 
+@pytest.mark.parametrize("text, value", [
+    ("a", 0xAF63DC4C8601EC8C),  # published FNV-1a 64 test vectors
+    ("foobar", 0x85944171F73967E8),
+])
+def test_fnv1a64_published_vectors_also_from_the_cache(text, value):
+    fnv1a64.cache_clear()
+    assert fnv1a64(text) == value
+    hits = fnv1a64.cache_info().hits
+    assert fnv1a64(text) == value
+    assert fnv1a64.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("parts, value", [
+    ((7, "trial", "t1", 3, "pull"), 16836788378002503896),
+    ((7, "scene", "t2", 199), 5103204551010088902),
+])
+def test_derive_seed_pinned_values_also_from_the_cache(parts, value):
+    # Seeds of a plan's trials and scenes, recorded before fnv1a64 was cached.
+    fnv1a64.cache_clear()
+    assert derive_seed(*parts) == value
+    assert derive_seed(*parts) == value
+    assert fnv1a64.cache_info().hits == sum(isinstance(p, str) for p in parts)
+
+
 def test_derive_seed_pure_and_order_sensitive():
     assert derive_seed(5, "scene", "t1", 0) == derive_seed(5, "scene", "t1", 0)
     assert derive_seed(5, "scene", "t1", 0) != derive_seed(5, "scene", "t1", 1)

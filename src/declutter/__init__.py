@@ -39,8 +39,6 @@ from .metrics import (
     TrialReport,
     aggregate,
     build_report,
-    model_time,
-    objects_per_trip,
     summary_csv,
 )
 from .policies import (

@@ -498,7 +498,7 @@ def apply(
     failed two-stack grasp carries only the taller stack.  Pull and stack
     phases still execute before a failed grasp, so consolidations persist.
 
-    The event is the action's ``traces.jsonl`` object less ``t``, of lists,
+    The event is the action's ``run --trace`` object less ``t``, of lists,
     numbers and strings: ``action`` (``"grasp"``, ``"pull_grasp"`` or
     ``"stack_grasp"``); ``targets``, the stacks the final grasp takes,
     ascending; ``moved_to_bin``, the dishes binned, stack by stack from the

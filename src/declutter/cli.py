@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .config import config_to_json_obj, load_config
 from .errors import ActionCapReached, InfeasibleAction, PlacementExhausted, SchemaError, read_file
-from .harness import encode_json, generate_scene_files, plan_from_json, run_plan
+from .harness import generate_scene_files, plan_from_json, run_plan, trace_lines
 from .metrics import build_report
 from .policies import PolicyConfig, PolicyKind, UtensilStacking, run_policy
 from .rng import derive_seed
@@ -104,9 +104,7 @@ def _cmd_run(args, sim) -> int:
     trace = run_policy(scene, policy, sim, seed)
     report = build_report(trace, sim.time_model, scene_path.stem)
     if args.trace:
-        with Path(args.trace).open("w") as fh:
-            for event in trace.events:
-                fh.write(encode_json(event) + "\n")
+        Path(args.trace).write_text(trace_lines(trace))
     print(
         f"# {report.scene_id}: policy={report.policy} trips={report.trips} "
         f"opt={report.opt:.4f} time={report.time_s:.3f}s failures={report.failures}"

@@ -4,10 +4,10 @@ config and plan files hold."""
 
 from __future__ import annotations
 
-import math
 from collections.abc import Collection
 from dataclasses import fields, replace
 from pathlib import Path
+from sys import float_info
 
 
 class SchemaError(ValueError):
@@ -27,14 +27,15 @@ def read_file(path: str | Path, what: str) -> str:
 
 
 def number(value: object, where: str, integer: bool = False) -> float | int:
-    """``value`` when it is a finite JSON number, or an integer when
-    ``integer``; otherwise SchemaError saying what ``where`` must be.
+    """``value`` when it is a JSON number in the float range, or an integer
+    when ``integer``; otherwise SchemaError saying what ``where`` must be.
 
     Python's JSON reader accepts NaN and Infinity, which would pass every
-    range check and, as a clearance margin, break every pull check.
+    range check and, as a clearance margin, break every pull check, and
+    integers past the float range; the comparison below is false for each.
     """
     kind = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, kind) or not abs(value) <= float_info.max:
         raise SchemaError(f"{where} must be {'an integer' if integer else 'a number'}")
     return value
 

@@ -28,12 +28,18 @@ from .metrics import (
     build_report,
     summary_csv,
 )
-from .policies import PolicyConfig, run_policy
+from .policies import PolicyConfig, Trace, run_policy
 from .rng import derive_seed
 from .tableware import Tier, TierConfig, generate_scene, scene_to_json
 
 # ``json.dumps`` minus the cycle check: ``apply`` makes each event a new tree.
 encode_json = json.JSONEncoder(check_circular=False).encode
+
+
+def trace_lines(trace: Trace, **key) -> str:
+    """The trace's JSON lines, one per event: ``key``'s items, the step
+    number ``t``, then the event."""
+    return "".join(encode_json({**key, "t": t, **e}) + "\n" for t, e in enumerate(trace.events))
 
 
 @dataclass
@@ -167,8 +173,7 @@ def _run_scene(
             scene, policy, sim, trial_seed(plan.base_seed, tier, index, policy.kind.value)
         )
         report = build_report(trace, sim.time_model, f"{tier.value}_{index}")
-        key = {"scene_id": report.scene_id, "policy": report.policy}
-        trials.append((report, "".join(encode_json({**key, **e}) + "\n" for e in trace.events)))
+        trials.append((report, trace_lines(trace, scene_id=report.scene_id, policy=report.policy)))
     return trials
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyTrace, MissingBaseline
-from .policies import PolicyKind, Trace, TraceCounts
+from .policies import PolicyKind, Trace
 
 
 @dataclass(frozen=True)
@@ -56,45 +56,21 @@ class TrialReport:
         }
 
 
-def _opt(c: TraceCounts) -> float:
+def build_report(trace: Trace, tm: TimeModel, scene_id: str) -> TrialReport:
+    """The trial's report; its modeled time charges a failed grasp its
+    action time but no trip.  EmptyTrace when the trace has no trips."""
+    c = trace.counts()
     if c.trips == 0:
         raise EmptyTrace("no trips in trace; objects per trip undefined")
-    return c.objects_cleared / c.trips
-
-
-def objects_per_trip(trace: Trace) -> float:
-    return _opt(trace.counts())
-
-
-def action_counts(trace: Trace) -> tuple[int, int, int, int]:
-    """(grasp phases, pull phases, stack placements, trips) for a trace."""
-    return trace.counts()[:4]
-
-
-def model_time(trace: Trace, tm: TimeModel) -> float:
-    """Modeled wall time: every grasp phase costs ``grasp_s``, pulls add
-    ``pull_s``, each stack placement adds ``stack_s``, and every trip costs
-    a round trip of ``2 * (travel_s + bin_delay_s)``.  Failed grasps cost
-    their action time but no trip time.
-    """
-    return _seconds(trace.counts(), tm)
-
-
-def _seconds(c: TraceCounts, tm: TimeModel) -> float:
-    return (c.grasps * tm.grasp_s + c.pulls * tm.pull_s + c.stacks * tm.stack_s
-            + c.trips * 2.0 * (tm.travel_s + tm.bin_delay_s))
-
-
-def build_report(trace: Trace, tm: TimeModel, scene_id: str) -> TrialReport:
-    c = trace.counts()
     return TrialReport(
         scene_id=scene_id,
         tier=trace.tier,
         policy=trace.policy,
         trips=c.trips,
         objects_cleared=c.objects_cleared,
-        opt=_opt(c),
-        time_s=_seconds(c, tm),
+        opt=c.objects_cleared / c.trips,
+        time_s=(c.grasps * tm.grasp_s + c.pulls * tm.pull_s + c.stacks * tm.stack_s
+                + c.trips * 2.0 * (tm.travel_s + tm.bin_delay_s)),
         failures=c.failures,
     )
 

@@ -751,7 +751,7 @@ class Step(NamedTuple):
     action: Action
     failed: bool  # whether the action's final grasp failed
     after: SceneState  # the table ``apply`` left
-    event: dict  # ``{"t": t, **e}``, ``e`` the event ``apply`` returned
+    event: dict  # the event ``apply`` returned
     memo: PairMemo | None  # the trial's memo, synced with ``state``; None for random
 
 
@@ -777,13 +777,13 @@ def trial_steps(
     state = initial.clone()
     cap = 50 * max(len(state.dishes), 1) + 100
     memo = None if policy.kind is PolicyKind.RANDOM else PairMemo(sim)
-    for t in range(cap):
+    for _ in range(cap):
         action = next_action(state, rng, sim, policy, memo)
         if action is None:
             return
         failed = grasp_fails(sim, rng)
         after, event = apply(state, action, sim, failed=failed)
-        yield Step(state, action, failed, after, {"t": t, **event}, memo)
+        yield Step(state, action, failed, after, event, memo)
         state = after
     raise ActionCapReached(f"policy {policy.kind.value} exceeded {cap} actions without clearing")
 
@@ -808,18 +808,6 @@ class Trace:
             objects += len(e["moved_to_bin"])
             failures += bool(e["params"].get("failed"))
         return TraceCounts(len(self.events), pulls, stacks, trips, objects, failures)
-
-    @property
-    def trips(self) -> int:
-        return self.counts().trips
-
-    @property
-    def objects_cleared(self) -> int:
-        return self.counts().objects_cleared
-
-    @property
-    def failures(self) -> int:
-        return self.counts().failures
 
 
 # Grasp phases (one per event), pulls, stack placements, trips, dishes binned, failures.

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .errors import SchemaError
 from .harness import scene_seed, trial_seed
-from .metrics import TimeModel, action_counts
+from .metrics import TimeModel
 from .policies import PolicyConfig, run_policy
 from .tableware import Tier, TierConfig, generate_scene
 
@@ -90,7 +90,7 @@ def simulated_counts(sim: "SimConfig") -> dict[tuple[str, str], tuple[float, flo
             for k, scene in enumerate(scenes):
                 seed = trial_seed(FIT_BASE_SEED, tier, k, policy.kind.value)
                 trace = run_policy(scene, policy, sim, seed)
-                totals = tuple(map(sum, zip(totals, action_counts(trace))))
+                totals = tuple(map(sum, zip(totals, trace.counts()[:4])))
             counts[(tier.value, policy.kind.value)] = tuple(t / FIT_SCENES_PER_TIER for t in totals)
     return counts
 

@@ -9,6 +9,7 @@ from declutter import (
     DishKind,
     SceneState,
     Stack,
+    build_report,
     default_sim_config,
     overlaps,
 )
@@ -20,6 +21,11 @@ SIM = default_sim_config()
 CUP = DishKind.CUP
 BOWL = DishKind.BOWL
 UTENSIL = DishKind.UTENSIL
+
+
+def report_of(trace):
+    """The trial report of ``trace`` under the default time model."""
+    return build_report(trace, SIM.time_model, scene_id="")
 
 
 def build_scene(stacks, workspace=(78.0, 61.0), tier="custom"):

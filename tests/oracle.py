@@ -222,7 +222,7 @@ def sweep_plan3000(policy: PolicyConfig, p_fail: float) -> int:
         for index in range(200):
             scene = generate_scene(cfg, scene_seed(7, tier, index), sim.dish_specs, sim.workspace)
             seed = trial_seed(7, tier, index, policy.kind.value)
-            for step in trial_steps(scene, policy, sim, seed):
+            for t, step in enumerate(trial_steps(scene, policy, sim, seed)):
                 steps += 1
                 chosen = choice(step.action)
                 if pull:
@@ -232,7 +232,7 @@ def sweep_plan3000(policy: PolicyConfig, p_fail: float) -> int:
                     expected, problems = stack_policy_choice(step.state, sim, policy), []
                 if chosen != expected or problems:
                     failures += 1
-                    print(f"{tier.value} scene {index} step {step.event['t']}: chose {chosen}, "
+                    print(f"{tier.value} scene {index} step {t}: chose {chosen}, "
                           f"expected {expected}; {problems}")
     name = policy.kind.value if pull else f"stack {policy.utensil_stacking.value}"
     print(f"{name}, p_fail {p_fail}: {steps} steps, {failures} failures, "

@@ -21,7 +21,6 @@ from declutter import (
     check_pull,
     generate_scene,
     mog_grasp,
-    objects_per_trip,
     run_policy,
     scene_to_json,
     stack_allowable,
@@ -29,12 +28,11 @@ from declutter import (
     validate,
 )
 from declutter.config import default_sim_config
-from declutter.metrics import action_counts
 from declutter.policies import PolicyKind
 from declutter.rng import SplitMix64
 from declutter.tableware import DishKind, stack_top_lip_height
 from declutter.timefit import REFERENCE_ROWS, fit_time_model, simulated_counts
-from helpers import BOWL, CUP, build_scene, random_small_scene
+from helpers import BOWL, CUP, build_scene, random_small_scene, report_of
 from oracle import min_trips
 
 SIM = default_sim_config()
@@ -69,13 +67,14 @@ def corpus():
             rows = []
             for seed, scene in enumerate(scenes):
                 trace = run_policy(scene, policy, SIM, seed)
+                report = report_of(trace)
                 rows.append(
                     {
                         "seed": seed,
-                        "trips": trace.trips,
-                        "objects": trace.objects_cleared,
-                        "opt": objects_per_trip(trace),
-                        "counts": action_counts(trace),
+                        "trips": report.trips,
+                        "objects": report.objects_cleared,
+                        "opt": report.opt,
+                        "counts": trace.counts()[:4],
                     }
                 )
             stats[(tier.value, name)] = rows
@@ -98,15 +97,14 @@ def test_criterion_1_t0_stack_exact_and_fast():
         cfg = TierConfig.preset(tier)
         for seed in range(100):
             scene = generate_scene(cfg, seed, SIM.dish_specs, SIM.workspace)
-            trace = run_policy(scene, stack, SIM, seed)
-            assert trace.trips == 3, (tier, seed, trace.trips)
-            assert objects_per_trip(trace) == 2.0, (tier, seed)
+            report = report_of(run_policy(scene, stack, SIM, seed))
+            assert report.trips == 3, (tier, seed, report.trips)
+            assert report.opt == 2.0, (tier, seed)
     utensil_opts = []
     cfg = TierConfig.preset(Tier.T0_UTENSILS)
     for seed in range(100):
         scene = generate_scene(cfg, seed, SIM.dish_specs, SIM.workspace)
-        trace = run_policy(scene, stack, SIM, seed)
-        utensil_opts.append(objects_per_trip(trace))
+        utensil_opts.append(report_of(run_policy(scene, stack, SIM, seed)).opt)
         assert utensil_opts[-1] >= 1.8, (seed, utensil_opts[-1])
     elapsed = time.perf_counter() - started
     _announce(
@@ -217,10 +215,10 @@ def test_criterion_4_pull_calibrated_failures():
         objects = trips = failures = 0
         for seed in range(seeds):
             scene = generate_scene(cfg, seed, sim.dish_specs, sim.workspace)
-            trace = run_policy(scene, POLICIES["pull"], sim, seed)
-            objects += trace.objects_cleared
-            trips += trace.trips
-            failures += trace.failures
+            counts = run_policy(scene, POLICIES["pull"], sim, seed).counts()
+            objects += counts.objects_cleared
+            trips += counts.trips
+            failures += counts.failures
         pooled = objects / trips
         reference = REFERENCE_PULL_OPT[tier.value]
         per18 = failures / (seeds * cfg.total / 18.0)
@@ -439,7 +437,7 @@ def test_criterion_9_small_scene_oracle():
     for seed in range(n_scenes):
         scene = random_small_scene(seed)
         optimum = min_trips(scene, SIM)
-        random_trips = run_policy(scene, POLICIES["random"], SIM, seed).trips
+        random_trips = run_policy(scene, POLICIES["random"], SIM, seed).counts().trips
         assert random_trips == len(scene.stacks)
         for name in ("pull", "stack"):
             trips = 0

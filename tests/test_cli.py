@@ -10,7 +10,7 @@ import pytest
 
 from declutter import GraspAction, harness, policies, scene_from_json, trial_steps
 from declutter.cli import main
-from declutter.harness import plan_from_json, run_plan, trial_seed
+from declutter.harness import plan_from_json, run_plan, trace_lines, trial_seed
 from declutter.metrics import build_report
 from declutter.policies import PolicyConfig, run_policy
 from declutter.config import default_sim_config, load_config
@@ -104,7 +104,8 @@ class TestRun:
 
     @pytest.mark.parametrize("policy", ["random", "pull", "stack"])
     def test_trace_lines_are_the_steps_events(self, tmp_path, policy):
-        # ``run --trace`` writes each step's event as it is, line for line.
+        # ``run --trace`` writes each step's event as it is, after its step
+        # number ``t``, line for line.
         out = tmp_path / "scenes"
         main(["generate", "--tier", "t2", "--count", "1", "--seed", "5", "--out", str(out)])
         path = out / "scene_t2_5_0.json"
@@ -114,7 +115,9 @@ class TestRun:
         assert main(["run", "--scene", str(path), "--policy", policy, "--seed", "13",
                      "--trace", str(trace)]) == 0
         steps = trial_steps(loaded, PolicyConfig.named(policy), sim, 13)
-        assert trace.read_text().splitlines() == [json.dumps(step.event) for step in steps]
+        assert trace.read_text().splitlines() == [
+            json.dumps({"t": t, **step.event}) for t, step in enumerate(steps)
+        ]
 
     @pytest.mark.parametrize("named", [
         ("random",), ("pull",), ("stack",), ("stack", "all_on_one_bowl"),
@@ -137,7 +140,7 @@ class TestRun:
         assert main(argv) == 0
         report = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert report == build_report(expected, sim.time_model, path.stem).to_json_obj()
-        assert trace.read_text().splitlines() == [json.dumps(e) for e in expected.events]
+        assert trace.read_text() == trace_lines(expected)
 
     def test_random_on_t0_bowls(self, tmp_path, capsys):
         out = tmp_path / "scenes"
@@ -173,7 +176,7 @@ class TestRun:
 
     @pytest.mark.parametrize("edit", [
         "utensil_theta_string", "infinite_workspace", "string_base", "fractional_id",
-        "nan_base", "infinite_base",
+        "nan_base", "infinite_base", "huge_base",
     ])
     def test_scene_non_numbers_exit_3(self, tmp_path, capsys, edit):
         out = tmp_path / "scenes"
@@ -191,6 +194,8 @@ class TestRun:
             scene["stacks"][0]["base"][0] = float("nan")
         elif edit == "infinite_base":  # and this as Infinity
             scene["stacks"][-1]["base"][1] = float("inf")
+        elif edit == "huge_base":  # an integer past the float range
+            scene["stacks"][0]["base"][0] = 10**400
         else:
             # Truncates to a free id, so only the fraction is wrong.
             max(dishes, key=lambda d: d["id"])["id"] += 0.7
@@ -471,6 +476,7 @@ class TestBench:
         ("base_seed", "1"),
         ("bin_delays", [float("inf")]),
         ("policies", 5),
+        pytest.param("base_seed", 10**400, id="base_seed-huge"),
     ])
     def test_non_number_plan_field_exits_3(self, tmp_path, capsys, field, value):
         plan = write_plan(tmp_path, **{field: value})
@@ -720,6 +726,7 @@ def test_config_flag_threads_through(tmp_path, capsys):
     ("workspace", [78.0]),
     ("gripper", 5),
     ("time_model", {"travel_s": -1.0}),
+    pytest.param("p_fail", 10**400, id="p_fail-huge"),
 ])
 def test_bad_config_key_exits_3(tmp_path, capsys, section, entry):
     path = tmp_path / "c.json"

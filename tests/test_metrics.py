@@ -14,13 +14,12 @@ from declutter import (
     Trace,
     TrialReport,
     aggregate,
+    build_report,
     generate_scene,
-    model_time,
-    objects_per_trip,
     run_policy,
     summary_csv,
 )
-from declutter.metrics import CSV_HEADER, action_counts, build_report
+from declutter.metrics import CSV_HEADER
 from helpers import SIM
 
 
@@ -31,7 +30,7 @@ def event(kind, moved, trip=True, placements=1, failed=False):
     if failed:
         params["failed"] = True
     return {
-        "t": 0, "action": kind, "targets": list(moved) or [0],
+        "action": kind, "targets": list(moved) or [0],
         "moved_to_bin": list(moved), "trip": trip, "params": params,
     }
 
@@ -40,52 +39,54 @@ def trace_of(*events):
     return Trace(events=list(events), policy="stack", tier="t1")
 
 
+def report_of(trace, tm=TimeModel(grasp_s=4.0, pull_s=3.0, stack_s=5.0, travel_s=3.0)):
+    return build_report(trace, tm, scene_id="s")
+
+
 class TestObjectsPerTrip:
     def test_six_over_three(self):
         tr = trace_of(*[event("stack_grasp", (i, i + 1)) for i in (0, 2, 4)])
-        assert objects_per_trip(tr) == 2.0
+        assert report_of(tr).opt == 2.0
 
     def test_six_over_six(self):
         tr = trace_of(*[event("grasp", (i,)) for i in range(6)])
-        assert objects_per_trip(tr) == 1.0
+        assert report_of(tr).opt == 1.0
 
     def test_twelve_over_five(self):
         moved = [(0, 1, 2, 3, 4), (5, 6), (7, 8), (9, 10), (11,)]
         tr = trace_of(*[event("stack_grasp", m) for m in moved])
-        assert objects_per_trip(tr) == 2.4
+        assert report_of(tr).opt == 2.4
 
     def test_empty_trace_rejected(self):
         with pytest.raises(EmptyTrace):
-            objects_per_trip(trace_of())
+            report_of(trace_of())
 
 
 class TestModelTime:
-    TM = TimeModel(grasp_s=4.0, pull_s=3.0, stack_s=5.0, travel_s=3.0)
-
     def test_three_stack_trips(self):
         tr = trace_of(*[event("stack_grasp", (i, i + 1)) for i in (0, 2, 4)])
         # 3 grasps * 4 + 3 stacks * 5 + 3 trips * 6 = 45.
-        assert model_time(tr, self.TM) == pytest.approx(45.0)
+        assert report_of(tr).time_s == pytest.approx(45.0)
 
     def test_bin_delay_adds_per_trip(self):
         tr = trace_of(*[event("stack_grasp", (i, i + 1)) for i in (0, 2, 4)])
         tm = TimeModel(grasp_s=4.0, pull_s=3.0, stack_s=5.0, travel_s=3.0, bin_delay_s=3.0)
-        assert model_time(tr, tm) == pytest.approx(63.0)
+        assert report_of(tr, tm).time_s == pytest.approx(63.0)
 
     def test_pull_contributes_pull_time(self):
         tr = trace_of(event("pull_grasp", (0, 1)))
-        assert model_time(tr, self.TM) == pytest.approx(4.0 + 3.0 + 6.0)
+        assert report_of(tr).time_s == pytest.approx(4.0 + 3.0 + 6.0)
 
     def test_failed_action_costs_time_but_no_trip(self):
         tr = trace_of(event("grasp", (), trip=False, failed=True),
                       event("grasp", (0,)))
-        assert model_time(tr, self.TM) == pytest.approx(4.0 + 4.0 + 6.0)
-        assert tr.failures == 1
+        assert report_of(tr).time_s == pytest.approx(4.0 + 4.0 + 6.0)
+        assert report_of(tr).failures == 1
 
     def test_linear_and_monotone_in_bin_delay(self):
         tr = trace_of(*[event("pull_grasp", (2 * i, 2 * i + 1)) for i in range(3)])
         times = [
-            model_time(tr, TimeModel(4.0, 3.0, 5.0, 3.0, bin_delay_s=d))
+            report_of(tr, TimeModel(4.0, 3.0, 5.0, 3.0, bin_delay_s=d)).time_s
             for d in (0.0, 3.0, 5.0)
         ]
         assert times[0] < times[1] < times[2]
@@ -99,7 +100,7 @@ class TestModelTime:
             event("pull_grasp", (1, 2)),
             event("stack_grasp", (3, 4), placements=2),
         )
-        assert action_counts(tr) == (3, 1, 2, 3)
+        assert tr.counts()[:4] == (3, 1, 2, 3)
 
 
 def report(tier, policy, trips, objects, time_s, failures=0):
@@ -222,7 +223,7 @@ def test_build_report_counts_failures():
 def test_build_report_is_the_report_of_the_public_counts(named, p_fail):
     # Every metric reads ``Trace.counts``, one pass over the events: check
     # that pass against a count of each quantity on its own, and
-    # ``build_report`` against the report the public functions assemble.
+    # ``build_report`` against the report assembled here from those counts.
     # Every term of the time model is non-zero and distinct, so a
     # miscounted term shows.
     tm = TimeModel(grasp_s=1.7, pull_s=3.1, stack_s=5.3, travel_s=2.9, bin_delay_s=0.7)
@@ -233,7 +234,8 @@ def test_build_report_is_the_report_of_the_public_counts(named, p_fail):
         for seed in range(20):
             trace = run_policy(generate_scene(TierConfig.preset(tier), seed), policy, sim, seed)
             events = trace.events
-            assert trace.counts() == (
+            c = trace.counts()
+            assert c == (
                 len(events),
                 sum(e["action"] == "pull_grasp" for e in events),
                 sum(len(e["params"]["placements"]) for e in events if e["action"] == "stack_grasp"),
@@ -247,12 +249,12 @@ def test_build_report_is_the_report_of_the_public_counts(named, p_fail):
                 scene_id=scene_id,
                 tier=trace.tier,
                 policy=trace.policy,
-                trips=trace.trips,
-                objects_cleared=trace.objects_cleared,
-                opt=objects_per_trip(trace),
-                time_s=model_time(trace, tm),  # compared with ==
-                failures=trace.failures,
+                trips=c.trips,
+                objects_cleared=c.objects_cleared,
+                opt=c.objects_cleared / c.trips,
+                time_s=(c.grasps * tm.grasp_s + c.pulls * tm.pull_s + c.stacks * tm.stack_s
+                        + c.trips * 2.0 * (tm.travel_s + tm.bin_delay_s)),  # compared with ==
+                failures=c.failures,
             )
-            assert action_counts(trace) == trace.counts()[:4]
             failures += report.failures
     assert (failures > 0) == (p_fail > 0)

@@ -37,6 +37,7 @@ from declutter import (
     stack_allowable,
     trial_steps,
 )
+from declutter.harness import trace_lines
 from declutter.rng import SplitMix64, derive_seed
 from declutter.geometry import TOUCH_TOL, XY
 from declutter.tableware import Dish, Stack, stack_footprints
@@ -966,9 +967,9 @@ def test_apply_builds_every_witness_grasp_once(monkeypatch, p_fail):
     for tier in (Tier.T1, Tier.T2):
         for seed in range(20):
             scene = generate_scene(TierConfig.preset(tier), seed)
-            for step in trial_steps(scene, PULL, sim, seed):
+            for t, step in enumerate(trial_steps(scene, PULL, sim, seed)):
                 pair = step.event["action"] == "pull_grasp" or len(step.event["targets"]) == 2
-                assert len(calls) == pair, (tier, seed, step.event["t"])
+                assert len(calls) == pair, (tier, seed, t)
                 kinds[step.event["action"], pair] += 1
                 calls.clear()
     assert kinds["pull_grasp", True] and kinds["grasp", True] and kinds["grasp", False]
@@ -1174,6 +1175,6 @@ def test_golden_digests_of_dense_trials(kind, p_fail):
     lines = []
     for seed in (0, 3):
         trace = run_policy(dense_scene(72, seed), cfg, sim, seed)
-        lines.extend(json.dumps(e) for e in trace.events)
+        lines.extend(trace_lines(trace).splitlines())
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_DENSE_DIGESTS[(kind, p_fail)]

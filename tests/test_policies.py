@@ -20,15 +20,15 @@ from declutter import (
     generate_scene,
     grasp_pose,
     next_action,
-    objects_per_trip,
     policies,
     rim_point,
     run_policy,
     trial_steps,
     validate,
 )
+from declutter.harness import trace_lines
 from declutter.rng import SplitMix64
-from helpers import BOWL, CUP, SIM, UTENSIL, build_scene
+from helpers import BOWL, CUP, SIM, UTENSIL, build_scene, report_of
 from oracle import min_trips
 
 RANDOM = PolicyConfig.named("random")
@@ -54,8 +54,8 @@ class TestRandomPolicy:
     def test_six_cups_six_trips(self):
         scene = build_scene([([CUP], 10 + 11 * i, 10) for i in range(6)])
         trace = run_policy(scene, RANDOM, SIM, 1)
-        assert trace.trips == 6
-        assert objects_per_trip(trace) == 1.0
+        assert trace.counts().trips == 6
+        assert report_of(trace).opt == 1.0
 
     def test_selected_stack_travels_whole(self):
         scene = build_scene([([BOWL, CUP, CUP], 30, 30)])
@@ -93,9 +93,9 @@ class TestPullPolicy:
             [([BOWL], 12, 12), ([BOWL], 66, 12), ([BOWL], 12, 49), ([BOWL], 66, 49)]
         )
         trace = run_policy(scene, PULL, SIM, 3)
-        assert trace.trips == 2
+        assert trace.counts().trips == 2
         assert all(e["action"] == "pull_grasp" for e in trace.events)
-        assert objects_per_trip(trace) == 2.0
+        assert report_of(trace).opt == 2.0
 
     def test_last_utensil_single_grasped(self):
         scene = build_scene([([(UTENSIL, 0.4)], 30, 30)])
@@ -108,8 +108,8 @@ class TestPullPolicy:
         # the acceptance suite.
         scene = generate_scene(TierConfig.preset(Tier.T1), 0)
         trace = run_policy(scene, PULL, SIM, 0)
-        assert trace.trips == 6
-        assert objects_per_trip(trace) == 2.0
+        assert trace.counts().trips == 6
+        assert report_of(trace).opt == 2.0
 
     def test_bins_the_blocker_of_two_pairs_first(self):
         # Bowl 4 meets the pull corridors of cups 0-1 and of utensils 2-3 in
@@ -131,7 +131,7 @@ class TestPullPolicy:
             ("pull_grasp", [2, 3]),
             ("pull_grasp", [0, 1]),
         ]
-        assert trace.trips == min_trips(scene, SIM, pull_only=True) == 3
+        assert trace.counts().trips == min_trips(scene, SIM, pull_only=True) == 3
 
     def test_exact_search_checks_few_pulls(self, monkeypatch):
         # The search ranks pulls by gap alone, asks about a pull only once
@@ -190,15 +190,15 @@ class TestStackPolicy:
     def test_t0_cups_three_pair_trips(self):
         scene = generate_scene(TierConfig.preset(Tier.T0_CUPS), 5)
         trace = run_policy(scene, STACK, SIM, 5)
-        assert trace.trips == 3
-        assert objects_per_trip(trace) == 2.0
+        assert trace.counts().trips == 3
+        assert report_of(trace).opt == 2.0
         assert all(e["action"] == "stack_grasp" for e in trace.events)
 
     def test_t1_one_per_bowl_exact(self):
         scene = generate_scene(TierConfig.preset(Tier.T1), 9)
         trace = run_policy(scene, STACK, SIM, 9)
-        assert trace.trips == 6
-        assert objects_per_trip(trace) == 2.0
+        assert trace.counts().trips == 6
+        assert report_of(trace).opt == 2.0
         # First four trips carry a utensil on a bowl.
         for event in trace.events[:4]:
             assert event["action"] == "stack_grasp"
@@ -207,16 +207,16 @@ class TestStackPolicy:
     def test_two_bowls_one_cup(self):
         scene = build_scene([([BOWL], 15, 15), ([BOWL], 60, 40), ([CUP], 40, 20)])
         trace = run_policy(scene, STACK, SIM, 2)
-        assert trace.trips == 2
-        assert objects_per_trip(trace) == 1.5
+        assert trace.counts().trips == 2
+        assert report_of(trace).opt == 1.5
 
     def test_all_on_one_bowl_t1(self):
         cfg = PolicyConfig(kind=PolicyKind.STACK,
                            utensil_stacking=UtensilStacking.ALL_ON_ONE_BOWL)
         scene = generate_scene(TierConfig.preset(Tier.T1), 4)
         trace = run_policy(scene, cfg, SIM, 4)
-        assert trace.trips == 5
-        assert objects_per_trip(trace) == 2.4
+        assert trace.counts().trips == 5
+        assert report_of(trace).opt == 2.4
         first = trace.events[0]
         assert first["action"] == "stack_grasp"
         assert len(first["params"]["placements"]) == 4
@@ -225,8 +225,8 @@ class TestStackPolicy:
     def test_utensils_only_tier_pairs(self):
         scene = generate_scene(TierConfig.preset(Tier.T0_UTENSILS), 8)
         trace = run_policy(scene, STACK, SIM, 8)
-        assert trace.trips == 3
-        assert objects_per_trip(trace) == 2.0
+        assert trace.counts().trips == 3
+        assert report_of(trace).opt == 2.0
 
     def test_never_creates_tall_cup_bowl_pile(self):
         for seed in range(30):
@@ -243,25 +243,35 @@ class TestRunPolicy:
         scene = generate_scene(TierConfig.preset(Tier.T2), 17)
         trace = run_policy(scene, policy, SIM, 17)
         assert trace.final_state.stacks == {}
-        assert trace.objects_cleared == 12
-        assert trace.trips <= 12
+        assert trace.counts().objects_cleared == 12
+        assert trace.counts().trips <= 12
         assert validate(trace.final_state, SIM.dish_specs) == []
 
     @pytest.mark.parametrize("policy", [RANDOM, PULL, STACK])
-    def test_steps_are_the_trace(self, policy):
+    def test_steps_are_the_trace(self, policy, monkeypatch):
         # Each step starts from the table the last one left; its event is
-        # the trace's, and its failure the one the event records.
+        # the dict ``apply`` returned and the trace's, and its failure the
+        # one the event records.
+        apply, returned = policies.apply, []
+
+        def recording(*args, **kwargs):
+            after, event = apply(*args, **kwargs)
+            returned.append(event)
+            return after, event
+
+        monkeypatch.setattr(policies, "apply", recording)
         sim = dataclasses.replace(SIM, p_fail=0.2)
         failures = 0
         for seed in range(6):
             scene = generate_scene(TierConfig.preset(Tier.T2), seed)
+            returned.clear()
             steps = list(trial_steps(scene, policy, sim, seed))
             trace = run_policy(scene, policy, sim, seed)
             assert [s.event for s in steps] == trace.events
             assert steps[-1].after.stacks == trace.final_state.stacks == {}
             assert steps[0].state.stacks == scene.stacks and steps[0].state is not scene
             for t, step in enumerate(steps):
-                assert step.event["t"] == t
+                assert step.event is returned[t]
                 assert t == 0 or step.state is steps[t - 1].after
                 assert step.failed == bool(step.event["params"].get("failed"))
                 assert (step.memo is None) == (policy.kind is PolicyKind.RANDOM)
@@ -273,11 +283,11 @@ class TestRunPolicy:
         ("random",), ("pull",), ("stack",), ("stack", "all_on_one_bowl"),
     ], ids="_".join)
     def test_every_event_is_its_trace_line(self, named, p_fail):
-        # An event is one JSON object, ``t`` first: it holds only lists,
-        # numbers, strings and objects, so a JSON round trip returns it.
+        # An event is one JSON object: it holds only lists, numbers,
+        # strings and objects, so a JSON round trip returns it.
         sim = dataclasses.replace(SIM, p_fail=p_fail)
         policy = PolicyConfig.named(*named)
-        keys = ["t", "action", "targets", "moved_to_bin", "trip", "params"]
+        keys = ["action", "targets", "moved_to_bin", "trip", "params"]
         for tier in (Tier.T1, Tier.T2):
             for seed in range(20):
                 scene = generate_scene(TierConfig.preset(tier), seed)
@@ -388,7 +398,7 @@ class TestRunPolicy:
             scene = generate_scene(TierConfig.preset(Tier(tier)), seed)
             trace = run_policy(scene, PolicyConfig.named(policy, *stacking), sim, seed)
             assert validate(trace.final_state, sim.dish_specs) == []
-            lines.extend(json.dumps(e) for e in trace.events)
+            lines.extend(trace_lines(trace).splitlines())
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == GOLDEN_FAILURE_DIGESTS[name]
 
@@ -396,7 +406,7 @@ class TestRunPolicy:
         # Random moves whole stacks too, so OpT(stack/pull) >= OpT(random).
         for seed in range(20):
             scene = generate_scene(TierConfig.preset(Tier.T2), seed)
-            base = objects_per_trip(run_policy(scene, RANDOM, SIM, seed))
+            base = report_of(run_policy(scene, RANDOM, SIM, seed)).opt
             for policy in (PULL, STACK):
-                assert objects_per_trip(run_policy(scene, policy, SIM, seed)) >= base
+                assert report_of(run_policy(scene, policy, SIM, seed)).opt >= base
 

@@ -335,9 +335,8 @@ def _pair_check(
     alone: the failed check, or None and the region the mover sweeps, its
     footprints grown by ``pull_clearance_margin``, from its base to the
     contact point (``end``).  ``footprints`` maps a stack to its footprints.
-
-    The witness grasp at contact is ``_contact_witness``: ``check_pull``
-    takes it next, the pair memo only when ``PairMemo.pull`` is asked.
+    ``check_pull`` takes the witness grasp at contact next; the pair memo
+    keeps the sweep and builds no witness.
     """
     if mover == anchor:
         return PullCheck("distinct_targets"), None
@@ -355,19 +354,6 @@ def _pair_check(
     if end is None:
         return PullCheck("contact"), None
     return None, Sweep(sm.base, end, mover_fps, sim.pull_clearance_margin)
-
-
-def _contact_witness(
-    state: SceneState, mover: int, anchor: int, end: XY, sim: "SimConfig"
-) -> PullCheck:
-    """The check of a pull that passed ``_pair_check``: ``mog_grasp`` of the
-    mover at contact ``end`` and the anchor, asked of the two stack values
-    (the grasp test reads nothing else), so no table is built."""
-    sm = state.stacks[mover]
-    grasp = _stack_grasp(state.dishes, Stack(sm.dishes, end), state.stacks[anchor], sim)
-    if grasp is None:
-        return PullCheck("mog_allowable")
-    return PullCheck(None, end=end, grasp=grasp)
 
 
 def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> PullCheck:
@@ -392,9 +378,11 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
     failed, sweep = _pair_check(state, mover, anchor, sim, footprints)
     if failed is not None:
         return failed
-    pair = _contact_witness(state, mover, anchor, sweep.end, sim)
-    if not pair.allowable:
-        return pair
+    # The grasp test reads only the two stack values, so no table is built.
+    end, sm = sweep.end, state.stacks[mover]
+    grasp = _stack_grasp(state.dishes, Stack(sm.dishes, end), state.stacks[anchor], sim)
+    if grasp is None:
+        return PullCheck("mog_allowable")
     x0, x1, y0, y1 = sweep.box(widest_radius(specs))
     for stack in state.stacks.values():
         x, y = stack.base
@@ -403,8 +391,8 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
             and stack.bottom not in (mover, anchor)
             and sweep.meets(footprints(stack))
         ):
-            return PullCheck("corridor", stack.bottom, pair.end, pair.grasp)
-    return pair
+            return PullCheck("corridor", stack.bottom, end, grasp)
+    return PullCheck(None, end=end, grasp=grasp)
 
 
 def stack_allowable(

@@ -24,7 +24,7 @@ from .errors import ActionCapReached, InfeasibleAction, PlacementExhausted, Sche
 from .harness import generate_scene_files, plan_from_json, run_plan, trace_lines
 from .metrics import build_report
 from .policies import PolicyConfig, PolicyKind, UtensilStacking, run_policy
-from .rng import derive_seed
+from .rng import check_seed, derive_seed
 from .tableware import Tier, scene_from_json
 
 EXIT_OK = 0
@@ -171,6 +171,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         sim = load_config(args.config)
+        if getattr(args, "seed", None) is not None:  # ``generate``'s or ``run``'s
+            check_seed(args.seed, "--seed")
         return _COMMANDS[args.command](args, sim)
     except (SchemaError, PlacementExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ from .metrics import (
     summary_csv,
 )
 from .policies import PolicyConfig, Trace, run_policy
-from .rng import derive_seed
+from .rng import check_seed, derive_seed
 from .tableware import Tier, TierConfig, generate_scene, scene_to_json
 
 # ``json.dumps`` minus the cycle check: ``apply`` makes each event a new tree.
@@ -75,6 +75,7 @@ class ExperimentPlan:
             raise ValueError("bin_delays must be >= 0")
         if len(set(self.bin_delays)) != len(self.bin_delays):
             raise ValueError("bin_delays must not repeat")
+        check_seed(self.base_seed, "base_seed")
 
 
 _PLAN_KEYS = (

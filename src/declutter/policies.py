@@ -22,10 +22,8 @@ from .actions import (
     Action,
     GraspAction,
     PairGrasp,
-    PullCheck,
     PullGrasp,
     StackGrasp,
-    _contact_witness,
     _pair_check,
     _stack_fits,
     _stack_gap,
@@ -94,16 +92,16 @@ def random_policy(
 
 
 class _PullEntry:
-    """A memoized pull check: the path tests' failed check, or None until
-    the verdict at contact is taken; the mover's sweep when they pass, the
-    value bits tested against the sweep (the pair's own from the start) and
-    those of them that meet it."""
+    """A memoized pull check: the mover's sweep when the path tests pass;
+    whether the pair has a grasp at contact, False when the path tests fail
+    and None until the verdict is taken; the value bits tested against the
+    sweep (the pair's own from the start) and those of them that meet it."""
 
-    __slots__ = ("check", "sweep", "tested", "blocked")
+    __slots__ = ("sweep", "fits", "tested", "blocked")
 
-    def __init__(self, check: PullCheck | None, sweep: Sweep | None, own: int):
-        self.check = check
+    def __init__(self, sweep: Sweep | None, own: int):
         self.sweep = sweep
+        self.fits = False if sweep is None else None
         self.tested = own
         self.blocked = 0
 
@@ -209,10 +207,10 @@ class PairMemo:
     ``meets`` would, from the values' loci sorted by base x (``_by_x``);
     a value that arrives later is tested when asked about.  Whether the
     pair has a grasp at contact is asked only once a table finds the
-    corridor clear, or ``pull`` names a blocker, and builds no witness.
-    Only ``sync`` sets ``table``; the pull policy's planner passes the
-    subsets it looks ahead on as masks to ``nearest``, ``_corridor`` and
-    ``ids``.
+    corridor clear.  ``pullable`` answers whether ``check_pull`` allows a
+    pull; only ``check_pull`` names a failed test or blocker or builds a
+    witness.  Only ``sync`` sets ``table``; the planner passes the subsets
+    it looks ahead on as masks to ``nearest``, ``pullable`` and ``ids``.
 
     ``plan`` maps a table mask to the pull policy's planned ``Move`` on it,
     just its stacks: ``apply`` builds the grasp (see ``PairGrasp``).
@@ -401,21 +399,20 @@ class PairMemo:
             gap = self._gaps[key] = grasp_gap(self.state, a, b, self.sim)[0]
         return gap
 
-    def _corridor(self, mover: int, anchor: int, table: int) -> tuple[PullCheck | None, int]:
-        """The pair tests of ``mover``'s pull toward ``anchor`` and the bit
-        of a stack on ``table`` (a mask of the synced table's bits) that
-        meets its corridor, or 0 when none does or the pair tests fail.
-        Only the values on ``table`` not yet tested against this pull are
-        tested, up to the first that meets it.  The verdict at contact is
-        taken only once the corridor is clear on ``table`` (a blocked pull's
-        check is None until then): ``GripperSpec.holds`` of the memo's grips
-        and lips, as ``ready`` asks it, and the gap of the mover at contact
+    def pullable(self, mover: int, anchor: int, table: int) -> bool:
+        """Whether ``check_pull`` allows ``mover``'s pull toward ``anchor``
+        on a table of the stacks whose bits are in ``table`` (a mask of the
+        synced table's bits).  Only the values on ``table`` not yet tested
+        against this pull are tested, up to the first that meets its
+        corridor.  The verdict at contact is taken only once the corridor
+        is clear on ``table``: ``GripperSpec.holds`` of the memo's grips and
+        lips, as ``ready`` asks it, and the gap of the mover at contact
         below the max opening, so no witness is built."""
         bm, ba = self._ids[mover], self._ids[anchor]
         entry = self._pulls.get((bm, ba))
         if entry is None:
-            failed, sweep = _pair_check(self.state, mover, anchor, self.sim, self.footprints)
-            entry = self._pulls[(bm, ba)] = _PullEntry(failed, sweep, bm | ba)
+            sweep = _pair_check(self.state, mover, anchor, self.sim, self.footprints)[1]
+            entry = self._pulls[(bm, ba)] = _PullEntry(sweep, bm | ba)
             if sweep is not None:  # the listed values based outside the box are clear
                 x0, x1, y0, y1 = sweep.box(self._widest)
                 near, xs = 0, self._xs
@@ -423,9 +420,8 @@ class PairMemo:
                     if y0 <= y <= y1:
                         near |= bit
                 entry.tested |= self.table & ~near
-        check, blocked = entry.check, entry.blocked & table
-        if blocked or check is not None and not check.allowable:
-            return check, blocked & -blocked
+        if entry.fits is False or entry.blocked & table:
+            return False
         untested = table & ~entry.tested
         while untested:
             bit = untested & -untested
@@ -433,34 +429,14 @@ class PairMemo:
             entry.tested |= bit
             if entry.sweep.meets(self._bit_footprints(bit)):
                 entry.blocked |= bit
-                return check, bit
-        if check is None:
+                return False
+        if entry.fits is None:
             moved = Stack(self._values[bm].dishes, entry.sweep.end)
             grips, lips, gripper = self.grips, self.lips, self.sim.gripper
-            fits = gripper.holds(grips[bm], lips[bm], grips[ba], lips[ba]) and _stack_gap(
+            entry.fits = gripper.holds(grips[bm], lips[bm], grips[ba], lips[ba]) and _stack_gap(
                 self.state.dishes, moved, self._values[ba], self.sim
             )[0] < gripper.max_opening
-            check = entry.check = PullCheck(None if fits else "mog_allowable")
-        return check, 0
-
-    def pull(self, mover: int, anchor: int, table: int | None = None) -> PullCheck:
-        """The memo's answer to ``check_pull`` of ``mover`` toward ``anchor``
-        on ``table`` (a mask of the synced table's bits; None for all of it),
-        to explain a pull; the policy reads ``_corridor``.  Its failed test,
-        ``end`` and ``grasp`` (it builds the witness) are those of
-        ``check_pull`` on a table of the mask's stacks, which also names a
-        failed grasp at contact before a blocker.  The blocker is a stack
-        that meets the corridor, not always ``check_pull``'s first."""
-        pair, blocker = self._corridor(mover, anchor, self.table if table is None else table)
-        if blocker:  # the empty table blocks nothing, so it takes the verdict at contact
-            pair = self._corridor(mover, anchor, 0)[0]
-        if pair.allowable:
-            end = self._pulls[(self._ids[mover], self._ids[anchor])].sweep.end
-            pair = _contact_witness(self.state, mover, anchor, end, self.sim)
-        if not blocker or not pair.allowable:
-            return pair
-        # Built directly: ``replace`` costs several times more.
-        return PullCheck("corridor", self._values[blocker].bottom, pair.end, pair.grasp)
+        return entry.fits
 
 
 # Tables of at most this many stacks, the size of a paper scene, get a
@@ -515,11 +491,7 @@ def _takeable(memo: PairMemo, move: Move, left: int) -> bool:
     memo's synced table), can be taken there: any grasp can, and a pull can
     when its pair tests pass and no stack on ``left`` meets its corridor.
     Every caller passes only moves on ``left``."""
-    kind, targets, _ = move
-    if kind != "pull":
-        return True
-    check, blocker = memo._corridor(*targets, left)
-    return not blocker and check.allowable
+    return move[0] != "pull" or memo.pullable(*move[1], left)
 
 
 def _first_move(memo: PairMemo, left: int, chain: dict | None = None) -> Move:

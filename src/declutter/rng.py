@@ -81,6 +81,14 @@ def fnv1a64(text: str) -> int:
     return h
 
 
+def check_seed(seed: int, what: str, error: type[ValueError] = ValueError) -> int:
+    """``seed`` when in [0, 2^64), else ``error`` naming ``what``: streams
+    read a seed modulo 2^64, so one from outside that range runs as another."""
+    if not 0 <= seed <= MASK64:
+        raise error(f"{what} must be in [0, 2^64)")
+    return seed
+
+
 def derive_seed(base: int, *parts: int | str) -> int:
     """Derive a child seed as a pure function of ``base`` and ``parts``.
 

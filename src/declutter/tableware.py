@@ -26,7 +26,7 @@ from .geometry import (
     rect,
     separation,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, check_seed
 
 MAX_RESAMPLES = 10_000
 
@@ -64,9 +64,13 @@ class DishSpec:
         if self.kind is DishKind.UTENSIL:
             if not (self.length and self.width and self.length >= self.width > 0):
                 raise ValueError("utensil spec needs length >= width > 0")
+            if self.radius is not None:  # no rule reads it
+                raise ValueError("utensil spec takes no radius")
         else:
             if not (self.radius and self.radius > 0):
                 raise ValueError(f"{self.kind.value} spec needs radius > 0")
+            if self.length is not None or self.width is not None:
+                raise ValueError(f"{self.kind.value} spec takes no length or width")
         if self.grasp_height <= 0 or self.nest_offset <= 0:
             raise ValueError("grasp_height and nest_offset must be positive")
 
@@ -502,7 +506,7 @@ def scene_from_json(text: str, specs: dict[DishKind, DishSpec] | None = None) ->
         workspace=workspace,
         stacks={},
         dishes={},
-        rng_seed=number(seed, "seed", integer=True),
+        rng_seed=check_seed(number(seed, "seed", integer=True), "seed", SchemaError),
         tier=tier,
     )
     for idx, raw in enumerate(raw_stacks):

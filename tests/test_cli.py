@@ -215,6 +215,8 @@ class TestRun:
         ("duplicate_id", "duplicate dish id"),
         ("zero_workspace", "workspace sides must be positive"),
         ("short_workspace", "workspace must be [width, height]"),
+        ("negative_seed", "seed must be in [0, 2^64)"),
+        ("huge_seed", "seed must be in [0, 2^64)"),
     ])
     def test_scene_schema_errors_exit_3(self, tmp_path, capsys, edit, message):
         out = tmp_path / "scenes"
@@ -241,6 +243,10 @@ class TestRun:
             scene["workspace"][1] = 0
         elif edit == "short_workspace":
             scene["workspace"] = scene["workspace"][:1]
+        elif edit == "negative_seed":  # read modulo 2^64, it would run as 2^64 - 1
+            scene["seed"] = -1
+        elif edit == "huge_seed":
+            scene["seed"] = 2**64
         else:
             scene["stacks"][-1]["dishes"][0]["extra"] = 1
         path.write_text(json.dumps(scene))
@@ -501,6 +507,8 @@ class TestBench:
         ("bin_delays", [-50]),
         ("bin_delays", [3, 3]),
         ("tiers", []),
+        ("base_seed", -1),
+        ("base_seed", 2**64),  # read modulo 2^64, it would run as base seed 0
     ])
     def test_plan_range_error_exits_2(self, tmp_path, capsys, field, value):
         plan = write_plan(tmp_path, **{field: value})
@@ -727,6 +735,9 @@ def test_config_flag_threads_through(tmp_path, capsys):
     ("gripper", 5),
     ("time_model", {"travel_s": -1.0}),
     pytest.param("p_fail", 10**400, id="p_fail-huge"),
+    ("dishes", {"cup": {"length": 3.0}}),  # no rule reads a cup's length,
+    ("dishes", {"bowl": {"width": 3.0}}),  # a bowl's width
+    ("dishes", {"utensil": {"radius": 2.0}}),  # or a utensil's radius
 ])
 def test_bad_config_key_exits_3(tmp_path, capsys, section, entry):
     path = tmp_path / "c.json"
@@ -760,6 +771,23 @@ def test_unreadable_input_exits_3(tmp_path, capsys, monkeypatch, argv, kind):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "file cannot be read: input" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_seed_flag_out_of_range_exits_2(tmp_path, capsys, command, seed):
+    # A seed is read modulo 2^64, so one outside [0, 2^64) would run as another.
+    scenes, more = tmp_path / "scenes", tmp_path / "more"
+    main(["generate", "--tier", "t1", "--count", "1", "--seed", "3", "--out", str(scenes)])
+    argv = {
+        "generate": ["generate", "--tier", "t1", "--seed", seed, "--out", str(more)],
+        "run": ["run", "--scene", str(scenes / "scene_t1_3_0.json"), "--policy", "pull",
+                "--seed", seed],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "usage error: --seed must be in [0, 2^64)" in capsys.readouterr().err
+    assert not more.exists()
 
 
 @pytest.mark.parametrize("argv", [

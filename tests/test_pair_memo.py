@@ -177,12 +177,10 @@ def test_answers_follow_the_synced_table():
                         if mover not in view.stacks or anchor not in view.stacks:
                             continue
                         check = check_pull(view, mover, anchor, SIM)
-                        got = memo.pull(mover, anchor, mask)
-                        assert got.failed == check.failed
+                        assert memo.pullable(mover, anchor, mask) == check.allowable
                         if check.failed in (None, "corridor"):
-                            assert (got.end, got.grasp) == (check.end, check.grasp)
                             blockers = corridor_blockers(view, mover, anchor, check.end)
-                            assert got.blocker in (blockers or {None})
+                            assert check.blocker in (blockers or {None})
                             blocked.append(len(blockers))
         assert 0 in blocked and max(blocked) > 1
 
@@ -209,7 +207,8 @@ def test_pull_offered_once_blocker_is_binned():
     steps = trial_steps(scene, PULL, SIM, 0)
     first = next(steps)
     assert choice(first.action) == ("single", (0,)) == pull_policy_choice(scene, SIM)
-    check = first.memo.pull(1, 2)
+    assert not first.memo.pullable(1, 2, first.memo.table)
+    check = check_pull(first.state, 1, 2, SIM)
     assert (check.failed, check.blocker) == ("corridor", 0)
 
     second = next(steps)
@@ -219,8 +218,8 @@ def test_pull_offered_once_blocker_is_binned():
 @pytest.mark.parametrize("p_fail", [0.0, 0.2])
 def test_pull_step_is_the_memos_check(p_fail):
     # The policy takes a pull the memo finds allowable: the step's memo,
-    # synced with the table the policy chose on, holds ``check_pull``'s
-    # check, whose contact point and grasp the step's event carries.
+    # synced with the table the policy chose on, answers as ``check_pull``
+    # does, whose contact point and grasp the step's event carries.
     sim = dataclasses.replace(SIM, p_fail=p_fail)
     pulls = 0
     for tier in (Tier.T1, Tier.T2):
@@ -230,8 +229,8 @@ def test_pull_step_is_the_memos_check(p_fail):
                 if not isinstance(step.action, PullGrasp):
                     continue
                 mover, anchor = step.action.mover, step.action.anchor
-                check = step.memo.pull(mover, anchor)
-                assert check == check_pull(step.state, mover, anchor, sim)
+                assert step.memo.pullable(mover, anchor, step.memo.table)
+                check = check_pull(step.state, mover, anchor, sim)
                 assert check.allowable
                 (point, z, theta), params = check.grasp, step.event["params"]
                 assert params["pull"]["end"] == list(check.end)
@@ -246,10 +245,10 @@ def test_pull_step_is_the_memos_check(p_fail):
 def test_pull_that_fails_its_grasp_at_contact_is_never_taken():
     # Pile 1 of four cups (lip span 6 > jaw 4.5) and cup 2 have no grasp at
     # contact, and bowl 0 blocks the corridor between them, as it blocks a
-    # lone cup's.  The memo tests the corridor before it takes that grasp,
-    # yet names the failed grasp, as ``check_pull`` does, on the table
-    # with the bowl and once it has gone: on a subset, and after the policy
-    # has binned it.
+    # lone cup's.  ``check_pull`` names the failed grasp, and the memo,
+    # which tests the corridor before it takes that grasp, refuses the
+    # pull, on the table with the bowl and once it has gone: on a subset,
+    # and after the policy has binned it.
     stacks = [([BOWL], 35, 30), ([CUP] * 4, 10, 30), ([CUP], 60, 30)]
     lone = build_scene([stacks[0], ([CUP], 10, 30), stacks[2]])
     blocked = check_pull(lone, 1, 2, SIM)
@@ -259,18 +258,17 @@ def test_pull_that_fails_its_grasp_at_contact_is_never_taken():
     memo.sync(scene)
     for mask in (memo.table, memo.bit(1) | memo.bit(2)):
         for mover, anchor in ((1, 2), (2, 1)):
-            check = memo.pull(mover, anchor, mask)
-            assert check == check_pull(on_table(memo, mask), mover, anchor, SIM)
+            check = check_pull(on_table(memo, mask), mover, anchor, SIM)
             assert check.failed == "mog_allowable"
+            assert not memo.pullable(mover, anchor, mask)
 
     chosen = []
     for step in trial_steps(scene, PULL, SIM, 0):
         chosen.append(choice(step.action))
         assert chosen[-1] == pull_policy_choice(step.state, SIM)
         if {1, 2} <= step.state.stacks.keys():
-            check = step.memo.pull(1, 2)
-            assert check == check_pull(step.state, 1, 2, SIM)
-            assert check.failed == "mog_allowable"
+            assert not step.memo.pullable(1, 2, step.memo.table)
+            assert check_pull(step.state, 1, 2, SIM).failed == "mog_allowable"
     assert chosen == [("single", (0,)), ("single", (1,)), ("single", (2,))]
 
 
@@ -317,14 +315,15 @@ def test_failed_pull_blocks_corridor_cached_as_clear():
     steps = trial_steps(scene, PULL, sim, 0)
     first = next(steps)
     assert choice(first.action) == ("pull", (2, 3)) == pull_policy_choice(scene, sim)
-    assert first.memo.pull(0, 1).allowable
+    assert first.memo.pullable(0, 1, first.memo.table)
 
     assert first.event["params"]["abandoned"] == 2
     assert first.after.stacks[2].base == check_pull(scene, 2, 3, sim).end
     second = next(steps)
     assert isinstance(second.action, GraspAction)
     assert choice(second.action) == ("single", (2,)) == pull_policy_choice(second.state, sim)
-    check = second.memo.pull(0, 1)
+    assert not second.memo.pullable(0, 1, second.memo.table)
+    check = check_pull(second.state, 0, 1, sim)
     assert (check.failed, check.blocker) == ("corridor", 2)
 
 
@@ -350,20 +349,29 @@ def test_stack_left_by_failed_pull_joins_the_rankings():
 
 
 def test_entries_die_with_either_stack_value():
+    # Bowl 0 moves beside bowl 1, then to where cup 2 blocks both pulls of
+    # the pair: a pull entry kept for its old value would still be clear.
     scene = build_scene([([BOWL], 10, 30), ([BOWL], 60, 30), ([CUP], 35, 52)])
     memo = PairMemo(SIM)
     memo.sync(scene)
     assert mog_grasp(scene, 0, 1, SIM) is None
     assert memo.gap(0, 1) == grasp_gap(scene, 0, 1, SIM)[0]
-    assert memo.pull(0, 1).allowable
+    assert memo.pullable(0, 1, memo.table) and memo.pullable(1, 0, memo.table)
 
     moved = scene.clone()
     moved.stacks[0] = dataclasses.replace(scene.stacks[0], base=(40, 30))
     memo.sync(moved)
     assert mog_grasp(moved, 0, 1, SIM) is not None
     assert memo.gap(0, 1) == grasp_gap(moved, 0, 1, SIM)[0]
-    assert memo.pull(0, 1) == check_pull(moved, 0, 1, SIM)
-    assert memo.pull(1, 0) == check_pull(moved, 1, 0, SIM)
+    assert memo.pullable(0, 1, memo.table) == check_pull(moved, 0, 1, SIM).allowable
+    assert memo.pullable(1, 0, memo.table) == check_pull(moved, 1, 0, SIM).allowable
+
+    blocked = scene.clone()
+    blocked.stacks[0] = dataclasses.replace(scene.stacks[0], base=(12, 52))
+    memo.sync(blocked)
+    for mover, anchor in ((0, 1), (1, 0)):
+        assert check_pull(blocked, mover, anchor, SIM).blocker == 2
+        assert not memo.pullable(mover, anchor, memo.table)
 
 
 def test_clear_verdict_ignores_arrivals_that_left():
@@ -372,7 +380,7 @@ def test_clear_verdict_ignores_arrivals_that_left():
     scene = build_scene([([CUP], 10, 30), ([CUP], 68, 30), ([BOWL], 35, 9)])
     memo = PairMemo(SIM)
     memo.sync(scene)
-    assert memo.pull(0, 1).allowable
+    assert memo.pullable(0, 1, memo.table)
 
     moved = scene.clone()
     moved.stacks[2] = dataclasses.replace(scene.stacks[2], base=(35, 35))
@@ -381,7 +389,7 @@ def test_clear_verdict_ignores_arrivals_that_left():
     gone = moved.clone()
     del gone.stacks[2]
     memo.sync(gone)
-    assert memo.pull(0, 1).allowable
+    assert memo.pullable(0, 1, memo.table)
 
 
 @st.composite
@@ -444,8 +452,9 @@ def test_memo_pull_is_check_pull_and_the_stepping_oracle(case):
     bit = [memo.bit(sid) for sid in sorted(scene.stacks)]
     pair = bit[0] | bit[1]
     for mask in (pair | bit[3], memo.table, memo.table ^ bit[4], pair | bit[2], pair):
-        assert memo.pull(0, 1, mask) == check_pull(on_table(memo, mask), 0, 1, SIM)
-    assert memo.pull(0, 1) == check
+        view = on_table(memo, mask)
+        assert memo.pullable(0, 1, mask) == check_pull(view, 0, 1, SIM).allowable
+    assert memo.pullable(0, 1, memo.table) == check.allowable
 
 
 def test_stack_moved_into_a_tested_corridor_blocks_it():
@@ -457,7 +466,8 @@ def test_stack_moved_into_a_tested_corridor_blocks_it():
     scene = build_scene([([CUP], 10, 30), ([CUP], 50, 30), ([CUP], 25, 5), ([CUP, CUP], 25, 45)])
     memo = PairMemo(SIM)
     memo.sync(scene)
-    clear = memo.pull(0, 1)
+    assert memo.pullable(0, 1, memo.table)
+    clear = check_pull(scene, 0, 1, SIM)
     assert clear.allowable
     mover = scene.stacks[0]
     sweep = Sweep(mover.base, clear.end, memo.footprints(mover), SIM.pull_clearance_margin)
@@ -469,9 +479,9 @@ def test_stack_moved_into_a_tested_corridor_blocks_it():
     assert event["params"]["abandoned"] == 2 and after.stacks[2].base == check.end
     assert x0 <= check.end[0] <= x1 and y0 <= check.end[1] <= y1
     memo.sync(after)
-    blocked = memo.pull(0, 1)
+    assert not memo.pullable(0, 1, memo.table)
+    blocked = check_pull(after, 0, 1, SIM)
     assert (blocked.failed, blocked.blocker) == ("corridor", 2)
-    assert blocked == check_pull(after, 0, 1, SIM)
 
 
 def bottom_kind(state, sid):
@@ -660,9 +670,9 @@ def test_stack_left_by_failed_pull_is_ranked_as_brute_force():
     memo.sync(state)
     assert_nearest_is_brute_force(memo, reads=1)
     mover, anchor = next(
-        (m, a) for m, a in memo.nearest(policies.same_grip) if memo.pull(m, a).allowable
+        (m, a) for m, a in memo.nearest(policies.same_grip) if memo.pullable(m, a, memo.table)
     )
-    check = memo.pull(mover, anchor)
+    check = check_pull(state, mover, anchor, SIM)
     state, event = apply(state, PullGrasp(mover, anchor), SIM, failed=True)
     assert event["params"]["abandoned"] == mover
     assert state.stacks[mover].base == check.end
@@ -854,8 +864,7 @@ def test_ready_and_the_contact_witness_are_the_grasp_test(p_fail):
     # ``ready`` asks ``mog_grasp``'s tests of the memo's heights and gap,
     # and the memo's verdict at contact asks them of its heights and one gap
     # with the mover at contact, building no witness: both must answer as
-    # ``mog_grasp`` does.  ``memo.pull``, which builds the witness, still
-    # answers as ``check_pull`` does.
+    # ``mog_grasp`` does, and ``check_pull``'s witness is that grasp.
     sim = dataclasses.replace(SIM, p_fail=p_fail)
     verdicts = Counter()
     for scene, seed in pull_trial_scenes():
@@ -869,23 +878,45 @@ def test_ready_and_the_contact_witness_are_the_grasp_test(p_fail):
             # Every verdict the policy took, on this table or before it.
             on_table = {memo.bit(sid): sid for sid in ids}
             for (bm, ba), entry in memo._pulls.items():
-                if entry.check is None or entry.check.failed not in (None, "mog_allowable"):
+                if entry.sweep is None or entry.fits is None:  # no verdict at contact
                     continue
                 if bm in on_table and ba in on_table:
                     mover, anchor = on_table[bm], on_table[ba]
                     moved = state.clone()
                     moved.stacks[mover] = Stack(state.stacks[mover].dishes, entry.sweep.end)
                     grasp = mog_grasp(moved, mover, anchor, sim)
-                    assert entry.check.allowable == (grasp is not None)
-                    # The memo names one of the blockers, not always the first.
-                    check, full = memo.pull(mover, anchor), check_pull(state, mover, anchor, sim)
-                    assert (check.blocker is None) == (full.blocker is None)
-                    assert dataclasses.replace(check, blocker=None) == dataclasses.replace(
-                        full, blocker=None
-                    )
-                    assert check.grasp == grasp
-                    verdicts[entry.check.allowable] += 1
+                    assert entry.fits == (grasp is not None)
+                    full = check_pull(state, mover, anchor, sim)
+                    assert memo.pullable(mover, anchor, memo.table) == full.allowable
+                    assert (full.failed == "mog_allowable") == (not entry.fits)
+                    assert full.grasp == grasp
+                    assert full.end == (entry.sweep.end if entry.fits else None)
+                    verdicts[entry.fits] += 1
     assert verdicts[True] and verdicts[False]
+
+
+@pytest.mark.parametrize("p_fail", [0.0, 0.2])
+def test_every_pull_verdict_the_policy_reads_is_check_pulls(monkeypatch, p_fail):
+    # The planner asks the memo about pulls on the synced table and on the
+    # subsets it looks ahead on; each answer is ``check_pull``'s on a table
+    # of the subset's stacks.
+    sim = dataclasses.replace(SIM, p_fail=p_fail)
+    answers, subsets = Counter(), []
+    pullable = PairMemo.pullable
+
+    def checked(memo, mover, anchor, table):
+        got = pullable(memo, mover, anchor, table)
+        assert got == check_pull(on_table(memo, table), mover, anchor, sim).allowable
+        assert table & memo.table == table
+        answers[got] += 1
+        subsets.append(table != memo.table)
+        return got
+
+    monkeypatch.setattr(PairMemo, "pullable", checked)
+    for scene, seed in pull_trial_scenes():
+        run_policy(scene, PULL, sim, seed)
+    assert answers[True] and answers[False]
+    assert any(subsets)
 
 
 @pytest.mark.parametrize("p_fail", [0.0, 0.2])

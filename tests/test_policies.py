@@ -146,7 +146,7 @@ class TestPullPolicy:
         tests = []  # ``Sweep.meets`` calls made inside a search
         searching = []
         search, plan = policies._exact_search, policies._plan
-        corridor, meets = policies.PairMemo._corridor, Sweep.meets
+        pullable, meets = policies.PairMemo.pullable, Sweep.meets
 
         def counted_search(*args):
             searches.append(set())
@@ -159,10 +159,10 @@ class TestPullPolicy:
             finally:
                 searching.clear()
 
-        def counted_corridor(memo, mover, anchor, table):
+        def counted_pullable(memo, mover, anchor, table):
             if searching:
                 searches[-1].add((mover, anchor))
-            return corridor(memo, mover, anchor, table)
+            return pullable(memo, mover, anchor, table)
 
         def counted_meets(sweep, footprints):
             if searching:
@@ -171,7 +171,7 @@ class TestPullPolicy:
 
         monkeypatch.setattr(policies, "_exact_search", counted_search)
         monkeypatch.setattr(policies, "_plan", counted_plan)
-        monkeypatch.setattr(policies.PairMemo, "_corridor", counted_corridor)
+        monkeypatch.setattr(policies.PairMemo, "pullable", counted_pullable)
         monkeypatch.setattr(Sweep, "meets", counted_meets)
         for tier in (Tier.T1, Tier.T2):
             for seed in range(20):

@@ -48,8 +48,8 @@ def test_jaw_edge(past, passes):
     memo = synced(pair, sim)
     assert (mog_grasp(pair, 0, 1, sim) is not None) == passes
     assert ready(memo, 0, 1) == passes
-    for check in (check_pull(pair, 2, 0, sim), memo.pull(2, 0)):
-        assert check.failed == (None if passes else "mog_allowable")
+    assert check_pull(pair, 2, 0, sim).failed == (None if passes else "mog_allowable")
+    assert memo.pullable(2, 0, memo.table) == passes
     stack = build_scene([([CUP], 20, 20), ([CUP, CUP], 50, 40)])
     assert stack_allowable(stack, 1, 0, sim) == passes
     assert stackable(synced(stack, sim), 1, 0) == passes
@@ -70,8 +70,8 @@ def test_grip_similarity_edge(past, passes):
     assert (mog_grasp(scene, 0, 1, sim) is not None) == passes
     assert ready(memo, 0, 1) == passes
     assert same_grip(memo, 2, 3) == passes
-    for check in (check_pull(scene, 2, 3, sim), memo.pull(2, 3)):
-        assert check.failed == (None if passes else "grip_height")
+    assert check_pull(scene, 2, 3, sim).failed == (None if passes else "grip_height")
+    assert memo.pullable(2, 3, memo.table) == passes
 
 
 @pytest.mark.parametrize("past, passes", EDGES)

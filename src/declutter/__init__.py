@@ -17,7 +17,7 @@ from .actions import (
     mog_grasp,
     stack_allowable,
 )
-from .config import SimConfig, default_sim_config, load_config
+from .config import SimConfig, load_config
 from .errors import (
     ActionCapReached,
     EmptyTrace,

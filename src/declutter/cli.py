@@ -137,15 +137,7 @@ def _cmd_fit_time(args, sim) -> int:
     report = {
         **fragment,
         "relative_rms_residual": round(result.relative_rms_residual, 6),
-        "rows": [
-            {
-                "tier": row["tier"],
-                "policy": row["policy"],
-                "observed": row["observed"],
-                "predicted": round(row["predicted"], 3),
-            }
-            for row in result.rows
-        ],
+        "rows": [{**row, "predicted": round(row["predicted"], 3)} for row in result.rows],
     }
     if args.out:
         Path(args.out).write_text(json.dumps(fragment, indent=2) + "\n")

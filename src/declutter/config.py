@@ -9,13 +9,12 @@ config JSON can be passed to the CLI explicitly or through the
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .actions import GripperSpec
-from .errors import SchemaError, from_number_fields, known_keys, number, read_file
+from .errors import SchemaError, from_number_fields, known_keys, number, parse_json, read_file
 from .metrics import TimeModel
 from .tableware import DEFAULT_WORKSPACE, DishKind, DishSpec, default_dish_specs
 
@@ -56,10 +55,6 @@ class SimConfig:
             raise ValueError("pull_clearance_margin must be >= 0")
 
 
-def default_sim_config() -> SimConfig:
-    return SimConfig()
-
-
 _CONFIG_KEYS = (
     "workspace", "dishes", "gripper", "pull_clearance_margin", "time_model", "p_fail"
 )
@@ -82,19 +77,18 @@ def config_to_json_obj(sim: SimConfig) -> dict:
 
 def config_from_json_obj(data: dict) -> SimConfig:
     known_keys(data, _CONFIG_KEYS, "config")
-    sim = default_sim_config()
+    fields = {}
 
     if "workspace" in data:
         ws = data["workspace"]
         if not (isinstance(ws, list) and len(ws) == 2):
             raise SchemaError("config: workspace must be [width, height]")
-        width, height = (float(number(v, "config: workspace sides")) for v in ws)
-        sim.workspace = (width, height)
+        fields["workspace"] = tuple(number(v, "config: workspace sides") for v in ws)
 
     if "dishes" in data:
         if not isinstance(data["dishes"], dict):
             raise SchemaError("config: dishes must be a JSON object")
-        specs = dict(sim.dish_specs)
+        specs = default_dish_specs()
         for name, entry in data["dishes"].items():
             try:
                 kind = DishKind(name)
@@ -103,30 +97,29 @@ def config_from_json_obj(data: dict) -> SimConfig:
             specs[kind] = from_number_fields(
                 DishSpec, entry, f"config: dishes: {name}", specs[kind]
             )
-        sim.dish_specs = specs
+        fields["dish_specs"] = specs
 
     if "gripper" in data:
-        sim.gripper = from_number_fields(
-            GripperSpec, data["gripper"], "config: gripper", sim.gripper
+        fields["gripper"] = from_number_fields(
+            GripperSpec, data["gripper"], "config: gripper", GripperSpec()
         )
 
     if "pull_clearance_margin" in data:
         margin = data["pull_clearance_margin"]
-        sim.pull_clearance_margin = float(number(margin, "config: pull_clearance_margin"))
+        fields["pull_clearance_margin"] = number(margin, "config: pull_clearance_margin")
 
     if "time_model" in data:
-        sim.time_model = from_number_fields(
-            TimeModel, data["time_model"], "config: time_model", sim.time_model
+        fields["time_model"] = from_number_fields(
+            TimeModel, data["time_model"], "config: time_model", DEFAULT_TIME_MODEL
         )
 
     if "p_fail" in data:
-        sim.p_fail = float(number(data["p_fail"], "config: p_fail"))
+        fields["p_fail"] = number(data["p_fail"], "config: p_fail")
 
     try:
-        sim.__post_init__()
+        return SimConfig(**fields)
     except ValueError as exc:
         raise SchemaError(f"config: {exc}") from exc
-    return sim
 
 
 def load_config(path: str | Path | None = None) -> SimConfig:
@@ -134,9 +127,5 @@ def load_config(path: str | Path | None = None) -> SimConfig:
     if path is None:
         path = os.environ.get(ENV_VAR) or None
     if path is None:
-        return default_sim_config()
-    try:
-        data = json.loads(read_file(path, "config file"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config file is not valid JSON: {exc}") from exc
-    return config_from_json_obj(data)
+        return SimConfig()
+    return config_from_json_obj(parse_json(read_file(path, "config file"), "config file"))

@@ -1,9 +1,10 @@
-"""Exception types shared across the simulator, the reader of input
-files, and the readers of the numbers and all-number JSON objects that
-config and plan files hold."""
+"""Exception types shared across the simulator, the readers of input
+files and their JSON, and the readers of the numbers and all-number JSON
+objects that scene, config and plan files hold."""
 
 from __future__ import annotations
 
+import json
 from collections.abc import Collection
 from dataclasses import fields, replace
 from pathlib import Path
@@ -15,20 +16,31 @@ class SchemaError(ValueError):
 
 
 def read_file(path: str | Path, what: str) -> str:
-    """The UTF-8 text of input file ``path``; SchemaError, naming it
-    ``what``, when it is missing, cannot be read or is not UTF-8."""
+    """The UTF-8 text of input file ``path``, less a leading byte-order mark;
+    SchemaError, naming it ``what``, when it is missing, cannot be read or
+    is not UTF-8."""
     file = Path(path)
     try:
-        return file.read_text(encoding="utf-8")
+        return file.read_text(encoding="utf-8-sig")
     except FileNotFoundError as exc:
         raise SchemaError(f"{what} not found: {file}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{what} cannot be read: {file}: {exc}") from exc
 
 
+def parse_json(text: str, what: str) -> object:
+    """The JSON value ``text`` holds; SchemaError, naming it ``what``, when
+    it is not valid JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def number(value: object, where: str, integer: bool = False) -> float | int:
-    """``value`` when it is a JSON number in the float range, or an integer
-    when ``integer``; otherwise SchemaError saying what ``where`` must be.
+    """``value`` as a float when it is a JSON number in the float range, or
+    as an integer when ``integer``; otherwise SchemaError saying what
+    ``where`` must be.
 
     Python's JSON reader accepts NaN and Infinity, which would pass every
     range check and, as a clearance margin, break every pull check, and
@@ -37,7 +49,7 @@ def number(value: object, where: str, integer: bool = False) -> float | int:
     kind = int if integer else (int, float)
     if isinstance(value, bool) or not isinstance(value, kind) or not abs(value) <= float_info.max:
         raise SchemaError(f"{where} must be {'an integer' if integer else 'a number'}")
-    return value
+    return value if integer else float(value)
 
 
 def known_keys(data: object, keys: Collection[str], where: str) -> None:
@@ -59,7 +71,7 @@ def from_number_fields(cls: type, data: object, where: str, base=None):
     message prefixed with ``where``, on any other input.
     """
     known_keys(data, {f.name for f in fields(cls) if "float" in str(f.type)}, where)
-    values = {key: float(number(value, f"{where}: '{key}'")) for key, value in data.items()}
+    values = {key: number(value, f"{where}: '{key}'") for key, value in data.items()}
     try:
         return replace(base, **values) if base is not None else cls(**values)
     except (TypeError, ValueError) as exc:

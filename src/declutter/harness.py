@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable
 
 from .config import SimConfig
-from .errors import SchemaError, from_number_fields, known_keys, number
+from .errors import SchemaError, from_number_fields, known_keys, number, parse_json
 from .metrics import (
     BASELINE,
     PolicySummary,
@@ -30,7 +30,7 @@ from .metrics import (
 )
 from .policies import PolicyConfig, Trace, run_policy
 from .rng import check_seed, derive_seed
-from .tableware import Tier, TierConfig, generate_scene, scene_to_json
+from .tableware import SceneState, Tier, TierConfig, generate_scene, scene_to_json
 
 # ``json.dumps`` minus the cycle check: ``apply`` makes each event a new tree.
 encode_json = json.JSONEncoder(check_circular=False).encode
@@ -78,17 +78,9 @@ class ExperimentPlan:
         check_seed(self.base_seed, "base_seed")
 
 
-_PLAN_KEYS = (
-    "tiers", "scenes_per_tier", "policies", "base_seed", "time_model", "p_fail", "bin_delays"
-)
-
-
 def plan_from_json(text: str) -> ExperimentPlan:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"plan file is not valid JSON: {exc}") from exc
-    known_keys(data, _PLAN_KEYS, "plan")
+    data = parse_json(text, "plan file")
+    known_keys(data, {f.name for f in fields(ExperimentPlan)}, "plan")
     if not isinstance(data.get("tiers", []), list):
         raise SchemaError("plan: tiers must be a list")
     try:
@@ -127,13 +119,15 @@ def plan_from_json(text: str) -> ExperimentPlan:
         policies=policies,
         base_seed=number(data["base_seed"], "plan: base_seed", True),
         time_model=tm,
-        p_fail=float(number(data["p_fail"], "plan: p_fail")) if "p_fail" in data else None,
-        bin_delays=[float(number(d, "plan: bin_delays")) for d in bin_delays],
+        p_fail=number(data["p_fail"], "plan: p_fail") if "p_fail" in data else None,
+        bin_delays=[number(d, "plan: bin_delays") for d in bin_delays],
     )
 
 
-def scene_seed(base_seed: int, tier: Tier, index: int) -> int:
-    return derive_seed(base_seed, "scene", tier.value, index)
+def plan_scene(sim: SimConfig, tier: Tier, base_seed: int, index: int) -> SceneState:
+    """Scene ``index`` of ``tier`` in a plan with ``base_seed``."""
+    seed = derive_seed(base_seed, "scene", tier.value, index)
+    return generate_scene(TierConfig.preset(tier), seed, sim.dish_specs, sim.workspace)
 
 
 def trial_seed(base_seed: int, tier: Tier, index: int, policy: str) -> int:
@@ -150,10 +144,9 @@ def generate_scene_files(
     """Write ``count`` scene files for a tier; idempotent for equal inputs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = TierConfig.preset(tier)
     paths = []
     for k in range(count):
-        scene = generate_scene(cfg, scene_seed(seed, tier, k), sim.dish_specs, sim.workspace)
+        scene = plan_scene(sim, tier, seed, k)
         path = out / scene_filename(tier, seed, k)
         path.write_text(scene_to_json(scene) + "\n")
         paths.append(path)
@@ -166,8 +159,7 @@ def _run_scene(
     """Generate scene ``index`` of ``tier`` once and run every plan policy on
     it; returns each trial's report and its ``traces.jsonl`` lines."""
     plan, sim, tier, index = args
-    seed = scene_seed(plan.base_seed, tier, index)
-    scene = generate_scene(TierConfig.preset(tier), seed, sim.dish_specs, sim.workspace)
+    scene = plan_scene(sim, tier, plan.base_seed, index)
     trials = []
     for policy in plan.policies:
         trace = run_policy(

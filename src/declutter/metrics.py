@@ -44,16 +44,7 @@ class TrialReport:
     failures: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "scene_id": self.scene_id,
-            "tier": self.tier,
-            "policy": self.policy,
-            "trips": self.trips,
-            "objects_cleared": self.objects_cleared,
-            "opt": round(self.opt, 6),
-            "time_s": round(self.time_s, 6),
-            "failures": self.failures,
-        }
+        return {**vars(self), "opt": round(self.opt, 6), "time_s": round(self.time_s, 6)}
 
 
 def build_report(trace: Trace, tm: TimeModel, scene_id: str) -> TrialReport:

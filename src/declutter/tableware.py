@@ -8,14 +8,13 @@ identical inputs always produce byte-identical files.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
-from .errors import PlacementExhausted, SchemaError, known_keys, number
+from .errors import PlacementExhausted, SchemaError, known_keys, number, parse_json
 from .geometry import (
     TOUCH_TOL,
     XY,
@@ -479,10 +478,7 @@ def scene_to_json(state: SceneState) -> str:
 
 
 def scene_from_json(text: str, specs: dict[DishKind, DishSpec] | None = None) -> SceneState:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"scene file is not valid JSON: {exc}") from exc
+    data = parse_json(text, "scene file")
     known_keys(data, ("workspace", "seed", "tier", "stacks"), "scene")
     try:
         ws = data["workspace"]
@@ -493,8 +489,7 @@ def scene_from_json(text: str, specs: dict[DishKind, DishSpec] | None = None) ->
         raise SchemaError(f"scene file missing field {exc}") from exc
     if not isinstance(ws, list) or len(ws) != 2:
         raise SchemaError("workspace must be [width, height]")
-    workspace = (float(number(ws[0], "workspace width")),
-                 float(number(ws[1], "workspace height")))
+    workspace = number(ws[0], "workspace width"), number(ws[1], "workspace height")
     if min(workspace) <= 0:
         raise SchemaError("workspace sides must be positive")
     if not isinstance(raw_stacks, list) or not raw_stacks:
@@ -513,7 +508,7 @@ def scene_from_json(text: str, specs: dict[DishKind, DishSpec] | None = None) ->
         known_keys(raw, ("base", "dishes"), f"stack {idx}")
         try:
             x, y = raw["base"]
-            base = float(number(x, "base x")), float(number(y, "base y"))
+            base = number(x, "base x"), number(y, "base y")
             raw_dishes = raw["dishes"]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"stack {idx} malformed: {exc}") from exc
@@ -525,11 +520,9 @@ def scene_from_json(text: str, specs: dict[DishKind, DishSpec] | None = None) ->
             try:
                 dish_id = number(rd["id"], "id", integer=True)
                 kind = DishKind(rd["kind"])
-                theta = (
-                    normalize_angle(float(number(rd.get("theta", 0.0), "theta")))
-                    if kind is DishKind.UTENSIL
-                    else 0.0
-                )
+                if "theta" in rd and kind is not DishKind.UTENSIL:
+                    raise ValueError(f"a {kind.value} takes no theta")
+                theta = normalize_angle(number(rd.get("theta", 0.0), "theta"))
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"stack {idx} dish malformed: {exc}") from exc
             if dish_id in state.dishes:

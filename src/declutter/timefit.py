@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import SchemaError
-from .harness import scene_seed, trial_seed
+from .harness import plan_scene, trial_seed
 from .metrics import TimeModel
 from .policies import PolicyConfig, run_policy
-from .tableware import Tier, TierConfig, generate_scene
+from .tableware import Tier
 
 if TYPE_CHECKING:
     from .config import SimConfig
@@ -80,11 +80,7 @@ def simulated_counts(sim: "SimConfig") -> dict[tuple[str, str], tuple[float, flo
     counts: dict[tuple[str, str], tuple[float, float, float, float]] = {}
     policies = [PolicyConfig.named(name) for name in ("random", "pull", "stack")]
     for tier in Tier:
-        cfg = TierConfig.preset(tier)
-        scenes = [
-            generate_scene(cfg, scene_seed(FIT_BASE_SEED, tier, k), sim.dish_specs, sim.workspace)
-            for k in range(FIT_SCENES_PER_TIER)
-        ]
+        scenes = [plan_scene(sim, tier, FIT_BASE_SEED, k) for k in range(FIT_SCENES_PER_TIER)]
         for policy in policies:
             totals = (0, 0, 0, 0)
             for k, scene in enumerate(scenes):

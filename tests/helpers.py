@@ -8,15 +8,15 @@ from declutter import (
     Dish,
     DishKind,
     SceneState,
+    SimConfig,
     Stack,
     build_report,
-    default_sim_config,
     overlaps,
 )
 from declutter.geometry import separation
 from declutter.rng import SplitMix64
 
-SIM = default_sim_config()
+SIM = SimConfig()
 
 CUP = DishKind.CUP
 BOWL = DishKind.BOWL

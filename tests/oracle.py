@@ -15,7 +15,6 @@ scenes (``python tests/oracle.py``).
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 import time
 from functools import lru_cache
@@ -27,20 +26,18 @@ from declutter import (
     PolicyKind,
     PullGrasp,
     SceneState,
+    SimConfig,
     StackGrasp,
     Tier,
-    TierConfig,
     UtensilStacking,
     check_pull,
-    default_sim_config,
-    generate_scene,
     grasp_gap,
     mog_grasp,
     stack_allowable,
     trial_steps,
     validate,
 )
-from declutter.harness import scene_seed, trial_seed
+from declutter.harness import plan_scene, trial_seed
 
 # The pull policy plans its order on tables of at most this many stacks
 # (a paper scene) and is nearest-first above it.
@@ -213,14 +210,13 @@ def sweep_plan3000(policy: PolicyConfig, p_fail: float) -> int:
     validated: a stack-grasp may still place a pile that overlaps another
     stack.  Prints the steps, the failures and the seconds taken; returns
     the failures."""
-    sim = dataclasses.replace(default_sim_config(), p_fail=p_fail)
+    sim = SimConfig(p_fail=p_fail)
     pull = policy.kind is PolicyKind.PULL
     steps = failures = 0
     start = time.perf_counter()
     for tier in Tier:
-        cfg = TierConfig.preset(tier)
         for index in range(200):
-            scene = generate_scene(cfg, scene_seed(7, tier, index), sim.dish_specs, sim.workspace)
+            scene = plan_scene(sim, tier, 7, index)
             seed = trial_seed(7, tier, index, policy.kind.value)
             for t, step in enumerate(trial_steps(scene, policy, sim, seed)):
                 steps += 1

@@ -14,6 +14,7 @@ from declutter import (
     PairGrasp,
     PolicyConfig,
     PullGrasp,
+    SimConfig,
     StackGrasp,
     TimeModel,
     Tier,
@@ -27,7 +28,6 @@ from declutter import (
     trial_steps,
     validate,
 )
-from declutter.config import default_sim_config
 from declutter.policies import PolicyKind
 from declutter.rng import SplitMix64
 from declutter.tableware import DishKind, stack_top_lip_height
@@ -35,7 +35,7 @@ from declutter.timefit import REFERENCE_ROWS, fit_time_model, simulated_counts
 from helpers import BOWL, CUP, build_scene, random_small_scene, report_of
 from oracle import min_trips
 
-SIM = default_sim_config()
+SIM = SimConfig()
 POLICIES = {name: PolicyConfig.named(name) for name in ("random", "pull", "stack")}
 TIERS = list(Tier)
 CORPUS_SEEDS = 200

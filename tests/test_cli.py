@@ -13,7 +13,7 @@ from declutter.cli import main
 from declutter.harness import plan_from_json, run_plan, trace_lines, trial_seed
 from declutter.metrics import build_report
 from declutter.policies import PolicyConfig, run_policy
-from declutter.config import default_sim_config, load_config
+from declutter.config import SimConfig, load_config
 from declutter.rng import derive_seed
 from declutter.tableware import Tier
 
@@ -109,7 +109,7 @@ class TestRun:
         out = tmp_path / "scenes"
         main(["generate", "--tier", "t2", "--count", "1", "--seed", "5", "--out", str(out)])
         path = out / "scene_t2_5_0.json"
-        sim = default_sim_config()
+        sim = SimConfig()
         loaded = scene_from_json(path.read_text(), sim.dish_specs)
         trace = tmp_path / "trace.jsonl"
         assert main(["run", "--scene", str(path), "--policy", policy, "--seed", "13",
@@ -128,7 +128,7 @@ class TestRun:
         out = tmp_path / "scenes"
         main(["generate", "--tier", "t2", "--count", "1", "--seed", "5", "--out", str(out)])
         path = out / "scene_t2_5_0.json"
-        sim = default_sim_config()
+        sim = SimConfig()
         scene = scene_from_json(path.read_text(), sim.dish_specs)
         policy = PolicyConfig.named(*named)
         expected = run_policy(scene, policy, sim, derive_seed(scene.rng_seed, "trial", named[0]))
@@ -217,6 +217,7 @@ class TestRun:
         ("short_workspace", "workspace must be [width, height]"),
         ("negative_seed", "seed must be in [0, 2^64)"),
         ("huge_seed", "seed must be in [0, 2^64)"),
+        ("cup_theta", "dish malformed: a cup takes no theta"),
     ])
     def test_scene_schema_errors_exit_3(self, tmp_path, capsys, edit, message):
         out = tmp_path / "scenes"
@@ -247,12 +248,35 @@ class TestRun:
             scene["seed"] = -1
         elif edit == "huge_seed":
             scene["seed"] = 2**64
+        elif edit == "cup_theta":  # only a utensil has an angle
+            dishes = (d for s in scene["stacks"] for d in s["dishes"])
+            next(d for d in dishes if d["kind"] == "cup")["theta"] = 1.0
         else:
             scene["stacks"][-1]["dishes"][0]["extra"] = 1
         path.write_text(json.dumps(scene))
         capsys.readouterr()
         assert main(["run", "--scene", str(path), "--policy", "pull"]) == 3
         assert message in capsys.readouterr().err
+
+    def test_integer_scene_numbers_are_read_as_floats(self, tmp_path, capsys):
+        # A scene written with integers runs as the same scene written with
+        # floats: the report and the trace are the same bytes.
+        stacks = [((10, 10), "bowl", None), ((30, 12), "bowl", None), ((12, 40), "cup", None),
+                  ((50, 40), "utensil", 1), ((60, 20), "utensil", 2)]
+        runs = []
+        for num in (int, float):
+            scene = {"workspace": [num(78), num(61)], "seed": 5, "tier": "custom", "stacks": [
+                {"base": [num(x), num(y)],
+                 "dishes": [{"id": i, "kind": kind, **({} if theta is None else {"theta": num(theta)})}]}
+                for i, ((x, y), kind, theta) in enumerate(stacks)
+            ]}
+            path, trace = tmp_path / "scene.json", tmp_path / f"{num.__name__}.jsonl"
+            path.write_text(json.dumps(scene))
+            assert main(["run", "--scene", str(path), "--policy", "pull",
+                         "--trace", str(trace)]) == 0
+            runs.append((capsys.readouterr().out, trace.read_text()))
+        assert '"start": [50.0, 40.0]' in runs[0][1]  # the pull's mover, at its base
+        assert runs[0] == runs[1]
 
     def test_missing_scene_exits_3(self, tmp_path):
         rc = main(["run", "--scene", str(tmp_path / "none.json"), "--policy", "pull"])
@@ -294,7 +318,7 @@ class TestBench:
     def test_deterministic_and_parallel_identical(self, tmp_path):
         plan_path = write_plan(tmp_path)
         plan = plan_from_json(plan_path.read_text())
-        sim = default_sim_config()
+        sim = SimConfig()
         out1 = tmp_path / "seq"
         out2 = tmp_path / "par"
         run_plan(plan, sim, out1, jobs=1)
@@ -331,7 +355,7 @@ class TestBench:
     def test_failed_plan_leaves_report_files_as_they_were(
         self, tmp_path, monkeypatch, in_process_pool, jobs, fault
     ):
-        sim = default_sim_config()
+        sim = SimConfig()
         out = tmp_path / "bench"
         run_plan(plan_from_json(write_plan(tmp_path).read_text()), sim, out)
         before = {f.name: f.read_bytes() for f in out.iterdir()}
@@ -367,7 +391,7 @@ class TestBench:
     def test_memory_does_not_grow_with_the_plan(self, tmp_path):
         # Only the reports are kept across scenes; each scene's trace lines
         # are written as it finishes.
-        sim = default_sim_config()
+        sim = SimConfig()
         peaks = []
         for scenes in (5, 20):
             plan = plan_from_json(write_plan(
@@ -383,7 +407,7 @@ class TestBench:
         assert peaks[1] < 2 * peaks[0], peaks
 
     def test_added_policy_does_not_perturb_existing_trials(self, tmp_path):
-        sim = default_sim_config()
+        sim = SimConfig()
         small = plan_from_json(write_plan(tmp_path, policies=["random"]).read_text())
         big = plan_from_json(
             write_plan(tmp_path, policies=["random", "stack"]).read_text()
@@ -567,7 +591,7 @@ class TestBench:
             column = rows[0].split(",").index("mean_time_s")
             return [float(row.split(",")[column]) for row in rows[1:]]
 
-        own = dataclasses.asdict(default_sim_config().time_model)
+        own = dataclasses.asdict(SimConfig().time_model)
         slower = {**own, "travel_s": own["travel_s"] + 10.0}
         base = mean_times("config")
         assert mean_times("own", time_model=own) == base
@@ -647,13 +671,18 @@ class TestFitTime:
         frag = tmp_path / "fit.json"
         rc = main(["fit-time", "--table", str(table), "--out", str(frag)])
         assert rc == 0
-        data = json.loads(capsys.readouterr().out)
+        shown = capsys.readouterr().out
+        data = json.loads(shown)
         assert len(data["rows"]) == 3
         # The --out file is a config: its time model, not the default one,
         # takes effect.
-        assert data["time_model"] != dataclasses.asdict(default_sim_config().time_model)
+        assert data["time_model"] != dataclasses.asdict(SimConfig().time_model)
         assert main(["--config", str(frag), "show-config"]) == 0
         assert json.loads(capsys.readouterr().out)["time_model"] == data["time_model"]
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark.
+        table.write_text(table.read_text(), encoding="utf-8-sig")
+        assert main(["fit-time", "--table", str(table)]) == 0
+        assert capsys.readouterr().out == shown
 
     def test_bad_table_exits_3(self, tmp_path):
         table = tmp_path / "table.csv"
@@ -679,13 +708,18 @@ def test_show_config_prints_defaults(capsys):
     assert data["gripper"]["max_opening"] == 8.5
 
 
-@pytest.mark.parametrize("config", [None, {"p_fail": 0.1, "time_model": {"travel_s": 6.0}}],
-                         ids=["defaults", "edited"])
-def test_show_config_output_is_a_config(tmp_path, capsys, config):
+EDITED = {"p_fail": 0.1, "time_model": {"travel_s": 6.0}}
+
+
+# Excel's "CSV UTF-8" (utf-8-sig) starts a file with a byte-order mark.
+@pytest.mark.parametrize("config, encoding", [
+    (None, None), (EDITED, "utf-8"), (EDITED, "utf-8-sig"),
+], ids=["defaults", "edited", "edited_with_byte_order_mark"])
+def test_show_config_output_is_a_config(tmp_path, capsys, config, encoding):
     # What show-config prints, passed back as --config, prints the same.
     argv = ["show-config"]
     if config is not None:
-        (tmp_path / "edited.json").write_text(json.dumps(config))
+        (tmp_path / "edited.json").write_text(json.dumps(config), encoding=encoding)
         argv = ["--config", str(tmp_path / "edited.json"), *argv]
     assert main(argv) == 0
     shown = capsys.readouterr().out
@@ -694,10 +728,34 @@ def test_show_config_output_is_a_config(tmp_path, capsys, config):
     assert capsys.readouterr().out == shown
 
 
-def test_config_flag_threads_through(tmp_path, capsys):
-    from declutter.config import config_to_json_obj, default_sim_config
+def test_integer_config_numbers_are_read_as_floats(tmp_path, capsys):
+    # A config written with integers prints as the same config written with
+    # floats, each number a float.
+    config = {
+        "workspace": [80, 60], "pull_clearance_margin": 2, "p_fail": 0,
+        "gripper": {"max_opening": 9, "jaw_height": 5},
+        "dishes": {"cup": {"radius": 5}, "utensil": {"length": 16, "width": 2}},
+        "time_model": {"travel_s": 6},
+    }
+    shown = []
+    for num in (int, float):
+        path = tmp_path / f"{num.__name__}.json"
+        path.write_text(json.dumps(json.loads(json.dumps(config), parse_int=num)))
+        assert main(["--config", str(path), "show-config"]) == 0
+        shown.append(capsys.readouterr().out)
+    assert shown[0] == shown[1]
+    data = json.loads(shown[0])
+    read = [*data["workspace"], data["pull_clearance_margin"], data["p_fail"],
+            *data["gripper"].values(), data["dishes"]["cup"]["radius"],
+            *data["dishes"]["utensil"].values(), data["time_model"]["travel_s"]]
+    assert data["workspace"] == [80.0, 60.0]
+    assert all(type(value) is float for value in read)
 
-    sim = default_sim_config()
+
+def test_config_flag_threads_through(tmp_path, capsys):
+    from declutter.config import config_to_json_obj
+
+    sim = SimConfig()
     sim.p_fail = 0.1
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config_to_json_obj(sim), indent=2))

@@ -5,18 +5,17 @@ import json
 
 import pytest
 
-from declutter import DishKind, SchemaError
+from declutter import DishKind, SchemaError, SimConfig
 from declutter.config import (
     ENV_VAR,
     config_from_json_obj,
     config_to_json_obj,
-    default_sim_config,
     load_config,
 )
 
 
 def test_paper_constants_live_in_config():
-    sim = default_sim_config()
+    sim = SimConfig()
     assert sim.workspace == (78.0, 61.0)
     assert sim.gripper.max_opening == 8.5
     assert sim.gripper.jaw_height == 4.5
@@ -31,7 +30,7 @@ def test_paper_constants_live_in_config():
 def test_nest_offset_window():
     # The default nest offset must make exactly 4+ nested cups ungraspable:
     # (s - 1) * offset > jaw iff s >= 4 requires offset in (1.5, 2.25].
-    sim = default_sim_config()
+    sim = SimConfig()
     offset = sim.dish_specs[DishKind.CUP].nest_offset
     jaw = sim.gripper.jaw_height
     assert 3 * offset > jaw          # four nested cups exceed the jaws
@@ -40,7 +39,7 @@ def test_nest_offset_window():
 
 
 def test_round_trip(tmp_path):
-    sim = default_sim_config()
+    sim = SimConfig()
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config_to_json_obj(sim), indent=2))
     loaded = load_config(path)
@@ -54,13 +53,13 @@ def test_partial_config_overrides_defaults():
     assert sim.gripper.max_opening == 10.0
     assert sim.gripper.jaw_height == 4.5  # untouched default
     assert sim.p_fail == 0.25
-    default = default_sim_config().time_model
+    default = SimConfig().time_model
     assert sim.time_model == dataclasses.replace(default, travel_s=7.0)
 
 
 def test_env_var_override(tmp_path, monkeypatch):
     path = tmp_path / "env_config.json"
-    sim = default_sim_config()
+    sim = SimConfig()
     sim.pull_clearance_margin = 2.5
     path.write_text(json.dumps(config_to_json_obj(sim), indent=2))
     monkeypatch.setenv(ENV_VAR, str(path))
@@ -87,7 +86,7 @@ def test_invalid_json_rejected(tmp_path):
 
 
 def test_config_json_carries_time_model(tmp_path):
-    sim = default_sim_config()
+    sim = SimConfig()
     obj = config_to_json_obj(sim)
     assert set(obj["time_model"]) == {"grasp_s", "pull_s", "stack_s", "travel_s", "bin_delay_s"}
     text = json.dumps(obj)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from declutter.config import DEFAULT_TIME_MODEL, default_sim_config
+from declutter.config import DEFAULT_TIME_MODEL, SimConfig
 from declutter.errors import SchemaError
 from declutter.timefit import (
     REFERENCE_ROWS,
@@ -17,7 +17,7 @@ from declutter.timefit import (
 
 @pytest.fixture(scope="module")
 def counts():
-    return simulated_counts(default_sim_config())
+    return simulated_counts(SimConfig())
 
 
 def test_reference_table_shape():

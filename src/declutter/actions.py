@@ -17,7 +17,7 @@ dishes in the bin and costs one trip.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -274,10 +274,13 @@ def _stack_grasp(dishes: dict[int, Dish], sa: Stack, sb: Stack, sim: "SimConfig"
     return mid, max(grip_a, grip_b), theta
 
 
-def _pull_contact(
-    mover: Stack, anchor: Stack, mover_fps: list[Footprint], anchor_fps: list[Footprint]
-) -> XY | None:
-    """Mover base at first footprint contact along the center line; None if the bases coincide."""
+def _pull_sweep(
+    mover: Stack, anchor: Stack, mover_fps: list[Footprint], anchor_fps: list[Footprint],
+    margin: float,
+) -> Sweep | None:
+    """The region ``mover`` sweeps, its footprints ``mover_fps`` grown by
+    ``margin``, along the center line from its base to where they first
+    touch ``anchor_fps``; None if the bases coincide."""
     (mx, my), (ax, ay) = mover.base, anchor.base
     d = math.hypot(mx - ax, my - ay)
     if d < 1e-9:
@@ -291,7 +294,7 @@ def _pull_contact(
             t = sweep_first_contact(mfp, afp, ux, uy, d)
             if t is not None and t < best:
                 best = t
-    return mx + best * ux, my + best * uy
+    return Sweep(mover.base, (mx + best * ux, my + best * uy), mover_fps, margin)
 
 
 @dataclass(frozen=True)
@@ -325,37 +328,6 @@ class PullCheck:
         return str(self.failed)
 
 
-Footprints = Callable[[Stack], list[Footprint]]
-
-
-def _pair_check(
-    state: SceneState, mover: int, anchor: int, sim: "SimConfig", footprints: Footprints
-) -> tuple[PullCheck | None, Sweep | None]:
-    """The pull's path tests, which depend on the mover and the anchor
-    alone: the failed check, or None and the region the mover sweeps, its
-    footprints grown by ``pull_clearance_margin``, from its base to the
-    contact point (``end``).  ``footprints`` maps a stack to its footprints.
-    ``check_pull`` takes the witness grasp at contact next; the pair memo
-    keeps the sweep and builds no witness.
-    """
-    if mover == anchor:
-        return PullCheck("distinct_targets"), None
-    sm = state.stacks.get(mover)
-    sa = state.stacks.get(anchor)
-    if sm is None or sa is None:
-        return PullCheck("target_on_table"), None
-    specs, dishes = sim.dish_specs, state.dishes
-    if not sim.gripper.similar_heights(
-        specs[dishes[sm.bottom].kind].grasp_height, specs[dishes[sa.bottom].kind].grasp_height
-    ):
-        return PullCheck("grip_height"), None
-    mover_fps = footprints(sm)
-    end = _pull_contact(sm, sa, mover_fps, footprints(sa))
-    if end is None:
-        return PullCheck("contact"), None
-    return None, Sweep(sm.base, end, mover_fps, sim.pull_clearance_margin)
-
-
 def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> PullCheck:
     """Test pulling ``mover`` into contact with ``anchor``, and say why it fails.
 
@@ -370,17 +342,25 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
     them are centered on the base, so ``Sweep.meets`` would pass every stack
     this skips.
     """
-    specs = sim.dish_specs
-
-    def footprints(stack: Stack) -> list[Footprint]:
-        return stack_footprints(state, stack, specs)
-
-    failed, sweep = _pair_check(state, mover, anchor, sim, footprints)
-    if failed is not None:
-        return failed
+    if mover == anchor:
+        return PullCheck("distinct_targets")
+    sm = state.stacks.get(mover)
+    sa = state.stacks.get(anchor)
+    if sm is None or sa is None:
+        return PullCheck("target_on_table")
+    specs, dishes = sim.dish_specs, state.dishes
+    if not sim.gripper.similar_heights(
+        specs[dishes[sm.bottom].kind].grasp_height, specs[dishes[sa.bottom].kind].grasp_height
+    ):
+        return PullCheck("grip_height")
+    sweep = _pull_sweep(
+        sm, sa, stack_footprints(sm, dishes, specs), stack_footprints(sa, dishes, specs),
+        sim.pull_clearance_margin,
+    )
+    if sweep is None:
+        return PullCheck("contact")
     # The grasp test reads only the two stack values, so no table is built.
-    end, sm = sweep.end, state.stacks[mover]
-    grasp = _stack_grasp(state.dishes, Stack(sm.dishes, end), state.stacks[anchor], sim)
+    grasp = _stack_grasp(dishes, Stack(sm.dishes, sweep.end), sa, sim)
     if grasp is None:
         return PullCheck("mog_allowable")
     x0, x1, y0, y1 = sweep.box(widest_radius(specs))
@@ -389,10 +369,10 @@ def check_pull(state: SceneState, mover: int, anchor: int, sim: "SimConfig") -> 
         if (
             x0 <= x <= x1 and y0 <= y <= y1
             and stack.bottom not in (mover, anchor)
-            and sweep.meets(footprints(stack))
+            and sweep.meets(stack_footprints(stack, dishes, specs))
         ):
-            return PullCheck("corridor", stack.bottom, end, grasp)
-    return PullCheck(None, end=end, grasp=grasp)
+            return PullCheck("corridor", stack.bottom, sweep.end, grasp)
+    return PullCheck(None, end=sweep.end, grasp=grasp)
 
 
 def stack_allowable(

@@ -30,9 +30,18 @@ def read_file(path: str | Path, what: str) -> str:
 
 def parse_json(text: str, what: str) -> object:
     """The JSON value ``text`` holds; SchemaError, naming it ``what``, when
-    it is not valid JSON."""
+    it is not valid JSON or an object in it repeats a key."""
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise SchemaError(f"{what}: repeated key '{key}'")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
 

@@ -255,7 +255,8 @@ def _staged(out: Path):
 
 
 def _fmt_delay(delay: float) -> str:
-    return str(int(delay)) if float(delay).is_integer() else str(delay)
+    """``delay`` as a file name reads it: its shortest repr, less a ``.0``."""
+    return repr(float(delay)).removesuffix(".0")
 
 
 def _with_delay(report: TrialReport, tm: TimeModel, delay: float) -> TrialReport:

@@ -24,7 +24,7 @@ from .actions import (
     PairGrasp,
     PullGrasp,
     StackGrasp,
-    _pair_check,
+    _pull_sweep,
     _stack_fits,
     _stack_gap,
     apply,
@@ -78,14 +78,11 @@ class PolicyConfig:
         return cls(kind, UtensilStacking(utensil_stacking))
 
 
-def random_policy(
-    state: SceneState, rng: SplitMix64, sim: "SimConfig", cfg: PolicyConfig, memo: PairMemo | None
-) -> Action:
+def random_policy(state: SceneState, rng: SplitMix64) -> Action:
     """Pick a dish uniformly at random and grasp the stack containing it.
 
     Target selection is stack-agnostic, but a grasp always engages the
-    bottom rim, so the whole stack rides along in one trip.  No pair is
-    asked about, so ``memo`` goes unused.
+    bottom rim, so the whole stack rides along in one trip.
     """
     dishes = sorted((dish, sid) for sid, stack in state.stacks.items() for dish in stack.dishes)
     return grasp_points(state, dishes[rng.below(len(dishes))][1], rng)
@@ -376,14 +373,10 @@ class PairMemo:
         """Ids of the stacks on ``table`` whose bits are in ``mask``, in order."""
         return sorted(sid for sid, bit in self._ids.items() if bit & self.table & mask)
 
-    def footprints(self, stack: Stack) -> list[Footprint]:
-        """``stack_footprints`` of ``stack``, which must be the synced table's."""
-        return self._bit_footprints(self._ids[stack.bottom])
-
     def _bit_footprints(self, bit: int) -> list[Footprint]:
         fps = self._footprints.get(bit)
         if fps is None:
-            fps = stack_footprints(self.state, self._values[bit], self.sim.dish_specs)
+            fps = stack_footprints(self._values[bit], self.state.dishes, self.sim.dish_specs)
             self._footprints[bit] = fps
         return fps
 
@@ -411,7 +404,12 @@ class PairMemo:
         bm, ba = self._ids[mover], self._ids[anchor]
         entry = self._pulls.get((bm, ba))
         if entry is None:
-            sweep = _pair_check(self.state, mover, anchor, self.sim, self.footprints)[1]
+            sweep, grips = None, self.grips
+            if self.sim.gripper.similar_heights(grips[bm], grips[ba]):
+                sweep = _pull_sweep(
+                    self._values[bm], self._values[ba], self._bit_footprints(bm),
+                    self._bit_footprints(ba), self.sim.pull_clearance_margin,
+                )
             entry = self._pulls[(bm, ba)] = _PullEntry(sweep, bm | ba)
             if sweep is not None:  # the listed values based outside the box are clear
                 x0, x1, y0, y1 = sweep.box(self._widest)
@@ -596,9 +594,7 @@ def _trips(
     return least[left]
 
 
-def pull_policy(
-    state: SceneState, rng: SplitMix64, sim: "SimConfig", cfg: PolicyConfig, memo: PairMemo
-) -> Action:
+def pull_policy(state: SceneState, rng: SplitMix64, memo: PairMemo) -> Action:
     """Grasp ready pairs first, then pull pairs together, then singles.
 
     Above ``PLAN_MAX_STACKS`` stacks the policy is nearest-first: (1) a
@@ -636,7 +632,7 @@ def stackable(memo: PairMemo, lifted: int, base: int) -> bool:
 
 
 def stack_policy(
-    state: SceneState, rng: SplitMix64, sim: "SimConfig", cfg: PolicyConfig, memo: PairMemo
+    state: SceneState, rng: SplitMix64, memo: PairMemo, stacking: UtensilStacking
 ) -> Action:
     """Stack utensils onto bowls first, then merge pairs, then singles.
 
@@ -659,12 +655,10 @@ def stack_policy(
     pile with ``stack_allowable`` against its preview of the growing pile.
     """
     memo.sync(state)
+    scopes = ((-1, -1),)  # the (lifted, base) masks of each walk, the whole table last
     if memo.table & memo.utensil_piles and memo.table & memo.bowl_tops:
-        if cfg.utensil_stacking is UtensilStacking.ONE_PER_BOWL:
-            piles, tops = memo.utensil_piles, memo.bowl_tops
-            for u, b in memo.nearest(stackable, lifted=piles, base=tops):
-                lift = grasp_points(state, u, rng)
-                return StackGrasp((lift,), grasp_points(state, b, rng))
+        if stacking is UtensilStacking.ONE_PER_BOWL:
+            scopes = ((memo.utensil_piles, memo.bowl_tops), (-1, -1))
         else:
             utensil_piles, bowl_tops = memo.ids(memo.utensil_piles), memo.ids(memo.bowl_tops)
             chosen = min(
@@ -677,28 +671,25 @@ def stack_policy(
             lifts: list[GraspAction] = []
             working = state
             for u in order:
-                if not stack_allowable(working, u, chosen, sim):
+                if not stack_allowable(working, u, chosen, memo.sim):
                     continue
                 lifts.append(grasp_points(working, u, rng))
                 working = working.merged(u, chosen)
             if lifts:
                 return StackGrasp(tuple(lifts), grasp_points(working, chosen, rng))
 
-    for lifted, base in memo.nearest(stackable):
-        lift = grasp_points(state, lifted, rng)
-        # Stacking keeps the base's bottom dish and base point, all that
-        # ``grasp_points`` reads.
-        return StackGrasp((lift,), grasp_points(state, base, rng))
+    for lifted, base in scopes:
+        for u, b in memo.nearest(stackable, lifted=lifted, base=base):
+            lift = grasp_points(state, u, rng)
+            # Stacking keeps the base's bottom dish and base point, all that
+            # ``grasp_points`` reads.
+            return StackGrasp((lift,), grasp_points(state, b, rng))
 
     return grasp_points(state, min(state.stacks), rng)
 
 
 def next_action(
-    state: SceneState,
-    rng: SplitMix64,
-    sim: "SimConfig",
-    cfg: PolicyConfig,
-    memo: PairMemo | None,
+    state: SceneState, rng: SplitMix64, cfg: PolicyConfig, memo: PairMemo | None
 ) -> Action | None:
     """Next feasible action for the policy, or None once the table is clear.
 
@@ -710,10 +701,10 @@ def next_action(
     if not state.stacks:
         return None
     if cfg.kind is PolicyKind.PULL:
-        return pull_policy(state, rng, sim, cfg, memo)
+        return pull_policy(state, rng, memo)
     if cfg.kind is PolicyKind.STACK:
-        return stack_policy(state, rng, sim, cfg, memo)
-    return random_policy(state, rng, sim, cfg, memo)
+        return stack_policy(state, rng, memo, cfg.utensil_stacking)
+    return random_policy(state, rng)
 
 
 class Step(NamedTuple):
@@ -750,7 +741,7 @@ def trial_steps(
     cap = 50 * max(len(state.dishes), 1) + 100
     memo = None if policy.kind is PolicyKind.RANDOM else PairMemo(sim)
     for _ in range(cap):
-        action = next_action(state, rng, sim, policy, memo)
+        action = next_action(state, rng, policy, memo)
         if action is None:
             return
         failed = grasp_fails(sim, rng)

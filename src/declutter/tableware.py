@@ -222,11 +222,10 @@ class TierConfig:
 
 
 def stack_footprints(
-    state: SceneState, stack: Stack, specs: dict[DishKind, DishSpec]
+    stack: Stack, dishes: dict[int, Dish], specs: dict[DishKind, DishSpec]
 ) -> list[Footprint]:
     x, y = stack.base
-    dishes = map(state.dishes.__getitem__, stack.dishes)
-    return [specs[d.kind].footprint(x, y, d.theta) for d in dishes]
+    return [specs[d.kind].footprint(x, y, d.theta) for d in map(dishes.__getitem__, stack.dishes)]
 
 
 def stack_top_lip_height(
@@ -430,7 +429,7 @@ def validate(
         piled = [specs[state.dishes[d].kind] for d in stack.dishes]
         if not all(upper.rests_on(lower) for lower, upper in zip(piled, piled[1:])):
             problems.append(f"stack stability violated: stack {stack.bottom}")
-        fps = stack_footprints(state, stack, specs)
+        fps = stack_footprints(stack, state.dishes, specs)
         for dish_id, fp in zip(stack.dishes, fps):
             if not _inside_workspace(fp, state.workspace):
                 problems.append(f"out of workspace: dish {dish_id}")

@@ -192,8 +192,8 @@ class TestPull:
         assert check.end[1] == pytest.approx(10.0, abs=1e-6)
         # Independent oracle: scanned first contact along the center line.
         t = scan_first_contact(
-            stack_footprints(scene, scene.stacks[0], SIM.dish_specs)[0],
-            stack_footprints(scene, scene.stacks[1], SIM.dish_specs)[0],
+            stack_footprints(scene.stacks[0], scene.dishes, SIM.dish_specs)[0],
+            stack_footprints(scene.stacks[1], scene.dishes, SIM.dish_specs)[0],
             1.0, 0.0, 30.0,
         )
         assert check.end[0] - 10.0 == pytest.approx(t, abs=1e-3)
@@ -258,11 +258,18 @@ class TestPull:
         check = check_pull(scene, 0, 1, SIM)
         assert (check.failed, check.blocker) == ("corridor", 2)
         margin = SIM.pull_clearance_margin
-        mover = stack_footprints(scene, scene.stacks[0], SIM.dish_specs)
-        blocker = stack_footprints(scene, scene.stacks[2], SIM.dish_specs)
+        mover = stack_footprints(scene.stacks[0], scene.dishes, SIM.dish_specs)
+        blocker = stack_footprints(scene.stacks[2], scene.dishes, SIM.dish_specs)
         start = scene.stacks[0].base
         assert sampled_sweep_blocked(start, check.end, mover, margin, blocker)
         assert not sampled_sweep_blocked(start, check.end, mover, margin, blocker[:1])
+
+    def test_pull_of_a_stack_toward_itself_names_distinct_targets(self):
+        # ``PullGrasp`` refuses such a pull, so only ``check_pull`` can name it.
+        scene = build_scene([([CUP], 10, 10), ([CUP], 40, 10)])
+        check = check_pull(scene, 1, 1, SIM)
+        assert (check.failed, check.blocker, check.end, check.grasp) == (
+            "distinct_targets", None, None, None)
 
     def test_apply_requires_allowable_pull(self):
         scene = build_scene([([CUP], 10, 10), ([BOWL], 40, 10)])
@@ -282,7 +289,7 @@ def test_corridor_matches_sampled_reference(seed):
     scene = random_small_scene(seed)
     specs = SIM.dish_specs
     for mover, sm in scene.stacks.items():
-        fps = stack_footprints(scene, sm, specs)
+        fps = stack_footprints(sm, scene.dishes, specs)
         for anchor in scene.stacks:
             check = check_pull(scene, mover, anchor, SIM)
             if check.failed not in (None, "corridor"):
@@ -291,7 +298,7 @@ def test_corridor_matches_sampled_reference(seed):
                 sid for sid, stack in scene.stacks.items()
                 if sid not in (mover, anchor) and sampled_sweep_blocked(
                     sm.base, check.end, fps, SIM.pull_clearance_margin,
-                    stack_footprints(scene, stack, specs),
+                    stack_footprints(stack, scene.dishes, specs),
                 )
             ]
             assert check.blocker == (blockers[0] if blockers else None), (mover, anchor)

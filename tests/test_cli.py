@@ -34,6 +34,10 @@ def write_plan(tmp_path, **overrides):
     return path
 
 
+class RawText(str):
+    """A file's text as written, for what a dict cannot hold: a repeated key."""
+
+
 @pytest.fixture
 def in_process_pool(monkeypatch):
     """Stands in for the process pool: records each pool's size and runs
@@ -159,7 +163,7 @@ class TestRun:
         main(["generate", "--tier", "t0_bowls", "--count", "1", "--seed", "3",
               "--out", str(out)])
 
-        def off_the_table(state, rng, sim, cfg, memo):
+        def off_the_table(state, rng, cfg, memo):
             return GraspAction(99)
 
         monkeypatch.setattr(policies, "next_action", off_the_table)
@@ -218,12 +222,14 @@ class TestRun:
         ("negative_seed", "seed must be in [0, 2^64)"),
         ("huge_seed", "seed must be in [0, 2^64)"),
         ("cup_theta", "dish malformed: a cup takes no theta"),
+        ("repeated_seed", "scene file: repeated key 'seed'"),
     ])
     def test_scene_schema_errors_exit_3(self, tmp_path, capsys, edit, message):
         out = tmp_path / "scenes"
         main(["generate", "--tier", "t1", "--count", "1", "--seed", "3", "--out", str(out)])
         path = out / "scene_t1_3_0.json"
         scene = json.loads(path.read_text())
+        text = None
         if edit == "no_stacks":
             scene["stacks"] = []
         elif edit == "empty_negative_workspace":
@@ -251,9 +257,11 @@ class TestRun:
         elif edit == "cup_theta":  # only a utensil has an angle
             dishes = (d for s in scene["stacks"] for d in s["dishes"])
             next(d for d in dishes if d["kind"] == "cup")["theta"] = 1.0
+        elif edit == "repeated_seed":  # read as its last value, it would run its own seed
+            text = json.dumps(scene).replace('"seed": ', '"seed": 0, "seed": ', 1)
         else:
             scene["stacks"][-1]["dishes"][0]["extra"] = 1
-        path.write_text(json.dumps(scene))
+        path.write_text(text or json.dumps(scene))
         capsys.readouterr()
         assert main(["run", "--scene", str(path), "--policy", "pull"]) == 3
         assert message in capsys.readouterr().err
@@ -314,6 +322,13 @@ class TestBench:
             "summary.csv", "summary_delay_0s.csv", "summary_delay_3s.csv",
             "summary_delay_5s.csv", "traces.jsonl", "trials.jsonl",
         ]
+
+    def test_large_bin_delay_names_its_summary_in_exponent_form(self, tmp_path):
+        # Written as digits, 1e300 would name a file too long for the file system.
+        plan = write_plan(tmp_path, tiers=["t1"], scenes_per_tier=1, bin_delays=[1e300])
+        out = tmp_path / "bench"
+        assert main(["bench", "--plan", str(plan), "--out", str(out)]) == 0
+        assert (out / "summary_delay_1e+300s.csv").exists()
 
     def test_deterministic_and_parallel_identical(self, tmp_path):
         plan_path = write_plan(tmp_path)
@@ -507,9 +522,13 @@ class TestBench:
         ("bin_delays", [float("inf")]),
         ("policies", 5),
         pytest.param("base_seed", 10**400, id="base_seed-huge"),
+        pytest.param("base_seed", RawText(json.dumps(PLAN).replace(
+            '"base_seed": 11', '"base_seed": 7, "base_seed": 11')), id="base_seed-repeated"),
     ])
     def test_non_number_plan_field_exits_3(self, tmp_path, capsys, field, value):
         plan = write_plan(tmp_path, **{field: value})
+        if isinstance(value, RawText):
+            plan.write_text(value)
         rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "x")])
         assert rc == 3
         assert field in capsys.readouterr().err
@@ -796,10 +815,13 @@ def test_config_flag_threads_through(tmp_path, capsys):
     ("dishes", {"cup": {"length": 3.0}}),  # no rule reads a cup's length,
     ("dishes", {"bowl": {"width": 3.0}}),  # a bowl's width
     ("dishes", {"utensil": {"radius": 2.0}}),  # or a utensil's radius
+    pytest.param("p_fail", RawText('{"p_fail": 0.5, "p_fail": 0.0}'), id="p_fail-repeated"),
+    pytest.param("jaw_height", RawText('{"gripper": {"jaw_height": 4.0, "jaw_height": 5.0}}'),
+                 id="jaw_height-repeated"),
 ])
 def test_bad_config_key_exits_3(tmp_path, capsys, section, entry):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({section: entry}))
+    path.write_text(entry if isinstance(entry, RawText) else json.dumps({section: entry}))
     rc = main(["--config", str(path), "show-config"])
     assert rc == 3
     assert section in capsys.readouterr().err

@@ -143,7 +143,7 @@ def test_all_on_one_bowl_tests_each_utensil_against_the_preview():
     assert not stack_allowable(preview, 10, 0, SIM)
 
     cfg = PolicyConfig.named("stack", "all_on_one_bowl")
-    action = next_action(scene, SplitMix64(0), SIM, cfg, PairMemo(SIM))
+    action = next_action(scene, SplitMix64(0), cfg, PairMemo(SIM))
     assert choice(action) == stack_policy_choice(scene, SIM, cfg)
     assert len(action.lifts) == 9
 
@@ -189,14 +189,13 @@ def corridor_blockers(view: SceneState, mover: int, anchor: int, end: XY) -> set
     """The ids of the stacks on ``view`` meeting the corridor of ``mover``'s
     pull to ``end``."""
     sm = view.stacks[mover]
-    sweep = Sweep(
-        sm.base, end, stack_footprints(view, sm, SIM.dish_specs), SIM.pull_clearance_margin
-    )
+    fps = stack_footprints(sm, view.dishes, SIM.dish_specs)
+    sweep = Sweep(sm.base, end, fps, SIM.pull_clearance_margin)
     return {
         sid
         for sid, stack in view.stacks.items()
         if sid not in (mover, anchor)
-        and sweep.meets(stack_footprints(view, stack, SIM.dish_specs))
+        and sweep.meets(stack_footprints(stack, view.dishes, SIM.dish_specs))
     }
 
 
@@ -440,8 +439,8 @@ def test_memo_pull_is_check_pull_and_the_stepping_oracle(case):
     scene, end, delta = case
     specs = SIM.dish_specs
     blocked = sampled_sweep_blocked(
-        scene.stacks[0].base, end, stack_footprints(scene, scene.stacks[0], specs),
-        SIM.pull_clearance_margin, stack_footprints(scene, scene.stacks[2], specs),
+        scene.stacks[0].base, end, stack_footprints(scene.stacks[0], scene.dishes, specs),
+        SIM.pull_clearance_margin, stack_footprints(scene.stacks[2], scene.dishes, specs),
     )
     assert blocked == (delta < 0)
     check = check_pull(scene, 0, 1, SIM)
@@ -470,7 +469,8 @@ def test_stack_moved_into_a_tested_corridor_blocks_it():
     clear = check_pull(scene, 0, 1, SIM)
     assert clear.allowable
     mover = scene.stacks[0]
-    sweep = Sweep(mover.base, clear.end, memo.footprints(mover), SIM.pull_clearance_margin)
+    fps = stack_footprints(mover, scene.dishes, SIM.dish_specs)
+    sweep = Sweep(mover.base, clear.end, fps, SIM.pull_clearance_margin)
     x0, x1, y0, y1 = sweep.box(max(spec.circumscribed_radius for spec in SIM.dish_specs.values()))
     assert not y0 <= scene.stacks[2].base[1] <= y1
 
@@ -814,7 +814,7 @@ def test_first_step_bounds_few_pairs(monkeypatch):
     for seed in (0, 3):
         calls.clear()
         scene = dense_scene(72, seed)
-        next_action(scene, SplitMix64(seed), SIM, cfg, PairMemo(SIM))
+        next_action(scene, SplitMix64(seed), cfg, PairMemo(SIM))
         pairs = len(scene.stacks) * (len(scene.stacks) - 1) // 2
         assert 0 < len(calls) < pairs / 10
 

@@ -65,7 +65,7 @@ class TestRandomPolicy:
 
     def test_empty_table_is_done(self):
         scene = build_scene([])
-        assert next_action(scene, SplitMix64(0), SIM, RANDOM, None) is None
+        assert next_action(scene, SplitMix64(0), RANDOM, None) is None
         assert list(trial_steps(scene, RANDOM, SIM, 0)) == []
 
     def test_dish_uniform_selection_weights_stacks(self):
@@ -74,7 +74,7 @@ class TestRandomPolicy:
         hits = 0
         n = 2000
         for seed in range(n):
-            action = next_action(scene, SplitMix64(seed), SIM, RANDOM, None)
+            action = next_action(scene, SplitMix64(seed), RANDOM, None)
             if action.stack == 0:
                 hits += 1
         assert 0.70 < hits / n < 0.80

@@ -242,7 +242,7 @@ class TestValidate:
 def pairwise_overlaps(state):
     """The "stacks overlap" lines of ``validate``, found by testing every
     footprint of every pair of stacks with ``overlaps``."""
-    fps = {sid: stack_footprints(state, s, SPECS) for sid, s in state.stacks.items()}
+    fps = {sid: stack_footprints(s, state.dishes, SPECS) for sid, s in state.stacks.items()}
     ids = sorted(fps)
     return [
         f"stacks overlap: {a} and {b}"
